@@ -231,9 +231,12 @@ func BenchmarkRankers(b *testing.B) {
 
 // --- Ablation benchmarks (DESIGN.md Sec. 5) ---
 
-// BenchmarkEvalOrder compares the paper's Type I → II → III condition
-// order against the reverse order, isolating the index-driven
-// evaluation argument of Sec. 4.3.
+// BenchmarkEvalOrder measures Sec. 4.3's evaluation-order argument
+// under the planner's static rule — a conjunction is driven by its
+// first index-served operand, in statement order — so the two
+// statements really do run differently: the paper's Type I → II → III
+// order drives the make hash lookup, the reverse drives the price
+// range scan (and re-sorts its survivors).
 func BenchmarkEvalOrder(b *testing.B) {
 	e := env(b)
 	db := e.DB

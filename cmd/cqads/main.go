@@ -96,6 +96,8 @@ func explain(sys *cqads.System, domain, q string) {
 		fmt.Println("no SQL generated (empty or contradictory question)")
 		return
 	}
+	// The plan prints ? for literals; the statement supplies them.
+	fmt.Printf("sql:            %s\n", res.SQL)
 	plan, err := sql.ExplainString(sys.DB(), res.SQL)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
@@ -104,7 +106,8 @@ func explain(sys *cqads.System, domain, q string) {
 	fmt.Print(plan)
 }
 
-// stats prints a domain's table statistics.
+// stats scans a domain's table and prints its statistics (an
+// inspection aid; the planner does not use them).
 func stats(sys *cqads.System, domain string) {
 	tbl, ok := sys.DB().TableForDomain(strings.TrimSpace(domain))
 	if !ok {

@@ -15,14 +15,16 @@
 // # Performance architecture
 //
 // Question answering is engineered for interactive latency under
-// concurrent load. Generated SQL runs on a streaming executor: table
-// statistics pick the most selective indexed condition to drive a
-// volcano-style iterator and the remaining conjuncts are checked as
-// per-row residuals, while a bounded LRU plan cache keyed on the
-// question's literal-stripped shape reuses the compiled plan across
-// the (few hundred) tagged question templates real traffic repeats —
-// steady-state hit rates exceed 90%, and /api/status reports
-// hits/misses/invalidations. The N−1 relaxation sweep (Sec. 4.3.1)
+// concurrent load. Generated SQL runs on a streaming executor: following
+// the paper's evaluation order (Sec. 4.3: Type I, then Type II, then
+// Type III conditions), the first indexed condition of the statement
+// drives a volcano-style iterator and the remaining conjuncts are
+// checked as per-row residuals, while a bounded LRU plan cache keyed
+// on the question's literal-stripped shape reuses the compiled plan
+// across the (few hundred) tagged question templates real traffic
+// repeats. Plans depend on schema and shape only, so live ingest never
+// invalidates one — steady-state hit rates exceed 90%, and /api/status
+// reports hits/misses/size. The N−1 relaxation sweep (Sec. 4.3.1)
 // streams each condition's matching rows once into a counting tally
 // and emits rows satisfying at least n−1 (depth 2: n−2) conditions,
 // rather than re-executing one SQL query per dropped condition; ranked
@@ -143,11 +145,9 @@
 // one WAL append + one fsync per batch, with unchanged semantics —
 // log order equals mutation order, an ack (local or quorum) still
 // means the write is durable, a failed batch latches the store with
-// nobody acked, and a lone writer never waits
-// (core.Config.GroupCommitWait widens the window,
-// core.Config.NoGroupCommit restores per-call fsync). At 8 concurrent
-// writers group commit sustains roughly 3x the per-call-fsync insert
-// throughput. Service latency is observable end to end: every
+// nobody acked, and a lone writer never waits. At 8
+// concurrent writers group commit sustained roughly 3x the insert
+// throughput of the per-call-fsync path it replaced. Service latency is observable end to end: every
 // interesting webui endpoint records into a lock-striped power-of-two
 // histogram and GET /api/status reports cumulative, reset-free
 // per-endpoint counts and p50/p90/p99/p999; the shard front tier

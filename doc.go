@@ -20,23 +20,31 @@
 //     materializing per-condition row sets (internal/sqldb/scan.go,
 //     internal/sql/stream.go).
 //
-//   - Stats-driven planning. sql.Compile turns a parsed Select into a
-//     Plan: cached per-version table statistics (Table.Stats —
-//     row counts, per-column distinct counts and value ranges)
-//     estimate each leaf's selectivity, the cheapest drivable leaf is
-//     chosen to drive the scan, and the rest become residuals. OR and
+//   - Planning from shape and schema alone. The paper fixes the
+//     evaluation order (Sec. 4.3: Type I conditions first, then Type
+//     II, then Type III, superlatives last) and core.BuildSelect emits
+//     every conjunction in that order, so sql.Compile reads the order
+//     off the statement: a conjunction is driven by its first operand
+//     that an index serves (= on a hashed Type I/II column, a range or
+//     BETWEEN on an ordered Type III column, LIKE on a
+//     trigram-indexed string column), else by its first drivable leaf,
+//     and the rest become residuals. No table statistics, no
+//     selectivity estimates, no literal values enter a plan. OR and
 //     NOT subtrees fall back to materialize-and-merge; LIMIT is pushed
 //     into the driving iterator when no ORDER BY reorders the stream.
-//     sql.Explain renders the chosen plan (driving index, estimated
-//     selectivities, pushed residuals) for any statement.
+//     sql.Explain renders the compiled plan (driving scan and its
+//     access path, pushed residuals, membership sets) for any
+//     statement, with ? for each literal.
 //
 //   - A shape-keyed plan cache. Compiled plans carry no literals —
 //     execution re-binds the statement's constants at run time — so
 //     one plan serves every question with the same tagged shape
 //     ("make = ? AND price < ?" over cars). core.System memoizes plans
-//     in a bounded LRU keyed on domain + literal-stripped skeleton,
-//     invalidated by table version; on the 650-question workload the
-//     steady-state hit rate exceeds 90% (internal/sql/plan, metrics in
+//     in a bounded LRU keyed on domain + literal-stripped skeleton.
+//     A plan is a function of (schema, shape), so ingest never
+//     invalidates one: misses equal distinct shapes, and on the
+//     650-question workload the steady-state hit rate exceeds 90%
+//     with or without concurrent writes (internal/sql/plan, metrics in
 //     /api/status under "plan_cache"). The eager evaluator survives as
 //     sql.ExecLegacy, and a differential fuzzer
 //     (internal/sql/fuzz_test.go) holds both executors bit-identical.
@@ -351,11 +359,9 @@
 //     still means "my write is durable" (quorum acks still wait for
 //     the majority), a mid-batch append failure latches the store
 //     with nobody acked, and a lone writer commits immediately — the
-//     coalescing window is the fsync itself (Config.GroupCommitWait
-//     can widen it; Config.NoGroupCommit restores per-call fsync for
-//     baseline benchmarking). At 8 concurrent writers the grouped
-//     path sustains ~3x the per-call-fsync insert throughput
-//     (BenchmarkDurableSingleInsert).
+//     coalescing window is the fsync itself. At 8 concurrent writers
+//     the grouped path sustained ~3x the insert throughput of the
+//     per-call-fsync path it replaced (CHANGES.md, PR 9).
 //
 //   - Hedged reads. The front tier learns each shard group's read
 //     latency in its own per-group histogram and hedges: a read still

@@ -4,16 +4,16 @@ import (
 	"fmt"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/persist"
 	"repro/internal/sqldb"
 )
 
-// This file is the group-commit scheduler for single durable writes.
+// This file is the group-commit scheduler: the one path a single
+// durable write takes.
 //
-// Without it, every InsertAd/DeleteAd pays its own WAL fsync — under
-// concurrent writers the disk serializes them and the fsync becomes
+// If every InsertAd/DeleteAd paid its own WAL fsync, under concurrent
+// writers the disk would serialize them and the fsync would become
 // the write-flood bottleneck (the batch ingest calls already amortize
 // it, but independent callers cannot use those). The scheduler routes
 // single writes through a committer that drains everything queued,
@@ -27,27 +27,26 @@ import (
 // Close (a crash being simulated, a test killing a primary) leaks
 // nothing.
 //
-// The semantics are exactly the per-call path's, just batched:
+// The semantics are those of one write, one append, one fsync, just
+// batched:
 //
-//   - Log order still equals mutation order: both happen under
-//     persister.mu in the same loop, so recovery replay and RowID
-//     verification are untouched.
-//   - An ack means what it meant before. A writer is released only
-//     after the Append covering its op returned, i.e. after ITS bytes
-//     are fsync'd; AckQuorum waits happen caller-side afterwards,
-//     off the ingest lock, as always.
+//   - Log order equals mutation order: both happen under persister.mu
+//     in the same loop, which recovery replay and RowID verification
+//     rely on.
+//   - A writer is released only after the Append covering its op
+//     returned, i.e. after ITS bytes are fsync'd; AckQuorum waits
+//     happen caller-side afterwards, off the ingest lock.
 //   - Admission control (admitLocked) and the ingestable gate run
 //     per queued write, before its table mutation.
-//   - A failed Append latches the persister exactly as before; every
-//     writer whose mutation was in the doomed batch gets
-//     ErrDurabilityLost, and writers in later batches are refused
-//     before any table is touched.
+//   - A failed Append latches the persister; every writer whose
+//     mutation was in the doomed batch gets ErrDurabilityLost, and
+//     writers in later batches are refused before any table is
+//     touched.
 //
 // The committer adds no latency to a lone writer: with an empty queue
-// the batch is size one and commits immediately (GroupCommitWait can
-// opt into a bounded wait, trading lone-writer latency for fewer
-// fsyncs). Coalescing emerges from the fsync itself — while one batch
-// is syncing, the next writers queue up and form the next batch.
+// the batch is size one and commits immediately. Coalescing emerges
+// from the fsync itself — while one batch is syncing, the next writers
+// queue up and form the next batch.
 
 // maxGroupCommitOps caps one batch, bounding both the single Append's
 // buffer and how long the ingest lock is held per commit.
@@ -88,17 +87,10 @@ type groupCommitter struct {
 	// wg tracks the live committer goroutine so shutdown can wait for
 	// its in-flight batch.
 	wg sync.WaitGroup
-	// wait is Config.GroupCommitWait: the optional batch window after
-	// the first write of a batch is picked up.
-	wait time.Duration
 	// batched counts requests dequeued into a batch but not yet
 	// resolved. Tests use it to sequence fault injection around a
 	// commit that is blocked on the ingest lock.
 	batched atomic.Int64
-}
-
-func newGroupCommitter(wait time.Duration) *groupCommitter {
-	return &groupCommitter{wait: wait}
 }
 
 // queued reports the current queue depth (requests accepted but not
@@ -124,20 +116,6 @@ func (c *groupCommitter) takeBatch() []*gcRequest {
 	batch := c.queue[:n:n]
 	c.queue = append([]*gcRequest(nil), c.queue[n:]...)
 	c.batched.Add(int64(n))
-	return batch
-}
-
-// absorb tops a batch up with writes that queued during the
-// GroupCommitWait window.
-func (c *groupCommitter) absorb(batch []*gcRequest) []*gcRequest {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	n := min(len(c.queue), maxGroupCommitOps-len(batch))
-	if n > 0 {
-		batch = append(batch, c.queue[:n]...)
-		c.queue = append([]*gcRequest(nil), c.queue[n:]...)
-		c.batched.Add(int64(n))
-	}
 	return batch
 }
 
@@ -188,14 +166,10 @@ func (s *System) shutdownGroupCommits(c *groupCommitter) {
 	}
 }
 
-// insertAdGrouped is the single-insert durable path: through the
-// group committer when it is running, the direct per-call-fsync path
-// otherwise (Config.NoGroupCommit).
+// insertAdGrouped is the single-insert durable path: queue the write
+// on the group committer and wait for the batch that carries it.
 func (s *System) insertAdGrouped(domain string, values map[string]sqldb.Value, pin sqldb.RowID, ack AckLevel) (sqldb.RowID, uint64, error) {
 	c := s.persist.gc
-	if c == nil {
-		return s.insertAdDurable(domain, values, pin, ack)
-	}
 	r := &gcRequest{domain: domain, values: values, pin: pin, ack: ack, done: make(chan gcResult, 1)}
 	if err := s.submitGrouped(c, r); err != nil {
 		return 0, 0, err
@@ -208,9 +182,6 @@ func (s *System) insertAdGrouped(domain string, values map[string]sqldb.Value, p
 // insertAdGrouped).
 func (s *System) deleteAdGrouped(domain string, id sqldb.RowID, ack AckLevel) (uint64, error) {
 	c := s.persist.gc
-	if c == nil {
-		return s.deleteAdDurable(domain, id, ack)
-	}
 	r := &gcRequest{domain: domain, del: true, id: id, pin: unpinned, ack: ack, done: make(chan gcResult, 1)}
 	if err := s.submitGrouped(c, r); err != nil {
 		return 0, err
@@ -230,12 +201,6 @@ func (s *System) runGroupCommits(c *groupCommitter) {
 		batch := c.takeBatch()
 		if batch == nil {
 			return
-		}
-		if c.wait > 0 {
-			// Optional batch window: sleep after picking up the first
-			// write(s), then absorb whatever queued meanwhile.
-			time.Sleep(c.wait)
-			batch = c.absorb(batch)
 		}
 		s.commitGroup(c, batch)
 	}

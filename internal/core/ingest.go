@@ -82,38 +82,6 @@ func (s *System) InsertAdPinnedWithAck(domain string, values map[string]sqldb.Va
 	return id, nil
 }
 
-// insertAdDurable is the under-lock half of a durable insert: table
-// mutation plus WAL append as one critical section, returning the
-// assigned log sequence for quorum tracking. It pays a full fsync per
-// call — the live path routes through insertAdGrouped (group commit)
-// and only falls back here under Config.NoGroupCommit.
-func (s *System) insertAdDurable(domain string, values map[string]sqldb.Value, pin sqldb.RowID, ack AckLevel) (sqldb.RowID, uint64, error) {
-	p := s.persist
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.ingestable(); err != nil {
-		return 0, 0, err
-	}
-	if err := s.admitLocked(ack); err != nil {
-		return 0, 0, err
-	}
-	id, err := s.insertAdLocked(domain, values, pin)
-	if err != nil {
-		return 0, 0, err
-	}
-	ops := []persist.Op{insertOpFor(domain, id, values)}
-	if err := p.store.Append(ops); err != nil {
-		// The row is in memory but not durably logged: memory and
-		// log have diverged, so latch ingestion shut (see
-		// persister.failed) and surface the id with the error so
-		// the caller can compensate.
-		p.failed.Store(true)
-		return id, 0, fmt.Errorf("core: ad %d inserted but not logged (%v): %w", id, err, ErrDurabilityLost)
-	}
-	s.maybeCompact()
-	return id, ops[0].Seq, nil
-}
-
 // insertAdLocked is the storage-plus-classifier half of InsertAd. On
 // persistent systems the caller holds persister.mu. A pin >= 0 places
 // the ad at exactly that RowID (after the partition-slice check); an
@@ -183,29 +151,6 @@ func (s *System) DeleteAdWithAck(domain string, id sqldb.RowID, ack AckLevel) er
 		return s.awaitQuorum(seq)
 	}
 	return nil
-}
-
-// deleteAdDurable is the under-lock half of a durable delete.
-func (s *System) deleteAdDurable(domain string, id sqldb.RowID, ack AckLevel) (uint64, error) {
-	p := s.persist
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if err := p.ingestable(); err != nil {
-		return 0, err
-	}
-	if err := s.admitLocked(ack); err != nil {
-		return 0, err
-	}
-	if err := s.deleteAdLocked(domain, id); err != nil {
-		return 0, err
-	}
-	ops := []persist.Op{{Kind: persist.OpDelete, Domain: domain, ID: id}}
-	if err := p.store.Append(ops); err != nil {
-		p.failed.Store(true) // unlogged delete: memory and log diverged
-		return 0, fmt.Errorf("core: ad %d deleted but not logged (%v): %w", id, err, ErrDurabilityLost)
-	}
-	s.maybeCompact()
-	return ops[0].Seq, nil
 }
 
 // deleteAdLocked is the storage half of DeleteAd. On a partitioned

@@ -45,9 +45,9 @@ type persister struct {
 	mu           sync.Mutex
 	store        *persist.Store
 	compactBytes int64
-	// gc is the group-commit scheduler for single writes, nil when
-	// Config.NoGroupCommit opts into per-call fsyncs. Set once in
-	// Open before the system is published, read-only after.
+	// gc is the group-commit scheduler every single write goes
+	// through. Set once in Open before the system is published,
+	// read-only after.
 	gc *groupCommitter
 	// maxWALBytes is the ingest admission threshold on log backlog
 	// (Config.MaxWALBytes resolved; 0 = disabled).
@@ -142,7 +142,10 @@ func Open(cfg Config) (*System, error) {
 		}
 	}
 	st.ReleaseRecoveryState()
-	p := &persister{store: st, compactBytes: cfg.CompactBytes, maxWALBytes: cfg.MaxWALBytes}
+	// The committer holds no goroutine yet: one is spawned by the first
+	// queued write and exits when the queue drains, so an idle or
+	// abandoned System holds nothing.
+	p := &persister{store: st, compactBytes: cfg.CompactBytes, maxWALBytes: cfg.MaxWALBytes, gc: &groupCommitter{}}
 	if p.compactBytes == 0 {
 		p.compactBytes = DefaultCompactBytes
 	}
@@ -153,12 +156,6 @@ func Open(cfg Config) (*System, error) {
 		p.maxWALBytes = 0 // explicit opt-out
 	}
 	sys.persist = p
-	if !cfg.NoGroupCommit {
-		// No goroutine yet: the committer is spawned by the first
-		// queued write and exits when the queue drains, so an idle or
-		// abandoned System holds nothing.
-		p.gc = newGroupCommitter(cfg.GroupCommitWait)
-	}
 	if !hadSnapshot {
 		// First run (or a lost snapshot): make the current store the
 		// durable baseline before serving anything.
@@ -485,9 +482,7 @@ func (s *System) Close() error {
 	// fails every still-queued write at the ingestable gate ("system
 	// is closed") without touching a table, so nothing can land after
 	// the checkpoint above.
-	if p.gc != nil {
-		s.shutdownGroupCommits(p.gc)
-	}
+	s.shutdownGroupCommits(p.gc)
 	// Wait out an in-flight background compaction (it will observe
 	// closed and fail harmlessly — our own checkpoint above already
 	// captured everything).

@@ -115,20 +115,6 @@ type Config struct {
 	// drains. 0 means DefaultMaxWALBytes; negative disables the
 	// check.
 	MaxWALBytes int64
-	// NoGroupCommit disables the group-commit scheduler on a durable
-	// system: every single InsertAd/DeleteAd pays its own WAL fsync
-	// instead of coalescing with concurrent writers. The durability
-	// contract is identical either way; this exists for benchmarking
-	// the scheduler against the per-call baseline.
-	NoGroupCommit bool
-	// GroupCommitWait is an optional batch window: after the group
-	// committer picks up a write, it waits up to this long for more
-	// writers to queue before paying the fsync. 0 (the default)
-	// commits as soon as the previous fsync's backlog is drained —
-	// concurrency alone sets the batch size, and a lone writer never
-	// waits. Raise it only to trade single-writer latency for fewer
-	// fsyncs under bursty load.
-	GroupCommitWait time.Duration
 	// Partitions, when > 1, makes this System host one hash slice of a
 	// single domain's key space instead of the whole domain: only ads
 	// whose partition.KeyHash falls in slice (PartitionIndex,
@@ -193,8 +179,8 @@ type System struct {
 	// writes; always present, inert when Config.ReplicaSet <= 1.
 	quorum *quorumState
 	// plans caches compiled streaming query plans keyed on question
-	// shape (domain + expression skeleton). Entries are invalidated
-	// per table version, so live ingest stays correct.
+	// shape (domain + expression skeleton). A plan depends on schema
+	// and shape only, so live ingest never invalidates an entry.
 	plans *plan.Cache
 }
 
@@ -509,15 +495,18 @@ func (s *System) execSelect(tbl *sqldb.Table, sel *sql.Select) ([]sqldb.RowID, e
 	return p.Run(s.db, sel)
 }
 
-// PlanCacheStats exposes the plan cache's lookup tallies (hits,
-// misses, version invalidations) and its current size.
+// PlanCacheStats exposes the plan cache's lookup tallies and its
+// current size. invalidations is always 0 — plans depend on schema and
+// shape only, so nothing invalidates one — and is kept because bench/
+// destructures four values.
 func (s *System) PlanCacheStats() (hits, misses, invalidations int64, size int) {
-	return s.plans.Stats()
+	hits, misses, size = s.plans.Stats()
+	return hits, misses, 0, size
 }
 
 // PlanCached reports whether the compiled plan for a SQL statement in
-// the given domain is currently cached and fresh — the EXPLAIN
-// panel's hit/miss preview. Unparseable statements report false.
+// the given domain is currently cached — the EXPLAIN panel's hit/miss
+// preview. Unparseable statements report false.
 func (s *System) PlanCached(domain, query string) bool {
 	sel, err := sql.Parse(query)
 	if err != nil {

@@ -65,20 +65,18 @@ var Repl struct {
 
 // Plan holds the plan-cache counters for this process (the compiled
 // streaming-query plans of internal/sql/plan, keyed on question
-// shape). A healthy steady-state workload shows Hits dwarfing Misses
-// — millions of users ask the same few hundred tagged shapes — while
-// Invalidations ticking tracks live ingest moving table versions.
-// GET /api/status exposes all of them.
+// shape). A plan follows Sec. 4.3's fixed Type I → II → III order and
+// depends on schema and shape only, so ingest never invalidates one:
+// Misses counts distinct shapes (plus LRU evictions) and a healthy
+// steady-state workload shows Hits dwarfing it — millions of users
+// ask the same few hundred tagged shapes. GET /api/status exposes all
+// of them.
 var Plan struct {
-	// Hits counts cache lookups answered by a current compiled plan.
+	// Hits counts cache lookups answered by a cached compiled plan.
 	Hits Counter
 	// Misses counts lookups that found no plan for the shape and
 	// compiled one.
 	Misses Counter
-	// Invalidations counts lookups that found a plan compiled against
-	// a superseded table version (a mutation landed since) and
-	// recompiled.
-	Invalidations Counter
 	// Size is the number of plans currently cached.
 	Size Gauge
 }

@@ -4,30 +4,34 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/schema"
 	"repro/internal/sqldb"
 )
 
-// Explain renders the access-path plan for a SELECT: which index each
-// predicate uses (the hash primary/secondary indexes on Type I/II
-// columns, the ordered indexes on Type III columns, the length-3
-// trigram substring index for LIKE) and how the sets combine. It is
-// the engine-side counterpart of the evaluation-order argument of
-// Sec. 4.3.
+// Explain renders the compiled plan for a SELECT — the plan Exec
+// runs, not a description beside it: for each conjunction the driving
+// scan and its access path (the hash primary/secondary indexes on Type
+// I/II columns, the ordered indexes on Type III columns, the length-3
+// trigram substring index for LIKE), the conjuncts pushed down as
+// per-row residual predicates, and the ones materialized into
+// membership sets. A plan is a function of schema and statement shape
+// only (Sec. 4.3's Type I → II → III order, read off the statement),
+// so conditions print with ? in place of their literals: two
+// statements of one shape explain identically.
 func Explain(db *sqldb.DB, sel *Select) (string, error) {
-	tbl, ok := db.Table(sel.Table)
-	if !ok {
-		tbl, ok = db.TableForDomain(sel.Table)
-		if !ok {
-			return "", fmt.Errorf("sql: unknown table %q", sel.Table)
-		}
+	p, err := Compile(db, sel)
+	if err != nil {
+		return "", err
+	}
+	tbl, err := resolveTable(db, sel.Table)
+	if err != nil {
+		return "", err
 	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "SELECT on %s (%d rows)\n", tbl.Name(), tbl.Len())
-	if sel.Where == nil {
+	if p.root == nil {
 		sb.WriteString("  full scan (no WHERE)\n")
 	} else {
-		explainExpr(&sb, tbl, sel.Where, 1)
+		p.root.explain(&sb, 1)
 	}
 	if sel.OrderBy != "" {
 		dir := "ASC"
@@ -39,59 +43,7 @@ func Explain(db *sqldb.DB, sel *Select) (string, error) {
 	if sel.Limit > 0 {
 		fmt.Fprintf(&sb, "  limit %d (answer cutoff)\n", sel.Limit)
 	}
-	if p, perr := Compile(db, sel); perr == nil && p.root != nil {
-		sb.WriteString("  streaming plan:\n")
-		explainPlan(&sb, sel.Where, p.root, 2)
-	}
 	return sb.String(), nil
-}
-
-// explainPlan renders the compiled streaming plan alongside the
-// access-path listing above: which leaf the statistics chose as each
-// conjunction's driving scan, the estimated selectivities behind that
-// choice, and which conjuncts were pushed down as per-row residual
-// predicates versus materialized into membership sets.
-func explainPlan(sb *strings.Builder, e Expr, n *planNode, depth int) {
-	pad := strings.Repeat("  ", depth)
-	switch n.kind {
-	case nkLeaf:
-		fmt.Fprintf(sb, "%s%s: %s, est %.1f rows\n", pad, e.SQL(), n.access, n.est)
-	case nkOpaque:
-		fmt.Fprintf(sb, "%s%s: IN subquery via eager evaluator\n", pad, e.SQL())
-	case nkNot:
-		fmt.Fprintf(sb, "%scomplement (est %.1f rows) of:\n", pad, n.est)
-		explainPlan(sb, e.(*Not).Operand, n.children[0], depth+1)
-	case nkOr:
-		fmt.Fprintf(sb, "%sunion of %d branches (est %.1f rows):\n", pad, len(n.children), n.est)
-		for i, op := range e.(*Or).Operands {
-			explainPlan(sb, op, n.children[i], depth+1)
-		}
-	case nkAnd:
-		x := e.(*And)
-		if n.driving < 0 {
-			fmt.Fprintf(sb, "%seager intersection of %d sets (no drivable leaf):\n", pad, len(n.children))
-			for i, op := range x.Operands {
-				explainPlan(sb, op, n.children[i], depth+1)
-			}
-			return
-		}
-		fmt.Fprintf(sb, "%sstreamed conjunction (est %.1f rows):\n", pad, n.est)
-		for i, op := range x.Operands {
-			c := n.children[i]
-			_, resOK := residualPred(op)
-			switch {
-			case i == n.driving:
-				fmt.Fprintf(sb, "%s  driving scan: %s via %s (est %.1f rows, cost %.1f)\n",
-					pad, op.SQL(), c.access, c.est, c.cost)
-			case c.predOK && resOK:
-				fmt.Fprintf(sb, "%s  pushed residual: %s (est %.1f rows, checked per row)\n",
-					pad, op.SQL(), c.est)
-			default:
-				fmt.Fprintf(sb, "%s  membership set from:\n", pad)
-				explainPlan(sb, op, c, depth+2)
-			}
-		}
-	}
 }
 
 // ExplainString parses and explains in one step.
@@ -103,67 +55,57 @@ func ExplainString(db *sqldb.DB, query string) (string, error) {
 	return Explain(db, sel)
 }
 
-func explainExpr(sb *strings.Builder, tbl *sqldb.Table, e Expr, depth int) {
+func (n *planNode) explain(sb *strings.Builder, depth int) {
 	pad := strings.Repeat("  ", depth)
-	switch n := e.(type) {
-	case *Compare:
-		fmt.Fprintf(sb, "%s%s: %s\n", pad, n.SQL(), accessPath(tbl, n.Column, n.Op))
-	case *Between:
-		fmt.Fprintf(sb, "%s%s: %s\n", pad, n.SQL(), accessPath(tbl, n.Column, OpLt))
-	case *Like:
-		path := "full scan with substring verify"
-		if len(n.Pattern) >= 3 && isStringColumn(tbl, n.Column) {
-			path = "trigram substring index (length-3) with verify"
-		}
-		fmt.Fprintf(sb, "%s%s: %s\n", pad, n.SQL(), path)
-	case *In:
-		fmt.Fprintf(sb, "%ssubquery for %s IN (...):\n", pad, n.Column)
-		if n.Sub.Where != nil {
-			explainExpr(sb, tbl, n.Sub.Where, depth+1)
-		}
-	case *And:
-		fmt.Fprintf(sb, "%sintersect %d sets (evaluated in order, short-circuits on empty):\n", pad, len(n.Operands))
-		for _, op := range n.Operands {
-			explainExpr(sb, tbl, op, depth+1)
-		}
-	case *Or:
-		fmt.Fprintf(sb, "%sunion %d sets:\n", pad, len(n.Operands))
-		for _, op := range n.Operands {
-			explainExpr(sb, tbl, op, depth+1)
-		}
-	case *Not:
+	switch n.kind {
+	case nkLeaf:
+		fmt.Fprintf(sb, "%s%s: %s\n", pad, n.shape(), n.access)
+	case nkOpaque:
+		fmt.Fprintf(sb, "%s%s: eager evaluator\n", pad, n.shape())
+	case nkNot:
 		fmt.Fprintf(sb, "%scomplement of:\n", pad)
-		explainExpr(sb, tbl, n.Operand, depth+1)
+		n.children[0].explain(sb, depth+1)
+	case nkOr:
+		fmt.Fprintf(sb, "%sunion of %d branches:\n", pad, len(n.children))
+		for _, c := range n.children {
+			c.explain(sb, depth+1)
+		}
+	case nkAnd:
+		if n.driving < 0 {
+			fmt.Fprintf(sb, "%seager intersection of %d sets (no drivable leaf):\n", pad, len(n.children))
+			for _, c := range n.children {
+				c.explain(sb, depth+1)
+			}
+			return
+		}
+		fmt.Fprintf(sb, "%sstreamed conjunction:\n", pad)
+		for i, c := range n.children {
+			switch {
+			case i == n.driving:
+				fmt.Fprintf(sb, "%s  driving scan: %s via %s\n", pad, c.shape(), c.access)
+			case c.predOK:
+				fmt.Fprintf(sb, "%s  pushed residual: %s (checked per row)\n", pad, c.shape())
+			default:
+				fmt.Fprintf(sb, "%s  membership set from:\n", pad)
+				c.explain(sb, depth+2)
+			}
+		}
 	}
 }
 
-// accessPath names the index strategy for one comparison.
-func accessPath(tbl *sqldb.Table, col string, op BinaryOp) string {
-	s := tbl.Schema()
-	a, ok := s.Attr(col)
-	if !ok {
-		return "unknown column (error at exec)"
+// shape prints a leaf, a negated leaf or an IN node as SQL with ? for
+// each literal. Conjunctions and unions have no one-line shape;
+// explain renders them as subtrees and never asks for one.
+func (n *planNode) shape() string {
+	switch {
+	case n.kind == nkNot:
+		return "NOT " + n.children[0].shape()
+	case n.kind == nkOpaque:
+		return n.col + " IN (subquery)"
+	case n.leaf == lkBetween:
+		return n.col + " BETWEEN ? AND ?"
+	case n.leaf == lkLike:
+		return n.col + " LIKE ?"
 	}
-	switch a.Type {
-	case schema.TypeI:
-		if op == OpEq {
-			return "primary hash index lookup (Type I)"
-		}
-		return "primary index with complement/scan"
-	case schema.TypeII:
-		if op == OpEq {
-			return "secondary hash index lookup (Type II)"
-		}
-		return "secondary index with complement/scan"
-	default:
-		if op == OpEq {
-			return "ordered index point lookup (Type III)"
-		}
-		return "ordered index range scan (Type III)"
-	}
-}
-
-func isStringColumn(tbl *sqldb.Table, col string) bool {
-	a, ok := tbl.Schema().Attr(col)
-	return ok && a.Type != schema.TypeIII
+	return fmt.Sprintf("%s %s ?", n.col, n.op)
 }

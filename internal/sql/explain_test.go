@@ -14,12 +14,11 @@ func TestExplainAccessPaths(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"primary hash index lookup (Type I)",
-		"ordered index range scan (Type III)",
-		"trigram substring index",
+		"driving scan: make = ? via primary hash index lookup (Type I)",
+		"pushed residual: price < ?",
+		"pushed residual: model LIKE ?",
 		"sort by price ASC",
 		"limit 30",
-		"intersect 3 sets",
 	} {
 		if !strings.Contains(plan, want) {
 			t.Errorf("plan missing %q:\n%s", want, plan)
@@ -36,10 +35,10 @@ func TestExplainOrNotAndSubquery(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, want := range []string{
-		"union 2 sets",
+		"union of 2 branches",
 		"complement of:",
 		"secondary hash index lookup (Type II)",
-		"subquery for make IN",
+		"make IN (subquery): eager evaluator",
 	} {
 		if !strings.Contains(plan, want) {
 			t.Errorf("plan missing %q:\n%s", want, plan)
@@ -47,6 +46,9 @@ func TestExplainOrNotAndSubquery(t *testing.T) {
 	}
 }
 
+// TestExplainStreamingPlanMultiConjunct: Explain prints the compiled plan once — no
+// second listing describing the eager evaluator beside it, and no
+// estimates, because the planner has none.
 func TestExplainStreamingPlanMultiConjunct(t *testing.T) {
 	db, _ := execDB(t)
 	plan, err := ExplainString(db, `SELECT * FROM car_ads
@@ -54,15 +56,9 @@ func TestExplainStreamingPlanMultiConjunct(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{
-		"streaming plan:",
-		"streamed conjunction",
-		"driving scan:",
-		"pushed residual:",
-		"est ",
-	} {
-		if !strings.Contains(plan, want) {
-			t.Errorf("plan missing %q:\n%s", want, plan)
+	for _, stale := range []string{"intersect 3 sets", "short-circuits", "streaming plan:", "est ", "cost "} {
+		if strings.Contains(plan, stale) {
+			t.Errorf("plan still prints %q:\n%s", stale, plan)
 		}
 	}
 	// Exactly one conjunct drives the stream; the other two ride along
@@ -72,6 +68,35 @@ func TestExplainStreamingPlanMultiConjunct(t *testing.T) {
 	}
 	if got := strings.Count(plan, "pushed residual:"); got != 2 {
 		t.Errorf("pushed residuals = %d, want 2:\n%s", got, plan)
+	}
+	for _, col := range []string{"make", "price", "model"} {
+		if got := strings.Count(plan, col+" "); got != 1 {
+			t.Errorf("condition on %s printed %d times, want 1:\n%s", col, got, plan)
+		}
+	}
+}
+
+// TestExplainDrivesFirstIndexedOperand pins the rule: statement order
+// decides, an index-served leaf beats an earlier unindexed one, and
+// with no index-served leaf the first drivable leaf drives.
+func TestExplainDrivesFirstIndexedOperand(t *testing.T) {
+	db, _ := execDB(t)
+	for _, tc := range []struct{ where, driving string }{
+		{"make = 'honda' AND color = 'red' AND price < 9000", "make = ? via primary hash"},
+		{"color = 'red' AND make = 'honda'", "color = ? via secondary hash"},
+		{"price < 9000 AND make = 'honda'", "price < ? via ordered index"},
+		{"make < 5 AND year BETWEEN 2000 AND 2005 AND color = 'red'", "year BETWEEN ? AND ? via ordered index"},
+		{"price = 9000 AND model LIKE '%cord%'", "model LIKE ? via trigram"},
+		{"price = 9000 AND make > 3", "price = ? via scan with equality verify"},
+		{"NOT make = 'honda' AND (color = 'red' OR color = 'blue') AND year > 2000", "year > ? via ordered index"},
+	} {
+		plan, err := ExplainString(db, "SELECT * FROM car_ads WHERE "+tc.where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(plan, "driving scan: "+tc.driving) {
+			t.Errorf("%s: want driving scan %q:\n%s", tc.where, tc.driving, plan)
+		}
 	}
 }
 
@@ -98,20 +123,15 @@ func TestExplainNoWhere(t *testing.T) {
 	}
 }
 
-func TestExplainShortLikeFallsBackToScan(t *testing.T) {
-	db, _ := execDB(t)
-	plan, err := ExplainString(db, "SELECT * FROM car_ads WHERE model LIKE '%co%'")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !strings.Contains(plan, "full scan with substring verify") {
-		t.Errorf("plan = %s", plan)
-	}
-}
-
 func TestExplainUnknownTable(t *testing.T) {
 	db, _ := execDB(t)
-	if _, err := ExplainString(db, "SELECT * FROM ghost"); err == nil {
-		t.Error("unknown table should error")
+	for _, q := range []string{
+		"SELECT * FROM ghost",
+		"SELECT * FROM car_ads WHERE ghost = 1",
+		"SELECT * FROM car_ads WHERE price < 'cheap'",
+	} {
+		if _, err := ExplainString(db, q); err == nil {
+			t.Errorf("%s: want the compile error", q)
+		}
 	}
 }

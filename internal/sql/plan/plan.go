@@ -4,11 +4,13 @@
 // domain, differing only in literals — so a plan compiled once per
 // (domain, expression skeleton) pair serves the whole template: the
 // executor re-binds each statement's literals into the cached shape
-// at run time (sql.Plan.Run). Entries record the table version they
-// were compiled at and are invalidated when live ingest moves it, so
-// a cached plan never outlives the statistics it was chosen by for
-// longer than one mutation. Hit/miss/invalidation counters feed
-// internal/metrics for the /api/status payload.
+// at run time (sql.Plan.Run). A plan is a function of the table's
+// schema and the statement's shape only — the paper fixes the
+// evaluation order (Sec. 4.3: Type I, then II, then III) and the
+// planner reads it off the statement — so an entry never goes stale:
+// ingest moves table contents, not schemas, and the only way out of
+// the cache is LRU eviction. Hit/miss counters feed internal/metrics
+// for the /api/status payload.
 package plan
 
 import (
@@ -110,20 +112,17 @@ func writeShape(sb *strings.Builder, e sql.Expr) {
 // for concurrent use; compilation happens outside the lock, so a
 // slow compile never stalls concurrent lookups.
 type Cache struct {
-	mu            sync.Mutex
-	cap           int
-	lru           *list.List // front = most recently used
-	byKey         map[string]*list.Element
-	hits          int64
-	misses        int64
-	invalidations int64
+	mu     sync.Mutex
+	cap    int
+	lru    *list.List // front = most recently used
+	byKey  map[string]*list.Element
+	hits   int64
+	misses int64
 }
 
 type entry struct {
-	key     string
-	plan    *sql.Plan
-	tbl     *sqldb.Table
-	version uint64
+	key  string
+	plan *sql.Plan
 }
 
 // DefaultCapacity bounds a cache built with NewCache(0). A few
@@ -144,46 +143,22 @@ func NewCache(capacity int) *Cache {
 }
 
 // Get returns the compiled plan for sel's shape, compiling and
-// caching it on a miss. A cached plan whose table version has moved
-// since compilation (live ingest) counts as an invalidation and is
-// recompiled against the current statistics. The returned plan is
-// immutable and safe for concurrent Run calls.
+// caching it on a miss. The returned plan is immutable and safe for
+// concurrent Run calls.
 func (c *Cache) Get(db *sqldb.DB, domain string, sel *sql.Select) (*sql.Plan, error) {
 	key := Key(domain, sel)
 	c.mu.Lock()
 	if el, ok := c.byKey[key]; ok {
-		e := el.Value.(*entry)
-		if e.tbl.Version() == e.version {
-			c.lru.MoveToFront(el)
-			c.hits++
-			p := e.plan
-			c.mu.Unlock()
-			telemetry.Plan.Hits.Add(1)
-			return p, nil
-		}
-		c.lru.Remove(el)
-		delete(c.byKey, key)
-		c.invalidations++
+		c.lru.MoveToFront(el)
+		c.hits++
+		p := el.Value.(*entry).plan
 		c.mu.Unlock()
-		telemetry.Plan.Invalidations.Add(1)
-	} else {
-		c.misses++
-		c.mu.Unlock()
-		telemetry.Plan.Misses.Add(1)
+		telemetry.Plan.Hits.Add(1)
+		return p, nil
 	}
-	// The version is read before compiling: a mutation landing
-	// mid-compile moves the table past the recorded version, so the
-	// next lookup recompiles rather than trusting a torn plan's
-	// statistics (results stay correct either way — plans re-bind
-	// literals and re-validate shape at run time).
-	tbl, ok := db.Table(sel.Table)
-	if !ok {
-		tbl, _ = db.TableForDomain(sel.Table)
-	}
-	var version uint64
-	if tbl != nil {
-		version = tbl.Version()
-	}
+	c.misses++
+	c.mu.Unlock()
+	telemetry.Plan.Misses.Add(1)
 	p, err := sql.Compile(db, sel)
 	if err != nil {
 		return nil, err
@@ -194,7 +169,7 @@ func (c *Cache) Get(db *sqldb.DB, domain string, sel *sql.Select) (*sql.Plan, er
 		c.lru.Remove(el)
 		delete(c.byKey, key)
 	}
-	c.byKey[key] = c.lru.PushFront(&entry{key: key, plan: p, tbl: tbl, version: version})
+	c.byKey[key] = c.lru.PushFront(&entry{key: key, plan: p})
 	for c.lru.Len() > c.cap {
 		back := c.lru.Back()
 		c.lru.Remove(back)
@@ -206,25 +181,20 @@ func (c *Cache) Get(db *sqldb.DB, domain string, sel *sql.Select) (*sql.Plan, er
 	return p, nil
 }
 
-// Contains reports whether a current (non-stale) plan is cached for
-// the shape, without bumping counters or recency — the EXPLAIN
-// panel's hit/miss preview.
+// Contains reports whether a plan is cached for the shape, without
+// bumping counters or recency — the EXPLAIN panel's hit/miss preview.
 func (c *Cache) Contains(domain string, sel *sql.Select) bool {
 	key := Key(domain, sel)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.byKey[key]
-	if !ok {
-		return false
-	}
-	e := el.Value.(*entry)
-	return e.tbl.Version() == e.version
+	_, ok := c.byKey[key]
+	return ok
 }
 
 // Stats returns this cache's lookup tallies and current size. The
 // process-wide aggregates live in telemetry.Plan.
-func (c *Cache) Stats() (hits, misses, invalidations int64, size int) {
+func (c *Cache) Stats() (hits, misses int64, size int) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.hits, c.misses, c.invalidations, len(c.byKey)
+	return c.hits, c.misses, len(c.byKey)
 }

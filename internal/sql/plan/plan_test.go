@@ -1,6 +1,7 @@
 package plan
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/schema"
@@ -64,6 +65,10 @@ func TestKeyStripsLiteralsKeepsShape(t *testing.T) {
 	}
 }
 
+// TestCacheHitMissInvalidation: same shape hits, and — the leg that
+// used to assert the opposite — a table mutation invalidates nothing:
+// the cached plan is returned again and still answers like the eager
+// evaluator on the changed table.
 func TestCacheHitMissInvalidation(t *testing.T) {
 	db, tbl := testDB(t)
 	c := NewCache(8)
@@ -73,8 +78,8 @@ func TestCacheHitMissInvalidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if hits, misses, inval, size := c.Stats(); hits != 0 || misses != 1 || inval != 0 || size != 1 {
-		t.Fatalf("after first Get: hits=%d misses=%d inval=%d size=%d", hits, misses, inval, size)
+	if hits, misses, size := c.Stats(); hits != 0 || misses != 1 || size != 1 {
+		t.Fatalf("after first Get: hits=%d misses=%d size=%d", hits, misses, size)
 	}
 
 	// Same shape, different literals: a hit returning the same plan.
@@ -86,48 +91,63 @@ func TestCacheHitMissInvalidation(t *testing.T) {
 	if p2 != p1 {
 		t.Error("same shape did not reuse the cached plan")
 	}
-	if hits, _, _, _ := c.Stats(); hits != 1 {
+	if hits, _, _ := c.Stats(); hits != 1 {
 		t.Errorf("hits = %d, want 1", hits)
 	}
 	if !c.Contains("cars", sel) {
 		t.Error("Contains = false for cached current shape")
 	}
 
-	// The cached plan must still answer bit-identically after literal
+	// The cached plan must answer bit-identically after literal
 	// re-binding.
-	got, err := p2.Run(db, sel2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := sql.ExecLegacy(db, sel2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(want) {
-		t.Fatalf("cached plan: %d ids, legacy %d", len(got), len(want))
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Fatalf("cached plan id[%d]=%d legacy=%d", i, got[i], want[i])
+	sameAsLegacy := func(p *Plan, sel *sql.Select) {
+		t.Helper()
+		got, err := p.Run(db, sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := sql.ExecLegacy(db, sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(got, want) {
+			t.Fatalf("cached plan answers %v, legacy %v", got, want)
 		}
 	}
+	sameAsLegacy(p2, sel2)
 
-	// A mutation moves the table version: next Get invalidates and
-	// recompiles.
-	if _, err := tbl.Insert(map[string]sqldb.Value{
-		"make": sqldb.String("ford"), "model": sqldb.String("focus"),
-		"price": sqldb.Number(500), "year": sqldb.Number(1999),
-	}); err != nil {
-		t.Fatal(err)
+	// Mutations move the table version and its contents; the plan is a
+	// function of neither, so the entry stays and stays right.
+	var inserted sqldb.RowID
+	for _, mutate := range []func() error{
+		func() (err error) {
+			inserted, err = tbl.Insert(map[string]sqldb.Value{
+				"make": sqldb.String("honda"), "model": sqldb.String("civic"),
+				"price": sqldb.Number(500), "year": sqldb.Number(1999),
+			})
+			return err
+		},
+		func() error { return tbl.Delete(0) },
+		func() error { return tbl.Delete(inserted) },
+	} {
+		if err := mutate(); err != nil {
+			t.Fatal(err)
+		}
+		if !c.Contains("cars", sel) {
+			t.Fatal("a mutation dropped the cached plan")
+		}
+		p3, err := c.Get(db, "cars", sel)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if p3 != p1 {
+			t.Fatal("a mutation made the cache recompile the shape")
+		}
+		sameAsLegacy(p3, sel)
+		sameAsLegacy(p3, sel2)
 	}
-	if c.Contains("cars", sel) {
-		t.Error("Contains = true for stale plan")
-	}
-	if _, err := c.Get(db, "cars", sel); err != nil {
-		t.Fatal(err)
-	}
-	if hits, misses, inval, size := c.Stats(); hits != 1 || misses != 1 || inval != 1 || size != 1 {
-		t.Errorf("after invalidation: hits=%d misses=%d inval=%d size=%d", hits, misses, inval, size)
+	if hits, misses, size := c.Stats(); hits != 4 || misses != 1 || size != 1 {
+		t.Errorf("after three mutations: hits=%d misses=%d size=%d, want 4/1/1", hits, misses, size)
 	}
 }
 
@@ -142,7 +162,7 @@ func TestCacheEvictsLRU(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, _, _, size := c.Stats(); size != 2 {
+	if _, _, size := c.Stats(); size != 2 {
 		t.Fatalf("size = %d, want 2", size)
 	}
 	// qa was least recently used and must be gone; qb and qc remain.
@@ -161,7 +181,7 @@ func TestCacheCompileErrorNotCached(t *testing.T) {
 	if _, err := c.Get(db, "cars", bad); err == nil {
 		t.Fatal("unknown column should fail compile")
 	}
-	if _, _, _, size := c.Stats(); size != 0 {
+	if _, _, size := c.Stats(); size != 0 {
 		t.Errorf("failed compile was cached (size=%d)", size)
 	}
 }

@@ -12,24 +12,32 @@ import (
 // This file is the streaming query executor: a compile-once,
 // stream-everything replacement for the eager evaluator in exec.go.
 //
-// Compile analyzes a SELECT against the table's cached statistics and
-// produces a Plan — for each conjunction, the most selective drivable
-// leaf becomes the driving index scan and every other conjunct is
-// pushed down as a per-row residual predicate (sqldb.Pred) checked on
-// the stream, so non-driving conditions never materialize posting
-// lists. OR and NOT nodes stay on a materialize-and-merge path that
-// reproduces the eager evaluator exactly; IN subqueries are opaque
-// and run through the eager evaluator itself. A LIMIT with no ORDER
-// BY is pushed into the scan for early termination.
+// Compile turns a SELECT into a Plan from the table's schema and the
+// statement's shape alone — no table contents, no statistics, no
+// literal values. The paper fixes the evaluation order (Sec. 4.3: Type
+// I conditions first, then Type II, then Type III, superlatives last)
+// and core.BuildSelect emits every conjunction in that order, so the
+// planner reads the order off the statement: each conjunction is
+// driven by its first operand that an index serves (= on a hashed Type
+// I/II column, a range or BETWEEN on an ordered Type III column, LIKE
+// on a trigram-indexed string column), else by its first drivable
+// leaf. Every other conjunct is pushed down as a per-row residual
+// predicate (sqldb.Pred) checked on the stream, so non-driving
+// conditions never materialize posting lists. OR and NOT nodes stay on
+// a materialize-and-merge path that reproduces the eager evaluator
+// exactly; IN subqueries are opaque and run through the eager
+// evaluator itself. A LIMIT with no ORDER BY is pushed into the scan
+// for early termination.
 //
-// A Plan carries no literals: it annotates the *shape* of the
-// expression tree (node kinds, columns, operators) with driving
-// choices and cost estimates, and Run re-binds the literals of the
-// concrete Select by walking the two trees in lockstep. That is what
-// makes plans cacheable across the millions of questions that share a
-// few hundred tagged shapes (internal/sql/plan.Cache); a Select whose
-// shape does not match the plan is defensively recompiled, so a stale
-// or mismatched plan can cost time but never correctness.
+// A Plan annotates the *shape* of the expression tree (node kinds,
+// columns, operators) with driving choices, and Run re-binds the
+// literals of the concrete Select by walking the two trees in
+// lockstep. Being a pure function of (schema, shape), a plan is
+// cacheable across the millions of questions that share a few hundred
+// tagged shapes and stays valid however the corpus changes
+// (internal/sql/plan.Cache); a Select whose shape does not match the
+// plan is defensively recompiled, so a mismatched plan can cost time
+// but never correctness.
 //
 // Exec = Compile + Run must return results bit-identical to
 // ExecLegacy for every valid query. The one intentional divergence is
@@ -100,11 +108,10 @@ type planNode struct {
 
 	// Leaf annotations.
 	leaf     leafKind
-	col      string
+	col      string   // also set on nkOpaque, for EXPLAIN
 	op       BinaryOp // Compare leaves
-	est      float64  // estimated matching rows
-	cost     float64  // estimated cost to drive or materialize
 	drivable bool     // usable as a conjunction's driving scan
+	indexed  bool     // the schema gives col an index that serves this leaf
 	predOK   bool     // subtree convertible to a residual sqldb.Pred
 	access   string   // human-readable access path (EXPLAIN)
 
@@ -112,10 +119,10 @@ type planNode struct {
 	driving int // index of the driving child; -1 = eager intersection
 }
 
-// Compile analyzes sel against db and returns a reusable Plan. All
-// validation the eager evaluator performs lazily (unknown table or
-// column, non-numeric range literal, cross-table IN subquery, unknown
-// ORDER BY column) happens here, up front.
+// Compile analyzes sel against db's schema and returns a reusable
+// Plan. All validation the eager evaluator performs lazily (unknown
+// table or column, non-numeric range literal, cross-table IN subquery,
+// unknown ORDER BY column) happens here, up front.
 func Compile(db *sqldb.DB, sel *Select) (*Plan, error) {
 	tbl, err := resolveTable(db, sel.Table)
 	if err != nil {
@@ -135,55 +142,29 @@ func Compile(db *sqldb.DB, sel *Select) (*Plan, error) {
 }
 
 func compileNode(db *sqldb.DB, tbl *sqldb.Table, e Expr) (*planNode, error) {
-	st := tbl.Stats()
-	rows := float64(st.Rows)
 	switch x := e.(type) {
 	case *Compare:
 		if tbl.ColumnIndex(x.Column) < 0 {
 			return nil, fmt.Errorf("sql: unknown column %q", x.Column)
 		}
 		n := &planNode{kind: nkLeaf, col: x.Column, op: x.Op, predOK: true}
-		cs := columnStats(st, x.Column)
-		hashed := attrType(tbl, x.Column) != schema.TypeIII
 		switch x.Op {
 		case OpEq:
 			n.leaf = lkEq
-			n.est = estEqual(rows, cs)
 			n.drivable = true
-			if hashed {
-				n.cost = n.est + 1
-				n.access = "hash index lookup"
-			} else {
-				n.cost = rows
-				n.access = "scan with equality verify"
-			}
+			n.indexed, n.access = equalAccess(tbl, x.Column)
 		case OpNe:
 			n.leaf = lkNe
-			n.est = math.Max(rows-estEqual(rows, cs), 0)
-			n.cost = rows
-			n.access = "complement of hash index lookup"
+			_, eq := equalAccess(tbl, x.Column)
+			n.access = "complement of " + eq
 		case OpLt, OpLe, OpGt, OpGe:
+			// The one literal property Compile may look at is its type.
 			if !x.Value.IsNumber() {
 				return nil, fmt.Errorf("sql: %s requires a numeric literal on column %q", x.Op, x.Column)
 			}
 			n.leaf = lkRange
-			lo, hi := math.Inf(-1), math.Inf(1)
-			if x.Op == OpLt || x.Op == OpLe {
-				hi = x.Value.Num()
-			} else {
-				lo = x.Value.Num()
-			}
-			n.est = estRange(rows, cs, lo, hi)
 			n.drivable = true
-			if !hashed {
-				// Ordered index: the scan yields value order, so
-				// driving a conjunction re-sorts the survivors.
-				n.cost = 1.25*n.est + 1
-				n.access = "ordered index range scan"
-			} else {
-				n.cost = rows
-				n.access = "scan with range verify"
-			}
+			n.indexed, n.access = rangeAccess(tbl, x.Column)
 		default:
 			return nil, fmt.Errorf("sql: unsupported operator %q", x.Op)
 		}
@@ -193,27 +174,17 @@ func compileNode(db *sqldb.DB, tbl *sqldb.Table, e Expr) (*planNode, error) {
 			return nil, fmt.Errorf("sql: unknown column %q", x.Column)
 		}
 		n := &planNode{kind: nkLeaf, leaf: lkBetween, col: x.Column, predOK: true, drivable: true}
-		cs := columnStats(st, x.Column)
-		n.est = estRange(rows, cs, x.Lo, x.Hi)
-		if attrType(tbl, x.Column) == schema.TypeIII {
-			n.cost = 1.25*n.est + 1
-			n.access = "ordered index range scan"
-		} else {
-			n.cost = rows
-			n.access = "scan with range verify"
-		}
+		n.indexed, n.access = rangeAccess(tbl, x.Column)
 		return n, nil
 	case *Like:
 		if tbl.ColumnIndex(x.Column) < 0 {
 			return nil, fmt.Errorf("sql: unknown column %q", x.Column)
 		}
 		n := &planNode{kind: nkLeaf, leaf: lkLike, col: x.Column, predOK: true, drivable: true}
-		n.est = rows / 3
-		if len(x.Pattern) >= 3 && attrType(tbl, x.Column) != schema.TypeIII {
-			n.cost = 2*n.est + 1
-			n.access = "trigram index with verify"
+		if attrType(tbl, x.Column) != schema.TypeIII {
+			n.indexed = true
+			n.access = "trigram substring index (length-3) with verify; shorter patterns scan"
 		} else {
-			n.cost = rows
 			n.access = "scan with substring verify"
 		}
 		return n, nil
@@ -231,33 +202,33 @@ func compileNode(db *sqldb.DB, tbl *sqldb.Table, e Expr) (*planNode, error) {
 		if subTbl != tbl {
 			return nil, fmt.Errorf("sql: IN subquery over a different table (%q) is not supported", x.Sub.Table)
 		}
-		return &planNode{kind: nkOpaque, est: rows, cost: rows, access: "IN subquery (eager)"}, nil
+		return &planNode{kind: nkOpaque, col: x.Column}, nil
 	case *And:
-		n := &planNode{kind: nkAnd, driving: -1, est: rows}
+		n := &planNode{kind: nkAnd, driving: -1}
 		for _, op := range x.Operands {
 			c, err := compileNode(db, tbl, op)
 			if err != nil {
 				return nil, err
 			}
 			n.children = append(n.children, c)
-			if c.est < n.est {
-				n.est = c.est
-			}
 		}
-		// Drive the cheapest drivable leaf; everything else becomes a
-		// residual (predicate or membership set). No drivable leaf —
-		// all operands negated or composite — falls back to the eager
-		// ordered intersection, which is trivially bit-identical.
-		best := math.Inf(1)
+		// Sec. 4.3's rule, read off the statement: drive the first
+		// operand an index serves (BuildSelect emits Type I, then II,
+		// then III), else the first drivable leaf; everything else
+		// becomes a residual (predicate or membership set). No drivable
+		// leaf — all operands negated or composite — falls back to the
+		// eager ordered intersection, which is trivially bit-identical.
 		for i, c := range n.children {
-			if c.drivable && c.cost < best {
-				best = c.cost
+			if !c.drivable {
+				continue
+			}
+			if c.indexed {
+				n.driving = i
+				break
+			}
+			if n.driving < 0 {
 				n.driving = i
 			}
-		}
-		n.cost = best
-		if n.driving < 0 {
-			n.cost = rows
 		}
 		return n, nil
 	case *Or:
@@ -268,24 +239,14 @@ func compileNode(db *sqldb.DB, tbl *sqldb.Table, e Expr) (*planNode, error) {
 				return nil, err
 			}
 			n.children = append(n.children, c)
-			n.est += c.est
 		}
-		n.est = math.Min(n.est, rows)
-		n.cost = n.est
 		return n, nil
 	case *Not:
 		c, err := compileNode(db, tbl, x.Operand)
 		if err != nil {
 			return nil, err
 		}
-		return &planNode{
-			kind:     nkNot,
-			children: []*planNode{c},
-			est:      math.Max(rows-c.est, 0),
-			cost:     rows,
-			predOK:   c.predOK,
-			access:   "complement",
-		}, nil
+		return &planNode{kind: nkNot, children: []*planNode{c}, predOK: c.predOK}, nil
 	}
 	return nil, fmt.Errorf("sql: unsupported expression node %T", e)
 }
@@ -298,40 +259,26 @@ func attrType(tbl *sqldb.Table, col string) schema.AttrType {
 	return a.Type
 }
 
-func columnStats(st *sqldb.TableStats, col string) *sqldb.ColumnStats {
-	for i := range st.Columns {
-		if st.Columns[i].Name == col {
-			return &st.Columns[i]
-		}
+// equalAccess names the access path of an equality on col and reports
+// whether an index serves it: Type I and II columns are hashed, Type
+// III columns are scanned.
+func equalAccess(tbl *sqldb.Table, col string) (indexed bool, access string) {
+	switch attrType(tbl, col) {
+	case schema.TypeI:
+		return true, "primary hash index lookup (Type I)"
+	case schema.TypeII:
+		return true, "secondary hash index lookup (Type II)"
 	}
-	return nil
+	return false, "scan with equality verify"
 }
 
-// estEqual estimates rows matched by an equality: uniform spread over
-// the column's distinct values.
-func estEqual(rows float64, cs *sqldb.ColumnStats) float64 {
-	if cs == nil || cs.Distinct <= 0 {
-		return rows
+// rangeAccess is equalAccess for a range or BETWEEN: only Type III
+// columns carry an ordered index.
+func rangeAccess(tbl *sqldb.Table, col string) (indexed bool, access string) {
+	if attrType(tbl, col) == schema.TypeIII {
+		return true, "ordered index range scan (Type III)"
 	}
-	return rows / float64(cs.Distinct)
-}
-
-// estRange estimates rows in [lo, hi] from the column's numeric
-// extrema, assuming a uniform distribution. Without extrema it
-// guesses a third of the table.
-func estRange(rows float64, cs *sqldb.ColumnStats, lo, hi float64) float64 {
-	if cs == nil || !cs.HasNumeric || cs.Max <= cs.Min {
-		return rows / 3
-	}
-	overlap := math.Min(hi, cs.Max) - math.Max(lo, cs.Min)
-	frac := overlap / (cs.Max - cs.Min)
-	if frac < 0 {
-		frac = 0
-	}
-	if frac > 1 {
-		frac = 1
-	}
-	return rows * frac
+	return false, "scan with range verify"
 }
 
 // Run executes the plan against the concrete Select, re-binding the

@@ -147,47 +147,3 @@ func TestFilterMatchStreamsResiduals(t *testing.T) {
 		t.Fatalf("FilterMatch with limit = %v, want [0 1]", got)
 	}
 }
-
-// TestStatsCachedPerVersion proves the satellite contract: Stats() is
-// cached keyed on the table version, repeated calls return the same
-// snapshot without rescanning, and both Insert and Delete invalidate.
-func TestStatsCachedPerVersion(t *testing.T) {
-	tbl := carsTable(t)
-	a := tbl.Stats()
-	if b := tbl.Stats(); a != b {
-		t.Fatal("Stats recomputed between mutations (pointer changed)")
-	}
-	if a.Rows != 4 {
-		t.Fatalf("Rows = %d, want 4", a.Rows)
-	}
-	if _, err := tbl.Insert(map[string]Value{"make": String("kia"), "price": Number(5000)}); err != nil {
-		t.Fatal(err)
-	}
-	c := tbl.Stats()
-	if c == a {
-		t.Fatal("Insert did not invalidate the stats cache")
-	}
-	if c.Rows != 5 {
-		t.Fatalf("Rows after insert = %d, want 5", c.Rows)
-	}
-	for _, col := range c.Columns {
-		if col.Name == "price" && col.Min != 5000 {
-			t.Fatalf("price min after insert = %g, want 5000", col.Min)
-		}
-	}
-	if err := tbl.Delete(4); err != nil {
-		t.Fatal(err)
-	}
-	d := tbl.Stats()
-	if d == c {
-		t.Fatal("Delete did not invalidate the stats cache")
-	}
-	if d.Rows != 4 {
-		t.Fatalf("Rows after delete = %d, want 4", d.Rows)
-	}
-	for _, col := range d.Columns {
-		if col.Name == "price" && col.Min != 8000 {
-			t.Fatalf("price min after delete = %g, want 8000", col.Min)
-		}
-	}
-}

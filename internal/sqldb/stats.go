@@ -9,8 +9,8 @@ import (
 )
 
 // TableStats summarizes a table's contents: row count and
-// per-column cardinality, null count and numeric extrema. The stats
-// back the EXPLAIN output and the datagen inspection tooling.
+// per-column cardinality, null count and numeric extrema — an
+// inspection aid, not a planner input.
 type TableStats struct {
 	Table   string
 	Rows    int
@@ -28,30 +28,12 @@ type ColumnStats struct {
 	HasNumeric bool
 }
 
-// Stats returns the table's statistics over the live (non-deleted)
-// rows. The result is cached keyed on the table's version counter:
-// repeated calls between mutations return the same *TableStats
-// without rescanning, and the first call after an Insert or Delete
-// recomputes lazily. This makes Stats cheap enough for the query
-// planner's hot path. Callers must treat the returned value as
-// read-only — it is shared across callers until the next mutation.
+// Stats scans the table once under the read lock and returns the
+// statistics of its live (non-deleted) rows. Nothing caches the
+// result and nothing on the query path calls it — plans come from
+// schema and statement shape alone — so the cost is paid only by
+// whoever asks to look (the cqads shell's "stats <domain>").
 func (t *Table) Stats() *TableStats {
-	t.statsMu.Lock()
-	defer t.statsMu.Unlock()
-	// The version is read before the scan: a mutation landing mid-scan
-	// moves the table past the recorded version, so the next call
-	// recomputes rather than trusting a torn pass (the same contract
-	// the dedup cache uses).
-	v := t.version.Load()
-	if t.stats == nil || t.statsVer != v {
-		t.stats = t.computeStats()
-		t.statsVer = v
-	}
-	return t.stats
-}
-
-// computeStats scans the table once under the read lock.
-func (t *Table) computeStats() *TableStats {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	st := &TableStats{Table: t.name, Rows: t.live}

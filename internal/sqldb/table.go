@@ -41,22 +41,16 @@ type Record struct {
 // staleness check.
 type Table struct {
 	mu      sync.RWMutex
-	name    string                   // immutable after NewTable
-	schema  *schema.Schema           // immutable after NewTable
-	colIdx  map[string]int           // immutable after NewTable
-	rows    []Record                 // cqads:guarded-by mu
-	dead    []bool                   // cqads:guarded-by mu (tombstones, parallel to rows)
-	live    int                      // cqads:guarded-by mu (len(rows) minus tombstones)
+	name    string         // immutable after NewTable
+	schema  *schema.Schema // immutable after NewTable
+	colIdx  map[string]int // immutable after NewTable
+	rows    []Record       // cqads:guarded-by mu
+	dead    []bool         // cqads:guarded-by mu (tombstones, parallel to rows)
+	live    int            // cqads:guarded-by mu (len(rows) minus tombstones)
 	version atomic.Uint64
 	hash    map[string]*hashIndex    // cqads:guarded-by mu (Type I + Type II columns)
 	ordered map[string]*orderedIndex // cqads:guarded-by mu (Type III columns)
 	substr  map[string]*trigramIndex // cqads:guarded-by mu (all string columns)
-
-	// statsMu guards the lazily cached Stats() result; statsVer is the
-	// table version the cache was computed at.
-	stats    *TableStats // cqads:guarded-by statsMu
-	statsVer uint64      // cqads:guarded-by statsMu
-	statsMu  sync.Mutex
 
 	// recMu guards the lazily cached rendered record maps handed out by
 	// RecordMap; recVer is the table version the cache was built

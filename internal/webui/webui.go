@@ -225,10 +225,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		PendingQuorum    int   `json:"pending_quorum"`
 	}
 	type planCacheJSON struct {
-		Hits          int64 `json:"hits"`
-		Misses        int64 `json:"misses"`
-		Invalidations int64 `json:"invalidations"`
-		Size          int64 `json:"size"`
+		Hits   int64 `json:"hits"`
+		Misses int64 `json:"misses"`
+		Size   int64 `json:"size"`
 	}
 	type partitionJSON struct {
 		// Partitioned reports whether this node hosts a hash slice of
@@ -253,10 +252,9 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Slice:       s.sys.PartitionSlice().String(),
 	}
 	out.PlanCache = planCacheJSON{
-		Hits:          telemetry.Plan.Hits.Load(),
-		Misses:        telemetry.Plan.Misses.Load(),
-		Invalidations: telemetry.Plan.Invalidations.Load(),
-		Size:          telemetry.Plan.Size.Load(),
+		Hits:   telemetry.Plan.Hits.Load(),
+		Misses: telemetry.Plan.Misses.Load(),
+		Size:   telemetry.Plan.Size.Load(),
 	}
 	for _, d := range st.Domains {
 		out.Domains = append(out.Domains, domainJSON{

@@ -244,10 +244,9 @@ func TestStatusPlanCache(t *testing.T) {
 		}
 		var out struct {
 			PlanCache struct {
-				Hits          int64 `json:"hits"`
-				Misses        int64 `json:"misses"`
-				Invalidations int64 `json:"invalidations"`
-				Size          int64 `json:"size"`
+				Hits   int64 `json:"hits"`
+				Misses int64 `json:"misses"`
+				Size   int64 `json:"size"`
 			} `json:"plan_cache"`
 		}
 		if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
@@ -324,10 +323,10 @@ func TestExplainPanel(t *testing.T) {
 	rec := get(t, "/ask?domain=cars&q=red+honda+under+%249000&explain=1")
 	body := rec.Body.String()
 	for _, want := range []string{
-		"primary hash index lookup",
-		"ordered index range scan",
-		"streaming plan:",
+		"streamed conjunction:",
 		"driving scan:",
+		"primary hash index lookup",
+		"pushed residual: price",
 		"plan cache:",
 	} {
 		if !strings.Contains(body, want) {
