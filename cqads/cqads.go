@@ -27,7 +27,9 @@
 // reports hits/misses/size. The N−1 relaxation sweep (Sec. 4.3.1)
 // streams each condition's matching rows once into a counting tally
 // and emits rows satisfying at least n−1 (depth 2: n−2) conditions,
-// rather than re-executing one SQL query per dropped condition; ranked
+// rather than re-executing one SQL query per dropped condition; the
+// tally, its seen set and the scanned postings live in pooled scratch,
+// so a relaxing ask allocates nothing that scales with the corpus; ranked
 // partial answers are selected with a bounded top-K heap sized to
 // MaxAnswers instead of sorting the full candidate pool. Every
 // optimized path is proven bit-identical to the eager reference

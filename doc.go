@@ -17,8 +17,12 @@
 //     (ScanEqual/ScanRange/ScanSubstring); a conjunctive query drains
 //     ONE driving iterator and checks the remaining conjuncts as
 //     per-row residual predicates under a single read lock, never
-//     materializing per-condition row sets (internal/sqldb/scan.go,
-//     internal/sql/stream.go).
+//     materializing per-condition row sets (internal/sqldb/iter.go,
+//     internal/sql/stream.go). No index-owned posting slice is read
+//     outside the table lock: the driving scan copies its postings
+//     under the read lock into a pooled, caller-owned buffer
+//     (Table.AppendEqual/AppendRange), so a scan allocates nothing
+//     that scales with posting size.
 //
 //   - Planning from shape and schema alone. The paper fixes the
 //     evaluation order (Sec. 4.3: Type I conditions first, then Type
@@ -62,7 +66,12 @@
 //     condition streams its matching rows once through the volcano
 //     iterators into a per-row counting tally and rows meeting the
 //     threshold are emitted — O(sum of posting sizes) per group
-//     regardless of relaxation depth (internal/core/partial.go).
+//     regardless of relaxation depth (internal/core/partial.go). The
+//     tally arrays, the seen set (an epoch-stamped array, so opening a
+//     new ask's set is one increment) and the candidate buffer live in
+//     a sync.Pool'd per-ask scratch, so a relaxing ask allocates
+//     nothing that scales with the table; TestRelaxAllocBudget pins
+//     the per-ask allocation ceiling on a 20 000-ad table.
 //
 //   - Bounded top-K selection over memoized scoring. Ranked partial
 //     answers are selected with a K-bounded heap (K =

@@ -477,5 +477,3 @@ func writeTargets(body *ast.BlockStmt) map[ast.Expr]bool {
 	})
 	return writes
 }
-
-

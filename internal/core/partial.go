@@ -1,7 +1,9 @@
 package core
 
 import (
-	"sort"
+	"math"
+	"slices"
+	"sync"
 
 	"repro/internal/boolean"
 	"repro/internal/dedup"
@@ -30,25 +32,11 @@ func (s *System) partialAnswers(tbl *sqldb.Table, in *boolean.Interpretation, ex
 	if len(conds) == 0 {
 		return nil
 	}
-	seen := make(map[sqldb.RowID]bool, len(exact))
-	for _, id := range exact {
-		seen[id] = true
-	}
-
-	candidates := s.relaxedCandidates(tbl, in, seen)
-	if len(conds) == 1 {
-		// Single condition: similarity matching over the table
-		// (Sec. 4.3.1 "For questions with one condition C, CQAds
-		// applies the similarity-matching strategy").
-		candidates = nil
-		for _, id := range tbl.AllRowIDs() {
-			if !seen[id] {
-				candidates = append(candidates, id)
-			}
-		}
-	}
+	sc := relaxPool.Get().(*relaxScratch)
+	defer relaxPool.Put(sc)
+	candidates := s.candidatePool(tbl, in, exact, sc)
 	if keep != nil {
-		kept := candidates[:0:0]
+		kept := candidates[:0]
 		for _, id := range candidates {
 			if keep(id) {
 				kept = append(kept, id)
@@ -97,10 +85,100 @@ func (s *System) partialAnswers(tbl *sqldb.Table, in *boolean.Interpretation, ex
 	return out
 }
 
-// relaxedCandidates unions the results of every relaxed query: for
-// each group, each subset of up to RelaxationDepth conditions is
-// dropped and the remaining conjunction evaluated (the footnote-4
-// AND→OR replacement generalized). Records already seen are skipped.
+// relaxScratch is the tally and dedup state of one relaxation sweep,
+// pooled so an ask allocates nothing that scales with the table:
+//
+//   - cnt[id] is the number of the current group's conditions row id
+//     satisfies, valid only when mark[id] > the group's base sequence;
+//     mark[id] is the condSeq of the last condition that counted id
+//     (which also deduplicates rows a multi-valued OR condition yields
+//     more than once);
+//   - stamp is the seen set: row id is seen ⇔ stamp[id] == epoch, so
+//     starting a new ask's set is one increment, not a clear;
+//   - touched lists the rows the current group counted, and cands
+//     collects the candidate pool.
+//
+// condSeq and epoch carry over from one ask to the next; the arrays
+// are zeroed before either counter can wrap. All three arrays share
+// one length, at least the universe of the ask in progress.
+type relaxScratch struct {
+	cnt     []uint8
+	mark    []uint32
+	stamp   []uint32
+	touched []sqldb.RowID
+	cands   []sqldb.RowID
+	condSeq uint32
+	epoch   uint32
+	// slots is the universe of the ask in progress: tbl.Slots() when
+	// it began. Rows inserted later have ids ≥ slots and are ignored.
+	slots int
+}
+
+var relaxPool = sync.Pool{New: func() any { return new(relaxScratch) }}
+
+// begin starts an ask over a table with slots row slots: it grows the
+// arrays if the table outgrew them, opens an empty seen set and an
+// empty candidate pool.
+func (sc *relaxScratch) begin(slots int) {
+	if len(sc.stamp) < slots {
+		// Headroom, so a table growing under live ingest does not
+		// reallocate on every ask.
+		n := slots + slots/8
+		sc.cnt = make([]uint8, n)
+		sc.mark = make([]uint32, n)
+		sc.stamp = make([]uint32, n)
+		sc.condSeq, sc.epoch = 0, 0
+	}
+	sc.slots = slots
+	sc.epoch++
+	if sc.epoch == 0 {
+		clear(sc.stamp)
+		sc.epoch = 1
+	}
+	sc.cands = sc.cands[:0]
+}
+
+// see adds id to the seen set and reports whether it was new. Ids
+// outside the ask's universe are never added.
+func (sc *relaxScratch) see(id sqldb.RowID) bool {
+	if id < 0 || int(id) >= sc.slots || sc.stamp[id] == sc.epoch {
+		return false
+	}
+	sc.stamp[id] = sc.epoch
+	return true
+}
+
+// candidatePool fills sc with the N−1 candidate pool of in — every row
+// the relaxation admits, minus exact — and returns it in ascending id
+// order. The slice is sc's; it is valid until sc's next ask.
+func (s *System) candidatePool(tbl *sqldb.Table, in *boolean.Interpretation, exact []sqldb.RowID, sc *relaxScratch) []sqldb.RowID {
+	sc.begin(tbl.Slots())
+	for _, id := range exact {
+		sc.see(id)
+	}
+	if in.ConditionCount() != 1 {
+		return s.relaxedCandidatesInto(tbl, in, sc)
+	}
+	// Single condition: similarity matching over the table (Sec. 4.3.1
+	// "For questions with one condition C, CQAds applies the
+	// similarity-matching strategy"). Ids ≥ slots were inserted after
+	// the exact answers were computed, so they are kept.
+	all := tbl.AppendLiveIDs(sc.cands)
+	cands := all[:0]
+	for _, id := range all {
+		if int(id) >= sc.slots || sc.stamp[id] != sc.epoch {
+			cands = append(cands, id)
+		}
+	}
+	sc.cands = cands
+	return cands
+}
+
+// relaxedCandidatesInto unions the results of every relaxed query into
+// sc.cands: for each group, each subset of up to RelaxationDepth
+// conditions is dropped and the remaining conjunction evaluated (the
+// footnote-4 AND→OR replacement generalized). Records already in sc's
+// seen set are skipped; the result is sorted ascending.
 //
 // A record belongs to the union of the single-drop results exactly
 // when it satisfies at least n−1 of the group's n conditions (and to
@@ -113,28 +191,14 @@ func (s *System) partialAnswers(tbl *sqldb.Table, in *boolean.Interpretation, ex
 // is O(sum of posting sizes) per group regardless of depth, where the
 // old prefix/suffix merge pipeline paid O(n) full-width merges for
 // N−1 and one merge per pair for N−2.
-func (s *System) relaxedCandidates(tbl *sqldb.Table, in *boolean.Interpretation, seen map[sqldb.RowID]bool) []sqldb.RowID {
-	var out []sqldb.RowID
+func (s *System) relaxedCandidatesInto(tbl *sqldb.Table, in *boolean.Interpretation, sc *relaxScratch) []sqldb.RowID {
 	emit := func(ids []sqldb.RowID) {
 		for _, id := range ids {
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, id)
+			if sc.see(id) {
+				sc.cands = append(sc.cands, id)
 			}
 		}
 	}
-	// Tally state, allocated once per sweep and reused across groups:
-	// cnt[id] is the number of this group's conditions row id
-	// satisfies, valid only when mark[id] > the group's base sequence;
-	// mark[id] is the global sequence of the last condition that
-	// counted id (which also deduplicates rows a multi-valued OR
-	// condition yields more than once).
-	var (
-		cnt     []uint8
-		mark    []uint32
-		touched []sqldb.RowID
-		condSeq uint32
-	)
 	for gi := range in.Groups {
 		g := &in.Groups[gi]
 		n := len(g.Conds)
@@ -149,19 +213,20 @@ func (s *System) relaxedCandidates(tbl *sqldb.Table, in *boolean.Interpretation,
 			s.relaxGroupByQueries(tbl, g, emit)
 			continue
 		}
-		if cnt == nil {
-			slots := tbl.Slots()
-			cnt = make([]uint8, slots)
-			mark = make([]uint32, slots)
+		if sc.condSeq > math.MaxUint32-uint32(n) {
+			clear(sc.cnt)
+			clear(sc.mark)
+			sc.condSeq = 0
 		}
-		base := condSeq
-		touched = touched[:0]
+		base := sc.condSeq
+		cnt, mark, slots := sc.cnt, sc.mark, sc.slots
+		touched := sc.touched[:0]
 		for ci := range g.Conds {
-			condSeq++
-			seq := condSeq
+			sc.condSeq++
+			seq := sc.condSeq
 			_ = sql.ForEachMatch(s.db, tbl, condExpr(&g.Conds[ci]), func(id sqldb.RowID) {
-				if int(id) >= len(cnt) || mark[id] == seq {
-					// Row inserted after the sweep started (not part of
+				if int(id) >= slots || mark[id] == seq {
+					// Row inserted after the ask began (not part of
 					// this pass's universe), or already counted for
 					// this condition by another OR branch.
 					return
@@ -175,6 +240,7 @@ func (s *System) relaxedCandidates(tbl *sqldb.Table, in *boolean.Interpretation,
 				mark[id] = seq
 			})
 		}
+		sc.touched = touched
 		// Satisfying ≥ n−1 conditions ⇔ membership in some single-drop
 		// result; depth ≥ 2 lowers the threshold to n−2 exactly when
 		// the pair sweep runs (n > 2 — for n = 2 dropping a pair would
@@ -184,16 +250,13 @@ func (s *System) relaxedCandidates(tbl *sqldb.Table, in *boolean.Interpretation,
 			thresh = uint8(n - 2)
 		}
 		for _, id := range touched {
-			if cnt[id] >= thresh && !seen[id] {
-				seen[id] = true
-				out = append(out, id)
+			if cnt[id] >= thresh && sc.see(id) {
+				sc.cands = append(sc.cands, id)
 			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	// seen was used as a dedup set; exact answers stay excluded
-	// because they were pre-seeded.
-	return out
+	slices.Sort(sc.cands)
+	return sc.cands
 }
 
 // condsStreamable reports whether every condition of a group
@@ -255,7 +318,8 @@ func dropSets(n, depth int) []map[int]bool {
 // PartialCandidates exposes the N−1 relaxation candidate pool for an
 // interpretation in one domain, excluding the exact matches. The
 // ranking-comparison experiments (Fig. 5) hand this same pool to every
-// ranker so approaches differ only in ordering.
+// ranker so approaches differ only in ordering. The returned slice is
+// the caller's.
 func (s *System) PartialCandidates(domain string, in *boolean.Interpretation) ([]sqldb.RowID, error) {
 	tbl, err := s.hostedTable(domain)
 	if err != nil {
@@ -266,20 +330,9 @@ func (s *System) PartialCandidates(domain string, in *boolean.Interpretation) ([
 	if err != nil {
 		return nil, err
 	}
-	seen := make(map[sqldb.RowID]bool, len(exact))
-	for _, id := range exact {
-		seen[id] = true
-	}
-	if in.ConditionCount() == 1 {
-		var all []sqldb.RowID
-		for _, id := range tbl.AllRowIDs() {
-			if !seen[id] {
-				all = append(all, id)
-			}
-		}
-		return all, nil
-	}
-	return s.relaxedCandidates(tbl, in, seen), nil
+	sc := relaxPool.Get().(*relaxScratch)
+	defer relaxPool.Put(sc)
+	return append([]sqldb.RowID(nil), s.candidatePool(tbl, in, exact, sc)...), nil
 }
 
 // similarityName renders the Table 2 "Similarity Measure Used" label

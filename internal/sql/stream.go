@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/schema"
 	"repro/internal/sqldb"
@@ -457,12 +458,14 @@ func execAnd(db *sqldb.DB, tbl *sqldb.Table, x *And, n *planNode, limit int) ([]
 		}
 		sets = append(sets, ids)
 	}
-	it, ascending := drivingIter(tbl, x.Operands[n.driving])
+	buf := idBufs.Get().(*[]sqldb.RowID)
+	ids, ascending := drivingIDs(tbl, x.Operands[n.driving], *buf)
 	effLimit := limit
 	if !ascending {
 		effLimit = 0
 	}
-	out := tbl.FilterMatch(it, preds, sets, effLimit)
+	out := tbl.FilterMatch(sqldb.IterIDs(ids), preds, sets, effLimit)
+	putIDBuf(buf, ids)
 	if len(out) == 0 {
 		return nil, nil
 	}
@@ -473,31 +476,53 @@ func execAnd(db *sqldb.DB, tbl *sqldb.Table, x *And, n *planNode, limit int) ([]
 	return out, nil
 }
 
-// drivingIter opens the scan for a drivable leaf and reports whether
-// it yields ascending RowID order (range scans yield value order and
-// need a re-sort after filtering).
-func drivingIter(tbl *sqldb.Table, e Expr) (sqldb.RowIter, bool) {
+// drivingIDs appends the rows of a drivable leaf to dst and reports
+// whether they are in ascending RowID order (range scans yield value
+// order and need a re-sort after filtering). Every slice it returns is
+// caller-owned: index postings are copied under the table's read lock.
+func drivingIDs(tbl *sqldb.Table, e Expr, dst []sqldb.RowID) ([]sqldb.RowID, bool) {
 	switch x := e.(type) {
 	case *Compare:
 		switch x.Op {
 		case OpEq:
-			return tbl.ScanEqual(x.Column, x.Value), true
+			return tbl.AppendEqual(dst, x.Column, x.Value), true
 		case OpLt:
-			return tbl.ScanRange(x.Column, math.Inf(-1), x.Value.Num(), false, false), false
+			return tbl.AppendRange(dst, x.Column, math.Inf(-1), x.Value.Num(), false, false), false
 		case OpLe:
-			return tbl.ScanRange(x.Column, math.Inf(-1), x.Value.Num(), false, true), false
+			return tbl.AppendRange(dst, x.Column, math.Inf(-1), x.Value.Num(), false, true), false
 		case OpGt:
-			return tbl.ScanRange(x.Column, x.Value.Num(), math.Inf(1), false, false), false
+			return tbl.AppendRange(dst, x.Column, x.Value.Num(), math.Inf(1), false, false), false
 		case OpGe:
-			return tbl.ScanRange(x.Column, x.Value.Num(), math.Inf(1), true, false), false
+			return tbl.AppendRange(dst, x.Column, x.Value.Num(), math.Inf(1), true, false), false
 		}
 	case *Between:
-		return tbl.ScanRange(x.Column, x.Lo, x.Hi, true, true), false
+		return tbl.AppendRange(dst, x.Column, x.Lo, x.Hi, true, true), false
 	case *Like:
-		return tbl.ScanSubstring(x.Column, x.Pattern), true
+		return append(dst, tbl.LookupSubstring(x.Column, x.Pattern)...), true
 	}
 	// Unreachable for leaves the planner marks drivable; scan everything.
-	return tbl.ScanAll(), true
+	return tbl.AppendLiveIDs(dst), true
+}
+
+// idBufs pools the id buffers driving scans copy their postings into,
+// so a streamed conjunction or relaxation tally allocates nothing that
+// scales with posting size. Buffers hold copies, never index-owned
+// slices, and are returned only after the last read of their ids.
+var idBufs = sync.Pool{New: func() any { return new([]sqldb.RowID) }}
+
+// maxPooledIDs bounds the buffers kept for reuse (512 KiB of ids), so
+// one whole-table scan over a huge table does not stay pinned.
+const maxPooledIDs = 1 << 16
+
+// putIDBuf returns a buffer taken from idBufs to the pool, keeping the
+// backing array of ids (buf's contents after appends) for the next
+// scan.
+func putIDBuf(buf *[]sqldb.RowID, ids []sqldb.RowID) {
+	if cap(ids) > maxPooledIDs {
+		return
+	}
+	*buf = ids[:0]
+	idBufs.Put(buf)
 }
 
 // execLeaf evaluates one standalone leaf, bit-identical to the eager
@@ -586,19 +611,13 @@ func trim(ids []sqldb.RowID, limit int) []sqldb.RowID {
 // without materializing a result set. Ids arrive in no particular
 // order and MAY repeat across the branches of an OR; consumers
 // needing set semantics must deduplicate (the relaxation tally does,
-// with its per-condition mark array). Negations and composite nodes
-// fall back to materialization. It returns the same errors the
-// executor would (unknown column, non-numeric range literal).
+// with its per-condition mark array). A leaf's rows are copied into a
+// pooled buffer under the table's read lock and fn runs after the lock
+// is released, so fn may call back into the table. Negations and
+// composite nodes fall back to materialization. It returns the same
+// errors the executor would (unknown column, non-numeric range
+// literal).
 func ForEachMatch(db *sqldb.DB, tbl *sqldb.Table, e Expr, fn func(sqldb.RowID)) error {
-	drainInto := func(it sqldb.RowIter) {
-		for {
-			id, ok := it.Next()
-			if !ok {
-				return
-			}
-			fn(id)
-		}
-	}
 	switch x := e.(type) {
 	case *Compare:
 		if tbl.ColumnIndex(x.Column) < 0 {
@@ -606,8 +625,6 @@ func ForEachMatch(db *sqldb.DB, tbl *sqldb.Table, e Expr, fn func(sqldb.RowID)) 
 		}
 		switch x.Op {
 		case OpEq:
-			drainInto(tbl.ScanEqual(x.Column, x.Value))
-			return nil
 		case OpNe:
 			for _, id := range complement(tbl, tbl.LookupEqual(x.Column, x.Value)) {
 				fn(id)
@@ -617,23 +634,17 @@ func ForEachMatch(db *sqldb.DB, tbl *sqldb.Table, e Expr, fn func(sqldb.RowID)) 
 			if !x.Value.IsNumber() {
 				return fmt.Errorf("sql: %s requires a numeric literal on column %q", x.Op, x.Column)
 			}
-			it, _ := drivingIter(tbl, x)
-			drainInto(it)
-			return nil
+		default:
+			return fmt.Errorf("sql: unsupported operator %q", x.Op)
 		}
-		return fmt.Errorf("sql: unsupported operator %q", x.Op)
 	case *Between:
 		if tbl.ColumnIndex(x.Column) < 0 {
 			return fmt.Errorf("sql: unknown column %q", x.Column)
 		}
-		drainInto(tbl.ScanRange(x.Column, x.Lo, x.Hi, true, true))
-		return nil
 	case *Like:
 		if tbl.ColumnIndex(x.Column) < 0 {
 			return fmt.Errorf("sql: unknown column %q", x.Column)
 		}
-		drainInto(tbl.ScanSubstring(x.Column, x.Pattern))
-		return nil
 	case *Or:
 		for _, op := range x.Operands {
 			if err := ForEachMatch(db, tbl, op, fn); err != nil {
@@ -660,4 +671,12 @@ func ForEachMatch(db *sqldb.DB, tbl *sqldb.Table, e Expr, fn func(sqldb.RowID)) 
 		}
 		return nil
 	}
+	// A validated =, range, BETWEEN or LIKE leaf.
+	buf := idBufs.Get().(*[]sqldb.RowID)
+	ids, _ := drivingIDs(tbl, e, *buf)
+	for _, id := range ids {
+		fn(id)
+	}
+	putIDBuf(buf, ids)
+	return nil
 }

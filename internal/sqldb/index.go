@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -145,9 +146,11 @@ func (ix *orderedIndex) ensureSorted() {
 	ix.sorted.Store(true)
 }
 
-// scanRange returns the rows whose value lies in [lo,hi] with the
-// given inclusivity. Use math.Inf bounds for open ends.
-func (ix *orderedIndex) scanRange(lo, hi float64, includeLo, includeHi bool) []RowID {
+// appendRange appends the rows whose value lies in [lo,hi] with the
+// given inclusivity to dst, in value order. Use math.Inf bounds for
+// open ends. The caller holds the owning Table's lock, since removals
+// edit entries in place.
+func (ix *orderedIndex) appendRange(dst []RowID, lo, hi float64, includeLo, includeHi bool) []RowID {
 	ix.ensureSorted()
 	// Find first entry >= lo (or > lo when exclusive).
 	start := sort.Search(len(ix.entries), func(i int) bool {
@@ -156,7 +159,7 @@ func (ix *orderedIndex) scanRange(lo, hi float64, includeLo, includeHi bool) []R
 		}
 		return ix.entries[i].val > lo
 	})
-	// Find first entry past hi so the result can be allocated exactly.
+	// Find first entry past hi so dst can be grown exactly once.
 	end := start + sort.Search(len(ix.entries)-start, func(i int) bool {
 		v := ix.entries[start+i].val
 		if includeHi {
@@ -165,13 +168,13 @@ func (ix *orderedIndex) scanRange(lo, hi float64, includeLo, includeHi bool) []R
 		return v >= hi
 	})
 	if start >= end {
-		return nil
+		return dst
 	}
-	out := make([]RowID, end-start)
+	dst = slices.Grow(dst, end-start)
 	for i := start; i < end; i++ {
-		out[i-start] = ix.entries[i].id
+		dst = append(dst, ix.entries[i].id)
 	}
-	return out
+	return dst
 }
 
 // trigramIndex is the paper's "primary MySQL substring index of

@@ -59,22 +59,22 @@ func TestOrderedIndexRange(t *testing.T) {
 	for i, v := range vals {
 		ix.insert(Number(v), RowID(i))
 	}
-	ids := ix.scanRange(3, 7, true, true)
+	ids := ix.appendRange(nil, 3, 7, true, true)
 	got := map[RowID]bool{}
 	for _, id := range ids {
 		got[id] = true
 	}
 	want := map[RowID]bool{0: true, 3: true, 4: true, 5: true}
 	if !reflect.DeepEqual(got, want) {
-		t.Errorf("scanRange(3,7,incl) = %v, want rows %v", ids, want)
+		t.Errorf("appendRange(3,7,incl) = %v, want rows %v", ids, want)
 	}
 	// Exclusive bounds.
-	ids = ix.scanRange(3, 7, false, false)
+	ids = ix.appendRange(nil, 3, 7, false, false)
 	if len(ids) != 1 || ids[0] != 0 {
-		t.Errorf("scanRange(3,7,excl) = %v, want [0]", ids)
+		t.Errorf("appendRange(3,7,excl) = %v, want [0]", ids)
 	}
 	// Open-ended.
-	if n := len(ix.scanRange(math.Inf(-1), math.Inf(1), true, true)); n != 6 {
+	if n := len(ix.appendRange(nil, math.Inf(-1), math.Inf(1), true, true)); n != 6 {
 		t.Errorf("full scan = %d rows, want 6", n)
 	}
 }
@@ -95,7 +95,7 @@ func TestOrderedIndexMatchesBruteForce(t *testing.T) {
 			ix.insert(Number(v), RowID(i))
 		}
 		got := map[RowID]bool{}
-		for _, id := range ix.scanRange(lo, hi, true, true) {
+		for _, id := range ix.appendRange(nil, lo, hi, true, true) {
 			got[id] = true
 		}
 		for i, v := range vals {

@@ -6,12 +6,19 @@ import (
 )
 
 // This file adds the volcano-style access layer the streaming query
-// executor (internal/sql) drives: pull-based iterators over index
-// postings plus residual predicates evaluated per row. Each iterator
-// snapshots its posting list under the table's read lock at creation,
-// so pulling needs no lock and a concurrent mutation never tears an
-// in-flight scan; as with all multi-call read sequences on a Table,
-// the snapshot reflects the table at creation time, not a transaction.
+// executor (internal/sql) drives: pull-based iterators over row ids
+// plus residual predicates evaluated per row.
+//
+// Ownership rule: no index-owned slice is ever read outside t.mu.
+// Delete edits posting lists in place, so every scan copies the ids it
+// needs while holding the table's read lock — into a fresh slice
+// (ScanEqual, ScanRange, the Lookup* methods) or into a caller-owned
+// buffer the caller may pool and reuse (AppendEqual, AppendRange,
+// AppendLiveIDs). Pulling an iterator therefore needs no lock, no
+// caller callback ever runs under the lock, and a concurrent mutation
+// never tears an in-flight scan; as with all multi-call read sequences
+// on a Table, the copy reflects the table at scan time, not a
+// transaction.
 
 // RowIter is a pull-based iterator over row ids. Next returns the
 // next id and true, or 0 and false when the scan is exhausted.
@@ -44,41 +51,14 @@ func IterIDs(ids []RowID) RowIter { return &sliceIter{ids: ids} }
 // without a hash index (Type III) are scanned, exactly as LookupEqual
 // falls back.
 func (t *Table) ScanEqual(col string, v Value) RowIter {
-	return &sliceIter{ids: t.LookupEqual(col, v)}
+	return &sliceIter{ids: t.AppendEqual(nil, col, v)}
 }
 
 // ScanRange returns an iterator over the rows whose numeric col lies
-// within the bounds. Unlike LookupRange, the ids are yielded in VALUE
-// order (the ordered index's native order), not RowID order — the
-// streaming executor re-sorts only the rows surviving its residual
-// filters, and tally-style consumers need no order at all. Use
-// math.Inf for open ends.
+// within the bounds, in VALUE order — the iterator form of
+// AppendRange. Use math.Inf for open ends.
 func (t *Table) ScanRange(col string, lo, hi float64, incLo, incHi bool) RowIter {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if ix, ok := t.ordered[col]; ok {
-		return &sliceIter{ids: ix.scanRange(lo, hi, incLo, incHi)}
-	}
-	i, ok := t.colIdx[col]
-	if !ok {
-		return &sliceIter{}
-	}
-	var out []RowID
-	for id := range t.rows {
-		if t.dead[id] {
-			continue
-		}
-		n, isNum := t.rows[id].Values[i].tryNum()
-		if !isNum {
-			continue
-		}
-		okLo := n > lo || (incLo && n == lo)
-		okHi := n < hi || (incHi && n == hi)
-		if okLo && okHi {
-			out = append(out, RowID(id))
-		}
-	}
-	return &sliceIter{ids: out}
+	return &sliceIter{ids: t.AppendRange(nil, col, lo, hi, incLo, incHi)}
 }
 
 // ScanSubstring returns an iterator over the rows whose string col
@@ -213,9 +193,10 @@ func (t *Table) matchLocked(id RowID, p *Pred) bool {
 // sorted membership set. The whole drain runs under one read lock, so
 // a streamed conjunction pays a single lock acquisition rather than
 // one per row. limit > 0 stops after limit survivors (early
-// termination for LIMIT pushdown); 0 means no limit. The iterator
-// must be a snapshot iterator (as all Table scans are) — it is pulled
-// while the lock is held.
+// termination for LIMIT pushdown); 0 means no limit. The iterator is
+// pulled while the lock is held, so it must yield from caller-owned
+// memory (as all Table scans and IterIDs over an Append* buffer do)
+// and must not call back into the table.
 func (t *Table) FilterMatch(it RowIter, preds []Pred, sets [][]RowID, limit int) []RowID {
 	t.mu.RLock()
 	defer t.mu.RUnlock()

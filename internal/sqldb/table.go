@@ -3,6 +3,7 @@ package sqldb
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -289,13 +290,28 @@ func (t *Table) AllRowIDs() []RowID {
 //
 // cqads:requires-lock mu
 func (t *Table) allRowIDsLocked() []RowID {
-	out := make([]RowID, 0, t.live)
+	return t.appendLiveLocked(make([]RowID, 0, t.live))
+}
+
+// AppendLiveIDs appends every live row id to dst in ascending order
+// and returns the extended slice — AllRowIDs into a caller-owned
+// buffer.
+func (t *Table) AppendLiveIDs(dst []RowID) []RowID {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.appendLiveLocked(dst)
+}
+
+// appendLiveLocked is AppendLiveIDs with the caller holding t.mu.
+//
+// cqads:requires-lock mu
+func (t *Table) appendLiveLocked(dst []RowID) []RowID {
 	for i := range t.rows {
 		if !t.dead[i] {
-			out = append(out, RowID(i))
+			dst = append(dst, RowID(i))
 		}
 	}
-	return out
+	return dst
 }
 
 // LookupEqual returns the rows whose col equals v, using the hash
@@ -308,38 +324,77 @@ func (t *Table) LookupEqual(col string, v Value) []RowID {
 		// Postings are appended in ascending RowID order and deletes
 		// remove in place, so the list is already sorted — no re-sort.
 		ids := ix.lookup(v)
-		out := make([]RowID, len(ids))
-		copy(out, ids)
-		return out
+		return append(make([]RowID, 0, len(ids)), ids...)
+	}
+	return t.appendEqualLocked(nil, col, v)
+}
+
+// AppendEqual appends the rows whose col equals v to dst, in
+// ascending RowID order, and returns the extended slice — LookupEqual
+// into a caller-owned buffer. The index's own posting list is copied
+// under the read lock: Delete edits postings in place, so no
+// index-owned slice is ever read outside t.mu.
+func (t *Table) AppendEqual(dst []RowID, col string, v Value) []RowID {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.appendEqualLocked(dst, col, v)
+}
+
+// appendEqualLocked is AppendEqual with the caller holding t.mu.
+//
+// cqads:requires-lock mu
+func (t *Table) appendEqualLocked(dst []RowID, col string, v Value) []RowID {
+	if ix, ok := t.hash[col]; ok {
+		return append(dst, ix.lookup(v)...)
 	}
 	i, ok := t.colIdx[col]
 	if !ok {
-		return nil
+		return dst
 	}
-	var out []RowID
 	for id := range t.rows {
 		if !t.dead[id] && t.rows[id].Values[i].Equal(v) {
-			out = append(out, RowID(id))
+			dst = append(dst, RowID(id))
 		}
 	}
-	return out
+	return dst
 }
 
-// LookupRange returns rows whose numeric col lies within the bounds.
-// Use math.Inf for open ends.
+// LookupRange returns rows whose numeric col lies within the bounds,
+// in ascending RowID order. Use math.Inf for open ends.
 func (t *Table) LookupRange(col string, lo, hi float64, incLo, incHi bool) []RowID {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	ids := t.appendRangeLocked(nil, col, lo, hi, incLo, incHi)
+	if _, ok := t.ordered[col]; ok {
+		slices.Sort(ids) // the ordered index yields value order
+	}
+	return ids
+}
+
+// AppendRange appends the rows whose numeric col lies within the
+// bounds to dst and returns the extended slice. Unlike LookupRange,
+// the ids are appended in VALUE order (the ordered index's native
+// order), not RowID order — the streaming executor re-sorts only the
+// rows surviving its residual filters, and tally-style consumers need
+// no order at all. Like AppendEqual, it copies under the read lock.
+// Use math.Inf for open ends.
+func (t *Table) AppendRange(dst []RowID, col string, lo, hi float64, incLo, incHi bool) []RowID {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return t.appendRangeLocked(dst, col, lo, hi, incLo, incHi)
+}
+
+// appendRangeLocked is AppendRange with the caller holding t.mu.
+//
+// cqads:requires-lock mu
+func (t *Table) appendRangeLocked(dst []RowID, col string, lo, hi float64, incLo, incHi bool) []RowID {
 	if ix, ok := t.ordered[col]; ok {
-		ids := ix.scanRange(lo, hi, incLo, incHi)
-		sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-		return ids
+		return ix.appendRange(dst, lo, hi, incLo, incHi)
 	}
 	i, ok := t.colIdx[col]
 	if !ok {
-		return nil
+		return dst
 	}
-	var out []RowID
 	for id := range t.rows {
 		if t.dead[id] {
 			continue
@@ -351,10 +406,10 @@ func (t *Table) LookupRange(col string, lo, hi float64, incLo, incHi bool) []Row
 		okLo := n > lo || (incLo && n == lo)
 		okHi := n < hi || (incHi && n == hi)
 		if okLo && okHi {
-			out = append(out, RowID(id))
+			dst = append(dst, RowID(id))
 		}
 	}
-	return out
+	return dst
 }
 
 // LookupSubstring returns rows whose string col contains sub,

@@ -92,7 +92,7 @@ func TestLevenshteinRuneSafety(t *testing.T) {
 		a, b string
 		want int
 	}{
-		{"café", "cafe", 1},    // é→e is one substitution, not two byte edits
+		{"café", "cafe", 1}, // é→e is one substitution, not two byte edits
 		{"citroën", "citroen", 1},
 		{"škoda", "skoda", 1},
 		{"é", "è", 1},
