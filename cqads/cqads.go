@@ -18,9 +18,9 @@
 // concurrent load. Generated SQL runs on a streaming executor: following
 // the paper's evaluation order (Sec. 4.3: Type I, then Type II, then
 // Type III conditions), the first indexed condition of the statement
-// drives a volcano-style iterator and the remaining conjuncts are
-// checked as per-row residuals, while a bounded LRU plan cache keyed
-// on the question's literal-stripped shape reuses the compiled plan
+// drives the scan and the remaining conjuncts are checked as per-row
+// residuals, while a bounded LRU plan cache keyed on the question's
+// literal-stripped shape reuses the compiled plan
 // across the (few hundred) tagged question templates real traffic
 // repeats. Plans depend on schema and shape only, so live ingest never
 // invalidates one — steady-state hit rates exceed 90%, and /api/status

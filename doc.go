@@ -12,17 +12,16 @@
 // Generated SQL runs on a streaming, plan-first executor rather than
 // an eager set evaluator. The pipeline has three stages:
 //
-//   - Volcano-style iterators. sqldb.Table exposes its hash, ordered
-//     and trigram indexes as pull-based RowID iterators
-//     (ScanEqual/ScanRange/ScanSubstring); a conjunctive query drains
-//     ONE driving iterator and checks the remaining conjuncts as
-//     per-row residual predicates under a single read lock, never
+//   - Driving scans with per-row residuals. A conjunctive query
+//     copies the row ids of ONE driving leaf — served by the hash,
+//     ordered or trigram index (Table.AppendEqual/AppendRange/
+//     AppendSubstring) — into a pooled, caller-owned buffer, then
+//     checks the remaining conjuncts as per-row residual predicates
+//     under a single read lock (Table.FilterMatch), never
 //     materializing per-condition row sets (internal/sqldb/iter.go,
 //     internal/sql/stream.go). No index-owned posting slice is read
-//     outside the table lock: the driving scan copies its postings
-//     under the read lock into a pooled, caller-owned buffer
-//     (Table.AppendEqual/AppendRange), so a scan allocates nothing
-//     that scales with posting size.
+//     outside the table lock and no callback runs under it, so a scan
+//     allocates nothing that scales with posting size.
 //
 //   - Planning from shape and schema alone. The paper fixes the
 //     evaluation order (Sec. 4.3: Type I conditions first, then Type
@@ -35,7 +34,7 @@
 //     and the rest become residuals. No table statistics, no
 //     selectivity estimates, no literal values enter a plan. OR and
 //     NOT subtrees fall back to materialize-and-merge; LIMIT is pushed
-//     into the driving iterator when no ORDER BY reorders the stream.
+//     into the driving scan when no ORDER BY reorders the stream.
 //     sql.Explain renders the compiled plan (driving scan and its
 //     access path, pushed residuals, membership sets) for any
 //     statement, with ? for each literal.
@@ -63,8 +62,8 @@
 //     the N−1 single-drop results exactly when it satisfies at least
 //     n−1 of a conjunction's n conditions (n−2 for depth-2), so the
 //     relaxation sweep never forms per-drop-set intersections: each
-//     condition streams its matching rows once through the volcano
-//     iterators into a per-row counting tally and rows meeting the
+//     condition streams its matching rows once through the driving
+//     scans into a per-row counting tally and rows meeting the
 //     threshold are emitted — O(sum of posting sizes) per group
 //     regardless of relaxation depth (internal/core/partial.go). The
 //     tally arrays, the seen set (an epoch-stamped array, so opening a

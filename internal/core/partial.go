@@ -32,9 +32,9 @@ func (s *System) partialAnswers(tbl *sqldb.Table, in *boolean.Interpretation, ex
 	if len(conds) == 0 {
 		return nil
 	}
-	sc := relaxPool.Get().(*relaxScratch)
-	defer relaxPool.Put(sc)
-	candidates := s.candidatePool(tbl, in, exact, sc)
+	rs := relaxPool.Get().(*relaxScratch)
+	defer relaxPool.Put(rs)
+	candidates := s.candidatePool(tbl, in, exact, rs)
 	if keep != nil {
 		kept := candidates[:0]
 		for _, id := range candidates {
@@ -184,7 +184,7 @@ func (s *System) candidatePool(tbl *sqldb.Table, in *boolean.Interpretation, exa
 // when it satisfies at least n−1 of the group's n conditions (and to
 // the pair-drop union when it satisfies at least n−2), so the sweep
 // never assembles per-drop-set intersections at all: each condition
-// streams its matching rows once through the volcano iterators
+// streams its matching rows once through the driving scans
 // (sql.ForEachMatch — range conditions skip the RowID re-sort the
 // eager posting-list path paid), a tally counts per-row satisfied
 // conditions, and rows meeting the depth threshold are emitted. That
@@ -330,9 +330,9 @@ func (s *System) PartialCandidates(domain string, in *boolean.Interpretation) ([
 	if err != nil {
 		return nil, err
 	}
-	sc := relaxPool.Get().(*relaxScratch)
-	defer relaxPool.Put(sc)
-	return append([]sqldb.RowID(nil), s.candidatePool(tbl, in, exact, sc)...), nil
+	rs := relaxPool.Get().(*relaxScratch)
+	defer relaxPool.Put(rs)
+	return append([]sqldb.RowID(nil), s.candidatePool(tbl, in, exact, rs)...), nil
 }
 
 // similarityName renders the Table 2 "Similarity Measure Used" label

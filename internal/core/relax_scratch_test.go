@@ -132,7 +132,7 @@ func raceEnabled() bool {
 // A change that lowers the measurement lowers the ceiling with it; a
 // change that raises it says why in CHANGES.md.
 const (
-	relaxAskAllocsCeiling = 204.0 // allocations per ask (measured 194)
+	relaxAskAllocsCeiling = 203.0 // allocations per ask (measured 193)
 	relaxAskKBCeiling     = 26.1  // KiB allocated per ask (measured 24.9)
 )
 

@@ -411,7 +411,7 @@ func execNode(db *sqldb.DB, tbl *sqldb.Table, e Expr, n *planNode, limit int) ([
 	return nil, fmt.Errorf("sql: unsupported expression node %T", e)
 }
 
-// execAnd streams a conjunction: pull the driving leaf's iterator and
+// execAnd streams a conjunction: scan the driving leaf's rows and
 // check every other conjunct per row (residual predicates under one
 // table lock, composite conjuncts as sorted-set membership). The
 // result set equals the eager intersection of all operand sets; the
@@ -464,7 +464,7 @@ func execAnd(db *sqldb.DB, tbl *sqldb.Table, x *And, n *planNode, limit int) ([]
 	if !ascending {
 		effLimit = 0
 	}
-	out := tbl.FilterMatch(sqldb.IterIDs(ids), preds, sets, effLimit)
+	out := tbl.FilterMatch(ids, preds, sets, effLimit)
 	putIDBuf(buf, ids)
 	if len(out) == 0 {
 		return nil, nil
@@ -498,7 +498,7 @@ func drivingIDs(tbl *sqldb.Table, e Expr, dst []sqldb.RowID) ([]sqldb.RowID, boo
 	case *Between:
 		return tbl.AppendRange(dst, x.Column, x.Lo, x.Hi, true, true), false
 	case *Like:
-		return append(dst, tbl.LookupSubstring(x.Column, x.Pattern)...), true
+		return tbl.AppendSubstring(dst, x.Column, x.Pattern), true
 	}
 	// Unreachable for leaves the planner marks drivable; scan everything.
 	return tbl.AppendLiveIDs(dst), true

@@ -5,75 +5,19 @@ import (
 	"strings"
 )
 
-// This file adds the volcano-style access layer the streaming query
-// executor (internal/sql) drives: pull-based iterators over row ids
-// plus residual predicates evaluated per row.
+// This file adds the access layer the streaming query executor
+// (internal/sql) drives: a driving scan over row ids plus residual
+// predicates evaluated per row.
 //
 // Ownership rule: no index-owned slice is ever read outside t.mu.
 // Delete edits posting lists in place, so every scan copies the ids it
-// needs while holding the table's read lock — into a fresh slice
-// (ScanEqual, ScanRange, the Lookup* methods) or into a caller-owned
-// buffer the caller may pool and reuse (AppendEqual, AppendRange,
-// AppendLiveIDs). Pulling an iterator therefore needs no lock, no
-// caller callback ever runs under the lock, and a concurrent mutation
-// never tears an in-flight scan; as with all multi-call read sequences
-// on a Table, the copy reflects the table at scan time, not a
-// transaction.
-
-// RowIter is a pull-based iterator over row ids. Next returns the
-// next id and true, or 0 and false when the scan is exhausted.
-// Iterators are single-use and not safe for concurrent use.
-type RowIter interface {
-	Next() (RowID, bool)
-}
-
-// sliceIter pulls from a snapshot slice.
-type sliceIter struct {
-	ids []RowID
-	i   int
-}
-
-func (it *sliceIter) Next() (RowID, bool) {
-	if it.i >= len(it.ids) {
-		return 0, false
-	}
-	id := it.ids[it.i]
-	it.i++
-	return id, true
-}
-
-// IterIDs wraps an id slice in a RowIter (for materialized sets that
-// feed the same pull interface as index scans).
-func IterIDs(ids []RowID) RowIter { return &sliceIter{ids: ids} }
-
-// ScanEqual returns an iterator over the rows whose col equals v, in
-// ascending RowID order — the iterator form of LookupEqual. Columns
-// without a hash index (Type III) are scanned, exactly as LookupEqual
-// falls back.
-func (t *Table) ScanEqual(col string, v Value) RowIter {
-	return &sliceIter{ids: t.AppendEqual(nil, col, v)}
-}
-
-// ScanRange returns an iterator over the rows whose numeric col lies
-// within the bounds, in VALUE order — the iterator form of
-// AppendRange. Use math.Inf for open ends.
-func (t *Table) ScanRange(col string, lo, hi float64, incLo, incHi bool) RowIter {
-	return &sliceIter{ids: t.AppendRange(nil, col, lo, hi, incLo, incHi)}
-}
-
-// ScanSubstring returns an iterator over the rows whose string col
-// contains sub, in ascending RowID order — the iterator form of
-// LookupSubstring (trigram candidates verified against stored values;
-// patterns shorter than 3 scan).
-func (t *Table) ScanSubstring(col, sub string) RowIter {
-	return &sliceIter{ids: t.LookupSubstring(col, sub)}
-}
-
-// ScanAll returns an iterator over every live row in ascending RowID
-// order.
-func (t *Table) ScanAll() RowIter {
-	return &sliceIter{ids: t.AllRowIDs()}
-}
+// needs while holding the table's read lock — into a fresh slice (the
+// Lookup* methods) or into a caller-owned buffer the caller may pool
+// and reuse (AppendEqual, AppendRange, AppendSubstring,
+// AppendLiveIDs). Reading the copy therefore needs no lock, no caller
+// callback ever runs under the lock, and a concurrent mutation never
+// tears an in-flight scan; as with all multi-call read sequences on a
+// Table, the copy reflects the table at scan time, not a transaction.
 
 // PredKind enumerates residual predicate forms.
 type PredKind int
@@ -188,24 +132,17 @@ func (t *Table) matchLocked(id RowID, p *Pred) bool {
 	return match
 }
 
-// FilterMatch drains it and returns, in pull order, the ids that are
-// live, satisfy every residual predicate, and are present in every
-// sorted membership set. The whole drain runs under one read lock, so
-// a streamed conjunction pays a single lock acquisition rather than
-// one per row. limit > 0 stops after limit survivors (early
-// termination for LIMIT pushdown); 0 means no limit. The iterator is
-// pulled while the lock is held, so it must yield from caller-owned
-// memory (as all Table scans and IterIDs over an Append* buffer do)
-// and must not call back into the table.
-func (t *Table) FilterMatch(it RowIter, preds []Pred, sets [][]RowID, limit int) []RowID {
+// FilterMatch returns, in the order of ids, the ids that are live,
+// satisfy every residual predicate, and are present in every sorted
+// membership set. The whole pass runs under one read lock, so a
+// streamed conjunction pays a single lock acquisition rather than one
+// per row. limit > 0 stops after limit survivors (early termination
+// for LIMIT pushdown); 0 means no limit.
+func (t *Table) FilterMatch(ids []RowID, preds []Pred, sets [][]RowID, limit int) []RowID {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	var out []RowID
-	for {
-		id, ok := it.Next()
-		if !ok {
-			break
-		}
+	for _, id := range ids {
 		if !t.aliveLocked(id) {
 			continue
 		}

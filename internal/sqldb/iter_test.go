@@ -6,64 +6,65 @@ import (
 	"testing"
 )
 
-func drain(it RowIter) []RowID {
-	var out []RowID
-	for {
-		id, ok := it.Next()
-		if !ok {
-			return out
-		}
-		out = append(out, id)
-	}
-}
+// The scan tests check the Append* forms the streaming executor drives
+// against the Lookup* forms the eager evaluator uses.
 
 func TestScanEqualMatchesLookup(t *testing.T) {
 	tbl := carsTable(t)
 	for _, v := range []Value{String("honda"), String("kia"), Number(2004)} {
 		for _, col := range []string{"make", "year"} {
 			want := tbl.LookupEqual(col, v)
-			got := drain(tbl.ScanEqual(col, v))
+			got := tbl.AppendEqual(nil, col, v)
 			if len(got) != len(want) || (len(got) > 0 && !reflect.DeepEqual(got, want)) {
-				t.Errorf("ScanEqual(%s, %v) = %v, LookupEqual = %v", col, v, got, want)
+				t.Errorf("AppendEqual(%s, %v) = %v, LookupEqual = %v", col, v, got, want)
 			}
 		}
 	}
-	if ids := drain(tbl.ScanEqual("ghost", String("x"))); ids != nil {
-		t.Errorf("ScanEqual on unknown column = %v", ids)
+	// Appends after the buffer's existing contents.
+	prefix := []RowID{42}
+	got := tbl.AppendEqual(prefix, "make", String("honda"))
+	if want := append([]RowID{42}, tbl.LookupEqual("make", String("honda"))...); !reflect.DeepEqual(got, want) {
+		t.Errorf("AppendEqual onto [42] = %v, want %v", got, want)
+	}
+	if ids := tbl.AppendEqual(nil, "ghost", String("x")); ids != nil {
+		t.Errorf("AppendEqual on unknown column = %v", ids)
 	}
 }
 
 func TestScanRangeYieldsRangeRowsUnordered(t *testing.T) {
 	tbl := carsTable(t)
 	want := tbl.LookupRange("price", 8000, 12000, true, true) // RowID-sorted
-	got := drain(tbl.ScanRange("price", 8000, 12000, true, true))
+	got := tbl.AppendRange(nil, "price", 8000, 12000, true, true)
 	set := map[RowID]bool{}
 	for _, id := range got {
 		set[id] = true
 	}
 	if len(got) != len(want) {
-		t.Fatalf("ScanRange = %v, LookupRange = %v", got, want)
+		t.Fatalf("AppendRange = %v, LookupRange = %v", got, want)
 	}
 	for _, id := range want {
 		if !set[id] {
-			t.Errorf("ScanRange missing row %d", id)
+			t.Errorf("AppendRange missing row %d", id)
 		}
 	}
 	// Range scan on a column with no ordered index falls back to a
 	// numeric scan, like LookupRange does.
-	if ids := drain(tbl.ScanRange("make", 0, math.Inf(1), true, true)); len(ids) != 0 {
-		t.Errorf("ScanRange over string column = %v", ids)
+	if ids := tbl.AppendRange(nil, "make", 0, math.Inf(1), true, true); len(ids) != 0 {
+		t.Errorf("AppendRange over string column = %v", ids)
 	}
 }
 
 func TestScanSubstringAndAll(t *testing.T) {
 	tbl := carsTable(t)
-	got := drain(tbl.ScanSubstring("model", "cord"))
-	if want := tbl.LookupSubstring("model", "cord"); !reflect.DeepEqual(got, want) {
-		t.Errorf("ScanSubstring = %v, LookupSubstring = %v", got, want)
+	// "cord" uses the trigram index, "c" scans.
+	for _, sub := range []string{"cord", "c"} {
+		got := tbl.AppendSubstring(nil, "model", sub)
+		if want := tbl.LookupSubstring("model", sub); !reflect.DeepEqual(got, want) {
+			t.Errorf("AppendSubstring(%q) = %v, LookupSubstring = %v", sub, got, want)
+		}
 	}
-	if got := drain(tbl.ScanAll()); len(got) != tbl.Len() {
-		t.Errorf("ScanAll yielded %d rows, table has %d", len(got), tbl.Len())
+	if got := tbl.AppendLiveIDs(nil); !reflect.DeepEqual(got, tbl.AllRowIDs()) || len(got) != tbl.Len() {
+		t.Errorf("AppendLiveIDs = %v, AllRowIDs = %v, table has %d rows", got, tbl.AllRowIDs(), tbl.Len())
 	}
 }
 
@@ -130,19 +131,19 @@ func TestFilterMatchStreamsResiduals(t *testing.T) {
 	tbl := carsTable(t)
 	// Drive make = honda, residual price <= 10000 → row 0 only.
 	got := tbl.FilterMatch(
-		tbl.ScanEqual("make", String("honda")),
+		tbl.AppendEqual(nil, "make", String("honda")),
 		[]Pred{NewRangePred("price", math.Inf(-1), 10000, false, true)},
 		nil, 0)
 	if !reflect.DeepEqual(got, []RowID{0}) {
 		t.Fatalf("FilterMatch = %v, want [0]", got)
 	}
 	// Membership set residual.
-	got = tbl.FilterMatch(tbl.ScanAll(), nil, [][]RowID{{1, 3}}, 0)
+	got = tbl.FilterMatch(tbl.AllRowIDs(), nil, [][]RowID{{1, 3}}, 0)
 	if !reflect.DeepEqual(got, []RowID{1, 3}) {
 		t.Fatalf("FilterMatch with set = %v, want [1 3]", got)
 	}
 	// Limit stops early.
-	got = tbl.FilterMatch(tbl.ScanAll(), nil, nil, 2)
+	got = tbl.FilterMatch(tbl.AllRowIDs(), nil, nil, 2)
 	if !reflect.DeepEqual(got, []RowID{0, 1}) {
 		t.Fatalf("FilterMatch with limit = %v, want [0 1]", got)
 	}

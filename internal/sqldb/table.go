@@ -283,13 +283,6 @@ func (t *Table) valueLocked(id RowID, col string) Value {
 func (t *Table) AllRowIDs() []RowID {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.allRowIDsLocked()
-}
-
-// allRowIDsLocked is AllRowIDs with the caller holding t.mu.
-//
-// cqads:requires-lock mu
-func (t *Table) allRowIDsLocked() []RowID {
 	return t.appendLiveLocked(make([]RowID, 0, t.live))
 }
 
@@ -318,15 +311,7 @@ func (t *Table) appendLiveLocked(dst []RowID) []RowID {
 // index when one exists and falling back to a scan otherwise. The
 // returned slice is sorted ascending and owned by the caller.
 func (t *Table) LookupEqual(col string, v Value) []RowID {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if ix, ok := t.hash[col]; ok {
-		// Postings are appended in ascending RowID order and deletes
-		// remove in place, so the list is already sorted — no re-sort.
-		ids := ix.lookup(v)
-		return append(make([]RowID, 0, len(ids)), ids...)
-	}
-	return t.appendEqualLocked(nil, col, v)
+	return t.AppendEqual(nil, col, v)
 }
 
 // AppendEqual appends the rows whose col equals v to dst, in
@@ -337,14 +322,9 @@ func (t *Table) LookupEqual(col string, v Value) []RowID {
 func (t *Table) AppendEqual(dst []RowID, col string, v Value) []RowID {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.appendEqualLocked(dst, col, v)
-}
-
-// appendEqualLocked is AppendEqual with the caller holding t.mu.
-//
-// cqads:requires-lock mu
-func (t *Table) appendEqualLocked(dst []RowID, col string, v Value) []RowID {
 	if ix, ok := t.hash[col]; ok {
+		// Postings are appended in ascending RowID order and deletes
+		// remove in place, so the list is already sorted — no re-sort.
 		return append(dst, ix.lookup(v)...)
 	}
 	i, ok := t.colIdx[col]
@@ -412,32 +392,42 @@ func (t *Table) appendRangeLocked(dst []RowID, col string, lo, hi float64, incLo
 	return dst
 }
 
-// LookupSubstring returns rows whose string col contains sub,
-// accelerated by the trigram index and verified against stored values.
+// LookupSubstring returns rows whose string col contains sub, in
+// ascending RowID order, accelerated by the trigram index and verified
+// against stored values.
 func (t *Table) LookupSubstring(col, sub string) []RowID {
+	return t.AppendSubstring(nil, col, sub)
+}
+
+// AppendSubstring appends the rows whose string col contains sub to
+// dst, in ascending RowID order, and returns the extended slice —
+// LookupSubstring into a caller-owned buffer. Like AppendEqual, it
+// reads the trigram postings only under the read lock.
+func (t *Table) AppendSubstring(dst []RowID, col, sub string) []RowID {
 	sub = strings.ToLower(sub)
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	i, ok := t.colIdx[col]
 	if !ok {
-		return nil
-	}
-	verify := func(ids []RowID) []RowID {
-		var out []RowID
-		for _, id := range ids {
-			if strings.Contains(t.rows[id].Values[i].Str(), sub) {
-				out = append(out, id)
-			}
-		}
-		return out
+		return dst
 	}
 	// Patterns shorter than the trigram length cannot use the index
 	// (stored keys are length-3 grams); scan instead, as MySQL's
 	// length-3 substring index would.
 	if ix, ok := t.substr[col]; ok && len(sub) >= 3 {
-		return verify(ix.candidates(sub))
+		for _, id := range ix.candidates(sub) {
+			if strings.Contains(t.rows[id].Values[i].Str(), sub) {
+				dst = append(dst, id)
+			}
+		}
+		return dst
 	}
-	return verify(t.allRowIDsLocked())
+	for id := range t.rows {
+		if !t.dead[id] && strings.Contains(t.rows[id].Values[i].Str(), sub) {
+			dst = append(dst, RowID(id))
+		}
+	}
+	return dst
 }
 
 // MinMax returns the smallest and largest values of numeric col over
