@@ -1,7 +1,6 @@
 package repro
 
 import (
-	"fmt"
 	"sync"
 	"testing"
 
@@ -169,38 +168,6 @@ func BenchmarkPartialAnswers(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-		})
-	}
-}
-
-// BenchmarkAskBatchThroughput measures the parallel batch Ask API in
-// questions/sec across worker-pool sizes, over a mixed exact/partial
-// workload (the unit behind "serving heavy traffic").
-func BenchmarkAskBatchThroughput(b *testing.B) {
-	e := env(b)
-	base := []string{
-		"red automatic toyota camry",
-		"Find Honda Accord blue less than 15,000 dollars",
-		"blue car",
-		"cheapest 2 door mazda",
-		"red or blue toyota under $9000",
-		"4 wheel drive with less than 20k miles",
-	}
-	questions := make([]string, 0, 8*len(base))
-	for i := 0; i < 8; i++ {
-		questions = append(questions, base...)
-	}
-	for _, workers := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				for _, br := range e.System.AskInDomainBatch("cars", questions, workers) {
-					if br.Err != nil {
-						b.Fatal(br.Err)
-					}
-				}
-			}
-			b.ReportMetric(float64(len(questions)*b.N)/b.Elapsed().Seconds(), "questions/sec")
 		})
 	}
 }

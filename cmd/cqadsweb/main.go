@@ -6,7 +6,7 @@
 //	cqadsweb [-addr :8080] [-seed N] [-ads N] [-data DIR]
 //	         [-domains cars,csjobs,...] [-partition h1/2]
 //	         [-ingest 2s] [-expire 30s]
-//	         [-replicate-from URL | -replicas URL1,URL2,...]
+//	         [-replicate-from URL]
 //	         [-replica-set URL1,URL2,URL3 -advertise URL [-lease 2s]]
 //	         [-shards "cars=h0:http://a,h1:http://b,csjobs=http://c,..."]
 //
@@ -37,10 +37,6 @@
 //     its position. The follower must use the same -seed/-ads as the
 //     primary: the snapshot carries table contents and classifier
 //     state, while the similarity matrices are rebuilt from the seed.
-//   - -replicas URL1,URL2 makes this server a scatter front:
-//     POST /api/ask/batch fans question chunks across the healthy
-//     followers (lag-aware /healthz probes) and answers any failed
-//     chunk locally.
 //   - -replica-set URL1,URL2,URL3 (with -advertise and -data) makes
 //     this server a symmetric PEER in a self-healing replica set. All
 //     members run the same flags (each with its own -advertise and
@@ -62,7 +58,7 @@
 //   - -shards "cars=http://a,..." makes this process the shard FRONT
 //     TIER: it holds no corpus, classifies each question once (same
 //     -seed/-ads as the shards so routing matches a monolith), and
-//     forwards questions, batches and ingest to the owning shards,
+//     forwards questions and ingest to the owning shards,
 //     scatter-gathering /api/status and /healthz into a cluster view.
 //     Unreachable shards degrade to empty answers with the error in
 //     the response envelope; other domains are unaffected.
@@ -109,7 +105,6 @@ import (
 	"repro/internal/failover"
 	"repro/internal/partition"
 	"repro/internal/replica"
-	"repro/internal/replica/router"
 	"repro/internal/schema"
 	"repro/internal/shard"
 	"repro/internal/shard/rebalance"
@@ -181,34 +176,81 @@ func runFrontTier(addr, shardMap string, opts cqads.Options) {
 	}
 }
 
-func main() {
-	addr := flag.String("addr", ":8080", "listen address")
-	seed := flag.Int64("seed", 42, "deterministic environment seed")
-	ads := flag.Int("ads", 500, "ads per domain")
-	dataDir := flag.String("data", "", "durable data directory (snapshot + write-ahead log); empty serves in-memory only")
-	ingest := flag.Duration("ingest", 0, "post one generated ad per interval (0 disables live ingestion)")
-	expire := flag.Duration("expire", 0, "delete the oldest ingested ad per interval (requires -ingest)")
-	replicateFrom := flag.String("replicate-from", "", "run as a read replica of the primary at this base URL (requires the primary's -seed/-ads)")
-	replicas := flag.String("replicas", "", "comma-separated follower base URLs to scatter /api/ask/batch across")
-	domains := flag.String("domains", "", "comma-separated subset of ads domains this server hosts (shard mode; default: all eight)")
-	partitionFlag := flag.String("partition", "", `hash slice of the hosted domain this server owns, e.g. "h2/4" (partition mode; requires -domains with exactly one domain)`)
-	shardMap := flag.String("shards", "", `front-tier mode: comma-separated domain=group shard map where a group is one URL or a "|"-separated replica set (e.g. "cars=http://a1|http://a2|http://a3,csjobs=http://b"); a hash-partitioned domain lists one hN:-prefixed group per slice ("cars=h0:http://a,h1:http://b"); this process holds no corpus and routes to the shards, following each set's elected leader`)
-	replicaSet := flag.String("replica-set", "", `self-healing peer mode: comma-separated advertised base URLs of every replica-set member including this node (e.g. "http://a:8081,http://b:8082,http://c:8083"); requires -data and -advertise`)
-	advertise := flag.String("advertise", "", "this node's advertised base URL, as it appears in -replica-set and in peers' flags")
-	lease := flag.Duration("lease", 0, "base leader-lease timeout before followers campaign (0 uses the failover default; must be several times the 250ms heartbeat)")
-	flag.Parse()
+// config is the parsed command line.
+type config struct {
+	addr, dataDir, replicateFrom, domains, partition string
+	shards, replicaSet, advertise                    string
+	seed                                             int64
+	ads                                              int
+	ingest, expire, lease                            time.Duration
+}
 
-	if *shardMap != "" {
-		if *dataDir != "" || *ingest > 0 || *replicateFrom != "" || *replicas != "" || *domains != "" || *replicaSet != "" {
-			log.Fatal("-shards runs a corpus-less front tier: it is incompatible with -data, -ingest, -replicate-from, -replicas, -domains and -replica-set")
+// parseFlags defines the command's flags on fs, parses args and
+// checks the resulting combination.
+func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
+	var c config
+	fs.StringVar(&c.addr, "addr", ":8080", "listen address")
+	fs.Int64Var(&c.seed, "seed", 42, "deterministic environment seed")
+	fs.IntVar(&c.ads, "ads", 500, "ads per domain")
+	fs.StringVar(&c.dataDir, "data", "", "durable data directory (snapshot + write-ahead log); empty serves in-memory only")
+	fs.DurationVar(&c.ingest, "ingest", 0, "post one generated ad per interval (0 disables live ingestion)")
+	fs.DurationVar(&c.expire, "expire", 0, "delete the oldest ingested ad per interval (requires -ingest)")
+	fs.StringVar(&c.replicateFrom, "replicate-from", "", "run as a read replica of the primary at this base URL (requires the primary's -seed/-ads)")
+	fs.StringVar(&c.domains, "domains", "", "comma-separated subset of ads domains this server hosts (shard mode; default: all eight)")
+	fs.StringVar(&c.partition, "partition", "", `hash slice of the hosted domain this server owns, e.g. "h2/4" (partition mode; requires -domains with exactly one domain)`)
+	fs.StringVar(&c.shards, "shards", "", `front-tier mode: comma-separated domain=group shard map where a group is one URL or a "|"-separated replica set (e.g. "cars=http://a1|http://a2|http://a3,csjobs=http://b"); a hash-partitioned domain lists one hN:-prefixed group per slice ("cars=h0:http://a,h1:http://b"); this process holds no corpus and routes to the shards, following each set's elected leader`)
+	fs.StringVar(&c.replicaSet, "replica-set", "", `self-healing peer mode: comma-separated advertised base URLs of every replica-set member including this node (e.g. "http://a:8081,http://b:8082,http://c:8083"); requires -data and -advertise`)
+	fs.StringVar(&c.advertise, "advertise", "", "this node's advertised base URL, as it appears in -replica-set and in peers' flags (requires -replica-set)")
+	fs.DurationVar(&c.lease, "lease", 0, "base leader-lease timeout before followers campaign (0 uses the failover default; must be several times the 250ms heartbeat; requires -replica-set)")
+	if err := fs.Parse(args); err != nil {
+		return c, err
+	}
+	return c, checkFlags(c)
+}
+
+// checkFlags rejects flag combinations whose mode would silently
+// ignore a flag, and combinations of modes that cannot run together.
+func checkFlags(c config) error {
+	if c.ingest < 0 || c.expire < 0 || c.lease < 0 {
+		return errors.New("-ingest, -expire and -lease take non-negative durations")
+	}
+	switch {
+	case c.shards != "":
+		if c.dataDir != "" || c.ingest != 0 || c.expire != 0 || c.replicateFrom != "" || c.domains != "" ||
+			c.partition != "" || c.replicaSet != "" || c.advertise != "" || c.lease != 0 {
+			return errors.New("-shards runs a corpus-less front tier: it is incompatible with -data, -ingest, -expire, -replicate-from, -domains, -partition, -replica-set, -advertise and -lease")
 		}
-		runFrontTier(*addr, *shardMap, cqads.Options{Seed: *seed, AdsPerDomain: *ads})
+	case c.replicaSet != "":
+		if c.advertise == "" || c.dataDir == "" {
+			return errors.New("-replica-set needs -advertise (this node's URL in the set) and -data (peers are durable)")
+		}
+		if c.replicateFrom != "" {
+			return errors.New("-replica-set is incompatible with -replicate-from: the failover agent owns the replication tail")
+		}
+	case c.advertise != "" || c.lease != 0:
+		return errors.New("-advertise and -lease configure a replica-set peer: they require -replica-set")
+	case c.replicateFrom != "" && (c.dataDir != "" || c.ingest != 0):
+		return errors.New("-replicate-from is incompatible with -data and -ingest: followers replicate the primary's corpus")
+	}
+	if c.expire != 0 && c.ingest == 0 {
+		return errors.New("-expire deletes ads the background writer posted: it requires -ingest")
+	}
+	return nil
+}
+
+func main() {
+	c, err := parseFlags(flag.CommandLine, os.Args[1:])
+	if err != nil {
+		log.Fatal(err)
+	}
+	if c.shards != "" {
+		runFrontTier(c.addr, c.shards, cqads.Options{Seed: c.seed, AdsPerDomain: c.ads})
 		return
 	}
 
-	opts := cqads.Options{Seed: *seed, AdsPerDomain: *ads, DataDir: *dataDir}
-	if *domains != "" {
-		for _, d := range strings.Split(*domains, ",") {
+	opts := cqads.Options{Seed: c.seed, AdsPerDomain: c.ads, DataDir: c.dataDir}
+	if c.domains != "" {
+		for _, d := range strings.Split(c.domains, ",") {
 			if d = strings.TrimSpace(d); d != "" {
 				opts.Domains = append(opts.Domains, d)
 			}
@@ -216,8 +258,8 @@ func main() {
 		fmt.Printf("shard mode: hosting %s\n", strings.Join(opts.Domains, ", "))
 	}
 	var slice partition.Slice
-	if *partitionFlag != "" {
-		sl, err := partition.Parse(*partitionFlag)
+	if c.partition != "" {
+		sl, err := partition.Parse(c.partition)
 		if err != nil {
 			log.Fatal(err)
 		}
@@ -231,16 +273,10 @@ func main() {
 	var agent *failover.Agent
 	webOpts := webui.Options{}
 
-	if *replicaSet != "" {
-		if *advertise == "" || *dataDir == "" {
-			log.Fatal("-replica-set needs -advertise (this node's URL in the set) and -data (peers are durable)")
-		}
-		if *replicateFrom != "" {
-			log.Fatal("-replica-set is incompatible with -replicate-from: the failover agent owns the replication tail")
-		}
-		members := map[string]bool{strings.TrimRight(*advertise, "/"): true}
+	if c.replicaSet != "" {
+		members := map[string]bool{strings.TrimRight(c.advertise, "/"): true}
 		peers := []string{}
-		for _, u := range strings.Split(*replicaSet, ",") {
+		for _, u := range strings.Split(c.replicaSet, ",") {
 			if u = strings.TrimRight(strings.TrimSpace(u), "/"); u != "" {
 				members[u] = true
 				peers = append(peers, u)
@@ -254,10 +290,10 @@ func main() {
 		}
 		sys = s
 		agent, err = failover.New(failover.Config{
-			Self:         strings.TrimRight(*advertise, "/"),
+			Self:         strings.TrimRight(c.advertise, "/"),
 			Peers:        peers,
 			Sys:          sys,
-			LeaseTimeout: *lease,
+			LeaseTimeout: c.lease,
 		})
 		if err != nil {
 			log.Fatal(err)
@@ -265,22 +301,18 @@ func main() {
 		webOpts.Failover = agent
 		st := sys.Status()
 		fmt.Printf("replica-set peer %s (%d members, quorum %d): %s at seq %d\n",
-			*advertise, len(members), len(members)/2+1, st.Persistence.Dir, st.Persistence.Seq)
+			c.advertise, len(members), len(members)/2+1, st.Persistence.Dir, st.Persistence.Seq)
 		agent.Start()
-	} else if *replicateFrom != "" {
-		if *dataDir != "" || *ingest > 0 {
-			log.Fatal("-replicate-from is incompatible with -data and -ingest: followers replicate the primary's corpus")
-		}
-		opts.DataDir = ""
+	} else if c.replicateFrom != "" {
 		// A partitioned follower bootstraps from just its slice of the
 		// primary's snapshot — the rebalance transfer path. The WAL tail
 		// stays unfiltered; replay skips out-of-slice ops locally.
 		snapshotQuery := ""
-		if *partitionFlag != "" {
+		if c.partition != "" {
 			snapshotQuery = "partition=" + slice.String()
 		}
 		f, err := replica.StartFollower(context.Background(), replica.Config{
-			Primary:       strings.TrimRight(*replicateFrom, "/"),
+			Primary:       strings.TrimRight(c.replicateFrom, "/"),
 			SnapshotQuery: snapshotQuery,
 			Bootstrap: func(snapshot []byte) (*cqads.System, error) {
 				return cqads.OpenFollower(opts, snapshot)
@@ -293,49 +325,35 @@ func main() {
 		sys = f.System()
 		webOpts.Promoter = f
 		st := sys.Status().Replication
-		fmt.Printf("follower of %s: bootstrapped at seq %d\n", *replicateFrom, st.AppliedSeq)
+		fmt.Printf("follower of %s: bootstrapped at seq %d\n", c.replicateFrom, st.AppliedSeq)
 	} else {
 		s, err := cqads.Open(opts)
 		if err != nil {
 			log.Fatal(err)
 		}
 		sys = s
-		if *dataDir != "" {
+		if c.dataDir != "" {
 			st := sys.Status()
 			fmt.Printf("durable store: %s (seq %d, checkpoint %d) — serving replication at /api/repl\n",
 				st.Persistence.Dir, st.Persistence.Seq, st.Persistence.CheckpointSeq)
 		}
 	}
 
-	var rt *router.Router
-	if *replicas != "" {
-		urls := []string{}
-		for _, u := range strings.Split(*replicas, ",") {
-			if u = strings.TrimRight(strings.TrimSpace(u), "/"); u != "" {
-				urls = append(urls, u)
-			}
-		}
-		rt = router.New(router.Config{Replicas: urls})
-		defer rt.Close()
-		webOpts.Router = rt
-		fmt.Printf("scattering /api/ask/batch across %d replicas\n", len(urls))
-	}
-
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-	if *ingest > 0 {
-		go runIngest(ctx, sys, *seed, *ingest, *expire)
-		fmt.Printf("live ingestion: one ad per %v", *ingest)
-		if *expire > 0 {
-			fmt.Printf(", expiry per %v", *expire)
+	if c.ingest > 0 {
+		go runIngest(ctx, sys, c.seed, c.ingest, c.expire)
+		fmt.Printf("live ingestion: one ad per %v", c.ingest)
+		if c.expire > 0 {
+			fmt.Printf(", expiry per %v", c.expire)
 		}
 		fmt.Println()
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: webui.NewServerWith(sys, webOpts)}
+	srv := &http.Server{Addr: c.addr, Handler: webui.NewServerWith(sys, webOpts)}
 	errc := make(chan error, 1)
 	go func() {
-		fmt.Printf("CQAds web UI listening on %s\n", *addr)
+		fmt.Printf("CQAds web UI listening on %s\n", c.addr)
 		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
 			errc <- err
 		}

@@ -9,7 +9,7 @@
 //	        [-seed 42] [-ads 150] [-domains cars,csjobs,...]
 //	        [-warmup 2s] [-duration 10s]
 //	        [-workers 8 | -rate 200]
-//	        [-batch 5] [-ingest-rate 20] [-ack local|quorum]
+//	        [-ingest-rate 20] [-ack local|quorum]
 //	        [-scenario rebalance -rebalance-domain cars
 //	         -rebalance-source h1/2 -rebalance-target-url URL
 //	         -rebalance-slice h3/4 [-rebalance-at 3s]]
@@ -32,9 +32,8 @@
 //     the tail instead of being absorbed by the client. Arrivals that
 //     would exceed the in-flight cap are dropped and counted.
 //
-// With -batch N every tenth request becomes a POST /api/ask/batch of N
-// consecutive questions; with -ingest-rate R a background writer posts
-// R generated ads per second (rotating domains, -ack durability).
+// With -ingest-rate R a background writer posts R generated ads per
+// second (rotating domains, -ack durability).
 // The warmup phase runs the identical mix but its samples are
 // discarded.
 //
@@ -93,10 +92,6 @@ const (
 // bound against a stalled server.
 const maxInFlight = 1024
 
-// batchEvery picks the single-ask/batch mix when -batch is set: every
-// batchEvery-th logical request is a batch.
-const batchEvery = 10
-
 type workItem struct {
 	domain string
 	text   string
@@ -135,15 +130,14 @@ func (s *epSink) record(d time.Duration, status int, err error) {
 // sinks is one phase's full set of endpoint accumulators; the active
 // set is swapped atomically at the warmup → measure boundary.
 type sinks struct {
-	ask, askBatch, ingest epSink
-	dropped               atomic.Int64 // open-loop arrivals past the in-flight cap
+	ask, ingest epSink
+	dropped     atomic.Int64 // open-loop arrivals past the in-flight cap
 }
 
 type loadgen struct {
 	targets []string
 	client  *http.Client
 	items   []workItem
-	batch   int
 	ack     string
 	cur     atomic.Pointer[sinks]
 	next    atomic.Int64 // work-item cursor, shared by all loops
@@ -165,7 +159,6 @@ func main() {
 		duration    = flag.Duration("duration", 10*time.Second, "measured phase")
 		workers     = flag.Int("workers", 8, "closed-loop concurrency (used when -rate is 0)")
 		rate        = flag.Float64("rate", 0, "open-loop arrival rate in requests/sec (0 = closed loop)")
-		batch       = flag.Int("batch", 0, "questions per batch request; 0 disables batch traffic")
 		ingestRate  = flag.Float64("ingest-rate", 0, "background ad inserts per second (0 = none)")
 		ack         = flag.String("ack", "local", "durability for ingested ads: local or quorum")
 		out         = flag.String("out", "BENCH_pr9.json", "results file; this run appends to its runs array")
@@ -218,7 +211,6 @@ func main() {
 		targets: targets,
 		client:  &http.Client{Timeout: *timeout},
 		items:   items,
-		batch:   *batch,
 		ack:     *ack,
 	}
 	if spec != nil {
@@ -273,7 +265,7 @@ func main() {
 	elapsed := time.Since(measureStart)
 	front := frontDelta(frontBefore, scrapeFront(g.client, targets[0]))
 
-	run := buildRun(*label, targets, *rate, *workers, *batch, *ingestRate, *ack,
+	run := buildRun(*label, targets, *rate, *workers, *ingestRate, *ack,
 		*seed, *ads, len(items), *warmup, elapsed, measured, front)
 	if spec != nil {
 		run.Scenario = *scenario
@@ -285,7 +277,7 @@ func main() {
 	}
 	printSummary(run)
 	printTimeline(run.Timeline, run.Rebalance)
-	errs := measured.ask.errs.Load() + measured.askBatch.errs.Load() + measured.ingest.errs.Load()
+	errs := measured.ask.errs.Load() + measured.ingest.errs.Load()
 	if reb != nil && reb.Step != "done" {
 		log.Printf("rebalance move ended in step %q: %s", reb.Step, reb.Error)
 		errs++
@@ -413,28 +405,11 @@ func (g *loadgen) openLoop(ctx context.Context, rate float64) {
 	}
 }
 
-// issue sends the i-th logical request: a batch of consecutive
-// questions every batchEvery-th slot when batch traffic is enabled, a
-// single ask otherwise. The domain is pinned explicitly so routing is
-// the topology's job, not the classifier's.
+// issue sends the i-th logical request, one ask. The domain is pinned
+// explicitly so routing is the topology's job, not the classifier's.
 func (g *loadgen) issue(ctx context.Context, i int64) {
 	s := g.cur.Load()
 	target := g.targets[int(i)%len(g.targets)]
-	if g.batch > 0 && i%batchEvery == 0 {
-		first := g.items[int(i)%len(g.items)]
-		qs := make([]string, 0, g.batch)
-		for j := 0; j < g.batch; j++ {
-			it := g.items[int(i+int64(j))%len(g.items)]
-			if it.domain != first.domain {
-				break // one batch = one domain, like the API contract
-			}
-			qs = append(qs, it.text)
-		}
-		body, _ := json.Marshal(map[string]any{"domain": first.domain, "questions": qs})
-		d, status, err := g.send(ctx, http.MethodPost, target, "/api/ask/batch", body)
-		s.askBatch.record(d, status, err)
-		return
-	}
 	it := g.items[int(i)%len(g.items)]
 	q := url.Values{"domain": {it.domain}, "q": {it.text}}
 	d, status, err := g.send(ctx, http.MethodGet, target, "/api/ask?"+q.Encode(), nil)
@@ -589,7 +564,6 @@ type runReport struct {
 	Mode         string   `json:"mode"`
 	Workers      int      `json:"workers,omitempty"`
 	RateRPS      float64  `json:"rate_rps,omitempty"`
-	Batch        int      `json:"batch,omitempty"`
 	IngestRPS    float64  `json:"ingest_rps,omitempty"`
 	Ack          string   `json:"ack,omitempty"`
 	Seed         int64    `json:"seed"`
@@ -599,9 +573,8 @@ type runReport struct {
 	DurationS    float64  `json:"duration_s"`
 	Dropped      int64    `json:"dropped,omitempty"`
 	Endpoints    struct {
-		Ask      *endpointReport `json:"ask,omitempty"`
-		AskBatch *endpointReport `json:"ask_batch,omitempty"`
-		Ingest   *endpointReport `json:"ingest,omitempty"`
+		Ask    *endpointReport `json:"ask,omitempty"`
+		Ingest *endpointReport `json:"ingest,omitempty"`
 	} `json:"endpoints"`
 	Front     *frontCounters   `json:"front,omitempty"`
 	Scenario  string           `json:"scenario,omitempty"`
@@ -609,7 +582,7 @@ type runReport struct {
 	Timeline  []windowReport   `json:"timeline,omitempty"`
 }
 
-func buildRun(label string, targets []string, rate float64, workers, batch int,
+func buildRun(label string, targets []string, rate float64, workers int,
 	ingestRate float64, ack string, seed int64, ads, nq int,
 	warmup, elapsed time.Duration, s *sinks, front *frontCounters) *runReport {
 	run := &runReport{
@@ -617,7 +590,6 @@ func buildRun(label string, targets []string, rate float64, workers, batch int,
 		Targets:      targets,
 		Mode:         "closed",
 		Workers:      workers,
-		Batch:        batch,
 		IngestRPS:    ingestRate,
 		Ack:          ack,
 		Seed:         seed,
@@ -636,10 +608,6 @@ func buildRun(label string, targets []string, rate float64, workers, batch int,
 	}
 	ask := report(&s.ask, elapsed)
 	run.Endpoints.Ask = &ask
-	if batch > 0 {
-		ab := report(&s.askBatch, elapsed)
-		run.Endpoints.AskBatch = &ab
-	}
 	if ingestRate > 0 {
 		ing := report(&s.ingest, elapsed)
 		run.Endpoints.Ingest = &ing
@@ -683,7 +651,6 @@ func printSummary(run *runReport) {
 	}
 	log.Printf("run %q (%s) over %.1fs:", run.Label, run.Mode, run.DurationS)
 	p("ask", run.Endpoints.Ask)
-	p("ask_batch", run.Endpoints.AskBatch)
 	p("ingest", run.Endpoints.Ingest)
 	if run.Dropped > 0 {
 		log.Printf("open-loop arrivals dropped at the in-flight cap: %d", run.Dropped)

@@ -33,12 +33,9 @@
 // partial answers are selected with a bounded top-K heap sized to
 // MaxAnswers instead of sorting the full candidate pool. Every
 // optimized path is proven bit-identical to the eager reference
-// evaluator. For batch workloads, System.AskBatch and
-// System.AskInDomainBatch answer many questions on a worker pool —
-// Config.BatchWorkers (or Options.BatchWorkers) sets the default pool
-// size, 0 meaning GOMAXPROCS — and return results in input order,
-// bit-identical to a sequential sweep; the similarity caches are
-// lock-striped so workers contend only on colliding stripes.
+// evaluator. System.Ask is safe to call from many goroutines; the
+// similarity caches are lock-striped so concurrent questions contend
+// only on colliding stripes.
 //
 // # Live ingestion
 //
@@ -78,15 +75,12 @@
 // builds a read-only replica from a primary's snapshot transfer; fed
 // the primary's log (internal/replica tails it over long-polled HTTP;
 // `cqadsweb -replicate-from URL` wires the whole role), the follower
-// applies every operation in sequence order and answers Ask/AskBatch
+// applies every operation in sequence order and answers Ask
 // bit-identically to the primary. Followers reject InsertAd/DeleteAd
 // with ErrReadOnlyReplica until System.Promote (the manual-failover
 // escape hatch, also POST /api/repl/promote); when the primary
 // compacts past a follower's position the follower re-bootstraps from
-// a fresh snapshot automatically. A scatter router
-// (internal/replica/router; `cqadsweb -replicas URL1,URL2`) fans
-// POST /api/ask/batch question chunks across the healthy, caught-up
-// replicas and answers failed chunks locally. System.Status's
+// a fresh snapshot automatically. System.Status's
 // Replication block reports the node's role, applied/observed
 // sequence cursors and lag. The full protocol and consistency
 // guarantees are documented in the repository root package.
@@ -134,7 +128,7 @@
 // classifies each question once with NewQuestionClassifier — the same
 // construction a monolith classifies with, built from the same
 // Seed/AdsPerDomain — and forwards it to the owning shard, so a
-// sharded cluster answers Ask/AskBatch bit-identically to a single
+// sharded cluster answers Ask bit-identically to a single
 // process; an unreachable shard degrades only its own domains. Shards
 // compose with replication: a durable shard ships its (hosted-only)
 // WAL to followers built with the same Options.Domains. The sharding
@@ -205,9 +199,6 @@ type (
 	Result = core.Result
 	// Answer is one retrieved ad.
 	Answer = core.Answer
-	// BatchResult pairs one question of an AskBatch call with its
-	// result or error.
-	BatchResult = core.BatchResult
 	// IngestResult pairs one ad of an InsertAdBatch/DeleteAdBatch call
 	// with its assigned RowID or error.
 	IngestResult = core.IngestResult
@@ -302,9 +293,6 @@ type Options struct {
 	// Dedup filters near-duplicate listings out of answer lists;
 	// Sec. 6 extension (iv).
 	Dedup bool
-	// BatchWorkers is the default worker-pool size for AskBatch and
-	// AskInDomainBatch; 0 means GOMAXPROCS.
-	BatchWorkers int
 	// TrainOnIngest folds ads inserted through System.InsertAd into
 	// the classifier's training set for their domain.
 	TrainOnIngest bool
@@ -536,7 +524,6 @@ func buildEnvFor(opts Options, classifierOnly bool) (core.Config, error) {
 		UseSynonyms:      opts.UseSynonyms,
 		StrictBoolean:    opts.StrictBoolean,
 		Dedup:            opts.Dedup,
-		BatchWorkers:     opts.BatchWorkers,
 		TrainOnIngest:    opts.TrainOnIngest,
 		DataDir:          opts.DataDir,
 		CompactBytes:     opts.CompactBytes,

@@ -82,14 +82,13 @@
 //     views (sqldb.Table.RecordView) instead of rebuilding a map per
 //     answer.
 //
-//   - A parallel batch Ask API. System.AskBatch and
-//     System.AskInDomainBatch fan questions out to a worker pool
-//     (Config.BatchWorkers sets the default size; 0 means GOMAXPROCS).
-//     The per-domain similarity caches are lock-striped
-//     (internal/rank) and classifier fitting is synchronized, so any
-//     worker count is safe; results return in input order and are
-//     bit-identical to a sequential sweep. The 650-question
-//     experiment drivers (internal/experiments) run on this API.
+//   - Concurrent asks. The per-domain similarity caches are
+//     lock-striped (internal/rank) and classifier fitting is
+//     synchronized, so System.Ask is safe from any number of
+//     goroutines. The 650-question experiment drivers
+//     (internal/experiments) answer on a worker pool (internal/pool)
+//     and aggregate in input order, bit-identical to a sequential
+//     sweep.
 //
 // # Mutability and the invalidation contract
 //
@@ -220,13 +219,6 @@
 //     HTTP handlers keep working), jump the cursor to the snapshot's
 //     sequence, resume tailing.
 //
-//   - Scatter. internal/replica/router fronts a fleet of followers:
-//     lag-aware health probes (/healthz, Config.MaxLagOps) pick the
-//     routable set, POST /api/ask/batch scatters question chunks
-//     across it and gathers answers in input order, and any failed
-//     chunk is answered locally — the endpoint degrades to local
-//     execution, never errors because a replica died.
-//
 //   - Failover. POST /api/repl/promote (System.Promote) flips a
 //     follower writable for manual failover: replication stops first,
 //     then writes are accepted, so a stale primary's stream can never
@@ -256,10 +248,9 @@
 //     classifier construction a monolith uses, so the routing decision
 //     is the decision a monolith would have made — and forwards to the
 //     shard owning the classified domain, proxying the shard's answer
-//     bytes verbatim. Batch questions are grouped per owning shard,
-//     scattered in parallel, and gathered back into input order;
-//     ingest fans out by the ad's Domain field; /api/status and
-//     /healthz scatter-gather a cluster view with per-shard health.
+//     bytes verbatim. Ingest fans out by the ad's Domain field;
+//     /api/status and /healthz scatter-gather a cluster view with
+//     per-shard health.
 //
 //   - Equivalence. Every per-domain artifact is derived from the
 //     domain's canonical identity (its index in schema.DomainNames),
@@ -350,8 +341,8 @@
 //     (interpolated within the sample's bucket, so an estimate is
 //     never outside it), and Snapshots Merge exactly — integer adds,
 //     associative and commutative — for cluster rollups. Every webui
-//     endpoint of interest (/api/ask, /api/ask/batch, ingest, the
-//     replication long-poll) records its end-to-end service time and
+//     endpoint of interest (/api/ask, ingest, the replication
+//     long-poll) records its end-to-end service time and
 //     GET /api/status reports a "latency" block. Counts are
 //     cumulative and reset-free by contract: scrapers difference
 //     successive samples, so concurrent scrapers cannot corrupt each

@@ -24,8 +24,8 @@ type JBBSM struct {
 	classes map[string]*jbClass
 	total   int // total training documents across classes
 	// fitted/mu make lazy Beta fitting and runtime training safe for
-	// concurrent Classify calls (AskBatch worker pools, the web UI,
-	// live ad ingestion): the atomic flag is the lock-free fast path
+	// concurrent Classify calls (concurrent asks, the web UI, live ad
+	// ingestion): the atomic flag is the lock-free fast path
 	// once fitting is published; Train and fit mutate under the write
 	// lock while Classify scores under the read lock. A Train that
 	// lands between a Classify's fit check and its scoring pass is

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/classify"
+	"repro/internal/pool"
 	"repro/internal/schema"
 	"repro/internal/text"
 )
@@ -44,10 +45,24 @@ func TestConcurrentAsks(t *testing.T) {
 	}
 }
 
-// TestAskBatchRace hammers the batch API from many workers over a mix
+// pooledAsk answers questions with ask on a pool of workers, in input
+// order.
+func pooledAsk(questions []string, workers int, ask func(string) (*Result, error)) []pooledResult {
+	return pool.Map(questions, workers, func(_ int, q string) pooledResult {
+		res, err := ask(q)
+		return pooledResult{res, err}
+	})
+}
+
+type pooledResult struct {
+	res *Result
+	err error
+}
+
+// TestPooledAskRace hammers AskInDomain from many workers over a mix
 // of exact, partial, single-condition and OR questions; run with -race
 // to validate the sharded similarity cache and classifier fitting.
-func TestAskBatchRace(t *testing.T) {
+func TestPooledAskRace(t *testing.T) {
 	sys := testSystem(t)
 	base := []string{
 		"Find Honda Accord blue less than 15,000 dollars",
@@ -63,26 +78,20 @@ func TestAskBatchRace(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		questions = append(questions, base...)
 	}
-	results := sys.AskInDomainBatch("cars", questions, 12)
-	if len(results) != len(questions) {
-		t.Fatalf("got %d results for %d questions", len(results), len(questions))
-	}
-	for i, br := range results {
-		if br.Err != nil {
-			t.Fatalf("question %d (%q): %v", i, br.Question, br.Err)
+	inCars := func(q string) (*Result, error) { return sys.AskInDomain("cars", q) }
+	for i, r := range pooledAsk(questions, 12, inCars) {
+		if r.err != nil {
+			t.Fatalf("question %d (%q): %v", i, questions[i], r.err)
 		}
-		if br.Index != i || br.Question != questions[i] {
-			t.Fatalf("result %d misplaced: index %d question %q", i, br.Index, br.Question)
-		}
-		if br.Result == nil {
-			t.Fatalf("question %d (%q): nil result", i, br.Question)
+		if r.res == nil {
+			t.Fatalf("question %d (%q): nil result", i, questions[i])
 		}
 	}
 }
 
-// TestAskBatchMatchesSequential: a batch run must return exactly the
-// answers a sequential sweep returns, per question.
-func TestAskBatchMatchesSequential(t *testing.T) {
+// TestPooledAskMatchesSequential: asks answered on a worker pool must
+// return exactly the answers a sequential sweep returns, per question.
+func TestPooledAskMatchesSequential(t *testing.T) {
 	sys := testSystem(t)
 	questions := []string{
 		"Find Honda Accord blue less than 15,000 dollars",
@@ -90,33 +99,33 @@ func TestAskBatchMatchesSequential(t *testing.T) {
 		"red or blue toyota under $9000",
 		"cheapest 2 door mazda",
 	}
-	batch := sys.AskInDomainBatch("cars", questions, 8)
+	pooled := pooledAsk(questions, 8, func(q string) (*Result, error) { return sys.AskInDomain("cars", q) })
 	for i, q := range questions {
 		seq, err := sys.AskInDomain("cars", q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		br := batch[i]
-		if br.Err != nil {
-			t.Fatalf("%q: batch error %v", q, br.Err)
+		r := pooled[i]
+		if r.err != nil {
+			t.Fatalf("%q: pooled error %v", q, r.err)
 		}
-		if len(br.Result.Answers) != len(seq.Answers) {
-			t.Fatalf("%q: batch %d answers, sequential %d", q, len(br.Result.Answers), len(seq.Answers))
+		if len(r.res.Answers) != len(seq.Answers) {
+			t.Fatalf("%q: pooled %d answers, sequential %d", q, len(r.res.Answers), len(seq.Answers))
 		}
 		for j := range seq.Answers {
-			b, s := br.Result.Answers[j], seq.Answers[j]
+			b, s := r.res.Answers[j], seq.Answers[j]
 			if b.ID != s.ID || b.RankSim != s.RankSim || b.Exact != s.Exact {
-				t.Fatalf("%q: answer %d differs: batch {id %d sim %v exact %v}, sequential {id %d sim %v exact %v}",
+				t.Fatalf("%q: answer %d differs: pooled {id %d sim %v exact %v}, sequential {id %d sim %v exact %v}",
 					q, j, b.ID, b.RankSim, b.Exact, s.ID, s.RankSim, s.Exact)
 			}
 		}
 	}
 }
 
-// TestAskBatchClassified drives AskBatch through the classifier (the
-// full Ask pipeline) with a quickly-trained model, checking routing
-// errors surface per question rather than aborting the batch.
-func TestAskBatchClassified(t *testing.T) {
+// TestPooledAskClassified drives concurrent Asks through the classifier
+// (the full pipeline) with a quickly-trained model, checking every
+// question is routed to a domain.
+func TestPooledAskClassified(t *testing.T) {
 	sys := testSystem(t)
 	cls := classify.NewJBBSM()
 	for _, d := range schema.DomainNames {
@@ -136,12 +145,12 @@ func TestAskBatchClassified(t *testing.T) {
 		"cars red toyota",
 		"cars cheapest manual transmission",
 	}
-	for i, br := range sys.AskBatch(questions, 8) {
-		if br.Err != nil {
-			t.Fatalf("question %d (%q): %v", i, br.Question, br.Err)
+	for i, r := range pooledAsk(questions, 8, sys.Ask) {
+		if r.err != nil {
+			t.Fatalf("question %d (%q): %v", i, questions[i], r.err)
 		}
-		if br.Result == nil || br.Result.Domain == "" {
-			t.Fatalf("question %d (%q): missing routed domain", i, br.Question)
+		if r.res == nil || r.res.Domain == "" {
+			t.Fatalf("question %d (%q): missing routed domain", i, questions[i])
 		}
 	}
 }

@@ -29,7 +29,7 @@ import (
 // training set and takes effect at the classifier's next refit.
 
 // InsertAd inserts one ad into the named domain's table and returns
-// its RowID. The ad becomes visible to Ask/AskBatch immediately and
+// its RowID. The ad becomes visible to Ask immediately and
 // atomically; dedup representatives are refreshed lazily on the next
 // question. Unknown domains and unknown columns error. On a
 // persistent system (Open with Config.DataDir) the operation is
@@ -126,7 +126,7 @@ func (s *System) insertAdLocked(domain string, values map[string]sqldb.Value, pi
 }
 
 // DeleteAd removes an ad (an expired listing) from the named domain's
-// table. The ad stops appearing in Ask/AskBatch answers immediately;
+// table. The ad stops appearing in Ask answers immediately;
 // its RowID is retired and never reused. Deleting an unknown or
 // already-deleted ad is an error. On a persistent system the deletion
 // is write-ahead logged and fsync'd before DeleteAd returns.
@@ -191,8 +191,7 @@ type IngestResult struct {
 // unspecified. On a persistent system the batch is applied
 // sequentially under the ingest lock — RowIDs follow input order —
 // and the whole batch is logged with a single fsync (the group-commit
-// win over per-ad InsertAd calls). workers <= 0 uses
-// Config.BatchWorkers, then GOMAXPROCS.
+// win over per-ad InsertAd calls). workers <= 0 uses GOMAXPROCS.
 func (s *System) InsertAdBatch(domain string, ads []map[string]sqldb.Value, workers int) []IngestResult {
 	results, _ := s.InsertAdBatchWithAck(domain, ads, workers, AckLocal)
 	return results
@@ -217,9 +216,6 @@ func (s *System) InsertAdBatchWithAck(domain string, ads []map[string]sqldb.Valu
 			return results, s.awaitQuorum(seq)
 		}
 		return results, nil
-	}
-	if workers <= 0 {
-		workers = s.batchWorkers
 	}
 	return pool.Map(ads, workers, func(i int, ad map[string]sqldb.Value) IngestResult {
 		id, err := s.InsertAd(domain, ad)
@@ -275,8 +271,7 @@ func (s *System) insertAdBatchDurable(domain string, ads []map[string]sqldb.Valu
 // results in input order (ID echoes the input id). Non-persistent
 // systems fan out on the shared worker pool; persistent systems apply
 // the batch sequentially under the ingest lock and log it with a
-// single fsync, like InsertAdBatch. workers <= 0 uses
-// Config.BatchWorkers, then GOMAXPROCS.
+// single fsync, like InsertAdBatch. workers <= 0 uses GOMAXPROCS.
 func (s *System) DeleteAdBatch(domain string, ids []sqldb.RowID, workers int) []IngestResult {
 	results, _ := s.DeleteAdBatchWithAck(domain, ids, workers, AckLocal)
 	return results
@@ -298,9 +293,6 @@ func (s *System) DeleteAdBatchWithAck(domain string, ids []sqldb.RowID, workers 
 			return results, s.awaitQuorum(seq)
 		}
 		return results, nil
-	}
-	if workers <= 0 {
-		workers = s.batchWorkers
 	}
 	return pool.Map(ids, workers, func(i int, id sqldb.RowID) IngestResult {
 		return IngestResult{Index: i, ID: id, Err: s.DeleteAd(domain, id)}

@@ -314,7 +314,7 @@ func TestSuperlativeSkipsNonNumeric(t *testing.T) {
 }
 
 // TestIngestWhileAsking is the tentpole's race test: a writer
-// goroutine inserts and expires ads while AskBatch readers hammer the
+// goroutine inserts and expires ads while pooled readers hammer the
 // same domain (run with -race). Answers are not asserted point-in-time
 // — the corpus legitimately changes under the readers — only that no
 // question errors and no race fires across dedup recomputation,
@@ -380,6 +380,7 @@ func TestIngestWhileAsking(t *testing.T) {
 		"red or blue toyota under $9000",
 		"manual bmw m3 less than $9000",
 	}
+	inCars := func(q string) (*Result, error) { return sys.AskInDomain("cars", q) }
 	for r := 0; r < 3; r++ {
 		wg.Add(1)
 		go func() {
@@ -390,9 +391,9 @@ func TestIngestWhileAsking(t *testing.T) {
 					return
 				default:
 				}
-				for _, br := range sys.AskInDomainBatch("cars", questions, 4) {
-					if br.Err != nil {
-						t.Errorf("%q: %v", br.Question, br.Err)
+				for i, r := range pooledAsk(questions, 4, inCars) {
+					if r.err != nil {
+						t.Errorf("%q: %v", questions[i], r.err)
 						return
 					}
 				}

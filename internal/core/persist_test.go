@@ -87,26 +87,24 @@ func assertSameAnswersByID(t *testing.T, label string, a, b *System) {
 			}
 		}
 	}
-	// The classified path (Ask + batch) must route and answer
-	// identically too: classifier state is part of the snapshot/WAL
-	// contract when TrainOnIngest is on.
-	qs := []string{"honda accord blue", "cheapest honda", "gold lexus es350"}
-	ba := a.AskBatch(qs, 3)
-	bb := b.AskBatch(qs, 3)
-	for i := range ba {
-		if (ba[i].Err == nil) != (bb[i].Err == nil) {
-			t.Fatalf("%s: AskBatch %q: errors differ: %v vs %v", label, qs[i], ba[i].Err, bb[i].Err)
+	// The classified path must route and answer identically too:
+	// classifier state is part of the snapshot/WAL contract when
+	// TrainOnIngest is on.
+	for _, q := range []string{"honda accord blue", "cheapest honda", "gold lexus es350"} {
+		x, errA := a.Ask(q)
+		y, errB := b.Ask(q)
+		if (errA == nil) != (errB == nil) {
+			t.Fatalf("%s: Ask %q: errors differ: %v vs %v", label, q, errA, errB)
 		}
-		if ba[i].Err != nil {
+		if errA != nil {
 			continue
 		}
-		x, y := ba[i].Result, bb[i].Result
 		if x.Domain != y.Domain || len(x.Answers) != len(y.Answers) || x.ExactCount != y.ExactCount {
-			t.Fatalf("%s: AskBatch %q: left %s/%d answers, right %s/%d", label, qs[i], x.Domain, len(x.Answers), y.Domain, len(y.Answers))
+			t.Fatalf("%s: Ask %q: left %s/%d answers, right %s/%d", label, q, x.Domain, len(x.Answers), y.Domain, len(y.Answers))
 		}
 		for j := range x.Answers {
 			if x.Answers[j].ID != y.Answers[j].ID || x.Answers[j].RankSim != y.Answers[j].RankSim {
-				t.Fatalf("%s: AskBatch %q answer %d differs", label, qs[i], j)
+				t.Fatalf("%s: Ask %q answer %d differs", label, q, j)
 			}
 		}
 	}
@@ -437,7 +435,7 @@ func TestFailedLatchStopsIngestBeforeMutation(t *testing.T) {
 }
 
 // TestCheckpointWhileIngestAndAsk is the persistence race test (run
-// with -race): a writer ingests and expires durable ads while AskBatch
+// with -race): a writer ingests and expires durable ads while pooled
 // readers hammer the domain, automatic compaction fires on a tiny WAL
 // threshold, and explicit Checkpoint/Status calls overlap everything.
 // Then the store is closed and reopened to prove the contended log
@@ -509,6 +507,7 @@ func TestCheckpointWhileIngestAndAsk(t *testing.T) {
 		"blue car",
 		"red or blue toyota under $9000",
 	}
+	inCars := func(q string) (*Result, error) { return sys.AskInDomain("cars", q) }
 	for r := 0; r < 2; r++ {
 		wg.Add(1)
 		go func() {
@@ -519,9 +518,9 @@ func TestCheckpointWhileIngestAndAsk(t *testing.T) {
 					return
 				default:
 				}
-				for _, br := range sys.AskInDomainBatch("cars", questions, 4) {
-					if br.Err != nil {
-						t.Errorf("%q: %v", br.Question, br.Err)
+				for i, r := range pooledAsk(questions, 4, inCars) {
+					if r.err != nil {
+						t.Errorf("%q: %v", questions[i], r.err)
 						return
 					}
 				}

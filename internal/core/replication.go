@@ -96,8 +96,8 @@ type followerState struct {
 // classifier — everything not carried by the snapshot), and snap — a
 // primary's snapshot, typically fetched from GET /api/repl/snapshot —
 // replaces the table contents and classifier state wholesale, exactly
-// as crash recovery does. The returned System serves Ask/AskBatch
-// immediately, applies shipped operations via ApplyOps, and rejects
+// as crash recovery does. The returned System serves Ask immediately,
+// applies shipped operations via ApplyOps, and rejects
 // InsertAd/DeleteAd with ErrReadOnlyReplica until Promote. cfg.DataDir
 // is ignored: followers keep no local durable state — their recovery
 // story IS re-bootstrapping from the primary.

@@ -4,9 +4,9 @@ package core_test
 // and sharded Systems (core.Config.Domains subsets) built from the
 // same cqads.Options must answer the 650-question workload
 // bit-identically — Ask on the monolith versus classify-once +
-// AskInDomain on the owning shard, and AskBatch likewise. This is the
-// process-free twin of internal/shard's HTTP harness (one shared
-// helper package, internal/shard/shardtest, builds both).
+// AskInDomain on the owning shard. This is the process-free twin of
+// internal/shard's HTTP harness (one shared helper package,
+// internal/shard/shardtest, builds both).
 
 import (
 	"encoding/json"
@@ -80,16 +80,14 @@ func shardOwners(t *testing.T, groups [][]string, systems []*cqads.System) map[s
 }
 
 // TestShardEquivalence is the tentpole harness: monolith vs 8-shard
-// vs 2-shard, Ask and AskBatch, all 650 questions bit-identical.
+// vs 2-shard, all 650 questions bit-identical.
 func TestShardEquivalence(t *testing.T) {
 	opts := shardtest.Options(equivAds)
 	mono := shardtest.OpenMonolith(t, opts)
 	qc := shardtest.NewClassifier(t, opts)
 	workload := shardtest.Workload(t, opts, mono)
 
-	// Monolith baseline, Ask and AskBatch (which must agree with each
-	// other by PR 1's contract; asserting it here keeps the baseline
-	// honest).
+	// Monolith baseline.
 	want := make([]string, len(workload))
 	for i, q := range workload {
 		res, err := mono.Ask(q)
@@ -97,14 +95,6 @@ func TestShardEquivalence(t *testing.T) {
 			t.Fatalf("monolith: %q: %v", q, err)
 		}
 		want[i] = resultKey(t, res)
-	}
-	for i, br := range mono.AskBatch(workload, 4) {
-		if br.Err != nil {
-			t.Fatalf("monolith batch: %q: %v", workload[i], br.Err)
-		}
-		if got := resultKey(t, br.Result); got != want[i] {
-			t.Fatalf("monolith AskBatch diverges from Ask on %q", workload[i])
-		}
 	}
 
 	for _, topo := range []struct {
@@ -120,13 +110,11 @@ func TestShardEquivalence(t *testing.T) {
 
 			// Ask: classify once (front-tier decision), answer on the
 			// owning shard.
-			domains := make([]string, len(workload))
 			for i, q := range workload {
 				d, err := qc.ClassifyQuestion(q)
 				if err != nil {
 					t.Fatalf("classifying %q: %v", q, err)
 				}
-				domains[i] = d
 				res, err := owners[d].AskInDomain(d, q)
 				if err != nil {
 					t.Fatalf("%s: %q in %q: %v", topo.name, q, d, err)
@@ -134,32 +122,6 @@ func TestShardEquivalence(t *testing.T) {
 				if got := resultKey(t, res); got != want[i] {
 					t.Errorf("%s: answer diverges on %q (domain %q)\n got: %s\nwant: %s",
 						topo.name, q, d, got, want[i])
-				}
-			}
-
-			// AskBatch: group per owning shard-domain (exactly the
-			// front tier's scatter), answer each group as one batch,
-			// gather in input order.
-			groupIdx := make(map[string][]int)
-			for i, d := range domains {
-				groupIdx[d] = append(groupIdx[d], i)
-			}
-			got := make([]string, len(workload))
-			for d, idxs := range groupIdx {
-				chunk := make([]string, len(idxs))
-				for j, i := range idxs {
-					chunk[j] = workload[i]
-				}
-				for j, br := range owners[d].AskInDomainBatch(d, chunk, 4) {
-					if br.Err != nil {
-						t.Fatalf("%s batch: %q: %v", topo.name, chunk[j], br.Err)
-					}
-					got[idxs[j]] = resultKey(t, br.Result)
-				}
-			}
-			for i := range workload {
-				if got[i] != want[i] {
-					t.Errorf("%s: batch answer diverges on %q", topo.name, workload[i])
 				}
 			}
 		})

@@ -76,10 +76,6 @@ type Config struct {
 	// default: the paper trains the classifier on questions, and ad
 	// text skews the class-conditional model toward listing phrasing.
 	TrainOnIngest bool
-	// BatchWorkers is the default worker-pool size for AskBatch and
-	// AskInDomainBatch when the caller passes workers <= 0; 0 falls
-	// back to GOMAXPROCS.
-	BatchWorkers int
 	// DataDir enables durability: Open recovers the store from the
 	// directory's snapshot + write-ahead log and every subsequent
 	// InsertAd/DeleteAd is logged before the call returns, so a
@@ -159,7 +155,6 @@ type System struct {
 	maxAnswers    int
 	depth         int
 	strict        bool
-	batchWorkers  int
 	trainOnIngest bool
 	// cfg retains the build configuration for in-place rebuilds: a
 	// re-bootstrap (ResetToSnapshot) restores into the same DB and
@@ -251,7 +246,6 @@ func New(cfg Config) (*System, error) {
 		maxAnswers:    cfg.MaxAnswers,
 		depth:         cfg.RelaxationDepth,
 		strict:        cfg.StrictBoolean,
-		batchWorkers:  cfg.BatchWorkers,
 		trainOnIngest: cfg.TrainOnIngest,
 	}
 	if s.maxAnswers <= 0 {

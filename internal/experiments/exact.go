@@ -5,7 +5,10 @@ import (
 	"strings"
 
 	"repro/internal/boolean"
+	"repro/internal/core"
 	"repro/internal/metrics"
+	"repro/internal/pool"
+	"repro/internal/questions"
 	"repro/internal/rank"
 	"repro/internal/schema"
 	"repro/internal/sqldb"
@@ -28,24 +31,28 @@ type ExactResult struct {
 // conditions (capped at the 30-answer cutoff, which also caps
 // retrieval); the retrieved set is CQAds's exact answers.
 func (e *Env) ExactMatch() (*ExactResult, error) {
+	type outcome struct {
+		res *core.Result
+		err error
+	}
 	var ps, rs, fs []float64
 	perfect, zero, total := 0, 0, 0
 	for _, d := range schema.DomainNames {
 		tbl, _ := e.DB.TableForDomain(d)
 		qs := e.Tests[d]
-		texts := make([]string, len(qs))
-		for i := range qs {
-			texts[i] = qs[i].Text
-		}
-		// The domain's question sweep rides the batch API: answers are
-		// computed on a worker pool and aggregated in question order,
-		// keeping the averaged metrics bit-identical to a sequential run.
-		for i, br := range e.System.AskInDomainBatch(d, texts, 0) {
+		// Answers are computed on a worker pool and aggregated in
+		// question order, keeping the averaged metrics bit-identical to
+		// a sequential run.
+		outcomes := pool.Map(qs, 0, func(_ int, q questions.Question) outcome {
+			res, err := e.System.AskInDomain(d, q.Text)
+			return outcome{res: res, err: err}
+		})
+		for i, o := range outcomes {
 			q := qs[i]
-			if br.Err != nil {
-				return nil, fmt.Errorf("experiments: %q: %w", q.Text, br.Err)
+			if o.err != nil {
+				return nil, fmt.Errorf("experiments: %q: %w", q.Text, o.err)
 			}
-			res := br.Result
+			res := o.res
 			retrieved := make([]sqldb.RowID, 0, res.ExactCount)
 			for _, a := range res.Answers[:res.ExactCount] {
 				retrieved = append(retrieved, a.ID)

@@ -23,6 +23,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/failover"
 	"repro/internal/metrics/telemetry"
+	"repro/internal/pool"
 	"repro/internal/replica"
 	"repro/internal/schema"
 	"repro/internal/sqldb"
@@ -320,8 +321,8 @@ var failoverQuestions = []string{
 	"gold necklace diamond",
 }
 
-// assertIdentical requires bit-identical Ask and AskBatch results
-// between the reference system and a peer.
+// assertIdentical requires bit-identical Ask results between the
+// reference system and a peer.
 func assertIdentical(t *testing.T, label string, ref, got *core.System) {
 	t.Helper()
 	check := func(q string, p, f *core.Result, err1, err2 error) {
@@ -344,11 +345,6 @@ func assertIdentical(t *testing.T, label string, ref, got *core.System) {
 		p, err1 := ref.Ask(q)
 		f, err2 := got.Ask(q)
 		check(q, p, f, err1, err2)
-	}
-	pb := ref.AskBatch(failoverQuestions, 4)
-	fb := got.AskBatch(failoverQuestions, 4)
-	for i := range pb {
-		check(pb[i].Question, pb[i].Result, fb[i].Result, pb[i].Err, fb[i].Err)
 	}
 }
 
@@ -534,7 +530,7 @@ func TestPartitionFencing(t *testing.T) {
 }
 
 // TestElectionUnderChurn kills the leader repeatedly while followers
-// serve AskBatch continuously, restarting each victim so it rejoins as
+// serve pooled Asks continuously, restarting each victim so it rejoins as
 // a follower. After the churn the whole set converges bit-identically
 // to the reference.
 func TestElectionUnderChurn(t *testing.T) {
@@ -542,7 +538,7 @@ func TestElectionUnderChurn(t *testing.T) {
 	c := startCluster(t, 3)
 	ref := reference(t)
 
-	// Background readers: every live peer answers batches throughout
+	// Background readers: every live peer answers questions throughout
 	// the churn; a read error under failover is a test failure.
 	stopReads := make(chan struct{})
 	var readers sync.WaitGroup
@@ -562,10 +558,14 @@ func TestElectionUnderChurn(t *testing.T) {
 					time.Sleep(10 * time.Millisecond)
 					continue
 				}
-				for _, br := range p.sys.AskBatch(failoverQuestions[:3], 3) {
-					if br.Err != nil {
+				errs := pool.Map(failoverQuestions[:3], 3, func(_ int, q string) error {
+					_, err := p.sys.Ask(q)
+					return err
+				})
+				for _, err := range errs {
+					if err != nil {
 						select {
-						case readErr <- fmt.Errorf("AskBatch on %s during churn: %w", p.url, br.Err):
+						case readErr <- fmt.Errorf("Ask on %s during churn: %w", p.url, err):
 						default:
 						}
 						return

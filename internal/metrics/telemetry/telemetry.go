@@ -120,8 +120,6 @@ var Failover struct {
 var Latency struct {
 	// Ask is GET /api/ask — one natural-language question.
 	Ask Histogram
-	// AskBatch is POST /api/ask/batch — a question batch.
-	AskBatch Histogram
 	// Ingest is POST /api/ad and DELETE /api/ad/{id} — durable
 	// mutations, timed end-to-end including the WAL fsync (and the
 	// quorum wait for ack=quorum writes).

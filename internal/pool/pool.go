@@ -1,6 +1,6 @@
 // Package pool provides the one worker-pool primitive shared by the
-// batch Ask/ingest APIs and the experiment drivers: fan a slice out
-// to workers, collect results in input order.
+// batch ingest APIs and the experiment drivers: fan a slice out to
+// workers, collect results in input order.
 package pool
 
 import (

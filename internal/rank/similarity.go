@@ -26,7 +26,7 @@ type Similarity struct {
 	// (question value, record value) pairs recur across hundreds of
 	// candidates during partial matching. The cache is lock-striped —
 	// keys hash to one of catShards shards, each with its own RWMutex
-	// and map — so concurrent queries (the web UI, AskBatch worker
+	// and map — so concurrent queries (the web UI, experiment worker
 	// pools) contend only on colliding stripes, and the common
 	// cache-hit path takes a read lock only. The zero value is ready
 	// to use.

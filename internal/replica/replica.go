@@ -8,8 +8,7 @@
 // checkpoint sequence ahead of its cursor) and re-bootstraps from a
 // fresh snapshot transfer — in place, so handlers holding the System
 // keep working. The server half (the endpoints a primary serves) lives
-// in internal/webui; the read-scattering router over a fleet of
-// followers lives in internal/replica/router.
+// in internal/webui.
 package replica
 
 import (

@@ -12,6 +12,7 @@ import (
 	"repro/internal/adsgen"
 	"repro/internal/core"
 	"repro/internal/metrics/telemetry"
+	"repro/internal/pool"
 	"repro/internal/replica"
 	"repro/internal/schema"
 	"repro/internal/sqldb"
@@ -101,8 +102,8 @@ var replicaQuestions = []string{
 	"gold necklace diamond",
 }
 
-// assertConvergedAnswers requires bit-identical Ask and AskBatch
-// results between primary and follower.
+// assertConvergedAnswers requires bit-identical Ask results between
+// primary and follower.
 func assertConvergedAnswers(t *testing.T, label string, primary, follower *core.System) {
 	t.Helper()
 	check := func(q string, p, f *core.Result, err1, err2 error) {
@@ -125,11 +126,6 @@ func assertConvergedAnswers(t *testing.T, label string, primary, follower *core.
 		p, err1 := primary.Ask(q)
 		f, err2 := follower.Ask(q)
 		check(q, p, f, err1, err2)
-	}
-	pb := primary.AskBatch(replicaQuestions, 4)
-	fb := follower.AskBatch(replicaQuestions, 4)
-	for i := range pb {
-		check(pb[i].Question, pb[i].Result, fb[i].Result, pb[i].Err, fb[i].Err)
 	}
 }
 
@@ -163,7 +159,7 @@ func ingestSome(t *testing.T, sys *core.System, seed int64, n int) []sqldb.RowID
 
 // TestFollowerEndToEnd is the tentpole acceptance test: a follower
 // bootstrapped over HTTP from a live primary's snapshot converges with
-// its WAL stream while both serve AskBatch, answers bit-identically,
+// its WAL stream while both serve pooled Asks, answers bit-identically,
 // and flips writable on promote.
 func TestFollowerEndToEnd(t *testing.T) {
 	checkGoroutines(t)
@@ -191,9 +187,13 @@ func TestFollowerEndToEnd(t *testing.T) {
 				return
 			default:
 			}
-			for _, br := range follower.AskBatch(replicaQuestions[:3], 3) {
-				if br.Err != nil {
-					t.Errorf("follower AskBatch during stream: %v", br.Err)
+			errs := pool.Map(replicaQuestions[:3], 3, func(_ int, q string) error {
+				_, err := follower.Ask(q)
+				return err
+			})
+			for _, err := range errs {
+				if err != nil {
+					t.Errorf("follower Ask during stream: %v", err)
 					return
 				}
 			}

@@ -2,7 +2,7 @@ package shard_test
 
 // HTTP-level cross-topology equivalence: a monolith cqadsweb node and
 // sharded clusters (8-shard and 2-shard) behind the front tier must
-// serve byte-identical /api/ask and /api/ask/batch responses for the
+// serve byte-identical /api/ask responses for the
 // 650-question workload; killing one shard degrades only that shard's
 // domains. This is the wire-level twin of
 // internal/core/shardequiv_test.go — both build their topologies with
@@ -44,21 +44,6 @@ func get(t *testing.T, rawurl string) (int, []byte) {
 	return resp.StatusCode, body
 }
 
-// post sends a JSON body and returns status + response body.
-func post(t *testing.T, rawurl string, body []byte) (int, []byte) {
-	t.Helper()
-	resp, err := http.Post(rawurl, "application/json", bytes.NewReader(body))
-	if err != nil {
-		t.Fatalf("POST %s: %v", rawurl, err)
-	}
-	defer resp.Body.Close()
-	respBody, err := io.ReadAll(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return resp.StatusCode, respBody
-}
-
 func askURL(base, q string) string {
 	return base + "/api/ask?" + url.Values{"q": {q}}.Encode()
 }
@@ -82,14 +67,6 @@ func TestClusterEquivalence(t *testing.T) {
 		}
 		monoAsk[i] = body
 	}
-	batchReq, err := json.Marshal(map[string]any{"questions": workload})
-	if err != nil {
-		t.Fatal(err)
-	}
-	monoBatchStatus, monoBatch := post(t, monoSrv.URL+"/api/ask/batch", batchReq)
-	if monoBatchStatus != http.StatusOK {
-		t.Fatalf("monolith batch answered %d", monoBatchStatus)
-	}
 
 	for _, topo := range []struct {
 		name   string
@@ -108,13 +85,6 @@ func TestClusterEquivalence(t *testing.T) {
 				if !bytes.Equal(body, monoAsk[i]) {
 					t.Errorf("ask bytes diverge on %q\n got: %s\nwant: %s", q, body, monoAsk[i])
 				}
-			}
-			status, body := post(t, cluster.Front.URL+"/api/ask/batch", batchReq)
-			if status != http.StatusOK {
-				t.Fatalf("front tier batch answered %d", status)
-			}
-			if !bytes.Equal(body, monoBatch) {
-				t.Error("batch response bytes diverge from the monolith")
 			}
 		})
 	}
@@ -187,43 +157,6 @@ func TestClusterDegradedMode(t *testing.T) {
 		t.Fatalf("%s question degraded too: %d %s", otherD, status, body)
 	}
 
-	// Batch: cars entries carry envelopes, the rest match the
-	// monolith entry-for-entry.
-	batchQs := []string{carsQ, otherQ, carsQ, otherQ}
-	req, _ := json.Marshal(map[string]any{"questions": batchQs})
-	parse := func(body []byte) []json.RawMessage {
-		var out struct {
-			Results []json.RawMessage `json:"results"`
-		}
-		if err := json.Unmarshal(body, &out); err != nil {
-			t.Fatalf("batch response: %v", err)
-		}
-		if len(out.Results) != len(batchQs) {
-			t.Fatalf("batch returned %d results, want %d", len(out.Results), len(batchQs))
-		}
-		return out.Results
-	}
-	_, monoBatch := post(t, monoSrv.URL+"/api/ask/batch", req)
-	status, clusterBatch := post(t, cluster.Front.URL+"/api/ask/batch", req)
-	if status != http.StatusOK {
-		t.Fatalf("degraded batch answered %d", status)
-	}
-	monoEntries, clusterEntries := parse(monoBatch), parse(clusterBatch)
-	for i := range batchQs {
-		if i%2 == 0 { // cars entries
-			var e struct {
-				Error string `json:"error"`
-			}
-			if err := json.Unmarshal(clusterEntries[i], &e); err != nil || e.Error == "" {
-				t.Errorf("batch entry %d should be a degraded envelope: %s", i, clusterEntries[i])
-			}
-			continue
-		}
-		if !bytes.Equal(clusterEntries[i], monoEntries[i]) {
-			t.Errorf("batch entry %d (healthy domain) diverges", i)
-		}
-	}
-
 	// Health rollup: degraded, not down.
 	status, body = get(t, cluster.Front.URL+"/healthz")
 	if status != http.StatusOK || !strings.Contains(string(body), `"state":"degraded"`) {
@@ -250,8 +183,8 @@ func adRecord(ad map[string]sqldb.Value) map[string]any {
 }
 
 // TestIngestThroughRouterWhileBatchAsking is the acceptance race: ads
-// flow through the front tier's ingest fan-out while batch questions
-// scatter across the shards, under -race via CI. Afterwards every
+// flow through the front tier's ingest fan-out while readers' questions
+// route across the shards, under -race via CI. Afterwards every
 // ingested ad must be live on its owning shard.
 func TestIngestThroughRouterWhileBatchAsking(t *testing.T) {
 	opts := shardtest.Options(50)
@@ -259,7 +192,6 @@ func TestIngestThroughRouterWhileBatchAsking(t *testing.T) {
 	cluster := shardtest.StartCluster(t, opts, shardtest.Groups2(), qc)
 	mono := shardtest.OpenMonolith(t, opts)
 	workload := shardtest.Workload(t, opts, mono)[:40]
-	batchReq, _ := json.Marshal(map[string]any{"questions": workload})
 
 	const (
 		writers   = 4
@@ -300,16 +232,18 @@ func TestIngestThroughRouterWhileBatchAsking(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < askRounds; i++ {
-				resp, err := http.Post(cluster.Front.URL+"/api/ask/batch", "application/json", bytes.NewReader(batchReq))
-				if err != nil {
-					errs <- err
-					return
-				}
-				body, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					errs <- fmt.Errorf("batch answered %d: %s", resp.StatusCode, body)
-					return
+				for _, q := range workload {
+					resp, err := http.Get(askURL(cluster.Front.URL, q))
+					if err != nil {
+						errs <- err
+						return
+					}
+					body, _ := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if resp.StatusCode != http.StatusOK {
+						errs <- fmt.Errorf("ask %q answered %d: %s", q, resp.StatusCode, body)
+						return
+					}
 				}
 			}
 		}()

@@ -207,17 +207,5 @@ func FuzzRouteQuestion(f *testing.F) {
 		if p == nil || p.Status != http.StatusOK || len(p.Body) == 0 {
 			t.Fatalf("Ask(%q) returned a degenerate answer: %+v", q, p)
 		}
-		items := rt.AskBatch(ctx, "", []string{q, "cheapest honda", q})
-		if len(items) != 3 {
-			t.Fatalf("batch returned %d items", len(items))
-		}
-		for i, item := range items {
-			if item.Index != i {
-				t.Fatalf("batch order broken at %d", i)
-			}
-			if item.Err == nil && item.JSON == nil {
-				t.Fatalf("batch item %d has neither answer nor error", i)
-			}
-		}
 	})
 }

@@ -66,20 +66,20 @@ func (g *groupLatency) hedgeDelay() time.Duration {
 	return d
 }
 
-// doRead issues one read to a partition. Single-member sets route
+// doRead issues one GET to a partition. Single-member sets route
 // statically exactly as before; multi-member sets take the hedged
 // path. Either way the serving leg's latency feeds the set's histogram
 // — which is also where the hedge delay is learned.
-func (r *Router) doRead(ctx context.Context, method string, p *partState, pathAndQuery string, body []byte, contentType string, hdr map[string]string) (base string, status int, respBody []byte, err error) {
+func (r *Router) doRead(ctx context.Context, p *partState, pathAndQuery string, hdr map[string]string) (base string, status int, respBody []byte, err error) {
 	if p.watch == nil {
 		start := time.Now()
-		base, status, respBody, err = r.doRouted(ctx, method, p, pathAndQuery, body, contentType, hdr)
+		base, status, respBody, err = r.doRouted(ctx, http.MethodGet, p, pathAndQuery, nil, "", hdr)
 		if err == nil && p.lat != nil {
 			p.lat.hist.Record(time.Since(start).Nanoseconds())
 		}
 		return base, status, respBody, err
 	}
-	return r.doHedged(ctx, p, method, pathAndQuery, body, contentType, hdr)
+	return r.doHedged(ctx, p, pathAndQuery, hdr)
 }
 
 // hedgeLeg is one request's outcome inside a hedged read.
@@ -98,7 +98,7 @@ type hedgeLeg struct {
 // first leg answering 200 wins and the other is cancelled. When no leg
 // answers 200 the primary's outcome is preferred for attribution, with
 // any real HTTP response beating a transport error.
-func (r *Router) doHedged(ctx context.Context, p *partState, method, pathAndQuery string, body []byte, contentType string, hdr map[string]string) (string, int, []byte, error) {
+func (r *Router) doHedged(ctx context.Context, p *partState, pathAndQuery string, hdr map[string]string) (string, int, []byte, error) {
 	g := p.lat
 	members := p.members
 	w := p.watch
@@ -119,7 +119,7 @@ func (r *Router) doHedged(ctx context.Context, p *partState, method, pathAndQuer
 	launch := func(target string, backup bool) {
 		go func() {
 			start := time.Now()
-			status, respBody, err := r.do(cctx, method, target, pathAndQuery, body, contentType, hdr)
+			status, respBody, err := r.do(cctx, http.MethodGet, target, pathAndQuery, nil, "", hdr)
 			if err == nil {
 				g.hist.Record(time.Since(start).Nanoseconds())
 			}

@@ -2,7 +2,7 @@ package rebalance_test
 
 // The churn equivalence harness for live rebalancing: a 2-way
 // hash-split cars cluster keeps serving pinned ingest and scattered
-// batch questions while the coordinator splits h1/2 and moves h3/4 to
+// questions while the coordinator splits h1/2 and moves h3/4 to
 // a freshly attached follower. Zero queries may drop, every
 // acknowledged write must survive, and afterwards the cluster must
 // answer the cars workload byte-identically to a never-rebalanced
@@ -121,14 +121,10 @@ func TestLiveRebalanceUnderChurn(t *testing.T) {
 	if len(carsQs) == 0 {
 		t.Fatal("workload produced no cars questions")
 	}
-	batchReq, err := json.Marshal(map[string]any{"questions": carsQs})
-	if err != nil {
-		t.Fatal(err)
-	}
 
 	// Churn: one writer streams pinned cars ads through the front
-	// tier's fan-out, two readers stream batch questions through the
-	// scatter path. Every acknowledgement and every query outcome is
+	// tier's fan-out, two readers stream GET /api/ask questions through
+	// the scatter path. Every acknowledgement and every query outcome is
 	// recorded; nothing may fail at any point of the move.
 	gen := adsgen.NewGenerator(9009)
 	ads := gen.Generate(schema.ByName("cars"), 400)
@@ -185,37 +181,25 @@ func TestLiveRebalanceUnderChurn(t *testing.T) {
 					return
 				default:
 				}
-				resp, err := http.Post(cluster.Front.URL+"/api/ask/batch", "application/json", bytes.NewReader(batchReq))
-				if err != nil {
-					churnErrs.Add(1)
-					errCh <- err
-					return
-				}
-				body, _ := io.ReadAll(resp.Body)
-				resp.Body.Close()
-				if resp.StatusCode != http.StatusOK {
-					churnErrs.Add(1)
-					errCh <- fmt.Errorf("batch answered %d during churn: %s", resp.StatusCode, body)
-					return
-				}
-				var out struct {
-					Results []struct {
-						Error string `json:"error"`
-					} `json:"results"`
-				}
-				if err := json.Unmarshal(body, &out); err != nil || len(out.Results) != len(carsQs) {
-					churnErrs.Add(1)
-					errCh <- fmt.Errorf("batch shape broke during churn: %v: %s", err, body)
-					return
-				}
-				for _, res := range out.Results {
-					if res.Error != "" {
+				for _, q := range carsQs {
+					resp, err := http.Get(cluster.Front.URL + "/api/ask?q=" + url.QueryEscape(q))
+					if err != nil {
 						churnErrs.Add(1)
-						errCh <- fmt.Errorf("query dropped during churn: %s", res.Error)
+						errCh <- err
 						return
 					}
+					body, _ := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					var out struct {
+						Error string `json:"error"`
+					}
+					if resp.StatusCode != http.StatusOK || json.Unmarshal(body, &out) != nil || out.Error != "" {
+						churnErrs.Add(1)
+						errCh <- fmt.Errorf("query dropped during churn: %d: %s", resp.StatusCode, body)
+						return
+					}
+					queries.Add(1)
 				}
-				queries.Add(int64(len(out.Results)))
 			}
 		}()
 	}
@@ -289,7 +273,7 @@ func TestLiveRebalanceUnderChurn(t *testing.T) {
 		t.Fatalf("%d churn operations failed across the move", churnErrs.Load())
 	}
 	if queries.Load() == 0 {
-		t.Fatal("the readers never completed a batch — the harness measured nothing")
+		t.Fatal("the readers never completed a query — the harness measured nothing")
 	}
 	t.Logf("churn served %d queries and acked %d writes across the move; steps %v",
 		queries.Load(), len(acked), stepsSeen)

@@ -187,7 +187,7 @@ func (ds *domainState) drain(ctx context.Context, sl partition.Slice) error {
 
 // Router owns the routing table of a shard cluster: classify once,
 // forward to the owner, scatter partitioned domains and merge, and
-// scatter-gather batches and cluster probes. It is safe for concurrent
+// scatter-gather cluster probes. It is safe for concurrent
 // use and spawns no background goroutines — every scatter joins before
 // its method returns.
 type Router struct {
@@ -606,7 +606,7 @@ func (r *Router) askOwned(ctx context.Context, domain, question string) (*Proxie
 	q := url.Values{"domain": {domain}, "q": {question}}
 	path := "/api/ask?" + q.Encode()
 	if len(parts) == 1 && parts[0].slice.IsWhole() {
-		base, status, body, err := r.doRead(ctx, http.MethodGet, parts[0], path, nil, "", nil)
+		base, status, body, err := r.doRead(ctx, parts[0], path, nil)
 		if err != nil {
 			return nil, &RouteError{Domain: domain, Shard: base, Err: err}
 		}
@@ -643,7 +643,7 @@ func (r *Router) scatterAsk(ctx context.Context, domain, path string, parts []*p
 		go func(i int, p *partState) {
 			defer wg.Done()
 			hdr := map[string]string{webui.ScatterHeader: p.slice.String()}
-			base, status, body, err := r.doRead(ctx, http.MethodGet, p, path, nil, "", hdr)
+			base, status, body, err := r.doRead(ctx, p, path, hdr)
 			if err != nil {
 				legs[i].rerr = &RouteError{Domain: domain, Shard: base, Err: err}
 				return
@@ -739,203 +739,6 @@ func (r *Router) askBroadcast(ctx context.Context, question string, classifyErr 
 	p := *best.proxied
 	p.Domain = "" // a merged answer was not routed to one domain
 	return &p, nil
-}
-
-// Item is one question's outcome in a scattered batch: the owning
-// shard's raw per-question JSON object (exactly the entry a monolith's
-// POST /api/ask/batch would carry), or the *RouteError that prevented
-// one.
-type Item struct {
-	Index  int
-	Domain string
-	JSON   json.RawMessage
-	Err    error
-}
-
-// AskBatch answers many questions through the cluster. Each question
-// is classified once (unless domain pins them all), the questions are
-// grouped by owning domain — one POST /api/ask/batch per domain (per
-// partition for a hash-partitioned domain), scattered in parallel —
-// and the per-question answers are gathered back into input order. A
-// failed group fails only its own questions (typed *RouteError per
-// item); unclassifiable questions fall back to broadcast-and-merge
-// individually.
-func (r *Router) AskBatch(ctx context.Context, domain string, questions []string) []Item {
-	items := make([]Item, len(questions))
-	groups := make(map[string][]int)
-	type unrouted struct {
-		idx int
-		err error // the classification failure, surfaced if broadcast also fails
-	}
-	var broadcast []unrouted
-	for i, q := range questions {
-		items[i].Index = i
-		d := domain
-		if d == "" {
-			routed, err := r.Route(q)
-			if err != nil {
-				if r.cls == nil {
-					// Configuration fault, not an unclassifiable
-					// question — no broadcast (see Ask).
-					items[i].Err = &RouteError{Err: err}
-					continue
-				}
-				broadcast = append(broadcast, unrouted{idx: i, err: err})
-				continue
-			}
-			d = routed
-		}
-		items[i].Domain = d
-		if _, ok := r.states[d]; !ok {
-			items[i].Err = &RouteError{Domain: d, Err: ErrNoShard}
-			continue
-		}
-		groups[d] = append(groups[d], i)
-	}
-	var wg sync.WaitGroup
-	for d, idxs := range groups {
-		wg.Add(1)
-		go func(d string, idxs []int) {
-			defer wg.Done()
-			r.askGroup(ctx, d, questions, idxs, items)
-		}(d, idxs)
-	}
-	for _, u := range broadcast {
-		wg.Add(1)
-		go func(i int, classifyErr error) {
-			defer wg.Done()
-			p, err := r.askBroadcast(ctx, questions[i], classifyErr)
-			if err != nil {
-				items[i].Err = err
-				return
-			}
-			items[i].JSON = json.RawMessage(p.Body)
-		}(u.idx, u.err)
-	}
-	wg.Wait()
-	return items
-}
-
-// askGroup sends one domain's questions to its owner and scatters the
-// per-question answers back into the item slots, which are disjoint
-// across groups.
-func (r *Router) askGroup(ctx context.Context, domain string, questions []string, idxs []int, items []Item) {
-	fail := func(err error) {
-		for _, i := range idxs {
-			items[i].Err = err
-		}
-	}
-	chunk := make([]string, len(idxs))
-	for j, i := range idxs {
-		chunk[j] = questions[i]
-	}
-	body, err := json.Marshal(map[string]any{"domain": domain, "questions": chunk})
-	if err != nil {
-		fail(&RouteError{Domain: domain, Err: err})
-		return
-	}
-	parts, ok := r.partsOf(domain)
-	if !ok {
-		fail(&RouteError{Domain: domain, Err: ErrNoShard})
-		return
-	}
-	if len(parts) == 1 && parts[0].slice.IsWhole() {
-		base, status, respBody, err := r.doRead(ctx, http.MethodPost, parts[0], "/api/ask/batch", body, "application/json", nil)
-		if err != nil {
-			fail(&RouteError{Domain: domain, Shard: base, Err: err})
-			return
-		}
-		if status != http.StatusOK {
-			fail(&RouteError{Domain: domain, Shard: base, Status: status,
-				Err: fmt.Errorf("batch refused: %s", bytes.TrimSpace(respBody))})
-			return
-		}
-		var out struct {
-			Results []json.RawMessage `json:"results"`
-		}
-		if err := json.Unmarshal(respBody, &out); err != nil {
-			fail(&RouteError{Domain: domain, Shard: base, Status: status, Err: fmt.Errorf("decoding batch response: %w", err)})
-			return
-		}
-		if len(out.Results) != len(idxs) {
-			fail(&RouteError{Domain: domain, Shard: base, Status: status,
-				Err: fmt.Errorf("shard returned %d results for %d questions", len(out.Results), len(idxs))})
-			return
-		}
-		for j, i := range idxs {
-			items[i].JSON = out.Results[j]
-		}
-		return
-	}
-	r.askGroupScattered(ctx, domain, body, parts, idxs, items, fail)
-}
-
-// askGroupScattered answers one partitioned domain's batch chunk: the
-// same chunk body goes to every partition with the scatter header, and
-// each question's parts are merged into the entry a monolith's batch
-// would carry. The chunk fails as a unit, like a shard batch does.
-func (r *Router) askGroupScattered(ctx context.Context, domain string, body []byte, parts []*partState, idxs []int, items []Item, fail func(error)) {
-	type leg struct {
-		parts []*wirePart
-		rerr  *RouteError
-	}
-	legs := make([]leg, len(parts))
-	var wg sync.WaitGroup
-	for i, p := range parts {
-		wg.Add(1)
-		go func(i int, p *partState) {
-			defer wg.Done()
-			hdr := map[string]string{webui.ScatterHeader: p.slice.String()}
-			base, status, respBody, err := r.doRead(ctx, http.MethodPost, p, "/api/ask/batch", body, "application/json", hdr)
-			if err != nil {
-				legs[i].rerr = &RouteError{Domain: domain, Shard: base, Err: err}
-				return
-			}
-			if status != http.StatusOK {
-				legs[i].rerr = &RouteError{Domain: domain, Shard: base, Status: status,
-					Err: fmt.Errorf("scatter batch refused: %s", bytes.TrimSpace(respBody))}
-				return
-			}
-			var out struct {
-				Parts []*wirePart `json:"parts"`
-			}
-			if err := json.Unmarshal(respBody, &out); err != nil {
-				legs[i].rerr = &RouteError{Domain: domain, Shard: base, Status: status,
-					Err: fmt.Errorf("decoding scatter batch: %w", err)}
-				return
-			}
-			if len(out.Parts) != len(idxs) {
-				legs[i].rerr = &RouteError{Domain: domain, Shard: base, Status: status,
-					Err: fmt.Errorf("partition returned %d parts for %d questions", len(out.Parts), len(idxs))}
-				return
-			}
-			legs[i].parts = out.Parts
-		}(i, p)
-	}
-	wg.Wait()
-	for _, l := range legs {
-		if l.rerr != nil {
-			fail(l.rerr)
-			return
-		}
-	}
-	for j, i := range idxs {
-		perQ := make([]*wirePart, len(legs))
-		for k := range legs {
-			perQ[k] = legs[k].parts[j]
-		}
-		merged, err := core.MergeScatter(perQ)
-		if err != nil {
-			fail(&RouteError{Domain: domain, Err: err})
-			return
-		}
-		entry, err := json.Marshal(webui.APIResultFromScatter(merged))
-		if err != nil {
-			fail(&RouteError{Domain: domain, Err: err})
-			return
-		}
-		items[i].JSON = entry
-	}
 }
 
 // ForwardAd fans one POST /api/ads body out to the shard owning the

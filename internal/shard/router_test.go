@@ -2,10 +2,11 @@ package shard_test
 
 // Fault injection against the front tier: slow shards (deadline
 // exceeded), shards answering 503 (the write-failed latch), shards
-// mid-recovery, and partial-batch failures. Every test asserts
-// input-order gather and typed *shard.RouteError envelopes, and every
-// test finishes with a goleak-style goroutine-count check — the
-// router promises to spawn nothing that outlives its calls.
+// mid-recovery, and a dead shard among live ones. Every test asserts
+// typed *shard.RouteError envelopes for the failing domain and intact
+// answers for the others, and every test finishes with a goleak-style
+// goroutine-count check — the router promises to spawn nothing that
+// outlives its calls.
 
 import (
 	"context"
@@ -64,7 +65,7 @@ func cannedResult(domain, q string) json.RawMessage {
 	return b
 }
 
-// fakeShard serves the two endpoints the router calls, answering
+// fakeShard serves the endpoints the router calls, answering
 // canned results; hook overrides the whole handler when non-nil.
 func fakeShard(t *testing.T, domain string, hook http.HandlerFunc) *httptest.Server {
 	t.Helper()
@@ -77,17 +78,6 @@ func fakeShard(t *testing.T, domain string, hook http.HandlerFunc) *httptest.Ser
 		case r.URL.Path == "/api/ask":
 			w.Header().Set("Content-Type", "application/json")
 			_, _ = w.Write(cannedResult(domain, r.URL.Query().Get("q")))
-		case r.URL.Path == "/api/ask/batch":
-			var req struct {
-				Questions []string `json:"questions"`
-			}
-			_ = json.NewDecoder(r.Body).Decode(&req)
-			results := make([]json.RawMessage, len(req.Questions))
-			for i, q := range req.Questions {
-				results[i] = cannedResult(domain, q)
-			}
-			w.Header().Set("Content-Type", "application/json")
-			_ = json.NewEncoder(w).Encode(map[string]any{"results": results})
 		case r.URL.Path == "/healthz":
 			w.Header().Set("Content-Type", "application/json")
 			_ = json.NewEncoder(w).Encode(map[string]string{"state": "serving"})
@@ -117,7 +107,7 @@ func newRouter(t *testing.T, shards map[string]string, cls shard.Classifier, tim
 
 // TestRouterSlowShardDeadline: a shard that answers slower than the
 // client timeout fails only its own questions, with a typed error;
-// the fast shard's answers land in input order.
+// the fast shard keeps answering.
 func TestRouterSlowShardDeadline(t *testing.T) {
 	checkGoroutines(t)
 	release := make(chan struct{})
@@ -132,44 +122,29 @@ func TestRouterSlowShardDeadline(t *testing.T) {
 	cls := tableClassifier{"q-cars": "cars", "q-jobs": "csjobs"}
 	rt := newRouter(t, map[string]string{"cars": slow.URL, "csjobs": fast.URL}, cls, 150*time.Millisecond)
 
-	questions := []string{"q-cars", "q-jobs", "q-cars", "q-jobs"}
-	items := rt.AskBatch(context.Background(), "", questions)
-	if len(items) != len(questions) {
-		t.Fatalf("got %d items", len(items))
-	}
-	for i, item := range items {
-		if item.Index != i {
-			t.Errorf("item %d carries index %d", i, item.Index)
-		}
-		if i%2 == 0 { // cars: the slow shard
+	for i, q := range []string{"q-cars", "q-jobs", "q-cars", "q-jobs"} {
+		p, err := rt.Ask(context.Background(), "", q)
+		if q == "q-cars" { // the slow shard
 			var re *shard.RouteError
-			if !errors.As(item.Err, &re) {
-				t.Fatalf("slow-shard item %d error = %v, want *RouteError", i, item.Err)
+			if !errors.As(err, &re) {
+				t.Fatalf("slow-shard ask %d error = %v, want *RouteError", i, err)
 			}
 			if re.Domain != "cars" || re.Shard != slow.URL || re.Status != 0 {
 				t.Errorf("slow-shard RouteError = %+v", re)
 			}
 			continue
 		}
-		if item.Err != nil || item.JSON == nil {
-			t.Errorf("fast-shard item %d: err=%v", i, item.Err)
-		}
-	}
-	// Single-question path times out with the same typed error.
-	if _, err := rt.Ask(context.Background(), "", "q-cars"); err == nil {
-		t.Fatal("slow-shard Ask succeeded")
-	} else {
-		var re *shard.RouteError
-		if !errors.As(err, &re) || re.Domain != "cars" {
-			t.Fatalf("slow-shard Ask error = %v", err)
+		if err != nil || p.Status != http.StatusOK || p.Body == nil {
+			t.Errorf("fast-shard ask %d: err=%v", i, err)
 		}
 	}
 }
 
 // TestRouterShard503: a shard whose durability latch tripped answers
-// 503; the batch path reports it as a typed error carrying the
-// status, and the single-question path proxies the shard's own
-// response so the caller sees exactly what the shard said.
+// 503. An unpartitioned domain proxies the shard's own response so the
+// caller sees exactly what the shard said; a partitioned domain, which
+// must merge every slice, reports it as a typed error carrying the
+// status. Other domains are unaffected.
 func TestRouterShard503(t *testing.T) {
 	checkGoroutines(t)
 	latched := fakeShard(t, "cars", func(w http.ResponseWriter, r *http.Request) {
@@ -181,13 +156,8 @@ func TestRouterShard503(t *testing.T) {
 	cls := tableClassifier{"q-cars": "cars", "q-jobs": "csjobs"}
 	rt := newRouter(t, map[string]string{"cars": latched.URL, "csjobs": healthy.URL}, cls, time.Second)
 
-	items := rt.AskBatch(context.Background(), "", []string{"q-jobs", "q-cars"})
-	if items[0].Err != nil {
-		t.Fatalf("healthy item failed: %v", items[0].Err)
-	}
-	var re *shard.RouteError
-	if !errors.As(items[1].Err, &re) || re.Status != http.StatusServiceUnavailable {
-		t.Fatalf("latched item error = %v, want RouteError with 503", items[1].Err)
+	if p, err := rt.Ask(context.Background(), "", "q-jobs"); err != nil || p.Status != http.StatusOK {
+		t.Fatalf("healthy ask failed: %v", err)
 	}
 	p, err := rt.Ask(context.Background(), "", "q-cars")
 	if err != nil {
@@ -195,6 +165,21 @@ func TestRouterShard503(t *testing.T) {
 	}
 	if p.Status != http.StatusServiceUnavailable {
 		t.Fatalf("proxied status = %d", p.Status)
+	}
+
+	m, err := shard.ParseMap("cars=h0:" + latched.URL + ",h1:" + healthy.URL)
+	if err != nil {
+		t.Fatal(err)
+	}
+	split, err := shard.New(shard.Config{Map: m, Classifier: cls, Client: &http.Client{Timeout: time.Second}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(split.Close)
+	_, err = split.Ask(context.Background(), "", "q-cars")
+	var re *shard.RouteError
+	if !errors.As(err, &re) || re.Status != http.StatusServiceUnavailable || re.Shard != latched.URL {
+		t.Fatalf("latched partition error = %v, want RouteError with 503 from %s", err, latched.URL)
 	}
 }
 
@@ -252,19 +237,11 @@ func TestRouterShardRecovering(t *testing.T) {
 			t.Fatalf("classifier-less error = %v, want *RouteError", err)
 		}
 	}
-	items := rt.AskBatch(context.Background(), "", []string{"a", "b"})
-	for i, item := range items {
-		var re *shard.RouteError
-		if !errors.As(item.Err, &re) {
-			t.Fatalf("classifier-less batch item %d error = %v, want *RouteError", i, item.Err)
-		}
-	}
 }
 
 // TestRouterPartialBatchFailure: one shard is plain dead (connection
-// refused). Its questions degrade with typed errors, every other
-// question answers, and the gather preserves input order even with
-// the failures interleaved.
+// refused). Its questions degrade with typed errors and every other
+// domain's questions, interleaved with them, still answer.
 func TestRouterPartialBatchFailure(t *testing.T) {
 	checkGoroutines(t)
 	dead := fakeShard(t, "cars", nil)
@@ -277,28 +254,24 @@ func TestRouterPartialBatchFailure(t *testing.T) {
 		"cars": deadURL, "csjobs": okA.URL, "jewellery": okB.URL,
 	}, cls, time.Second)
 
-	questions := []string{"q-jobs", "q-cars", "q-gold", "q-cars", "q-jobs"}
-	items := rt.AskBatch(context.Background(), "", questions)
-	for i, item := range items {
-		if item.Index != i {
-			t.Fatalf("item %d carries index %d", i, item.Index)
-		}
-		if questions[i] == "q-cars" {
+	for i, q := range []string{"q-jobs", "q-cars", "q-gold", "q-cars", "q-jobs"} {
+		p, err := rt.Ask(context.Background(), "", q)
+		if q == "q-cars" {
 			var re *shard.RouteError
-			if !errors.As(item.Err, &re) || re.Domain != "cars" {
-				t.Errorf("dead-shard item %d error = %v", i, item.Err)
+			if !errors.As(err, &re) || re.Domain != "cars" {
+				t.Errorf("dead-shard ask %d error = %v", i, err)
 			}
 			continue
 		}
-		if item.Err != nil {
-			t.Errorf("healthy item %d failed: %v", i, item.Err)
+		if err != nil {
+			t.Errorf("healthy ask %d failed: %v", i, err)
 			continue
 		}
 		var res struct {
 			Domain string `json:"domain"`
 		}
-		if err := json.Unmarshal(item.JSON, &res); err != nil || res.Domain != cls[questions[i]] {
-			t.Errorf("item %d answered domain %q, want %q", i, res.Domain, cls[questions[i]])
+		if err := json.Unmarshal(p.Body, &res); err != nil || res.Domain != cls[q] {
+			t.Errorf("ask %d answered domain %q, want %q", i, res.Domain, cls[q])
 		}
 	}
 	// An unknown domain is typed ErrNoShard, not a transport error.
@@ -325,20 +298,16 @@ func TestRouterBroadcastFallback(t *testing.T) {
 	cls := tableClassifier{} // classifies nothing
 	rt := newRouter(t, map[string]string{"cars": a.URL, "csjobs": b.URL}, cls, time.Second)
 
-	p, err := rt.Ask(context.Background(), "", "complete gibberish")
-	if err != nil {
-		t.Fatalf("broadcast fallback errored: %v", err)
-	}
-	var res struct {
-		Domain string `json:"domain"`
-	}
-	if err := json.Unmarshal(p.Body, &res); err != nil || res.Domain != "csjobs" {
-		t.Fatalf("broadcast winner = %s", p.Body)
-	}
-	items := rt.AskBatch(context.Background(), "", []string{"gibberish one", "gibberish two"})
-	for i, item := range items {
-		if item.Err != nil || item.JSON == nil {
-			t.Errorf("broadcast batch item %d: %v", i, item.Err)
+	for _, q := range []string{"complete gibberish", "gibberish one", "gibberish two"} {
+		p, err := rt.Ask(context.Background(), "", q)
+		if err != nil {
+			t.Fatalf("%q: broadcast fallback errored: %v", q, err)
+		}
+		var res struct {
+			Domain string `json:"domain"`
+		}
+		if err := json.Unmarshal(p.Body, &res); err != nil || res.Domain != "csjobs" {
+			t.Fatalf("%q: broadcast winner = %s", q, p.Body)
 		}
 	}
 }

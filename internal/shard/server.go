@@ -20,7 +20,6 @@ import (
 //
 //	GET  /                 cluster topology (domains → shard URLs)
 //	GET  /api/ask?q=...    classify once, forward to the owning shard
-//	POST /api/ask/batch    group per shard, scatter, gather in order
 //	POST /api/ads          fan out by the ad's Domain field
 //	DELETE /api/ads/{id}   forward (?domain=... required)
 //	POST /api/rebalance    start a live partition split/move (202)
@@ -76,7 +75,6 @@ func NewServerWith(rt *Router, opts ServerOptions) *Server {
 	s := &Server{rt: rt, reb: opts.Rebalancer, mux: http.NewServeMux()}
 	s.mux.HandleFunc("GET /{$}", s.handleIndex)
 	s.mux.HandleFunc("GET /api/ask", s.handleAsk)
-	s.mux.HandleFunc("POST /api/ask/batch", s.handleAskBatch)
 	s.mux.HandleFunc("POST /api/ads", s.handleInsertAd)
 	s.mux.HandleFunc("DELETE /api/ads/{id}", s.handleDeleteAd)
 	s.mux.HandleFunc("POST /api/rebalance", s.handleRebalance)
@@ -161,37 +159,6 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	proxy(w, p)
-}
-
-// handleAskBatch scatters a batch across the cluster and gathers the
-// answers in input order. Entries from healthy shards are the exact
-// bytes a monolith would return; entries whose shard failed carry the
-// degraded envelope — other entries are unaffected, so the batch as a
-// whole still answers 200.
-func (s *Server) handleAskBatch(w http.ResponseWriter, r *http.Request) {
-	var req struct {
-		Domain    string   `json:"domain"`
-		Questions []string `json:"questions"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		jsonError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
-		return
-	}
-	if len(req.Questions) == 0 {
-		jsonError(w, http.StatusBadRequest, "no questions")
-		return
-	}
-	items := s.rt.AskBatch(r.Context(), req.Domain, req.Questions)
-	results := make([]any, len(items))
-	for i, item := range items {
-		if item.Err != nil {
-			results[i] = degraded(item.Err)
-			continue
-		}
-		results[i] = item.JSON
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]any{"results": results})
 }
 
 // handleInsertAd fans one ad out to the shard owning its Domain field,
@@ -322,7 +289,6 @@ type clusterLatency struct {
 	// Shards is how many reachable shards contributed histograms.
 	Shards   int            `json:"shards"`
 	Ask      endpointRollup `json:"ask"`
-	AskBatch endpointRollup `json:"ask_batch"`
 	Ingest   endpointRollup `json:"ingest"`
 	ReplPoll endpointRollup `json:"repl_poll"`
 }
@@ -332,7 +298,6 @@ type clusterLatency struct {
 type shardLatencyWire struct {
 	Latency struct {
 		Ask      endpointWire `json:"ask"`
-		AskBatch endpointWire `json:"ask_batch"`
 		Ingest   endpointWire `json:"ingest"`
 		ReplPoll endpointWire `json:"repl_poll"`
 	} `json:"latency"`
@@ -346,7 +311,7 @@ type endpointWire struct {
 // rollupLatency merges every reachable shard's latency block.
 func rollupLatency(views []ShardView) clusterLatency {
 	var out clusterLatency
-	var ask, askBatch, ingest, replPoll telemetry.Snapshot
+	var ask, ingest, replPoll telemetry.Snapshot
 	for _, v := range views {
 		if v.Body == nil {
 			continue
@@ -357,7 +322,6 @@ func rollupLatency(views []ShardView) clusterLatency {
 		}
 		out.Shards++
 		ask = ask.Merge(telemetry.SnapshotFromWire(wire.Latency.Ask.Buckets, wire.Latency.Ask.SumNs))
-		askBatch = askBatch.Merge(telemetry.SnapshotFromWire(wire.Latency.AskBatch.Buckets, wire.Latency.AskBatch.SumNs))
 		ingest = ingest.Merge(telemetry.SnapshotFromWire(wire.Latency.Ingest.Buckets, wire.Latency.Ingest.SumNs))
 		replPoll = replPoll.Merge(telemetry.SnapshotFromWire(wire.Latency.ReplPoll.Buckets, wire.Latency.ReplPoll.SumNs))
 	}
@@ -372,7 +336,6 @@ func rollupLatency(views []ShardView) clusterLatency {
 		}
 	}
 	out.Ask = render(ask)
-	out.AskBatch = render(askBatch)
 	out.Ingest = render(ingest)
 	out.ReplPoll = render(replPoll)
 	return out

@@ -7,10 +7,8 @@
 // — with the same classifier construction a monolith uses, so the
 // routing decision is identical — and forwards the question to the
 // shard owning the classified domain, proxying the shard's answer
-// bytes verbatim. Batch questions are grouped per owning shard and
-// scattered in parallel, then gathered back into input order; ingest
-// is fanned out by the ad's Domain field; /api/status and /healthz are
-// scatter-gathered into a cluster view.
+// bytes verbatim. Ingest is fanned out by the ad's Domain field;
+// /api/status and /healthz are scatter-gathered into a cluster view.
 //
 // A single hot domain splits further by ad-key hash: a map entry may
 // list one group per hash slice ("cars=h0:http://a,h1:http://b", the

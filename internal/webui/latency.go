@@ -56,8 +56,6 @@ type endpointLatencyJSON struct {
 type latencyJSON struct {
 	// Ask is GET /api/ask.
 	Ask endpointLatencyJSON `json:"ask"`
-	// AskBatch is POST /api/ask/batch.
-	AskBatch endpointLatencyJSON `json:"ask_batch"`
 	// Ingest is POST /api/ads plus DELETE /api/ads/{id}.
 	Ingest endpointLatencyJSON `json:"ingest"`
 	// ReplPoll is GET /api/repl/wal; the long-poll wait is part of
@@ -85,7 +83,6 @@ func endpointLatency(h *telemetry.Histogram) endpointLatencyJSON {
 func latencyStatus() latencyJSON {
 	return latencyJSON{
 		Ask:      endpointLatency(&telemetry.Latency.Ask),
-		AskBatch: endpointLatency(&telemetry.Latency.AskBatch),
 		Ingest:   endpointLatency(&telemetry.Latency.Ingest),
 		ReplPoll: endpointLatency(&telemetry.Latency.ReplPoll),
 	}

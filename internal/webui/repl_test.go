@@ -7,14 +7,12 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
-	"net/url"
 	"strconv"
 	"testing"
 
 	"repro/cqads"
 	"repro/internal/adsgen"
 	"repro/internal/persist"
-	"repro/internal/replica/router"
 	"repro/internal/schema"
 )
 
@@ -219,111 +217,5 @@ func TestFollowerWebUIAndPromote(t *testing.T) {
 	}
 	if rec := do(t, fsrv, http.MethodPost, "/api/ads", []byte(ad)); rec.Code != http.StatusCreated {
 		t.Fatalf("POST /api/ads after promote = %d: %s", rec.Code, rec.Body.String())
-	}
-}
-
-// TestAskBatchLocal: the batch endpoint's per-question objects are
-// byte-identical to the single /api/ask bodies, errors are per
-// question, and validation errors are JSON.
-func TestAskBatchLocal(t *testing.T) {
-	_, srv := primaryServer(t)
-	qs := []string{"cheapest honda", "blue car"}
-	body, _ := json.Marshal(map[string]any{"domain": "cars", "questions": qs})
-	rec := do(t, srv, http.MethodPost, "/api/ask/batch", body)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("batch = %d: %s", rec.Code, rec.Body.String())
-	}
-	var out struct {
-		Results []json.RawMessage `json:"results"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-		t.Fatal(err)
-	}
-	if len(out.Results) != len(qs) {
-		t.Fatalf("%d results for %d questions", len(out.Results), len(qs))
-	}
-	for i, q := range qs {
-		single := do(t, srv, http.MethodGet, "/api/ask?domain=cars&q="+url.QueryEscape(q), nil)
-		var want, got any
-		if err := json.Unmarshal(single.Body.Bytes(), &want); err != nil {
-			t.Fatal(err)
-		}
-		if err := json.Unmarshal(out.Results[i], &got); err != nil {
-			t.Fatal(err)
-		}
-		wb, _ := json.Marshal(want)
-		gb, _ := json.Marshal(got)
-		if !bytes.Equal(wb, gb) {
-			t.Fatalf("%q: batch answer differs from single:\nbatch  %s\nsingle %s", q, gb, wb)
-		}
-	}
-
-	// Per-question errors: an unknown domain fails each question
-	// independently, not the request.
-	body, _ = json.Marshal(map[string]any{"domain": "starships", "questions": qs})
-	rec = do(t, srv, http.MethodPost, "/api/ask/batch", body)
-	if rec.Code != http.StatusOK {
-		t.Fatalf("batch with bad domain = %d", rec.Code)
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &out); err != nil {
-		t.Fatal(err)
-	}
-	for _, raw := range out.Results {
-		var e struct {
-			Error string `json:"error"`
-		}
-		if err := json.Unmarshal(raw, &e); err != nil || e.Error == "" {
-			t.Fatalf("expected per-question error, got %s", raw)
-		}
-	}
-	if rec := do(t, srv, http.MethodPost, "/api/ask/batch", []byte(`{"questions":[]}`)); rec.Code != http.StatusBadRequest {
-		t.Fatalf("empty batch = %d", rec.Code)
-	}
-}
-
-// TestAskBatchScattersAcrossReplica: a primary fronted by a router
-// scatters to a live follower and the gathered answers are identical
-// to local execution; with the follower down, the local fallback
-// produces the same bytes.
-func TestAskBatchScattersAcrossReplica(t *testing.T) {
-	sys, psrv := primaryServer(t)
-
-	// Follower over HTTP.
-	rec := do(t, psrv, http.MethodGet, "/api/repl/snapshot", nil)
-	if rec.Code != http.StatusOK {
-		t.Fatal(rec.Code)
-	}
-	fsys, err := cqads.OpenFollower(cqads.Options{Seed: 11, AdsPerDomain: 60}, rec.Body.Bytes())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fhttp := httptest.NewServer(NewServer(fsys))
-	defer fhttp.Close()
-
-	rt := router.New(router.Config{Replicas: []string{fhttp.URL}})
-	defer rt.Close()
-	front := NewServerWith(sys, Options{Router: rt})
-
-	qs := []string{"cheapest honda", "blue car", "gold necklace diamond"}
-	body, _ := json.Marshal(map[string]any{"questions": qs})
-	scattered := do(t, front, http.MethodPost, "/api/ask/batch", body)
-	if scattered.Code != http.StatusOK {
-		t.Fatalf("scattered batch = %d: %s", scattered.Code, scattered.Body.String())
-	}
-	local := do(t, NewServer(sys), http.MethodPost, "/api/ask/batch", body)
-	if !bytes.Equal(scattered.Body.Bytes(), local.Body.Bytes()) {
-		t.Fatalf("scattered answers differ from local:\nscattered %s\nlocal     %s",
-			scattered.Body.String(), local.Body.String())
-	}
-
-	// Kill the follower: the endpoint falls back to local execution
-	// and still returns identical bytes.
-	fhttp.Close()
-	fallback := do(t, front, http.MethodPost, "/api/ask/batch", body)
-	if fallback.Code != http.StatusOK {
-		t.Fatalf("fallback batch = %d", fallback.Code)
-	}
-	if !bytes.Equal(fallback.Body.Bytes(), local.Body.Bytes()) {
-		t.Fatal("fallback answers differ from local")
 	}
 }

@@ -23,8 +23,7 @@ import (
 
 // ScatterHeader carries the hash slice a scatter request addresses
 // ("h1/4", partition.Slice.String form). Its presence switches
-// GET /api/ask and POST /api/ask/batch from finished answers to
-// ScatterPart wire parts. The addressed slice may be narrower than the
+// GET /api/ask from a finished answer to a ScatterPart wire part. The addressed slice may be narrower than the
 // slice the node still physically holds (mid-rebalance, before the
 // source retired); answers are filtered to the addressed slice, so
 // every row is answered by exactly one node regardless of retirement
@@ -108,40 +107,6 @@ func (s *Server) handleScatterAsk(w http.ResponseWriter, r *http.Request, sl par
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(wireScatter(part))
-}
-
-// handleScatterBatch answers POST /api/ask/batch carrying
-// X-Cqads-Scatter: {"parts": [...]} with one ScatterPart per question
-// in input order. The batch fails as a unit — the front tier retries
-// or degrades the whole chunk, mirroring its per-shard batch handling.
-func (s *Server) handleScatterBatch(w http.ResponseWriter, r *http.Request, sl partition.Slice) {
-	var req struct {
-		Domain    string   `json:"domain"`
-		Questions []string `json:"questions"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		jsonError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
-		return
-	}
-	if len(req.Questions) == 0 {
-		jsonError(w, http.StatusBadRequest, "no questions")
-		return
-	}
-	if req.Domain == "" {
-		jsonError(w, http.StatusBadRequest, "scatter requests require an explicit domain")
-		return
-	}
-	parts := make([]*wirePart, 0, len(req.Questions))
-	for _, q := range req.Questions {
-		part, err := s.sys.AskInDomainScatter(req.Domain, q, sl)
-		if err != nil {
-			jsonError(w, scatterErrorStatus(err), "%v", err)
-			return
-		}
-		parts = append(parts, wireScatter(part))
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]any{"parts": parts})
 }
 
 // scatterSlice extracts and validates the X-Cqads-Scatter header;

@@ -23,7 +23,6 @@ import (
 	"repro/internal/metrics/telemetry"
 	"repro/internal/partition"
 	"repro/internal/persist"
-	"repro/internal/replica/router"
 	"repro/internal/schema"
 	"repro/internal/sql"
 	"repro/internal/sqldb"
@@ -48,11 +47,6 @@ type Failover interface {
 
 // Options configures the optional replication roles of a Server.
 type Options struct {
-	// Router, when set, makes POST /api/ask/batch scatter question
-	// chunks across the healthy read replicas it tracks and gather the
-	// answers; questions whose chunk fails are answered locally, so
-	// the endpoint degrades to local execution rather than erroring.
-	Router *router.Router
 	// Promoter, when set, serves POST /api/repl/promote — flipping
 	// this follower writable for manual failover. Without it the
 	// endpoint falls back to core.System.Promote (no stream to stop).
@@ -77,7 +71,6 @@ type Server struct {
 //	GET /                     the question form
 //	GET /ask?q=...            HTML answer table (optional &domain=...)
 //	GET /api/ask?q=...        JSON answers
-//	POST /api/ask/batch       JSON answers for many questions at once
 //	GET /api/status           corpus versions + persistence/replication state
 //	GET /healthz              cheap liveness probe (serving/recovering/write-failed)
 //	POST /api/ads             ingest one ad: {"domain": ..., "record": {...}}
@@ -113,7 +106,6 @@ func NewServerWith(sys *core.System, opts Options) *Server {
 	s.mux.HandleFunc("/", s.handleIndex)
 	s.mux.HandleFunc("/ask", s.handleAsk)
 	s.mux.HandleFunc("/api/ask", timed(&telemetry.Latency.Ask, s.handleAPI))
-	s.mux.HandleFunc("POST /api/ask/batch", timed(&telemetry.Latency.AskBatch, s.handleAskBatch))
 	s.mux.HandleFunc("/api/suggest", s.handleSuggest)
 	s.mux.HandleFunc("GET /api/status", s.handleStatus)
 	s.mux.HandleFunc("GET /healthz", s.handleHealthz)
@@ -174,8 +166,8 @@ func jsonError(w http.ResponseWriter, status int, format string, args ...any) {
 // the process-wide shipping counters (ops shipped and applied,
 // snapshot transfers, last observed lag).
 //
-// The latency block reports, per instrumented endpoint (ask,
-// ask_batch, ingest, repl_poll), the cumulative request count and the
+// The latency block reports, per instrumented endpoint (ask, ingest,
+// repl_poll), the cumulative request count and the
 // mean/p50/p90/p99/p999 service times in milliseconds. Counts and
 // histogram mass are monotonic for the process lifetime — there is
 // deliberately no reset parameter, so scrapers derive rates and
@@ -839,10 +831,9 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 	s.render(w, p)
 }
 
-// APIAnswer and APIResult are the JSON shape of one answered question,
-// shared by GET /api/ask and POST /api/ask/batch (the batch endpoint's
-// per-question objects are exactly the single endpoint's body, so
-// answers diff byte-identically across primaries and replicas).
+// APIAnswer and APIResult are the JSON shape of one answered question
+// served by GET /api/ask, so answers diff byte-identically across
+// primaries and replicas.
 // Exported because the shard front tier re-encodes merged scatter
 // answers through these very structs — field-order-identical encoding
 // is what makes a partitioned domain's answers byte-equal to a
@@ -941,81 +932,6 @@ func (s *Server) handleAPI(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	_ = json.NewEncoder(w).Encode(BuildAPIResult(res))
-}
-
-// handleAskBatch answers many questions in one call:
-//
-//	POST /api/ask/batch
-//	{"domain": "cars", "questions": ["cheapest honda", ...]}
-//
-// Response: {"results": [...]} with one entry per question in input
-// order — each either the exact object GET /api/ask would return or
-// {"error": "..."}. Domain is optional; empty classifies per question.
-//
-// On a server built with Options.Router, the questions are scattered
-// in chunks across the healthy read replicas and gathered; any chunk
-// whose replica fails (or lags past the router's threshold) is
-// answered locally, so the endpoint never gets worse than local
-// execution. Scatter requests carry X-Cqads-Forwarded so a replica
-// that is itself fronted by a router answers locally instead of
-// re-scattering.
-func (s *Server) handleAskBatch(w http.ResponseWriter, r *http.Request) {
-	if sl, isScatter, ok := scatterSlice(w, r); isScatter {
-		if ok {
-			s.handleScatterBatch(w, r, sl)
-		}
-		return
-	}
-	var req struct {
-		Domain    string   `json:"domain"`
-		Questions []string `json:"questions"`
-	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		jsonError(w, http.StatusBadRequest, "invalid JSON body: %v", err)
-		return
-	}
-	if len(req.Questions) == 0 {
-		jsonError(w, http.StatusBadRequest, "no questions")
-		return
-	}
-	results := make([]any, len(req.Questions))
-	pending := req.Questions
-	pendingIdx := make([]int, len(req.Questions))
-	for i := range pendingIdx {
-		pendingIdx[i] = i
-	}
-	if rt := s.opts.Router; rt != nil && r.Header.Get(router.ForwardedHeader) == "" {
-		scattered := rt.AskBatch(r.Context(), req.Domain, req.Questions)
-		pending = pending[:0]
-		pendingIdx = pendingIdx[:0]
-		for i, item := range scattered {
-			if item.Err != nil {
-				pending = append(pending, req.Questions[i])
-				pendingIdx = append(pendingIdx, i)
-				continue
-			}
-			results[i] = item.JSON
-		}
-	}
-	if len(pending) > 0 {
-		for i, br := range s.askBatchLocal(req.Domain, pending) {
-			if br.Err != nil {
-				results[pendingIdx[i]] = map[string]string{"error": br.Err.Error()}
-				continue
-			}
-			results[pendingIdx[i]] = BuildAPIResult(br.Result)
-		}
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(map[string]any{"results": results})
-}
-
-// askBatchLocal runs a batch on this node's System.
-func (s *Server) askBatchLocal(domain string, questions []string) []core.BatchResult {
-	if domain != "" {
-		return s.sys.AskInDomainBatch(domain, questions, 0)
-	}
-	return s.sys.AskBatch(questions, 0)
 }
 
 func (s *Server) ask(domain, q string) (*core.Result, error) {
