@@ -54,9 +54,9 @@
 //
 // # Performance architecture
 //
-// Above the executor, three mechanisms keep the hot path — Sec. 4.3.1
-// relaxation plus Eq. 5 ranking — algorithmically cheap and safe to
-// drive from many goroutines:
+// Above the executor, four mechanisms keep the hot path — Sec. 4.3.1
+// relaxation plus Eq. 5 ranking, and the JSON envelope around their
+// answers — cheap and safe to drive from many goroutines:
 //
 //   - Streaming relaxation tallies. A record belongs to the union of
 //     the N−1 single-drop results exactly when it satisfies at least
@@ -81,6 +81,18 @@
 //     and answer records are served as per-version memoized read-only
 //     views (sqldb.Table.RecordView) instead of rebuilding a map per
 //     answer.
+//
+//   - An append-style answer envelope. GET /api/ask bodies and
+//     scatter parts are written straight from core.Result and
+//     core.ScatterPart into a pooled buffer (internal/webui/encode.go),
+//     byte for byte what encoding/json writes for webui.APIResult —
+//     sorted record keys from each table's schema, HTML-safe escaping,
+//     ES6 float formatting — with no per-answer map and no reflection.
+//     A non-finite float is a 500, never an empty 200. The front tier
+//     decodes each partition's records as raw JSON and splices those
+//     bytes into the merged body, since node and monolith encode a
+//     record with the same function. TestEncodeAllocBudget pins the
+//     per-body allocation ceiling.
 //
 //   - Concurrent asks. The per-domain similarity caches are
 //     lock-striped (internal/rank) and classifier fitting is
@@ -304,7 +316,8 @@
 //     scatters an in-domain ask to every partition of the domain, each
 //     partition answers over its slice, and the router merges the
 //     ranked fragments deterministically (score order, RowID
-//     tie-break) into bytes identical to a monolith's answer; ingest
+//     tie-break) into bytes identical to a monolith's answer, splicing
+//     each answer's record bytes as its partition encoded them; ingest
 //     routes by the ad key's hash (unpinned inserts round-robin, since
 //     any partition can allocate an id it owns); /api/status rolls up
 //     "cluster_latency" by exactly Merging every partition's raw

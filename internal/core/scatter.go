@@ -27,7 +27,8 @@ import (
 // ScatterAnswer is one answer inside a ScatterPart. The record payload
 // is generic: the partition side carries live sqldb records
 // (map[string]sqldb.Value); the front tier, merging decoded JSON,
-// carries map[string]string.
+// carries each record as the raw JSON object the partition encoded
+// (json.RawMessage) and never looks inside it.
 type ScatterAnswer[P any] struct {
 	// ID is the ad's RowID — the cluster-wide ad key.
 	ID int64 `json:"id"`

@@ -559,8 +559,8 @@ func (r *Router) Route(question string) (string, error) {
 // Proxied is one upstream answer: the HTTP status and JSON body,
 // byte-identical to what a monolith would have served — proxied
 // verbatim from the owning shard, or (for a partitioned domain)
-// re-encoded from the deterministic merge of the partitions' scatter
-// parts, which webui keeps byte-compatible by construction.
+// encoded from the deterministic merge of the partitions' scatter
+// parts, whose record bytes webui writes with the monolith's encoder.
 type Proxied struct {
 	// Domain the request was routed to ("" for a broadcast merge).
 	Domain string
@@ -596,8 +596,10 @@ func (r *Router) Ask(ctx context.Context, domain, question string) (*Proxied, er
 
 // askOwned answers one question in one domain: proxied verbatim from
 // the single owning shard, or scattered and merged across a
-// partitioned domain's slices. Reads hedge a slow or failing member
-// against another member of its replica set either way.
+// partitioned domain's slices, the merged body written by
+// webui.EncodeMerged with the partitions' record bytes spliced in
+// unchanged. Reads hedge a slow or failing member against another
+// member of its replica set either way.
 func (r *Router) askOwned(ctx context.Context, domain, question string) (*Proxied, error) {
 	parts, ok := r.partsOf(domain)
 	if !ok {
@@ -616,15 +618,18 @@ func (r *Router) askOwned(ctx context.Context, domain, question string) (*Proxie
 	if rerr != nil {
 		return nil, rerr
 	}
-	body, err := encodeAPIResult(webui.APIResultFromScatter(merged))
+	body, err := webui.EncodeMerged(merged)
 	if err != nil {
 		return nil, &RouteError{Domain: domain, Err: err}
 	}
 	return &Proxied{Domain: domain, Status: http.StatusOK, Body: body}, nil
 }
 
-// wirePart is the scatter body each partition serves.
-type wirePart = core.ScatterPart[map[string]string]
+// wirePart is the scatter body each partition serves, decoded with
+// each answer's record left as the raw JSON object the partition
+// encoded: the merge orders answers by their ranking fields alone, and
+// webui.EncodeMerged splices the record bytes into the final body.
+type wirePart = core.ScatterPart[json.RawMessage]
 
 // scatterAsk sends one ask to every partition (each request addressed
 // to the partition's slice via the scatter header) and merges the
@@ -675,17 +680,6 @@ func (r *Router) scatterAsk(ctx context.Context, domain, path string, parts []*p
 		return nil, &RouteError{Domain: domain, Err: err}
 	}
 	return merged, nil
-}
-
-// encodeAPIResult renders a merged answer exactly as webui's handler
-// does (json.Encoder appends the trailing newline json.Marshal omits),
-// so a scattered domain's bytes match a monolith's.
-func encodeAPIResult(res webui.APIResult) ([]byte, error) {
-	body, err := json.Marshal(res)
-	if err != nil {
-		return nil, err
-	}
-	return append(body, '\n'), nil
 }
 
 // askBroadcast is the unclassifiable-question fallback: the question

@@ -19,7 +19,10 @@ import (
 // question to every partition with the X-Cqads-Scatter header, each
 // node answers over its rows with core.AskInDomainScatter, and the
 // front folds the parts through core.MergeScatter into the bytes a
-// monolith would have served.
+// monolith would have served. Parts are encoded by appendScatterPart
+// (encode.go), whose records are the very bytes appendAPIResult writes
+// for the same rows, so the front tier splices each answer's record
+// into the final body (EncodeMerged) without decoding it.
 
 // ScatterHeader carries the hash slice a scatter request addresses
 // ("h1/4", partition.Slice.String form). Its presence switches
@@ -34,47 +37,6 @@ const ScatterHeader = "X-Cqads-Scatter"
 // front tier uses it to re-submit an ad to the partition owning the
 // key; a node that does not own the pinned key's hash answers 421.
 const AdIDHeader = "X-Cqads-Ad-Id"
-
-// wirePart is the ScatterPart JSON the API serves: record values are
-// rendered to strings exactly as APIAnswer renders them, so the final
-// merged answer the front tier encodes is byte-identical to a
-// monolith's.
-type wirePart = core.ScatterPart[map[string]string]
-
-// wireScatter renders a live scatter part for the wire.
-func wireScatter(p *core.ScatterResult) *wirePart {
-	out := &wirePart{
-		Domain:           p.Domain,
-		Interpretation:   p.Interpretation,
-		SQL:              p.SQL,
-		MaxAnswers:       p.MaxAnswers,
-		PartialsEligible: p.PartialsEligible,
-		Superlative:      p.Superlative,
-		Desc:             p.Desc,
-		HasExtreme:       p.HasExtreme,
-		Extreme:          p.Extreme,
-		ExactCount:       p.ExactCount,
-		Answers:          make([]core.ScatterAnswer[map[string]string], 0, len(p.Answers)),
-	}
-	for _, a := range p.Answers {
-		rec := make(map[string]string, len(a.Record))
-		for k, v := range a.Record {
-			rec[k] = v.String()
-		}
-		out.Answers = append(out.Answers, core.ScatterAnswer[map[string]string]{
-			ID:                   a.ID,
-			Exact:                a.Exact,
-			RankSim:              a.RankSim,
-			DroppedCond:          a.DroppedCond,
-			SimilarityUsed:       a.SimilarityUsed,
-			Record:               rec,
-			DemoteRankSim:        a.DemoteRankSim,
-			DemoteDropped:        a.DemoteDropped,
-			DemoteSimilarityUsed: a.DemoteSimilarityUsed,
-		})
-	}
-	return out
-}
 
 // scatterErrorStatus maps a scatter failure: a domain this node does
 // not host is a misdirected request, anything else is the request's.
@@ -105,8 +67,9 @@ func (s *Server) handleScatterAsk(w http.ResponseWriter, r *http.Request, sl par
 		jsonError(w, scatterErrorStatus(err), "%v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(wireScatter(part))
+	buf := bodyBufs.Get().(*[]byte)
+	b, err := appendScatterPart(*buf, part, s.recordKeys[part.Domain])
+	writeBody(w, buf, b, err)
 }
 
 // scatterSlice extracts and validates the X-Cqads-Scatter header;

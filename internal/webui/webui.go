@@ -64,6 +64,9 @@ type Server struct {
 	mux  *http.ServeMux
 	tpl  *template.Template
 	opts Options
+	// recordKeys holds each table's record keys, sorted for the JSON
+	// encoder; filled once by NewServerWith and read-only after.
+	recordKeys map[string][]string
 }
 
 // NewServer wraps sys. The handler serves:
@@ -102,6 +105,12 @@ func NewServerWith(sys *core.System, opts Options) *Server {
 		mux:  http.NewServeMux(),
 		tpl:  template.Must(template.New("page").Parse(pageTemplate)),
 		opts: opts,
+	}
+	db := sys.DB()
+	s.recordKeys = make(map[string][]string)
+	for _, d := range db.Domains() {
+		tbl, _ := db.TableForDomain(d)
+		s.recordKeys[d] = sortedKeys(tbl.Schema())
 	}
 	s.mux.HandleFunc("/", s.handleIndex)
 	s.mux.HandleFunc("/ask", s.handleAsk)
@@ -833,11 +842,12 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 
 // APIAnswer and APIResult are the JSON shape of one answered question
 // served by GET /api/ask, so answers diff byte-identically across
-// primaries and replicas.
-// Exported because the shard front tier re-encodes merged scatter
-// answers through these very structs — field-order-identical encoding
-// is what makes a partitioned domain's answers byte-equal to a
-// monolith's.
+// primaries and replicas. The server does not encode through them:
+// appendAPIResult (encode.go) writes the same bytes straight from a
+// core.Result, and the shard front tier splices partitions' record
+// bytes through EncodeMerged. They remain the shape clients decode
+// the body into, and, with BuildAPIResult and APIResultFromScatter,
+// the reference encoding the byte-identity tests hold the encoder to.
 type APIAnswer struct {
 	Exact          bool              `json:"exact"`
 	RankSim        float64           `json:"rank_sim"`
@@ -880,10 +890,10 @@ func BuildAPIResult(res *core.Result) APIResult {
 }
 
 // APIResultFromScatter shapes a merged scatter part (MergeScatter over
-// every partition's wire part) exactly as BuildAPIResult shapes a
-// monolith Result: same struct, same field order, same omissions — so
-// the front tier's encoding of a scattered answer is byte-identical to
-// the single-node encoding of the same answer.
+// every partition's wire part decoded to string records) exactly as
+// BuildAPIResult shapes a monolith Result: same struct, same field
+// order, same omissions. Encoded, it is the reference body
+// EncodeMerged must reproduce byte for byte.
 func APIResultFromScatter(m *core.ScatterPart[map[string]string]) APIResult {
 	out := APIResult{
 		Domain:         m.Domain,
@@ -930,8 +940,9 @@ func (s *Server) handleAPI(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, status, "%v", err)
 		return
 	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = json.NewEncoder(w).Encode(BuildAPIResult(res))
+	buf := bodyBufs.Get().(*[]byte)
+	b, err := appendAPIResult(*buf, res, s.recordKeys[res.Domain])
+	writeBody(w, buf, b, err)
 }
 
 func (s *Server) ask(domain, q string) (*core.Result, error) {
