@@ -39,6 +39,17 @@
 //     access path, pushed residuals, membership sets) for any
 //     statement, with ? for each literal.
 //
+//   - Superlatives without a sort. A superlative is evaluated last,
+//     over the rows the other criteria retrieve (Sec. 4.3), and only
+//     its extreme run matters: the question still resolves to the
+//     cached plan of its own ORDER BY shape, but sql.Plan.Match runs
+//     only the WHERE, and sqldb.Table.AppendExtremeRun takes the rows
+//     at the minimum (maximum) numeric value in one pass under one
+//     read lock, in RowID order — what sorting the whole match set
+//     and reading its leading equal run gave, with no sort.
+//     TestAppendExtremeRunMatchesSort and FuzzExtremeRun hold it to
+//     SortByColumn.
+//
 //   - A shape-keyed plan cache. Compiled plans carry no literals —
 //     execution re-binds the statement's constants at run time — so
 //     one plan serves every question with the same tagged shape
@@ -75,9 +86,16 @@
 //   - Bounded top-K selection over memoized scoring. Ranked partial
 //     answers are selected with a K-bounded heap (K =
 //     Config.MaxAnswers, the paper's 30-answer cutoff) rather than
-//     sorting the whole candidate pool (internal/topk); each
-//     candidate's N drop choices are scored from one pass of
-//     per-condition similarity/satisfaction memos (rank.BestRankSim),
+//     sorting the whole candidate pool (internal/topk). Every Eq. 5
+//     term is at most 1 (TI_Sim and Feat_Sim are clamped to [0,1]),
+//     so no candidate scores above the largest conjunction's N;
+//     candidates arrive in ascending RowID and ties break on RowID, so
+//     scoring stops as soon as the heap is full and its worst answer
+//     scores N — for a superlative, the non-extreme full matches get
+//     there within a few hundred candidates
+//     (TestPartialAnswersCeilingStop). Each candidate's N drop choices
+//     are scored from one pass of per-condition
+//     similarity/satisfaction memos (rank.BestRankSim),
 //     and answer records are served as per-version memoized read-only
 //     views (sqldb.Table.RecordView) instead of rebuilding a map per
 //     answer.

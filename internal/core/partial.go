@@ -64,9 +64,21 @@ func (s *System) partialAnswers(tbl *sqldb.Table, in *boolean.Interpretation, ex
 		}
 		return a.id < b.id
 	})
+	// Every Eq. 5 term is at most 1 (TI_Sim, Feat_Sim and Num_Sim are
+	// clamped to [0,1]), so no candidate scores above the largest
+	// group's N. Candidates arrive in ascending RowID and ties break on
+	// RowID, so once the selector is full and its worst answer already
+	// scores N, no later candidate can enter: scoring stops there. For
+	// a superlative the non-extreme full matches reach N early.
+	ceiling := float64(maxGroupLen(in))
 	for _, id := range candidates {
 		sc, dropped := sim.BestRankSimOverGroups(tbl, id, in.Groups)
 		sel.Push(scored{id: id, score: sc, dropped: dropped})
+		if sel.Len() == want {
+			if w, _ := sel.Worst(); w.score == ceiling {
+				break
+			}
+		}
 	}
 	top := sel.Sorted()
 	out := make([]Answer, 0, len(top))

@@ -6,7 +6,6 @@ import (
 	"repro/internal/boolean"
 	"repro/internal/partition"
 	"repro/internal/schema"
-	"repro/internal/sql"
 	"repro/internal/sqldb"
 	"repro/internal/trie"
 )
@@ -135,7 +134,7 @@ func (s *System) AskInDomainScatter(domain, question string, req partition.Slice
 	if in.Superlative != nil {
 		out.Superlative = true
 		out.Desc = in.Superlative.Descending
-		run, extreme, hasExtreme, err := s.superlativeRun(tbl, sel, in, keep)
+		run, extreme, hasExtreme, err := s.superlativeRun(tbl, sel, in, keep, 0)
 		if err != nil {
 			return nil, fmt.Errorf("core: executing %q: %w", out.SQL, err)
 		}
@@ -232,50 +231,4 @@ func (s *System) interpretFor(sch *schema.Schema, tags []trie.Tag) *boolean.Inte
 		in = boolean.Interpret(sch, tags)
 	}
 	return ResolveIncomplete(sch, in)
-}
-
-// superlativeRun evaluates a superlative question's full extreme run:
-// the unlimited result set, filtered to keep (when non-nil), with the
-// non-numeric prefix skipped — returning every row achieving the
-// extreme value, UNCAPPED. The scatter merge applies the global cap;
-// the monolith path (execWithSuperlative) keeps its own capped variant.
-func (s *System) superlativeRun(tbl *sqldb.Table, sel *sql.Select, in *boolean.Interpretation, keep func(sqldb.RowID) bool) ([]sqldb.RowID, float64, bool, error) {
-	unlimited := *sel
-	unlimited.Limit = 0
-	ids, err := s.execSelect(tbl, &unlimited)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	if keep != nil {
-		kept := ids[:0:0]
-		for _, id := range ids {
-			if keep(id) {
-				kept = append(kept, id)
-			}
-		}
-		ids = kept
-	}
-	// Skip the non-numeric prefix exactly as execWithSuperlative does:
-	// rows with no numeric superlative value cannot carry the extreme.
-	sup := in.Superlative.Attr
-	start := 0
-	for start < len(ids) {
-		if _, ok := tbl.Value(ids[start], sup).TryNum(); ok {
-			break
-		}
-		start++
-	}
-	if start == len(ids) {
-		return nil, 0, false, nil
-	}
-	extreme, _ := tbl.Value(ids[start], sup).TryNum()
-	var run []sqldb.RowID
-	for _, id := range ids[start:] {
-		n, ok := tbl.Value(id, sup).TryNum()
-		if !ok || n != extreme {
-			break // ids are ordered by the attribute
-		}
-		run = append(run, id)
-	}
-	return run, extreme, true, nil
 }

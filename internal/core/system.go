@@ -513,50 +513,43 @@ func (s *System) PlanCached(domain, query string) bool {
 // then applies superlative semantics: only records achieving the
 // extreme value of the superlative attribute within the filtered set
 // are exact answers (Sec. 4.3: superlatives are evaluated last, on
-// the records retrieved by the other criteria).
+// the records retrieved by the other criteria), at most MaxAnswers of
+// them in RowID order.
 func (s *System) execWithSuperlative(tbl *sqldb.Table, sel *sql.Select, in *boolean.Interpretation) ([]sqldb.RowID, error) {
 	if in.Superlative == nil {
 		return s.execSelect(tbl, sel)
 	}
-	// Evaluate without LIMIT so the extreme set is computed over all
-	// matching records, then filter to the extreme value.
-	unlimited := *sel
-	unlimited.Limit = 0
-	ids, err := s.execSelect(tbl, &unlimited)
+	run, _, _, err := s.superlativeRun(tbl, sel, in, nil, s.maxAnswers)
+	return run, err
+}
+
+// superlativeRun evaluates a superlative question's extreme run: the
+// WHERE's matches, filtered to keep (when non-nil), reduced to the
+// rows whose numeric superlative value is the extreme, in RowID order
+// and capped at limit (0 = uncapped). It also returns the extreme and
+// whether any row had a numeric value. The statement still resolves
+// to the cached plan of its own ORDER BY shape, but only the WHERE
+// runs: the extreme run needs no sort.
+func (s *System) superlativeRun(tbl *sqldb.Table, sel *sql.Select, in *boolean.Interpretation, keep func(sqldb.RowID) bool, limit int) ([]sqldb.RowID, float64, bool, error) {
+	p, err := s.plans.Get(s.db, tbl.Schema().Domain, sel)
 	if err != nil {
-		return nil, err
+		return nil, 0, false, err
 	}
-	// Rows whose superlative attribute is NULL or a non-numeric string
-	// are not candidates for a numeric extreme: Num() would coerce them
-	// to 0, and since NULL sorts first ascending (non-numeric strings
-	// first descending), "cheapest X" would return ads with *no* price
-	// as the extreme set. Skip the non-numeric prefix; the numeric run
-	// is contiguous in the ORDER BY, so the first numeric value is the
-	// true extreme.
-	sup := in.Superlative.Attr
-	start := 0
-	for start < len(ids) {
-		if _, ok := tbl.Value(ids[start], sup).TryNum(); ok {
-			break
+	ids, err := p.Match(s.db, sel)
+	if err != nil {
+		return nil, 0, false, err
+	}
+	if keep != nil {
+		kept := ids[:0]
+		for _, id := range ids {
+			if keep(id) {
+				kept = append(kept, id)
+			}
 		}
-		start++
+		ids = kept
 	}
-	if start == len(ids) {
-		return nil, nil
-	}
-	extreme, _ := tbl.Value(ids[start], sup).TryNum()
-	var out []sqldb.RowID
-	for _, id := range ids[start:] {
-		n, ok := tbl.Value(id, sup).TryNum()
-		if !ok || n != extreme {
-			break // ids are ordered by the attribute
-		}
-		out = append(out, id)
-		if len(out) == s.maxAnswers {
-			break
-		}
-	}
-	return out, nil
+	run, extreme, ok := tbl.AppendExtremeRun(ids[:0], ids, in.Superlative.Attr, in.Superlative.Descending, limit)
+	return run, extreme, ok, nil
 }
 
 // questionTokens prepares a question for the classifier.

@@ -8,6 +8,7 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
+	"math"
 	"strconv"
 	"strings"
 
@@ -57,9 +58,11 @@ func ReadRecords(r io.Reader) ([]map[string]sqldb.Value, error) {
 	return out, nil
 }
 
-// parseCell converts a CSV cell to a Value, preferring numbers.
+// parseCell converts a CSV cell to a Value, preferring numbers. Cells
+// ParseFloat reads as NaN or ±Inf ("nan", "Infinity") stay strings: no
+// ad field is a non-finite number.
 func parseCell(cell string) sqldb.Value {
-	if n, err := strconv.ParseFloat(strings.ReplaceAll(cell, ",", ""), 64); err == nil {
+	if n, err := strconv.ParseFloat(strings.ReplaceAll(cell, ",", ""), 64); err == nil && !math.IsNaN(n) && !math.IsInf(n, 0) {
 		return sqldb.Number(n)
 	}
 	return sqldb.String(cell)

@@ -107,3 +107,30 @@ func TestWriteTableHeaderOrder(t *testing.T) {
 		t.Errorf("header = %q", header)
 	}
 }
+
+// TestParseCellKeepsNonFiniteAsString: strconv.ParseFloat reads "NaN"
+// and "Inf" spellings as numbers, but no ad field is a non-finite
+// number, so such cells load as the strings they are.
+func TestParseCellKeepsNonFiniteAsString(t *testing.T) {
+	for _, tc := range []struct {
+		cell string
+		want sqldb.Value
+	}{
+		{"9000", sqldb.Number(9000)},
+		{"12,500", sqldb.Number(12500)},
+		{"-0.5", sqldb.Number(-0.5)},
+		{"1e3", sqldb.Number(1000)},
+		{"NaN", sqldb.String("NaN")},
+		{"nan", sqldb.String("nan")},
+		{"Inf", sqldb.String("Inf")},
+		{"+Inf", sqldb.String("+Inf")},
+		{"-infinity", sqldb.String("-infinity")},
+		{"Infinity", sqldb.String("Infinity")},
+		{"1e400", sqldb.String("1e400")}, // out of range: ParseFloat errors
+		{"automatic", sqldb.String("automatic")},
+	} {
+		if got := parseCell(tc.cell); got != tc.want {
+			t.Errorf("parseCell(%q) = %#v, want %#v", tc.cell, got, tc.want)
+		}
+	}
+}

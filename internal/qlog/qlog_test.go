@@ -110,6 +110,9 @@ func TestTIMatrixBounds(t *testing.T) {
 	if m.Sim("camry", "camry") != m.Max() {
 		t.Error("self-similarity should be Max()")
 	}
+	if n := m.NormSim("camry", "camry"); n != 1 {
+		t.Errorf("NormSim(camry, camry) = %v, want exactly 1", n)
+	}
 	if m.Sim("camry", "never-seen-value") != 0 {
 		t.Error("unknown pair should be 0")
 	}

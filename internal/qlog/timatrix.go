@@ -127,12 +127,13 @@ func (m *TIMatrix) Sim(a, b string) float64 {
 // Rank_Sim divides by (Sec. 4.3.2).
 func (m *TIMatrix) Max() float64 { return m.max }
 
-// NormSim returns Sim(a,b) normalized to [0,1] by Max().
+// NormSim returns Sim(a,b) normalized to [0,1] by Max(), clamped so
+// TI_Sim, one Eq. 5 term, never exceeds 1.
 func (m *TIMatrix) NormSim(a, b string) float64 {
 	if m.max == 0 {
 		return 0
 	}
-	return m.Sim(a, b) / m.max
+	return min(1, m.Sim(a, b)/m.max)
 }
 
 // Pairs returns all recorded pairs sorted by descending similarity,

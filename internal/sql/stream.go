@@ -288,31 +288,15 @@ func rangeAccess(tbl *sqldb.Table, col string) (indexed bool, access string) {
 // operators) is recompiled on the spot — a mismatch can never produce
 // wrong answers, only a wasted compile.
 func (p *Plan) Run(db *sqldb.DB, sel *Select) ([]sqldb.RowID, error) {
-	tbl, err := resolveTable(db, sel.Table)
+	// LIMIT is pushed into the scan only when no ORDER BY will
+	// reshuffle the stream afterwards.
+	limit := 0
+	if sel.OrderBy == "" {
+		limit = sel.Limit
+	}
+	tbl, ids, err := p.match(db, sel, limit)
 	if err != nil {
 		return nil, err
-	}
-	if !p.fits(sel) {
-		fresh, err := Compile(db, sel)
-		if err != nil {
-			return nil, err
-		}
-		p = fresh
-	}
-	var ids []sqldb.RowID
-	if sel.Where == nil {
-		ids = tbl.AllRowIDs()
-	} else {
-		// LIMIT is pushed into the scan only when no ORDER BY will
-		// reshuffle the stream afterwards.
-		limit := 0
-		if sel.OrderBy == "" {
-			limit = sel.Limit
-		}
-		ids, err = execNode(db, tbl, sel.Where, p.root, limit)
-		if err != nil {
-			return nil, err
-		}
 	}
 	if sel.OrderBy != "" {
 		if tbl.ColumnIndex(sel.OrderBy) < 0 {
@@ -324,6 +308,43 @@ func (p *Plan) Run(db *sqldb.DB, sel *Select) ([]sqldb.RowID, error) {
 		ids = ids[:sel.Limit]
 	}
 	return ids, nil
+}
+
+// Match executes only the plan's WHERE against the concrete Select:
+// it returns every matching row id in ascending order, ignoring the
+// statement's ORDER BY and LIMIT. A superlative question runs the
+// cached plan of its own ORDER BY shape through Match and takes the
+// extreme run from the ascending set (sqldb.Table.AppendExtremeRun)
+// instead of sorting every match. Shape mismatches recompile as in
+// Run.
+func (p *Plan) Match(db *sqldb.DB, sel *Select) ([]sqldb.RowID, error) {
+	_, ids, err := p.match(db, sel, 0)
+	return ids, err
+}
+
+// match evaluates the WHERE of sel under p (recompiled when sel does
+// not fit), pushing limit > 0 into the scan, and returns the table
+// with the ascending matching ids.
+func (p *Plan) match(db *sqldb.DB, sel *Select, limit int) (*sqldb.Table, []sqldb.RowID, error) {
+	tbl, err := resolveTable(db, sel.Table)
+	if err != nil {
+		return nil, nil, err
+	}
+	if !p.fits(sel) {
+		fresh, err := Compile(db, sel)
+		if err != nil {
+			return nil, nil, err
+		}
+		p = fresh
+	}
+	if sel.Where == nil {
+		return tbl, tbl.AllRowIDs(), nil
+	}
+	ids, err := execNode(db, tbl, sel.Where, p.root, limit)
+	if err != nil {
+		return nil, nil, err
+	}
+	return tbl, ids, nil
 }
 
 // fits reports whether sel has the shape this plan was compiled for.

@@ -492,6 +492,50 @@ func (t *Table) SortByColumn(ids []RowID, col string, descending bool) []RowID {
 	return ids
 }
 
+// AppendExtremeRun appends to dst, in ascending RowID order, every id
+// of the ascending set ids whose numeric value in col (TryNum) equals
+// the set's minimum — its maximum when desc — keeping at most limit
+// ids in the run (limit <= 0 is uncapped). It also returns the extreme,
+// read from the run's lowest-RowID member, and whether any row had a
+// numeric value at all. NULLs, non-numeric strings, NaN and deleted
+// rows never join a run. dst may be ids[:0]: the run never outgrows
+// the prefix of ids already read, so it compacts in place.
+//
+// This is exactly the leading equal run that SortByColumn's order
+// yields once its non-numeric prefix is skipped (NULLs sort first
+// ascending, non-numeric strings first descending, ties break on
+// RowID), computed in one pass under one read lock with no sort:
+// the superlative of Sec. 4.3, evaluated last over the rows the other
+// criteria retrieve.
+func (t *Table) AppendExtremeRun(dst, ids []RowID, col string, desc bool, limit int) ([]RowID, float64, bool) {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	i, ok := t.colIdx[col]
+	if !ok {
+		return dst, 0, false
+	}
+	base := len(dst)
+	var extreme float64
+	found := false
+	for _, id := range ids {
+		if !t.aliveLocked(id) {
+			continue
+		}
+		n, isNum := t.rows[id].Values[i].tryNum()
+		if !isNum || n != n { // NaN has no place in the order
+			continue
+		}
+		switch {
+		case !found || (desc && n > extreme) || (!desc && n < extreme):
+			dst = append(dst[:base], id)
+			extreme, found = n, true
+		case n == extreme && (limit <= 0 || len(dst)-base < limit):
+			dst = append(dst, id)
+		}
+	}
+	return dst, extreme, found
+}
+
 // ExportState returns a point-in-time copy of the table's contents
 // for persistence: the total number of allocated row slots (live plus
 // tombstoned — the next Insert is assigned RowID slots) and the live

@@ -33,6 +33,18 @@ func New[T any](k int, less func(a, b T) bool) *Selector[T] {
 // Len returns the number of retained items (at most K).
 func (s *Selector[T]) Len() int { return len(s.heap) }
 
+// Worst returns the worst retained item under less — the one a better
+// Push would evict once the selector is full — and false when nothing
+// is retained. A caller streaming items whose order it can bound stops
+// once Len() == K and nothing still to come can order before Worst.
+func (s *Selector[T]) Worst() (T, bool) {
+	if len(s.heap) == 0 {
+		var zero T
+		return zero, false
+	}
+	return s.heap[0], true
+}
+
 // Push offers one item to the selector.
 func (s *Selector[T]) Push(v T) {
 	if s.k <= 0 {

@@ -256,3 +256,34 @@ func TestDeleteAdValidation(t *testing.T) {
 		t.Errorf("unknown row = %d, want 404", rec.Code)
 	}
 }
+
+// TestIngestRejectsNonFiniteQuantities: strconv.ParseFloat accepts
+// "NaN", "Inf" and "infinity", but a non-finite price, year or mileage
+// is no ad — and +Inf would win every "newest" superlative. Ingest
+// answers 400 and the ad never reaches the answers.
+func TestIngestRejectsNonFiniteQuantities(t *testing.T) {
+	sch := schema.Cars()
+	for _, v := range []string{"+Inf", "Inf", "-inf", "NaN", "nan", "infinity", " -Infinity "} {
+		_, err := convertRecord(sch, map[string]any{"make": "honda", "year": v})
+		if err == nil || !strings.Contains(err.Error(), "is not a finite number") {
+			t.Errorf("convertRecord(year %q) error = %v, want \"is not a finite number\"", v, err)
+		}
+	}
+	if _, err := convertRecord(sch, map[string]any{"year": "2004", "price": "1e4"}); err != nil {
+		t.Errorf("finite numeric strings rejected: %v", err)
+	}
+
+	srv := ingestServer(t)
+	rec := doJSON(t, srv, http.MethodPost, "/api/ads",
+		`{"domain":"cars","record":{"make":"honda","model":"accord","year":"+Inf"}}`)
+	if rec.Code != http.StatusBadRequest {
+		t.Fatalf("POST year +Inf = %d, want 400: %s", rec.Code, rec.Body.String())
+	}
+	rec = doJSON(t, srv, http.MethodGet, "/api/ask?domain=cars&q=newest+honda+accord", "")
+	if rec.Code != http.StatusOK {
+		t.Fatalf("ask = %d: %s", rec.Code, rec.Body.String())
+	}
+	if strings.Contains(rec.Body.String(), "Inf") {
+		t.Errorf("a non-finite year reached the answers: %s", rec.Body.String())
+	}
+}

@@ -12,6 +12,7 @@ import (
 	"errors"
 	"fmt"
 	"html/template"
+	"math"
 	"net/http"
 	"sort"
 	"strconv"
@@ -764,6 +765,11 @@ func convertRecord(sch *schema.Schema, record map[string]any) (map[string]sqldb.
 				n, err := strconv.ParseFloat(strings.TrimSpace(v), 64)
 				if err != nil {
 					return nil, fmt.Errorf("column %q is quantitative; %q is not a number", col, v)
+				}
+				// ParseFloat accepts "NaN" and "Inf"; neither is a price,
+				// year or mileage, and either would win a superlative.
+				if math.IsNaN(n) || math.IsInf(n, 0) {
+					return nil, fmt.Errorf("column %q is quantitative; %q is not a finite number", col, v)
 				}
 				values[col] = sqldb.Number(n)
 				continue

@@ -345,6 +345,22 @@ func TestExplainPanel(t *testing.T) {
 	}
 }
 
+// TestExplainSuperlativePlanCacheHit: a superlative answers through
+// the cached plan of its own ORDER BY shape (only the WHERE runs; the
+// extreme run replaces the sort), so asking it again must report the
+// shape the panel explains as a plan-cache hit.
+func TestExplainSuperlativePlanCacheHit(t *testing.T) {
+	const path = "/ask?domain=cars&q=cheapest+honda+accord&explain=1"
+	get(t, path)
+	body := get(t, path).Body.String()
+	if !strings.Contains(body, "sort by price ASC") {
+		t.Fatalf("explain panel does not show the superlative's ORDER BY shape:\n%s", body)
+	}
+	if !strings.Contains(body, "plan cache: hit") {
+		t.Error("second ask of a superlative question did not report a plan-cache hit")
+	}
+}
+
 func TestHTMLEscaping(t *testing.T) {
 	rec := get(t, "/ask?domain=cars&q=%3Cscript%3Ealert(1)%3C/script%3E")
 	body := rec.Body.String()

@@ -140,12 +140,16 @@ func (m *Matrix) bestAlign(from, to []string) float64 {
 // normalizer for Feat_Sim.
 func (m *Matrix) Max() float64 { return m.max }
 
-// NormSim returns PhraseSim normalized to [0,1] by Max().
+// NormSim returns PhraseSim normalized to [0,1] by Max(). PhraseSim
+// averages sums of per-word alignments, and float rounding can carry
+// that average a hair past Max() (a value repeating a question word
+// many times), so the ratio is clamped: Feat_Sim is one Eq. 5 term and
+// must never exceed 1.
 func (m *Matrix) NormSim(a, b string) float64 {
 	if m.max == 0 {
 		return 0
 	}
-	return m.PhraseSim(a, b) / m.max
+	return min(1, m.PhraseSim(a, b)/m.max)
 }
 
 // Size returns the vocabulary size of the matrix.

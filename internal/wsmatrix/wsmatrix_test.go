@@ -1,6 +1,7 @@
 package wsmatrix
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/schema"
@@ -127,6 +128,52 @@ func TestNormSimBounds(t *testing.T) {
 				if n < 0 || n > 1 {
 					t.Fatalf("NormSim(%q,%q) = %g", v, w, n)
 				}
+			}
+		}
+	}
+}
+
+// seed42Matrix is the WS-matrix a seed-42 system builds: every
+// domain's schema, 40 documents per topic, corpus seed 42+202.
+func seed42Matrix() *Matrix {
+	var schemas []*schema.Schema
+	for _, d := range schema.DomainNames {
+		schemas = append(schemas, schema.ByName(d))
+	}
+	return BuildForDomains(schemas, 40, 42+202)
+}
+
+// TestNormSimClampsOvershoot: PhraseSim averages float sums, so a
+// value repeating a question word many times can land a hair above
+// Max(). NormSim is one Eq. 5 term and must stay ≤ 1, or Rank_Sim
+// could pass N. On every pair of vocabulary values the clamp is a
+// no-op, so no seed-42 answer moves.
+func TestNormSimClampsOvershoot(t *testing.T) {
+	m := seed42Matrix()
+	if m.Max() != 1.354030257936506 {
+		t.Fatalf("seed-42 Max() = %v; the overshoot cases below were found on 1.354030257936506", m.Max())
+	}
+	for _, c := range [][2]string{
+		{"4 wheel drive", "4 wheel drive 4 wheel drive 4 wheel drive 4 wheel drive 4"},
+		{"leather", strings.Repeat("leather ", 13)},
+	} {
+		if raw := m.PhraseSim(c[0], c[1]) / m.Max(); raw <= 1 {
+			t.Errorf("PhraseSim/Max(%q, %q) = %v, expected the float overshoot", c[0], c[1], raw)
+		}
+		if got := m.NormSim(c[0], c[1]); got != 1 {
+			t.Errorf("NormSim(%q, %q) = %v, want 1", c[0], c[1], got)
+		}
+	}
+	var values []string
+	for _, d := range schema.DomainNames {
+		for _, a := range schema.ByName(d).AttrsOfType(schema.TypeII) {
+			values = append(values, a.Values...)
+		}
+	}
+	for _, v := range values {
+		for _, w := range values {
+			if got, raw := m.NormSim(v, w), m.PhraseSim(v, w)/m.Max(); got != raw {
+				t.Fatalf("NormSim(%q, %q) = %v, unclamped %v: the clamp moved a vocabulary pair", v, w, got, raw)
 			}
 		}
 	}
