@@ -15,6 +15,7 @@ import (
 	"repro/internal/schema"
 	"repro/internal/schemagen"
 	"repro/internal/sql"
+	"repro/internal/sql/sqltest"
 	"repro/internal/sqldb"
 	"repro/internal/trie"
 	"repro/internal/wsmatrix"
@@ -210,7 +211,7 @@ func BenchmarkEvalOrder(b *testing.B) {
 	ordered := "SELECT * FROM car_ads WHERE make = 'honda' AND color = 'blue' AND price < 15000"
 	reversed := "SELECT * FROM car_ads WHERE price < 15000 AND color = 'blue' AND make = 'honda'"
 	for name, q := range map[string]string{"TypeIFirst": ordered, "TypeIIIFirst": reversed} {
-		sel, err := sql.Parse(q)
+		sel, err := sqltest.Parse(q)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -234,14 +235,14 @@ func BenchmarkEvalOrder(b *testing.B) {
 func BenchmarkStreamingExec(b *testing.B) {
 	e := env(b)
 	db := e.DB
-	sel, err := sql.Parse("SELECT * FROM car_ads WHERE make = 'honda' AND color = 'blue' AND price < 15000")
+	sel, err := sqltest.Parse("SELECT * FROM car_ads WHERE make = 'honda' AND color = 'blue' AND price < 15000")
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Run("Legacy", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			if _, err := sql.ExecLegacy(db, sel); err != nil {
+			if _, err := sqltest.ExecLegacy(db, sel); err != nil {
 				b.Fatal(err)
 			}
 		}

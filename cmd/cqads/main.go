@@ -17,7 +17,6 @@ import (
 	"strings"
 
 	"repro/cqads"
-	"repro/internal/sql"
 )
 
 func main() {
@@ -98,7 +97,7 @@ func explain(sys *cqads.System, domain, q string) {
 	}
 	// The plan prints ? for literals; the statement supplies them.
 	fmt.Printf("sql:            %s\n", res.SQL)
-	plan, err := sql.ExplainString(sys.DB(), res.SQL)
+	plan, _, err := sys.Explain(res)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		return

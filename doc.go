@@ -36,8 +36,12 @@
 //     NOT subtrees fall back to materialize-and-merge; LIMIT is pushed
 //     into the driving scan when no ORDER BY reorders the stream.
 //     sql.Explain renders the compiled plan (driving scan and its
-//     access path, pushed residuals, membership sets) for any
-//     statement, with ? for each literal.
+//     access path, pushed residuals, membership sets) with ? for each
+//     literal. System.Explain rebuilds an answer's statement from its
+//     interpretation with BuildSelect rather than parsing the SQL text
+//     it printed, and shows a superlative's extreme run in place of
+//     the sort: SQL is output, not input, and no production code
+//     parses it.
 //
 //   - Superlatives without a sort. A superlative is evaluated last,
 //     over the rows the other criteria retrieve (Sec. 4.3), and only
@@ -60,8 +64,17 @@
 //     650-question workload the steady-state hit rate exceeds 90%
 //     with or without concurrent writes (internal/sql/plan, metrics in
 //     /api/status under "plan_cache"). The eager evaluator survives as
-//     sql.ExecLegacy, and a differential fuzzer
-//     (internal/sql/fuzz_test.go) holds both executors bit-identical.
+//     test support, sqltest.ExecLegacy, and a differential fuzzer
+//     (internal/sql/fuzz_test.go, 15 s in CI) holds the streaming
+//     executor bit-identical to it.
+//
+// One departure from Sec. 4.5: the paper's Example 7 writes each
+// condition as an IN subquery over the same table. Keyed on row
+// identity, each subquery selects exactly the rows its condition
+// selects, so the flat conjunction core.BuildSelect emits returns the
+// same answers, and the AST has no IN node. The SQL parser and the
+// eager evaluator, which once read and ran IN, are now test support in
+// internal/sql/sqltest.
 //
 // # Performance architecture
 //

@@ -15,8 +15,8 @@ import (
 	"repro/internal/adsgen"
 	"repro/internal/schema"
 	"repro/internal/shard/shardtest"
-	"repro/internal/sql"
 	"repro/internal/sql/plan"
+	"repro/internal/sql/sqltest"
 	"repro/internal/sqldb"
 )
 
@@ -78,7 +78,7 @@ func TestPlanCacheHitRateOnWorkload(t *testing.T) {
 				if res.SQL == "" {
 					continue
 				}
-				sel, err := sql.Parse(res.SQL)
+				sel, err := sqltest.Parse(res.SQL)
 				if err != nil {
 					t.Fatalf("parse %q: %v", res.SQL, err)
 				}
@@ -90,7 +90,7 @@ func TestPlanCacheHitRateOnWorkload(t *testing.T) {
 					// the plan's output.
 					continue
 				}
-				want, err := sql.ExecLegacy(sys.DB(), sel)
+				want, err := sqltest.ExecLegacy(sys.DB(), sel)
 				if err != nil {
 					t.Fatalf("legacy %q: %v", res.SQL, err)
 				}

@@ -9,6 +9,7 @@ import (
 	"repro/internal/questions"
 	"repro/internal/rank"
 	"repro/internal/sql"
+	"repro/internal/sql/sqltest"
 	"repro/internal/sqldb"
 )
 
@@ -131,7 +132,11 @@ func TestGeneratedSQLTextMatchesExecution(t *testing.T) {
 		if res.SQL == "" || res.Interpretation.Superlative != nil {
 			continue
 		}
-		ids, err := sql.ExecString(sys.DB(), res.SQL)
+		sel, err := sqltest.Parse(res.SQL)
+		if err != nil {
+			t.Fatalf("surfaced SQL does not parse: %v\n%s", err, res.SQL)
+		}
+		ids, err := sql.Exec(sys.DB(), sel)
 		if err != nil {
 			t.Fatalf("surfaced SQL does not execute: %v\n%s", err, res.SQL)
 		}

@@ -6,7 +6,7 @@ import (
 
 	"repro/internal/boolean"
 	"repro/internal/schema"
-	"repro/internal/sql"
+	"repro/internal/sql/sqltest"
 )
 
 func cond(attr string, t schema.AttrType, vals ...string) boolean.Condition {
@@ -30,7 +30,7 @@ func TestBuildSelectSingleGroup(t *testing.T) {
 		t.Errorf("SQL = %s\nwant %s", sel.SQL(), want)
 	}
 	// Must parse back.
-	if _, err := sql.Parse(sel.SQL()); err != nil {
+	if _, err := sqltest.Parse(sel.SQL()); err != nil {
 		t.Errorf("generated SQL does not parse: %v", err)
 	}
 }

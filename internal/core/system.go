@@ -498,15 +498,42 @@ func (s *System) PlanCacheStats() (hits, misses, invalidations int64, size int) 
 	return hits, misses, 0, size
 }
 
-// PlanCached reports whether the compiled plan for a SQL statement in
-// the given domain is currently cached — the EXPLAIN panel's hit/miss
-// preview. Unparseable statements report false.
-func (s *System) PlanCached(domain, query string) bool {
-	sel, err := sql.Parse(query)
-	if err != nil {
-		return false
+// Explain renders the access plan res's question ran, rebuilt from
+// res.Interpretation: BuildSelect is deterministic, so the statement
+// is the one AskInDomain executed and printed as res.SQL. cached
+// reports whether the plan cache holds that statement's shape, without
+// bumping counters or recency — the EXPLAIN panel's hit/miss preview.
+// A superlative runs only the WHERE of its ORDER BY plan and takes the
+// extreme run, so its plan shows that instead of a sort; the cache is
+// still checked for the ORDER BY statement, the key it ran under.
+func (s *System) Explain(res *Result) (plan string, cached bool, err error) {
+	if res.SQL == "" {
+		return "", false, fmt.Errorf("core: no SQL was generated for %q", res.Question)
 	}
-	return s.plans.Contains(domain, sel)
+	tbl, err := s.hostedTable(res.Domain)
+	if err != nil {
+		return "", false, err
+	}
+	sel := BuildSelect(tbl.Schema(), res.Interpretation, s.maxAnswers)
+	cached = s.plans.Contains(tbl.Schema().Domain, sel)
+	if res.Interpretation.Superlative == nil {
+		plan, err = sql.Explain(s.db, sel)
+		return plan, cached, err
+	}
+	where := *sel
+	where.OrderBy, where.Desc, where.Limit = "", false, 0
+	if plan, err = sql.Explain(s.db, &where); err != nil {
+		return "", false, err
+	}
+	dir := "ASC"
+	if sel.Desc {
+		dir = "DESC"
+	}
+	plan += fmt.Sprintf("  extreme run on %s %s over the matches, no sort (superlative evaluated last)\n", sel.OrderBy, dir)
+	if sel.Limit > 0 {
+		plan += fmt.Sprintf("  limit %d (answer cutoff)\n", sel.Limit)
+	}
+	return plan, cached, nil
 }
 
 // execWithSuperlative runs the generated SQL through the plan cache,

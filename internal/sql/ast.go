@@ -1,3 +1,11 @@
+// Package sql implements the SQL subset that CQAds compiles questions
+// into (Sec. 4.5): single-table SELECTs with WHERE expressions over
+// =, <, >, <=, >=, <>, BETWEEN and LIKE, combined with AND/OR/NOT,
+// plus ORDER BY and LIMIT for superlatives and the 30-answer cutoff.
+// SQL is output only: core.BuildSelect builds the AST, Select.SQL
+// renders it, and Compile plans it against the sqldb indexes. Nothing
+// in production parses SQL text; the parser and the eager reference
+// evaluator live in the test-support package sql/sqltest.
 package sql
 
 import (
@@ -7,7 +15,7 @@ import (
 	"repro/internal/sqldb"
 )
 
-// Select is a parsed SELECT statement:
+// Select is a SELECT statement:
 //
 //	SELECT * FROM table [WHERE expr] [ORDER BY col [ASC|DESC]] [LIMIT n]
 type Select struct {
@@ -72,18 +80,6 @@ type Like struct {
 // SQL implements Expr.
 func (l *Like) SQL() string {
 	return fmt.Sprintf("%s LIKE '%%%s%%'", l.Column, escape(l.Pattern))
-}
-
-// In is `column IN (SELECT ...)`, the nested form CQAds emits in
-// Example 7 of the paper.
-type In struct {
-	Column string
-	Sub    *Select
-}
-
-// SQL implements Expr.
-func (i *In) SQL() string {
-	return fmt.Sprintf("%s IN (%s)", i.Column, i.Sub.SQL())
 }
 
 // And is the conjunction of two or more operands.

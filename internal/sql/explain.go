@@ -46,22 +46,11 @@ func Explain(db *sqldb.DB, sel *Select) (string, error) {
 	return sb.String(), nil
 }
 
-// ExplainString parses and explains in one step.
-func ExplainString(db *sqldb.DB, query string) (string, error) {
-	sel, err := Parse(query)
-	if err != nil {
-		return "", err
-	}
-	return Explain(db, sel)
-}
-
 func (n *planNode) explain(sb *strings.Builder, depth int) {
 	pad := strings.Repeat("  ", depth)
 	switch n.kind {
 	case nkLeaf:
 		fmt.Fprintf(sb, "%s%s: %s\n", pad, n.shape(), n.access)
-	case nkOpaque:
-		fmt.Fprintf(sb, "%s%s: eager evaluator\n", pad, n.shape())
 	case nkNot:
 		fmt.Fprintf(sb, "%scomplement of:\n", pad)
 		n.children[0].explain(sb, depth+1)
@@ -93,15 +82,13 @@ func (n *planNode) explain(sb *strings.Builder, depth int) {
 	}
 }
 
-// shape prints a leaf, a negated leaf or an IN node as SQL with ? for
-// each literal. Conjunctions and unions have no one-line shape;
+// shape prints a leaf or a negated leaf as SQL with ? for each
+// literal. Conjunctions and unions have no one-line shape;
 // explain renders them as subtrees and never asks for one.
 func (n *planNode) shape() string {
 	switch {
 	case n.kind == nkNot:
 		return "NOT " + n.children[0].shape()
-	case n.kind == nkOpaque:
-		return n.col + " IN (subquery)"
 	case n.leaf == lkBetween:
 		return n.col + " BETWEEN ? AND ?"
 	case n.leaf == lkLike:

@@ -72,14 +72,6 @@ func writeShape(sb *strings.Builder, e sql.Expr) {
 		sb.WriteString("like(")
 		sb.WriteString(x.Column)
 		sb.WriteByte(')')
-	case *sql.In:
-		sb.WriteString("in(")
-		sb.WriteString(x.Column)
-		sb.WriteByte(',')
-		sb.WriteString(x.Sub.Table)
-		sb.WriteByte(':')
-		writeShape(sb, x.Sub.Where)
-		sb.WriteByte(')')
 	case *sql.And:
 		sb.WriteString("and(")
 		for i, op := range x.Operands {

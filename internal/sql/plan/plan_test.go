@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/schema"
 	"repro/internal/sql"
+	"repro/internal/sql/sqltest"
 	"repro/internal/sqldb"
 )
 
@@ -29,7 +30,7 @@ func testDB(t *testing.T) (*sqldb.DB, *sqldb.Table) {
 
 func mustParse(t *testing.T, q string) *sql.Select {
 	t.Helper()
-	sel, err := sql.Parse(q)
+	sel, err := sqltest.Parse(q)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,7 +107,7 @@ func TestCacheHitMissInvalidation(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := sql.ExecLegacy(db, sel)
+		want, err := sqltest.ExecLegacy(db, sel)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -1,4 +1,4 @@
-package sql
+package sql_test
 
 import (
 	"math/rand"
@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/schema"
+	"repro/internal/sql"
+	"repro/internal/sql/sqltest"
 	"repro/internal/sqldb"
 )
 
@@ -33,7 +35,7 @@ func TestScansNeverReadPostingsUnlocked(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var sels []*Select
+	var sels []*sql.Select
 	for _, q := range []string{
 		"SELECT * FROM car_ads WHERE make = 'honda'",
 		"SELECT * FROM car_ads WHERE price < 2500",
@@ -42,7 +44,7 @@ func TestScansNeverReadPostingsUnlocked(t *testing.T) {
 		"SELECT * FROM car_ads WHERE price >= 1100 AND make = 'toyota' AND color = 'red'",
 		"SELECT * FROM car_ads WHERE make = 'honda' OR price > 2500",
 	} {
-		sel, err := Parse(q)
+		sel, err := sqltest.Parse(q)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -73,7 +75,7 @@ func TestScansNeverReadPostingsUnlocked(t *testing.T) {
 				default:
 				}
 				for _, sel := range sels {
-					if err := ForEachMatch(db, tbl, sel.Where, func(id sqldb.RowID) {
+					if err := sql.ForEachMatch(db, tbl, sel.Where, func(id sqldb.RowID) {
 						if id < 0 || id >= n {
 							t.Errorf("ForEachMatch streamed id %d, table held 0..%d", id, n-1)
 						}
@@ -81,7 +83,7 @@ func TestScansNeverReadPostingsUnlocked(t *testing.T) {
 						t.Error(err)
 						return
 					}
-					ids, err := Exec(db, sel)
+					ids, err := sql.Exec(db, sel)
 					if err != nil {
 						t.Error(err)
 						return

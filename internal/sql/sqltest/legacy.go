@@ -1,0 +1,135 @@
+package sqltest
+
+import (
+	"fmt"
+	"math"
+	"slices"
+
+	"repro/internal/sql"
+	"repro/internal/sqldb"
+)
+
+// ExecLegacy evaluates a SELECT against db with the original eager
+// evaluator: every WHERE leaf materializes its full posting list and
+// AND/OR combine the sets with sorted merges. It is the behavioral
+// reference the streaming executor (sql.Exec) is held to: the
+// differential fuzz test and the plan-cache harness assert the two
+// return bit-identical results.
+func ExecLegacy(db *sqldb.DB, sel *sql.Select) ([]sqldb.RowID, error) {
+	tbl, ok := db.Table(sel.Table)
+	if !ok {
+		if tbl, ok = db.TableForDomain(sel.Table); !ok {
+			return nil, fmt.Errorf("sql: unknown table %q", sel.Table)
+		}
+	}
+	var ids []sqldb.RowID
+	if sel.Where == nil {
+		ids = tbl.AllRowIDs()
+	} else {
+		var err error
+		if ids, err = evalExpr(tbl, sel.Where); err != nil {
+			return nil, err
+		}
+	}
+	if sel.OrderBy != "" {
+		if tbl.ColumnIndex(sel.OrderBy) < 0 {
+			return nil, fmt.Errorf("sql: unknown ORDER BY column %q", sel.OrderBy)
+		}
+		ids = tbl.SortByColumn(ids, sel.OrderBy, sel.Desc)
+	}
+	if sel.Limit > 0 && len(ids) > sel.Limit {
+		ids = ids[:sel.Limit]
+	}
+	return ids, nil
+}
+
+// evalExpr evaluates a WHERE node to a sorted set of row ids.
+func evalExpr(tbl *sqldb.Table, e sql.Expr) ([]sqldb.RowID, error) {
+	switch n := e.(type) {
+	case *sql.Compare:
+		return evalCompare(tbl, n)
+	case *sql.Between:
+		if tbl.ColumnIndex(n.Column) < 0 {
+			return nil, fmt.Errorf("sql: unknown column %q", n.Column)
+		}
+		return tbl.LookupRange(n.Column, n.Lo, n.Hi, true, true), nil
+	case *sql.Like:
+		if tbl.ColumnIndex(n.Column) < 0 {
+			return nil, fmt.Errorf("sql: unknown column %q", n.Column)
+		}
+		return tbl.LookupSubstring(n.Column, n.Pattern), nil
+	case *sql.And:
+		var acc []sqldb.RowID
+		for i, op := range n.Operands {
+			ids, err := evalExpr(tbl, op)
+			if err != nil {
+				return nil, err
+			}
+			if i == 0 {
+				acc = ids
+			} else {
+				acc = sqldb.IntersectSorted(acc, ids)
+			}
+			if len(acc) == 0 {
+				return nil, nil
+			}
+		}
+		return acc, nil
+	case *sql.Or:
+		var acc []sqldb.RowID
+		for _, op := range n.Operands {
+			ids, err := evalExpr(tbl, op)
+			if err != nil {
+				return nil, err
+			}
+			acc = sqldb.UnionSorted(acc, ids)
+		}
+		return acc, nil
+	case *sql.Not:
+		inner, err := evalExpr(tbl, n.Operand)
+		if err != nil {
+			return nil, err
+		}
+		return complement(tbl, inner), nil
+	}
+	return nil, fmt.Errorf("sql: unsupported expression node %T", e)
+}
+
+func evalCompare(tbl *sqldb.Table, c *sql.Compare) ([]sqldb.RowID, error) {
+	if tbl.ColumnIndex(c.Column) < 0 {
+		return nil, fmt.Errorf("sql: unknown column %q", c.Column)
+	}
+	switch c.Op {
+	case sql.OpEq:
+		return tbl.LookupEqual(c.Column, c.Value), nil
+	case sql.OpNe:
+		return complement(tbl, tbl.LookupEqual(c.Column, c.Value)), nil
+	case sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe:
+		if !c.Value.IsNumber() {
+			return nil, fmt.Errorf("sql: %s requires a numeric literal on column %q", c.Op, c.Column)
+		}
+		n := c.Value.Num()
+		switch c.Op {
+		case sql.OpLt:
+			return tbl.LookupRange(c.Column, math.Inf(-1), n, false, false), nil
+		case sql.OpLe:
+			return tbl.LookupRange(c.Column, math.Inf(-1), n, false, true), nil
+		case sql.OpGt:
+			return tbl.LookupRange(c.Column, n, math.Inf(1), false, false), nil
+		default: // OpGe
+			return tbl.LookupRange(c.Column, n, math.Inf(1), true, false), nil
+		}
+	}
+	return nil, fmt.Errorf("sql: unsupported operator %q", c.Op)
+}
+
+// complement returns the live rows of tbl not in the ascending set ids.
+func complement(tbl *sqldb.Table, ids []sqldb.RowID) []sqldb.RowID {
+	var out []sqldb.RowID
+	for _, id := range tbl.AllRowIDs() {
+		if _, found := slices.BinarySearch(ids, id); !found {
+			out = append(out, id)
+		}
+	}
+	return out
+}

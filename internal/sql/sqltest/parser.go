@@ -1,13 +1,15 @@
-package sql
+package sqltest
 
 import (
 	"fmt"
 
+	"repro/internal/sql"
 	"repro/internal/sqldb"
 )
 
-// Parse parses a SELECT statement of the supported subset.
-func Parse(input string) (*Select, error) {
+// Parse parses a SELECT statement of the subset sql.Select renders.
+// IN subqueries are not part of it.
+func Parse(input string) (*sql.Select, error) {
 	toks, err := lex(input)
 	if err != nil {
 		return nil, err
@@ -66,18 +68,12 @@ func (p *parser) errorf(format string, args ...any) error {
 		p.peek().pos, fmt.Sprintf(format, args...))
 }
 
-func (p *parser) parseSelect() (*Select, error) {
+func (p *parser) parseSelect() (*sql.Select, error) {
 	if _, err := p.expect(tokKeyword, "SELECT"); err != nil {
 		return nil, err
 	}
-	// Projection: '*' or a single column (projection is ignored by the
-	// executor, which always returns whole records, but IN-subqueries
-	// name a column for readability).
-	if !p.accept(tokSymbol, "*") {
-		if !p.at(tokIdent, "") {
-			return nil, p.errorf("expected '*' or column name after SELECT")
-		}
-		p.next()
+	if _, err := p.expect(tokSymbol, "*"); err != nil {
+		return nil, err
 	}
 	if _, err := p.expect(tokKeyword, "FROM"); err != nil {
 		return nil, err
@@ -86,7 +82,7 @@ func (p *parser) parseSelect() (*Select, error) {
 	if err != nil {
 		return nil, err
 	}
-	sel := &Select{Table: tbl}
+	sel := &sql.Select{Table: tbl}
 	if p.accept(tokKeyword, "WHERE") {
 		sel.Where, err = p.parseOr()
 		if err != nil {
@@ -153,12 +149,12 @@ func (p *parser) parseColumnRef() (string, error) {
 }
 
 // parseOr handles the lowest-precedence operator.
-func (p *parser) parseOr() (Expr, error) {
+func (p *parser) parseOr() (sql.Expr, error) {
 	left, err := p.parseAnd()
 	if err != nil {
 		return nil, err
 	}
-	operands := []Expr{left}
+	operands := []sql.Expr{left}
 	for p.accept(tokKeyword, "OR") {
 		right, err := p.parseAnd()
 		if err != nil {
@@ -169,15 +165,15 @@ func (p *parser) parseOr() (Expr, error) {
 	if len(operands) == 1 {
 		return left, nil
 	}
-	return &Or{Operands: operands}, nil
+	return &sql.Or{Operands: operands}, nil
 }
 
-func (p *parser) parseAnd() (Expr, error) {
+func (p *parser) parseAnd() (sql.Expr, error) {
 	left, err := p.parseUnary()
 	if err != nil {
 		return nil, err
 	}
-	operands := []Expr{left}
+	operands := []sql.Expr{left}
 	for p.accept(tokKeyword, "AND") {
 		right, err := p.parseUnary()
 		if err != nil {
@@ -188,16 +184,16 @@ func (p *parser) parseAnd() (Expr, error) {
 	if len(operands) == 1 {
 		return left, nil
 	}
-	return &And{Operands: operands}, nil
+	return &sql.And{Operands: operands}, nil
 }
 
-func (p *parser) parseUnary() (Expr, error) {
+func (p *parser) parseUnary() (sql.Expr, error) {
 	if p.accept(tokKeyword, "NOT") {
 		inner, err := p.parseUnary()
 		if err != nil {
 			return nil, err
 		}
-		return &Not{Operand: inner}, nil
+		return &sql.Not{Operand: inner}, nil
 	}
 	if p.accept(tokSymbol, "(") {
 		inner, err := p.parseOr()
@@ -212,11 +208,28 @@ func (p *parser) parseUnary() (Expr, error) {
 	return p.parsePredicate()
 }
 
-func (p *parser) parsePredicate() (Expr, error) {
+func (p *parser) parsePredicate() (sql.Expr, error) {
 	col, err := p.parseColumnRef()
 	if err != nil {
 		return nil, err
 	}
+	if p.accept(tokKeyword, "NOT") {
+		// column NOT BETWEEN / NOT LIKE
+		if !p.at(tokKeyword, "BETWEEN") && !p.at(tokKeyword, "LIKE") {
+			return nil, p.errorf("expected BETWEEN or LIKE after NOT, found %q", p.peek().text)
+		}
+		inner, err := p.parseCondition(col)
+		if err != nil {
+			return nil, err
+		}
+		return &sql.Not{Operand: inner}, nil
+	}
+	return p.parseCondition(col)
+}
+
+// parseCondition parses what follows a column: a comparison, BETWEEN
+// or LIKE.
+func (p *parser) parseCondition(col string) (sql.Expr, error) {
 	t := p.peek()
 	switch {
 	case t.kind == tokSymbol && isCompareOp(t.text):
@@ -225,7 +238,7 @@ func (p *parser) parsePredicate() (Expr, error) {
 		if err != nil {
 			return nil, err
 		}
-		return &Compare{Column: col, Op: BinaryOp(t.text), Value: val}, nil
+		return &sql.Compare{Column: col, Op: sql.BinaryOp(t.text), Value: val}, nil
 	case t.kind == tokKeyword && t.text == "BETWEEN":
 		p.next()
 		lo := p.peek()
@@ -241,7 +254,7 @@ func (p *parser) parsePredicate() (Expr, error) {
 			return nil, p.errorf("expected number after BETWEEN ... AND")
 		}
 		p.next()
-		return &Between{Column: col, Lo: lo.num, Hi: hi.num}, nil
+		return &sql.Between{Column: col, Lo: lo.num, Hi: hi.num}, nil
 	case t.kind == tokKeyword && t.text == "LIKE":
 		p.next()
 		lit := p.peek()
@@ -249,73 +262,9 @@ func (p *parser) parsePredicate() (Expr, error) {
 			return nil, p.errorf("expected string pattern after LIKE")
 		}
 		p.next()
-		pat := lit.text
-		pat = trimPercent(pat)
-		return &Like{Column: col, Pattern: pat}, nil
-	case t.kind == tokKeyword && t.text == "NOT":
-		// column NOT IN (...) / NOT BETWEEN / NOT LIKE
-		p.next()
-		inner, err := p.parseTailAfterNot(col)
-		if err != nil {
-			return nil, err
-		}
-		return &Not{Operand: inner}, nil
-	case t.kind == tokKeyword && t.text == "IN":
-		p.next()
-		return p.parseInTail(col)
+		return &sql.Like{Column: col, Pattern: trimPercent(lit.text)}, nil
 	}
 	return nil, p.errorf("expected comparison operator after column %q, found %q", col, t.text)
-}
-
-func (p *parser) parseTailAfterNot(col string) (Expr, error) {
-	t := p.peek()
-	switch {
-	case t.kind == tokKeyword && t.text == "IN":
-		p.next()
-		return p.parseInTail(col)
-	case t.kind == tokKeyword && t.text == "BETWEEN":
-		p.next()
-		lo := p.peek()
-		if lo.kind != tokNumber {
-			return nil, p.errorf("expected number after NOT BETWEEN")
-		}
-		p.next()
-		if _, err := p.expect(tokKeyword, "AND"); err != nil {
-			return nil, err
-		}
-		hi := p.peek()
-		if hi.kind != tokNumber {
-			return nil, p.errorf("expected number after NOT BETWEEN ... AND")
-		}
-		p.next()
-		return &Between{Column: col, Lo: lo.num, Hi: hi.num}, nil
-	case t.kind == tokKeyword && t.text == "LIKE":
-		p.next()
-		lit := p.peek()
-		if lit.kind != tokString {
-			return nil, p.errorf("expected string pattern after NOT LIKE")
-		}
-		p.next()
-		return &Like{Column: col, Pattern: trimPercent(lit.text)}, nil
-	}
-	return nil, p.errorf("expected IN, BETWEEN or LIKE after NOT, found %q", t.text)
-}
-
-func (p *parser) parseInTail(col string) (Expr, error) {
-	if _, err := p.expect(tokSymbol, "("); err != nil {
-		return nil, err
-	}
-	if !p.at(tokKeyword, "SELECT") {
-		return nil, p.errorf("IN requires a subquery in this subset")
-	}
-	sub, err := p.parseSelect()
-	if err != nil {
-		return nil, err
-	}
-	if _, err := p.expect(tokSymbol, ")"); err != nil {
-		return nil, err
-	}
-	return &In{Column: col, Sub: sub}, nil
 }
 
 func (p *parser) parseLiteral() (sqldb.Value, error) {
@@ -337,8 +286,8 @@ func (p *parser) parseLiteral() (sqldb.Value, error) {
 }
 
 func isCompareOp(s string) bool {
-	switch BinaryOp(s) {
-	case OpEq, OpNe, OpLt, OpLe, OpGt, OpGe:
+	switch sql.BinaryOp(s) {
+	case sql.OpEq, sql.OpNe, sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe:
 		return true
 	}
 	return false

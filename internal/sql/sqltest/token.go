@@ -1,13 +1,8 @@
-// Package sql implements the SQL subset that CQAds compiles questions
-// into (Sec. 4.5): single-table SELECTs with WHERE expressions over
-// =, <, >, <=, >=, <>, BETWEEN, LIKE and IN-subqueries, combined with
-// AND/OR/NOT, plus ORDER BY and LIMIT for superlatives and the
-// 30-answer cutoff. The executor evaluates set-at-a-time against the
-// sqldb indexes.
-package sql
+package sqltest
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -72,29 +67,17 @@ func lex(input string) ([]token, error) {
 			(c == '.' && i+1 < len(input) && input[i+1] >= '0' && input[i+1] <= '9') ||
 			(c == '-' && i+1 < len(input) && (input[i+1] >= '0' && input[i+1] <= '9' || input[i+1] == '.')):
 			// Numeric literal, optionally negative (the subset has no
-			// arithmetic, so '-' before a digit is always a sign).
-			j := i
-			neg := false
-			if input[j] == '-' {
-				neg = true
+			// arithmetic, so '-' before a digit is always a sign). The
+			// whole span goes through strconv.ParseFloat, so a literal
+			// reads back as the correctly rounded double sql.Select
+			// rendered.
+			j := i + 1
+			for j < len(input) && (input[j] >= '0' && input[j] <= '9' || input[j] == '.') {
 				j++
 			}
-			var v float64
-			for j < len(input) && input[j] >= '0' && input[j] <= '9' {
-				v = v*10 + float64(input[j]-'0')
-				j++
-			}
-			if j < len(input) && input[j] == '.' {
-				j++
-				frac := 0.1
-				for j < len(input) && input[j] >= '0' && input[j] <= '9' {
-					v += float64(input[j]-'0') * frac
-					frac /= 10
-					j++
-				}
-			}
-			if neg {
-				v = -v
+			v, err := strconv.ParseFloat(input[i:j], 64)
+			if err != nil {
+				return nil, fmt.Errorf("sql: malformed number %q at %d", input[i:j], i)
 			}
 			toks = append(toks, token{kind: tokNumber, text: input[i:j], num: v, pos: i})
 			i = j

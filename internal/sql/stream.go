@@ -10,8 +10,7 @@ import (
 	"repro/internal/sqldb"
 )
 
-// This file is the streaming query executor: a compile-once,
-// stream-everything replacement for the eager evaluator in exec.go.
+// This file is the streaming query executor.
 //
 // Compile turns a SELECT into a Plan from the table's schema and the
 // statement's shape alone — no table contents, no statistics, no
@@ -24,11 +23,9 @@ import (
 // on a trigram-indexed string column), else by its first drivable
 // leaf. Every other conjunct is pushed down as a per-row residual
 // predicate (sqldb.Pred) checked on the stream, so non-driving
-// conditions never materialize posting lists. OR and NOT nodes stay on
-// a materialize-and-merge path that reproduces the eager evaluator
-// exactly; IN subqueries are opaque and run through the eager
-// evaluator itself. A LIMIT with no ORDER BY is pushed into the scan
-// for early termination.
+// conditions never materialize posting lists. OR and NOT nodes
+// materialize their operands and merge sorted sets. A LIMIT with no
+// ORDER BY is pushed into the scan for early termination.
 //
 // A Plan annotates the *shape* of the expression tree (node kinds,
 // columns, operators) with driving choices, and Run re-binds the
@@ -40,16 +37,16 @@ import (
 // plan is defensively recompiled, so a mismatched plan can cost time
 // but never correctness.
 //
-// Exec = Compile + Run must return results bit-identical to
-// ExecLegacy for every valid query. The one intentional divergence is
-// error strictness: Compile validates the whole statement up front,
-// while the eager evaluator's AND short-circuits on an empty operand
-// and may never reach an invalid later operand. Exec is therefore
-// strictly stricter — it errors on every statement ExecLegacy errors
-// on, plus some ExecLegacy happens to answer by luck of evaluation
-// order.
+// Exec = Compile + Run must return results bit-identical to the eager
+// reference evaluator (sqltest.ExecLegacy) for every valid query. The
+// one intentional divergence is error strictness: Compile validates
+// the whole statement up front, while the eager evaluator's AND
+// short-circuits on an empty operand and may never reach an invalid
+// later operand. Exec is therefore strictly stricter — it errors on
+// every statement the reference errors on, plus some the reference
+// happens to answer by luck of evaluation order.
 
-// Exec evaluates a parsed SELECT against db and returns the matching
+// Exec evaluates a SELECT against db and returns the matching
 // row ids in result order (index order, then ORDER BY, then LIMIT).
 // It compiles a streaming plan and runs it; callers that execute the
 // same question shape repeatedly should cache the compiled plan
@@ -85,11 +82,10 @@ type Plan struct {
 type nodeKind int
 
 const (
-	nkLeaf   nodeKind = iota // Compare / Between / Like
-	nkAnd                    // streamed conjunction
-	nkOr                     // materialize-and-union
-	nkNot                    // materialize-and-complement
-	nkOpaque                 // IN subquery: eager evaluator
+	nkLeaf nodeKind = iota // Compare / Between / Like
+	nkAnd                  // streamed conjunction
+	nkOr                   // materialize-and-union
+	nkNot                  // materialize-and-complement
 )
 
 type leafKind int
@@ -109,7 +105,7 @@ type planNode struct {
 
 	// Leaf annotations.
 	leaf     leafKind
-	col      string   // also set on nkOpaque, for EXPLAIN
+	col      string
 	op       BinaryOp // Compare leaves
 	drivable bool     // usable as a conjunction's driving scan
 	indexed  bool     // the schema gives col an index that serves this leaf
@@ -121,9 +117,8 @@ type planNode struct {
 }
 
 // Compile analyzes sel against db's schema and returns a reusable
-// Plan. All validation the eager evaluator performs lazily (unknown
-// table or column, non-numeric range literal, cross-table IN subquery,
-// unknown ORDER BY column) happens here, up front.
+// Plan. All validation (unknown table or column, non-numeric range
+// literal, unknown ORDER BY column) happens here, up front.
 func Compile(db *sqldb.DB, sel *Select) (*Plan, error) {
 	tbl, err := resolveTable(db, sel.Table)
 	if err != nil {
@@ -131,7 +126,7 @@ func Compile(db *sqldb.DB, sel *Select) (*Plan, error) {
 	}
 	p := &Plan{table: sel.Table, orderBy: sel.OrderBy}
 	if sel.Where != nil {
-		p.root, err = compileNode(db, tbl, sel.Where)
+		p.root, err = compileNode(tbl, sel.Where)
 		if err != nil {
 			return nil, err
 		}
@@ -142,7 +137,7 @@ func Compile(db *sqldb.DB, sel *Select) (*Plan, error) {
 	return p, nil
 }
 
-func compileNode(db *sqldb.DB, tbl *sqldb.Table, e Expr) (*planNode, error) {
+func compileNode(tbl *sqldb.Table, e Expr) (*planNode, error) {
 	switch x := e.(type) {
 	case *Compare:
 		if tbl.ColumnIndex(x.Column) < 0 {
@@ -189,25 +184,10 @@ func compileNode(db *sqldb.DB, tbl *sqldb.Table, e Expr) (*planNode, error) {
 			n.access = "scan with substring verify"
 		}
 		return n, nil
-	case *In:
-		// Validate the subquery statically the way the eager evaluator
-		// does dynamically: it must compile, and it must select from
-		// the same table (Example 7's nested shape).
-		if _, err := Compile(db, x.Sub); err != nil {
-			return nil, err
-		}
-		subTbl, err := resolveTable(db, x.Sub.Table)
-		if err != nil {
-			return nil, err
-		}
-		if subTbl != tbl {
-			return nil, fmt.Errorf("sql: IN subquery over a different table (%q) is not supported", x.Sub.Table)
-		}
-		return &planNode{kind: nkOpaque, col: x.Column}, nil
 	case *And:
 		n := &planNode{kind: nkAnd, driving: -1}
 		for _, op := range x.Operands {
-			c, err := compileNode(db, tbl, op)
+			c, err := compileNode(tbl, op)
 			if err != nil {
 				return nil, err
 			}
@@ -235,7 +215,7 @@ func compileNode(db *sqldb.DB, tbl *sqldb.Table, e Expr) (*planNode, error) {
 	case *Or:
 		n := &planNode{kind: nkOr}
 		for _, op := range x.Operands {
-			c, err := compileNode(db, tbl, op)
+			c, err := compileNode(tbl, op)
 			if err != nil {
 				return nil, err
 			}
@@ -243,13 +223,26 @@ func compileNode(db *sqldb.DB, tbl *sqldb.Table, e Expr) (*planNode, error) {
 		}
 		return n, nil
 	case *Not:
-		c, err := compileNode(db, tbl, x.Operand)
+		c, err := compileNode(tbl, x.Operand)
 		if err != nil {
 			return nil, err
 		}
 		return &planNode{kind: nkNot, children: []*planNode{c}, predOK: c.predOK}, nil
 	}
 	return nil, fmt.Errorf("sql: unsupported expression node %T", e)
+}
+
+// resolveTable looks a table reference up by name, then by domain
+// name (so the generated SQL may reference either).
+func resolveTable(db *sqldb.DB, name string) (*sqldb.Table, error) {
+	tbl, ok := db.Table(name)
+	if !ok {
+		tbl, ok = db.TableForDomain(name)
+		if !ok {
+			return nil, fmt.Errorf("sql: unknown table %q", name)
+		}
+	}
+	return tbl, nil
 }
 
 func attrType(tbl *sqldb.Table, col string) schema.AttrType {
@@ -340,7 +333,7 @@ func (p *Plan) match(db *sqldb.DB, sel *Select, limit int) (*sqldb.Table, []sqld
 	if sel.Where == nil {
 		return tbl, tbl.AllRowIDs(), nil
 	}
-	ids, err := execNode(db, tbl, sel.Where, p.root, limit)
+	ids, err := execNode(tbl, sel.Where, p.root, limit)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -370,9 +363,6 @@ func nodeFits(e Expr, n *planNode) bool {
 		return n.kind == nkLeaf && n.leaf == lkBetween && n.col == x.Column
 	case *Like:
 		return n.kind == nkLeaf && n.leaf == lkLike && n.col == x.Column
-	case *In:
-		// Opaque nodes re-run full validation in the eager evaluator.
-		return n.kind == nkOpaque
 	case *And:
 		if n.kind != nkAnd || len(n.children) != len(x.Operands) {
 			return false
@@ -402,15 +392,13 @@ func nodeFits(e Expr, n *planNode) bool {
 // execNode evaluates one annotated node to a sorted id set. limit > 0
 // permits returning just the first limit ids of the ascending result
 // (callers pass it only when truncation commutes with the node).
-func execNode(db *sqldb.DB, tbl *sqldb.Table, e Expr, n *planNode, limit int) ([]sqldb.RowID, error) {
+func execNode(tbl *sqldb.Table, e Expr, n *planNode, limit int) ([]sqldb.RowID, error) {
 	switch n.kind {
 	case nkLeaf:
 		return execLeaf(tbl, e, limit)
-	case nkOpaque:
-		return evalExpr(db, tbl, e)
 	case nkNot:
 		x := e.(*Not)
-		inner, err := execNode(db, tbl, x.Operand, n.children[0], 0)
+		inner, err := execNode(tbl, x.Operand, n.children[0], 0)
 		if err != nil {
 			return nil, err
 		}
@@ -419,7 +407,7 @@ func execNode(db *sqldb.DB, tbl *sqldb.Table, e Expr, n *planNode, limit int) ([
 		x := e.(*Or)
 		var acc []sqldb.RowID
 		for i, op := range x.Operands {
-			ids, err := execNode(db, tbl, op, n.children[i], 0)
+			ids, err := execNode(tbl, op, n.children[i], 0)
 			if err != nil {
 				return nil, err
 			}
@@ -427,7 +415,7 @@ func execNode(db *sqldb.DB, tbl *sqldb.Table, e Expr, n *planNode, limit int) ([
 		}
 		return trim(acc, limit), nil
 	case nkAnd:
-		return execAnd(db, tbl, e.(*And), n, limit)
+		return execAnd(tbl, e.(*And), n, limit)
 	}
 	return nil, fmt.Errorf("sql: unsupported expression node %T", e)
 }
@@ -437,13 +425,13 @@ func execNode(db *sqldb.DB, tbl *sqldb.Table, e Expr, n *planNode, limit int) ([
 // table lock, composite conjuncts as sorted-set membership). The
 // result set equals the eager intersection of all operand sets; the
 // stream just never materializes the non-driving postings.
-func execAnd(db *sqldb.DB, tbl *sqldb.Table, x *And, n *planNode, limit int) ([]sqldb.RowID, error) {
+func execAnd(tbl *sqldb.Table, x *And, n *planNode, limit int) ([]sqldb.RowID, error) {
 	if len(x.Operands) == 0 || n.driving < 0 {
 		// Eager fallback: ordered intersection with short-circuit,
 		// exactly the legacy evaluator.
 		var acc []sqldb.RowID
 		for i, op := range x.Operands {
-			ids, err := execNode(db, tbl, op, n.children[i], 0)
+			ids, err := execNode(tbl, op, n.children[i], 0)
 			if err != nil {
 				return nil, err
 			}
@@ -470,7 +458,7 @@ func execAnd(db *sqldb.DB, tbl *sqldb.Table, x *And, n *planNode, limit int) ([]
 				continue
 			}
 		}
-		ids, err := execNode(db, tbl, op, n.children[i], 0)
+		ids, err := execNode(tbl, op, n.children[i], 0)
 		if err != nil {
 			return nil, err
 		}
@@ -619,6 +607,29 @@ func residualPred(e Expr) (sqldb.Pred, bool) {
 		return p.Negated(), true
 	}
 	return sqldb.Pred{}, false
+}
+
+// complement returns all live rows of tbl not present in ids (ids
+// must be sorted ascending). Tombstoned rows are never part of the
+// complement: the universe is the table's live row set.
+func complement(tbl *sqldb.Table, ids []sqldb.RowID) []sqldb.RowID {
+	all := tbl.AllRowIDs()
+	n := len(all) - len(ids)
+	if n < 0 {
+		n = 0
+	}
+	out := make([]sqldb.RowID, 0, n)
+	j := 0
+	for _, id := range all {
+		for j < len(ids) && ids[j] < id {
+			j++
+		}
+		if j < len(ids) && ids[j] == id {
+			continue
+		}
+		out = append(out, id)
+	}
+	return out
 }
 
 func trim(ids []sqldb.RowID, limit int) []sqldb.RowID {

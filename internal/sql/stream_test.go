@@ -1,4 +1,4 @@
-package sql
+package sql_test
 
 import (
 	"fmt"
@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"repro/internal/schema"
+	"repro/internal/sql"
+	"repro/internal/sql/sqltest"
 	"repro/internal/sqldb"
 )
 
@@ -23,17 +25,17 @@ func TestPlanLiteralIndependent(t *testing.T) {
 	const shape = "SELECT * FROM car_ads WHERE model LIKE '%s' AND price < %s AND year BETWEEN %s LIMIT 30"
 	qa := fmt.Sprintf(shape, "%cord%", "10000", "2000 AND 2005")
 	qb := fmt.Sprintf(shape, "%co%", "-1", "1 AND 99999")
-	var plans [2]*Plan
+	var plans [2]*sql.Plan
 	var explained [2]string
 	for i, q := range []string{qa, qb} {
-		sel, err := Parse(q)
+		sel, err := sqltest.Parse(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if plans[i], err = Compile(db, sel); err != nil {
+		if plans[i], err = sql.Compile(db, sel); err != nil {
 			t.Fatal(err)
 		}
-		if explained[i], err = Explain(db, sel); err != nil {
+		if explained[i], err = sql.Explain(db, sel); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -86,15 +88,15 @@ func TestPlanContentIndependent(t *testing.T) {
 		"SELECT * FROM car_ads WHERE make = 'honda' AND color = 'red' AND year BETWEEN 1995 AND 2000 AND model LIKE '%cord%'",
 		"SELECT * FROM car_ads WHERE (make = 'honda' OR make = 'kia') AND NOT color = 'blue' AND price > 2000 ORDER BY price LIMIT 5",
 	} {
-		sel, err := Parse(q)
+		sel, err := sqltest.Parse(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := Compile(small, sel)
+		a, err := sql.Compile(small, sel)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Compile(skewed, sel)
+		b, err := sql.Compile(skewed, sel)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -25,7 +25,6 @@ import (
 	"repro/internal/partition"
 	"repro/internal/persist"
 	"repro/internal/schema"
-	"repro/internal/sql"
 	"repro/internal/sqldb"
 )
 
@@ -834,8 +833,8 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 	}
 	p.Result = s.view(res)
 	if r.URL.Query().Get("explain") != "" && res.SQL != "" {
-		if plan, err := sql.ExplainString(s.sys.DB(), res.SQL); err == nil {
-			if s.sys.PlanCached(res.Domain, res.SQL) {
+		if plan, cached, err := s.sys.Explain(res); err == nil {
+			if cached {
 				plan += "  plan cache: hit (compiled plan reused for this question shape)\n"
 			} else {
 				plan += "  plan cache: miss (plan compiled for this execution)\n"

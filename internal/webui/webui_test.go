@@ -346,15 +346,18 @@ func TestExplainPanel(t *testing.T) {
 }
 
 // TestExplainSuperlativePlanCacheHit: a superlative answers through
-// the cached plan of its own ORDER BY shape (only the WHERE runs; the
-// extreme run replaces the sort), so asking it again must report the
-// shape the panel explains as a plan-cache hit.
+// the cached plan of its own ORDER BY shape, but only the WHERE runs
+// and an extreme run replaces the sort. The panel must say so, and
+// asking again must report that shape as a plan-cache hit.
 func TestExplainSuperlativePlanCacheHit(t *testing.T) {
 	const path = "/ask?domain=cars&q=cheapest+honda+accord&explain=1"
 	get(t, path)
 	body := get(t, path).Body.String()
-	if !strings.Contains(body, "sort by price ASC") {
-		t.Fatalf("explain panel does not show the superlative's ORDER BY shape:\n%s", body)
+	if !strings.Contains(body, "extreme run on price ASC over the matches, no sort") {
+		t.Fatalf("explain panel does not show the superlative's extreme run:\n%s", body)
+	}
+	if strings.Contains(body, "sort by") {
+		t.Errorf("explain panel describes a sort the superlative does not run:\n%s", body)
 	}
 	if !strings.Contains(body, "plan cache: hit") {
 		t.Error("second ask of a superlative question did not report a plan-cache hit")
