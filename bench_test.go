@@ -269,25 +269,6 @@ func BenchmarkStreamingExec(b *testing.B) {
 	})
 }
 
-// BenchmarkSubstringIndex compares trigram-indexed substring lookup
-// against a full scan (Sec. 4.5's substring index of length 3).
-func BenchmarkSubstringIndex(b *testing.B) {
-	e := env(b)
-	tbl, _ := e.DB.TableForDomain("cars")
-	b.Run("Trigram", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tbl.LookupSubstring("model", "cord")
-		}
-	})
-	b.Run("Scan", func(b *testing.B) {
-		// Force the scan path with a sub-trigram pattern that the
-		// verifier expands over all rows.
-		for i := 0; i < b.N; i++ {
-			tbl.LookupSubstring("model", "co")
-		}
-	})
-}
-
 // BenchmarkTrieVsMap compares trie tagging against a simple
 // hash-map longest-match tagger, the data-structure choice argued in
 // Sec. 4.1.3.

@@ -13,9 +13,9 @@
 // an eager set evaluator. The pipeline has three stages:
 //
 //   - Driving scans with per-row residuals. A conjunctive query
-//     copies the row ids of ONE driving leaf — served by the hash,
-//     ordered or trigram index (Table.AppendEqual/AppendRange/
-//     AppendSubstring) — into a pooled, caller-owned buffer, then
+//     copies the row ids of ONE driving leaf — served by the hash or
+//     ordered index (Table.AppendEqual/AppendRange) — into a pooled,
+//     caller-owned buffer, then
 //     checks the remaining conjuncts as per-row residual predicates
 //     under a single read lock (Table.FilterMatch), never
 //     materializing per-condition row sets (internal/sqldb/iter.go,
@@ -29,9 +29,10 @@
 //     every conjunction in that order, so sql.Compile reads the order
 //     off the statement: a conjunction is driven by its first operand
 //     that an index serves (= on a hashed Type I/II column, a range or
-//     BETWEEN on an ordered Type III column, LIKE on a
-//     trigram-indexed string column), else by its first drivable leaf,
-//     and the rest become residuals. No table statistics, no
+//     BETWEEN on an ordered Type III column), else by its first
+//     drivable leaf, and the rest become residuals. A residual selects
+//     exactly the rows its leaf's lookup would, so the answer does not
+//     depend on which operand drives. No table statistics, no
 //     selectivity estimates, no literal values enter a plan. OR and
 //     NOT subtrees fall back to materialize-and-merge; LIMIT is pushed
 //     into the driving scan when no ORDER BY reorders the stream.
@@ -75,6 +76,15 @@
 // same answers, and the AST has no IN node. The SQL parser and the
 // eager evaluator, which once read and ran IN, are now test support in
 // internal/sql/sqltest.
+//
+// A second departure from Sec. 4.5: the paper configures a MySQL
+// substring index of length 3 on every attribute, but the SQL CQAds
+// generates never has a substring predicate — tagging resolves every
+// categorical word to a whole domain value first — so no trigram index
+// is built and the subset has no LIKE (nor <>, which no question
+// produces either; negation is NOT). The dialect is exactly what
+// core.BuildSelect emits, and core.TestDialectIsWhatBuildSelectEmits
+// keeps the executor from accepting anything more.
 //
 // # Performance architecture
 //
@@ -147,7 +157,7 @@
 //
 //   - Storage. sqldb.Table is internally synchronized (RWMutex).
 //     Every mutation is atomic: a row and all of its index postings —
-//     hash, ordered, trigram — appear or disappear together, so no
+//     hash and ordered — appear or disappear together, so no
 //     reader ever observes a half-indexed row. Deletes tombstone the
 //     RowID (slots are retired, never reused) and remove postings in
 //     place, preserving each posting list's ascending-RowID order.

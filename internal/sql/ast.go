@@ -1,11 +1,12 @@
 // Package sql implements the SQL subset that CQAds compiles questions
 // into (Sec. 4.5): single-table SELECTs with WHERE expressions over
-// =, <, >, <=, >=, <>, BETWEEN and LIKE, combined with AND/OR/NOT,
-// plus ORDER BY and LIMIT for superlatives and the 30-answer cutoff.
-// SQL is output only: core.BuildSelect builds the AST, Select.SQL
-// renders it, and Compile plans it against the sqldb indexes. Nothing
-// in production parses SQL text; the parser and the eager reference
-// evaluator live in the test-support package sql/sqltest.
+// =, <, >, <=, >= and BETWEEN, combined with AND/OR/NOT, plus ORDER BY
+// and LIMIT for superlatives and the 30-answer cutoff. The subset is
+// exactly what core.BuildSelect emits and nothing more. SQL is output
+// only: core.BuildSelect builds the AST, Select.SQL renders it, and
+// Compile plans it against the sqldb indexes. Nothing in production
+// parses SQL text; the parser and the eager reference evaluator live
+// in the test-support package sql/sqltest.
 package sql
 
 import (
@@ -38,7 +39,6 @@ type BinaryOp string
 // Comparison operators of the subset.
 const (
 	OpEq BinaryOp = "="
-	OpNe BinaryOp = "<>"
 	OpLt BinaryOp = "<"
 	OpLe BinaryOp = "<="
 	OpGt BinaryOp = ">"
@@ -68,18 +68,6 @@ type Between struct {
 func (b *Between) SQL() string {
 	return fmt.Sprintf("%s BETWEEN %s AND %s",
 		b.Column, sqldb.Number(b.Lo), sqldb.Number(b.Hi))
-}
-
-// Like is `column LIKE '%pattern%'` — the only LIKE form the engine
-// supports, matching the substring-index use of Sec. 4.5.
-type Like struct {
-	Column  string
-	Pattern string // bare substring, without the % wrapping
-}
-
-// SQL implements Expr.
-func (l *Like) SQL() string {
-	return fmt.Sprintf("%s LIKE '%%%s%%'", l.Column, escape(l.Pattern))
 }
 
 // And is the conjunction of two or more operands.

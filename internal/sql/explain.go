@@ -10,10 +10,9 @@ import (
 // Explain renders the compiled plan for a SELECT — the plan Exec
 // runs, not a description beside it: for each conjunction the driving
 // scan and its access path (the hash primary/secondary indexes on Type
-// I/II columns, the ordered indexes on Type III columns, the length-3
-// trigram substring index for LIKE), the conjuncts pushed down as
-// per-row residual predicates, and the ones materialized into
-// membership sets. A plan is a function of schema and statement shape
+// I/II columns, the ordered indexes on Type III columns), the
+// conjuncts pushed down as per-row residual predicates, and the ones
+// materialized into membership sets. A plan is a function of schema and statement shape
 // only (Sec. 4.3's Type I → II → III order, read off the statement),
 // so conditions print with ? in place of their literals: two
 // statements of one shape explain identically.
@@ -91,8 +90,6 @@ func (n *planNode) shape() string {
 		return "NOT " + n.children[0].shape()
 	case n.leaf == lkBetween:
 		return n.col + " BETWEEN ? AND ?"
-	case n.leaf == lkLike:
-		return n.col + " LIKE ?"
 	}
 	return fmt.Sprintf("%s %s ?", n.col, n.op)
 }

@@ -58,33 +58,34 @@ func TestParseParenthesesOverridePrecedence(t *testing.T) {
 	}
 }
 
-// TestParseBetweenLikeInNot: BETWEEN, LIKE and NOT parse; IN is not
-// part of the subset, with or without NOT.
+// TestParseBetweenLikeInNot: BETWEEN and NOT parse; IN, LIKE, <> and
+// != are not part of the subset, with or without NOT.
 func TestParseBetweenLikeInNot(t *testing.T) {
 	sel, err := sqltest.Parse(`SELECT * FROM t WHERE price BETWEEN 2000 AND 7000
-		AND model LIKE '%cor%' AND NOT color = 'red'`)
+		AND NOT color = 'red'`)
 	if err != nil {
 		t.Fatal(err)
 	}
 	and := sel.Where.(*sql.And)
-	if len(and.Operands) != 3 {
+	if len(and.Operands) != 2 {
 		t.Fatalf("operands = %d", len(and.Operands))
 	}
 	if b := and.Operands[0].(*sql.Between); b.Lo != 2000 || b.Hi != 7000 {
 		t.Errorf("between = %+v", b)
 	}
-	if l := and.Operands[1].(*sql.Like); l.Pattern != "cor" {
-		t.Errorf("like = %+v", l)
-	}
-	if _, ok := and.Operands[2].(*sql.Not); !ok {
-		t.Errorf("not = %#v", and.Operands[2])
+	if _, ok := and.Operands[1].(*sql.Not); !ok {
+		t.Errorf("not = %#v", and.Operands[1])
 	}
 	for _, q := range []string{
 		"SELECT * FROM t WHERE id IN (SELECT id FROM t WHERE year > 2005)",
 		"SELECT * FROM t WHERE id NOT IN (SELECT id FROM t)",
+		"SELECT * FROM t WHERE model LIKE '%cor%'",
+		"SELECT * FROM t WHERE model NOT LIKE '%cor%'",
+		"SELECT * FROM t WHERE color <> 'red'",
+		"SELECT * FROM t WHERE color != 'red'",
 	} {
 		if _, err := sqltest.Parse(q); err == nil {
-			t.Errorf("Parse(%q) accepted an IN subquery", q)
+			t.Errorf("Parse(%q) accepted an operator outside the subset", q)
 		}
 	}
 }
@@ -160,7 +161,7 @@ func TestSQLRoundTrip(t *testing.T) {
 		"SELECT * FROM car_ads WHERE make = 'honda' AND model = 'accord' LIMIT 30",
 		"SELECT * FROM car_ads WHERE (make = 'toyota' AND model = 'corolla') OR (color = 'silver' AND NOT (transmission = 'manual'))",
 		"SELECT * FROM car_ads WHERE price BETWEEN 2000 AND 7000 ORDER BY price LIMIT 5",
-		"SELECT * FROM car_ads WHERE model LIKE '%cor%' ORDER BY year DESC",
+		"SELECT * FROM car_ads WHERE NOT (model = 'corolla') ORDER BY year DESC",
 	}
 	for _, q := range queries {
 		sel, err := sqltest.Parse(q)

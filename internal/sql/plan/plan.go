@@ -68,10 +68,6 @@ func writeShape(sb *strings.Builder, e sql.Expr) {
 		sb.WriteString("btw(")
 		sb.WriteString(x.Column)
 		sb.WriteByte(')')
-	case *sql.Like:
-		sb.WriteString("like(")
-		sb.WriteString(x.Column)
-		sb.WriteByte(')')
 	case *sql.And:
 		sb.WriteString("and(")
 		for i, op := range x.Operands {

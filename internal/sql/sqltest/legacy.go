@@ -53,11 +53,6 @@ func evalExpr(tbl *sqldb.Table, e sql.Expr) ([]sqldb.RowID, error) {
 			return nil, fmt.Errorf("sql: unknown column %q", n.Column)
 		}
 		return tbl.LookupRange(n.Column, n.Lo, n.Hi, true, true), nil
-	case *sql.Like:
-		if tbl.ColumnIndex(n.Column) < 0 {
-			return nil, fmt.Errorf("sql: unknown column %q", n.Column)
-		}
-		return tbl.LookupSubstring(n.Column, n.Pattern), nil
 	case *sql.And:
 		var acc []sqldb.RowID
 		for i, op := range n.Operands {
@@ -102,8 +97,6 @@ func evalCompare(tbl *sqldb.Table, c *sql.Compare) ([]sqldb.RowID, error) {
 	switch c.Op {
 	case sql.OpEq:
 		return tbl.LookupEqual(c.Column, c.Value), nil
-	case sql.OpNe:
-		return complement(tbl, tbl.LookupEqual(c.Column, c.Value)), nil
 	case sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe:
 		if !c.Value.IsNumber() {
 			return nil, fmt.Errorf("sql: %s requires a numeric literal on column %q", c.Op, c.Column)

@@ -8,7 +8,7 @@ import (
 )
 
 // Parse parses a SELECT statement of the subset sql.Select renders.
-// IN subqueries are not part of it.
+// IN subqueries, LIKE, <> and != are not part of it.
 func Parse(input string) (*sql.Select, error) {
 	toks, err := lex(input)
 	if err != nil {
@@ -214,9 +214,9 @@ func (p *parser) parsePredicate() (sql.Expr, error) {
 		return nil, err
 	}
 	if p.accept(tokKeyword, "NOT") {
-		// column NOT BETWEEN / NOT LIKE
-		if !p.at(tokKeyword, "BETWEEN") && !p.at(tokKeyword, "LIKE") {
-			return nil, p.errorf("expected BETWEEN or LIKE after NOT, found %q", p.peek().text)
+		// column NOT BETWEEN
+		if !p.at(tokKeyword, "BETWEEN") {
+			return nil, p.errorf("expected BETWEEN after NOT, found %q", p.peek().text)
 		}
 		inner, err := p.parseCondition(col)
 		if err != nil {
@@ -227,8 +227,8 @@ func (p *parser) parsePredicate() (sql.Expr, error) {
 	return p.parseCondition(col)
 }
 
-// parseCondition parses what follows a column: a comparison, BETWEEN
-// or LIKE.
+// parseCondition parses what follows a column: a comparison or
+// BETWEEN.
 func (p *parser) parseCondition(col string) (sql.Expr, error) {
 	t := p.peek()
 	switch {
@@ -255,14 +255,6 @@ func (p *parser) parseCondition(col string) (sql.Expr, error) {
 		}
 		p.next()
 		return &sql.Between{Column: col, Lo: lo.num, Hi: hi.num}, nil
-	case t.kind == tokKeyword && t.text == "LIKE":
-		p.next()
-		lit := p.peek()
-		if lit.kind != tokString {
-			return nil, p.errorf("expected string pattern after LIKE")
-		}
-		p.next()
-		return &sql.Like{Column: col, Pattern: trimPercent(lit.text)}, nil
 	}
 	return nil, p.errorf("expected comparison operator after column %q, found %q", col, t.text)
 }
@@ -287,18 +279,8 @@ func (p *parser) parseLiteral() (sqldb.Value, error) {
 
 func isCompareOp(s string) bool {
 	switch sql.BinaryOp(s) {
-	case sql.OpEq, sql.OpNe, sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe:
+	case sql.OpEq, sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe:
 		return true
 	}
 	return false
-}
-
-func trimPercent(s string) string {
-	for len(s) > 0 && s[0] == '%' {
-		s = s[1:]
-	}
-	for len(s) > 0 && s[len(s)-1] == '%' {
-		s = s[:len(s)-1]
-	}
-	return s
 }

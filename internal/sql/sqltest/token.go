@@ -15,7 +15,7 @@ const (
 	tokKeyword
 	tokNumber
 	tokString
-	tokSymbol // ( ) , * =  < > <= >= <>
+	tokSymbol // ( ) , * =  < > <= >=
 )
 
 // token is one lexical unit.
@@ -28,7 +28,7 @@ type token struct {
 
 var keywords = map[string]bool{
 	"SELECT": true, "FROM": true, "WHERE": true, "AND": true, "OR": true,
-	"NOT": true, "IN": true, "BETWEEN": true, "LIKE": true, "ORDER": true,
+	"NOT": true, "IN": true, "BETWEEN": true, "ORDER": true,
 	"BY": true, "LIMIT": true, "ASC": true, "DESC": true, "NULL": true,
 	"IS": true,
 }
@@ -94,28 +94,13 @@ func lex(input string) ([]token, error) {
 				toks = append(toks, token{kind: tokIdent, text: strings.ToLower(word), pos: i})
 			}
 			i = j
-		case c == '<':
-			if i+1 < len(input) && (input[i+1] == '=' || input[i+1] == '>') {
+		case c == '<' || c == '>':
+			if i+1 < len(input) && input[i+1] == '=' {
 				toks = append(toks, token{kind: tokSymbol, text: input[i : i+2], pos: i})
 				i += 2
 			} else {
-				toks = append(toks, token{kind: tokSymbol, text: "<", pos: i})
+				toks = append(toks, token{kind: tokSymbol, text: string(c), pos: i})
 				i++
-			}
-		case c == '>':
-			if i+1 < len(input) && input[i+1] == '=' {
-				toks = append(toks, token{kind: tokSymbol, text: ">=", pos: i})
-				i += 2
-			} else {
-				toks = append(toks, token{kind: tokSymbol, text: ">", pos: i})
-				i++
-			}
-		case c == '!':
-			if i+1 < len(input) && input[i+1] == '=' {
-				toks = append(toks, token{kind: tokSymbol, text: "<>", pos: i})
-				i += 2
-			} else {
-				return nil, fmt.Errorf("sql: unexpected '!' at %d", i)
 			}
 		case c == '=' || c == '(' || c == ')' || c == ',' || c == '*' || c == '.':
 			toks = append(toks, token{kind: tokSymbol, text: string(c), pos: i})

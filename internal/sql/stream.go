@@ -19,13 +19,14 @@ import (
 // and core.BuildSelect emits every conjunction in that order, so the
 // planner reads the order off the statement: each conjunction is
 // driven by its first operand that an index serves (= on a hashed Type
-// I/II column, a range or BETWEEN on an ordered Type III column, LIKE
-// on a trigram-indexed string column), else by its first drivable
-// leaf. Every other conjunct is pushed down as a per-row residual
-// predicate (sqldb.Pred) checked on the stream, so non-driving
-// conditions never materialize posting lists. OR and NOT nodes
-// materialize their operands and merge sorted sets. A LIMIT with no
-// ORDER BY is pushed into the scan for early termination.
+// I/II column, a range or BETWEEN on an ordered Type III column), else
+// by its first drivable leaf. Every other conjunct is pushed down as a
+// per-row residual predicate (sqldb.Pred) checked on the stream, so
+// non-driving conditions never materialize posting lists; a residual
+// selects exactly the rows its leaf's lookup would, so the result does
+// not depend on which operand drives. OR and NOT nodes materialize
+// their operands and merge sorted sets. A LIMIT with no ORDER BY is
+// pushed into the scan for early termination.
 //
 // A Plan annotates the *shape* of the expression tree (node kinds,
 // columns, operators) with driving choices, and Run re-binds the
@@ -82,7 +83,7 @@ type Plan struct {
 type nodeKind int
 
 const (
-	nkLeaf nodeKind = iota // Compare / Between / Like
+	nkLeaf nodeKind = iota // Compare / Between
 	nkAnd                  // streamed conjunction
 	nkOr                   // materialize-and-union
 	nkNot                  // materialize-and-complement
@@ -92,10 +93,8 @@ type leafKind int
 
 const (
 	lkEq leafKind = iota
-	lkNe
 	lkRange
 	lkBetween
-	lkLike
 )
 
 // planNode annotates one node of the expression tree.
@@ -149,10 +148,6 @@ func compileNode(tbl *sqldb.Table, e Expr) (*planNode, error) {
 			n.leaf = lkEq
 			n.drivable = true
 			n.indexed, n.access = equalAccess(tbl, x.Column)
-		case OpNe:
-			n.leaf = lkNe
-			_, eq := equalAccess(tbl, x.Column)
-			n.access = "complement of " + eq
 		case OpLt, OpLe, OpGt, OpGe:
 			// The one literal property Compile may look at is its type.
 			if !x.Value.IsNumber() {
@@ -171,18 +166,6 @@ func compileNode(tbl *sqldb.Table, e Expr) (*planNode, error) {
 		}
 		n := &planNode{kind: nkLeaf, leaf: lkBetween, col: x.Column, predOK: true, drivable: true}
 		n.indexed, n.access = rangeAccess(tbl, x.Column)
-		return n, nil
-	case *Like:
-		if tbl.ColumnIndex(x.Column) < 0 {
-			return nil, fmt.Errorf("sql: unknown column %q", x.Column)
-		}
-		n := &planNode{kind: nkLeaf, leaf: lkLike, col: x.Column, predOK: true, drivable: true}
-		if attrType(tbl, x.Column) != schema.TypeIII {
-			n.indexed = true
-			n.access = "trigram substring index (length-3) with verify; shorter patterns scan"
-		} else {
-			n.access = "scan with substring verify"
-		}
 		return n, nil
 	case *And:
 		n := &planNode{kind: nkAnd, driving: -1}
@@ -361,8 +344,6 @@ func nodeFits(e Expr, n *planNode) bool {
 		return true
 	case *Between:
 		return n.kind == nkLeaf && n.leaf == lkBetween && n.col == x.Column
-	case *Like:
-		return n.kind == nkLeaf && n.leaf == lkLike && n.col == x.Column
 	case *And:
 		if n.kind != nkAnd || len(n.children) != len(x.Operands) {
 			return false
@@ -506,8 +487,6 @@ func drivingIDs(tbl *sqldb.Table, e Expr, dst []sqldb.RowID) ([]sqldb.RowID, boo
 		}
 	case *Between:
 		return tbl.AppendRange(dst, x.Column, x.Lo, x.Hi, true, true), false
-	case *Like:
-		return tbl.AppendSubstring(dst, x.Column, x.Pattern), true
 	}
 	// Unreachable for leaves the planner marks drivable; scan everything.
 	return tbl.AppendLiveIDs(dst), true
@@ -542,8 +521,6 @@ func execLeaf(tbl *sqldb.Table, e Expr, limit int) ([]sqldb.RowID, error) {
 		switch x.Op {
 		case OpEq:
 			return trim(tbl.LookupEqual(x.Column, x.Value), limit), nil
-		case OpNe:
-			return trim(complement(tbl, tbl.LookupEqual(x.Column, x.Value)), limit), nil
 		case OpLt, OpLe, OpGt, OpGe:
 			if !x.Value.IsNumber() {
 				return nil, fmt.Errorf("sql: %s requires a numeric literal on column %q", x.Op, x.Column)
@@ -563,8 +540,6 @@ func execLeaf(tbl *sqldb.Table, e Expr, limit int) ([]sqldb.RowID, error) {
 		return nil, fmt.Errorf("sql: unsupported operator %q", x.Op)
 	case *Between:
 		return trim(tbl.LookupRange(x.Column, x.Lo, x.Hi, true, true), limit), nil
-	case *Like:
-		return trim(tbl.LookupSubstring(x.Column, x.Pattern), limit), nil
 	}
 	return nil, fmt.Errorf("sql: unsupported expression node %T", e)
 }
@@ -577,8 +552,6 @@ func residualPred(e Expr) (sqldb.Pred, bool) {
 		switch x.Op {
 		case OpEq:
 			return sqldb.NewEqualPred(x.Column, x.Value), true
-		case OpNe:
-			return sqldb.NewEqualPred(x.Column, x.Value).Negated(), true
 		case OpLt, OpLe, OpGt, OpGe:
 			if !x.Value.IsNumber() {
 				return sqldb.Pred{}, false
@@ -597,8 +570,6 @@ func residualPred(e Expr) (sqldb.Pred, bool) {
 		}
 	case *Between:
 		return sqldb.NewRangePred(x.Column, x.Lo, x.Hi, true, true), true
-	case *Like:
-		return sqldb.NewSubstringPred(x.Column, x.Pattern), true
 	case *Not:
 		p, ok := residualPred(x.Operand)
 		if !ok {
@@ -657,11 +628,6 @@ func ForEachMatch(db *sqldb.DB, tbl *sqldb.Table, e Expr, fn func(sqldb.RowID)) 
 		}
 		switch x.Op {
 		case OpEq:
-		case OpNe:
-			for _, id := range complement(tbl, tbl.LookupEqual(x.Column, x.Value)) {
-				fn(id)
-			}
-			return nil
 		case OpLt, OpLe, OpGt, OpGe:
 			if !x.Value.IsNumber() {
 				return fmt.Errorf("sql: %s requires a numeric literal on column %q", x.Op, x.Column)
@@ -670,10 +636,6 @@ func ForEachMatch(db *sqldb.DB, tbl *sqldb.Table, e Expr, fn func(sqldb.RowID)) 
 			return fmt.Errorf("sql: unsupported operator %q", x.Op)
 		}
 	case *Between:
-		if tbl.ColumnIndex(x.Column) < 0 {
-			return fmt.Errorf("sql: unknown column %q", x.Column)
-		}
-	case *Like:
 		if tbl.ColumnIndex(x.Column) < 0 {
 			return fmt.Errorf("sql: unknown column %q", x.Column)
 		}
@@ -703,7 +665,7 @@ func ForEachMatch(db *sqldb.DB, tbl *sqldb.Table, e Expr, fn func(sqldb.RowID)) 
 		}
 		return nil
 	}
-	// A validated =, range, BETWEEN or LIKE leaf.
+	// A validated =, range or BETWEEN leaf.
 	buf := idBufs.Get().(*[]sqldb.RowID)
 	ids, _ := drivingIDs(tbl, e, *buf)
 	for _, id := range ids {

@@ -17,14 +17,14 @@ import (
 // statement shape, and of nothing else.
 
 // TestPlanLiteralIndependent: nothing about a plan may depend on the
-// literals of the question that happened to compile it — a short LIKE
-// pattern or a range that misses every row plans, and explains,
+// literals of the question that happened to compile it — a value no
+// row holds or a range that misses every row plans, and explains,
 // exactly like any other.
 func TestPlanLiteralIndependent(t *testing.T) {
 	db, _ := execDB(t)
-	const shape = "SELECT * FROM car_ads WHERE model LIKE '%s' AND price < %s AND year BETWEEN %s LIMIT 30"
-	qa := fmt.Sprintf(shape, "%cord%", "10000", "2000 AND 2005")
-	qb := fmt.Sprintf(shape, "%co%", "-1", "1 AND 99999")
+	const shape = "SELECT * FROM car_ads WHERE color = '%s' AND price < %s AND year BETWEEN %s LIMIT 30"
+	qa := fmt.Sprintf(shape, "red", "10000", "2000 AND 2005")
+	qb := fmt.Sprintf(shape, "mauve", "-1", "1 AND 99999")
 	var plans [2]*sql.Plan
 	var explained [2]string
 	for i, q := range []string{qa, qb} {
@@ -85,7 +85,7 @@ func TestPlanContentIndependent(t *testing.T) {
 	for _, q := range []string{
 		"SELECT * FROM car_ads WHERE make = 'honda' AND price < 9000",
 		"SELECT * FROM car_ads WHERE price < 9000 AND make = 'honda'",
-		"SELECT * FROM car_ads WHERE make = 'honda' AND color = 'red' AND year BETWEEN 1995 AND 2000 AND model LIKE '%cord%'",
+		"SELECT * FROM car_ads WHERE make = 'honda' AND color = 'red' AND year BETWEEN 1995 AND 2000 AND model = 'accord'",
 		"SELECT * FROM car_ads WHERE (make = 'honda' OR make = 'kia') AND NOT color = 'blue' AND price > 2000 ORDER BY price LIMIT 5",
 	} {
 		sel, err := sqltest.Parse(q)

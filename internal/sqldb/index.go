@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -29,6 +30,16 @@ func indexKey(v Value) string {
 		return "n:" + Number(n).String()
 	}
 	return "s:" + v.Str()
+}
+
+// sameNumKey reports whether numbers a and b share an index key, i.e.
+// indexKey(Number(a)) == indexKey(Number(b)) without rendering either:
+// equal with the same sign (the keys of -0 and 0 differ), or both NaN.
+func sameNumKey(a, b float64) bool {
+	if a != a || b != b {
+		return a != a && b != b
+	}
+	return a == b && math.Signbit(a) == math.Signbit(b)
 }
 
 func (ix *hashIndex) insert(v Value, id RowID) {
@@ -60,16 +71,21 @@ func (ix *hashIndex) remove(v Value, id RowID) {
 	ix.postings[k] = ids
 }
 
-// lookup returns the posting list for v. The returned slice is shared;
-// callers must not mutate it.
+// lookup returns the posting list for v; NULL equals no row. The
+// returned slice is shared; callers must not mutate it.
 func (ix *hashIndex) lookup(v Value) []RowID {
+	if v.IsNull() {
+		return nil
+	}
 	return ix.postings[indexKey(v)]
 }
 
 // orderedIndex keeps (value, row) pairs sorted by numeric value,
 // supporting range scans and min/max queries for boundaries and
-// superlatives (Sec. 4.3 steps 3-4). The sort is deferred to the
-// first scan; sorting is synchronized so concurrent scans are safe.
+// superlatives (Sec. 4.3 steps 3-4). NaN is never indexed: it lies in
+// no range, and the sort and binary searches need a strict order over
+// the entries. The sort is deferred to the first scan; sorting is
+// synchronized so concurrent scans are safe.
 // Mutual exclusion between insert/remove and scans is provided by the
 // owning Table's RWMutex: mutations run under the exclusive lock, so
 // the old insert-concurrent-with-scan usage error can no longer occur
@@ -88,7 +104,7 @@ type orderedEntry struct {
 
 func (ix *orderedIndex) insert(v Value, id RowID) {
 	n, ok := v.tryNum()
-	if !ok {
+	if !ok || n != n {
 		return
 	}
 	ix.entries = append(ix.entries, orderedEntry{val: n, id: id})
@@ -101,7 +117,7 @@ func (ix *orderedIndex) insert(v Value, id RowID) {
 // linearly (sortedness is neither required nor disturbed).
 func (ix *orderedIndex) remove(v Value, id RowID) {
 	n, ok := v.tryNum()
-	if !ok {
+	if !ok || n != n {
 		return
 	}
 	at := -1
@@ -177,105 +193,9 @@ func (ix *orderedIndex) appendRange(dst []RowID, lo, hi float64, includeLo, incl
 	return dst
 }
 
-// trigramIndex is the paper's "primary MySQL substring index of
-// length 3 on all the attributes" (Sec. 4.5): each column value is
-// indexed under every length-3 substring of its text, allowing
-// candidate rows for a substring match to be found without a full
-// scan. Values shorter than 3 characters are indexed whole.
-type trigramIndex struct {
-	postings map[string][]RowID
-}
-
-func newTrigramIndex() *trigramIndex {
-	return &trigramIndex{postings: make(map[string][]RowID)}
-}
-
-// trigrams returns the distinct length-3 substrings of s, or {s}
-// when len(s) < 3.
-func trigrams(s string) []string {
-	if len(s) == 0 {
-		return nil
-	}
-	if len(s) < 3 {
-		return []string{s}
-	}
-	seen := make(map[string]struct{}, len(s))
-	out := make([]string, 0, len(s)-2)
-	for i := 0; i+3 <= len(s); i++ {
-		g := s[i : i+3]
-		if _, dup := seen[g]; dup {
-			continue
-		}
-		seen[g] = struct{}{}
-		out = append(out, g)
-	}
-	return out
-}
-
-func (ix *trigramIndex) insert(v Value, id RowID) {
-	if !v.IsString() {
-		return
-	}
-	for _, g := range trigrams(v.Str()) {
-		ids := ix.postings[g]
-		if n := len(ids); n > 0 && ids[n-1] == id {
-			continue // same row already posted under this gram
-		}
-		ix.postings[g] = append(ix.postings[g], id)
-	}
-}
-
-// remove deletes id from the posting list of every trigram of v,
-// preserving ascending order (insert posts each (gram, id) pair at
-// most once, so one binary-search removal per gram suffices).
-func (ix *trigramIndex) remove(v Value, id RowID) {
-	if !v.IsString() {
-		return
-	}
-	for _, g := range trigrams(v.Str()) {
-		ids := ix.postings[g]
-		i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-		if i >= len(ids) || ids[i] != id {
-			continue
-		}
-		ids = append(ids[:i], ids[i+1:]...)
-		if len(ids) == 0 {
-			delete(ix.postings, g)
-			continue
-		}
-		ix.postings[g] = ids
-	}
-}
-
-// candidates returns rows that may contain sub as a substring: the
-// intersection of the posting lists of sub's trigrams. Callers must
-// verify the match against the stored value (trigram intersection is
-// a superset of the true result).
-func (ix *trigramIndex) candidates(sub string) []RowID {
-	grams := trigrams(sub)
-	if len(grams) == 0 {
-		return nil
-	}
-	// Start from the rarest gram to keep the intersection small.
-	sort.Slice(grams, func(i, j int) bool {
-		return len(ix.postings[grams[i]]) < len(ix.postings[grams[j]])
-	})
-	result := ix.postings[grams[0]]
-	if len(result) == 0 {
-		return nil
-	}
-	for _, g := range grams[1:] {
-		result = IntersectSorted(result, ix.postings[g])
-		if len(result) == 0 {
-			return nil
-		}
-	}
-	return result
-}
-
 // IntersectSorted intersects two ascending RowID slices into a new
-// slice. It is the one merge kernel shared by the trigram index, the
-// SQL AND evaluator, and the relaxation engine's drop-set assembly.
+// slice. It is the one merge kernel shared by the SQL AND evaluator
+// and the relaxation engine's drop-set assembly.
 func IntersectSorted(a, b []RowID) []RowID {
 	n := len(a)
 	if len(b) < n {

@@ -4,54 +4,14 @@ import (
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"sort"
-	"strings"
+	"strconv"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/schema"
 )
-
-func TestTrigrams(t *testing.T) {
-	cases := []struct {
-		in   string
-		want []string
-	}{
-		{"", nil},
-		{"ab", []string{"ab"}},
-		{"abc", []string{"abc"}},
-		{"abcd", []string{"abc", "bcd"}},
-		{"aaaa", []string{"aaa"}}, // dedup
-	}
-	for _, c := range cases {
-		if got := trigrams(c.in); !reflect.DeepEqual(got, c.want) {
-			t.Errorf("trigrams(%q) = %v, want %v", c.in, got, c.want)
-		}
-	}
-}
-
-func TestTrigramIndexCandidatesSuperset(t *testing.T) {
-	// Property: the trigram candidates always include every row whose
-	// value truly contains the substring (no false negatives).
-	rng := rand.New(rand.NewSource(1))
-	words := []string{"honda", "accord", "camry", "corolla", "mustang", "charger", "outback"}
-	ix := newTrigramIndex()
-	var stored []string
-	for i := 0; i < 200; i++ {
-		v := words[rng.Intn(len(words))] + words[rng.Intn(len(words))][:3]
-		stored = append(stored, v)
-		ix.insert(String(v), RowID(i))
-	}
-	for _, sub := range []string{"hon", "cord", "mus", "ack", "ndaac", "zzz"} {
-		cands := map[RowID]bool{}
-		for _, id := range ix.candidates(sub) {
-			cands[id] = true
-		}
-		for i, v := range stored {
-			if strings.Contains(v, sub) && !cands[RowID(i)] {
-				t.Errorf("substring %q: row %d (%q) missing from candidates", sub, i, v)
-			}
-		}
-	}
-}
 
 func TestOrderedIndexRange(t *testing.T) {
 	ix := &orderedIndex{}
@@ -79,19 +39,33 @@ func TestOrderedIndexRange(t *testing.T) {
 	}
 }
 
+// TestOrderedIndexMatchesBruteForce: a range scan returns exactly the
+// values in range, with NaN and ±Inf among the inputs (quick generates
+// only finite floats, so special turns some of them into those). NaN
+// lies in no range, and one NaN must not disturb the order the binary
+// searches rely on.
 func TestOrderedIndexMatchesBruteForce(t *testing.T) {
-	f := func(vals []float64, lo, hi float64) bool {
+	f := func(vals []float64, special []uint8, lo, hi float64) bool {
 		if len(vals) > 50 {
 			vals = vals[:50]
 		}
 		if lo > hi {
 			lo, hi = hi, lo
 		}
+		for i := range vals {
+			if i < len(special) {
+				switch special[i] % 6 {
+				case 0:
+					vals[i] = math.NaN()
+				case 1:
+					vals[i] = math.Inf(1)
+				case 2:
+					vals[i] = math.Inf(-1)
+				}
+			}
+		}
 		ix := &orderedIndex{}
 		for i, v := range vals {
-			if math.IsNaN(v) || math.IsInf(v, 0) {
-				return true // skip degenerate inputs
-			}
 			ix.insert(Number(v), RowID(i))
 		}
 		got := map[RowID]bool{}
@@ -99,7 +73,7 @@ func TestOrderedIndexMatchesBruteForce(t *testing.T) {
 			got[id] = true
 		}
 		for i, v := range vals {
-			want := v >= lo && v <= hi
+			want := v >= lo && v <= hi // false for NaN
 			if got[RowID(i)] != want {
 				return false
 			}
@@ -164,4 +138,105 @@ func TestSetOperationsProperties(t *testing.T) {
 			t.Fatalf("seed %d: union not sorted", seed)
 		}
 	}
+}
+
+// orderedCell decodes one byte (its low 7 bits) into a Type III cell:
+// NULL, numbers with dense duplicates, NaN, −0, ±Inf, two spellings of
+// each number as a string, numeric strings for the specials, and
+// non-numeric strings.
+func orderedCell(b byte) Value {
+	k := float64(b>>3&15) - 4 // -4..11
+	switch b & 7 {
+	case 0:
+		return Null
+	case 1:
+		return Number(k)
+	case 2:
+		return Number(k / 4)
+	case 3:
+		return String(strconv.FormatFloat(k, 'f', -1, 64))
+	case 4:
+		return String(strconv.FormatFloat(k, 'e', -1, 64))
+	case 5:
+		return Number([]float64{math.NaN(), math.Copysign(0, -1), math.Inf(1), math.Inf(-1)}[b>>3&3])
+	case 6:
+		return String([]string{"nan", "-0", "inf", "-infinity"}[b>>3&3])
+	default:
+		return String([]string{"cheap", "n/a", "zero", ""}[b>>3&3])
+	}
+}
+
+// checkOrderedMatchesScan holds the two Type III access paths to the
+// per-row predicates: LookupRange (the ordered index) to a PredRange
+// scan for every inclusivity, and AppendEqual (a scan with Equal) to
+// the degenerate range LookupRange(v, v, true, true).
+func checkOrderedMatchesScan(t *testing.T, tbl *Table, lo, hi float64) {
+	t.Helper()
+	for _, b := range [][2]float64{{lo, hi}, {NegInf, PosInf}, {NegInf, hi}, {lo, PosInf}} {
+		for _, inc := range [][2]bool{{true, true}, {true, false}, {false, true}, {false, false}} {
+			p := NewRangePred("price", b[0], b[1], inc[0], inc[1])
+			var want []RowID
+			for _, id := range tbl.AllRowIDs() {
+				if tbl.MatchRow(id, p) {
+					want = append(want, id)
+				}
+			}
+			if got := tbl.LookupRange("price", b[0], b[1], inc[0], inc[1]); !slices.Equal(got, want) {
+				t.Fatalf("LookupRange(%v, %v, %v, %v) = %v, PredRange scan = %v", b[0], b[1], inc[0], inc[1], got, want)
+			}
+		}
+	}
+	for _, v := range []float64{lo, hi, 0, math.Copysign(0, -1), 2, 0.5, math.Inf(1), math.Inf(-1), math.NaN()} {
+		got := tbl.AppendEqual(nil, "price", Number(v))
+		if want := tbl.LookupRange("price", v, v, true, true); !slices.Equal(got, want) {
+			t.Fatalf("AppendEqual(price = %v) = %v, LookupRange(%v, %v) = %v", v, got, v, v, want)
+		}
+	}
+}
+
+// FuzzOrderedIndexMatchesScan runs fuzzed inserts and deletes on a
+// Type III column and then checks both of its access paths against a
+// scan (checkOrderedMatchesScan). Each op byte inserts
+// orderedCell(b&0x7f) when its high bit is clear, deletes a live row
+// when it is set, and 0xff sorts the index so later deletes take the
+// binary-search path.
+func FuzzOrderedIndexMatchesScan(f *testing.F) {
+	f.Add([]byte{1, 9, 17, 5, 25, 0x80, 3, 4}, 0.0, 2.0)
+	f.Add([]byte{5, 13, 21, 29, 1, 9, 0xff, 0x81, 5, 0x80}, math.Inf(-1), math.Inf(1))
+	f.Add([]byte{6, 14, 22, 30, 7, 15, 0, 11, 12}, math.Copysign(0, -1), 0.0)
+	rng := rand.New(rand.NewSource(1))
+	for range 40 {
+		ops := make([]byte, 60)
+		rng.Read(ops)
+		f.Add(ops, float64(rng.Intn(16)-4)/2, float64(rng.Intn(16)-4))
+	}
+	f.Fuzz(func(t *testing.T, ops []byte, lo, hi float64) {
+		if len(ops) > 200 {
+			ops = ops[:200]
+		}
+		tbl, err := NewTable(schema.Cars())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var live []RowID
+		for _, b := range ops {
+			switch {
+			case b == 0xff:
+				tbl.LookupRange("price", NegInf, PosInf, true, true)
+			case b&0x80 != 0 && len(live) > 0:
+				i := int(b&0x7f) % len(live)
+				if err := tbl.Delete(live[i]); err != nil {
+					t.Fatal(err)
+				}
+				live = slices.Delete(live, i, i+1)
+			case b&0x80 == 0:
+				id, err := tbl.Insert(map[string]Value{"make": String("honda"), "price": orderedCell(b)})
+				if err != nil {
+					t.Fatal(err)
+				}
+				live = append(live, id)
+			}
+		}
+		checkOrderedMatchesScan(t, tbl, lo, hi)
+	})
 }

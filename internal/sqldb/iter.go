@@ -2,7 +2,8 @@ package sqldb
 
 import (
 	"math"
-	"strings"
+
+	"repro/internal/schema"
 )
 
 // This file adds the access layer the streaming query executor
@@ -13,60 +14,58 @@ import (
 // Delete edits posting lists in place, so every scan copies the ids it
 // needs while holding the table's read lock — into a fresh slice (the
 // Lookup* methods) or into a caller-owned buffer the caller may pool
-// and reuse (AppendEqual, AppendRange, AppendSubstring,
-// AppendLiveIDs). Reading the copy therefore needs no lock, no caller
-// callback ever runs under the lock, and a concurrent mutation never
-// tears an in-flight scan; as with all multi-call read sequences on a
-// Table, the copy reflects the table at scan time, not a transaction.
+// and reuse (AppendEqual, AppendRange, AppendLiveIDs). Reading the
+// copy therefore needs no lock, no caller callback ever runs under the
+// lock, and a concurrent mutation never tears an in-flight scan; as
+// with all multi-call read sequences on a Table, the copy reflects the
+// table at scan time, not a transaction.
 
 // PredKind enumerates residual predicate forms.
 type PredKind int
 
 // Residual predicate kinds.
 const (
-	// PredEqual matches rows whose column Equal()s Value.
+	// PredEqual matches the rows LookupEqual returns for Value.
 	PredEqual PredKind = iota
 	// PredRange matches rows whose column is numeric and within
 	// [Lo, Hi] under the stated inclusivity.
 	PredRange
-	// PredSubstring matches rows whose string column contains Sub
-	// (Sub must already be lower-cased; NewSubstringPred does it).
-	PredSubstring
 )
 
 // Pred is one residual predicate: a WHERE leaf evaluated per row
 // against the stored value instead of through an index. Its semantics
-// are exactly those of the corresponding index lookup (LookupEqual /
-// LookupRange / LookupSubstring), so a conjunct pushed down as a
-// residual filter selects the same rows it would have selected as a
-// materialized posting list. Negate inverts the match over live rows,
-// mirroring the complement the eager evaluator computes for NOT and
-// <>.
+// are exactly those of the corresponding lookup (LookupEqual /
+// LookupRange), so a conjunct pushed down as a residual filter selects
+// the same rows it would have selected as a materialized posting list,
+// whichever operand of a conjunction drives the scan. Negate inverts
+// the match over live rows, mirroring the complement the eager
+// evaluator computes for NOT. Build predicates with NewEqualPred and
+// NewRangePred.
 type Pred struct {
 	Kind         PredKind
 	Col          string
 	Value        Value   // PredEqual
 	Lo, Hi       float64 // PredRange
 	IncLo, IncHi bool    // PredRange
-	Sub          string  // PredSubstring, lower-cased
 	Negate       bool
+
+	// num and numeric classify an equality literal once: only a
+	// numeric one (a number or a numeric string) can tell the hash
+	// index's key equality apart from Value.Equal.
+	num     float64
+	numeric bool
 }
 
 // NewEqualPred builds an equality residual.
 func NewEqualPred(col string, v Value) Pred {
-	return Pred{Kind: PredEqual, Col: col, Value: v}
+	n, ok := v.tryNum()
+	return Pred{Kind: PredEqual, Col: col, Value: v, num: n, numeric: ok}
 }
 
 // NewRangePred builds a numeric range residual. Use math.Inf for open
 // ends.
 func NewRangePred(col string, lo, hi float64, incLo, incHi bool) Pred {
 	return Pred{Kind: PredRange, Col: col, Lo: lo, Hi: hi, IncLo: incLo, IncHi: incHi}
-}
-
-// NewSubstringPred builds a substring residual, lower-casing sub the
-// way LookupSubstring does.
-func NewSubstringPred(col, sub string) Pred {
-	return Pred{Kind: PredSubstring, Col: col, Sub: strings.ToLower(sub)}
 }
 
 // Negated returns a copy of p with the match inverted.
@@ -115,7 +114,16 @@ func (t *Table) matchLocked(id RowID, p *Pred) bool {
 	var match bool
 	switch p.Kind {
 	case PredEqual:
-		match = v.Equal(p.Value)
+		if p.numeric && t.schema.Attrs[i].Type != schema.TypeIII {
+			// A hash-indexed column: the index's key equality, under
+			// which '2', '2.0' and 2 are one value.
+			n, isNum := v.tryNum()
+			match = isNum && sameNumKey(n, p.num)
+		} else {
+			// A non-numeric literal keys its own text, which is what
+			// Equal compares; a Type III column is scanned with Equal.
+			match = v.Equal(p.Value)
+		}
 	case PredRange:
 		n, isNum := v.tryNum()
 		if isNum {
@@ -123,8 +131,6 @@ func (t *Table) matchLocked(id RowID, p *Pred) bool {
 			okHi := n < p.Hi || (p.IncHi && n == p.Hi)
 			match = okLo && okHi
 		}
-	case PredSubstring:
-		match = strings.Contains(v.Str(), p.Sub)
 	}
 	if p.Negate {
 		return !match

@@ -49,9 +49,6 @@ func TestDeleteSemantics(t *testing.T) {
 	if ids := tbl.LookupRange("price", 10000, 12000, true, true); len(ids) != 0 {
 		t.Errorf("LookupRange over deleted row = %v", ids)
 	}
-	if ids := tbl.LookupSubstring("model", "ivi"); len(ids) != 0 {
-		t.Errorf("LookupSubstring over deleted row = %v", ids)
-	}
 	// MinMax skips the deleted row (its price 11000 no longer counts).
 	if _, hi, ok := tbl.MinMax("mileage", nil); !ok || hi != 90000 {
 		t.Errorf("MinMax(mileage) hi = %g", hi)
@@ -77,8 +74,8 @@ func TestDeleteSemantics(t *testing.T) {
 }
 
 // TestPostingListsStayAscending asserts the invariant LookupEqual
-// relies on to skip re-sorting: hash and trigram posting lists are
-// kept in ascending RowID order through arbitrary insert/delete
+// relies on to skip re-sorting: hash posting lists are kept in
+// ascending RowID order through arbitrary insert/delete
 // interleavings, and the ordered index stays sorted through deletes.
 func TestPostingListsStayAscending(t *testing.T) {
 	tbl, err := NewTable(schema.Cars())
@@ -116,13 +113,6 @@ func TestPostingListsStayAscending(t *testing.T) {
 		for key, ids := range ix.postings {
 			if !sort.SliceIsSorted(ids, func(i, j int) bool { return ids[i] < ids[j] }) {
 				t.Fatalf("hash postings %s[%s] not ascending: %v", col, key, ids)
-			}
-		}
-	}
-	for col, ix := range tbl.substr {
-		for gram, ids := range ix.postings {
-			if !sort.SliceIsSorted(ids, func(i, j int) bool { return ids[i] < ids[j] }) {
-				t.Fatalf("trigram postings %s[%q] not ascending: %v", col, gram, ids)
 			}
 		}
 	}
@@ -208,7 +198,6 @@ func TestConcurrentMutateAndScan(t *testing.T) {
 					return
 				}
 				tbl.LookupRange("price", 4000, 9000, true, true)
-				tbl.LookupSubstring("model", "cor")
 				tbl.MinMax("price", nil)
 				tbl.Stats()
 				for _, id := range tbl.AllRowIDs() {

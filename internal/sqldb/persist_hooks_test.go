@@ -57,7 +57,7 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(rt.AllRowIDs(), tbl.AllRowIDs()) {
 		t.Errorf("AllRowIDs = %v, want %v", rt.AllRowIDs(), tbl.AllRowIDs())
 	}
-	// Hash index (Type I/II), ordered index (Type III), trigram index.
+	// Hash index (Type I/II), ordered index (Type III).
 	for _, c := range []struct {
 		col string
 		v   Value
@@ -72,9 +72,6 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 	}
 	if got, want := rt.LookupRange("price", 8000, math.Inf(1), true, true), tbl.LookupRange("price", 8000, math.Inf(1), true, true); !reflect.DeepEqual(got, want) {
 		t.Errorf("LookupRange = %v, want %v", got, want)
-	}
-	if got, want := rt.LookupSubstring("model", "cco"), tbl.LookupSubstring("model", "cco"); !reflect.DeepEqual(got, want) {
-		t.Errorf("LookupSubstring = %v, want %v", got, want)
 	}
 	// NULL round-trips as NULL.
 	if !rt.Value(3, "price").IsNull() {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"slices"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -21,9 +20,9 @@ type Record struct {
 
 // Table is a single relation with its indexes. The index layout
 // follows Sec. 4.3: Type I attributes get the primary (hash) index,
-// Type II attributes get secondary hash indexes, Type III attributes
-// get ordered indexes, and every string column additionally gets a
-// length-3 substring index (Sec. 4.5).
+// Type II attributes get secondary hash indexes, and Type III
+// attributes get ordered indexes. These are exactly the access paths
+// the generated SQL drives; there is no substring index (doc.go).
 //
 // # Mutability and concurrency
 //
@@ -34,7 +33,7 @@ type Record struct {
 // a half-indexed row. Deletes are tombstoned: the RowID slot is
 // retired, never reused, and the dead row's postings are removed from
 // every index in place, preserving the ascending-RowID ordering of
-// hash and trigram posting lists. Multi-call read sequences (a query
+// the hash posting lists. Multi-call read sequences (a query
 // that looks up ids and then fetches records) are NOT a snapshot:
 // a concurrent writer may add or remove rows between calls, and
 // readers observe each mutation atomically but immediately. Version
@@ -51,7 +50,6 @@ type Table struct {
 	version atomic.Uint64
 	hash    map[string]*hashIndex    // cqads:guarded-by mu (Type I + Type II columns)
 	ordered map[string]*orderedIndex // cqads:guarded-by mu (Type III columns)
-	substr  map[string]*trigramIndex // cqads:guarded-by mu (all string columns)
 
 	// recMu guards the lazily cached rendered record maps handed out by
 	// RecordMap; recVer is the table version the cache was built
@@ -68,24 +66,55 @@ func NewTable(s *schema.Schema) (*Table, error) {
 		return nil, fmt.Errorf("sqldb: %w", err)
 	}
 	t := &Table{
-		name:    s.Table,
-		schema:  s,
-		colIdx:  make(map[string]int, len(s.Attrs)),
-		hash:    make(map[string]*hashIndex),
-		ordered: make(map[string]*orderedIndex),
-		substr:  make(map[string]*trigramIndex),
+		name:   s.Table,
+		schema: s,
+		colIdx: make(map[string]int, len(s.Attrs)),
 	}
 	for i, a := range s.Attrs {
 		t.colIdx[a.Name] = i
-		switch a.Type {
-		case schema.TypeI, schema.TypeII:
-			t.hash[a.Name] = newHashIndex()
-			t.substr[a.Name] = newTrigramIndex()
-		case schema.TypeIII:
+	}
+	t.resetIndexes()
+	return t, nil
+}
+
+// resetIndexes gives every column an empty index: a hash index on
+// Type I and II columns, an ordered index on Type III columns.
+//
+// cqads:requires-lock mu
+func (t *Table) resetIndexes() {
+	t.hash = make(map[string]*hashIndex)
+	t.ordered = make(map[string]*orderedIndex)
+	for _, a := range t.schema.Attrs {
+		if a.Type == schema.TypeIII {
 			t.ordered[a.Name] = &orderedIndex{}
+		} else {
+			t.hash[a.Name] = newHashIndex()
 		}
 	}
-	return t, nil
+}
+
+// indexLocked posts row id's values to every index.
+//
+// cqads:requires-lock mu
+func (t *Table) indexLocked(id RowID, row []Value) {
+	for col, ix := range t.hash {
+		ix.insert(row[t.colIdx[col]], id)
+	}
+	for col, ix := range t.ordered {
+		ix.insert(row[t.colIdx[col]], id)
+	}
+}
+
+// unindexLocked removes row id's values from every index.
+//
+// cqads:requires-lock mu
+func (t *Table) unindexLocked(id RowID, row []Value) {
+	for col, ix := range t.hash {
+		ix.remove(row[t.colIdx[col]], id)
+	}
+	for col, ix := range t.ordered {
+		ix.remove(row[t.colIdx[col]], id)
+	}
 }
 
 // Name returns the relation name.
@@ -155,18 +184,7 @@ func (t *Table) Insert(values map[string]Value) (RowID, error) {
 	t.rows = append(t.rows, Record{ID: id, Values: row})
 	t.dead = append(t.dead, false)
 	t.live++
-	for col, i := range t.colIdx {
-		v := row[i]
-		if ix, ok := t.hash[col]; ok {
-			ix.insert(v, id)
-		}
-		if ix, ok := t.ordered[col]; ok {
-			ix.insert(v, id)
-		}
-		if ix, ok := t.substr[col]; ok {
-			ix.insert(v, id)
-		}
-	}
+	t.indexLocked(id, row)
 	t.version.Add(1)
 	return id, nil
 }
@@ -203,18 +221,7 @@ func (t *Table) InsertAt(id RowID, values map[string]Value) error {
 	t.rows = append(t.rows, Record{ID: id, Values: row})
 	t.dead = append(t.dead, false)
 	t.live++
-	for col, i := range t.colIdx {
-		v := row[i]
-		if ix, ok := t.hash[col]; ok {
-			ix.insert(v, id)
-		}
-		if ix, ok := t.ordered[col]; ok {
-			ix.insert(v, id)
-		}
-		if ix, ok := t.substr[col]; ok {
-			ix.insert(v, id)
-		}
-	}
+	t.indexLocked(id, row)
 	t.version.Add(1)
 	return nil
 }
@@ -232,18 +239,7 @@ func (t *Table) Delete(id RowID) error {
 	if t.dead[id] {
 		return fmt.Errorf("sqldb: table %s row %d is already deleted", t.name, id)
 	}
-	for col, i := range t.colIdx {
-		v := t.rows[id].Values[i]
-		if ix, ok := t.hash[col]; ok {
-			ix.remove(v, id)
-		}
-		if ix, ok := t.ordered[col]; ok {
-			ix.remove(v, id)
-		}
-		if ix, ok := t.substr[col]; ok {
-			ix.remove(v, id)
-		}
-	}
+	t.unindexLocked(id, t.rows[id].Values)
 	t.dead[id] = true
 	t.live--
 	t.version.Add(1)
@@ -386,44 +382,6 @@ func (t *Table) appendRangeLocked(dst []RowID, col string, lo, hi float64, incLo
 		okLo := n > lo || (incLo && n == lo)
 		okHi := n < hi || (incHi && n == hi)
 		if okLo && okHi {
-			dst = append(dst, RowID(id))
-		}
-	}
-	return dst
-}
-
-// LookupSubstring returns rows whose string col contains sub, in
-// ascending RowID order, accelerated by the trigram index and verified
-// against stored values.
-func (t *Table) LookupSubstring(col, sub string) []RowID {
-	return t.AppendSubstring(nil, col, sub)
-}
-
-// AppendSubstring appends the rows whose string col contains sub to
-// dst, in ascending RowID order, and returns the extended slice —
-// LookupSubstring into a caller-owned buffer. Like AppendEqual, it
-// reads the trigram postings only under the read lock.
-func (t *Table) AppendSubstring(dst []RowID, col, sub string) []RowID {
-	sub = strings.ToLower(sub)
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	i, ok := t.colIdx[col]
-	if !ok {
-		return dst
-	}
-	// Patterns shorter than the trigram length cannot use the index
-	// (stored keys are length-3 grams); scan instead, as MySQL's
-	// length-3 substring index would.
-	if ix, ok := t.substr[col]; ok && len(sub) >= 3 {
-		for _, id := range ix.candidates(sub) {
-			if strings.Contains(t.rows[id].Values[i].Str(), sub) {
-				dst = append(dst, id)
-			}
-		}
-		return dst
-	}
-	for id := range t.rows {
-		if !t.dead[id] && strings.Contains(t.rows[id].Values[i].Str(), sub) {
 			dst = append(dst, RowID(id))
 		}
 	}
@@ -583,35 +541,13 @@ func (t *Table) RestoreState(slots int, rows []Record) error {
 	for i := range dead {
 		dead[i] = true
 	}
-	t.hash = make(map[string]*hashIndex)
-	t.ordered = make(map[string]*orderedIndex)
-	t.substr = make(map[string]*trigramIndex)
-	for _, a := range t.schema.Attrs {
-		switch a.Type {
-		case schema.TypeI, schema.TypeII:
-			t.hash[a.Name] = newHashIndex()
-			t.substr[a.Name] = newTrigramIndex()
-		case schema.TypeIII:
-			t.ordered[a.Name] = &orderedIndex{}
-		}
-	}
+	t.resetIndexes()
 	for _, r := range rows {
 		vals := make([]Value, len(r.Values))
 		copy(vals, r.Values)
 		newRows[r.ID] = Record{ID: r.ID, Values: vals}
 		dead[r.ID] = false
-		for col, i := range t.colIdx {
-			v := vals[i]
-			if ix, ok := t.hash[col]; ok {
-				ix.insert(v, r.ID)
-			}
-			if ix, ok := t.ordered[col]; ok {
-				ix.insert(v, r.ID)
-			}
-			if ix, ok := t.substr[col]; ok {
-				ix.insert(v, r.ID)
-			}
-		}
+		t.indexLocked(r.ID, vals)
 	}
 	t.rows = newRows
 	t.dead = dead

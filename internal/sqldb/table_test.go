@@ -95,21 +95,6 @@ func TestLookupRange(t *testing.T) {
 	}
 }
 
-func TestLookupSubstring(t *testing.T) {
-	tbl := carsTable(t)
-	ids := tbl.LookupSubstring("model", "cord")
-	if !reflect.DeepEqual(ids, []RowID{0}) {
-		t.Errorf("substring 'cord' = %v", ids)
-	}
-	ids = tbl.LookupSubstring("model", "c")
-	// civic, camry... single char shorter than trigram: falls back on
-	// verification; accord, civic, camry, mustang all contain 'c'? No:
-	// accord has 'c', civic has, camry has, mustang has no 'c'.
-	if !reflect.DeepEqual(ids, []RowID{0, 1, 2}) {
-		t.Errorf("substring 'c' = %v", ids)
-	}
-}
-
 func TestMinMax(t *testing.T) {
 	tbl := carsTable(t)
 	lo, hi, ok := tbl.MinMax("price", nil)

@@ -1,9 +1,10 @@
 // Package sqldb implements the in-memory relational engine that backs
 // CQAds, standing in for the paper's MySQL deployment. It provides
 // tables with hash primary indexes on Type I attributes, secondary
-// indexes on Type II attributes, ordered indexes on Type III
-// attributes, and the length-3 substring (trigram) index the paper
-// configures for fast value lookup (Sec. 4.5).
+// hash indexes on Type II attributes and ordered indexes on Type III
+// attributes: the access paths the generated SQL drives. The paper's
+// length-3 substring index (Sec. 4.5) is left out, because no
+// generated statement has a substring predicate.
 package sqldb
 
 import (

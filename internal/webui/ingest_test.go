@@ -192,8 +192,8 @@ func TestStatusEndpointPersistent(t *testing.T) {
 // TestConvertRecordCoercesBySchemaType is the regression test for the
 // categorical-number bug: a JSON number POSTed for a Type I/II column
 // used to be stored as sqldb.Number, which never matches the
-// string-indexed machinery (trigram index, TI/WS similarity). It must
-// be coerced to the schema's value class instead.
+// string-keyed machinery (TI/WS similarity). It must be coerced to
+// the schema's value class instead.
 func TestConvertRecordCoercesBySchemaType(t *testing.T) {
 	sch := schema.Cars()
 	values, err := convertRecord(sch, map[string]any{
@@ -215,7 +215,8 @@ func TestConvertRecordCoercesBySchemaType(t *testing.T) {
 		t.Errorf("year = %#v, want Number(2004)", v)
 	}
 
-	// End to end: the numeric-categorical ad lands string-indexed.
+	// End to end: the numeric-categorical ad is stored as a string and
+	// found through the hash index.
 	srv := ingestServer(t)
 	rec := doJSON(t, srv, http.MethodPost, "/api/ads",
 		`{"domain":"cars","record":{"make":"kia","model":"sorento","doors":2}}`)
@@ -234,13 +235,13 @@ func TestConvertRecordCoercesBySchemaType(t *testing.T) {
 		t.Fatalf("stored doors = %#v, want a string", v)
 	}
 	found := false
-	for _, got := range tbl.LookupSubstring("doors", "2") {
+	for _, got := range tbl.LookupEqual("doors", sqldb.String("2")) {
 		if got == id {
 			found = true
 		}
 	}
 	if !found {
-		t.Error("numeric-categorical value missing from the substring index")
+		t.Error("numeric-categorical value missing from the hash index")
 	}
 }
 
