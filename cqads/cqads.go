@@ -42,14 +42,13 @@
 // The ads corpus is mutable at runtime, matching the live feeds the
 // paper serves: System.InsertAd posts an ad into a running system and
 // System.DeleteAd expires one, both safe to call while other
-// goroutines Ask (InsertAdBatch/DeleteAdBatch fan a feed out on the
-// shared worker pool and report per-ad IngestResults). An inserted ad
-// is visible to the very next question; derived state — the
-// near-duplicate representatives behind Options.Dedup, and the
-// classifier when Options.TrainOnIngest is set — is invalidated by
-// table version and refreshed lazily, so answers always reflect the
-// current corpus without rebuilding the system. See the repository
-// root package documentation for the full invalidation contract.
+// goroutines Ask. An inserted ad is visible to the very next question;
+// derived state — the near-duplicate representatives behind
+// Options.Dedup, and the classifier when Options.TrainOnIngest is set
+// — is invalidated by table version and refreshed lazily, so answers
+// always reflect the current corpus without rebuilding the system. See
+// the repository root package documentation for the full invalidation
+// contract.
 //
 // # Durability
 //
@@ -57,9 +56,9 @@
 // synthetic environment, losing every live-ingested ad. Setting
 // Options.DataDir makes the store durable: Open recovers the corpus
 // from the directory's snapshot and write-ahead log, and every
-// subsequent InsertAd/DeleteAd (and batch variant) is logged and
-// fsync'd before it returns — a killed process loses nothing it
-// acknowledged. System.Checkpoint writes a fresh snapshot and
+// subsequent InsertAd/DeleteAd is logged and fsync'd before it
+// returns — a killed process loses nothing it acknowledged.
+// System.Checkpoint writes a fresh snapshot and
 // truncates the log (also triggered automatically when the log
 // outgrows core.Config.CompactBytes); System.Close checkpoints and
 // releases the store, so a graceful shutdown replays nothing on the
@@ -199,9 +198,6 @@ type (
 	Result = core.Result
 	// Answer is one retrieved ad.
 	Answer = core.Answer
-	// IngestResult pairs one ad of an InsertAdBatch/DeleteAdBatch call
-	// with its assigned RowID or error.
-	IngestResult = core.IngestResult
 	// Status is System.Status's report: per-domain corpus state plus
 	// persistence (checkpoint/WAL) state.
 	Status = core.Status

@@ -147,11 +147,11 @@
 //
 // The paper's corpus is live — ads are posted and expire continuously
 // — so the store is mutable at runtime. System.InsertAd and
-// System.DeleteAd (plus their pool-backed batch variants) mutate a
-// running system while questions are being answered; a web deployment
-// exposes the same operations as POST /api/ads and
-// DELETE /api/ads/{id} (internal/webui), and `cqadsweb -ingest`
-// drives a continuous synthetic feed against a live server.
+// System.DeleteAd mutate a running system while questions are being
+// answered; a web deployment exposes the same operations as
+// POST /api/ads and DELETE /api/ads/{id} (internal/webui), and
+// `cqadsweb -ingest` drives a continuous synthetic feed against a live
+// server.
 //
 // The consistency model has three layers:
 //
@@ -204,10 +204,11 @@
 //     the log order is exactly the mutation order; the record
 //     (sequence number, kind, domain, RowID, and for inserts the
 //     column/value pairs) is framed with a length + CRC header and
-//     fsync'd before the call returns — batch variants write the
-//     whole batch and fsync once (group commit). A torn final frame,
-//     the expected aftermath of a kill, is detected by CRC and
-//     truncated at the next open.
+//     fsync'd before the call returns. Concurrent writers share one
+//     group committer, which applies the queued writes under the
+//     ingest lock and logs them with one append and one fsync. A torn
+//     final frame, the expected aftermath of a kill, is detected by
+//     CRC and truncated at the next open.
 //
 //   - Recovery. core.Open loads the snapshot into the tables
 //     (sqldb.Table.RestoreState), imports the classifier state, and
@@ -472,6 +473,21 @@
 //     mutation order), and in internal/persist the
 //     snapshot-before-truncate and write/truncate-then-fsync
 //     checkpoint orderings may not be reordered.
+//
+// Two rules need the whole module rather than one package, so they are
+// a test and a CI step instead of analyzers:
+//
+//   - Production code is what production calls. prodref_test.go fails
+//     on any function or method, outside cmd/, examples/ and the
+//     test-support packages, that no non-test file names.
+//
+//   - Numbers are the same on every CPU. gc may fuse x*y + z into one
+//     multiply-add on arm64, ppc64le, s390x and riscv64 (never on
+//     amd64), which skips a rounding. The generated corpus and
+//     questions, the classifier and the rankers therefore round each
+//     such product with an explicit float64(...) conversion, and CI's
+//     lint job fails when `GOARCH=arm64 go build -gcflags=-S` lists a
+//     fused instruction outside internal/metrics/telemetry.
 //
 // Deliberate exceptions carry an inline
 // `//lint:cqads-ignore <analyzer> <reason>` directive; the reason is

@@ -139,7 +139,8 @@ func (g *Generator) vehicle(s *schema.Schema, ad Ad, models map[string][]string,
 	yearA, _ := s.Attr("year")
 	// Recent years are more common: quadratic skew toward Max.
 	u := math.Sqrt(g.rng.Float64())
-	year := math.Round(yearA.Min + u*(yearA.Max-yearA.Min))
+	// float64(x*y) rounds the product, so no CPU fuses it with the add.
+	year := math.Round(yearA.Min + float64(u*(yearA.Max-yearA.Min)))
 	ad["year"] = sqldb.Number(year)
 
 	age := yearA.Max - year
@@ -148,13 +149,14 @@ func (g *Generator) vehicle(s *schema.Schema, ad Ad, models map[string][]string,
 		tier = 1
 	}
 	// Exponential depreciation with multiplicative noise.
-	price := basePrice + (topPrice-basePrice)*tier/2.2*math.Exp(-age/7)
-	price *= 0.7 + 0.6*g.rng.Float64()
+	price := basePrice + float64((topPrice-basePrice)*tier/2.2*math.Exp(-age/7))
+	price *= 0.7 + float64(0.6*g.rng.Float64())
 	priceA, _ := s.Attr("price")
 	ad["price"] = sqldb.Number(clampRound(price, priceA.Min, priceA.Max))
 
 	if mileA, ok := s.Attr("mileage"); ok {
-		miles := age*11000*(0.5+g.rng.Float64()) + g.rng.Float64()*8000
+		// Float64 inlines to a multiply the sum would otherwise fuse.
+		miles := float64(age*11000*(0.5+float64(g.rng.Float64()))) + float64(g.rng.Float64()*8000)
 		ad["mileage"] = sqldb.Number(clampRound(miles, mileA.Min, mileA.Max))
 	}
 }
@@ -179,7 +181,7 @@ func (g *Generator) generic(s *schema.Schema, ad Ad) {
 			v := g.numeric(a)
 			if isPriceLike(a) && firstRank >= 0 {
 				// Rarer Type I values (higher rank) skew pricier.
-				v = a.Min + (v-a.Min)*(0.6+0.9*firstRank)
+				v = a.Min + float64((v-a.Min)*(0.6+float64(0.9*firstRank)))
 			}
 			ad[a.Name] = sqldb.Number(clampRound(v, a.Min, a.Max))
 		}
@@ -194,9 +196,9 @@ func (g *Generator) numeric(a schema.Attribute) float64 {
 	if isPriceLike(a) {
 		lo := math.Log(math.Max(a.Min, 1))
 		hi := math.Log(a.Max)
-		v = math.Exp(lo + g.rng.Float64()*(hi-lo))
+		v = math.Exp(lo + float64(g.rng.Float64()*(hi-lo)))
 	} else {
-		v = a.Min + g.rng.Float64()*(a.Max-a.Min)
+		v = a.Min + float64(g.rng.Float64()*(a.Max-a.Min))
 	}
 	return clampRound(v, a.Min, a.Max)
 }

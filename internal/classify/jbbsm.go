@@ -90,7 +90,8 @@ func (m *JBBSM) Train(class string, docs [][]string) {
 		for w, x := range countWords(doc) {
 			r := float64(x) / n
 			c.rateSum[w] += r
-			c.rate2Sum[w] += r * r
+			// float64(x*y) rounds the product, so no CPU fuses it with the add.
+			c.rate2Sum[w] += float64(r * r)
 			c.docCount[w]++
 		}
 		c.docs++
@@ -121,7 +122,7 @@ func (m *JBBSM) fit() {
 		n := float64(c.docs)
 		for w := range c.rateSum {
 			mean := c.rateSum[w] / n
-			variance := c.rate2Sum[w]/n - mean*mean
+			variance := c.rate2Sum[w]/n - float64(mean*mean)
 			p := fitBeta(mean, variance, m.PriorStrength)
 			c.words[w] = &p
 		}

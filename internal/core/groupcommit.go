@@ -14,12 +14,10 @@ import (
 //
 // If every InsertAd/DeleteAd paid its own WAL fsync, under concurrent
 // writers the disk would serialize them and the fsync would become
-// the write-flood bottleneck (the batch ingest calls already amortize
-// it, but independent callers cannot use those). The scheduler routes
-// single writes through a committer that drains everything queued,
-// applies the mutations under the ingest lock in arrival order, and
-// logs them with ONE persist.Store.Append — one fsync for the whole
-// batch.
+// the write-flood bottleneck. The scheduler routes single writes
+// through a committer that drains everything queued, applies the
+// mutations under the ingest lock in arrival order, and logs them
+// with ONE persist.Store.Append — one fsync for the whole batch.
 //
 // The committer goroutine is transient: the first write of a burst
 // spawns it, and it exits as soon as the queue drains. An idle System

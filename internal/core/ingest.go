@@ -1,12 +1,9 @@
 package core
 
 import (
-	"fmt"
 	"sort"
 	"strings"
 
-	"repro/internal/persist"
-	"repro/internal/pool"
 	"repro/internal/sqldb"
 )
 
@@ -167,179 +164,6 @@ func (s *System) deleteAdLocked(domain string, id sqldb.RowID) error {
 		return &WrongPartitionError{Domain: domain, ID: id, Slice: *s.slice.Load()}
 	}
 	return tbl.Delete(id)
-}
-
-// IngestResult pairs one ad of a batch ingestion call with its
-// outcome. ID is valid only for inserts with a nil Err.
-type IngestResult struct {
-	// Index is the ad's position in the input slice.
-	Index int
-	// ID is the RowID assigned to an inserted ad.
-	ID sqldb.RowID
-	// Err is the per-ad failure, nil on success.
-	Err error
-}
-
-// InsertAdBatch inserts many ads into one domain, returning per-ad
-// results in input order. Each ad succeeds or fails independently.
-//
-// On a non-persistent system the batch runs on the shared worker
-// pool: inserts serialize on the table's write lock, so the pool's
-// win is overlapping the per-ad preparation (column resolution,
-// classifier training when TrainOnIngest is set) rather than the
-// appends themselves, and RowID assignment order across the batch is
-// unspecified. On a persistent system the batch is applied
-// sequentially under the ingest lock — RowIDs follow input order —
-// and the whole batch is logged with a single fsync (the group-commit
-// win over per-ad InsertAd calls). workers <= 0 uses GOMAXPROCS.
-func (s *System) InsertAdBatch(domain string, ads []map[string]sqldb.Value, workers int) []IngestResult {
-	results, _ := s.InsertAdBatchWithAck(domain, ads, workers, AckLocal)
-	return results
-}
-
-// InsertAdBatchWithAck is InsertAdBatch with an explicit durability
-// level. The returned error is the quorum outcome: non-nil (wrapping
-// ErrQuorumUnavailable) when AckQuorum could not confirm a majority
-// in time — the per-ad results are still valid and locally durable,
-// exactly as with InsertAdWithAck.
-func (s *System) InsertAdBatchWithAck(domain string, ads []map[string]sqldb.Value, workers int, ack AckLevel) ([]IngestResult, error) {
-	if err := s.writable(); err != nil {
-		results := make([]IngestResult, len(ads))
-		for i := range results {
-			results[i] = IngestResult{Index: i, Err: err}
-		}
-		return results, nil
-	}
-	if s.persist != nil {
-		results, seq := s.insertAdBatchDurable(domain, ads, ack)
-		if ack == AckQuorum && seq != 0 {
-			return results, s.awaitQuorum(seq)
-		}
-		return results, nil
-	}
-	return pool.Map(ads, workers, func(i int, ad map[string]sqldb.Value) IngestResult {
-		id, err := s.InsertAd(domain, ad)
-		return IngestResult{Index: i, ID: id, Err: err}
-	}), nil
-}
-
-// insertAdBatchDurable applies and logs a batch under the ingest lock
-// with one fsync, returning the last logged sequence (0 when nothing
-// was logged) for quorum tracking.
-func (s *System) insertAdBatchDurable(domain string, ads []map[string]sqldb.Value, ack AckLevel) ([]IngestResult, uint64) {
-	p := s.persist
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	results := make([]IngestResult, len(ads))
-	if err := p.ingestable(); err != nil {
-		for i := range results {
-			results[i] = IngestResult{Index: i, Err: err}
-		}
-		return results, 0
-	}
-	if err := s.admitLocked(ack); err != nil {
-		for i := range results {
-			results[i] = IngestResult{Index: i, Err: err}
-		}
-		return results, 0
-	}
-	ops := make([]persist.Op, 0, len(ads))
-	for i, ad := range ads {
-		id, err := s.insertAdLocked(domain, ad, unpinned)
-		results[i] = IngestResult{Index: i, ID: id, Err: err}
-		if err == nil {
-			ops = append(ops, insertOpFor(domain, id, ad))
-		}
-	}
-	if len(ops) == 0 {
-		return results, 0
-	}
-	if err := p.store.Append(ops); err != nil {
-		p.failed.Store(true) // unlogged inserts: memory and log diverged
-		for i := range results {
-			if results[i].Err == nil {
-				results[i].Err = fmt.Errorf("core: ad %d inserted but not logged (%v): %w", results[i].ID, err, ErrDurabilityLost)
-			}
-		}
-		return results, 0
-	}
-	s.maybeCompact()
-	return results, ops[len(ops)-1].Seq
-}
-
-// DeleteAdBatch deletes many ads from one domain, returning per-ad
-// results in input order (ID echoes the input id). Non-persistent
-// systems fan out on the shared worker pool; persistent systems apply
-// the batch sequentially under the ingest lock and log it with a
-// single fsync, like InsertAdBatch. workers <= 0 uses GOMAXPROCS.
-func (s *System) DeleteAdBatch(domain string, ids []sqldb.RowID, workers int) []IngestResult {
-	results, _ := s.DeleteAdBatchWithAck(domain, ids, workers, AckLocal)
-	return results
-}
-
-// DeleteAdBatchWithAck is DeleteAdBatch with an explicit durability
-// level (see InsertAdBatchWithAck for the AckQuorum contract).
-func (s *System) DeleteAdBatchWithAck(domain string, ids []sqldb.RowID, workers int, ack AckLevel) ([]IngestResult, error) {
-	if err := s.writable(); err != nil {
-		results := make([]IngestResult, len(ids))
-		for i := range results {
-			results[i] = IngestResult{Index: i, ID: ids[i], Err: err}
-		}
-		return results, nil
-	}
-	if s.persist != nil {
-		results, seq := s.deleteAdBatchDurable(domain, ids, ack)
-		if ack == AckQuorum && seq != 0 {
-			return results, s.awaitQuorum(seq)
-		}
-		return results, nil
-	}
-	return pool.Map(ids, workers, func(i int, id sqldb.RowID) IngestResult {
-		return IngestResult{Index: i, ID: id, Err: s.DeleteAd(domain, id)}
-	}), nil
-}
-
-// deleteAdBatchDurable applies and logs a delete batch under the
-// ingest lock with one fsync, returning the last logged sequence.
-func (s *System) deleteAdBatchDurable(domain string, ids []sqldb.RowID, ack AckLevel) ([]IngestResult, uint64) {
-	p := s.persist
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	results := make([]IngestResult, len(ids))
-	if err := p.ingestable(); err != nil {
-		for i := range results {
-			results[i] = IngestResult{Index: i, ID: ids[i], Err: err}
-		}
-		return results, 0
-	}
-	if err := s.admitLocked(ack); err != nil {
-		for i := range results {
-			results[i] = IngestResult{Index: i, ID: ids[i], Err: err}
-		}
-		return results, 0
-	}
-	ops := make([]persist.Op, 0, len(ids))
-	for i, id := range ids {
-		err := s.deleteAdLocked(domain, id)
-		results[i] = IngestResult{Index: i, ID: id, Err: err}
-		if err == nil {
-			ops = append(ops, persist.Op{Kind: persist.OpDelete, Domain: domain, ID: id})
-		}
-	}
-	if len(ops) == 0 {
-		return results, 0
-	}
-	if err := p.store.Append(ops); err != nil {
-		p.failed.Store(true) // unlogged deletes: memory and log diverged
-		for i := range results {
-			if results[i].Err == nil {
-				results[i].Err = fmt.Errorf("core: ad %d deleted but not logged (%v): %w", results[i].ID, err, ErrDurabilityLost)
-			}
-		}
-		return results, 0
-	}
-	s.maybeCompact()
-	return results, ops[len(ops)-1].Seq
 }
 
 // adDocument renders an ad's textual values as one classifier

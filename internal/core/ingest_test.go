@@ -170,9 +170,9 @@ func TestDeleteMatchesFreshBuild(t *testing.T) {
 			doomed = append(doomed, id)
 		}
 	}
-	for _, r := range live.DeleteAdBatch("cars", doomed, 4) {
-		if r.Err != nil {
-			t.Fatalf("DeleteAdBatch: ad %d: %v", r.ID, r.Err)
+	for _, id := range doomed {
+		if err := live.DeleteAd("cars", id); err != nil {
+			t.Fatalf("DeleteAd: ad %d: %v", id, err)
 		}
 	}
 
@@ -228,41 +228,6 @@ func TestDeleteMatchesFreshBuild(t *testing.T) {
 				t.Fatalf("%q: answer %d differs:\nlive  %s\nfresh %s", q, i, lk, fk)
 			}
 		}
-	}
-}
-
-// TestInsertAdBatch exercises the pool-backed batch ingestion path.
-func TestInsertAdBatch(t *testing.T) {
-	sys := testSystemOver(t, populatedDB(t, 50))
-	tbl, _ := sys.DB().TableForDomain("cars")
-	before := tbl.Len()
-	gen := adsgen.NewGenerator(99).Generate(schema.Cars(), 40)
-	ads := make([]map[string]sqldb.Value, len(gen))
-	for i, ad := range gen {
-		ads[i] = ad
-	}
-	results := sys.InsertAdBatch("cars", ads, 8)
-	if len(results) != len(ads) {
-		t.Fatalf("got %d results for %d ads", len(results), len(ads))
-	}
-	seen := map[sqldb.RowID]bool{}
-	for i, r := range results {
-		if r.Err != nil {
-			t.Fatalf("ad %d: %v", i, r.Err)
-		}
-		if r.Index != i {
-			t.Fatalf("result %d has index %d", i, r.Index)
-		}
-		if seen[r.ID] {
-			t.Fatalf("RowID %d assigned twice", r.ID)
-		}
-		seen[r.ID] = true
-		if got := tbl.Value(r.ID, "make"); !got.Equal(ads[i]["make"]) {
-			t.Fatalf("ad %d: stored make %v, want %v", i, got, ads[i]["make"])
-		}
-	}
-	if tbl.Len() != before+len(ads) {
-		t.Fatalf("Len = %d, want %d", tbl.Len(), before+len(ads))
 	}
 }
 

@@ -126,17 +126,8 @@ func answerKey(a Answer) string {
 	return sb.String()
 }
 
-// asValueMaps converts generated ads to the batch-API element type.
-func asValueMaps(ads []adsgen.Ad) []map[string]sqldb.Value {
-	out := make([]map[string]sqldb.Value, len(ads))
-	for i, ad := range ads {
-		out[i] = ad
-	}
-	return out
-}
-
-// mutateLive drives a representative ingest workload: single inserts,
-// a batch insert, single deletes and a batch delete, all durable.
+// mutateLive drives a representative ingest workload of durable
+// inserts and deletes over two domains.
 func mutateLive(t *testing.T, sys *System) {
 	t.Helper()
 	gen := adsgen.NewGenerator(555)
@@ -148,28 +139,19 @@ func mutateLive(t *testing.T, sys *System) {
 		}
 		posted = append(posted, id)
 	}
-	batch := asValueMaps(gen.Generate(schema.Cars(), 15))
-	for _, r := range sys.InsertAdBatch("cars", batch, 4) {
-		if r.Err != nil {
-			t.Fatal(r.Err)
-		}
-		posted = append(posted, r.ID)
-	}
-	// Expire every third ingested ad: a few singly, the rest batched.
-	var doomed []sqldb.RowID
-	for i, id := range posted {
-		if i%3 == 0 {
-			doomed = append(doomed, id)
-		}
-	}
-	for _, id := range doomed[:3] {
-		if err := sys.DeleteAd("cars", id); err != nil {
+	for _, ad := range gen.Generate(schema.Cars(), 15) {
+		id, err := sys.InsertAd("cars", ad)
+		if err != nil {
 			t.Fatal(err)
 		}
+		posted = append(posted, id)
 	}
-	for _, r := range sys.DeleteAdBatch("cars", doomed[3:], 4) {
-		if r.Err != nil {
-			t.Fatal(r.Err)
+	// Expire every third ingested ad.
+	for i, id := range posted {
+		if i%3 == 0 {
+			if err := sys.DeleteAd("cars", id); err != nil {
+				t.Fatal(err)
+			}
 		}
 	}
 	// A second domain, so recovery is not a cars-only special case.
@@ -324,11 +306,6 @@ func TestCloseCheckpointsAndReopens(t *testing.T) {
 	if err := sys.DeleteAd("cars", 0); err == nil {
 		t.Error("DeleteAd after Close succeeded")
 	}
-	for _, r := range sys.InsertAdBatch("cars", []map[string]sqldb.Value{{"make": sqldb.String("kia")}}, 2) {
-		if r.Err == nil {
-			t.Error("InsertAdBatch after Close succeeded")
-		}
-	}
 
 	reopened, err := Open(persistentConfig(t, populatedDB(t, base), dir))
 	if err != nil {
@@ -387,20 +364,14 @@ func TestFailedLatchStopsIngestBeforeMutation(t *testing.T) {
 
 	tbl, _ := sys.DB().TableForDomain("cars")
 	liveBefore, slotsBefore := tbl.Len(), tbl.Slots()
-	if _, err := sys.InsertAd("cars", gen.Generate(schema.Cars(), 1)[0]); err == nil {
-		t.Error("InsertAd after WAL failure succeeded")
-	}
-	if err := sys.DeleteAd("cars", 0); err == nil {
-		t.Error("DeleteAd after WAL failure succeeded")
-	}
-	for _, r := range sys.InsertAdBatch("cars", asValueMaps(gen.Generate(schema.Cars(), 2)), 2) {
-		if r.Err == nil {
-			t.Error("InsertAdBatch after WAL failure succeeded")
+	for _, ad := range gen.Generate(schema.Cars(), 3) {
+		if _, err := sys.InsertAd("cars", ad); err == nil {
+			t.Error("InsertAd after WAL failure succeeded")
 		}
 	}
-	for _, r := range sys.DeleteAdBatch("cars", []sqldb.RowID{1, 2}, 2) {
-		if r.Err == nil {
-			t.Error("DeleteAdBatch after WAL failure succeeded")
+	for _, id := range []sqldb.RowID{0, 1, 2} {
+		if err := sys.DeleteAd("cars", id); err == nil {
+			t.Errorf("DeleteAd(%d) after WAL failure succeeded", id)
 		}
 	}
 	if tbl.Len() != liveBefore || tbl.Slots() != slotsBefore {
@@ -452,19 +423,20 @@ func TestCheckpointWhileIngestAndAsk(t *testing.T) {
 	done := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
-	go func() { // writer: durable ingestion + expiry, singles and batches
+	go func() { // writer: durable ingestion + expiry, with bursts
 		defer wg.Done()
 		defer close(done)
 		gen := adsgen.NewGenerator(999)
 		var posted []sqldb.RowID
 		for i := 0; i < 40; i++ {
 			if i%8 == 0 {
-				for _, r := range sys.InsertAdBatch("cars", asValueMaps(gen.Generate(schema.Cars(), 4)), 2) {
-					if r.Err != nil {
-						t.Errorf("InsertAdBatch: %v", r.Err)
+				for _, ad := range gen.Generate(schema.Cars(), 4) {
+					id, err := sys.InsertAd("cars", ad)
+					if err != nil {
+						t.Errorf("InsertAd: %v", err)
 						return
 					}
-					posted = append(posted, r.ID)
+					posted = append(posted, id)
 				}
 				continue
 			}

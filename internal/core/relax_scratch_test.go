@@ -238,7 +238,7 @@ func TestPooledScratchUnderIngest(t *testing.T) {
 				return
 			}
 			id := sqldb.RowID(rng.Intn(tbl.Slots()))
-			if tbl.Alive(id) {
+			if _, ok := tbl.Get(id); ok {
 				if err := sys.DeleteAd("cars", id); err != nil {
 					t.Error(err)
 					return

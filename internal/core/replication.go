@@ -22,9 +22,9 @@ import (
 // writes with ErrReadOnlyReplica until it is promoted. The HTTP client
 // that feeds ApplyOps lives in internal/replica.
 
-// ErrReadOnlyReplica is returned by InsertAd/DeleteAd (and the batch
-// variants) on a follower: replicas apply the primary's log and accept
-// no direct writes, or the two would assign conflicting RowIDs.
+// ErrReadOnlyReplica is returned by InsertAd/DeleteAd on a follower:
+// replicas apply the primary's log and accept no direct writes, or the
+// two would assign conflicting RowIDs.
 // Promote flips the follower writable for manual failover.
 var ErrReadOnlyReplica = errors.New("core: read-only replica: writes go to the primary (or Promote this follower)")
 

@@ -90,9 +90,9 @@ func TestFollowerConvergesAndIsReadOnly(t *testing.T) {
 	if err := primary.DeleteAd("cars", ids[2]); err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range primary.InsertAdBatch("motorcycles", asValueMaps(gen.Generate(schema.Motorcycles(), 6)), 2) {
-		if r.Err != nil {
-			t.Fatal(r.Err)
+	for _, ad := range gen.Generate(schema.Motorcycles(), 6) {
+		if _, err := primary.InsertAd("motorcycles", ad); err != nil {
+			t.Fatal(err)
 		}
 	}
 	shipAll(t, primary, follower)
@@ -105,20 +105,14 @@ func TestFollowerConvergesAndIsReadOnly(t *testing.T) {
 	// is touched.
 	tbl, _ := follower.DB().TableForDomain("cars")
 	live, slots := tbl.Len(), tbl.Slots()
-	if _, err := follower.InsertAd("cars", gen.Generate(schema.Cars(), 1)[0]); !errors.Is(err, ErrReadOnlyReplica) {
-		t.Fatalf("InsertAd on follower: %v, want ErrReadOnlyReplica", err)
-	}
-	if err := follower.DeleteAd("cars", ids[0]); !errors.Is(err, ErrReadOnlyReplica) {
-		t.Fatalf("DeleteAd on follower: %v, want ErrReadOnlyReplica", err)
-	}
-	for _, r := range follower.InsertAdBatch("cars", asValueMaps(gen.Generate(schema.Cars(), 2)), 2) {
-		if !errors.Is(r.Err, ErrReadOnlyReplica) {
-			t.Fatalf("InsertAdBatch on follower: %v, want ErrReadOnlyReplica", r.Err)
+	for _, ad := range gen.Generate(schema.Cars(), 3) {
+		if _, err := follower.InsertAd("cars", ad); !errors.Is(err, ErrReadOnlyReplica) {
+			t.Fatalf("InsertAd on follower: %v, want ErrReadOnlyReplica", err)
 		}
 	}
-	for _, r := range follower.DeleteAdBatch("cars", ids[:2], 2) {
-		if !errors.Is(r.Err, ErrReadOnlyReplica) {
-			t.Fatalf("DeleteAdBatch on follower: %v, want ErrReadOnlyReplica", r.Err)
+	for _, id := range ids[:2] {
+		if err := follower.DeleteAd("cars", id); !errors.Is(err, ErrReadOnlyReplica) {
+			t.Fatalf("DeleteAd(%d) on follower: %v, want ErrReadOnlyReplica", id, err)
 		}
 	}
 	if tbl.Len() != live || tbl.Slots() != slots {

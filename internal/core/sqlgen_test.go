@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -99,24 +100,42 @@ func TestBuildSelectSuperlative(t *testing.T) {
 }
 
 func TestResolveIncompleteExample3(t *testing.T) {
-	// "Honda accord 2000": three readings; "less than 4000": two.
+	// Paper Example 3: in the car-ads domain, 2000 can be a Year,
+	// Price or Mileage; 4000 can be Price or Mileage but not Year; no
+	// attribute admits 1e9, which resolves to one impossible condition.
 	s := schema.Cars()
-	base := []boolean.Condition{
-		cond("make", schema.TypeI, "honda"),
-		{Attr: "", Type: schema.TypeIII, Op: boolean.OpEq, X: 2000},
-	}
-	in := &boolean.Interpretation{Groups: []boolean.Group{{Conds: base}}}
-	out := ResolveIncomplete(s, in)
-	if len(out.Groups) != 3 {
-		t.Fatalf("groups = %d, want 3", len(out.Groups))
-	}
-	// Every expanded group keeps the anchor condition.
-	for _, g := range out.Groups {
-		if g.Conds[0].Attr != "make" {
-			t.Errorf("anchor lost: %s", g.String())
+	for _, tc := range []struct {
+		x    float64
+		want []string
+	}{
+		{2000, []string{"year", "price", "mileage"}},
+		{4000, []string{"price", "mileage"}},
+		{1e9, nil},
+	} {
+		base := []boolean.Condition{
+			cond("make", schema.TypeI, "honda"),
+			{Attr: "", Type: schema.TypeIII, Op: boolean.OpEq, X: tc.x},
 		}
-		if g.Conds[1].Attr == "" {
-			t.Errorf("number left unanchored: %s", g.String())
+		in := &boolean.Interpretation{Groups: []boolean.Group{{Conds: base}}}
+		out := ResolveIncomplete(s, in)
+		if len(out.Groups) != max(1, len(tc.want)) {
+			t.Fatalf("%g: groups = %d, want %d", tc.x, len(out.Groups), max(1, len(tc.want)))
+		}
+		var got []string
+		// Every expanded group keeps the anchor condition.
+		for _, g := range out.Groups {
+			if g.Conds[0].Attr != "make" {
+				t.Errorf("%g: anchor lost: %s", tc.x, g.String())
+			}
+			if g.Conds[1].Attr == "" {
+				t.Errorf("%g: number left unanchored: %s", tc.x, g.String())
+			}
+			if g.Conds[1].X == tc.x {
+				got = append(got, g.Conds[1].Attr)
+			}
+		}
+		if !slices.Equal(got, tc.want) {
+			t.Errorf("%g resolves to %v, want %v", tc.x, got, tc.want)
 		}
 	}
 }

@@ -518,7 +518,7 @@ func TestPartitionFencing(t *testing.T) {
 	if !ok {
 		t.Fatal("no cars table")
 	}
-	if tbl.Alive(divergent) {
+	if _, ok := tbl.Get(divergent); ok {
 		t.Fatalf("divergent ad %d survived the rejoin", divergent)
 	}
 	// And the rejoined node answers bit-identically to the reference

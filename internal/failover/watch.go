@@ -57,9 +57,6 @@ func NewWatch(peers []string, client *http.Client) *Watch {
 	return &Watch{peers: peers, client: client, timeout: DefaultProbeTimeout}
 }
 
-// Peers returns the member URLs the watcher probes.
-func (w *Watch) Peers() []string { return w.peers }
-
 // Resolve returns the set's current leader URL, probing members only
 // when no cached answer exists. The members' own reports win over
 // hearsay: a node claiming a leading role is preferred (highest epoch

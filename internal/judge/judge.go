@@ -78,10 +78,11 @@ func (a *Appraiser) Related(domain string, conds []boolean.Condition, tbl *sqldb
 		}
 	}
 	if w := a.ExpertiseWeight[domain]; w > 0 {
-		worst = (1-w)*worst + w*recordAppeal(domain, id)
+		// float64(x*y) rounds the product, so no CPU fuses it with the add.
+		worst = float64((1-w)*worst) + float64(w*recordAppeal(domain, id))
 	}
 	noise := a.Noise + a.DomainNoise[domain]
-	return worst+a.rng.NormFloat64()*noise >= a.Threshold
+	return worst+float64(a.rng.NormFloat64()*noise) >= a.Threshold
 }
 
 // recordAppeal is a stable pseudo-random value in [0,1] per record:

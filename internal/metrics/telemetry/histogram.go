@@ -78,19 +78,6 @@ func (h *Histogram) Record(ns int64) {
 	s.mu.Unlock()
 }
 
-// Count returns the cumulative number of samples ever recorded. It is
-// monotonic — the histogram doubles as the endpoint's request counter.
-func (h *Histogram) Count() int64 {
-	var n uint64
-	for i := range h.stripes {
-		s := &h.stripes[i]
-		s.mu.Lock()
-		n += s.count
-		s.mu.Unlock()
-	}
-	return int64(n)
-}
-
 // Snapshot is a point-in-time copy of a Histogram's tallies. It is a
 // plain value: compare, merge, and query it without synchronization.
 type Snapshot struct {

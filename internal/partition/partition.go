@@ -121,13 +121,3 @@ func (s Slice) Split() (Slice, Slice) {
 	return Slice{Index: s.Index, Count: s.Count * 2},
 		Slice{Index: s.Index + s.Count, Count: s.Count * 2}
 }
-
-// Sibling returns the other child of s's parent — the slice that,
-// unioned with s, reconstitutes the parent. Only defined for
-// non-whole slices.
-func (s Slice) Sibling() (Slice, error) {
-	if s.IsWhole() {
-		return Slice{}, fmt.Errorf("partition: the whole key space has no sibling")
-	}
-	return Slice{Index: s.Index ^ (s.Count / 2), Count: s.Count}, nil
-}

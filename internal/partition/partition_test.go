@@ -141,33 +141,6 @@ func TestSubsetOf(t *testing.T) {
 	}
 }
 
-func TestSibling(t *testing.T) {
-	if _, err := Whole().Sibling(); err == nil {
-		t.Error("Whole has a sibling?")
-	}
-	for _, tc := range []struct{ s, want Slice }{
-		{Slice{0, 2}, Slice{1, 2}},
-		{Slice{1, 2}, Slice{0, 2}},
-		{Slice{1, 4}, Slice{3, 4}},
-		{Slice{3, 4}, Slice{1, 4}},
-	} {
-		got, err := tc.s.Sibling()
-		if err != nil || got != tc.want {
-			t.Errorf("%v.Sibling() = %v, %v; want %v", tc.s, got, err, tc.want)
-		}
-	}
-	// A slice and its sibling are the parent's Split children in some
-	// order, and together cover the parent.
-	s := Slice{5, 8}
-	sib, _ := s.Sibling()
-	for key := uint64(0); key < 2048; key++ {
-		parent := Slice{s.Index & (s.Count/2 - 1), s.Count / 2}
-		if parent.ContainsKey(key) != (s.ContainsKey(key) || sib.ContainsKey(key)) {
-			t.Fatalf("key %d: sibling union does not reconstruct the parent", key)
-		}
-	}
-}
-
 func TestKeyHashSpreads(t *testing.T) {
 	// Dense small RowIDs must not collapse onto one partition: across
 	// the first 4096 keys every 8-way slice should own a decent share.

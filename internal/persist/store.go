@@ -165,16 +165,6 @@ func (s *Store) ReleaseRecoveryState() {
 	s.tail = nil
 }
 
-// Failed returns the latched write failure, nil while the store is
-// healthy. A failed store refuses appends and checkpoints; the owner
-// should stop ingesting and let a restart recover from the last
-// durable state.
-func (s *Store) Failed() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.failed
-}
-
 // Append assigns sequence numbers to ops, writes them as one
 // contiguous run of frames and fsyncs once — the group-commit unit.
 // When Append returns nil the operations are durable.

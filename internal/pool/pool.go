@@ -1,6 +1,6 @@
-// Package pool provides the one worker-pool primitive shared by the
-// batch ingest APIs and the experiment drivers: fan a slice out to
-// workers, collect results in input order.
+// Package pool provides the worker-pool primitive the experiment
+// drivers share: fan a slice out to workers, collect results in input
+// order.
 package pool
 
 import (

@@ -103,9 +103,6 @@ func (s *Simulator) TrueAffinity(a, b string) float64 {
 	return s.affinity[[2]string{a, b}]
 }
 
-// Values returns the Type I values covered by the simulator.
-func (s *Simulator) Values() []string { return s.values }
-
 // Simulate produces a log with n sessions. Each session follows one
 // user who searches for a seed value and then browses: related values
 // are re-queried sooner, their ads are ranked higher, clicked more,
@@ -131,18 +128,19 @@ func (s *Simulator) session(i int) Session {
 		for c := 0; c < 3; c++ {
 			target := s.weightedPick(cur)
 			aff := s.TrueAffinity(cur, target)
-			if s.rng.Float64() > 0.25+0.65*aff {
+			// float64(x*y) rounds the product, so no CPU fuses it with the add.
+			if s.rng.Float64() > 0.25+float64(0.65*aff) {
 				continue
 			}
 			rank := 1 + int((1-aff)*8) + s.rng.Intn(3)
-			dwell := 10 + 160*aff + s.rng.Float64()*25
+			dwell := 10 + float64(160*aff) + float64(s.rng.Float64()*25)
 			ev.Clicks = append(ev.Clicks, Click{Value: target, Rank: rank, Dwell: dwell})
 		}
 		sess.Events = append(sess.Events, ev)
 		// Next query: modify toward a related value. Related
 		// modifications happen sooner.
 		next := s.weightedPick(cur)
-		gap := 20 + (1-s.TrueAffinity(cur, next))*300 + s.rng.Float64()*40
+		gap := 20 + float64((1-s.TrueAffinity(cur, next))*300) + float64(s.rng.Float64()*40)
 		t += gap
 		cur = next
 	}
@@ -175,5 +173,5 @@ func (s *Simulator) weightedPick(cur string) string {
 
 func dist(a, b [2]float64) float64 {
 	dx, dy := a[0]-b[0], a[1]-b[1]
-	return math.Sqrt(dx*dx + dy*dy)
+	return math.Sqrt(float64(dx*dx) + float64(dy*dy))
 }

@@ -16,14 +16,14 @@ func TestSimulatorCoversAllTypeIValues(t *testing.T) {
 	for _, a := range s.AttrsOfType(schema.TypeI) {
 		want += len(a.Values)
 	}
-	if got := len(sim.Values()); got != want {
+	if got := len(sim.values); got != want {
 		t.Errorf("Values = %d, want %d", got, want)
 	}
 }
 
 func TestTrueAffinityProperties(t *testing.T) {
 	sim := carsSim()
-	vals := sim.Values()
+	vals := sim.values
 	for _, a := range vals {
 		if sim.TrueAffinity(a, a) != 1 {
 			t.Errorf("self-affinity of %q != 1", a)
@@ -94,7 +94,7 @@ func TestTIMatrixBounds(t *testing.T) {
 	if m.Max() <= 0 || m.Max() > 5 {
 		t.Fatalf("Max = %g, want (0,5] (Eq. 3 sums five [0,1] features)", m.Max())
 	}
-	for _, p := range m.Pairs() {
+	for p := range m.sim {
 		s := m.Sim(p[0], p[1])
 		if s < 0 || s > 5 {
 			t.Errorf("TI_Sim(%v) = %g out of [0,5]", p, s)
@@ -125,7 +125,7 @@ func TestTIMatrixBounds(t *testing.T) {
 func TestTIMatrixRecoversAffinity(t *testing.T) {
 	sim := carsSim()
 	m := BuildTIMatrix(sim.Simulate("cars", 2000))
-	vals := sim.Values()
+	vals := sim.values
 	type pair struct{ aff, ti float64 }
 	var pairs []pair
 	for i, a := range vals {

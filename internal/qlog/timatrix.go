@@ -1,7 +1,5 @@
 package qlog
 
-import "sort"
-
 // TIMatrix holds TI_Sim values between Type I attribute values of one
 // ads domain (Sec. 4.3.2). Values are symmetric; Sim(a,a) is defined
 // as Max() so self-similarity ranks above any cross-value similarity.
@@ -134,26 +132,6 @@ func (m *TIMatrix) NormSim(a, b string) float64 {
 		return 0
 	}
 	return min(1, m.Sim(a, b)/m.max)
-}
-
-// Pairs returns all recorded pairs sorted by descending similarity,
-// useful for diagnostics and tests.
-func (m *TIMatrix) Pairs() [][2]string {
-	out := make([][2]string, 0, len(m.sim))
-	for k := range m.sim {
-		out = append(out, k)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		si, sj := m.sim[out[i]], m.sim[out[j]]
-		if si != sj {
-			return si > sj
-		}
-		if out[i][0] != out[j][0] {
-			return out[i][0] < out[j][0]
-		}
-		return out[i][1] < out[j][1]
-	})
-	return out
 }
 
 func maxf(a, b float64) float64 {

@@ -234,7 +234,8 @@ func (g *Generator) numericCondition(a schema.Attribute, v float64, opts Options
 	switch style {
 	case 0: // upper bound
 		c.Op = boolean.OpLt
-		c.X = roundNice(v * (1.15 + 0.4*g.rng.Float64()))
+		// float64(x*y) rounds the product, so no CPU fuses it with the add.
+		c.X = roundNice(v * (1.15 + float64(0.4*g.rng.Float64())))
 		if c.X > a.Max {
 			c.X = a.Max
 		}
@@ -246,7 +247,7 @@ func (g *Generator) numericCondition(a schema.Attribute, v float64, opts Options
 		return c, fmt.Sprintf("%s %s", word, g.withUnit(a, c.X))
 	case 1: // lower bound
 		c.Op = boolean.OpGt
-		c.X = roundNice(v * (0.5 + 0.3*g.rng.Float64()))
+		c.X = roundNice(v * (0.5 + float64(0.3*g.rng.Float64())))
 		if c.X < a.Min {
 			c.X = a.Min
 		}

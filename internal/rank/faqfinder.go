@@ -66,7 +66,8 @@ func NewFAQFinder(tbl *sqldb.Table) *FAQFinder {
 		for _, w := range words {
 			x := float64(tf[w]) * f.idf[w]
 			vec[w] = x
-			norm += x * x
+			// float64(x*y) rounds the product, so no CPU fuses it with the add.
+			norm += float64(x * x)
 		}
 		f.docs[id] = vec
 		f.norms[id] = math.Sqrt(norm)
@@ -104,7 +105,7 @@ func (f *FAQFinder) Rank(q *Query, tbl *sqldb.Table, cands []sqldb.RowID) []sqld
 	sort.Slice(terms, func(i, j int) bool { return terms[i].w < terms[j].w })
 	qnorm := 0.0
 	for _, t := range terms {
-		qnorm += t.x * t.x
+		qnorm += float64(t.x * t.x)
 	}
 	qnorm = math.Sqrt(qnorm)
 	return sortByScore(cands, func(id sqldb.RowID) float64 {
@@ -115,7 +116,7 @@ func (f *FAQFinder) Rank(q *Query, tbl *sqldb.Table, cands []sqldb.RowID) []sqld
 		}
 		dot := 0.0
 		for _, t := range terms {
-			dot += t.x * dvec[t.w]
+			dot += float64(t.x * dvec[t.w])
 		}
 		return dot / (qnorm * dnorm)
 	})

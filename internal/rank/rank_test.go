@@ -219,7 +219,7 @@ func TestCondSimNegated(t *testing.T) {
 	tbl, sim := rankDB(t)
 	neg := boolean.Condition{Attr: "color", Type: schema.TypeII, Values: []string{"blue"}, Negated: true}
 	// Row 0 is blue: matching a negated value → dissimilar (0).
-	if got := sim.CondSim(tbl, 0, &neg); got != 0 {
+	if got := sim.condSimVal(tbl.Value(0, neg.Attr), &neg); got != 0 {
 		t.Errorf("negated matching value = %g, want 0", got)
 	}
 }
@@ -227,12 +227,12 @@ func TestCondSimNegated(t *testing.T) {
 func TestCondSimBetween(t *testing.T) {
 	tbl, sim := rankDB(t)
 	c := boolean.Condition{Attr: "price", Type: schema.TypeIII, Op: boolean.OpBetween, X: 10000, Y: 14000}
-	if got := sim.CondSim(tbl, 0, &c); got != 1 {
+	if got := sim.condSimVal(tbl.Value(0, c.Attr), &c); got != 1 {
 		t.Errorf("inside range = %g, want 1", got)
 	}
 	c2 := c
 	c2.Y = 11000
-	got := sim.CondSim(tbl, 0, &c2) // price 12000, nearest bound 11000
+	got := sim.condSimVal(tbl.Value(0, c2.Attr), &c2) // price 12000, nearest bound 11000
 	want := NumSim(11000, 12000, 79500)
 	if got != want {
 		t.Errorf("outside range = %g, want %g", got, want)

@@ -80,14 +80,9 @@ func NumSim(t, v, rangeWidth float64) float64 {
 	return s
 }
 
-// CondSim scores how closely record id's value matches the dropped
-// condition c, in [0,1] (TI_Sim and Feat_Sim are normalized by their
-// matrix maxima per Sec. 4.3.2; Num_Sim is already in range).
-func (s *Similarity) CondSim(tbl *sqldb.Table, id sqldb.RowID, c *boolean.Condition) float64 {
-	return s.condSimVal(tbl.Value(id, c.Attr), c)
-}
-
-// condSimVal is CondSim over an already-fetched value.
+// condSimVal scores how closely a record's value v matches the
+// dropped condition c, in [0,1] (TI_Sim and Feat_Sim are normalized by
+// their matrix maxima per Sec. 4.3.2; Num_Sim is already in range).
 func (s *Similarity) condSimVal(v sqldb.Value, c *boolean.Condition) float64 {
 	if v.IsNull() {
 		return 0
@@ -171,31 +166,9 @@ func (s *Similarity) cachePut(k catKey, sim float64) {
 	sh.mu.Unlock()
 }
 
-// RankSim is Eq. 5: (N-1) exact matches count 1 each, plus the
-// similarity of the partially-matched condition. conds are the
-// question's N conditions; dropped indexes the relaxed condition.
-func (s *Similarity) RankSim(tbl *sqldb.Table, id sqldb.RowID, conds []boolean.Condition, dropped int) float64 {
-	score := 0.0
-	for i := range conds {
-		if i == dropped {
-			score += s.CondSim(tbl, id, &conds[i])
-			continue
-		}
-		if s.condSatisfied(tbl, id, &conds[i]) {
-			score++
-		}
-	}
-	return score
-}
-
-// condSatisfied is Satisfies with memoized categorical checks (the
-// shorthand normalization is the hot spot when scoring hundreds of
-// candidates).
-func (s *Similarity) condSatisfied(tbl *sqldb.Table, id sqldb.RowID, c *boolean.Condition) bool {
-	return s.condSatisfiedVal(tbl.Value(id, c.Attr), c)
-}
-
-// condSatisfiedVal is condSatisfied over an already-fetched value.
+// condSatisfiedVal is Satisfies over an already-fetched value, with
+// memoized categorical checks (the shorthand normalization is the hot
+// spot when scoring hundreds of candidates).
 func (s *Similarity) condSatisfiedVal(v sqldb.Value, c *boolean.Condition) bool {
 	if c.IsNumeric() {
 		ok := satisfiesPositiveVal(v, c)
@@ -239,12 +212,12 @@ func (s *Similarity) condSatisfiedVal(v sqldb.Value, c *boolean.Condition) bool 
 // produced by different relaxed queries of the N−1 strategy are
 // merged on this score.
 //
-// Each condition's similarity and satisfaction are evaluated once and
-// the N drop choices are scored from that memo — O(N) table reads and
-// cache probes instead of the O(N²) a RankSim call per drop would
-// repeat. The inner loop replays RankSim's accumulation order term by
-// term, so every score (and therefore the winning drop index) is
-// bit-identical to the naive sweep.
+// Eq. 5 scores a drop d as the N−1 satisfied conditions, 1 each, plus
+// the similarity of condition d. Each condition's similarity and
+// satisfaction are evaluated once and the N drop choices are scored
+// from that memo — O(N) table reads and cache probes instead of O(N²).
+// Each score accumulates in condition order, so it is bit-identical to
+// scoring every drop separately.
 func (s *Similarity) BestRankSim(tbl *sqldb.Table, id sqldb.RowID, conds []boolean.Condition) (float64, int) {
 	n := len(conds)
 	var simBuf [8]float64

@@ -141,14 +141,9 @@ func ingestSome(t *testing.T, sys *core.System, seed int64, n int) []sqldb.RowID
 		}
 		ids = append(ids, id)
 	}
-	batch := gen.Generate(schema.Motorcycles(), n/2+1)
-	ads := make([]map[string]sqldb.Value, len(batch))
-	for i := range batch {
-		ads[i] = batch[i]
-	}
-	for _, r := range sys.InsertAdBatch("motorcycles", ads, 2) {
-		if r.Err != nil {
-			t.Fatal(r.Err)
+	for _, ad := range gen.Generate(schema.Motorcycles(), n/2+1) {
+		if _, err := sys.InsertAd("motorcycles", ad); err != nil {
+			t.Fatal(err)
 		}
 	}
 	if err := sys.DeleteAd("cars", ids[0]); err != nil {

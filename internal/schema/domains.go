@@ -14,17 +14,6 @@ var DomainNames = []string{
 	"furniture", "foodcoupons", "instruments", "jewellery",
 }
 
-// Domains returns freshly-built schemas for all eight ads domains,
-// keyed by domain name. Each call returns independent copies so
-// callers may mutate them safely.
-func Domains() map[string]*Schema {
-	out := make(map[string]*Schema, len(DomainNames))
-	for _, name := range DomainNames {
-		out[name] = ByName(name)
-	}
-	return out
-}
-
 // ByName builds the schema for the named domain. It panics on an
 // unknown name; use DomainNames for the valid set.
 func ByName(name string) *Schema {

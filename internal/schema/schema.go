@@ -109,32 +109,8 @@ func (s *Schema) AttrsOfType(t AttrType) []Attribute {
 	return out
 }
 
-// TypeOf returns the AttrType of the named attribute, or 0 when the
-// attribute does not exist.
-func (s *Schema) TypeOf(name string) AttrType {
-	a, ok := s.Attr(name)
-	if !ok {
-		return 0
-	}
-	return a.Type
-}
-
 // NumericAttrs returns the Type III attributes of the schema.
 func (s *Schema) NumericAttrs() []Attribute { return s.AttrsOfType(TypeIII) }
-
-// CandidatesFor returns the Type III attributes whose valid range
-// contains v. This is the "best guess" set of Sec. 4.2.2: an
-// unanchored numeric value is treated as a potential value of every
-// numeric attribute whose range admits it.
-func (s *Schema) CandidatesFor(v float64) []Attribute {
-	var out []Attribute
-	for _, a := range s.NumericAttrs() {
-		if a.InRange(v) {
-			out = append(out, a)
-		}
-	}
-	return out
-}
 
 // AttrForUnit resolves a unit keyword ("dollars", "miles") to the
 // Type III attribute it quantifies.

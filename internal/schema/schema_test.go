@@ -1,9 +1,6 @@
 package schema
 
-import (
-	"strings"
-	"testing"
-)
+import "testing"
 
 func TestAllDomainsValid(t *testing.T) {
 	for _, name := range DomainNames {
@@ -21,11 +18,12 @@ func TestAllDomainsValid(t *testing.T) {
 }
 
 func TestDomainsReturnsCopies(t *testing.T) {
-	a := Domains()
-	b := Domains()
-	a["cars"].Attrs[0].Name = "mutated"
-	if b["cars"].Attrs[0].Name == "mutated" {
-		t.Error("Domains() returned shared schema instances")
+	for _, name := range DomainNames {
+		a, b := ByName(name), ByName(name)
+		a.Attrs[0].Name = "mutated"
+		if b.Attrs[0].Name == "mutated" {
+			t.Errorf("ByName(%q) returned a shared schema instance", name)
+		}
 	}
 }
 
@@ -46,34 +44,6 @@ func TestAttrLookups(t *testing.T) {
 	}
 	if _, ok := s.Attr("nonexistent"); ok {
 		t.Error("Attr(nonexistent) should fail")
-	}
-	if got := s.TypeOf("make"); got != TypeI {
-		t.Errorf("TypeOf(make) = %v", got)
-	}
-	if got := s.TypeOf("missing"); got != 0 {
-		t.Errorf("TypeOf(missing) = %v, want 0", got)
-	}
-}
-
-func TestCandidatesForExample3(t *testing.T) {
-	// Paper Example 3: in the car-ads domain, 2000 can be a Year,
-	// Price or Mileage; 4000 can be Price or Mileage but not Year.
-	s := Cars()
-	names := func(attrs []Attribute) string {
-		parts := make([]string, len(attrs))
-		for i, a := range attrs {
-			parts[i] = a.Name
-		}
-		return strings.Join(parts, ",")
-	}
-	if got := names(s.CandidatesFor(2000)); got != "year,price,mileage" {
-		t.Errorf("CandidatesFor(2000) = %s", got)
-	}
-	if got := names(s.CandidatesFor(4000)); got != "price,mileage" {
-		t.Errorf("CandidatesFor(4000) = %s", got)
-	}
-	if got := s.CandidatesFor(1e9); len(got) != 0 {
-		t.Errorf("CandidatesFor(1e9) = %v, want empty", got)
 	}
 }
 

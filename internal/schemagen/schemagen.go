@@ -180,7 +180,8 @@ func Infer(domain, table string, records []map[string]sqldb.Value, opts Options)
 		if span == 0 {
 			span = 1
 		}
-		margin := span * opts.RangeMargin
+		// float64(x*y) rounds the product, so no CPU fuses it with the add.
+		margin := float64(span * opts.RangeMargin)
 		out.Attrs = append(out.Attrs, schema.Attribute{
 			Name: st.name,
 			Type: schema.TypeIII,

@@ -31,12 +31,17 @@ func TestInferRecoversDomainSchemas(t *testing.T) {
 			t.Errorf("%s: agreement %.2f (mismatches: %v)", name, agreement, mismatches)
 		}
 		// Type III ranges must contain the observed data.
+		observed := map[string]sqldb.ColumnStats{}
+		for _, c := range tbl.Stats().Columns {
+			observed[c.Name] = c
+		}
 		for _, a := range ref.NumericAttrs() {
 			got, ok := inferred.Attr(a.Name)
-			if !ok || got.Type != schema.TypeIII {
+			col := observed[a.Name]
+			if !ok || got.Type != schema.TypeIII || !col.HasNumeric {
 				continue
 			}
-			lo, hi, _ := tbl.MinMax(a.Name, nil)
+			lo, hi := col.Min, col.Max
 			if got.Min > lo || got.Max < hi {
 				t.Errorf("%s.%s: inferred range [%g,%g] misses data [%g,%g]",
 					name, a.Name, got.Min, got.Max, lo, hi)

@@ -339,13 +339,6 @@ func (r *Router) newPart(sl partition.Slice, members []string) *partState {
 // Close releases pooled upstream connections.
 func (r *Router) Close() { r.client.CloseIdleConnections() }
 
-// Domains lists the hosted domains, sorted.
-func (r *Router) Domains() []string {
-	out := make([]string, len(r.domains))
-	copy(out, r.domains)
-	return out
-}
-
 // partsOf snapshots a domain's current partitions.
 func (r *Router) partsOf(domain string) ([]*partState, bool) {
 	ds, ok := r.states[domain]

@@ -26,12 +26,6 @@ import (
 // Plan is the compiled streaming execution plan (see sql.Compile).
 type Plan = sql.Plan
 
-// Compile compiles a SELECT into a streaming plan without touching
-// any cache.
-func Compile(db *sqldb.DB, sel *sql.Select) (*Plan, error) {
-	return sql.Compile(db, sel)
-}
-
 // Key canonicalizes a statement into its cache key: the domain, the
 // table, the WHERE skeleton with literals stripped to typed
 // placeholders (?n / ?s), and the ORDER BY column. LIMIT is excluded

@@ -50,16 +50,6 @@ func (db *DB) TableForDomain(domain string) (*Table, bool) {
 	return t, ok
 }
 
-// TableNames returns the registered relation names, sorted.
-func (db *DB) TableNames() []string {
-	out := make([]string, 0, len(db.tables))
-	for name := range db.tables {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Domains returns the registered domain names, sorted.
 func (db *DB) Domains() []string {
 	out := make([]string, 0, len(db.domain))

@@ -18,7 +18,7 @@ func referenceExtremeRun(tbl *Table, ids []RowID, col string, desc bool, limit i
 	sorted := tbl.SortByColumn(slices.Clone(ids), col, desc)
 	start := 0
 	for start < len(sorted) {
-		if _, ok := tbl.Value(sorted[start], col).TryNum(); ok {
+		if _, ok := tbl.Value(sorted[start], col).tryNum(); ok {
 			break
 		}
 		start++
@@ -26,10 +26,10 @@ func referenceExtremeRun(tbl *Table, ids []RowID, col string, desc bool, limit i
 	if start == len(sorted) {
 		return nil, 0, false
 	}
-	extreme, _ := tbl.Value(sorted[start], col).TryNum()
+	extreme, _ := tbl.Value(sorted[start], col).tryNum()
 	var run []RowID
 	for _, id := range sorted[start:] {
-		n, ok := tbl.Value(id, col).TryNum()
+		n, ok := tbl.Value(id, col).tryNum()
 		if !ok || n != extreme {
 			break
 		}

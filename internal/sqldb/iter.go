@@ -74,34 +74,6 @@ func (p Pred) Negated() Pred {
 	return p
 }
 
-// MatchRow reports whether live row id satisfies p. Dead or
-// out-of-range ids never match (not even negated predicates: the
-// complement universe is the live row set).
-func (t *Table) MatchRow(id RowID, p Pred) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if !t.aliveLocked(id) {
-		return false
-	}
-	return t.matchLocked(id, &p)
-}
-
-// MatchAll reports whether live row id satisfies every predicate,
-// under a single lock acquisition.
-func (t *Table) MatchAll(id RowID, preds []Pred) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if !t.aliveLocked(id) {
-		return false
-	}
-	for i := range preds {
-		if !t.matchLocked(id, &preds[i]) {
-			return false
-		}
-	}
-	return true
-}
-
 // matchLocked evaluates one predicate; caller holds t.mu.
 //
 // cqads:requires-lock mu

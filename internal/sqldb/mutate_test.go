@@ -27,9 +27,6 @@ func TestDeleteSemantics(t *testing.T) {
 	if tbl.Slots() != 4 {
 		t.Errorf("Slots after delete = %d, want 4 (slot retired, not reused)", tbl.Slots())
 	}
-	if tbl.Alive(1) {
-		t.Error("Alive(1) after delete")
-	}
 	if _, ok := tbl.Get(1); ok {
 		t.Error("Get(1) should fail after delete")
 	}
@@ -49,9 +46,15 @@ func TestDeleteSemantics(t *testing.T) {
 	if ids := tbl.LookupRange("price", 10000, 12000, true, true); len(ids) != 0 {
 		t.Errorf("LookupRange over deleted row = %v", ids)
 	}
-	// MinMax skips the deleted row (its price 11000 no longer counts).
-	if _, hi, ok := tbl.MinMax("mileage", nil); !ok || hi != 90000 {
-		t.Errorf("MinMax(mileage) hi = %g", hi)
+	// Stats skip the deleted row: "civic" is no longer a model.
+	st := tbl.Stats()
+	if st.Rows != 3 {
+		t.Errorf("Stats rows = %d, want 3", st.Rows)
+	}
+	for _, c := range st.Columns {
+		if c.Name == "model" && c.Distinct != 3 {
+			t.Errorf("Stats model distinct = %d, want 3", c.Distinct)
+		}
 	}
 	// A new insert takes a fresh slot.
 	id, err := tbl.Insert(map[string]Value{"make": String("kia")})
@@ -136,7 +139,7 @@ func TestPostingListsStayAscending(t *testing.T) {
 	got := tbl.LookupRange("price", 6000, 20000, true, true)
 	var want []RowID
 	for _, id := range tbl.AllRowIDs() {
-		if n, ok := tbl.Value(id, "price").TryNum(); ok && n >= 6000 && n <= 20000 {
+		if n, ok := tbl.Value(id, "price").tryNum(); ok && n >= 6000 && n <= 20000 {
 			want = append(want, id)
 		}
 	}
@@ -198,7 +201,6 @@ func TestConcurrentMutateAndScan(t *testing.T) {
 					return
 				}
 				tbl.LookupRange("price", 4000, 9000, true, true)
-				tbl.MinMax("price", nil)
 				tbl.Stats()
 				for _, id := range tbl.AllRowIDs() {
 					tbl.RecordMap(id)

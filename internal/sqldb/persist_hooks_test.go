@@ -51,7 +51,7 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 	if rt.Len() != tbl.Len() || rt.Slots() != tbl.Slots() {
 		t.Fatalf("restored len/slots = %d/%d, want %d/%d", rt.Len(), rt.Slots(), tbl.Len(), tbl.Slots())
 	}
-	if rt.Alive(1) {
+	if _, ok := rt.Get(1); ok {
 		t.Error("tombstoned row 1 alive after restore")
 	}
 	if !reflect.DeepEqual(rt.AllRowIDs(), tbl.AllRowIDs()) {

@@ -2,7 +2,6 @@ package sqldb
 
 import (
 	"fmt"
-	"math"
 	"slices"
 	"sort"
 	"sync"
@@ -138,14 +137,8 @@ func (t *Table) Slots() int {
 	return len(t.rows)
 }
 
-// Alive reports whether id names a live (inserted, not deleted) row.
-func (t *Table) Alive(id RowID) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.aliveLocked(id)
-}
-
-// aliveLocked is Alive with the caller holding t.mu.
+// aliveLocked reports whether id names a live (inserted, not
+// deleted) row; the caller holds t.mu.
 //
 // cqads:requires-lock mu
 func (t *Table) aliveLocked(id RowID) bool {
@@ -388,43 +381,6 @@ func (t *Table) appendRangeLocked(dst []RowID, col string, lo, hi float64, incLo
 	return dst
 }
 
-// MinMax returns the smallest and largest values of numeric col over
-// rows in ids (or all live rows when ids is nil). ok is false when no
-// row has a numeric value in col.
-func (t *Table) MinMax(col string, ids []RowID) (minV, maxV float64, ok bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	i, exists := t.colIdx[col]
-	if !exists {
-		return 0, 0, false
-	}
-	minV, maxV = math.Inf(1), math.Inf(-1)
-	consider := func(id RowID) {
-		if !t.aliveLocked(id) {
-			return
-		}
-		if n, isNum := t.rows[id].Values[i].tryNum(); isNum {
-			if n < minV {
-				minV = n
-			}
-			if n > maxV {
-				maxV = n
-			}
-			ok = true
-		}
-	}
-	if ids == nil {
-		for id := range t.rows {
-			consider(RowID(id))
-		}
-	} else {
-		for _, id := range ids {
-			consider(id)
-		}
-	}
-	return minV, maxV, ok
-}
-
 // SortByColumn orders ids by the numeric column col, ascending or
 // descending, with RowID as a deterministic tie-breaker. It sorts in
 // place and returns ids for chaining.
@@ -451,7 +407,7 @@ func (t *Table) SortByColumn(ids []RowID, col string, descending bool) []RowID {
 }
 
 // AppendExtremeRun appends to dst, in ascending RowID order, every id
-// of the ascending set ids whose numeric value in col (TryNum) equals
+// of the ascending set ids whose numeric value in col (tryNum) equals
 // the set's minimum — its maximum when desc — keeping at most limit
 // ids in the run (limit <= 0 is uncapped). It also returns the extreme,
 // read from the run's lowest-RowID member, and whether any row had a

@@ -95,21 +95,6 @@ func TestLookupRange(t *testing.T) {
 	}
 }
 
-func TestMinMax(t *testing.T) {
-	tbl := carsTable(t)
-	lo, hi, ok := tbl.MinMax("price", nil)
-	if !ok || lo != 8000 || hi != 22000 {
-		t.Errorf("MinMax(price) = %g, %g, %v", lo, hi, ok)
-	}
-	lo, hi, ok = tbl.MinMax("price", []RowID{0, 2})
-	if !ok || lo != 8000 || hi != 9500 {
-		t.Errorf("MinMax(price, subset) = %g, %g, %v", lo, hi, ok)
-	}
-	if _, _, ok := tbl.MinMax("ghost", nil); ok {
-		t.Error("MinMax(ghost) should fail")
-	}
-}
-
 func TestSortByColumn(t *testing.T) {
 	tbl := carsTable(t)
 	ids := tbl.SortByColumn([]RowID{0, 1, 2, 3}, "price", false)
@@ -152,9 +137,6 @@ func TestDBCatalog(t *testing.T) {
 	}
 	if got := db.Domains(); len(got) != 1 || got[0] != "cars" {
 		t.Errorf("Domains = %v", got)
-	}
-	if got := db.TableNames(); len(got) != 1 || got[0] != "car_ads" {
-		t.Errorf("TableNames = %v", got)
 	}
 }
 

@@ -89,12 +89,6 @@ func (v Value) Equal(o Value) bool {
 	return aok && bok && a == b
 }
 
-// TryNum returns the numeric content and whether v is numeric: a
-// number, or a string that parses as one (the same coercion Num,
-// Equal and Compare apply). NULL and non-numeric strings report
-// false, letting callers distinguish "no value" from an actual 0.
-func (v Value) TryNum() (float64, bool) { return v.tryNum() }
-
 func (v Value) tryNum() (float64, bool) {
 	if v.IsNumber() {
 		return v.n, true

@@ -253,12 +253,3 @@ func (s *stemState) step5() {
 		s.k--
 	}
 }
-
-// StemAll stems every word in words, returning a new slice.
-func StemAll(words []string) []string {
-	out := make([]string, len(words))
-	for i, w := range words {
-		out[i] = Stem(w)
-	}
-	return out
-}

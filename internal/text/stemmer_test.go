@@ -80,13 +80,6 @@ func TestStemShortAndCase(t *testing.T) {
 	}
 }
 
-func TestStemAll(t *testing.T) {
-	got := StemAll([]string{"cars", "excluding"})
-	if got[0] != "car" || got[1] != "exclud" {
-		t.Errorf("StemAll = %v", got)
-	}
-}
-
 func TestStemIdempotentOnCommonWords(t *testing.T) {
 	// Stemming a stem should usually be stable for our vocabulary;
 	// check the domain vocabulary words used by the WS-matrix.

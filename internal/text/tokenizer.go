@@ -71,7 +71,8 @@ func scanNumber(runes []rune, i int) (Token, int) {
 	sawDigit := false
 	for i < len(runes) && (unicode.IsDigit(runes[i]) || runes[i] == ',') {
 		if unicode.IsDigit(runes[i]) {
-			value = value*10 + float64(runes[i]-'0')
+			// float64(x*y) rounds the product, so no CPU fuses it with the add.
+			value = float64(value*10) + float64(runes[i]-'0')
 			sawDigit = true
 		}
 		i++
@@ -80,7 +81,7 @@ func scanNumber(runes []rune, i int) (Token, int) {
 		i++
 		frac := 0.1
 		for i < len(runes) && unicode.IsDigit(runes[i]) {
-			value += float64(runes[i]-'0') * frac
+			value += float64(float64(runes[i]-'0') * frac)
 			frac /= 10
 			i++
 		}
@@ -135,10 +136,4 @@ func Words(s string) []string {
 		out[i] = t.Text
 	}
 	return out
-}
-
-// NormalizeSpace collapses runs of whitespace in s to single spaces
-// and trims the ends.
-func NormalizeSpace(s string) string {
-	return strings.Join(strings.Fields(s), " ")
 }

@@ -92,12 +92,6 @@ func TestTokenizeHyphenJoin(t *testing.T) {
 	}
 }
 
-func TestNormalizeSpace(t *testing.T) {
-	if got := NormalizeSpace("  a   b \t c  "); got != "a b c" {
-		t.Errorf("NormalizeSpace = %q", got)
-	}
-}
-
 func TestTokenizeOffsets(t *testing.T) {
 	toks := Tokenize("red bmw")
 	if toks[0].Start != 0 || toks[1].Start != 4 {

@@ -65,11 +65,6 @@ func (t *Trie) Lookup(phrase string) (Entry, bool) {
 	return *n.entry, true
 }
 
-// HasPrefix reports whether any stored phrase starts with prefix.
-func (t *Trie) HasPrefix(prefix string) bool {
-	return t.walk(prefix) != nil
-}
-
 func (t *Trie) walk(s string) *node {
 	n := t.root
 	for i := 0; i < len(s); i++ {
@@ -80,15 +75,6 @@ func (t *Trie) walk(s string) *node {
 		n = child
 	}
 	return n
-}
-
-// Words returns every stored phrase, sorted. Intended for tests and
-// for the fuzzy-correction candidate sweep.
-func (t *Trie) Words() []string {
-	var out []string
-	collect(t.root, &out)
-	sort.Strings(out)
-	return out
 }
 
 func collect(n *node, out *[]string) {

@@ -94,7 +94,7 @@ func geoMean(a, b float64) float64 {
 }
 
 // Sim returns the similarity of two words (any inflection; inputs are
-// stemmed). Identical stems score Max(); unknown words score 0.
+// stemmed). Identical stems score the maximum; unknown words score 0.
 func (m *Matrix) Sim(a, b string) float64 {
 	sa, sb := text.Stem(a), text.Stem(b)
 	if sa == sb {
@@ -136,13 +136,10 @@ func (m *Matrix) bestAlign(from, to []string) float64 {
 	return total / float64(len(from))
 }
 
-// Max returns the matrix's maximum similarity, the Rank_Sim
-// normalizer for Feat_Sim.
-func (m *Matrix) Max() float64 { return m.max }
-
-// NormSim returns PhraseSim normalized to [0,1] by Max(). PhraseSim
-// averages sums of per-word alignments, and float rounding can carry
-// that average a hair past Max() (a value repeating a question word
+// NormSim returns PhraseSim normalized to [0,1] by the matrix's maximum
+// similarity, the Rank_Sim normalizer for Feat_Sim. PhraseSim averages
+// sums of per-word alignments, and float rounding can carry that
+// average a hair past the maximum (a value repeating a question word
 // many times), so the ratio is clamped: Feat_Sim is one Eq. 5 term and
 // must never exceed 1.
 func (m *Matrix) NormSim(a, b string) float64 {

@@ -25,7 +25,7 @@ func TestBuildSmallCorpus(t *testing.T) {
 		t.Error("red~engine should be 0 (never co-occur)")
 	}
 	// Identical stems score the max.
-	if m.Sim("red", "red") != m.Max() {
+	if m.Sim("red", "red") != m.max {
 		t.Error("self-similarity should be Max()")
 	}
 	// Unknown words score 0.
@@ -40,7 +40,7 @@ func TestBuildStemsAndStopwords(t *testing.T) {
 	}
 	m := Build(corpus)
 	// "running" and "runs" share the stem "run": same-word max.
-	if m.Sim("running", "runs") != m.Max() {
+	if m.Sim("running", "runs") != m.max {
 		t.Error("inflections of one word should share similarity")
 	}
 	// Stopwords must not enter the vocabulary.
@@ -150,14 +150,14 @@ func seed42Matrix() *Matrix {
 // no-op, so no seed-42 answer moves.
 func TestNormSimClampsOvershoot(t *testing.T) {
 	m := seed42Matrix()
-	if m.Max() != 1.354030257936506 {
-		t.Fatalf("seed-42 Max() = %v; the overshoot cases below were found on 1.354030257936506", m.Max())
+	if m.max != 1.354030257936506 {
+		t.Fatalf("seed-42 max = %v; the overshoot cases below were found on 1.354030257936506", m.max)
 	}
 	for _, c := range [][2]string{
 		{"4 wheel drive", "4 wheel drive 4 wheel drive 4 wheel drive 4 wheel drive 4"},
 		{"leather", strings.Repeat("leather ", 13)},
 	} {
-		if raw := m.PhraseSim(c[0], c[1]) / m.Max(); raw <= 1 {
+		if raw := m.PhraseSim(c[0], c[1]) / m.max; raw <= 1 {
 			t.Errorf("PhraseSim/Max(%q, %q) = %v, expected the float overshoot", c[0], c[1], raw)
 		}
 		if got := m.NormSim(c[0], c[1]); got != 1 {
@@ -172,7 +172,7 @@ func TestNormSimClampsOvershoot(t *testing.T) {
 	}
 	for _, v := range values {
 		for _, w := range values {
-			if got, raw := m.NormSim(v, w), m.PhraseSim(v, w)/m.Max(); got != raw {
+			if got, raw := m.NormSim(v, w), m.PhraseSim(v, w)/m.max; got != raw {
 				t.Fatalf("NormSim(%q, %q) = %v, unclamped %v: the clamp moved a vocabulary pair", v, w, got, raw)
 			}
 		}
