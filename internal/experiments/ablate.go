@@ -124,6 +124,16 @@ func (r *AblateDepthResult) String() string {
 	return sb.String()
 }
 
+// Untimed renders the depth ablation without its latency column.
+func (r *AblateDepthResult) Untimed() string {
+	var sb strings.Builder
+	sb.WriteString("Ablation — relaxation depth (cars, questions with ≥3 conditions)\n")
+	for _, row := range r.Rows {
+		fmt.Fprintf(&sb, "  N-%d: %.1f answers (%.1f partial)\n", row.Depth, row.AvgAnswers, row.AvgPartial)
+	}
+	return sb.String()
+}
+
 // AblateRepairResult quantifies the Sec. 4.2 repair machinery
 // (spelling correction, missing-space repair, shorthand detection):
 // interpretation-recovery rates on noisy questions with repair on and

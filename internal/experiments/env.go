@@ -32,14 +32,15 @@ const (
 // database, similarity matrices, trained classifier, CQAds system and
 // the generated test questions.
 type Env struct {
-	Seed    int64
-	DB      *sqldb.DB
-	Schemas map[string]*schema.Schema
-	Sims    map[string]*qlog.Simulator
-	TI      map[string]*qlog.TIMatrix
-	WS      *wsmatrix.Matrix
-	Cls     *classify.JBBSM
-	System  *core.System
+	Seed         int64
+	AdsPerDomain int
+	DB           *sqldb.DB
+	Schemas      map[string]*schema.Schema
+	Sims         map[string]*qlog.Simulator
+	TI           map[string]*qlog.TIMatrix
+	WS           *wsmatrix.Matrix
+	Cls          *classify.JBBSM
+	System       *core.System
 	// Tests holds the 650 survey questions keyed by domain.
 	Tests map[string][]questions.Question
 	// Appraiser is the shared relevance-judgment oracle.
@@ -55,12 +56,13 @@ func NewEnv(seed int64, adsPerDomain int) (*Env, error) {
 		return nil, fmt.Errorf("experiments: populating ads: %w", err)
 	}
 	env := &Env{
-		Seed:    seed,
-		DB:      db,
-		Schemas: make(map[string]*schema.Schema),
-		Sims:    make(map[string]*qlog.Simulator),
-		TI:      make(map[string]*qlog.TIMatrix),
-		Tests:   make(map[string][]questions.Question),
+		Seed:         seed,
+		AdsPerDomain: adsPerDomain,
+		DB:           db,
+		Schemas:      make(map[string]*schema.Schema),
+		Sims:         make(map[string]*qlog.Simulator),
+		TI:           make(map[string]*qlog.TIMatrix),
+		Tests:        make(map[string][]questions.Question),
 	}
 	var schemas []*schema.Schema
 	for _, d := range schema.DomainNames {

@@ -1,6 +1,9 @@
 package experiments
 
 import (
+	"bytes"
+	"flag"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -42,173 +45,6 @@ func TestEnvShape(t *testing.T) {
 	}
 	if e.WS.Size() == 0 {
 		t.Error("WS matrix empty")
-	}
-}
-
-func TestFig2Shape(t *testing.T) {
-	// Figure 2: accuracy in the high range, cars among the lowest
-	// (shared vocabulary with motorcycles), average ≥ 85%.
-	e := smallEnv(t)
-	r, err := e.Fig2Classification()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Average < 0.85 {
-		t.Errorf("average accuracy = %g, want >= 0.85", r.Average)
-	}
-	for d, acc := range r.PerDomain {
-		if acc < 0.6 {
-			t.Errorf("domain %s accuracy = %g (too low)", d, acc)
-		}
-	}
-	if !strings.Contains(r.String(), "average") {
-		t.Error("String() missing average row")
-	}
-}
-
-func TestExactMatchShape(t *testing.T) {
-	// Sec. 5.3: P/R/F around the nineties, strongly bimodal.
-	e := smallEnv(t)
-	r, err := e.ExactMatch()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Precision < 0.85 || r.Recall < 0.85 || r.F1 < 0.85 {
-		t.Errorf("P/R/F = %.3f/%.3f/%.3f, want all >= 0.85",
-			r.Precision, r.Recall, r.F1)
-	}
-	if r.PerfectFraction < 0.75 {
-		t.Errorf("perfect fraction = %g; the paper observes answers are mostly all-or-nothing", r.PerfectFraction)
-	}
-	if r.Total != 650 {
-		t.Errorf("total = %d", r.Total)
-	}
-}
-
-func TestFig4Shape(t *testing.T) {
-	// Figure 4: average ≈ 90%, implicit and explicit close; dips at
-	// the ambiguous questions Q3, Q8, Q10.
-	e := smallEnv(t)
-	r, err := e.Fig4Boolean()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Average < 0.80 || r.Average > 0.98 {
-		t.Errorf("average = %g, want ≈ 0.90", r.Average)
-	}
-	byID := map[string]Fig4Row{}
-	for _, row := range r.Rows {
-		byID[row.ID] = row
-	}
-	if len(byID) != 10 {
-		t.Fatalf("rows = %d", len(r.Rows))
-	}
-	for _, dip := range []string{"Q3", "Q8", "Q10"} {
-		if byID[dip].Accuracy >= byID["Q2"].Accuracy {
-			t.Errorf("%s (%.2f) should dip below Q2 (%.2f)",
-				dip, byID[dip].Accuracy, byID["Q2"].Accuracy)
-		}
-	}
-	// Q8's interpretation must be the paper's: models ORed, colors
-	// ORed despite the literal "and".
-	q8 := byID["Q8"].Interpretation
-	if !strings.Contains(q8, "focus OR corolla OR civic") ||
-		!strings.Contains(q8, "black OR grey") {
-		t.Errorf("Q8 interpretation = %s", q8)
-	}
-}
-
-func TestTable2Shape(t *testing.T) {
-	e := smallEnv(t)
-	r, err := e.Table2PartialAnswers()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Rows) != 5 {
-		t.Fatalf("rows = %d, want 5", len(r.Rows))
-	}
-	// Ranked by non-increasing Rank_Sim, every row labels its measure.
-	for i, row := range r.Rows {
-		if i > 0 && r.Rows[i-1].RankSim < row.RankSim {
-			t.Errorf("rows not sorted at %d", i)
-		}
-		if row.SimilarityUsed == "" {
-			t.Errorf("row %d missing similarity label", i)
-		}
-		if row.RankSim < 3 || row.RankSim > 4 {
-			t.Errorf("row %d Rank_Sim = %g outside [N-1, N] for N=4", i, row.RankSim)
-		}
-	}
-}
-
-func TestFig5Shape(t *testing.T) {
-	// Figure 5: CQAds beats every baseline on P@1, P@5 and MRR;
-	// Random is the floor.
-	e := smallEnv(t)
-	r, err := e.Fig5Ranking()
-	if err != nil {
-		t.Fatal(err)
-	}
-	scores := map[string]Fig5Row{}
-	for _, row := range r.Rows {
-		scores[row.Ranker] = row
-	}
-	cq := scores["CQAds"]
-	for name, row := range scores {
-		if name == "CQAds" {
-			continue
-		}
-		if cq.P1 <= row.P1 || cq.P5 <= row.P5 || cq.MRR <= row.MRR {
-			t.Errorf("CQAds (%+v) does not dominate %s (%+v)", cq, name, row)
-		}
-	}
-	rnd := scores["Random"]
-	informed := 0
-	for name, row := range scores {
-		if name == "Random" {
-			continue
-		}
-		if row.P5 > rnd.P5 {
-			informed++
-		}
-	}
-	if informed < 3 {
-		t.Errorf("only %d informed rankers beat Random on P@5", informed)
-	}
-}
-
-func TestFig6Shape(t *testing.T) {
-	// Figure 6: Random fastest; CQAds faster than Cosine and AIMQ.
-	e := smallEnv(t)
-	r, err := e.Fig6Latency(10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	avg := map[string]float64{}
-	for _, row := range r.Rows {
-		avg[row.Ranker] = float64(row.Average)
-	}
-	if avg["Random"] >= avg["CQAds"] {
-		t.Errorf("Random (%g) should be fastest (CQAds %g)", avg["Random"], avg["CQAds"])
-	}
-	if avg["CQAds"] >= avg["Cosine"] || avg["CQAds"] >= avg["AIMQ"] {
-		t.Errorf("CQAds (%g) should beat Cosine (%g) and AIMQ (%g)",
-			avg["CQAds"], avg["Cosine"], avg["AIMQ"])
-	}
-}
-
-func TestShorthandShape(t *testing.T) {
-	// Sec. 4.2.3 reports 98% accuracy; require at least 95%.
-	e := smallEnv(t)
-	r, err := e.ShorthandDetection()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r.Accuracy < 0.95 {
-		t.Errorf("shorthand accuracy = %g", r.Accuracy)
-	}
-	if r.Total < 800 {
-		t.Errorf("samples = %d (target 1000 minus skips)", r.Total)
 	}
 }
 
@@ -260,26 +96,50 @@ func TestExtensions(t *testing.T) {
 	}
 }
 
+// updateGolden rewrites EXPERIMENTS.md from the current code:
+// go test ./internal/experiments -run TestWriteReport -update
+var updateGolden = flag.Bool("update", false, "rewrite EXPERIMENTS.md from the current code")
+
+// TestWriteReport: EXPERIMENTS.md at the module root is the untimed
+// report of a fresh seed-42, 300-ads-per-domain environment, byte for
+// byte. A change that moves any figure or table of Sec. 5 shows up as
+// a diff of that file; regenerate it with -update and commit the diff
+// with the change that caused it.
 func TestWriteReport(t *testing.T) {
-	e := smallEnv(t)
-	var buf strings.Builder
-	if err := e.WriteReport(&buf); err != nil {
+	e, err := NewEnv(42, 300)
+	if err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	for _, want := range []string{
-		"# CQAds reproduction report",
-		"## Figure 2 — question classification",
-		"## Table 2 — ranked partial answers",
-		"## Extension — schema generation",
-		"classification accuracy",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("report missing %q", want)
-		}
+	var buf bytes.Buffer
+	if err := e.WriteReport(&buf, false); err != nil {
+		t.Fatal(err)
 	}
-	if got := strings.Count(out, "\n## "); got != 15 {
-		t.Errorf("report has %d sections, want 15", got)
+	const golden = "../../EXPERIMENTS.md"
+	if *updateGolden {
+		if err := os.WriteFile(golden, buf.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal(buf.Bytes(), want) {
+		return
+	}
+	got, exp := strings.Split(buf.String(), "\n"), strings.Split(string(want), "\n")
+	for i := 0; i < len(got) || i < len(exp); i++ {
+		var g, w string
+		if i < len(got) {
+			g = got[i]
+		}
+		if i < len(exp) {
+			w = exp[i]
+		}
+		if g != w {
+			t.Fatalf("report differs from %s at line %d (rerun with -update if the change is intended):\n got: %q\nwant: %q", golden, i+1, g, w)
+		}
 	}
 }
 

@@ -6,11 +6,20 @@ import (
 	"time"
 )
 
+// untimed is a result that can render itself without wall-clock
+// timings.
+type untimed interface{ Untimed() string }
+
 // WriteReport runs every experiment and writes a self-contained
 // markdown report to w: the regenerated tables and figures, the
-// ablations, and the extension measurements. cmd/experiments -report
-// uses it to produce an EXPERIMENTS.md-shaped document from scratch.
-func (e *Env) WriteReport(w io.Writer) error {
+// ablations, and the extension measurements. With timed false the
+// report is a function of the seed and the ads per domain alone: no
+// timestamp, no timing columns, and Figure 6 as the ordering of the
+// approaches only. That form is committed as EXPERIMENTS.md and
+// regenerated by a test (`go run ./cmd/experiments -ads 300 -report
+// EXPERIMENTS.md` writes it). With timed true the report also carries
+// its generation time and the measured latencies.
+func (e *Env) WriteReport(w io.Writer, timed bool) error {
 	type section struct {
 		title string
 		run   func() (fmt.Stringer, error)
@@ -33,9 +42,13 @@ func (e *Env) WriteReport(w io.Writer) error {
 		{"Extension — schema generation", func() (fmt.Stringer, error) { return e.SchemaGen() }},
 	}
 
-	if _, err := fmt.Fprintf(w,
-		"# CQAds reproduction report\n\nseed %d · %d questions · generated %s\n\n",
-		e.Seed, e.TotalQuestions(), time.Now().Format(time.RFC3339)); err != nil {
+	stamp := "\n\nGenerated by `go run ./cmd/experiments -seed 42 -ads 300 -report EXPERIMENTS.md`;\n" +
+		"`go test ./internal/experiments -run TestWriteReport` checks it byte for byte."
+	if timed {
+		stamp = " · generated " + time.Now().Format(time.RFC3339)
+	}
+	if _, err := fmt.Fprintf(w, "# CQAds reproduction report\n\nseed %d · %d ads per domain · %d questions%s\n\n",
+		e.Seed, e.AdsPerDomain, e.TotalQuestions(), stamp); err != nil {
 		return err
 	}
 	for _, s := range sections {
@@ -43,7 +56,11 @@ func (e *Env) WriteReport(w io.Writer) error {
 		if err != nil {
 			return fmt.Errorf("experiments: report section %q: %w", s.title, err)
 		}
-		if _, err := fmt.Fprintf(w, "## %s\n\n```\n%s```\n\n", s.title, res.String()); err != nil {
+		text := res.String()
+		if u, ok := res.(untimed); ok && !timed {
+			text = u.Untimed()
+		}
+		if _, err := fmt.Fprintf(w, "## %s\n\n```\n%s```\n\n", s.title, text); err != nil {
 			return err
 		}
 	}
