@@ -12,48 +12,53 @@
 // Generated SQL runs on a streaming, plan-first executor rather than
 // an eager set evaluator. The pipeline has three stages:
 //
-//   - Driving scans with per-row residuals. A conjunctive query
-//     copies the row ids of ONE driving leaf — served by the hash or
-//     ordered index (Table.AppendEqual/AppendRange) — into a pooled,
-//     caller-owned buffer, then
-//     checks the remaining conjuncts as per-row residual predicates
-//     under a single read lock (Table.FilterMatch), never
-//     materializing per-condition row sets (internal/sqldb/iter.go,
-//     internal/sql/stream.go). No index-owned posting slice is read
-//     outside the table lock and no callback runs under it, so a scan
-//     allocates nothing that scales with posting size.
+//   - Driving scans with per-row residuals, into one pooled buffer.
+//     Every id a statement produces is appended into one pooled,
+//     caller-owned buffer (internal/sql/stream.go, idBufs). A
+//     conjunction appends the row ids of ONE driving leaf — served by
+//     the hash or ordered index (Table.AppendEqual/AppendRange) — and
+//     filters them in place by the remaining conjuncts as per-row
+//     residual predicates under a single read lock (Table.FilterMatch,
+//     internal/sqldb/iter.go); an OR of leaves or its NOT is one
+//     any-of residual. A root OR appends every branch and then sorts
+//     and deduplicates the buffer; a NOT walks the live slots minus
+//     its inner ids (Table.AppendLiveExcept). No index-owned posting
+//     slice is read outside the table lock and no callback runs under
+//     it. The one allocation left is the answer, an exact-size copy of
+//     at most LIMIT ids, so an execution allocates nothing that scales
+//     with posting size (sql.TestRunAllocatesOnlyItsAnswer).
 //
 //   - Planning from shape and schema alone. The paper fixes the
 //     evaluation order (Sec. 4.3: Type I conditions first, then Type
 //     II, then Type III, superlatives last) and core.BuildSelect emits
 //     every conjunction in that order, so sql.Compile reads the order
-//     off the statement: a conjunction is driven by its first operand
-//     that an index serves (= on a hashed Type I/II column, a range or
-//     BETWEEN on an ordered Type III column), else by its first
-//     drivable leaf, and the rest become residuals. A residual selects
-//     exactly the rows its leaf's lookup would, so the answer does not
-//     depend on which operand drives. No table statistics, no
-//     selectivity estimates, no literal values enter a plan. OR and
-//     NOT subtrees fall back to materialize-and-merge; LIMIT is pushed
-//     into the driving scan when no ORDER BY reorders the stream.
-//     sql.Explain renders the compiled plan (driving scan and its
-//     access path, pushed residuals, membership sets) with ? for each
-//     literal. System.Explain rebuilds an answer's statement from its
-//     interpretation with BuildSelect rather than parsing the SQL text
-//     it printed, and shows a superlative's extreme run in place of
-//     the sort: SQL is output, not input, and no production code
-//     parses it.
+//     off the statement: a conjunction is driven by its first leaf
+//     that an index serves (= on a hashed Type I/II column; = with a
+//     number, a range or BETWEEN on an ordered Type III column), else
+//     by its first leaf, else by the live rows, and the rest become
+//     residuals. A residual selects exactly the rows its node's scan
+//     would, so the answer does not depend on which operand drives. No
+//     table statistics, no selectivity estimates, no literal values
+//     enter a plan. LIMIT is pushed into the driving filter when no
+//     ORDER BY reorders the stream. sql.Explain renders the compiled
+//     plan (driving scan and its access path, pushed residuals) with ?
+//     for each literal. System.Explain rebuilds an answer's statement
+//     from its interpretation with BuildSelect rather than parsing the
+//     SQL text it printed, and shows a superlative's extreme run in
+//     place of the sort: SQL is output, not input, and no production
+//     code parses it.
 //
 //   - Superlatives without a sort. A superlative is evaluated last,
 //     over the rows the other criteria retrieve (Sec. 4.3), and only
 //     its extreme run matters: the question still resolves to the
-//     cached plan of its own ORDER BY shape, but sql.Plan.Match runs
-//     only the WHERE, and sqldb.Table.AppendExtremeRun takes the rows
-//     at the minimum (maximum) numeric value in one pass under one
-//     read lock, in RowID order — what sorting the whole match set
-//     and reading its leading equal run gave, with no sort.
-//     TestAppendExtremeRunMatchesSort and FuzzExtremeRun hold it to
-//     SortByColumn.
+//     cached plan of its own ORDER BY shape, but sql.Plan.ExtremeRun
+//     runs only the WHERE into the pooled buffer, and
+//     sqldb.Table.AppendExtremeRun takes the rows at the minimum
+//     (maximum) numeric value in one pass under one read lock, in
+//     RowID order — what sorting the whole match set and reading its
+//     leading equal run gave, with no sort — and only the run is
+//     copied out. TestAppendExtremeRunMatchesSort and FuzzExtremeRun
+//     hold it to SortByColumn.
 //
 //   - A shape-keyed plan cache. Compiled plans carry no literals —
 //     execution re-binds the statement's constants at run time — so

@@ -183,7 +183,7 @@ func TestPartialAnswersCeilingStop(t *testing.T) {
 						}
 						var exactK []sqldb.RowID
 						if in.Superlative != nil {
-							exactK, _, _, err = sys.superlativeRun(tbl, sel, in, keep, 0)
+							exactK, _, _, err = sys.superlativeRun(tbl, sel, keep, 0)
 							if err != nil {
 								t.Fatalf("%s: %v", tag, err)
 							}

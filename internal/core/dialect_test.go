@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"repro/cqads"
+	"repro/internal/boolean"
 	"repro/internal/core"
 	"repro/internal/questions"
 	"repro/internal/schema"
@@ -47,7 +48,10 @@ func nodePairs(seen map[string]bool, e sql.Expr) {
 // BuildSelect emits are exactly dialect; sql.Compile accepts each of
 // them and rejects <>, !=, LIKE and a foreign Expr type as
 // unsupported. An operator the generator stops emitting, or one the
-// executor starts accepting, fails here.
+// executor starts accepting, fails here. Over the same statements,
+// every conjunction is driven by an index lookup (checkDrivers) and
+// the relaxation's per-condition stream yields exactly the executor's
+// set (checkForEachMatch).
 func TestDialectIsWhatBuildSelectEmits(t *testing.T) {
 	opts := shardtest.Options(40)
 	sys := shardtest.OpenMonolith(t, opts)
@@ -65,6 +69,7 @@ func TestDialectIsWhatBuildSelectEmits(t *testing.T) {
 	// negated "between" keeps its BETWEEN.
 	asks = append(asks, "toyota camry max $8000", "honda accord not between 5000 and 9000 dollars")
 	seen := map[string]bool{}
+	conjunctions, conditions := 0, 0
 	for _, q := range asks {
 		res, err := sys.Ask(q)
 		if err != nil {
@@ -74,9 +79,17 @@ func TestDialectIsWhatBuildSelectEmits(t *testing.T) {
 			continue
 		}
 		tbl, _ := sys.DB().TableForDomain(res.Domain)
-		if sel := core.BuildSelect(tbl.Schema(), res.Interpretation, cqads.DefaultMaxAnswers); sel.Where != nil {
-			nodePairs(seen, sel.Where)
+		sel := core.BuildSelect(tbl.Schema(), res.Interpretation, cqads.DefaultMaxAnswers)
+		if sel.Where == nil {
+			continue
 		}
+		nodePairs(seen, sel.Where)
+		conjunctions += checkDrivers(t, sys.DB(), tbl, sel.Where)
+		conditions += checkForEachMatch(t, sys.DB(), tbl, res.Interpretation)
+	}
+	t.Logf("checked %d conjunctions and %d conditions", conjunctions, conditions)
+	if conjunctions < 100 || conditions < 500 {
+		t.Errorf("checked %d conjunctions and %d conditions; the workload should reach far more", conjunctions, conditions)
 	}
 	// The dialect: every (node type, operator) pair of the subset, each
 	// with an instance over car_ads.
@@ -113,4 +126,67 @@ func TestDialectIsWhatBuildSelectEmits(t *testing.T) {
 			t.Errorf("Compile(%s) = %v, want an unsupported error", e.SQL(), err)
 		}
 	}
+}
+
+// checkDrivers walks e and explains every conjunction in it on its
+// own: each must be driven by an index lookup (hash or ordered), never
+// by a scan or by the live rows. BuildSelect orders a group Type I →
+// II → III and every plain condition it emits is index-served, so this
+// fails only for a group whose conditions are all negated or
+// multi-valued, which the workload does not generate. It returns how
+// many conjunctions it checked.
+func checkDrivers(t *testing.T, db *sqldb.DB, tbl *sqldb.Table, e sql.Expr) int {
+	t.Helper()
+	n := 0
+	var ops []sql.Expr
+	switch x := e.(type) {
+	case *sql.And:
+		ops = x.Operands
+		plan, err := sql.Explain(db, &sql.Select{Table: tbl.Name(), Where: x})
+		if err != nil {
+			t.Fatalf("explain %s: %v", x.SQL(), err)
+		}
+		_, driver, _ := strings.Cut(plan, "driving scan: ")
+		driver, _, _ = strings.Cut(driver, "\n")
+		if !strings.Contains(driver, "index lookup") && !strings.Contains(driver, "ordered index") {
+			t.Errorf("%s is driven by %q:\n%s", x.SQL(), driver, plan)
+		}
+		n++
+	case *sql.Or:
+		ops = x.Operands
+	case *sql.Not:
+		ops = []sql.Expr{x.Operand}
+	}
+	for _, op := range ops {
+		n += checkDrivers(t, db, tbl, op)
+	}
+	return n
+}
+
+// checkForEachMatch holds the relaxation's per-condition stream to
+// the executor: for every condition of in, the set sql.ForEachMatch
+// yields (deduplicated) is the set sql.Exec returns for the statement
+// BuildSelect makes of that condition alone. It returns how many
+// conditions it checked.
+func checkForEachMatch(t *testing.T, db *sqldb.DB, tbl *sqldb.Table, in *boolean.Interpretation) int {
+	t.Helper()
+	n := 0
+	for _, c := range in.AllConditions() {
+		alone := &boolean.Interpretation{Groups: []boolean.Group{{Conds: []boolean.Condition{c}}}}
+		sel := core.BuildSelect(tbl.Schema(), alone, 0)
+		want, err := sql.Exec(db, sel)
+		if err != nil {
+			t.Fatalf("exec %s: %v", sel.SQL(), err)
+		}
+		var got []sqldb.RowID
+		if err := sql.ForEachMatch(tbl, sel.Where, func(id sqldb.RowID) { got = append(got, id) }); err != nil {
+			t.Fatalf("ForEachMatch %s: %v", sel.SQL(), err)
+		}
+		slices.Sort(got)
+		if got = slices.Compact(got); !slices.Equal(got, want) {
+			t.Errorf("%s: ForEachMatch yields %d ids, Exec %d", sel.SQL(), len(got), len(want))
+		}
+		n++
+	}
+	return n
 }

@@ -236,7 +236,7 @@ func (s *System) relaxedCandidatesInto(tbl *sqldb.Table, in *boolean.Interpretat
 		for ci := range g.Conds {
 			sc.condSeq++
 			seq := sc.condSeq
-			_ = sql.ForEachMatch(s.db, tbl, condExpr(&g.Conds[ci]), func(id sqldb.RowID) {
+			_ = sql.ForEachMatch(tbl, condExpr(&g.Conds[ci]), func(id sqldb.RowID) {
 				if int(id) >= slots || mark[id] == seq {
 					// Row inserted after the ask began (not part of
 					// this pass's universe), or already counted for

@@ -134,7 +134,7 @@ func (s *System) AskInDomainScatter(domain, question string, req partition.Slice
 	if in.Superlative != nil {
 		out.Superlative = true
 		out.Desc = in.Superlative.Descending
-		run, extreme, hasExtreme, err := s.superlativeRun(tbl, sel, in, keep, 0)
+		run, extreme, hasExtreme, err := s.superlativeRun(tbl, sel, keep, 0)
 		if err != nil {
 			return nil, fmt.Errorf("core: executing %q: %w", out.SQL, err)
 		}

@@ -546,7 +546,7 @@ func (s *System) execWithSuperlative(tbl *sqldb.Table, sel *sql.Select, in *bool
 	if in.Superlative == nil {
 		return s.execSelect(tbl, sel)
 	}
-	run, _, _, err := s.superlativeRun(tbl, sel, in, nil, s.maxAnswers)
+	run, _, _, err := s.superlativeRun(tbl, sel, nil, s.maxAnswers)
 	return run, err
 }
 
@@ -555,28 +555,15 @@ func (s *System) execWithSuperlative(tbl *sqldb.Table, sel *sql.Select, in *bool
 // rows whose numeric superlative value is the extreme, in RowID order
 // and capped at limit (0 = uncapped). It also returns the extreme and
 // whether any row had a numeric value. The statement still resolves
-// to the cached plan of its own ORDER BY shape, but only the WHERE
-// runs: the extreme run needs no sort.
-func (s *System) superlativeRun(tbl *sqldb.Table, sel *sql.Select, in *boolean.Interpretation, keep func(sqldb.RowID) bool, limit int) ([]sqldb.RowID, float64, bool, error) {
+// to the cached plan of its own ORDER BY shape, whose ORDER BY is the
+// superlative (BuildSelect), but only the WHERE runs: the extreme run
+// needs no sort, and only the run is copied out of the executor.
+func (s *System) superlativeRun(tbl *sqldb.Table, sel *sql.Select, keep func(sqldb.RowID) bool, limit int) ([]sqldb.RowID, float64, bool, error) {
 	p, err := s.plans.Get(s.db, tbl.Schema().Domain, sel)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	ids, err := p.Match(s.db, sel)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	if keep != nil {
-		kept := ids[:0]
-		for _, id := range ids {
-			if keep(id) {
-				kept = append(kept, id)
-			}
-		}
-		ids = kept
-	}
-	run, extreme, ok := tbl.AppendExtremeRun(ids[:0], ids, in.Superlative.Attr, in.Superlative.Descending, limit)
-	return run, extreme, ok, nil
+	return p.ExtremeRun(s.db, sel, keep, limit)
 }
 
 // questionTokens prepares a question for the classifier.

@@ -10,9 +10,10 @@ import (
 // Explain renders the compiled plan for a SELECT — the plan Exec
 // runs, not a description beside it: for each conjunction the driving
 // scan and its access path (the hash primary/secondary indexes on Type
-// I/II columns, the ordered indexes on Type III columns), the
-// conjuncts pushed down as per-row residual predicates, and the ones
-// materialized into membership sets. A plan is a function of schema and statement shape
+// I/II columns, the ordered indexes on Type III columns) and the
+// conjuncts pushed down as per-row residual predicates; for an OR the
+// branches appended into one buffer; for a NOT the live rows it
+// subtracts from. A plan is a function of schema and statement shape
 // only (Sec. 4.3's Type I → II → III order, read off the statement),
 // so conditions print with ? in place of their literals: two
 // statements of one shape explain identically.
@@ -51,45 +52,54 @@ func (n *planNode) explain(sb *strings.Builder, depth int) {
 	case nkLeaf:
 		fmt.Fprintf(sb, "%s%s: %s\n", pad, n.shape(), n.access)
 	case nkNot:
-		fmt.Fprintf(sb, "%scomplement of:\n", pad)
+		fmt.Fprintf(sb, "%slive rows minus:\n", pad)
 		n.children[0].explain(sb, depth+1)
 	case nkOr:
-		fmt.Fprintf(sb, "%sunion of %d branches:\n", pad, len(n.children))
+		fmt.Fprintf(sb, "%sunion of %d branches (one buffer, sorted and deduplicated):\n", pad, len(n.children))
 		for _, c := range n.children {
 			c.explain(sb, depth+1)
 		}
 	case nkAnd:
-		if n.driving < 0 {
-			fmt.Fprintf(sb, "%seager intersection of %d sets (no drivable leaf):\n", pad, len(n.children))
-			for _, c := range n.children {
-				c.explain(sb, depth+1)
-			}
-			return
-		}
 		fmt.Fprintf(sb, "%sstreamed conjunction:\n", pad)
+		if n.driving < 0 {
+			fmt.Fprintf(sb, "%s  driving scan: every live row (no leaf to drive)\n", pad)
+		}
 		for i, c := range n.children {
-			switch {
-			case i == n.driving:
+			if i == n.driving {
 				fmt.Fprintf(sb, "%s  driving scan: %s via %s\n", pad, c.shape(), c.access)
-			case c.predOK:
+			} else {
 				fmt.Fprintf(sb, "%s  pushed residual: %s (checked per row)\n", pad, c.shape())
-			default:
-				fmt.Fprintf(sb, "%s  membership set from:\n", pad)
-				c.explain(sb, depth+2)
 			}
 		}
 	}
 }
 
-// shape prints a leaf or a negated leaf as SQL with ? for each
-// literal. Conjunctions and unions have no one-line shape;
-// explain renders them as subtrees and never asks for one.
+// shape prints a node as SQL with ? for each literal.
 func (n *planNode) shape() string {
-	switch {
-	case n.kind == nkNot:
-		return "NOT " + n.children[0].shape()
-	case n.leaf == lkBetween:
+	switch n.kind {
+	case nkNot:
+		return "NOT " + n.children[0].operandShape()
+	case nkOr, nkAnd:
+		conj := " OR "
+		if n.kind == nkAnd {
+			conj = " AND "
+		}
+		parts := make([]string, len(n.children))
+		for i, c := range n.children {
+			parts[i] = c.operandShape()
+		}
+		return strings.Join(parts, conj)
+	}
+	if n.leaf == lkBetween {
 		return n.col + " BETWEEN ? AND ?"
 	}
 	return fmt.Sprintf("%s %s ?", n.col, n.op)
+}
+
+// operandShape is shape, parenthesized when n is an OR or an AND.
+func (n *planNode) operandShape() string {
+	if n.kind == nkOr || n.kind == nkAnd {
+		return "(" + n.shape() + ")"
+	}
+	return n.shape()
 }

@@ -42,18 +42,32 @@ func TestExplainAccessPaths(t *testing.T) {
 
 func TestExplainOrNotAndSubquery(t *testing.T) {
 	db, _ := execDB(t)
-	plan, err := explainString(db, `SELECT * FROM car_ads
-		WHERE (color = 'red' OR NOT transmission = 'manual') AND year > 2000`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{
-		"union of 2 branches",
-		"complement of:",
-		"secondary hash index lookup (Type II)",
+	for _, tc := range []struct {
+		where string
+		want  []string
+	}{
+		// Inside a conjunction an OR, and a NOT inside it, is one
+		// residual checked on the driving rows.
+		{"(color = 'red' OR NOT transmission = 'manual') AND year > 2000", []string{
+			"driving scan: year > ? via ordered index range scan (Type III)",
+			"pushed residual: color = ? OR NOT transmission = ? (checked per row)",
+		}},
+		// At the root, the OR appends its branches into one buffer and
+		// the NOT walks the live rows minus its inner ids.
+		{"color = 'red' OR NOT transmission = 'manual'", []string{
+			"union of 2 branches",
+			"live rows minus:",
+			"secondary hash index lookup (Type II)",
+		}},
 	} {
-		if !strings.Contains(plan, want) {
-			t.Errorf("plan missing %q:\n%s", want, plan)
+		plan, err := explainString(db, "SELECT * FROM car_ads WHERE "+tc.where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, want := range tc.want {
+			if !strings.Contains(plan, want) {
+				t.Errorf("%s: plan missing %q:\n%s", tc.where, want, plan)
+			}
 		}
 	}
 }
@@ -90,7 +104,9 @@ func TestExplainStreamingPlanMultiConjunct(t *testing.T) {
 
 // TestExplainDrivesFirstIndexedOperand pins the rule: statement order
 // decides, an index-served leaf beats an earlier unindexed one, and
-// with no index-served leaf the first drivable leaf drives.
+// with no index-served leaf the first leaf drives. A Type III equality
+// is index-served (an ordered index point lookup), so it drives ahead
+// of a later Type III range.
 func TestExplainDrivesFirstIndexedOperand(t *testing.T) {
 	db, _ := execDB(t)
 	for _, tc := range []struct{ where, driving string }{
@@ -98,8 +114,9 @@ func TestExplainDrivesFirstIndexedOperand(t *testing.T) {
 		{"color = 'red' AND make = 'honda'", "color = ? via secondary hash"},
 		{"price < 9000 AND make = 'honda'", "price < ? via ordered index"},
 		{"make < 5 AND year BETWEEN 2000 AND 2005 AND color = 'red'", "year BETWEEN ? AND ? via ordered index"},
-		{"price = 9000 AND model = 'accord'", "model = ? via primary hash"},
-		{"price = 9000 AND make > 3", "price = ? via scan with equality verify"},
+		{"price = 9000 AND model = 'accord'", "price = ? via ordered index point lookup (Type III)"},
+		{"price = 9000 AND make > 3", "price = ? via ordered index point lookup (Type III)"},
+		{"make > 3 AND year = 2005 AND price < 9000", "year = ? via ordered index point lookup (Type III)"},
 		{"NOT make = 'honda' AND (color = 'red' OR color = 'blue') AND year > 2000", "year > ? via ordered index"},
 	} {
 		plan, err := explainString(db, "SELECT * FROM car_ads WHERE "+tc.where)
@@ -112,6 +129,9 @@ func TestExplainDrivesFirstIndexedOperand(t *testing.T) {
 	}
 }
 
+// TestExplainStreamingPlanEagerFallback: a conjunction with no leaf to
+// drive is driven by the live rows, with every operand a residual;
+// there is no eager intersection left to fall back to.
 func TestExplainStreamingPlanEagerFallback(t *testing.T) {
 	db, _ := execDB(t)
 	plan, err := explainString(db, `SELECT * FROM car_ads
@@ -119,8 +139,17 @@ func TestExplainStreamingPlanEagerFallback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(plan, "eager intersection of 2 sets") {
-		t.Errorf("plan missing eager fallback:\n%s", plan)
+	for _, want := range []string{
+		"driving scan: every live row (no leaf to drive)",
+		"pushed residual: NOT make = ? (checked per row)",
+		"pushed residual: NOT transmission = ? (checked per row)",
+	} {
+		if !strings.Contains(plan, want) {
+			t.Errorf("plan missing %q:\n%s", want, plan)
+		}
+	}
+	if strings.Contains(plan, "eager") {
+		t.Errorf("plan still has an eager fallback:\n%s", plan)
 	}
 }
 

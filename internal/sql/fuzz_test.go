@@ -107,6 +107,13 @@ func fuzzDB(f interface{ Fatal(...any) }) *sqldb.DB {
 			"year":         sqldb.Number(float64(1990 + i%20)),
 		})
 	}
+	// Type III cells the ordered index and Value.Equal must agree on:
+	// a numeric string and its other spelling, a non-numeric string,
+	// NaN, -0 and NULL.
+	for _, year := range []sqldb.Value{sqldb.String("2005"), sqldb.String("2005.0"), sqldb.String("n/a"),
+		sqldb.Number(math.NaN()), sqldb.Number(math.Copysign(0, -1)), sqldb.Null} {
+		_, _ = tbl.Insert(map[string]sqldb.Value{"make": sqldb.String("honda"), "color": sqldb.String("red"), "year": year})
+	}
 	return db
 }
 
@@ -130,6 +137,11 @@ func FuzzExecDifferential(f *testing.F) {
 		"SELECT * FROM car_ads WHERE ghost = 1",
 		"SELECT * FROM car_ads WHERE make < 'cheap'",
 		"SELECT * FROM car_ads WHERE make = 'honda' AND doors = '2'",
+		"SELECT * FROM car_ads WHERE (color = 'red' OR color = 'blue') AND (make = 'honda' OR make = 'ford')",
+		"SELECT * FROM car_ads WHERE NOT (color = 'red' OR color = 'blue') AND year = 2005",
+		"SELECT * FROM car_ads WHERE NOT make = 'honda' AND NOT transmission = 'manual'",
+		"SELECT * FROM car_ads WHERE (make = 'honda' AND color = 'red') OR (make = 'ford' AND price < 5000) OR model = 'camry' LIMIT 7",
+		"SELECT * FROM car_ads WHERE year = 0 OR year = '2005' OR NOT year = 2005",
 	} {
 		f.Add(seed)
 	}
@@ -187,6 +199,17 @@ func TestExecDifferentialCorpus(t *testing.T) {
 		"SELECT * FROM car_ads WHERE make = 'honda' LIMIT 3",
 		"SELECT * FROM car_ads WHERE price > 3000 LIMIT 4",
 		"SELECT * FROM car_ads WHERE (make = 'honda' OR make = 'toyota') AND price <= 6000",
+		"SELECT * FROM car_ads WHERE (color = 'red' OR color = 'blue') AND (make = 'honda' OR make = 'ford')",
+		"SELECT * FROM car_ads WHERE NOT (color = 'red' OR color = 'blue') AND year = 2005",
+		"SELECT * FROM car_ads WHERE (make = 'honda' AND color = 'red') OR (make = 'ford' AND price < 5000) OR model = 'camry'",
+		"SELECT * FROM car_ads WHERE (make = 'honda' AND color = 'red') OR (make = 'ford' AND price < 5000) OR model = 'camry' LIMIT 7",
+		"SELECT * FROM car_ads WHERE (make = 'honda' OR make = 'ford') AND NOT color = 'red' ORDER BY price DESC LIMIT 5",
+		"SELECT * FROM car_ads WHERE year = 2005",
+		"SELECT * FROM car_ads WHERE year = 2005 AND price < 9000",
+		"SELECT * FROM car_ads WHERE year = 2005 LIMIT 2",
+		"SELECT * FROM car_ads WHERE year = '2005'",
+		"SELECT * FROM car_ads WHERE year = 0 OR NOT year = 2005",
+		"SELECT * FROM car_ads WHERE NOT year = 2005 AND NOT (make = 'honda' AND color = 'red')",
 	}
 	for _, q := range queries {
 		sel, err := sqltest.Parse(q)

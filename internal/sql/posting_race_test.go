@@ -75,7 +75,7 @@ func TestScansNeverReadPostingsUnlocked(t *testing.T) {
 				default:
 				}
 				for _, sel := range sels {
-					if err := sql.ForEachMatch(db, tbl, sel.Where, func(id sqldb.RowID) {
+					if err := sql.ForEachMatch(tbl, sel.Where, func(id sqldb.RowID) {
 						if id < 0 || id >= n {
 							t.Errorf("ForEachMatch streamed id %d, table held 0..%d", id, n-1)
 						}

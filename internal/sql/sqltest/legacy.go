@@ -5,6 +5,7 @@ import (
 	"math"
 	"slices"
 
+	"repro/internal/schema"
 	"repro/internal/sql"
 	"repro/internal/sqldb"
 )
@@ -14,7 +15,9 @@ import (
 // AND/OR combine the sets with sorted merges. It is the behavioral
 // reference the streaming executor (sql.Exec) is held to: the
 // differential fuzz test and the plan-cache harness assert the two
-// return bit-identical results.
+// return bit-identical results. An equality on a Type III column is
+// a scan with Value.Equal here, so the ordered index's point lookup
+// the executor uses is checked against the semantics it stands in for.
 func ExecLegacy(db *sqldb.DB, sel *sql.Select) ([]sqldb.RowID, error) {
 	tbl, ok := db.Table(sel.Table)
 	if !ok {
@@ -52,7 +55,7 @@ func evalExpr(tbl *sqldb.Table, e sql.Expr) ([]sqldb.RowID, error) {
 		if tbl.ColumnIndex(n.Column) < 0 {
 			return nil, fmt.Errorf("sql: unknown column %q", n.Column)
 		}
-		return tbl.LookupRange(n.Column, n.Lo, n.Hi, true, true), nil
+		return lookupRange(tbl, n.Column, n.Lo, n.Hi, true, true), nil
 	case *sql.And:
 		var acc []sqldb.RowID
 		for i, op := range n.Operands {
@@ -63,7 +66,7 @@ func evalExpr(tbl *sqldb.Table, e sql.Expr) ([]sqldb.RowID, error) {
 			if i == 0 {
 				acc = ids
 			} else {
-				acc = sqldb.IntersectSorted(acc, ids)
+				acc = intersectSorted(acc, ids)
 			}
 			if len(acc) == 0 {
 				return nil, nil
@@ -77,7 +80,7 @@ func evalExpr(tbl *sqldb.Table, e sql.Expr) ([]sqldb.RowID, error) {
 			if err != nil {
 				return nil, err
 			}
-			acc = sqldb.UnionSorted(acc, ids)
+			acc = unionSorted(acc, ids)
 		}
 		return acc, nil
 	case *sql.Not:
@@ -96,7 +99,16 @@ func evalCompare(tbl *sqldb.Table, c *sql.Compare) ([]sqldb.RowID, error) {
 	}
 	switch c.Op {
 	case sql.OpEq:
-		return tbl.LookupEqual(c.Column, c.Value), nil
+		if a, ok := tbl.Schema().Attr(c.Column); ok && a.Type == schema.TypeIII {
+			var out []sqldb.RowID
+			for _, id := range tbl.AllRowIDs() {
+				if tbl.Value(id, c.Column).Equal(c.Value) {
+					out = append(out, id)
+				}
+			}
+			return out, nil
+		}
+		return tbl.AppendEqual(nil, c.Column, c.Value), nil
 	case sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe:
 		if !c.Value.IsNumber() {
 			return nil, fmt.Errorf("sql: %s requires a numeric literal on column %q", c.Op, c.Column)
@@ -104,13 +116,13 @@ func evalCompare(tbl *sqldb.Table, c *sql.Compare) ([]sqldb.RowID, error) {
 		n := c.Value.Num()
 		switch c.Op {
 		case sql.OpLt:
-			return tbl.LookupRange(c.Column, math.Inf(-1), n, false, false), nil
+			return lookupRange(tbl, c.Column, math.Inf(-1), n, false, false), nil
 		case sql.OpLe:
-			return tbl.LookupRange(c.Column, math.Inf(-1), n, false, true), nil
+			return lookupRange(tbl, c.Column, math.Inf(-1), n, false, true), nil
 		case sql.OpGt:
-			return tbl.LookupRange(c.Column, n, math.Inf(1), false, false), nil
+			return lookupRange(tbl, c.Column, n, math.Inf(1), false, false), nil
 		default: // OpGe
-			return tbl.LookupRange(c.Column, n, math.Inf(1), true, false), nil
+			return lookupRange(tbl, c.Column, n, math.Inf(1), true, false), nil
 		}
 	}
 	return nil, fmt.Errorf("sql: unsupported operator %q", c.Op)
@@ -125,4 +137,54 @@ func complement(tbl *sqldb.Table, ids []sqldb.RowID) []sqldb.RowID {
 		}
 	}
 	return out
+}
+
+// lookupRange returns the rows whose numeric col lies within the
+// bounds, in ascending RowID order.
+func lookupRange(tbl *sqldb.Table, col string, lo, hi float64, incLo, incHi bool) []sqldb.RowID {
+	ids := tbl.AppendRange(nil, col, lo, hi, incLo, incHi)
+	slices.Sort(ids)
+	return ids
+}
+
+// intersectSorted intersects two ascending RowID slices into a new
+// slice.
+func intersectSorted(a, b []sqldb.RowID) []sqldb.RowID {
+	out := make([]sqldb.RowID, 0, min(len(a), len(b)))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			i++
+		case a[i] > b[j]:
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	return out
+}
+
+// unionSorted unions two ascending RowID slices into a new slice.
+func unionSorted(a, b []sqldb.RowID) []sqldb.RowID {
+	out := make([]sqldb.RowID, 0, len(a)+len(b))
+	i, j := 0, 0
+	for i < len(a) && j < len(b) {
+		switch {
+		case a[i] < b[j]:
+			out = append(out, a[i])
+			i++
+		case a[i] > b[j]:
+			out = append(out, b[j])
+			j++
+		default:
+			out = append(out, a[i])
+			i++
+			j++
+		}
+	}
+	out = append(out, a[i:]...)
+	return append(out, b[j:]...)
 }

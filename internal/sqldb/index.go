@@ -4,6 +4,7 @@ import (
 	"math"
 	"slices"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 )
@@ -23,13 +24,18 @@ func newHashIndex() *hashIndex {
 	return &hashIndex{postings: make(map[string][]RowID)}
 }
 
-// key renders a value into its index key. Numbers and numeric strings
-// share a key so that year=2004 matches the string "2004".
+// indexKey renders a value into its index key. Numbers and numeric
+// strings share a key so that year=2004 matches the string "2004".
 func indexKey(v Value) string {
+	return string(appendIndexKey(nil, v))
+}
+
+// appendIndexKey appends v's index key to dst.
+func appendIndexKey(dst []byte, v Value) []byte {
 	if n, ok := v.tryNum(); ok {
-		return "n:" + Number(n).String()
+		return strconv.AppendFloat(append(dst, "n:"...), n, 'f', -1, 64)
 	}
-	return "s:" + v.Str()
+	return append(append(dst, "s:"...), v.Str()...)
 }
 
 // sameNumKey reports whether numbers a and b share an index key, i.e.
@@ -72,12 +78,14 @@ func (ix *hashIndex) remove(v Value, id RowID) {
 }
 
 // lookup returns the posting list for v; NULL equals no row. The
-// returned slice is shared; callers must not mutate it.
+// returned slice is shared; callers must not mutate it. The key is
+// built in a stack buffer, so a lookup allocates nothing.
 func (ix *hashIndex) lookup(v Value) []RowID {
 	if v.IsNull() {
 		return nil
 	}
-	return ix.postings[indexKey(v)]
+	var buf [64]byte
+	return ix.postings[string(appendIndexKey(buf[:0], v))]
 }
 
 // orderedIndex keeps (value, row) pairs sorted by numeric value,
@@ -191,53 +199,4 @@ func (ix *orderedIndex) appendRange(dst []RowID, lo, hi float64, includeLo, incl
 		dst = append(dst, ix.entries[i].id)
 	}
 	return dst
-}
-
-// IntersectSorted intersects two ascending RowID slices into a new
-// slice. It is the one merge kernel shared by the SQL AND evaluator
-// and the relaxation engine's drop-set assembly.
-func IntersectSorted(a, b []RowID) []RowID {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	out := make([]RowID, 0, n)
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			i++
-		case a[i] > b[j]:
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	return out
-}
-
-// UnionSorted unions two ascending RowID slices into a new slice. It
-// is the merge kernel of the SQL OR evaluator's ID merging.
-func UnionSorted(a, b []RowID) []RowID {
-	out := make([]RowID, 0, len(a)+len(b))
-	i, j := 0, 0
-	for i < len(a) && j < len(b) {
-		switch {
-		case a[i] < b[j]:
-			out = append(out, a[i])
-			i++
-		case a[i] > b[j]:
-			out = append(out, b[j])
-			j++
-		default:
-			out = append(out, a[i])
-			i++
-			j++
-		}
-	}
-	out = append(out, a[i:]...)
-	out = append(out, b[j:]...)
-	return out
 }

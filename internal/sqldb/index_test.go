@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"reflect"
 	"slices"
-	"sort"
 	"strconv"
 	"testing"
 	"testing/quick"
@@ -95,51 +94,6 @@ func TestHashIndexNumericStringKeysShared(t *testing.T) {
 	}
 }
 
-func TestSetOperations(t *testing.T) {
-	a := []RowID{1, 3, 5, 7}
-	b := []RowID{3, 4, 5, 8}
-	if got := IntersectSorted(a, b); !reflect.DeepEqual(got, []RowID{3, 5}) {
-		t.Errorf("intersect = %v", got)
-	}
-	union := UnionSorted(a, b)
-	want := []RowID{1, 3, 4, 5, 7, 8}
-	if !reflect.DeepEqual(union, want) {
-		t.Errorf("union = %v, want %v", union, want)
-	}
-	if got := IntersectSorted(a, nil); len(got) != 0 {
-		t.Errorf("intersect with empty = %v", got)
-	}
-}
-
-func TestSetOperationsProperties(t *testing.T) {
-	gen := func(seed int64) []RowID {
-		rng := rand.New(rand.NewSource(seed))
-		n := rng.Intn(20)
-		set := map[RowID]bool{}
-		for i := 0; i < n; i++ {
-			set[RowID(rng.Intn(30))] = true
-		}
-		out := make([]RowID, 0, len(set))
-		for id := range set {
-			out = append(out, id)
-		}
-		sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-		return out
-	}
-	for seed := int64(0); seed < 50; seed++ {
-		a, b := gen(seed), gen(seed+1000)
-		inter := IntersectSorted(a, b)
-		uni := UnionSorted(a, b)
-		// |A| + |B| = |A∪B| + |A∩B|
-		if len(a)+len(b) != len(uni)+len(inter) {
-			t.Fatalf("seed %d: inclusion-exclusion violated", seed)
-		}
-		if !sort.SliceIsSorted(uni, func(i, j int) bool { return uni[i] < uni[j] }) {
-			t.Fatalf("seed %d: union not sorted", seed)
-		}
-	}
-}
-
 // orderedCell decodes one byte (its low 7 bits) into a Type III cell:
 // NULL, numbers with dense duplicates, NaN, −0, ±Inf, two spellings of
 // each number as a string, numeric strings for the specials, and
@@ -168,8 +122,9 @@ func orderedCell(b byte) Value {
 
 // checkOrderedMatchesScan holds the two Type III access paths to the
 // per-row predicates: LookupRange (the ordered index) to a PredRange
-// scan for every inclusivity, and AppendEqual (a scan with Equal) to
-// the degenerate range LookupRange(v, v, true, true).
+// scan for every inclusivity, and AppendEqual (the ordered index for a
+// number, a scan for a string) to a PredEqual scan, which compares
+// with Value.Equal.
 func checkOrderedMatchesScan(t *testing.T, tbl *Table, lo, hi float64) {
 	t.Helper()
 	for _, b := range [][2]float64{{lo, hi}, {NegInf, PosInf}, {NegInf, hi}, {lo, PosInf}} {
@@ -186,10 +141,20 @@ func checkOrderedMatchesScan(t *testing.T, tbl *Table, lo, hi float64) {
 			}
 		}
 	}
+	lits := []Value{String("2"), String("2.0"), String("-0"), String("nan"), String("n/a")}
 	for _, v := range []float64{lo, hi, 0, math.Copysign(0, -1), 2, 0.5, math.Inf(1), math.Inf(-1), math.NaN()} {
-		got := tbl.AppendEqual(nil, "price", Number(v))
-		if want := tbl.LookupRange("price", v, v, true, true); !slices.Equal(got, want) {
-			t.Fatalf("AppendEqual(price = %v) = %v, LookupRange(%v, %v) = %v", v, got, v, v, want)
+		lits = append(lits, Number(v))
+	}
+	for _, lit := range lits {
+		p := NewEqualPred("price", lit)
+		var want []RowID
+		for _, id := range tbl.AllRowIDs() {
+			if tbl.MatchRow(id, p) {
+				want = append(want, id)
+			}
+		}
+		if got := tbl.AppendEqual(nil, "price", lit); !slices.Equal(got, want) {
+			t.Fatalf("AppendEqual(price = %#v) = %v, PredEqual scan = %v", lit, got, want)
 		}
 	}
 }

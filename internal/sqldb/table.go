@@ -2,7 +2,6 @@ package sqldb
 
 import (
 	"fmt"
-	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -284,6 +283,27 @@ func (t *Table) AppendLiveIDs(dst []RowID) []RowID {
 	return t.appendLiveLocked(dst)
 }
 
+// AppendLiveExcept appends to dst, in ascending order, every live row
+// id that is not in the ascending set except, and returns the extended
+// slice: the complement of a set over the live rows, in one walk of
+// the slots with no copy of the live ids.
+func (t *Table) AppendLiveExcept(dst, except []RowID) []RowID {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	j := 0
+	for i := range t.rows {
+		id := RowID(i)
+		for j < len(except) && except[j] < id {
+			j++
+		}
+		if t.dead[i] || j < len(except) && except[j] == id {
+			continue
+		}
+		dst = append(dst, id)
+	}
+	return dst
+}
+
 // appendLiveLocked is AppendLiveIDs with the caller holding t.mu.
 //
 // cqads:requires-lock mu
@@ -296,18 +316,16 @@ func (t *Table) appendLiveLocked(dst []RowID) []RowID {
 	return dst
 }
 
-// LookupEqual returns the rows whose col equals v, using the hash
-// index when one exists and falling back to a scan otherwise. The
-// returned slice is sorted ascending and owned by the caller.
-func (t *Table) LookupEqual(col string, v Value) []RowID {
-	return t.AppendEqual(nil, col, v)
-}
-
 // AppendEqual appends the rows whose col equals v to dst, in
-// ascending RowID order, and returns the extended slice — LookupEqual
-// into a caller-owned buffer. The index's own posting list is copied
-// under the read lock: Delete edits postings in place, so no
-// index-owned slice is ever read outside t.mu.
+// ascending RowID order, and returns the extended slice. Type I and II
+// columns answer from their hash index. A Type III column answers a
+// number from its ordered index: entries sort by (value, RowID), so
+// one value's run is already in RowID order, -0 and 0 share it and NaN
+// has none, exactly as Value.Equal compares a number. A string literal
+// on a Type III column is scanned with Equal, because Equal compares
+// two strings by text ('2.0' is not '2') where the index would not.
+// Postings are copied under the read lock: Delete edits them in place,
+// so no index-owned slice is ever read outside t.mu.
 func (t *Table) AppendEqual(dst []RowID, col string, v Value) []RowID {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -315,6 +333,9 @@ func (t *Table) AppendEqual(dst []RowID, col string, v Value) []RowID {
 		// Postings are appended in ascending RowID order and deletes
 		// remove in place, so the list is already sorted — no re-sort.
 		return append(dst, ix.lookup(v)...)
+	}
+	if ix, ok := t.ordered[col]; ok && v.IsNumber() {
+		return ix.appendRange(dst, v.n, v.n, true, true)
 	}
 	i, ok := t.colIdx[col]
 	if !ok {
@@ -328,35 +349,16 @@ func (t *Table) AppendEqual(dst []RowID, col string, v Value) []RowID {
 	return dst
 }
 
-// LookupRange returns rows whose numeric col lies within the bounds,
-// in ascending RowID order. Use math.Inf for open ends.
-func (t *Table) LookupRange(col string, lo, hi float64, incLo, incHi bool) []RowID {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ids := t.appendRangeLocked(nil, col, lo, hi, incLo, incHi)
-	if _, ok := t.ordered[col]; ok {
-		slices.Sort(ids) // the ordered index yields value order
-	}
-	return ids
-}
-
 // AppendRange appends the rows whose numeric col lies within the
-// bounds to dst and returns the extended slice. Unlike LookupRange,
-// the ids are appended in VALUE order (the ordered index's native
-// order), not RowID order — the streaming executor re-sorts only the
-// rows surviving its residual filters, and tally-style consumers need
-// no order at all. Like AppendEqual, it copies under the read lock.
-// Use math.Inf for open ends.
+// bounds to dst and returns the extended slice. A Type III column
+// appends in VALUE order (the ordered index's native order), not RowID
+// order: the streaming executor re-sorts only the rows surviving its
+// residual filters, and tally-style consumers need no order at all.
+// Any other column is scanned in RowID order. Like AppendEqual, it
+// copies under the read lock. Use math.Inf for open ends.
 func (t *Table) AppendRange(dst []RowID, col string, lo, hi float64, incLo, incHi bool) []RowID {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.appendRangeLocked(dst, col, lo, hi, incLo, incHi)
-}
-
-// appendRangeLocked is AppendRange with the caller holding t.mu.
-//
-// cqads:requires-lock mu
-func (t *Table) appendRangeLocked(dst []RowID, col string, lo, hi float64, incLo, incHi bool) []RowID {
 	if ix, ok := t.ordered[col]; ok {
 		return ix.appendRange(dst, lo, hi, incLo, incHi)
 	}

@@ -93,11 +93,28 @@ func (v Value) tryNum() (float64, bool) {
 	if v.IsNumber() {
 		return v.n, true
 	}
-	if v.IsString() {
+	if v.IsString() && mayBeNumber(v.s) {
 		f, err := strconv.ParseFloat(v.s, 64)
 		return f, err == nil
 	}
 	return 0, false
+}
+
+// mayBeNumber reports whether strconv.ParseFloat could accept s: after
+// an optional sign, s starts with a digit or a point, or spells an
+// infinity or NaN. Ordinary categorical values ("honda", "red") fail
+// it without the parse, whose error allocates.
+func mayBeNumber(s string) bool {
+	if len(s) > 0 && (s[0] == '+' || s[0] == '-') {
+		s = s[1:]
+	}
+	if s == "" {
+		return false
+	}
+	if c := s[0]; c >= '0' && c <= '9' || c == '.' {
+		return true
+	}
+	return strings.EqualFold(s, "inf") || strings.EqualFold(s, "infinity") || strings.EqualFold(s, "nan")
 }
 
 // Compare returns -1, 0 or +1 ordering v against o. Numbers order

@@ -235,7 +235,7 @@ func TestConvertRecordCoercesBySchemaType(t *testing.T) {
 		t.Fatalf("stored doors = %#v, want a string", v)
 	}
 	found := false
-	for _, got := range tbl.LookupEqual("doors", sqldb.String("2")) {
+	for _, got := range tbl.AppendEqual(nil, "doors", sqldb.String("2")) {
 		if got == id {
 			found = true
 		}
