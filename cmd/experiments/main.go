@@ -2,7 +2,7 @@
 //
 // Usage:
 //
-//	experiments [-seed N] [-ads N] [-chart] [-report FILE [-timed]]
+//	experiments [-seed N] [-ads N] [-chart] [-report FILE]
 //	            [-exp all|fig2|exact|fig4|table2|fig5|fig5-domains|fig6|shorthand
 //	             |ablate-jbbsm|ablate-depth|ablate-cutoff|ablate-repair
 //	             |ext-strict|ext-dedup|ext-schemagen]
@@ -23,7 +23,6 @@ func main() {
 	exp := flag.String("exp", "all", "experiment to run (comma-separated), or 'all'")
 	chartOut := flag.Bool("chart", false, "render figures as terminal bar charts")
 	report := flag.String("report", "", "write a full markdown report to this file and exit")
-	timed := flag.Bool("timed", false, "with -report, add the generation time and the measured latencies")
 	flag.Parse()
 
 	env, err := experiments.NewEnv(*seed, *ads)
@@ -39,7 +38,7 @@ func main() {
 			os.Exit(1)
 		}
 		defer f.Close()
-		if err := env.WriteReport(f, *timed); err != nil {
+		if err := env.WriteReport(f); err != nil {
 			fmt.Fprintln(os.Stderr, "experiments:", err)
 			os.Exit(1)
 		}

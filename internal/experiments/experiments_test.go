@@ -111,7 +111,7 @@ func TestWriteReport(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := e.WriteReport(&buf, false); err != nil {
+	if err := e.WriteReport(&buf); err != nil {
 		t.Fatal(err)
 	}
 	const golden = "../../EXPERIMENTS.md"

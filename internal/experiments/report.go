@@ -3,7 +3,6 @@ package experiments
 import (
 	"fmt"
 	"io"
-	"time"
 )
 
 // untimed is a result that can render itself without wall-clock
@@ -12,14 +11,13 @@ type untimed interface{ Untimed() string }
 
 // WriteReport runs every experiment and writes a self-contained
 // markdown report to w: the regenerated tables and figures, the
-// ablations, and the extension measurements. With timed false the
-// report is a function of the seed and the ads per domain alone: no
-// timestamp, no timing columns, and Figure 6 as the ordering of the
-// approaches only. That form is committed as EXPERIMENTS.md and
-// regenerated by a test (`go run ./cmd/experiments -ads 300 -report
-// EXPERIMENTS.md` writes it). With timed true the report also carries
-// its generation time and the measured latencies.
-func (e *Env) WriteReport(w io.Writer, timed bool) error {
+// ablations, and the extension measurements. The report is a function
+// of the seed and the ads per domain alone: no timestamp, no timing
+// columns, and Figure 6 as the ordering of the approaches only
+// (cmd/experiments -exp prints the latencies). Its seed-42, 300-ads
+// form is committed as EXPERIMENTS.md and checked byte for byte by a
+// test.
+func (e *Env) WriteReport(w io.Writer) error {
 	type section struct {
 		title string
 		run   func() (fmt.Stringer, error)
@@ -42,13 +40,10 @@ func (e *Env) WriteReport(w io.Writer, timed bool) error {
 		{"Extension — schema generation", func() (fmt.Stringer, error) { return e.SchemaGen() }},
 	}
 
-	stamp := "\n\nGenerated by `go run ./cmd/experiments -seed 42 -ads 300 -report EXPERIMENTS.md`;\n" +
-		"`go test ./internal/experiments -run TestWriteReport` checks it byte for byte."
-	if timed {
-		stamp = " · generated " + time.Now().Format(time.RFC3339)
-	}
-	if _, err := fmt.Fprintf(w, "# CQAds reproduction report\n\nseed %d · %d ads per domain · %d questions%s\n\n",
-		e.Seed, e.AdsPerDomain, e.TotalQuestions(), stamp); err != nil {
+	if _, err := fmt.Fprintf(w, "# CQAds reproduction report\n\nseed %d · %d ads per domain · %d questions\n\n"+
+		"Generated by `go run ./cmd/experiments -seed %[1]d -ads %[2]d -report EXPERIMENTS.md`;\n"+
+		"`go test ./internal/experiments -run TestWriteReport` checks it byte for byte.\n\n",
+		e.Seed, e.AdsPerDomain, e.TotalQuestions()); err != nil {
 		return err
 	}
 	for _, s := range sections {
@@ -57,7 +52,7 @@ func (e *Env) WriteReport(w io.Writer, timed bool) error {
 			return fmt.Errorf("experiments: report section %q: %w", s.title, err)
 		}
 		text := res.String()
-		if u, ok := res.(untimed); ok && !timed {
+		if u, ok := res.(untimed); ok {
 			text = u.Untimed()
 		}
 		if _, err := fmt.Fprintf(w, "## %s\n\n```\n%s```\n\n", s.title, text); err != nil {

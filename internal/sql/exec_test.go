@@ -275,3 +275,53 @@ func TestExecRandomExpressionsMatchBruteForce(t *testing.T) {
 		}
 	}
 }
+
+// TestExtremeRunKeepsThenTakesTheRun: a superlative's run is the
+// extreme run (sqldb.Table.AppendExtremeRun) of the WHERE's matches
+// that keep admits, capped at the run limit, whatever the statement's
+// own LIMIT says.
+func TestExtremeRunKeepsThenTakesTheRun(t *testing.T) {
+	db := fuzzDB(t)
+	tbl, _ := db.Table("car_ads")
+	for _, where := range []string{"make = 'honda'", "year > 1995 AND NOT color = 'red'", "color = 'red' OR color = 'blue'"} {
+		for _, col := range []string{"price", "year"} {
+			for _, desc := range []bool{false, true} {
+				q := "SELECT * FROM car_ads WHERE " + where + " ORDER BY " + col
+				if desc {
+					q += " DESC"
+				}
+				sel, err := sqltest.Parse(q + " LIMIT 2")
+				if err != nil {
+					t.Fatal(err)
+				}
+				p, err := sql.Compile(db, sel)
+				if err != nil {
+					t.Fatal(err)
+				}
+				matches := mustExec(t, db, "SELECT * FROM car_ads WHERE "+where)
+				for _, keep := range []func(sqldb.RowID) bool{nil, func(id sqldb.RowID) bool { return id%3 != 0 }} {
+					kept := matches
+					if keep != nil {
+						kept = nil
+						for _, id := range matches {
+							if keep(id) {
+								kept = append(kept, id)
+							}
+						}
+					}
+					for _, limit := range []int{0, 1, 3} {
+						want, wantX, wantOK := tbl.AppendExtremeRun(nil, kept, col, desc, limit)
+						got, x, ok, err := p.ExtremeRun(db, sel, keep, limit)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if !slices.Equal(got, want) || x != wantX || ok != wantOK {
+							t.Errorf("%s (keep %v, limit %d): run %v extreme %v %v, want %v %v %v",
+								q, keep != nil, limit, got, x, ok, want, wantX, wantOK)
+						}
+					}
+				}
+			}
+		}
+	}
+}

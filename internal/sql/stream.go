@@ -500,7 +500,7 @@ func (r *run) appendAnd(dst []sqldb.RowID, x *And, n *planNode, limit int) []sql
 	if len(x.Operands) == 0 {
 		return dst
 	}
-	driving := -1
+	var driving int
 	if n != nil {
 		driving = n.driving
 	} else {
