@@ -127,7 +127,7 @@ func main() {
 		}
 		var cells []string
 		for _, attr := range sch.Attrs {
-			cells = append(cells, a.Record[attr.Name].String())
+			cells = append(cells, a.Record.Value(attr.Name).String())
 		}
 		fmt.Printf("  %d. [%s] %s\n", i+1, kind, strings.Join(cells, " | "))
 	}

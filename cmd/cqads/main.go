@@ -137,14 +137,15 @@ func printResult(res *cqads.Result) {
 }
 
 func recordLine(a cqads.Answer) string {
-	keys := make([]string, 0, len(a.Record))
-	for k := range a.Record {
+	rec := a.Record.Record()
+	keys := make([]string, 0, len(rec))
+	for k := range rec {
 		keys = append(keys, k)
 	}
 	sort.Strings(keys)
 	parts := make([]string, 0, len(keys))
 	for _, k := range keys {
-		parts = append(parts, k+"="+a.Record[k].String())
+		parts = append(parts, k+"="+rec[k].String())
 	}
 	return strings.Join(parts, " ")
 }

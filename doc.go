@@ -123,16 +123,18 @@
 //     there within a few hundred candidates
 //     (TestPartialAnswersCeilingStop). Each candidate's N drop choices
 //     are scored from one pass of per-condition
-//     similarity/satisfaction memos (rank.BestRankSim),
-//     and answer records are served as per-version memoized read-only
-//     views (sqldb.Table.RecordView) instead of rebuilding a map per
-//     answer.
+//     similarity/satisfaction memos (rank.BestRankSim), and each
+//     answer's record is a read-only view of the stored row
+//     (sqldb.Row; rows are never written in place) in one Answers
+//     slice: no per-answer allocation, and nothing left on the heap
+//     that grows with the rows answered (TestRetainedHeapBudget).
 //
 //   - An append-style answer envelope. GET /api/ask bodies and
 //     scatter parts are written straight from core.Result and
 //     core.ScatterPart into a pooled buffer (internal/webui/encode.go),
 //     byte for byte what encoding/json writes for webui.APIResult —
-//     sorted record keys from each table's schema, HTML-safe escaping,
+//     each row's values under its schema's keys, sorted once per
+//     domain with their column indexes, HTML-safe escaping,
 //     ES6 float formatting — with no per-answer map and no reflection.
 //     A non-finite float is a 500, never an empty 200. The front tier
 //     decodes each partition's records as raw JSON and splices those

@@ -53,8 +53,8 @@ func main() {
 				kind = fmt.Sprintf("Rank_Sim=%.2f via %s", a.RankSim, a.SimilarityUsed)
 			}
 			fmt.Printf("  %d. %s %s  $%s  year=%s  %s/%s  [%s]\n", i+1,
-				a.Record["make"], a.Record["model"], a.Record["price"],
-				a.Record["year"], a.Record["color"], a.Record["transmission"], kind)
+				a.Record.Value("make"), a.Record.Value("model"), a.Record.Value("price"),
+				a.Record.Value("year"), a.Record.Value("color"), a.Record.Value("transmission"), kind)
 		}
 		fmt.Println()
 	}

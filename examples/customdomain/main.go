@@ -89,8 +89,8 @@ func main() {
 				kind = fmt.Sprintf("partial %.2f", a.RankSim)
 			}
 			fmt.Printf("   %d. %s %s %sft %s $%s (%s) [%s]\n", i+1,
-				a.Record["builder"], a.Record["kind"], a.Record["length"],
-				a.Record["hull"], a.Record["price"], a.Record["condition"], kind)
+				a.Record.Value("builder"), a.Record.Value("kind"), a.Record.Value("length"),
+				a.Record.Value("hull"), a.Record.Value("price"), a.Record.Value("condition"), kind)
 		}
 		fmt.Println()
 	}

@@ -98,7 +98,7 @@ func deduplication() {
 	}
 	// Repost the first 50 ads with a small price tweak.
 	for i := 0; i < 50; i++ {
-		rec := tbl.RecordMap(sqldb.RowID(i))
+		rec := tbl.Row(sqldb.RowID(i)).Record()
 		rec["price"] = sqldb.Number(rec["price"].Num() + 25)
 		if _, err := tbl.Insert(rec); err != nil {
 			log.Fatal(err)

@@ -45,8 +45,8 @@ func main() {
 				kind = fmt.Sprintf("partial %.2f %s", a.RankSim, a.SimilarityUsed)
 			}
 			fmt.Printf("   %d. %-26s %-10s %-10s $%-7s %sy  [%s]\n", i+1,
-				a.Record["title"], a.Record["language"], a.Record["level"],
-				a.Record["salary"], a.Record["experience"], kind)
+				a.Record.Value("title"), a.Record.Value("language"), a.Record.Value("level"),
+				a.Record.Value("salary"), a.Record.Value("experience"), kind)
 		}
 		fmt.Println()
 	}

@@ -50,7 +50,7 @@ func summarize(a cqads.Answer) string {
 	// Print a compact identifier line: the first few string values.
 	out := ""
 	for _, k := range []string{"make", "model", "brand", "item", "title", "piece", "vendor", "instrument", "price", "salary"} {
-		if v, ok := a.Record[k]; ok && !v.IsNull() {
+		if v := a.Record.Value(k); !v.IsNull() {
 			if out != "" {
 				out += " "
 			}

@@ -172,7 +172,7 @@ func TestPartialAnswersCeilingStop(t *testing.T) {
 							if want <= 0 {
 								continue
 							}
-							got := sys.partialAnswers(tbl, in, exact, want, ddr, nil)
+							got := sys.partialAnswers(nil, tbl, in, exact, want, ddr, nil)
 							ref := rankEveryCandidate(t, sys, tbl, in, exact, want, ddr, nil)
 							if err := samePartials(got, ref); err != nil {
 								t.Fatalf("%s want %d: %v", tag, want, err)
@@ -190,7 +190,7 @@ func TestPartialAnswersCeilingStop(t *testing.T) {
 						} else {
 							exactK = slices.DeleteFunc(slices.Clone(exact), func(id sqldb.RowID) bool { return !keep(id) })
 						}
-						got := sys.partialAnswers(tbl, in, exactK, sys.maxAnswers, nil, keep)
+						got := sys.partialAnswers(nil, tbl, in, exactK, sys.maxAnswers, nil, keep)
 						ref := rankEveryCandidate(t, sys, tbl, in, exactK, sys.maxAnswers, nil, keep)
 						if err := samePartials(got, ref); err != nil {
 							t.Fatalf("%s scatter slice %s: %v", tag, half, err)

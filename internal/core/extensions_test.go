@@ -96,7 +96,7 @@ func TestDedupConfig(t *testing.T) {
 		if targetMake == "" {
 			targetMake = tbl.Value(id, "make").Str()
 		}
-		rec := tbl.RecordMap(id)
+		rec := tbl.Row(id).Record()
 		rec["price"] = sqldb.Number(rec["price"].Num() + 10)
 		if _, err := tbl.Insert(rec); err != nil {
 			t.Fatal(err)
@@ -127,8 +127,8 @@ func TestDedupConfig(t *testing.T) {
 		seen := map[string]int{}
 		dups := 0
 		for _, a := range res.Answers {
-			key := a.Record["make"].String() + a.Record["model"].String() +
-				a.Record["year"].String() + a.Record["mileage"].String()
+			key := a.Record.Value("make").String() + a.Record.Value("model").String() +
+				a.Record.Value("year").String() + a.Record.Value("mileage").String()
 			seen[key]++
 			if seen[key] > 1 {
 				dups++

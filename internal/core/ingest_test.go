@@ -185,7 +185,7 @@ func TestDeleteMatchesFreshBuild(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, id := range src.AllRowIDs() {
-			if _, err := dst.Insert(src.RecordMap(id)); err != nil {
+			if _, err := dst.Insert(src.Row(id).Record()); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -193,14 +193,14 @@ func TestDeleteMatchesFreshBuild(t *testing.T) {
 	fresh := testSystemOver(t, freshDB)
 
 	key := func(a Answer) string {
-		cols := make([]string, 0, len(a.Record))
-		for c := range a.Record {
+		cols := make([]string, 0, a.Record.Len())
+		for c := range a.Record.All() {
 			cols = append(cols, c)
 		}
 		sort.Strings(cols)
 		var sb strings.Builder
 		for _, c := range cols {
-			fmt.Fprintf(&sb, "%s=%s;", c, a.Record[c])
+			fmt.Fprintf(&sb, "%s=%s;", c, a.Record.Value(c))
 		}
 		fmt.Fprintf(&sb, "exact=%v;sim=%.9f", a.Exact, a.RankSim)
 		return sb.String()
@@ -264,8 +264,8 @@ func TestSuperlativeSkipsNonNumeric(t *testing.T) {
 		t.Fatalf("exact answers = %d, want 1 (the $7000 civic)", res.ExactCount)
 	}
 	a := res.Answers[0]
-	if a.ID != 2 || a.Record["price"].Num() != 7000 {
-		t.Fatalf("cheapest honda = row %d (price %v), want row 2 ($7000)", a.ID, a.Record["price"])
+	if a.ID != 2 || a.Record.Value("price").Num() != 7000 {
+		t.Fatalf("cheapest honda = row %d (price %v), want row 2 ($7000)", a.ID, a.Record.Value("price"))
 	}
 	// All-NULL superlative set: no exact answers rather than a row
 	// fabricated from the zero coercion.

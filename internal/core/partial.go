@@ -22,15 +22,16 @@ import (
 // similarity matching over the whole table. RelaxationDepth > 1
 // additionally drops pairs (the N−2 sweep the paper discusses). A
 // non-nil keep restricts the candidate pool to rows it accepts — the
-// scatter path's hash-slice filter; the monolith path passes nil.
-func (s *System) partialAnswers(tbl *sqldb.Table, in *boolean.Interpretation, exact []sqldb.RowID, want int, dd *dedup.Result, keep func(sqldb.RowID) bool) []Answer {
+// scatter path's hash-slice filter; the monolith path passes nil. The
+// ranked answers are appended to dst, grown at most once.
+func (s *System) partialAnswers(dst []Answer, tbl *sqldb.Table, in *boolean.Interpretation, exact []sqldb.RowID, want int, dd *dedup.Result, keep func(sqldb.RowID) bool) []Answer {
 	if want <= 0 {
-		return nil
+		return dst
 	}
 	sim := s.sims[tbl.Schema().Domain]
 	conds := in.AllConditions()
 	if len(conds) == 0 {
-		return nil
+		return dst
 	}
 	rs := relaxPool.Get().(*relaxScratch)
 	defer relaxPool.Put(rs)
@@ -81,20 +82,21 @@ func (s *System) partialAnswers(tbl *sqldb.Table, in *boolean.Interpretation, ex
 		}
 	}
 	top := sel.Sorted()
-	out := make([]Answer, 0, len(top))
+	dst = slices.Grow(dst, len(top))
+	names := similarityNames(conds)
 	for _, sc := range top {
 		a := Answer{
 			ID:          sc.id,
-			Record:      tbl.RecordView(sc.id),
+			Record:      tbl.Row(sc.id),
 			RankSim:     sc.score,
 			DroppedCond: sc.dropped,
 		}
-		if sc.dropped >= 0 && sc.dropped < len(conds) {
-			a.SimilarityUsed = similarityName(&conds[sc.dropped])
+		if sc.dropped >= 0 && sc.dropped < len(names) {
+			a.SimilarityUsed = names[sc.dropped]
 		}
-		out = append(out, a)
+		dst = append(dst, a)
 	}
-	return out
+	return dst
 }
 
 // relaxScratch is the tally and dedup state of one relaxation sweep,
@@ -345,6 +347,16 @@ func (s *System) PartialCandidates(domain string, in *boolean.Interpretation) ([
 	rs := relaxPool.Get().(*relaxScratch)
 	defer relaxPool.Put(rs)
 	return append([]sqldb.RowID(nil), s.candidatePool(tbl, in, exact, rs)...), nil
+}
+
+// similarityNames labels every condition once per ask, so that naming
+// the measure of each ranked answer allocates nothing per answer.
+func similarityNames(conds []boolean.Condition) []string {
+	names := make([]string, len(conds))
+	for i := range conds {
+		names[i] = similarityName(&conds[i])
+	}
+	return names
 }
 
 // similarityName renders the Table 2 "Similarity Measure Used" label

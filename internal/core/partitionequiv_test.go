@@ -46,8 +46,8 @@ func scatterKey(t *testing.T, res *core.ScatterResult) string {
 		Answers:        []answerKey{},
 	}
 	for _, a := range res.Answers {
-		rec := make(map[string]string, len(a.Record))
-		for k, v := range a.Record {
+		rec := make(map[string]string, a.Record.Len())
+		for k, v := range a.Record.All() {
 			rec[k] = v.String()
 		}
 		key.Answers = append(key.Answers, answerKey{
@@ -140,6 +140,53 @@ func TestHashPartitionEquivalence(t *testing.T) {
 				t.Fatalf("%d-way: merge is arrival-order dependent on %q", count, q)
 			}
 		}
+	}
+}
+
+// TestMonolithScatterOverSubSlices drives AskInDomainScatter's slice
+// filter, which partitions asked for their own slice never reach: a
+// node asked for a narrower slice than it hosts (a rebalance source
+// during cutover) must answer from that slice's rows only, the
+// superlative's extreme run included. Scattering the monolith over
+// every 2- and 4-way slice and merging must give AskInDomain's answer
+// on every cars question of the workload.
+func TestMonolithScatterOverSubSlices(t *testing.T) {
+	opts := shardtest.Options(equivAds)
+	mono := shardtest.OpenMonolith(t, opts)
+	qc := shardtest.NewClassifier(t, opts)
+	superlative, plain := 0, 0
+	for _, q := range shardtest.Workload(t, opts, mono) {
+		if d, err := qc.ClassifyQuestion(q); err != nil || d != "cars" {
+			continue
+		}
+		want, err := mono.AskInDomain("cars", q)
+		if err != nil {
+			t.Fatalf("monolith: %q: %v", q, err)
+		}
+		if want.Interpretation.Superlative != nil {
+			superlative++
+		} else {
+			plain++
+		}
+		for _, count := range []uint32{2, 4} {
+			parts := make([]*core.ScatterResult, count)
+			for i := range count {
+				if parts[i], err = mono.AskInDomainScatter("cars", q, partition.Slice{Index: i, Count: count}); err != nil {
+					t.Fatalf("%q over h%d/%d: %v", q, i, count, err)
+				}
+			}
+			merged, err := core.MergeScatter(parts)
+			if err != nil {
+				t.Fatalf("%d-way merge: %q: %v", count, q, err)
+			}
+			if got, wantKey := scatterKey(t, merged), resultKey(t, want); got != wantKey {
+				t.Fatalf("%d-way sub-slices of the monolith: answer diverges on %q\n got: %s\nwant: %s", count, q, got, wantKey)
+			}
+		}
+	}
+	t.Logf("%d superlative and %d other cars questions", superlative, plain)
+	if superlative == 0 || plain == 0 {
+		t.Fatalf("the workload has %d superlative and %d other cars questions; both kinds are needed", superlative, plain)
 	}
 }
 
@@ -257,7 +304,7 @@ func TestRetirePartition(t *testing.T) {
 		t.Fatalf("reopened with %d rows, want %d", tbl2.Len(), len(keepIDs))
 	}
 	for _, id := range keepIDs {
-		if tbl2.RecordView(id) == nil {
+		if tbl2.Row(id).IsZero() {
 			t.Fatalf("kept ad %d missing after reopen", id)
 		}
 	}

@@ -113,14 +113,14 @@ func assertSameAnswersByID(t *testing.T, label string, a, b *System) {
 // answerKey renders an answer's content (record, exactness, score)
 // for comparisons across differing RowID spaces.
 func answerKey(a Answer) string {
-	cols := make([]string, 0, len(a.Record))
-	for c := range a.Record {
+	cols := make([]string, 0, a.Record.Len())
+	for c := range a.Record.All() {
 		cols = append(cols, c)
 	}
 	sort.Strings(cols)
 	var sb strings.Builder
 	for _, c := range cols {
-		fmt.Fprintf(&sb, "%s=%s;", c, a.Record[c])
+		fmt.Fprintf(&sb, "%s=%s;", c, a.Record.Value(c))
 	}
 	fmt.Fprintf(&sb, "exact=%v;sim=%.9f", a.Exact, a.RankSim)
 	return sb.String()
@@ -202,7 +202,7 @@ func TestRecoverFromKillMidIngest(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, id := range src.AllRowIDs() {
-			if _, err := dst.Insert(src.RecordMap(id)); err != nil {
+			if _, err := dst.Insert(src.Row(id).Record()); err != nil {
 				t.Fatal(err)
 			}
 		}

@@ -130,7 +130,7 @@ func referencePartialAnswers(s *System, tbl *sqldb.Table, in *boolean.Interpreta
 	for _, sc := range scoredCands {
 		a := Answer{
 			ID:          sc.id,
-			Record:      tbl.RecordMap(sc.id),
+			Record:      tbl.Row(sc.id),
 			RankSim:     sc.score,
 			DroppedCond: sc.dropped,
 		}
@@ -248,7 +248,7 @@ func TestPartialAnswersEquivalence(t *testing.T) {
 				t.Fatalf("depth %d case %d: exact query: %v", depth, qi, err)
 			}
 			for _, want := range []int{1, 5, 30, 10000} {
-				got := sys.partialAnswers(tbl, in, exact, want, sys.dedupFor("cars", tbl), nil)
+				got := sys.partialAnswers(nil, tbl, in, exact, want, sys.dedupFor("cars", tbl), nil)
 				ref := referencePartialAnswers(sys, tbl, in, exact, want)
 				if len(got) != len(ref) {
 					t.Fatalf("depth %d case %d want %d: %d answers, reference has %d",

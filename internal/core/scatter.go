@@ -24,8 +24,8 @@ import (
 // produced.
 
 // ScatterAnswer is one answer inside a ScatterPart. The record payload
-// is generic: the partition side carries live sqldb records
-// (map[string]sqldb.Value); the front tier, merging decoded JSON,
+// is generic: the partition side carries read-only row views
+// (sqldb.Row); the front tier, merging decoded JSON,
 // carries each record as the raw JSON object the partition encoded
 // (json.RawMessage) and never looks inside it.
 type ScatterAnswer[P any] struct {
@@ -80,9 +80,9 @@ type ScatterPart[P any] struct {
 	Answers    []ScatterAnswer[P] `json:"answers"`
 }
 
-// ScatterResult is the partition-side scatter part, carrying live
-// records.
-type ScatterResult = ScatterPart[map[string]sqldb.Value]
+// ScatterResult is the partition-side scatter part, carrying read-only
+// row views.
+type ScatterResult = ScatterPart[sqldb.Row]
 
 // AskInDomainScatter answers a question over this partition's rows for
 // a scatter/gather merge. req is the hash slice the front tier is
@@ -110,7 +110,7 @@ func (s *System) AskInDomainScatter(domain, question string, req partition.Slice
 		Domain:         domain,
 		Interpretation: in.String(),
 		MaxAnswers:     s.maxAnswers,
-		Answers:        []ScatterAnswer[map[string]sqldb.Value]{},
+		Answers:        []ScatterAnswer[sqldb.Row]{},
 	}
 	if in.Empty || in.ConditionCount() == 0 && in.Superlative == nil {
 		// Contradiction or nothing recognized: every partition returns
@@ -134,67 +134,28 @@ func (s *System) AskInDomainScatter(domain, question string, req partition.Slice
 	if in.Superlative != nil {
 		out.Superlative = true
 		out.Desc = in.Superlative.Descending
-		run, extreme, hasExtreme, err := s.superlativeRun(tbl, sel, keep, 0)
-		if err != nil {
-			return nil, fmt.Errorf("core: executing %q: %w", out.SQL, err)
-		}
-		out.HasExtreme = hasExtreme
-		out.Extreme = extreme
-		exactIDs = run
-		for _, id := range run {
-			a := ScatterAnswer[map[string]sqldb.Value]{
-				ID:          int64(id),
-				Exact:       true,
-				RankSim:     exactScore,
-				DroppedCond: -1,
-				Record:      tbl.RecordView(id),
-			}
-			if out.PartialsEligible {
-				// The merge may find a better extreme elsewhere and
-				// demote this whole run into the partial pool; score it
-				// now, while the row is at hand.
-				dsc, ddrop := sim.BestRankSimOverGroups(tbl, id, in.Groups)
-				a.DemoteRankSim = dsc
-				a.DemoteDropped = ddrop
-				if ddrop >= 0 && ddrop < len(conds) {
-					a.DemoteSimilarityUsed = similarityName(&conds[ddrop])
-				}
-			}
-			out.Answers = append(out.Answers, a)
-		}
+		exactIDs, out.Extreme, out.HasExtreme, err = s.superlativeRun(tbl, sel, keep, 0)
+	} else if keep == nil {
+		exactIDs, err = s.execSelect(tbl, sel)
 	} else {
-		if keep == nil {
-			exactIDs, err = s.execSelect(tbl, sel)
-		} else {
-			// The statement's LIMIT applies before the slice filter, so
-			// run unlimited, filter, then re-apply the cap.
-			unlimited := *sel
-			unlimited.Limit = 0
-			var ids []sqldb.RowID
-			ids, err = s.execSelect(tbl, &unlimited)
-			for _, id := range ids {
-				if keep(id) {
-					exactIDs = append(exactIDs, id)
-					if len(exactIDs) == s.maxAnswers {
-						break
-					}
+		// The statement's LIMIT applies before the slice filter, so
+		// run unlimited, filter, then re-apply the cap.
+		unlimited := *sel
+		unlimited.Limit = 0
+		var ids []sqldb.RowID
+		ids, err = s.execSelect(tbl, &unlimited)
+		for _, id := range ids {
+			if keep(id) {
+				exactIDs = append(exactIDs, id)
+				if len(exactIDs) == s.maxAnswers {
+					break
 				}
 			}
-		}
-		if err != nil {
-			return nil, fmt.Errorf("core: executing %q: %w", out.SQL, err)
-		}
-		for _, id := range exactIDs {
-			out.Answers = append(out.Answers, ScatterAnswer[map[string]sqldb.Value]{
-				ID:          int64(id),
-				Exact:       true,
-				RankSim:     exactScore,
-				DroppedCond: -1,
-				Record:      tbl.RecordView(id),
-			})
 		}
 	}
-	out.ExactCount = len(out.Answers)
+	if err != nil {
+		return nil, fmt.Errorf("core: executing %q: %w", out.SQL, err)
+	}
 
 	// Partial pool: superlative parts always report a full MaxAnswers
 	// of partials — demotion can shrink the global exact set below the
@@ -206,9 +167,39 @@ func (s *System) AskInDomainScatter(domain, question string, req partition.Slice
 	if in.Superlative == nil {
 		want = s.maxAnswers - len(exactIDs)
 	}
+	n := len(exactIDs)
 	if out.PartialsEligible && want > 0 {
-		for _, a := range s.partialAnswers(tbl, in, exactIDs, want, nil, keep) {
-			out.Answers = append(out.Answers, ScatterAnswer[map[string]sqldb.Value]{
+		n += want
+	}
+	out.Answers = make([]ScatterAnswer[sqldb.Row], 0, n)
+	var names []string
+	if out.Superlative && out.PartialsEligible {
+		names = similarityNames(conds)
+	}
+	for _, id := range exactIDs {
+		a := ScatterAnswer[sqldb.Row]{
+			ID:          int64(id),
+			Exact:       true,
+			RankSim:     exactScore,
+			DroppedCond: -1,
+			Record:      tbl.Row(id),
+		}
+		if out.Superlative && out.PartialsEligible {
+			// The merge may find a better extreme elsewhere and demote
+			// this whole run into the partial pool; score it now, while
+			// the row is at hand.
+			a.DemoteRankSim, a.DemoteDropped = sim.BestRankSimOverGroups(tbl, id, in.Groups)
+			if a.DemoteDropped >= 0 && a.DemoteDropped < len(names) {
+				a.DemoteSimilarityUsed = names[a.DemoteDropped]
+			}
+		}
+		out.Answers = append(out.Answers, a)
+	}
+	out.ExactCount = len(out.Answers)
+
+	if out.PartialsEligible && want > 0 {
+		for _, a := range s.partialAnswers(nil, tbl, in, exactIDs, want, nil, keep) {
+			out.Answers = append(out.Answers, ScatterAnswer[sqldb.Row]{
 				ID:             int64(a.ID),
 				RankSim:        a.RankSim,
 				DroppedCond:    a.DroppedCond,

@@ -50,8 +50,8 @@ func resultKey(t *testing.T, res *core.Result) string {
 		Answers:        []answerKey{},
 	}
 	for _, a := range res.Answers {
-		rec := make(map[string]string, len(a.Record))
-		for k, v := range a.Record {
+		rec := make(map[string]string, a.Record.Len())
+		for k, v := range a.Record.All() {
 			rec[k] = v.String()
 		}
 		key.Answers = append(key.Answers, answerKey{

@@ -192,10 +192,11 @@ type dedupState struct {
 // Answer is one retrieved ad.
 type Answer struct {
 	ID sqldb.RowID
-	// Record is the ad's column → value map. It is a read-only view
-	// shared with other answers for the same row (sqldb.RecordView);
-	// callers that need to modify it must copy it first.
-	Record map[string]sqldb.Value
+	// Record is the ad's row, a read-only view taken when the answer
+	// was assembled (sqldb.Row): it reads the values the ad was
+	// inserted with, even if the ad is deleted later, and it is the
+	// zero Row when the ad was deleted before assembly.
+	Record sqldb.Row
 	// Exact reports whether the ad satisfies every condition.
 	Exact bool
 	// RankSim is Eq. 5's score for partially-matched answers (exact
@@ -456,22 +457,25 @@ func (s *System) AskInDomain(domain, question string) (*Result, error) {
 	if dd != nil {
 		exactIDs = dd.FilterAnswers(exactIDs)
 	}
+	// One allocation holds every answer: the exact ones, then room for
+	// the ranked partials when the question has conditions to relax.
+	n := len(exactIDs)
+	if n < s.maxAnswers && in.ConditionCount() > 0 {
+		n = s.maxAnswers
+	}
+	res.Answers = make([]Answer, 0, n)
 	exactScore := float64(maxGroupLen(in))
 	for _, id := range exactIDs {
 		res.Answers = append(res.Answers, Answer{
 			ID:          id,
-			Record:      tbl.RecordView(id),
+			Record:      tbl.Row(id),
 			Exact:       true,
 			RankSim:     exactScore,
 			DroppedCond: -1,
 		})
 	}
 	res.ExactCount = len(res.Answers)
-
-	if res.ExactCount < s.maxAnswers {
-		partial := s.partialAnswers(tbl, in, exactIDs, s.maxAnswers-res.ExactCount, dd, nil)
-		res.Answers = append(res.Answers, partial...)
-	}
+	res.Answers = s.partialAnswers(res.Answers, tbl, in, exactIDs, s.maxAnswers-res.ExactCount, dd, nil)
 	res.Elapsed = time.Since(start) //lint:cqads-ignore wallclock Elapsed is reporting metadata; answer content never depends on it
 	return res, nil
 }

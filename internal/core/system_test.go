@@ -51,9 +51,9 @@ func TestExactAnswersSatisfyAllConditions(t *testing.T) {
 		t.Fatal("no exact answers")
 	}
 	for _, a := range res.Answers[:res.ExactCount] {
-		if a.Record["make"].Str() != "bmw" ||
-			a.Record["color"].Str() != "red" ||
-			a.Record["doors"].Str() != "2 door" {
+		if a.Record.Value("make").Str() != "bmw" ||
+			a.Record.Value("color").Str() != "red" ||
+			a.Record.Value("doors").Str() != "2 door" {
 			t.Errorf("exact answer violates conditions: %v", a.Record)
 		}
 		if !a.Exact || a.DroppedCond != -1 {
@@ -117,11 +117,11 @@ func TestSuperlativeEvaluatedLast(t *testing.T) {
 		}
 	}
 	for _, a := range res.Answers[:res.ExactCount] {
-		if a.Record["make"].Str() != "honda" {
+		if a.Record.Value("make").Str() != "honda" {
 			t.Errorf("superlative answer is not a honda: %v", a.Record)
 		}
-		if a.Record["price"].Num() != minPrice {
-			t.Errorf("cheapest honda price = %v, want %g", a.Record["price"], minPrice)
+		if a.Record.Value("price").Num() != minPrice {
+			t.Errorf("cheapest honda price = %v, want %g", a.Record.Value("price"), minPrice)
 		}
 	}
 }

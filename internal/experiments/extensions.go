@@ -102,12 +102,12 @@ func (e *Env) DedupImpact() (*DedupResult, error) {
 	}
 	res := &DedupResult{}
 	for _, id := range src.AllRowIDs() {
-		rec := src.RecordMap(id)
+		rec := src.Row(id).Record()
 		if _, err := dirty.Insert(rec); err != nil {
 			return nil, err
 		}
 		if int(id)%3 == 0 {
-			repost := src.RecordMap(id)
+			repost := src.Row(id).Record()
 			price := repost["price"].Num()
 			repost["price"] = sqldb.Number(price + float64(rng.Intn(80)))
 			if _, err := dirty.Insert(repost); err != nil {
@@ -163,13 +163,13 @@ func (e *Env) DedupImpact() (*DedupResult, error) {
 
 // fingerprint keys a record by its categorical values and coarse
 // price bucket (the duplicate-injection granularity).
-func fingerprint(rec map[string]sqldb.Value) string {
+func fingerprint(rec sqldb.Row) string {
 	var sb strings.Builder
 	for _, k := range []string{"make", "model", "color", "transmission", "doors", "drivetrain", "year", "mileage"} {
-		sb.WriteString(rec[k].String())
+		sb.WriteString(rec.Value(k).String())
 		sb.WriteByte('|')
 	}
-	fmt.Fprintf(&sb, "%d", int(rec["price"].Num())/100)
+	fmt.Fprintf(&sb, "%d", int(rec.Value("price").Num())/100)
 	return sb.String()
 }
 

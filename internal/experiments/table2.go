@@ -46,15 +46,15 @@ func (e *Env) Table2PartialAnswers() (*Table2Result, error) {
 		rank++
 		row := Table2Row{
 			Ranking:        rank,
-			Price:          a.Record["price"].Num(),
+			Price:          a.Record.Value("price").Num(),
 			RankSim:        a.RankSim,
 			SimilarityUsed: a.SimilarityUsed,
 		}
 		for _, attr := range sch.AttrsOfType(schema.TypeI) {
-			row.TypeI = append(row.TypeI, a.Record[attr.Name].Str())
+			row.TypeI = append(row.TypeI, a.Record.Value(attr.Name).Str())
 		}
 		for _, attr := range sch.AttrsOfType(schema.TypeII) {
-			if v := a.Record[attr.Name]; v.IsString() {
+			if v := a.Record.Value(attr.Name); v.IsString() {
 				row.Features = append(row.Features, v.Str())
 			}
 		}

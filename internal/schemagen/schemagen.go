@@ -228,7 +228,7 @@ func attachDefaultSuperlatives(s *schema.Schema) {
 func InferFromTable(domain, table string, tbl *sqldb.Table, opts Options) (*schema.Schema, error) {
 	records := make([]map[string]sqldb.Value, 0, tbl.Len())
 	for _, id := range tbl.AllRowIDs() {
-		records = append(records, tbl.RecordMap(id))
+		records = append(records, tbl.Row(id).Record())
 	}
 	return Infer(domain, table, records, opts)
 }

@@ -305,7 +305,7 @@ func TestLiveRebalanceUnderChurn(t *testing.T) {
 	for _, id := range acked {
 		if moved.ContainsKey(id) {
 			movedAcked++
-			if targetTbl.RecordMap(sqldb.RowID(id)) == nil {
+			if targetTbl.Row(sqldb.RowID(id)).IsZero() {
 				t.Errorf("acked write %d (slice %s) is missing from the target", id, moved)
 			}
 		}

@@ -35,7 +35,7 @@ func askKey(t *testing.T, sys *cqads.System, domain, q string) string {
 	rows := make([]row, 0, len(res.Answers))
 	for _, a := range res.Answers {
 		rec := map[string]string{}
-		for k, v := range a.Record {
+		for k, v := range a.Record.All() {
 			rec[k] = v.String()
 		}
 		rows = append(rows, row{ID: a.ID, Exact: a.Exact, RankSim: a.RankSim, Record: rec})
@@ -100,7 +100,7 @@ func TestShardRestartRecovery(t *testing.T) {
 	}
 	// The WAL-tail insert is live on the recovered shard.
 	tbl, _ := recovered.DB().TableForDomain("cars")
-	if tbl.RecordMap(carsID) == nil {
+	if tbl.Row(carsID).IsZero() {
 		t.Error("WAL-tail cars insert lost across restart")
 	}
 	st := recovered.Status()

@@ -33,8 +33,8 @@ func TestDeleteSemantics(t *testing.T) {
 	if v := tbl.Value(1, "make"); !v.IsNull() {
 		t.Errorf("Value of deleted row = %#v, want NULL", v)
 	}
-	if m := tbl.RecordMap(1); m != nil {
-		t.Errorf("RecordMap of deleted row = %v, want nil", m)
+	if m := tbl.Row(1).Record(); m != nil {
+		t.Errorf("Row(1).Record() of deleted row = %v, want nil", m)
 	}
 	if ids := tbl.AllRowIDs(); !reflect.DeepEqual(ids, []RowID{0, 2, 3}) {
 		t.Errorf("AllRowIDs = %v", ids)
@@ -73,6 +73,39 @@ func TestDeleteSemantics(t *testing.T) {
 	}
 	if err := tbl.Delete(-1); err == nil {
 		t.Error("Delete(-1) should error")
+	}
+}
+
+// TestRowDeletedAndKeptValues pins the row view's lifetime: the view
+// of a row deleted before it is taken is the zero Row (answer assembly
+// encodes it as {}, as it did the nil record map), and a view taken
+// before a Delete, and before later inserts regrow the table, still
+// reads the row's values.
+func TestRowDeletedAndKeptValues(t *testing.T) {
+	tbl := carsTable(t)
+	kept := tbl.Row(2)
+	for _, id := range []RowID{1, 2} {
+		if err := tbl.Delete(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 100; i++ {
+		if _, err := tbl.Insert(map[string]Value{"make": String("kia"), "price": Number(float64(i))}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	gone := tbl.Row(1)
+	if !gone.IsZero() || gone.Len() != 0 || gone.Record() != nil || !gone.Value("make").IsNull() {
+		t.Errorf("Row of a deleted id: zero %v, %d columns, record %v, make %v; want the zero Row",
+			gone.IsZero(), gone.Len(), gone.Record(), gone.Value("make"))
+	}
+	for col := range gone.All() {
+		t.Errorf("the zero Row yields column %q", col)
+	}
+
+	if kept.IsZero() || kept.Value("make").Str() != "toyota" || kept.Value("price").Num() != 9500 {
+		t.Errorf("Row taken before Delete reads %v, want the toyota at 9500", kept.Record())
 	}
 }
 
@@ -203,7 +236,7 @@ func TestConcurrentMutateAndScan(t *testing.T) {
 				tbl.LookupRange("price", 4000, 9000, true, true)
 				tbl.Stats()
 				for _, id := range tbl.AllRowIDs() {
-					tbl.RecordMap(id)
+					tbl.Row(id).Record()
 				}
 			}
 		}()

@@ -79,8 +79,8 @@ func TestExportRestoreRoundTrip(t *testing.T) {
 	}
 	// Records identical column by column.
 	for _, id := range tbl.AllRowIDs() {
-		if !reflect.DeepEqual(rt.RecordMap(id), tbl.RecordMap(id)) {
-			t.Errorf("row %d: restored %v, want %v", id, rt.RecordMap(id), tbl.RecordMap(id))
+		if !reflect.DeepEqual(rt.Row(id).Record(), tbl.Row(id).Record()) {
+			t.Errorf("row %d: restored %v, want %v", id, rt.Row(id).Record(), tbl.Row(id).Record())
 		}
 	}
 	// RowID sequence continues past the retired slot range.

@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"iter"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -48,14 +49,6 @@ type Table struct {
 	version atomic.Uint64
 	hash    map[string]*hashIndex    // cqads:guarded-by mu (Type I + Type II columns)
 	ordered map[string]*orderedIndex // cqads:guarded-by mu (Type III columns)
-
-	// recMu guards the lazily cached rendered record maps handed out by
-	// RecordMap; recVer is the table version the cache was built
-	// against. Entries are cloned on every hit, so callers may mutate
-	// what they receive.
-	recMu  sync.RWMutex
-	recs   map[RowID]map[string]Value // cqads:guarded-by recMu
-	recVer uint64                     // cqads:guarded-by recMu
 }
 
 // NewTable creates an empty table for the given schema.
@@ -514,63 +507,71 @@ func (t *Table) RestoreState(slots int, rows []Record) error {
 	return nil
 }
 
-// RecordMap renders record id as a column→Value map (for display and
-// for rankers that want named access). Deleted rows return nil. The
-// returned map is the caller's to mutate; read-heavy paths should
-// prefer RecordView, which amortizes the rendering.
-func (t *Table) RecordMap(id RowID) map[string]Value {
+// Row is a read-only view of one stored ad: its table and the values
+// the row was inserted with. Nothing writes a row's values in place —
+// Delete tombstones the slot and RestoreState installs fresh slices —
+// so a Row holds them without a copy or a cache, and it still reads
+// them after a later Delete. The zero Row is the view of no row: it
+// has no columns, reads NULL and renders as a nil map. A Row is a
+// value; taking one allocates nothing.
+type Row struct {
+	t    *Table
+	vals []Value
+}
+
+// Row returns the view of row id, taken under the read lock. A deleted
+// or unknown id yields the zero Row.
+func (t *Table) Row(id RowID) Row {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	if !t.aliveLocked(id) {
-		return nil
+		return Row{}
 	}
-	rec := t.rows[id]
-	out := make(map[string]Value, len(t.schema.Attrs))
-	for col, i := range t.colIdx {
-		out[col] = rec.Values[i]
-	}
-	return out
+	return Row{t: t, vals: t.rows[id].Values}
 }
 
-// RecordView is RecordMap without the defensive copy: the returned
-// map is shared — memoized per table version — and MUST be treated as
-// read-only by every caller. Answer assembly hands out the same top
-// rows over and over, so serving one rendered map per (row, version)
-// turns the per-answer makemap + per-key hashing into a cache probe.
-// Concurrent readers are safe; a table mutation bumps the version and
-// the next call rebuilds against the new rows.
-func (t *Table) RecordView(id RowID) map[string]Value {
-	ver := t.version.Load()
-	t.recMu.RLock()
-	var cached map[string]Value
-	ok := false
-	if t.recVer == ver {
-		cached, ok = t.recs[id]
-	}
-	t.recMu.RUnlock()
-	if ok {
-		return cached
-	}
+// IsZero reports whether r is the view of no row.
+func (r Row) IsZero() bool { return r.t == nil }
 
-	out := t.RecordMap(id)
-	// Version bumps happen under the write lock RecordMap just
-	// released, so re-reading it here can only observe a mutation that
-	// happened after the rows were copied — in which case the entry is
-	// dropped rather than cached stale.
-	ver2 := t.version.Load()
-	if ver2 != ver {
-		return out
+// Len returns the number of columns, 0 for the zero Row.
+func (r Row) Len() int { return len(r.vals) }
+
+// At returns the value of column i, in schema order (0 <= i < Len).
+func (r Row) At(i int) Value { return r.vals[i] }
+
+// Value returns the value in the named column: NULL for an unknown
+// column or the zero Row.
+func (r Row) Value(col string) Value {
+	if r.t == nil {
+		return Null
 	}
-	t.recMu.Lock()
-	if t.recVer != ver {
-		t.recs = make(map[RowID]map[string]Value)
-		t.recVer = ver
+	if i, ok := r.t.colIdx[col]; ok {
+		return r.vals[i]
 	}
-	if prev, exists := t.recs[id]; exists {
-		out = prev // keep one canonical map per row
-	} else {
-		t.recs[id] = out
+	return Null
+}
+
+// All yields each column name with its value, in schema order.
+func (r Row) All() iter.Seq2[string, Value] {
+	return func(yield func(string, Value) bool) {
+		for i := range r.vals {
+			if !yield(r.t.schema.Attrs[i].Name, r.vals[i]) {
+				return
+			}
+		}
 	}
-	t.recMu.Unlock()
+}
+
+// Record builds the row as a column→Value map the caller owns, for
+// callers off the answer path (display, tools, experiments). The zero
+// Row renders as nil.
+func (r Row) Record() map[string]Value {
+	if r.t == nil {
+		return nil
+	}
+	out := make(map[string]Value, len(r.vals))
+	for col, v := range r.All() {
+		out[col] = v
+	}
 	return out
 }

@@ -107,14 +107,31 @@ func TestSortByColumn(t *testing.T) {
 	}
 }
 
-func TestRecordMap(t *testing.T) {
+// TestRowRecord: a Row reads its values by name, by schema position
+// and in schema order, and Record renders it as a map; the view of an
+// unknown id is the zero Row.
+func TestRowRecord(t *testing.T) {
 	tbl := carsTable(t)
-	m := tbl.RecordMap(0)
-	if m["make"].Str() != "honda" || m["price"].Num() != 8000 {
-		t.Errorf("RecordMap(0) = %v", m)
+	row := tbl.Row(0)
+	if row.IsZero() || row.Len() != len(tbl.Schema().Attrs) {
+		t.Fatalf("Row(0): zero %v, %d columns", row.IsZero(), row.Len())
 	}
-	if m := tbl.RecordMap(99); m != nil {
-		t.Errorf("RecordMap(99) = %v, want nil", m)
+	m := row.Record()
+	if m["make"].Str() != "honda" || m["price"].Num() != 8000 || len(m) != row.Len() {
+		t.Errorf("Row(0).Record() = %v", m)
+	}
+	i := 0
+	for col, v := range row.All() {
+		if col != tbl.Schema().Attrs[i].Name || v != row.At(i) || v != row.Value(col) {
+			t.Errorf("All()[%d] = %s %v; At = %v, Value = %v", i, col, v, row.At(i), row.Value(col))
+		}
+		i++
+	}
+	if v := row.Value("no such column"); !v.IsNull() {
+		t.Errorf("Value(unknown) = %v, want NULL", v)
+	}
+	if r := tbl.Row(99); !r.IsZero() || r.Record() != nil {
+		t.Errorf("Row(99) = %v, want the zero Row", r.Record())
 	}
 }
 

@@ -47,21 +47,27 @@ func writeBody(w http.ResponseWriter, buf *[]byte, b []byte, err error) {
 	}
 }
 
-// sortedKeys returns a schema's attribute names in the order
-// encoding/json writes map keys.
-func sortedKeys(sch *schema.Schema) []string {
-	keys := make([]string, len(sch.Attrs))
+// recordKey is one JSON record key and the schema column it reads.
+type recordKey struct {
+	name string
+	col  int
+}
+
+// recordKeys returns a schema's attribute names paired with their
+// column indexes, in the order encoding/json writes map keys.
+func recordKeys(sch *schema.Schema) []recordKey {
+	keys := make([]recordKey, len(sch.Attrs))
 	for i, a := range sch.Attrs {
-		keys[i] = a.Name
+		keys[i] = recordKey{a.Name, i}
 	}
-	sort.Strings(keys)
+	sort.Slice(keys, func(i, j int) bool { return keys[i].name < keys[j].name })
 	return keys
 }
 
 // appendAPIResult appends the body GET /api/ask serves for res: the
 // bytes json.Encoder writes for BuildAPIResult(res). keys are the
 // domain's record keys, sorted (see appendRecord).
-func appendAPIResult(dst []byte, res *core.Result, keys []string) ([]byte, error) {
+func appendAPIResult(dst []byte, res *core.Result, keys []recordKey) ([]byte, error) {
 	dst = appendResultHead(dst, res.Domain, res.Interpretation.String(), res.SQL, res.ExactCount)
 	for i := range res.Answers {
 		a := &res.Answers[i]
@@ -141,7 +147,7 @@ func appendAnswerHead(dst []byte, exact bool, rankSim float64, simUsed string) (
 // bytes json.Encoder writes for the ScatterPart wire form with every
 // record value rendered by sqldb.Value.String, as APIAnswer renders
 // it. keys are the domain's record keys, sorted.
-func appendScatterPart(dst []byte, p *core.ScatterResult, keys []string) ([]byte, error) {
+func appendScatterPart(dst []byte, p *core.ScatterResult, keys []recordKey) ([]byte, error) {
 	dst = append(dst, `{"domain":`...)
 	dst = appendString(dst, p.Domain)
 	dst = append(dst, `,"interpretation":`...)
@@ -207,40 +213,24 @@ func appendScatterPart(dst []byte, p *core.ScatterResult, keys []string) ([]byte
 	return append(dst, "]}\n"...), nil
 }
 
-// appendRecord appends rec as the JSON object encoding/json writes for
+// appendRecord appends row as the JSON object encoding/json writes for
 // its map[string]string rendering: keys sorted, values as
-// sqldb.Value.String renders them. keys is the record's schema keys,
-// sorted once per domain; a record whose keys differ from it (a
-// foreign schema, or none known) has its own keys sorted instead. A
-// nil record encodes as {}, as BuildAPIResult's fresh map does.
-func appendRecord(dst []byte, rec map[string]sqldb.Value, keys []string) []byte {
-	if len(rec) != len(keys) {
-		return appendRecordSorted(dst, rec)
-	}
-	start := len(dst)
+// sqldb.Value.String renders them. keys is the row's schema keys,
+// sorted once per domain. The zero Row (an ad deleted before its
+// answer was assembled) encodes as {}, as BuildAPIResult's empty map
+// does.
+func appendRecord(dst []byte, row sqldb.Row, keys []recordKey) []byte {
 	dst = append(dst, '{')
-	for i, k := range keys {
-		v, ok := rec[k]
-		if !ok {
-			return appendRecordSorted(dst[:start], rec)
+	if !row.IsZero() {
+		for i, k := range keys {
+			if i > 0 {
+				dst = append(dst, ',')
+			}
+			dst = append(appendString(dst, k.name), ':')
+			dst = appendValue(dst, row.At(k.col))
 		}
-		if i > 0 {
-			dst = append(dst, ',')
-		}
-		dst = append(appendString(dst, k), ':')
-		dst = appendValue(dst, v)
 	}
 	return append(dst, '}')
-}
-
-// appendRecordSorted is appendRecord over rec's own keys.
-func appendRecordSorted(dst []byte, rec map[string]sqldb.Value) []byte {
-	keys := make([]string, 0, len(rec))
-	for k := range rec {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return appendRecord(dst, rec, keys)
 }
 
 // appendValue appends v's String rendering as a JSON string.

@@ -41,8 +41,8 @@ func wireScatter(p *core.ScatterResult) *wirePart {
 		Answers:          make([]core.ScatterAnswer[map[string]string], 0, len(p.Answers)),
 	}
 	for _, a := range p.Answers {
-		rec := make(map[string]string, len(a.Record))
-		for k, v := range a.Record {
+		rec := make(map[string]string, a.Record.Len())
+		for k, v := range a.Record.All() {
 			rec[k] = v.String()
 		}
 		out.Answers = append(out.Answers, core.ScatterAnswer[map[string]string]{
@@ -210,26 +210,41 @@ func TestEncodeMatchesReference(t *testing.T) {
 	}
 }
 
-// TestEncodeRecordKeyFallback: a record whose keys are not the
-// domain's schema keys, by count or by name, is written with its own
-// keys sorted, as encoding/json writes any map.
-func TestEncodeRecordKeyFallback(t *testing.T) {
-	rec := map[string]sqldb.Value{"b<": sqldb.Number(1.5), "a": sqldb.String("X&Y"), "c": sqldb.Null}
-	strs := map[string]string{}
-	for k, v := range rec {
-		strs[k] = v.String()
-	}
-	want, err := json.Marshal(strs)
+// TestEncodeDeletedRow: an answer whose ad was deleted before the
+// answer was assembled holds the zero Row, and both the append encoder
+// and the json.Encoder reference write its record as {}, as they wrote
+// the nil record map before answers held rows.
+func TestEncodeDeletedRow(t *testing.T) {
+	tbl, err := sqldb.NewTable(schema.Cars())
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, keys := range [][]string{nil, {"a", "b<"}, {"a", "b<", "c", "d"}, {"a", "b", "c"}} {
-		if got := appendRecord(nil, rec, keys); !bytes.Equal(got, want) {
-			t.Errorf("keys %q: got %s, want %s", keys, got, want)
+	for _, mk := range []string{"honda", "kia"} {
+		if _, err := tbl.Insert(map[string]sqldb.Value{"make": sqldb.String(mk), "price": sqldb.Number(9000)}); err != nil {
+			t.Fatal(err)
 		}
 	}
-	if got := appendRecord(nil, nil, []string{"a"}); string(got) != "{}" {
-		t.Errorf("nil record: got %s, want {}", got)
+	if err := tbl.Delete(1); err != nil {
+		t.Fatal(err)
+	}
+	res := &core.Result{
+		Domain:         "cars",
+		Interpretation: &boolean.Interpretation{},
+		Answers: []core.Answer{
+			{ID: 0, Record: tbl.Row(0), Exact: true},
+			{ID: 1, Record: tbl.Row(1)},
+		},
+		ExactCount: 1,
+	}
+	got, err := appendAPIResult(nil, res, recordKeys(tbl.Schema()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := refEncode(t, BuildAPIResult(res)); !bytes.Equal(got, want) {
+		t.Errorf("body differs from json.Encoder\n got: %s\nwant: %s", got, want)
+	}
+	if !bytes.Contains(got, []byte(`"record":{}}]}`)) {
+		t.Errorf("deleted row not written as {}: %s", got)
 	}
 }
 
@@ -241,10 +256,7 @@ func TestEncodeNonFinite(t *testing.T) {
 	res := &core.Result{
 		Domain:         "cars",
 		Interpretation: &boolean.Interpretation{},
-		Answers: []core.Answer{{
-			Record:  map[string]sqldb.Value{"make": sqldb.String("honda")},
-			RankSim: math.NaN(),
-		}},
+		Answers:        []core.Answer{{RankSim: math.NaN()}},
 	}
 	part := &core.ScatterResult{Domain: "cars", Superlative: true, HasExtreme: true, Extreme: math.Inf(1)}
 	encoders := map[string]func([]byte) ([]byte, error){
@@ -338,7 +350,7 @@ const (
 )
 
 // TestEncodeAllocBudget pins what encoding one 30-answer body
-// allocates: records are written from the answers' shared views in
+// allocates: records are written from the answers' row views in
 // schema key order into a pooled buffer, so nothing is allocated per
 // answer or per record value.
 func TestEncodeAllocBudget(t *testing.T) {

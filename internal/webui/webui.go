@@ -14,7 +14,6 @@ import (
 	"html/template"
 	"math"
 	"net/http"
-	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -64,9 +63,10 @@ type Server struct {
 	mux  *http.ServeMux
 	tpl  *template.Template
 	opts Options
-	// recordKeys holds each table's record keys, sorted for the JSON
-	// encoder; filled once by NewServerWith and read-only after.
-	recordKeys map[string][]string
+	// recordKeys holds each table's record keys with their column
+	// indexes, sorted for the JSON encoder; filled once by
+	// NewServerWith and read-only after.
+	recordKeys map[string][]recordKey
 }
 
 // NewServer wraps sys. The handler serves:
@@ -107,10 +107,10 @@ func NewServerWith(sys *core.System, opts Options) *Server {
 		opts: opts,
 	}
 	db := sys.DB()
-	s.recordKeys = make(map[string][]string)
+	s.recordKeys = make(map[string][]recordKey)
 	for _, d := range db.Domains() {
 		tbl, _ := db.TableForDomain(d)
-		s.recordKeys[d] = sortedKeys(tbl.Schema())
+		s.recordKeys[d] = recordKeys(tbl.Schema())
 	}
 	s.mux.HandleFunc("/", s.handleIndex)
 	s.mux.HandleFunc("/ask", s.handleAsk)
@@ -881,8 +881,8 @@ func BuildAPIResult(res *core.Result) APIResult {
 		Answers: []APIAnswer{},
 	}
 	for _, a := range res.Answers {
-		rec := make(map[string]string, len(a.Record))
-		for k, v := range a.Record {
+		rec := make(map[string]string, a.Record.Len())
+		for k, v := range a.Record.All() {
 			rec[k] = v.String()
 		}
 		out.Answers = append(out.Answers, APIAnswer{
@@ -969,18 +969,11 @@ func (s *Server) view(res *core.Result) *resultView {
 		PartialCount:   len(res.Answers) - res.ExactCount,
 		ElapsedMS:      float64(res.Elapsed.Microseconds()) / 1000,
 	}
-	tbl, ok := s.sys.DB().TableForDomain(res.Domain)
-	if ok {
+	if tbl, ok := s.sys.DB().TableForDomain(res.Domain); ok {
 		for _, a := range tbl.Schema().Attrs {
 			v.Columns = append(v.Columns, a.Name)
 		}
-	} else if len(res.Answers) > 0 {
-		for k := range res.Answers[0].Record {
-			v.Columns = append(v.Columns, k)
-		}
-		sort.Strings(v.Columns)
 	}
-	_ = schema.TypeI // documented ordering comes from the schema itself
 	for _, a := range res.Answers {
 		row := answerRow{Kind: "partial", Measure: a.SimilarityUsed}
 		if a.Exact {
@@ -989,7 +982,7 @@ func (s *Server) view(res *core.Result) *resultView {
 			row.RankSim = fmt.Sprintf("%.2f", a.RankSim)
 		}
 		for _, col := range v.Columns {
-			row.Cells = append(row.Cells, a.Record[col].String())
+			row.Cells = append(row.Cells, a.Record.Value(col).String())
 		}
 		v.Rows = append(v.Rows, row)
 	}
