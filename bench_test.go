@@ -379,7 +379,7 @@ func BenchmarkDedup(b *testing.B) {
 	tbl, _ := e.DB.TableForDomain("cars")
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		dedup.Dedup(tbl, dedup.DefaultOptions())
+		tbl.View(func(v sqldb.View) { dedup.Dedup(v, dedup.DefaultOptions()) })
 	}
 }
 

@@ -16,15 +16,16 @@
 //     Every id a statement produces is appended into one pooled,
 //     caller-owned buffer (internal/sql/stream.go, idBufs). A
 //     conjunction appends the row ids of ONE driving leaf — served by
-//     the hash or ordered index (Table.AppendEqual/AppendRange) — and
+//     the hash or ordered index (View.AppendEqual/AppendRange) — and
 //     filters them in place by the remaining conjuncts as per-row
-//     residual predicates under a single read lock (Table.FilterMatch,
-//     internal/sqldb/iter.go); an OR of leaves or its NOT is one
-//     any-of residual. A root OR appends every branch and then sorts
-//     and deduplicates the buffer; a NOT walks the live slots minus
-//     its inner ids (Table.AppendLiveExcept). No index-owned posting
-//     slice is read outside the table lock and no callback runs under
-//     it. The one allocation left is the answer, an exact-size copy of
+//     residual predicates (View.FilterMatch, internal/sqldb/iter.go);
+//     an OR of leaves or its NOT is one any-of residual. A root OR
+//     appends every branch and then sorts and deduplicates the
+//     buffer; a NOT walks the live slots minus its inner ids
+//     (View.AppendLiveExcept). Every read runs in the caller's read
+//     view of the table (sqldb.Table.View), so no index-owned posting
+//     slice is read outside the table lock. The one allocation left is
+//     the answer, an exact-size copy of
 //     at most LIMIT ids, so an execution allocates nothing that scales
 //     with posting size (sql.TestRunAllocatesOnlyItsAnswer).
 //
@@ -53,8 +54,8 @@
 //     its extreme run matters: the question still resolves to the
 //     cached plan of its own ORDER BY shape, but sql.Plan.ExtremeRun
 //     runs only the WHERE into the pooled buffer, and
-//     sqldb.Table.AppendExtremeRun takes the rows at the minimum
-//     (maximum) numeric value in one pass under one read lock, in
+//     sqldb.View.AppendExtremeRun takes the rows at the minimum
+//     (maximum) numeric value in one pass over the same view, in
 //     RowID order — what sorting the whole match set and reading its
 //     leading equal run gave, with no sort — and only the run is
 //     copied out. TestAppendExtremeRunMatchesSort and FuzzExtremeRun
@@ -168,16 +169,21 @@
 //     reader ever observes a half-indexed row. Deletes tombstone the
 //     RowID (slots are retired, never reused) and remove postings in
 //     place, preserving each posting list's ascending-RowID order.
-//     Multi-statement reads are NOT snapshots: a query that runs
-//     while a writer commits may see the corpus before or after the
-//     mutation, but never in between.
+//     Reads run in read views: Table.View takes the read lock once,
+//     and every read through the View it passes sees one version of
+//     the table. AskInDomain and AskInDomainScatter run every stage
+//     from the exact answers to the ranked partials, dedup and answer
+//     assembly included, in one view per table, so no write lands
+//     between an ask's stages and a writer waits for the asks in
+//     flight. Table's single-call reads (Len, Get, Row, ...) each open
+//     a view of their own and are not snapshots of one another.
 //
 //   - Derived state. Structures computed from the rows are
 //     invalidated by version, not callback: tables carry a version
 //     counter that moves on every mutation, and the per-domain dedup
 //     representatives record the version they were computed at and
-//     are lazily rebuilt by the first question that finds them stale
-//     (core.dedupFor). The similarity caches never need invalidation:
+//     are lazily rebuilt, in its own view, by the first question that
+//     finds them stale (core.dedupFor). The similarity caches never need invalidation:
 //     they memoize value-pair similarities keyed on the values
 //     themselves, which rows coming or going cannot make wrong.
 //

@@ -104,7 +104,8 @@ func deduplication() {
 			log.Fatal(err)
 		}
 	}
-	res := dedup.Dedup(tbl, dedup.DefaultOptions())
+	var res *dedup.Result
+	tbl.View(func(v sqldb.View) { res = dedup.Dedup(v, dedup.DefaultOptions()) })
 	fmt.Printf("%d records → %d distinct listings (%d reposts detected)\n",
 		tbl.Len(), res.Groups, len(res.Duplicates))
 }

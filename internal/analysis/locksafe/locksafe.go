@@ -26,6 +26,18 @@
 // Unlock()/RUnlock() — deferred, or called later in the body — and a
 // deferred Lock() is always a bug.
 //
+// Read views. A type T whose method View(fn func(V)) read-locks one of
+// T's mutexes hands out V, a read view of T. The methods of V read the
+// fields that mutex guards through their receiver, and a function
+// literal passed to T.View reads them through the receiver of the View
+// call, both without locking; writes there are reported, since a view
+// holds only the read lock. Code under a view — a function with a V
+// receiver or parameter, or a literal passed to T.View — must call no
+// method of T at all: T's methods may take the lock (locksafe does not
+// follow them, least of all across packages), Go's RWMutex deadlocks a
+// recursive read lock once a writer is waiting, and every read the
+// view offers is a method of V.
+//
 // The checks are intra-procedural and position-based, not a data-flow
 // analysis: they catch the overwhelmingly common shapes (forgotten
 // lock, forgotten unlock, wrong lock mode) and leave exotic handoffs
@@ -37,6 +49,7 @@ import (
 	"go/token"
 	"go/types"
 	"regexp"
+	"strings"
 
 	"repro/internal/analysis"
 )
@@ -101,7 +114,7 @@ func collectGuards(pass *analysis.Pass) guards {
 					if !ok {
 						continue
 					}
-					if !hasMutexField(pass, ts, mutex) {
+					if !hasMutexFieldByName(pass, ts.Name.Name, mutex) {
 						pass.Reportf(pos,
 							"cqads:guarded-by names %q, which is not a sync.Mutex/RWMutex field of %s",
 							mutex, ts.Name.Name)
@@ -137,26 +150,6 @@ func fieldAnnotation(field *ast.Field) (mutex string, pos token.Pos, ok bool) {
 	return "", token.NoPos, false
 }
 
-// hasMutexField reports whether the struct named by ts has a field
-// `name` whose type is sync.Mutex or sync.RWMutex.
-func hasMutexField(pass *analysis.Pass, ts *ast.TypeSpec, name string) bool {
-	obj := pass.TypesInfo.Defs[ts.Name]
-	if obj == nil {
-		return false
-	}
-	st, ok := obj.Type().Underlying().(*types.Struct)
-	if !ok {
-		return false
-	}
-	for i := 0; i < st.NumFields(); i++ {
-		f := st.Field(i)
-		if f.Name() == name {
-			return isMutexType(f.Type())
-		}
-	}
-	return false
-}
-
 func isMutexType(t types.Type) bool {
 	if p, ok := t.(*types.Pointer); ok {
 		t = p.Elem()
@@ -184,6 +177,8 @@ func checkFunc(pass *analysis.Pass, g guards, fd *ast.FuncDecl) {
 	ops := collectLockOps(pass, fd.Body)
 	checkPairing(pass, ops)
 	writes := writeTargets(fd.Body)
+	lits := viewLiterals(pass, fd.Body)
+	checkViewCalls(pass, fd, lits)
 
 	ast.Inspect(fd.Body, func(n ast.Node) bool {
 		sel, ok := n.(*ast.SelectorExpr)
@@ -212,6 +207,15 @@ func checkFunc(pass *analysis.Pass, g guards, fd *ast.FuncDecl) {
 		}
 		// A freshly built local object is private until published.
 		if locallyDeclared(pass, sel.X, fd) {
+			return true
+		}
+		// A read view holds the read lock, through the receiver of a
+		// view method or of the View call a literal is passed to.
+		if underView(pass, fd, recvName, lits, structName, mutex, base, sel.Pos()) {
+			if write {
+				pass.Reportf(sel.Pos(), "write to %s.%s (guarded by %q) under a read view, which holds only the read lock",
+					structName, sel.Sel.Name, mutex)
+			}
 			return true
 		}
 		// Otherwise the function itself must have taken base.mutex.
@@ -476,4 +480,136 @@ func writeTargets(body *ast.BlockStmt) map[ast.Expr]bool {
 		return true
 	})
 	return writes
+}
+
+// viewed returns T when t (or *t) is V, a read view of T: a struct
+// whose one field points to T, where *T has a method View(func(V)).
+// Otherwise it returns nil.
+func viewed(t types.Type) *types.Named {
+	v := namedOf(t)
+	if v == nil {
+		return nil
+	}
+	st, ok := v.Underlying().(*types.Struct)
+	if !ok || st.NumFields() != 1 || namedOf(st.Field(0).Type()) == nil {
+		return nil
+	}
+	target := namedOf(st.Field(0).Type())
+	obj, _, _ := types.LookupFieldOrMethod(types.NewPointer(target), false, target.Obj().Pkg(), "View")
+	if fn, ok := obj.(*types.Func); ok && fn.Type().(*types.Signature).Params().Len() == 1 {
+		cb, ok := fn.Type().(*types.Signature).Params().At(0).Type().(*types.Signature)
+		if ok && cb.Params().Len() == 1 && types.Identical(cb.Params().At(0).Type(), v) {
+			return target
+		}
+	}
+	return nil
+}
+
+// viewLiteral is a function literal passed to T.View: it runs under
+// the read lock of the T that base renders.
+type viewLiteral struct {
+	lit  *ast.FuncLit
+	base string
+	t    *types.Named
+}
+
+func viewLiterals(pass *analysis.Pass, body *ast.BlockStmt) []viewLiteral {
+	var out []viewLiteral
+	ast.Inspect(body, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok && len(call.Args) == 1 {
+			sel, isSel := call.Fun.(*ast.SelectorExpr)
+			lit, isLit := call.Args[0].(*ast.FuncLit)
+			if isSel && isLit && sel.Sel.Name == "View" && lit.Type.Params.NumFields() == 1 {
+				t := viewed(pass.TypesInfo.TypeOf(lit.Type.Params.List[0].Type))
+				if t != nil && t == namedOf(pass.TypesInfo.TypeOf(sel.X)) {
+					out = append(out, viewLiteral{lit, types.ExprString(sel.X), t})
+				}
+			}
+		}
+		return true
+	})
+	return out
+}
+
+// underView reports whether reading structName's field guarded by
+// mutex through base at pos happens under a read view holding mutex:
+// in a method of the view, through its receiver, or in a literal passed
+// to View, through the View call's receiver.
+func underView(pass *analysis.Pass, fd *ast.FuncDecl, recvName string, lits []viewLiteral, structName, mutex, base string, pos token.Pos) bool {
+	holds := func(t *types.Named) bool {
+		return t != nil && t.Obj().Name() == structName && viewMutex(pass, t) == mutex
+	}
+	if fd.Recv != nil && recvName != "" && strings.HasPrefix(base, recvName+".") &&
+		holds(viewed(pass.TypesInfo.TypeOf(fd.Recv.List[0].Type))) {
+		return true
+	}
+	for _, l := range lits {
+		if base == l.base && l.lit.Pos() <= pos && pos < l.lit.End() && holds(l.t) {
+			return true
+		}
+	}
+	return false
+}
+
+// viewMutex returns the mutex t's View method read-locks.
+func viewMutex(pass *analysis.Pass, t *types.Named) string {
+	for _, file := range pass.Files {
+		for _, decl := range file.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if ok && fd.Recv != nil && fd.Name.Name == "View" && namedOf(pass.TypesInfo.TypeOf(fd.Recv.List[0].Type)) == t {
+				recv, _ := receiver(pass, fd)
+				for _, op := range collectLockOps(pass, fd.Body) {
+					if mu, ok := strings.CutPrefix(op.base, recv+"."); ok && op.name == "RLock" {
+						return mu
+					}
+				}
+			}
+		}
+	}
+	return ""
+}
+
+// checkViewCalls reports every call to a method of a viewed type T made
+// under a view of T: in fd when it has a view receiver or parameter,
+// and in each literal passed to T.View.
+func checkViewCalls(pass *analysis.Pass, fd *ast.FuncDecl, lits []viewLiteral) {
+	var fields []*ast.Field
+	if fd.Recv != nil {
+		fields = fd.Recv.List
+	}
+	under := map[*types.Named]bool{}
+	for _, f := range append(fields, fd.Type.Params.List...) {
+		if t := viewed(pass.TypesInfo.TypeOf(f.Type)); t != nil {
+			under[t] = true
+		}
+	}
+	ast.Inspect(fd.Body, func(n ast.Node) bool {
+		call, ok := n.(*ast.CallExpr)
+		if !ok {
+			return true
+		}
+		sel, ok := call.Fun.(*ast.SelectorExpr)
+		if !ok || pass.TypesInfo.Selections[sel] == nil || pass.TypesInfo.Selections[sel].Kind() != types.MethodVal {
+			return true
+		}
+		t := namedOf(pass.TypesInfo.Selections[sel].Recv())
+		in := under[t]
+		for _, l := range lits {
+			in = in || l.t == t && l.lit.Pos() <= call.Pos() && call.Pos() < l.lit.End()
+		}
+		if in {
+			pass.Reportf(call.Pos(), "%s.%s called under a read view of %s: a method of %s may take the lock the view holds, and a recursive read lock deadlocks once a writer waits; read through the view",
+				t.Obj().Name(), sel.Sel.Name, t.Obj().Name(), t.Obj().Name())
+		}
+		return true
+	})
+}
+
+// namedOf strips one pointer and returns the named type, or nil.
+func namedOf(t types.Type) *types.Named {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, _ := t.(*types.Named)
+	return n
 }

@@ -69,11 +69,11 @@ func ceilingDB(t *testing.T) (*sqldb.DB, map[string]*qlog.TIMatrix, *wsmatrix.Ma
 // asc) and truncates to want. It fails the test if the pool is not
 // strictly ascending or any score passes the Rank_Sim ceiling — the two
 // facts the stop relies on.
-func rankEveryCandidate(t *testing.T, s *System, tbl *sqldb.Table, in *boolean.Interpretation, exact []sqldb.RowID, want int, dd *dedup.Result, keep func(sqldb.RowID) bool) []Answer {
+func rankEveryCandidate(t *testing.T, s *System, v sqldb.View, in *boolean.Interpretation, exact []sqldb.RowID, want int, dd *dedup.Result, keep func(sqldb.RowID) bool) []Answer {
 	t.Helper()
-	sim := s.sims[tbl.Schema().Domain]
+	sim := s.sims[v.Schema().Domain]
 	conds := in.AllConditions()
-	pool := slices.Clone(s.candidatePool(tbl, in, exact, new(relaxScratch)))
+	pool := slices.Clone(s.candidatePool(v, in, exact, new(relaxScratch)))
 	if keep != nil {
 		pool = slices.DeleteFunc(pool, func(id sqldb.RowID) bool { return !keep(id) })
 	}
@@ -86,7 +86,7 @@ func rankEveryCandidate(t *testing.T, s *System, tbl *sqldb.Table, in *boolean.I
 		if i > 0 && pool[i-1] >= id {
 			t.Fatalf("%s: candidate pool not strictly ascending at %d: %d then %d", in, i, pool[i-1], id)
 		}
-		sc, dropped := sim.BestRankSimOverGroups(tbl, id, in.Groups)
+		sc, dropped := sim.RowRankSim(v.Row(id), in.Groups)
 		if sc > ceiling {
 			t.Fatalf("%s: row %d scores %v, above the Rank_Sim ceiling %v", in, id, sc, ceiling)
 		}
@@ -160,41 +160,43 @@ func TestPartialAnswersCeilingStop(t *testing.T) {
 						}
 						asked[shapeOf(in)]++
 						sel := BuildSelect(tbl.Schema(), in, sys.maxAnswers)
-						exact, err := sys.execWithSuperlative(tbl, sel, in)
-						if err != nil {
-							t.Fatalf("%s: %v", tag, err)
-						}
-						ddr := sys.dedupFor(d, tbl)
-						if ddr != nil {
-							exact = ddr.FilterAnswers(exact)
-						}
-						for _, want := range []int{sys.maxAnswers - len(exact), sys.maxAnswers, 1} {
-							if want <= 0 {
-								continue
-							}
-							got := sys.partialAnswers(nil, tbl, in, exact, want, ddr, nil)
-							ref := rankEveryCandidate(t, sys, tbl, in, exact, want, ddr, nil)
-							if err := samePartials(got, ref); err != nil {
-								t.Fatalf("%s want %d: %v", tag, want, err)
-							}
-						}
-						if dd {
-							continue // a partitioned system never dedups
-						}
-						var exactK []sqldb.RowID
-						if in.Superlative != nil {
-							exactK, _, _, err = sys.superlativeRun(tbl, sel, keep, 0)
+						tbl.View(func(v sqldb.View) {
+							exact, err := sys.execWithSuperlative(v, sel, in)
 							if err != nil {
 								t.Fatalf("%s: %v", tag, err)
 							}
-						} else {
-							exactK = slices.DeleteFunc(slices.Clone(exact), func(id sqldb.RowID) bool { return !keep(id) })
-						}
-						got := sys.partialAnswers(nil, tbl, in, exactK, sys.maxAnswers, nil, keep)
-						ref := rankEveryCandidate(t, sys, tbl, in, exactK, sys.maxAnswers, nil, keep)
-						if err := samePartials(got, ref); err != nil {
-							t.Fatalf("%s scatter slice %s: %v", tag, half, err)
-						}
+							ddr := sys.dedupFor(d, v)
+							if ddr != nil {
+								exact = ddr.FilterAnswers(exact)
+							}
+							for _, want := range []int{sys.maxAnswers - len(exact), sys.maxAnswers, 1} {
+								if want <= 0 {
+									continue
+								}
+								got := sys.partialAnswers(nil, v, in, exact, want, ddr, nil)
+								ref := rankEveryCandidate(t, sys, v, in, exact, want, ddr, nil)
+								if err := samePartials(got, ref); err != nil {
+									t.Fatalf("%s want %d: %v", tag, want, err)
+								}
+							}
+							if dd {
+								return // a partitioned system never dedups
+							}
+							var exactK []sqldb.RowID
+							if in.Superlative != nil {
+								exactK, _, _, err = sys.superlativeRun(v, sel, keep, 0)
+								if err != nil {
+									t.Fatalf("%s: %v", tag, err)
+								}
+							} else {
+								exactK = slices.DeleteFunc(slices.Clone(exact), func(id sqldb.RowID) bool { return !keep(id) })
+							}
+							got := sys.partialAnswers(nil, v, in, exactK, sys.maxAnswers, nil, keep)
+							ref := rankEveryCandidate(t, sys, v, in, exactK, sys.maxAnswers, nil, keep)
+							if err := samePartials(got, ref); err != nil {
+								t.Fatalf("%s scatter slice %s: %v", tag, half, err)
+							}
+						})
 					}
 				}
 			}
@@ -246,13 +248,15 @@ func TestOvershootAdsScoreAtCeiling(t *testing.T) {
 		if in.Superlative == nil || in.ConditionCount() != 1 {
 			t.Fatalf("%q interprets as %s, want one condition and a superlative", ad.ask, in)
 		}
-		exact, err := sys.execWithSuperlative(tbl, BuildSelect(tbl.Schema(), in, sys.maxAnswers), in)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !slices.Contains(sys.candidatePool(tbl, in, exact, new(relaxScratch)), id) {
-			t.Fatalf("%q: overshoot ad %d not in the candidate pool", ad.ask, id)
-		}
+		tbl.View(func(v sqldb.View) {
+			exact, err := sys.execWithSuperlative(v, BuildSelect(tbl.Schema(), in, sys.maxAnswers), in)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Contains(sys.candidatePool(v, in, exact, new(relaxScratch)), id) {
+				t.Fatalf("%q: overshoot ad %d not in the candidate pool", ad.ask, id)
+			}
+		})
 		if sc, _ := sys.sims[ad.domain].BestRankSimOverGroups(tbl, id, in.Groups); sc != 1 {
 			t.Errorf("%q: overshoot ad scores %v, want exactly 1", ad.ask, sc)
 		}

@@ -179,7 +179,10 @@ func checkForEachMatch(t *testing.T, db *sqldb.DB, tbl *sqldb.Table, in *boolean
 			t.Fatalf("exec %s: %v", sel.SQL(), err)
 		}
 		var got []sqldb.RowID
-		if err := sql.ForEachMatch(tbl, sel.Where, func(id sqldb.RowID) { got = append(got, id) }); err != nil {
+		tbl.View(func(v sqldb.View) {
+			err = sql.ForEachMatch(v, sel.Where, func(id sqldb.RowID) { got = append(got, id) })
+		})
+		if err != nil {
 			t.Fatalf("ForEachMatch %s: %v", sel.SQL(), err)
 		}
 		slices.Sort(got)

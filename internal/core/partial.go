@@ -22,20 +22,21 @@ import (
 // similarity matching over the whole table. RelaxationDepth > 1
 // additionally drops pairs (the N−2 sweep the paper discusses). A
 // non-nil keep restricts the candidate pool to rows it accepts — the
-// scatter path's hash-slice filter; the monolith path passes nil. The
-// ranked answers are appended to dst, grown at most once.
-func (s *System) partialAnswers(dst []Answer, tbl *sqldb.Table, in *boolean.Interpretation, exact []sqldb.RowID, want int, dd *dedup.Result, keep func(sqldb.RowID) bool) []Answer {
+// scatter path's hash-slice filter; the monolith path passes nil. Every
+// stage reads the table through v, the ask's one view. The ranked
+// answers are appended to dst, grown at most once.
+func (s *System) partialAnswers(dst []Answer, v sqldb.View, in *boolean.Interpretation, exact []sqldb.RowID, want int, dd *dedup.Result, keep func(sqldb.RowID) bool) []Answer {
 	if want <= 0 {
 		return dst
 	}
-	sim := s.sims[tbl.Schema().Domain]
+	sim := s.sims[v.Schema().Domain]
 	conds := in.AllConditions()
 	if len(conds) == 0 {
 		return dst
 	}
 	rs := relaxPool.Get().(*relaxScratch)
 	defer relaxPool.Put(rs)
-	candidates := s.candidatePool(tbl, in, exact, rs)
+	candidates := s.candidatePool(v, in, exact, rs)
 	if keep != nil {
 		kept := candidates[:0]
 		for _, id := range candidates {
@@ -73,7 +74,7 @@ func (s *System) partialAnswers(dst []Answer, tbl *sqldb.Table, in *boolean.Inte
 	// a superlative the non-extreme full matches reach N early.
 	ceiling := float64(maxGroupLen(in))
 	for _, id := range candidates {
-		sc, dropped := sim.BestRankSimOverGroups(tbl, id, in.Groups)
+		sc, dropped := sim.RowRankSim(v.Row(id), in.Groups)
 		sel.Push(scored{id: id, score: sc, dropped: dropped})
 		if sel.Len() == want {
 			if w, _ := sel.Worst(); w.score == ceiling {
@@ -87,7 +88,7 @@ func (s *System) partialAnswers(dst []Answer, tbl *sqldb.Table, in *boolean.Inte
 	for _, sc := range top {
 		a := Answer{
 			ID:          sc.id,
-			Record:      tbl.Row(sc.id),
+			Record:      v.Row(sc.id),
 			RankSim:     sc.score,
 			DroppedCond: sc.dropped,
 		}
@@ -114,7 +115,8 @@ func (s *System) partialAnswers(dst []Answer, tbl *sqldb.Table, in *boolean.Inte
 //
 // condSeq and epoch carry over from one ask to the next; the arrays
 // are zeroed before either counter can wrap. All three arrays share
-// one length, at least the universe of the ask in progress.
+// one length, at least the slot count of the view the ask reads, so
+// every id the view yields indexes them.
 type relaxScratch struct {
 	cnt     []uint8
 	mark    []uint32
@@ -123,9 +125,6 @@ type relaxScratch struct {
 	cands   []sqldb.RowID
 	condSeq uint32
 	epoch   uint32
-	// slots is the universe of the ask in progress: tbl.Slots() when
-	// it began. Rows inserted later have ids ≥ slots and are ignored.
-	slots int
 }
 
 var relaxPool = sync.Pool{New: func() any { return new(relaxScratch) }}
@@ -143,7 +142,6 @@ func (sc *relaxScratch) begin(slots int) {
 		sc.stamp = make([]uint32, n)
 		sc.condSeq, sc.epoch = 0, 0
 	}
-	sc.slots = slots
 	sc.epoch++
 	if sc.epoch == 0 {
 		clear(sc.stamp)
@@ -152,10 +150,9 @@ func (sc *relaxScratch) begin(slots int) {
 	sc.cands = sc.cands[:0]
 }
 
-// see adds id to the seen set and reports whether it was new. Ids
-// outside the ask's universe are never added.
+// see adds id to the seen set and reports whether it was new.
 func (sc *relaxScratch) see(id sqldb.RowID) bool {
-	if id < 0 || int(id) >= sc.slots || sc.stamp[id] == sc.epoch {
+	if sc.stamp[id] == sc.epoch {
 		return false
 	}
 	sc.stamp[id] = sc.epoch
@@ -164,23 +161,23 @@ func (sc *relaxScratch) see(id sqldb.RowID) bool {
 
 // candidatePool fills sc with the N−1 candidate pool of in — every row
 // the relaxation admits, minus exact — and returns it in ascending id
-// order. The slice is sc's; it is valid until sc's next ask.
-func (s *System) candidatePool(tbl *sqldb.Table, in *boolean.Interpretation, exact []sqldb.RowID, sc *relaxScratch) []sqldb.RowID {
-	sc.begin(tbl.Slots())
+// order, read through v, the view exact was computed in. The slice is
+// sc's; it is valid until sc's next ask.
+func (s *System) candidatePool(v sqldb.View, in *boolean.Interpretation, exact []sqldb.RowID, sc *relaxScratch) []sqldb.RowID {
+	sc.begin(v.Slots())
 	for _, id := range exact {
 		sc.see(id)
 	}
 	if in.ConditionCount() != 1 {
-		return s.relaxedCandidatesInto(tbl, in, sc)
+		return s.relaxedCandidatesInto(v, in, sc)
 	}
 	// Single condition: similarity matching over the table (Sec. 4.3.1
 	// "For questions with one condition C, CQAds applies the
-	// similarity-matching strategy"). Ids ≥ slots were inserted after
-	// the exact answers were computed, so they are kept.
-	all := tbl.AppendLiveIDs(sc.cands)
+	// similarity-matching strategy").
+	all := v.AppendLiveIDs(sc.cands)
 	cands := all[:0]
 	for _, id := range all {
-		if int(id) >= sc.slots || sc.stamp[id] != sc.epoch {
+		if sc.stamp[id] != sc.epoch {
 			cands = append(cands, id)
 		}
 	}
@@ -205,7 +202,7 @@ func (s *System) candidatePool(tbl *sqldb.Table, in *boolean.Interpretation, exa
 // is O(sum of posting sizes) per group regardless of depth, where the
 // old prefix/suffix merge pipeline paid O(n) full-width merges for
 // N−1 and one merge per pair for N−2.
-func (s *System) relaxedCandidatesInto(tbl *sqldb.Table, in *boolean.Interpretation, sc *relaxScratch) []sqldb.RowID {
+func (s *System) relaxedCandidatesInto(v sqldb.View, in *boolean.Interpretation, sc *relaxScratch) []sqldb.RowID {
 	emit := func(ids []sqldb.RowID) {
 		for _, id := range ids {
 			if sc.see(id) {
@@ -219,12 +216,12 @@ func (s *System) relaxedCandidatesInto(tbl *sqldb.Table, in *boolean.Interpretat
 		if n < 2 {
 			continue
 		}
-		if n > 200 || !condsStreamable(tbl, g.Conds) {
+		if n > 200 || !condsStreamable(v.Schema(), g.Conds) {
 			// A condition that cannot stream (unknown column — cannot
 			// happen for schema-derived interpretations) falls back to
 			// the per-drop-set reference path, which skips exactly the
 			// drop sets whose kept conjunction fails.
-			s.relaxGroupByQueries(tbl, g, emit)
+			s.relaxGroupByQueries(v, g, emit)
 			continue
 		}
 		if sc.condSeq > math.MaxUint32-uint32(n) {
@@ -233,16 +230,15 @@ func (s *System) relaxedCandidatesInto(tbl *sqldb.Table, in *boolean.Interpretat
 			sc.condSeq = 0
 		}
 		base := sc.condSeq
-		cnt, mark, slots := sc.cnt, sc.mark, sc.slots
+		cnt, mark := sc.cnt, sc.mark
 		touched := sc.touched[:0]
 		for ci := range g.Conds {
 			sc.condSeq++
 			seq := sc.condSeq
-			_ = sql.ForEachMatch(tbl, condExpr(&g.Conds[ci]), func(id sqldb.RowID) {
-				if int(id) >= slots || mark[id] == seq {
-					// Row inserted after the ask began (not part of
-					// this pass's universe), or already counted for
-					// this condition by another OR branch.
+			_ = sql.ForEachMatch(v, condExpr(&g.Conds[ci]), func(id sqldb.RowID) {
+				if mark[id] == seq {
+					// Already counted for this condition by another
+					// OR branch.
 					return
 				}
 				if mark[id] > base {
@@ -277,9 +273,9 @@ func (s *System) relaxedCandidatesInto(tbl *sqldb.Table, in *boolean.Interpretat
 // references a known column — the only way a schema-derived condition
 // can fail to evaluate, and therefore the only case the relaxation
 // sweep must leave to the per-drop-set fallback.
-func condsStreamable(tbl *sqldb.Table, conds []boolean.Condition) bool {
+func condsStreamable(sch *schema.Schema, conds []boolean.Condition) bool {
 	for i := range conds {
-		if tbl.ColumnIndex(conds[i].Attr) < 0 {
+		if _, ok := sch.Attr(conds[i].Attr); !ok {
 			return false
 		}
 	}
@@ -290,7 +286,7 @@ func condsStreamable(tbl *sqldb.Table, conds []boolean.Condition) bool {
 // query per drop set. It survives as the fallback for groups whose
 // conditions cannot be evaluated standalone and as the behavioral
 // specification the incremental path is tested against.
-func (s *System) relaxGroupByQueries(tbl *sqldb.Table, g *boolean.Group, emit func([]sqldb.RowID)) {
+func (s *System) relaxGroupByQueries(v sqldb.View, g *boolean.Group, emit func([]sqldb.RowID)) {
 	n := len(g.Conds)
 	for _, drop := range dropSets(n, s.depth) {
 		kept := make([]boolean.Condition, 0, n-len(drop))
@@ -303,8 +299,8 @@ func (s *System) relaxGroupByQueries(tbl *sqldb.Table, g *boolean.Group, emit fu
 			continue
 		}
 		relaxed := &boolean.Interpretation{Groups: []boolean.Group{{Conds: kept}}}
-		sel := BuildSelect(tbl.Schema(), relaxed, 0)
-		ids, err := s.execSelect(tbl, sel)
+		sel := BuildSelect(v.Schema(), relaxed, 0)
+		ids, err := s.execSelect(v, sel)
 		if err != nil {
 			continue
 		}
@@ -332,21 +328,25 @@ func dropSets(n, depth int) []map[int]bool {
 // PartialCandidates exposes the N−1 relaxation candidate pool for an
 // interpretation in one domain, excluding the exact matches. The
 // ranking-comparison experiments (Fig. 5) hand this same pool to every
-// ranker so approaches differ only in ordering. The returned slice is
-// the caller's.
-func (s *System) PartialCandidates(domain string, in *boolean.Interpretation) ([]sqldb.RowID, error) {
+// ranker so approaches differ only in ordering. The exact matches and
+// the pool come from one read view. The returned slice is the
+// caller's.
+func (s *System) PartialCandidates(domain string, in *boolean.Interpretation) (pool []sqldb.RowID, err error) {
 	tbl, err := s.hostedTable(domain)
 	if err != nil {
 		return nil, err
 	}
 	sel := BuildSelect(tbl.Schema(), in, 0)
-	exact, err := s.execSelect(tbl, sel)
-	if err != nil {
-		return nil, err
-	}
-	rs := relaxPool.Get().(*relaxScratch)
-	defer relaxPool.Put(rs)
-	return append([]sqldb.RowID(nil), s.candidatePool(tbl, in, exact, rs)...), nil
+	tbl.View(func(v sqldb.View) {
+		var exact []sqldb.RowID
+		if exact, err = s.execSelect(v, sel); err != nil {
+			return
+		}
+		rs := relaxPool.Get().(*relaxScratch)
+		pool = append([]sqldb.RowID(nil), s.candidatePool(v, in, exact, rs)...)
+		relaxPool.Put(rs)
+	})
+	return pool, err
 }
 
 // similarityNames labels every condition once per ask, so that naming

@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/adsgen"
 	"repro/internal/boolean"
+	"repro/internal/dedup"
 	"repro/internal/qlog"
 	"repro/internal/schema"
 	"repro/internal/sql"
@@ -104,7 +105,9 @@ func referencePartialAnswers(s *System, tbl *sqldb.Table, in *boolean.Interpreta
 			}
 		}
 	}
-	if d := s.dedupFor(tbl.Schema().Domain, tbl); d != nil {
+	var d *dedup.Result
+	tbl.View(func(v sqldb.View) { d = s.dedupFor(tbl.Schema().Domain, v) })
+	if d != nil {
 		candidates = d.FilterAnswersExcluding(candidates, exact)
 	}
 	type scored struct {
@@ -248,7 +251,8 @@ func TestPartialAnswersEquivalence(t *testing.T) {
 				t.Fatalf("depth %d case %d: exact query: %v", depth, qi, err)
 			}
 			for _, want := range []int{1, 5, 30, 10000} {
-				got := sys.partialAnswers(nil, tbl, in, exact, want, sys.dedupFor("cars", tbl), nil)
+				var got []Answer
+				tbl.View(func(v sqldb.View) { got = sys.partialAnswers(nil, v, in, exact, want, sys.dedupFor("cars", v), nil) })
 				ref := referencePartialAnswers(sys, tbl, in, exact, want)
 				if len(got) != len(ref) {
 					t.Fatalf("depth %d case %d want %d: %d answers, reference has %d",

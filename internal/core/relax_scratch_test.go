@@ -23,13 +23,15 @@ import (
 // relaxedCandidates is the map-seeded form of the relaxation sweep the
 // equivalence tests drive: seen seeds the exclusion set and receives
 // every emitted candidate.
-func (s *System) relaxedCandidates(tbl *sqldb.Table, in *boolean.Interpretation, seen map[sqldb.RowID]bool) []sqldb.RowID {
+func (s *System) relaxedCandidates(tbl *sqldb.Table, in *boolean.Interpretation, seen map[sqldb.RowID]bool) (out []sqldb.RowID) {
 	sc := new(relaxScratch)
-	sc.begin(tbl.Slots())
-	for id := range seen {
-		sc.see(id)
-	}
-	out := slices.Clone(s.relaxedCandidatesInto(tbl, in, sc))
+	tbl.View(func(v sqldb.View) {
+		sc.begin(v.Slots())
+		for id := range seen {
+			sc.see(id)
+		}
+		out = slices.Clone(s.relaxedCandidatesInto(v, in, sc))
+	})
 	for _, id := range out {
 		seen[id] = true
 	}
@@ -259,12 +261,17 @@ func TestPooledScratchUnderIngest(t *testing.T) {
 				default:
 				}
 				for _, in := range equivInterpretations() {
-					exact, err := sys.execSelect(tbl, BuildSelect(tbl.Schema(), in, 0))
+					var exact, pool []sqldb.RowID
+					var err error
+					tbl.View(func(v sqldb.View) {
+						if exact, err = sys.execSelect(v, BuildSelect(tbl.Schema(), in, 0)); err == nil {
+							pool = sys.candidatePool(v, in, exact, sc)
+						}
+					})
 					if err != nil {
 						t.Error(err)
 						return
 					}
-					pool := sys.candidatePool(tbl, in, exact, sc)
 					for i, id := range pool {
 						if i > 0 && pool[i-1] >= id {
 							t.Errorf("%s: pool not strictly ascending at %d: %v", in, i, pool)
@@ -315,11 +322,16 @@ func TestRelaxScratchCounterWrap(t *testing.T) {
 		}
 		for round := 0; round < 3; round++ {
 			for qi, in := range equivInterpretations() {
-				exact, err := sys.execSelect(tbl, BuildSelect(tbl.Schema(), in, 0))
+				var exact, got []sqldb.RowID
+				var err error
+				tbl.View(func(v sqldb.View) {
+					if exact, err = sys.execSelect(v, BuildSelect(tbl.Schema(), in, 0)); err == nil {
+						got = slices.Clone(sys.candidatePool(v, in, exact, sc))
+					}
+				})
 				if err != nil {
 					t.Fatal(err)
 				}
-				got := sys.candidatePool(tbl, in, exact, sc)
 				seen := map[sqldb.RowID]bool{}
 				for _, id := range exact {
 					seen[id] = true

@@ -130,83 +130,90 @@ func (s *System) AskInDomainScatter(domain, question string, req partition.Slice
 	sim := s.sims[domain]
 	exactScore := float64(maxGroupLen(in))
 
-	var exactIDs []sqldb.RowID
-	if in.Superlative != nil {
-		out.Superlative = true
-		out.Desc = in.Superlative.Descending
-		exactIDs, out.Extreme, out.HasExtreme, err = s.superlativeRun(tbl, sel, keep, 0)
-	} else if keep == nil {
-		exactIDs, err = s.execSelect(tbl, sel)
-	} else {
-		// The statement's LIMIT applies before the slice filter, so
-		// run unlimited, filter, then re-apply the cap.
-		unlimited := *sel
-		unlimited.Limit = 0
-		var ids []sqldb.RowID
-		ids, err = s.execSelect(tbl, &unlimited)
-		for _, id := range ids {
-			if keep(id) {
-				exactIDs = append(exactIDs, id)
-				if len(exactIDs) == s.maxAnswers {
-					break
+	// Every stage below reads one view of the partition's table, so no
+	// write lands between the exact answers and the partial pool.
+	tbl.View(func(v sqldb.View) {
+		var exactIDs []sqldb.RowID
+		if in.Superlative != nil {
+			out.Superlative = true
+			out.Desc = in.Superlative.Descending
+			exactIDs, out.Extreme, out.HasExtreme, err = s.superlativeRun(v, sel, keep, 0)
+		} else if keep == nil {
+			exactIDs, err = s.execSelect(v, sel)
+		} else {
+			// The statement's LIMIT applies before the slice filter, so
+			// run unlimited, filter, then re-apply the cap.
+			unlimited := *sel
+			unlimited.Limit = 0
+			var ids []sqldb.RowID
+			ids, err = s.execSelect(v, &unlimited)
+			for _, id := range ids {
+				if keep(id) {
+					exactIDs = append(exactIDs, id)
+					if len(exactIDs) == s.maxAnswers {
+						break
+					}
 				}
 			}
 		}
-	}
-	if err != nil {
-		return nil, fmt.Errorf("core: executing %q: %w", out.SQL, err)
-	}
-
-	// Partial pool: superlative parts always report a full MaxAnswers
-	// of partials — demotion can shrink the global exact set below the
-	// local one, so the local want cannot be derived from local exacts.
-	// Non-superlative parts report MaxAnswers − localExacts: the global
-	// exact count is at least the local one, so the global want never
-	// exceeds it.
-	want := s.maxAnswers
-	if in.Superlative == nil {
-		want = s.maxAnswers - len(exactIDs)
-	}
-	n := len(exactIDs)
-	if out.PartialsEligible && want > 0 {
-		n += want
-	}
-	out.Answers = make([]ScatterAnswer[sqldb.Row], 0, n)
-	var names []string
-	if out.Superlative && out.PartialsEligible {
-		names = similarityNames(conds)
-	}
-	for _, id := range exactIDs {
-		a := ScatterAnswer[sqldb.Row]{
-			ID:          int64(id),
-			Exact:       true,
-			RankSim:     exactScore,
-			DroppedCond: -1,
-			Record:      tbl.Row(id),
+		if err != nil {
+			return
 		}
+
+		// Partial pool: superlative parts always report a full MaxAnswers
+		// of partials — demotion can shrink the global exact set below the
+		// local one, so the local want cannot be derived from local exacts.
+		// Non-superlative parts report MaxAnswers − localExacts: the global
+		// exact count is at least the local one, so the global want never
+		// exceeds it.
+		want := s.maxAnswers
+		if in.Superlative == nil {
+			want = s.maxAnswers - len(exactIDs)
+		}
+		n := len(exactIDs)
+		if out.PartialsEligible && want > 0 {
+			n += want
+		}
+		out.Answers = make([]ScatterAnswer[sqldb.Row], 0, n)
+		var names []string
 		if out.Superlative && out.PartialsEligible {
-			// The merge may find a better extreme elsewhere and demote
-			// this whole run into the partial pool; score it now, while
-			// the row is at hand.
-			a.DemoteRankSim, a.DemoteDropped = sim.BestRankSimOverGroups(tbl, id, in.Groups)
-			if a.DemoteDropped >= 0 && a.DemoteDropped < len(names) {
-				a.DemoteSimilarityUsed = names[a.DemoteDropped]
+			names = similarityNames(conds)
+		}
+		for _, id := range exactIDs {
+			a := ScatterAnswer[sqldb.Row]{
+				ID:          int64(id),
+				Exact:       true,
+				RankSim:     exactScore,
+				DroppedCond: -1,
+				Record:      v.Row(id),
+			}
+			if out.Superlative && out.PartialsEligible {
+				// The merge may find a better extreme elsewhere and demote
+				// this whole run into the partial pool; score it now, while
+				// the row is at hand.
+				a.DemoteRankSim, a.DemoteDropped = sim.RowRankSim(a.Record, in.Groups)
+				if a.DemoteDropped >= 0 && a.DemoteDropped < len(names) {
+					a.DemoteSimilarityUsed = names[a.DemoteDropped]
+				}
+			}
+			out.Answers = append(out.Answers, a)
+		}
+		out.ExactCount = len(out.Answers)
+
+		if out.PartialsEligible && want > 0 {
+			for _, a := range s.partialAnswers(nil, v, in, exactIDs, want, nil, keep) {
+				out.Answers = append(out.Answers, ScatterAnswer[sqldb.Row]{
+					ID:             int64(a.ID),
+					RankSim:        a.RankSim,
+					DroppedCond:    a.DroppedCond,
+					SimilarityUsed: a.SimilarityUsed,
+					Record:         a.Record,
+				})
 			}
 		}
-		out.Answers = append(out.Answers, a)
-	}
-	out.ExactCount = len(out.Answers)
-
-	if out.PartialsEligible && want > 0 {
-		for _, a := range s.partialAnswers(nil, tbl, in, exactIDs, want, nil, keep) {
-			out.Answers = append(out.Answers, ScatterAnswer[sqldb.Row]{
-				ID:             int64(a.ID),
-				RankSim:        a.RankSim,
-				DroppedCond:    a.DroppedCond,
-				SimilarityUsed: a.SimilarityUsed,
-				Record:         a.Record,
-			})
-		}
+	})
+	if err != nil {
+		return nil, fmt.Errorf("core: executing %q: %w", out.SQL, err)
 	}
 	return out, nil
 }

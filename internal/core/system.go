@@ -192,10 +192,10 @@ type dedupState struct {
 // Answer is one retrieved ad.
 type Answer struct {
 	ID sqldb.RowID
-	// Record is the ad's row, a read-only view taken when the answer
-	// was assembled (sqldb.Row): it reads the values the ad was
-	// inserted with, even if the ad is deleted later, and it is the
-	// zero Row when the ad was deleted before assembly.
+	// Record is the ad's row (sqldb.Row), taken in the same read view
+	// as every other stage of the ask, so it is never the zero Row. It
+	// reads the values the ad was inserted with, even if the ad is
+	// deleted after the ask.
 	Record sqldb.Row
 	// Exact reports whether the ad satisfies every condition.
 	Exact bool
@@ -310,7 +310,7 @@ func New(cfg Config) (*System, error) {
 		for _, domain := range s.domains {
 			tbl, _ := cfg.DB.TableForDomain(domain)
 			s.dedups[domain] = &dedupState{}
-			s.dedupFor(domain, tbl) // warm the cache at the build version
+			tbl.View(func(v sqldb.View) { s.dedupFor(domain, v) }) // warm the cache at the build version
 		}
 	}
 	s.quorum = newQuorumState(cfg)
@@ -355,23 +355,21 @@ func (s *System) hostedTable(domain string) (*sqldb.Table, error) {
 	return tbl, nil
 }
 
-// dedupFor returns the current near-duplicate representatives of a
-// domain, recomputing them when the table has changed since the
-// cached pass. Returns nil when dedup is disabled.
-func (s *System) dedupFor(domain string, tbl *sqldb.Table) *dedup.Result {
+// dedupFor returns the near-duplicate representatives of a domain as
+// v sees the table, recomputing them when the table has changed since
+// the cached pass. Returns nil when dedup is disabled. No write lands
+// while v is open, so the pass and the version it is recorded under
+// agree.
+func (s *System) dedupFor(domain string, v sqldb.View) *dedup.Result {
 	st := s.dedups[domain]
 	if st == nil {
 		return nil
 	}
-	// The version is read before the scan: a mutation that lands
-	// mid-scan moves the table past the recorded version, so the next
-	// question recomputes rather than trusting a torn pass.
-	v := tbl.Version()
 	st.mu.Lock()
 	defer st.mu.Unlock()
-	if st.res == nil || st.version != v {
-		st.res = dedup.Dedup(tbl, dedup.DefaultOptions())
-		st.version = v
+	if st.res == nil || st.version != v.Version() {
+		st.res = dedup.Dedup(v, dedup.DefaultOptions())
+		st.version = v.Version()
 	}
 	return st.res
 }
@@ -422,7 +420,9 @@ func ClassifyQuestion(c classify.Classifier, question string) (string, error) {
 
 // AskInDomain answers a question against one ads domain, running the
 // full pipeline: tagging → interpretation → incomplete-question
-// resolution → SQL → exact answers → ranked partial answers.
+// resolution → SQL → exact answers → ranked partial answers. Every
+// stage from the exact answers on reads one read view of the table,
+// so no write lands between them.
 func (s *System) AskInDomain(domain, question string) (*Result, error) {
 	start := time.Now() //lint:cqads-ignore wallclock Elapsed is reporting metadata; answer content never depends on it
 	tbl, err := s.hostedTable(domain)
@@ -449,48 +449,54 @@ func (s *System) AskInDomain(domain, question string) (*Result, error) {
 
 	sel := BuildSelect(sch, in, s.maxAnswers)
 	res.SQL = sel.SQL()
-	exactIDs, err := s.execWithSuperlative(tbl, sel, in)
+	tbl.View(func(v sqldb.View) {
+		var exactIDs []sqldb.RowID
+		if exactIDs, err = s.execWithSuperlative(v, sel, in); err != nil {
+			return
+		}
+		dd := s.dedupFor(domain, v)
+		if dd != nil {
+			exactIDs = dd.FilterAnswers(exactIDs)
+		}
+		// One allocation holds every answer: the exact ones, then room
+		// for the ranked partials when the question has conditions to
+		// relax.
+		n := len(exactIDs)
+		if n < s.maxAnswers && in.ConditionCount() > 0 {
+			n = s.maxAnswers
+		}
+		res.Answers = make([]Answer, 0, n)
+		exactScore := float64(maxGroupLen(in))
+		for _, id := range exactIDs {
+			res.Answers = append(res.Answers, Answer{
+				ID:          id,
+				Record:      v.Row(id),
+				Exact:       true,
+				RankSim:     exactScore,
+				DroppedCond: -1,
+			})
+		}
+		res.ExactCount = len(res.Answers)
+		res.Answers = s.partialAnswers(res.Answers, v, in, exactIDs, s.maxAnswers-res.ExactCount, dd, nil)
+	})
 	if err != nil {
 		return nil, fmt.Errorf("core: executing %q: %w", res.SQL, err)
 	}
-	dd := s.dedupFor(domain, tbl)
-	if dd != nil {
-		exactIDs = dd.FilterAnswers(exactIDs)
-	}
-	// One allocation holds every answer: the exact ones, then room for
-	// the ranked partials when the question has conditions to relax.
-	n := len(exactIDs)
-	if n < s.maxAnswers && in.ConditionCount() > 0 {
-		n = s.maxAnswers
-	}
-	res.Answers = make([]Answer, 0, n)
-	exactScore := float64(maxGroupLen(in))
-	for _, id := range exactIDs {
-		res.Answers = append(res.Answers, Answer{
-			ID:          id,
-			Record:      tbl.Row(id),
-			Exact:       true,
-			RankSim:     exactScore,
-			DroppedCond: -1,
-		})
-	}
-	res.ExactCount = len(res.Answers)
-	res.Answers = s.partialAnswers(res.Answers, tbl, in, exactIDs, s.maxAnswers-res.ExactCount, dd, nil)
 	res.Elapsed = time.Since(start) //lint:cqads-ignore wallclock Elapsed is reporting metadata; answer content never depends on it
 	return res, nil
 }
 
-// execSelect runs a generated SELECT through the plan cache: the
+// execSelect runs a generated SELECT in v through the plan cache: the
 // statement's shape (domain + expression skeleton) resolves to a
-// compiled streaming plan — near-always a cache hit, since millions
-// of users ask the same few hundred tagged question templates — and
-// the plan re-binds this statement's literals at run time.
-func (s *System) execSelect(tbl *sqldb.Table, sel *sql.Select) ([]sqldb.RowID, error) {
-	p, err := s.plans.Get(s.db, tbl.Schema().Domain, sel)
+// compiled streaming plan, which re-binds this statement's literals at
+// run time. A miss compiles on the spot, and misses are not rare: over
+// 20 000 distinct generated questions about 27 % of lookups miss.
+func (s *System) execSelect(v sqldb.View, sel *sql.Select) ([]sqldb.RowID, error) {
+	p, err := s.plans.Get(s.db, v.Schema().Domain, sel)
 	if err != nil {
 		return nil, err
 	}
-	return p.Run(s.db, sel)
+	return p.RunView(v, sel)
 }
 
 // PlanCacheStats exposes the plan cache's lookup tallies and its
@@ -546,11 +552,11 @@ func (s *System) Explain(res *Result) (plan string, cached bool, err error) {
 // are exact answers (Sec. 4.3: superlatives are evaluated last, on
 // the records retrieved by the other criteria), at most MaxAnswers of
 // them in RowID order.
-func (s *System) execWithSuperlative(tbl *sqldb.Table, sel *sql.Select, in *boolean.Interpretation) ([]sqldb.RowID, error) {
+func (s *System) execWithSuperlative(v sqldb.View, sel *sql.Select, in *boolean.Interpretation) ([]sqldb.RowID, error) {
 	if in.Superlative == nil {
-		return s.execSelect(tbl, sel)
+		return s.execSelect(v, sel)
 	}
-	run, _, _, err := s.superlativeRun(tbl, sel, nil, s.maxAnswers)
+	run, _, _, err := s.superlativeRun(v, sel, nil, s.maxAnswers)
 	return run, err
 }
 
@@ -562,12 +568,12 @@ func (s *System) execWithSuperlative(tbl *sqldb.Table, sel *sql.Select, in *bool
 // to the cached plan of its own ORDER BY shape, whose ORDER BY is the
 // superlative (BuildSelect), but only the WHERE runs: the extreme run
 // needs no sort, and only the run is copied out of the executor.
-func (s *System) superlativeRun(tbl *sqldb.Table, sel *sql.Select, keep func(sqldb.RowID) bool, limit int) ([]sqldb.RowID, float64, bool, error) {
-	p, err := s.plans.Get(s.db, tbl.Schema().Domain, sel)
+func (s *System) superlativeRun(v sqldb.View, sel *sql.Select, keep func(sqldb.RowID) bool, limit int) ([]sqldb.RowID, float64, bool, error) {
+	p, err := s.plans.Get(s.db, v.Schema().Domain, sel)
 	if err != nil {
 		return nil, 0, false, err
 	}
-	return p.ExtremeRun(s.db, sel, keep, limit)
+	return p.ExtremeRun(v, sel, keep, limit)
 }
 
 // questionTokens prepares a question for the classifier.

@@ -42,22 +42,20 @@ type Result struct {
 	Groups int
 }
 
-// Dedup detects near-duplicate records among tbl's live rows. The
-// scan is blocked on the first Type I attribute value so cost stays
-// near O(n²/|blocks|) instead of O(n²). Tables are mutable at runtime;
-// callers that cache a Result should key it on Table.Version and
-// recompute when the version moves (core.System does exactly this).
-func Dedup(tbl *sqldb.Table, opts Options) *Result {
+// Dedup detects near-duplicate records among the live rows of the
+// table v views. The scan is blocked on the first Type I attribute
+// value so cost stays near O(n²/|blocks|) instead of O(n²). Tables are
+// mutable at runtime; callers that cache a Result should key it on
+// the view's Version and recompute when the version moves
+// (core.System does exactly this).
+func Dedup(v sqldb.View, opts Options) *Result {
 	if opts.NumericTolerance == 0 {
 		opts = DefaultOptions()
 	}
-	s := tbl.Schema()
+	s := v.Schema()
 	// RowIDs are slot indexes, not dense 0..Len-1: tombstoned tables
-	// have live ids up to Slots()-1. The union-find is sized from the
-	// live snapshot itself (its largest id) rather than a separate
-	// Slots() read — a writer inserting between two table calls could
-	// otherwise hand us a live id beyond an earlier size snapshot.
-	live := tbl.AllRowIDs()
+	// have live ids up to Slots()-1.
+	live := v.AppendLiveIDs(nil)
 	size := 0
 	if len(live) > 0 {
 		size = int(live[len(live)-1]) + 1
@@ -71,13 +69,13 @@ func Dedup(tbl *sqldb.Table, opts Options) *Result {
 	blockAttr := s.AttrsOfType(schema.TypeI)[0].Name
 	blocks := map[string][]sqldb.RowID{}
 	for _, id := range live {
-		key := shorthand.Normalize(tbl.Value(id, blockAttr).Str())
+		key := shorthand.Normalize(v.Row(id).Value(blockAttr).Str())
 		blocks[key] = append(blocks[key], id)
 	}
 	for _, ids := range blocks {
 		for i := 0; i < len(ids); i++ {
 			for j := i + 1; j < len(ids); j++ {
-				if nearDuplicate(tbl, s, ids[i], ids[j], opts) {
+				if nearDuplicate(s, v.Row(ids[i]), v.Row(ids[j]), opts) {
 					uf.union(int(ids[i]), int(ids[j]))
 				}
 			}
@@ -101,10 +99,9 @@ func Dedup(tbl *sqldb.Table, opts Options) *Result {
 }
 
 // nearDuplicate applies the per-attribute rules.
-func nearDuplicate(tbl *sqldb.Table, s *schema.Schema, a, b sqldb.RowID, opts Options) bool {
-	for _, attr := range s.Attrs {
-		va := tbl.Value(a, attr.Name)
-		vb := tbl.Value(b, attr.Name)
+func nearDuplicate(s *schema.Schema, a, b sqldb.Row, opts Options) bool {
+	for i, attr := range s.Attrs {
+		va, vb := a.At(i), b.At(i)
 		if va.IsNull() != vb.IsNull() {
 			return false
 		}

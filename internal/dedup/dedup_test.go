@@ -48,7 +48,7 @@ func dupTable(t *testing.T) *sqldb.Table {
 
 func TestDedupGroups(t *testing.T) {
 	tbl := dupTable(t)
-	res := Dedup(tbl, DefaultOptions())
+	res := dedupTable(tbl, DefaultOptions())
 	if res.Groups != 4 {
 		t.Fatalf("groups = %d, want 4 (rows 0/1/2 merge)", res.Groups)
 	}
@@ -71,7 +71,7 @@ func TestDedupGroups(t *testing.T) {
 
 func TestFilterAnswers(t *testing.T) {
 	tbl := dupTable(t)
-	res := Dedup(tbl, DefaultOptions())
+	res := dedupTable(tbl, DefaultOptions())
 	got := res.FilterAnswers([]sqldb.RowID{1, 0, 2, 3, 4})
 	// Row 1 appears first and claims the group; 0 and 2 are then
 	// suppressed as the same listing.
@@ -82,7 +82,7 @@ func TestFilterAnswers(t *testing.T) {
 
 func TestDedupToleranceZeroUsesDefault(t *testing.T) {
 	tbl := dupTable(t)
-	res := Dedup(tbl, Options{})
+	res := dedupTable(tbl, Options{})
 	if res.Groups != 4 {
 		t.Errorf("groups = %d with defaulted options", res.Groups)
 	}
@@ -90,7 +90,7 @@ func TestDedupToleranceZeroUsesDefault(t *testing.T) {
 
 func TestDedupTightToleranceKeepsAll(t *testing.T) {
 	tbl := dupTable(t)
-	res := Dedup(tbl, Options{NumericTolerance: 1e-9})
+	res := dedupTable(tbl, Options{NumericTolerance: 1e-9})
 	// Only exact numeric matches merge; rows 0/1/2 differ in price.
 	if res.Groups != 6 {
 		t.Errorf("groups = %d, want 6", res.Groups)
@@ -108,4 +108,10 @@ func TestUnionFind(t *testing.T) {
 	if uf.find(2) == uf.find(0) {
 		t.Error("separate element merged")
 	}
+}
+
+// dedupTable runs Dedup in a read view of tbl.
+func dedupTable(tbl *sqldb.Table, opts Options) (res *Result) {
+	tbl.View(func(v sqldb.View) { res = Dedup(v, opts) })
+	return res
 }

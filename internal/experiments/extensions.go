@@ -117,7 +117,8 @@ func (e *Env) DedupImpact() (*DedupResult, error) {
 		}
 	}
 	res.TrueListings = src.Len()
-	d := dedup.Dedup(dirty, dedup.DefaultOptions())
+	var d *dedup.Result
+	dirty.View(func(v sqldb.View) { d = dedup.Dedup(v, dedup.DefaultOptions()) })
 	res.DetectedGroups = d.Groups
 
 	plain, err := core.New(core.Config{DB: dirtyDB, TI: e.TI, WS: e.WS})

@@ -105,8 +105,8 @@ func TestRankSimOrdering(t *testing.T) {
 	tbl, sim := rankDB(t)
 	conds := accordConds()
 	// Near-miss price must outrank far-miss price (Eq. 4/5).
-	s1, d1 := sim.BestRankSim(tbl, 1, conds)
-	s2, d2 := sim.BestRankSim(tbl, 2, conds)
+	s1, d1 := sim.BestRankSim(tbl.Row(1), conds)
+	s2, d2 := sim.BestRankSim(tbl.Row(2), conds)
 	if s1 <= s2 {
 		t.Errorf("near price %g <= far price %g", s1, s2)
 	}
@@ -114,13 +114,13 @@ func TestRankSimOrdering(t *testing.T) {
 		t.Errorf("dropped conds = %d, %d, want 3 (price)", d1, d2)
 	}
 	// Perfect match scores N.
-	s0, _ := sim.BestRankSim(tbl, 0, conds)
+	s0, _ := sim.BestRankSim(tbl.Row(0), conds)
 	if s0 != float64(len(conds)) {
 		t.Errorf("perfect match = %g, want %d", s0, len(conds))
 	}
 	// All partial scores lie in [N-1, N] when N-1 conditions hold.
 	for _, id := range []sqldb.RowID{1, 2, 3, 4} {
-		s, _ := sim.BestRankSim(tbl, id, conds)
+		s, _ := sim.BestRankSim(tbl.Row(id), conds)
 		if s < float64(len(conds))-1 || s > float64(len(conds)) {
 			t.Errorf("row %d score %g outside [N-1, N]", id, s)
 		}

@@ -55,7 +55,7 @@ func (r *CQAds) Name() string { return "CQAds" }
 // Rank implements Ranker.
 func (r *CQAds) Rank(q *Query, tbl *sqldb.Table, cands []sqldb.RowID) []sqldb.RowID {
 	return sortByScore(cands, func(id sqldb.RowID) float64 {
-		s, _ := r.Sim.BestRankSim(tbl, id, q.Conds)
+		s, _ := r.Sim.BestRankSim(tbl.Row(id), q.Conds)
 		return s
 	})
 }

@@ -207,18 +207,19 @@ func (s *Similarity) condSatisfiedVal(v sqldb.Value, c *boolean.Condition) bool 
 	return match
 }
 
-// BestRankSim scores a record against all N single-condition
+// BestRankSim scores a row against all N single-condition
 // relaxations and returns the best (score, dropped index). Records
 // produced by different relaxed queries of the N−1 strategy are
-// merged on this score.
+// merged on this score. It reads only the row, so scoring takes no
+// table lock.
 //
 // Eq. 5 scores a drop d as the N−1 satisfied conditions, 1 each, plus
 // the similarity of condition d. Each condition's similarity and
 // satisfaction are evaluated once and the N drop choices are scored
-// from that memo — O(N) table reads and cache probes instead of O(N²).
+// from that memo — O(N) cell reads and cache probes instead of O(N²).
 // Each score accumulates in condition order, so it is bit-identical to
 // scoring every drop separately.
-func (s *Similarity) BestRankSim(tbl *sqldb.Table, id sqldb.RowID, conds []boolean.Condition) (float64, int) {
+func (s *Similarity) BestRankSim(row sqldb.Row, conds []boolean.Condition) (float64, int) {
 	n := len(conds)
 	var simBuf [8]float64
 	var satBuf [8]bool
@@ -227,7 +228,7 @@ func (s *Similarity) BestRankSim(tbl *sqldb.Table, id sqldb.RowID, conds []boole
 		sims, sats = make([]float64, 0, n), make([]bool, 0, n)
 	}
 	for i := range conds {
-		v := tbl.Value(id, conds[i].Attr)
+		v := row.Value(conds[i].Attr)
 		sims = append(sims, s.condSimVal(v, &conds[i]))
 		sats = append(sats, s.condSatisfiedVal(v, &conds[i]))
 	}
@@ -248,17 +249,16 @@ func (s *Similarity) BestRankSim(tbl *sqldb.Table, id sqldb.RowID, conds []boole
 	return best, bestIdx
 }
 
-// BestRankSimOverGroups evaluates BestRankSim per OR-group of an
-// interpretation and returns the best score with the dropped
-// condition's global index (the position within
-// Interpretation.AllConditions). Scoring per group keeps N the size of
-// one conjunction, as Eq. 5 intends.
-func (s *Similarity) BestRankSimOverGroups(tbl *sqldb.Table, id sqldb.RowID, groups []boolean.Group) (float64, int) {
+// RowRankSim evaluates BestRankSim per OR-group of an interpretation
+// and returns the best score with the dropped condition's global index
+// (the position within Interpretation.AllConditions). Scoring per
+// group keeps N the size of one conjunction, as Eq. 5 intends.
+func (s *Similarity) RowRankSim(row sqldb.Row, groups []boolean.Group) (float64, int) {
 	best, bestIdx := math.Inf(-1), -1
 	offset := 0
 	for gi := range groups {
 		conds := groups[gi].Conds
-		sc, idx := s.BestRankSim(tbl, id, conds)
+		sc, idx := s.BestRankSim(row, conds)
 		if sc > best {
 			best = sc
 			if idx >= 0 {
@@ -268,6 +268,12 @@ func (s *Similarity) BestRankSimOverGroups(tbl *sqldb.Table, id sqldb.RowID, gro
 		offset += len(conds)
 	}
 	return best, bestIdx
+}
+
+// BestRankSimOverGroups is RowRankSim of row id of tbl, taken in a
+// read view of its own.
+func (s *Similarity) BestRankSimOverGroups(tbl *sqldb.Table, id sqldb.RowID, groups []boolean.Group) (float64, int) {
+	return s.RowRankSim(tbl.Row(id), groups)
 }
 
 // shorthandMatch adapts shorthand.Match for the satisfaction cache.

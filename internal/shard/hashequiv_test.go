@@ -14,9 +14,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
+	"sync"
 	"testing"
 
 	"repro/internal/adsgen"
@@ -107,6 +109,9 @@ func TestHashPartitionEquivalence(t *testing.T) {
 					t.Errorf("ask bytes diverge on %q\n got: %s\nwant: %s", q, body, monoAsk[i])
 				}
 			}
+			if count == 2 {
+				concurrentFrontPass(t, cluster.Front.URL, workload, monoAsk)
+			}
 
 			// Pinned ingest through the fan-out, then re-compare: each ad
 			// must land on exactly the partition owning its key hash, and
@@ -166,4 +171,37 @@ func TestHashPartitionEquivalence(t *testing.T) {
 			}
 		})
 	}
+}
+
+// concurrentFrontPass asks the workload through the front tier from 4
+// goroutines, twice each, with every body byte-equal to the
+// monolith's: the concurrent read path (pooled scratch, read views,
+// scatter legs in flight together) must answer as a lone request does.
+func concurrentFrontPass(t *testing.T, front string, workload []string, want [][]byte) {
+	t.Helper()
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for pass := 0; pass < 2; pass++ {
+				for j := range workload {
+					i := (j + w*len(workload)/4) % len(workload)
+					resp, err := http.Get(askURL(front, workload[i]))
+					if err != nil {
+						t.Errorf("worker %d: %q: %v", w, workload[i], err)
+						return
+					}
+					body, err := io.ReadAll(resp.Body)
+					resp.Body.Close()
+					if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(body, want[i]) {
+						t.Errorf("worker %d pass %d: %q answered %d (%v)\n got: %s\nwant: %s",
+							w, pass, workload[i], resp.StatusCode, err, body, want[i])
+						return
+					}
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
 }

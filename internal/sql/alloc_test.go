@@ -103,7 +103,7 @@ func TestRunAllocatesOnlyItsAnswer(t *testing.T) {
 			var got []sqldb.RowID
 			run := func() {
 				if sh.extreme {
-					got, _, _, err = p.ExtremeRun(db, &sel, nil, limit)
+					tbl.View(func(v sqldb.View) { got, _, _, err = p.ExtremeRun(v, &sel, nil, limit) })
 				} else {
 					got, err = p.Run(db, &sel)
 				}
@@ -129,7 +129,9 @@ func TestRunAllocatesOnlyItsAnswer(t *testing.T) {
 			&sql.Not{Operand: colorOr}, &sql.Compare{Column: "price", Op: sql.OpGe, Value: sqldb.Number(6000)}} {
 			seen := 0
 			allocs, bytes := measure(func() {
-				if err := sql.ForEachMatch(tbl, e, func(sqldb.RowID) { seen++ }); err != nil {
+				var err error
+				tbl.View(func(v sqldb.View) { err = sql.ForEachMatch(v, e, func(sqldb.RowID) { seen++ }) })
+				if err != nil {
 					t.Fatal(err)
 				}
 			})

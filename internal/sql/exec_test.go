@@ -277,7 +277,7 @@ func TestExecRandomExpressionsMatchBruteForce(t *testing.T) {
 }
 
 // TestExtremeRunKeepsThenTakesTheRun: a superlative's run is the
-// extreme run (sqldb.Table.AppendExtremeRun) of the WHERE's matches
+// extreme run (sqldb.View.AppendExtremeRun) of the WHERE's matches
 // that keep admits, capped at the run limit, whatever the statement's
 // own LIMIT says.
 func TestExtremeRunKeepsThenTakesTheRun(t *testing.T) {
@@ -310,8 +310,13 @@ func TestExtremeRunKeepsThenTakesTheRun(t *testing.T) {
 						}
 					}
 					for _, limit := range []int{0, 1, 3} {
-						want, wantX, wantOK := tbl.AppendExtremeRun(nil, kept, col, desc, limit)
-						got, x, ok, err := p.ExtremeRun(db, sel, keep, limit)
+						var want, got []sqldb.RowID
+						var wantX, x float64
+						var wantOK, ok bool
+						tbl.View(func(v sqldb.View) {
+							want, wantX, wantOK = v.AppendExtremeRun(nil, kept, col, desc, limit)
+							got, x, ok, err = p.ExtremeRun(v, sel, keep, limit)
+						})
 						if err != nil {
 							t.Fatal(err)
 						}

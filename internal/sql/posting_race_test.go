@@ -75,11 +75,15 @@ func TestScansNeverReadPostingsUnlocked(t *testing.T) {
 				default:
 				}
 				for _, sel := range sels {
-					if err := sql.ForEachMatch(tbl, sel.Where, func(id sqldb.RowID) {
-						if id < 0 || id >= n {
-							t.Errorf("ForEachMatch streamed id %d, table held 0..%d", id, n-1)
-						}
-					}); err != nil {
+					var err error
+					tbl.View(func(v sqldb.View) {
+						err = sql.ForEachMatch(v, sel.Where, func(id sqldb.RowID) {
+							if id < 0 || id >= n {
+								t.Errorf("ForEachMatch streamed id %d, table held 0..%d", id, n-1)
+							}
+						})
+					})
+					if err != nil {
 						t.Error(err)
 						return
 					}

@@ -35,7 +35,7 @@ func ExecLegacy(db *sqldb.DB, sel *sql.Select) ([]sqldb.RowID, error) {
 		}
 	}
 	if sel.OrderBy != "" {
-		if tbl.ColumnIndex(sel.OrderBy) < 0 {
+		if !hasColumn(tbl, sel.OrderBy) {
 			return nil, fmt.Errorf("sql: unknown ORDER BY column %q", sel.OrderBy)
 		}
 		ids = tbl.SortByColumn(ids, sel.OrderBy, sel.Desc)
@@ -52,7 +52,7 @@ func evalExpr(tbl *sqldb.Table, e sql.Expr) ([]sqldb.RowID, error) {
 	case *sql.Compare:
 		return evalCompare(tbl, n)
 	case *sql.Between:
-		if tbl.ColumnIndex(n.Column) < 0 {
+		if !hasColumn(tbl, n.Column) {
 			return nil, fmt.Errorf("sql: unknown column %q", n.Column)
 		}
 		return lookupRange(tbl, n.Column, n.Lo, n.Hi, true, true), nil
@@ -94,7 +94,7 @@ func evalExpr(tbl *sqldb.Table, e sql.Expr) ([]sqldb.RowID, error) {
 }
 
 func evalCompare(tbl *sqldb.Table, c *sql.Compare) ([]sqldb.RowID, error) {
-	if tbl.ColumnIndex(c.Column) < 0 {
+	if !hasColumn(tbl, c.Column) {
 		return nil, fmt.Errorf("sql: unknown column %q", c.Column)
 	}
 	switch c.Op {
@@ -108,7 +108,9 @@ func evalCompare(tbl *sqldb.Table, c *sql.Compare) ([]sqldb.RowID, error) {
 			}
 			return out, nil
 		}
-		return tbl.AppendEqual(nil, c.Column, c.Value), nil
+		var out []sqldb.RowID
+		tbl.View(func(v sqldb.View) { out = v.AppendEqual(nil, c.Column, c.Value) })
+		return out, nil
 	case sql.OpLt, sql.OpLe, sql.OpGt, sql.OpGe:
 		if !c.Value.IsNumber() {
 			return nil, fmt.Errorf("sql: %s requires a numeric literal on column %q", c.Op, c.Column)
@@ -142,7 +144,8 @@ func complement(tbl *sqldb.Table, ids []sqldb.RowID) []sqldb.RowID {
 // lookupRange returns the rows whose numeric col lies within the
 // bounds, in ascending RowID order.
 func lookupRange(tbl *sqldb.Table, col string, lo, hi float64, incLo, incHi bool) []sqldb.RowID {
-	ids := tbl.AppendRange(nil, col, lo, hi, incLo, incHi)
+	var ids []sqldb.RowID
+	tbl.View(func(v sqldb.View) { ids = v.AppendRange(nil, col, lo, hi, incLo, incHi) })
 	slices.Sort(ids)
 	return ids
 }
@@ -187,4 +190,9 @@ func unionSorted(a, b []sqldb.RowID) []sqldb.RowID {
 	}
 	out = append(out, a[i:]...)
 	return append(out, b[j:]...)
+}
+
+func hasColumn(tbl *sqldb.Table, col string) bool {
+	_, ok := tbl.Schema().Attr(col)
+	return ok
 }

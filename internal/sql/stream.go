@@ -126,39 +126,45 @@ func Compile(db *sqldb.DB, sel *Select) (*Plan, error) {
 	if err != nil {
 		return nil, err
 	}
+	return compile(tbl.Schema(), sel)
+}
+
+// compile is Compile against the schema of sel's table: a plan needs
+// nothing else.
+func compile(sch *schema.Schema, sel *Select) (*Plan, error) {
 	p := &Plan{table: sel.Table, orderBy: sel.OrderBy}
 	if sel.Where != nil {
-		p.root, err = compileNode(tbl, sel.Where)
-		if err != nil {
+		var err error
+		if p.root, err = compileNode(sch, sel.Where); err != nil {
 			return nil, err
 		}
 	}
-	if sel.OrderBy != "" && tbl.ColumnIndex(sel.OrderBy) < 0 {
+	if sel.OrderBy != "" && !hasColumn(sch, sel.OrderBy) {
 		return nil, fmt.Errorf("sql: unknown ORDER BY column %q", sel.OrderBy)
 	}
 	return p, nil
 }
 
-func compileNode(tbl *sqldb.Table, e Expr) (*planNode, error) {
+func compileNode(sch *schema.Schema, e Expr) (*planNode, error) {
 	var kind nodeKind
 	var ops []Expr
 	switch x := e.(type) {
 	case *Compare, *Between:
-		if err := checkLeaf(tbl, e); err != nil {
+		if err := checkLeaf(sch, e); err != nil {
 			return nil, err
 		}
 		n := &planNode{kind: nkLeaf}
 		if c, ok := x.(*Compare); ok {
 			n.col, n.op = c.Column, c.Op
 			if c.Op == OpEq {
-				n.indexed, n.access = equalAccess(tbl, c.Column)
+				n.indexed, n.access = equalAccess(sch, c.Column)
 			} else {
 				n.leaf = lkRange
-				n.indexed, n.access = rangeAccess(tbl, c.Column)
+				n.indexed, n.access = rangeAccess(sch, c.Column)
 			}
 		} else {
 			n.leaf, n.col = lkBetween, x.(*Between).Column
-			n.indexed, n.access = rangeAccess(tbl, n.col)
+			n.indexed, n.access = rangeAccess(sch, n.col)
 		}
 		return n, nil
 	case *And:
@@ -172,14 +178,14 @@ func compileNode(tbl *sqldb.Table, e Expr) (*planNode, error) {
 	}
 	n := &planNode{kind: kind, driving: -1}
 	for _, op := range ops {
-		c, err := compileNode(tbl, op)
+		c, err := compileNode(sch, op)
 		if err != nil {
 			return nil, err
 		}
 		n.children = append(n.children, c)
 	}
 	if kind == nkAnd {
-		n.driving = drivingOperand(tbl, ops)
+		n.driving = drivingOperand(sch, ops)
 	}
 	return n, nil
 }
@@ -188,19 +194,19 @@ func compileNode(tbl *sqldb.Table, e Expr) (*planNode, error) {
 // conjunction is driven by its first operand that is an index-served
 // leaf (BuildSelect emits Type I, then II, then III), else by its first
 // leaf, else (-1) by the live rows. Everything else is a residual.
-func drivingOperand(tbl *sqldb.Table, ops []Expr) int {
+func drivingOperand(sch *schema.Schema, ops []Expr) int {
 	first := -1
 	for i, op := range ops {
 		var indexed bool
 		switch x := op.(type) {
 		case *Compare:
 			if x.Op == OpEq {
-				indexed, _ = equalAccess(tbl, x.Column)
+				indexed, _ = equalAccess(sch, x.Column)
 			} else {
-				indexed, _ = rangeAccess(tbl, x.Column)
+				indexed, _ = rangeAccess(sch, x.Column)
 			}
 		case *Between:
-			indexed, _ = rangeAccess(tbl, x.Column)
+			indexed, _ = rangeAccess(sch, x.Column)
 		default:
 			continue
 		}
@@ -214,12 +220,12 @@ func drivingOperand(tbl *sqldb.Table, ops []Expr) int {
 	return first
 }
 
-// checkLeaf validates a Compare or Between leaf against tbl: a known
+// checkLeaf validates a Compare or Between leaf against sch: a known
 // column, a supported operator, and a numeric literal for a range.
-func checkLeaf(tbl *sqldb.Table, e Expr) error {
+func checkLeaf(sch *schema.Schema, e Expr) error {
 	switch x := e.(type) {
 	case *Compare:
-		if tbl.ColumnIndex(x.Column) < 0 {
+		if !hasColumn(sch, x.Column) {
 			return fmt.Errorf("sql: unknown column %q", x.Column)
 		}
 		switch x.Op {
@@ -234,7 +240,7 @@ func checkLeaf(tbl *sqldb.Table, e Expr) error {
 		}
 		return nil
 	case *Between:
-		if tbl.ColumnIndex(x.Column) < 0 {
+		if !hasColumn(sch, x.Column) {
 			return fmt.Errorf("sql: unknown column %q", x.Column)
 		}
 		return nil
@@ -244,7 +250,7 @@ func checkLeaf(tbl *sqldb.Table, e Expr) error {
 
 // checkNode validates a whole expression as Compile does, without
 // building a plan.
-func checkNode(tbl *sqldb.Table, e Expr) error {
+func checkNode(sch *schema.Schema, e Expr) error {
 	var ops []Expr
 	switch x := e.(type) {
 	case *And:
@@ -252,12 +258,12 @@ func checkNode(tbl *sqldb.Table, e Expr) error {
 	case *Or:
 		ops = x.Operands
 	case *Not:
-		return checkNode(tbl, x.Operand)
+		return checkNode(sch, x.Operand)
 	default:
-		return checkLeaf(tbl, e)
+		return checkLeaf(sch, e)
 	}
 	for _, op := range ops {
-		if err := checkNode(tbl, op); err != nil {
+		if err := checkNode(sch, op); err != nil {
 			return err
 		}
 	}
@@ -277,20 +283,25 @@ func resolveTable(db *sqldb.DB, name string) (*sqldb.Table, error) {
 	return tbl, nil
 }
 
-func attrType(tbl *sqldb.Table, col string) schema.AttrType {
-	a, ok := tbl.Schema().Attr(col)
+func attrType(sch *schema.Schema, col string) schema.AttrType {
+	a, ok := sch.Attr(col)
 	if !ok {
 		return schema.TypeII
 	}
 	return a.Type
 }
 
+func hasColumn(sch *schema.Schema, col string) bool {
+	_, ok := sch.Attr(col)
+	return ok
+}
+
 // equalAccess names the access path of an equality on col and reports
 // whether an index serves it: Type I and II columns are hashed, and a
 // Type III column's ordered index answers a number as a point lookup
-// (a string literal there is scanned, see sqldb.Table.AppendEqual).
-func equalAccess(tbl *sqldb.Table, col string) (indexed bool, access string) {
-	switch attrType(tbl, col) {
+// (a string literal there is scanned, see sqldb.View.AppendEqual).
+func equalAccess(sch *schema.Schema, col string) (indexed bool, access string) {
+	switch attrType(sch, col) {
 	case schema.TypeI:
 		return true, "primary hash index lookup (Type I)"
 	case schema.TypeII:
@@ -301,50 +312,61 @@ func equalAccess(tbl *sqldb.Table, col string) (indexed bool, access string) {
 
 // rangeAccess is equalAccess for a range or BETWEEN: only Type III
 // columns carry an ordered index.
-func rangeAccess(tbl *sqldb.Table, col string) (indexed bool, access string) {
-	if attrType(tbl, col) == schema.TypeIII {
+func rangeAccess(sch *schema.Schema, col string) (indexed bool, access string) {
+	if attrType(sch, col) == schema.TypeIII {
 		return true, "ordered index range scan (Type III)"
 	}
 	return false, "scan with range verify"
 }
 
-// Run executes the plan against the concrete Select, re-binding the
-// statement's literals into the compiled shape, and returns the
+// Run executes the plan against the concrete Select in a read view of
+// its own; see RunView.
+func (p *Plan) Run(db *sqldb.DB, sel *Select) (ids []sqldb.RowID, err error) {
+	tbl, err := resolveTable(db, sel.Table)
+	if err != nil {
+		return nil, err
+	}
+	tbl.View(func(v sqldb.View) { ids, err = p.RunView(v, sel) })
+	return ids, err
+}
+
+// RunView executes the plan in v, a view of sel's table, re-binding
+// the statement's literals into the compiled shape, and returns the
 // matching row ids in result order (ascending RowID, then ORDER BY,
 // then LIMIT) in a slice of their own. A Select whose shape does not
 // match the plan (different tree structure, columns or operators) is
 // recompiled on the spot — a mismatch can never produce wrong answers,
 // only a wasted compile.
-func (p *Plan) Run(db *sqldb.DB, sel *Select) ([]sqldb.RowID, error) {
+func (p *Plan) RunView(v sqldb.View, sel *Select) ([]sqldb.RowID, error) {
 	// LIMIT is pushed into the scan only when no ORDER BY will
 	// reshuffle the stream afterwards.
 	limit := 0
 	if sel.OrderBy == "" {
 		limit = sel.Limit
 	}
-	tbl, buf, ids, err := p.match(db, sel, limit)
+	buf, ids, err := p.match(v, sel, limit)
 	if err != nil {
 		return nil, err
 	}
 	if sel.OrderBy != "" {
-		ids = tbl.SortByColumn(ids, sel.OrderBy, sel.Desc)
+		ids = v.SortByColumn(ids, sel.OrderBy, sel.Desc)
 	}
 	out := copyIDs(trim(ids, sel.Limit))
 	putIDBuf(buf, ids)
 	return out, nil
 }
 
-// ExtremeRun evaluates a superlative statement as Sec. 4.3 orders it:
-// the WHERE's matches, kept only where keep (when non-nil) says so,
-// reduced to the rows whose numeric sel.OrderBy value is the minimum
-// (the maximum when sel.Desc), in RowID order and capped at limit
-// (0 = uncapped); sel.Limit is not applied. It also returns the
-// extreme and whether any row had a numeric value
-// (sqldb.Table.AppendExtremeRun). The matches stay in the pooled
-// buffer and only the run is copied out: no sort, and no copy of the
-// whole match set. Shape mismatches recompile as in Run.
-func (p *Plan) ExtremeRun(db *sqldb.DB, sel *Select, keep func(sqldb.RowID) bool, limit int) ([]sqldb.RowID, float64, bool, error) {
-	tbl, buf, ids, err := p.match(db, sel, 0)
+// ExtremeRun evaluates a superlative statement in v, a view of sel's
+// table, as Sec. 4.3 orders it: the WHERE's matches, kept only where
+// keep (when non-nil) says so, reduced to the rows whose numeric
+// sel.OrderBy value is the minimum (the maximum when sel.Desc), in
+// RowID order and capped at limit (0 = uncapped); sel.Limit is not
+// applied. It also returns the extreme and whether any row had a
+// numeric value (sqldb.View.AppendExtremeRun). The matches stay in the
+// pooled buffer and only the run is copied out: no sort, and no copy
+// of the whole match set. Shape mismatches recompile as in RunView.
+func (p *Plan) ExtremeRun(v sqldb.View, sel *Select, keep func(sqldb.RowID) bool, limit int) ([]sqldb.RowID, float64, bool, error) {
+	buf, ids, err := p.match(v, sel, 0)
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -357,44 +379,37 @@ func (p *Plan) ExtremeRun(db *sqldb.DB, sel *Select, keep func(sqldb.RowID) bool
 		}
 		ids = kept
 	}
-	run, extreme, found := tbl.AppendExtremeRun(ids[:0], ids, sel.OrderBy, sel.Desc, limit)
+	run, extreme, found := v.AppendExtremeRun(ids[:0], ids, sel.OrderBy, sel.Desc, limit)
 	out := copyIDs(run)
 	putIDBuf(buf, ids)
 	return out, extreme, found, nil
 }
 
 // match evaluates the WHERE of sel under p (recompiled when sel does
-// not fit) into a buffer from idBufs, pushing limit > 0 into the scan.
-// It returns the table, the buffer and the ascending matching ids,
-// which live in the buffer; the caller hands both to putIDBuf after
-// its last read of the ids.
-func (p *Plan) match(db *sqldb.DB, sel *Select, limit int) (*sqldb.Table, *[]sqldb.RowID, []sqldb.RowID, error) {
-	tbl, err := resolveTable(db, sel.Table)
-	if err != nil {
-		return nil, nil, nil, err
-	}
+// not fit) in v into a buffer from idBufs, pushing limit > 0 into the
+// scan. It returns the buffer and the ascending matching ids, which
+// live in the buffer; the caller hands both to putIDBuf after its last
+// read of the ids.
+func (p *Plan) match(v sqldb.View, sel *Select, limit int) (*[]sqldb.RowID, []sqldb.RowID, error) {
 	if !p.fits(sel) {
-		fresh, err := Compile(db, sel)
+		fresh, err := compile(v.Schema(), sel)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, err
 		}
 		p = fresh
-	}
-	if sel.OrderBy != "" && tbl.ColumnIndex(sel.OrderBy) < 0 {
-		return nil, nil, nil, fmt.Errorf("sql: unknown ORDER BY column %q", sel.OrderBy)
 	}
 	buf := idBufs.Get().(*[]sqldb.RowID)
 	ids := (*buf)[:0]
 	if sel.Where == nil {
-		ids = tbl.AppendLiveIDs(ids)
+		ids = v.AppendLiveIDs(ids)
 	} else {
 		r := runs.Get().(*run)
-		r.tbl = tbl
+		r.v = v
 		ids = r.appendNode(ids, sel.Where, p.root, limit)
-		r.tbl = nil
+		r.v = sqldb.View{}
 		runs.Put(r)
 	}
-	return tbl, buf, ids, nil
+	return buf, ids, nil
 }
 
 // fits reports whether sel has the shape this plan was compiled for.
@@ -446,11 +461,11 @@ func nodeFits(e Expr, n *planNode) bool {
 }
 
 // run is one execution's scratch, reused across executions through
-// runs: the table it reads, and the residual predicates its
+// runs: the view it reads, and the residual predicates its
 // conjunctions build, kept as two stacks that each conjunction pops
 // once its filter is done.
 type run struct {
-	tbl   *sqldb.Table
+	v     sqldb.View
 	preds []sqldb.Pred // the current conjunctions' residuals
 	subs  []sqldb.Pred // the operands of any-of and all-of residuals
 }
@@ -479,12 +494,12 @@ func (r *run) appendNode(dst []sqldb.RowID, e Expr, n *planNode, limit int) []sq
 	case *Not:
 		buf := idBufs.Get().(*[]sqldb.RowID)
 		inner := r.appendNode((*buf)[:0], x.Operand, n.child(0), 0)
-		dst = r.tbl.AppendLiveExcept(dst, inner)
+		dst = r.v.AppendLiveExcept(dst, inner)
 		putIDBuf(buf, inner)
 		return dst
 	}
 	base := len(dst)
-	dst, ascending := drivingIDs(r.tbl, e, dst)
+	dst, ascending := drivingIDs(r.v, e, dst)
 	if !ascending {
 		slices.Sort(dst[base:])
 	}
@@ -493,7 +508,7 @@ func (r *run) appendNode(dst []sqldb.RowID, e Expr, n *planNode, limit int) []sq
 
 // appendAnd streams a conjunction: it appends the driving leaf's rows
 // (or every live row) to dst and filters them in place by every other
-// conjunct as a residual predicate, under one table lock. The result
+// conjunct as a residual predicate. The result
 // equals the intersection of all operand sets; the non-driving
 // conjuncts never produce ids at all.
 func (r *run) appendAnd(dst []sqldb.RowID, x *And, n *planNode, limit int) []sqldb.RowID {
@@ -504,14 +519,14 @@ func (r *run) appendAnd(dst []sqldb.RowID, x *And, n *planNode, limit int) []sql
 	if n != nil {
 		driving = n.driving
 	} else {
-		driving = drivingOperand(r.tbl, x.Operands)
+		driving = drivingOperand(r.v.Schema(), x.Operands)
 	}
 	base := len(dst)
 	ascending := true
 	if driving >= 0 {
-		dst, ascending = drivingIDs(r.tbl, x.Operands[driving], dst)
+		dst, ascending = drivingIDs(r.v, x.Operands[driving], dst)
 	} else {
-		dst = r.tbl.AppendLiveIDs(dst)
+		dst = r.v.AppendLiveIDs(dst)
 	}
 	npreds, nsubs := len(r.preds), len(r.subs)
 	for i, op := range x.Operands {
@@ -524,7 +539,7 @@ func (r *run) appendAnd(dst []sqldb.RowID, x *And, n *planNode, limit int) []sql
 	if !ascending {
 		filterLimit = 0
 	}
-	kept := r.tbl.FilterMatch(dst[base:], r.preds[npreds:], filterLimit)
+	kept := r.v.FilterMatch(dst[base:], r.preds[npreds:], filterLimit)
 	r.preds, r.subs = r.preds[:npreds], r.subs[:nsubs]
 	dst = dst[:base+len(kept)]
 	if !ascending {
@@ -582,25 +597,25 @@ func (r *run) residuals(ops []Expr) []sqldb.Pred {
 // drivingIDs appends the rows of a leaf to dst and reports whether
 // they are in ascending RowID order (range scans on an ordered index
 // yield value order and need a re-sort). Every id it appends is a copy
-// made under the table's read lock.
-func drivingIDs(tbl *sqldb.Table, e Expr, dst []sqldb.RowID) ([]sqldb.RowID, bool) {
+// of an index posting.
+func drivingIDs(v sqldb.View, e Expr, dst []sqldb.RowID) ([]sqldb.RowID, bool) {
 	if x, ok := e.(*Between); ok {
-		return tbl.AppendRange(dst, x.Column, x.Lo, x.Hi, true, true), false
+		return v.AppendRange(dst, x.Column, x.Lo, x.Hi, true, true), false
 	}
 	x := e.(*Compare)
 	if x.Op == OpEq {
-		return tbl.AppendEqual(dst, x.Column, x.Value), true
+		return v.AppendEqual(dst, x.Column, x.Value), true
 	}
-	v := x.Value.Num()
+	n := x.Value.Num()
 	switch x.Op {
 	case OpLt:
-		return tbl.AppendRange(dst, x.Column, math.Inf(-1), v, false, false), false
+		return v.AppendRange(dst, x.Column, math.Inf(-1), n, false, false), false
 	case OpLe:
-		return tbl.AppendRange(dst, x.Column, math.Inf(-1), v, false, true), false
+		return v.AppendRange(dst, x.Column, math.Inf(-1), n, false, true), false
 	case OpGt:
-		return tbl.AppendRange(dst, x.Column, v, math.Inf(1), false, false), false
+		return v.AppendRange(dst, x.Column, n, math.Inf(1), false, false), false
 	default: // OpGe
-		return tbl.AppendRange(dst, x.Column, v, math.Inf(1), true, false), false
+		return v.AppendRange(dst, x.Column, n, math.Inf(1), true, false), false
 	}
 }
 
@@ -641,38 +656,39 @@ func trim(ids []sqldb.RowID, limit int) []sqldb.RowID {
 	return ids
 }
 
-// ForEachMatch streams every row id matching e against tbl to fn,
-// without materializing a result set. Ids arrive in no particular
-// order and MAY repeat across the branches of a top-level OR;
-// consumers needing set semantics must deduplicate (the relaxation
-// tally does, with its per-condition mark array). The ids are appended
-// into a pooled buffer by the drivers Run uses — a leaf's scan without
-// the re-sort a range would need, anything else through the same
-// appendNode — and fn runs after every table lock is released, so fn
-// may call back into the table. It returns the same errors the
-// executor would (unknown column, non-numeric range literal).
-func ForEachMatch(tbl *sqldb.Table, e Expr, fn func(sqldb.RowID)) error {
+// ForEachMatch streams every row id matching e in v to fn, without
+// materializing a result set. Ids arrive in no particular order and
+// MAY repeat across the branches of a top-level OR; consumers needing
+// set semantics must deduplicate (the relaxation tally does, with its
+// per-condition mark array). The ids are appended into a pooled buffer
+// by the drivers RunView uses — a leaf's scan without the re-sort a
+// range would need, anything else through the same appendNode — and fn
+// runs inside the caller's view, so every id is a row of the version
+// the rest of the ask reads; fn must not call a Table method that
+// takes the table's lock. It returns the same errors the executor
+// would (unknown column, non-numeric range literal).
+func ForEachMatch(v sqldb.View, e Expr, fn func(sqldb.RowID)) error {
 	if x, ok := e.(*Or); ok {
 		for _, op := range x.Operands {
-			if err := ForEachMatch(tbl, op, fn); err != nil {
+			if err := ForEachMatch(v, op, fn); err != nil {
 				return err
 			}
 		}
 		return nil
 	}
-	if err := checkNode(tbl, e); err != nil {
+	if err := checkNode(v.Schema(), e); err != nil {
 		return err
 	}
 	buf := idBufs.Get().(*[]sqldb.RowID)
 	var ids []sqldb.RowID
 	switch e.(type) {
 	case *Compare, *Between:
-		ids, _ = drivingIDs(tbl, e, (*buf)[:0])
+		ids, _ = drivingIDs(v, e, (*buf)[:0])
 	default:
 		r := runs.Get().(*run)
-		r.tbl = tbl
+		r.v = v
 		ids = r.appendNode((*buf)[:0], e, nil, 0)
-		r.tbl = nil
+		r.v = sqldb.View{}
 		runs.Put(r)
 	}
 	for _, id := range ids {

@@ -10,15 +10,13 @@ import (
 // (internal/sql) drives: a driving scan over row ids plus residual
 // predicates evaluated per row.
 //
-// Ownership rule: no index-owned slice is ever read outside t.mu.
+// Ownership rule: no index-owned slice is ever read outside a view.
 // Delete edits posting lists in place, so every scan copies the ids it
-// needs while holding the table's read lock, into a caller-owned
-// buffer the caller may pool and reuse (AppendEqual, AppendRange,
-// AppendLiveIDs, AppendLiveExcept). Reading the copy therefore needs
-// no lock, no caller callback ever runs under the lock, and a
-// concurrent mutation never tears an in-flight scan; as with all
-// multi-call read sequences on a Table, the copy reflects the table at
-// scan time, not a transaction.
+// needs into a caller-owned buffer the caller may pool and reuse
+// (View.AppendEqual, AppendRange, AppendLiveIDs, AppendLiveExcept).
+// Every read of one View sees the same version of the table, so the
+// ids a scan copies and the rows FilterMatch or Row then reads agree;
+// once the view closes, the copy is only a list of ids.
 
 // PredKind enumerates residual predicate forms.
 type PredKind int
@@ -89,15 +87,13 @@ func (p Pred) Negated() Pred {
 	return p
 }
 
-// matchLocked evaluates one predicate; caller holds t.mu.
-//
-// cqads:requires-lock mu
-func (t *Table) matchLocked(id RowID, p *Pred) bool {
+// match evaluates one predicate on live row id.
+func (v View) match(id RowID, p *Pred) bool {
 	var match bool
 	switch p.Kind {
 	case PredAny:
 		for i := range p.Sub {
-			if t.matchLocked(id, &p.Sub[i]) {
+			if v.match(id, &p.Sub[i]) {
 				match = true
 				break
 			}
@@ -106,34 +102,34 @@ func (t *Table) matchLocked(id RowID, p *Pred) bool {
 	case PredAll:
 		match = true
 		for i := range p.Sub {
-			if !t.matchLocked(id, &p.Sub[i]) {
+			if !v.match(id, &p.Sub[i]) {
 				match = false
 				break
 			}
 		}
 		return match != p.Negate
 	}
-	i, ok := t.colIdx[p.Col]
+	i, ok := v.t.colIdx[p.Col]
 	if !ok {
 		return false
 	}
-	v := t.rows[id].Values[i]
+	val := v.t.rows[id].Values[i]
 	switch p.Kind {
 	case PredEqual:
-		if p.numeric && t.schema.Attrs[i].Type != schema.TypeIII {
+		if p.numeric && v.t.schema.Attrs[i].Type != schema.TypeIII {
 			// A hash-indexed column: the index's key equality, under
 			// which '2', '2.0' and 2 are one value.
-			n, isNum := v.tryNum()
+			n, isNum := val.tryNum()
 			match = isNum && sameNumKey(n, p.num)
 		} else {
 			// A non-numeric literal keys its own text, which is what
 			// Equal compares; on a Type III column the ordered index
 			// agrees with Equal for a number and a string is scanned
 			// with Equal.
-			match = v.Equal(p.Value)
+			match = val.Equal(p.Value)
 		}
 	case PredRange:
-		n, isNum := v.tryNum()
+		n, isNum := val.tryNum()
 		if isNum {
 			okLo := n > p.Lo || (p.IncLo && n == p.Lo)
 			okHi := n < p.Hi || (p.IncHi && n == p.Hi)
@@ -145,21 +141,17 @@ func (t *Table) matchLocked(id RowID, p *Pred) bool {
 
 // FilterMatch keeps, in place and in the order of ids, the ids that
 // are live and satisfy every residual predicate, and returns that
-// prefix of ids. The whole pass runs under one read lock, so a
-// streamed conjunction pays a single lock acquisition rather than one
-// per row, and it allocates nothing. limit > 0 stops after limit
+// prefix of ids. It allocates nothing. limit > 0 stops after limit
 // survivors (early termination for LIMIT pushdown); 0 means no limit.
-func (t *Table) FilterMatch(ids []RowID, preds []Pred, limit int) []RowID {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
+func (v View) FilterMatch(ids []RowID, preds []Pred, limit int) []RowID {
 	out := ids[:0]
 	for _, id := range ids {
-		if !t.aliveLocked(id) {
+		if !v.alive(id) {
 			continue
 		}
 		pass := true
 		for i := range preds {
-			if !t.matchLocked(id, &preds[i]) {
+			if !v.match(id, &preds[i]) {
 				pass = false
 				break
 			}

@@ -28,42 +28,42 @@ type ColumnStats struct {
 	HasNumeric bool
 }
 
-// Stats scans the table once under the read lock and returns the
+// Stats scans the table once in a read view and returns the
 // statistics of its live (non-deleted) rows. Nothing caches the
 // result and nothing on the query path calls it — plans come from
 // schema and statement shape alone — so the cost is paid only by
 // whoever asks to look (the cqads shell's "stats <domain>").
-func (t *Table) Stats() *TableStats {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	st := &TableStats{Table: t.name, Rows: t.live}
-	for _, a := range t.schema.Attrs {
-		col := ColumnStats{Name: a.Name, Type: a.Type}
-		i := t.colIdx[a.Name]
-		distinct := map[string]struct{}{}
-		for r := range t.rows {
-			if t.dead[r] {
-				continue
-			}
-			v := t.rows[r].Values[i]
-			if v.IsNull() {
-				col.Nulls++
-				continue
-			}
-			distinct[v.String()] = struct{}{}
-			if n, ok := v.tryNum(); ok {
-				if !col.HasNumeric || n < col.Min {
-					col.Min = n
+func (t *Table) Stats() (st *TableStats) {
+	t.View(func(View) {
+		st = &TableStats{Table: t.name, Rows: t.live}
+		for _, a := range t.schema.Attrs {
+			col := ColumnStats{Name: a.Name, Type: a.Type}
+			i := t.colIdx[a.Name]
+			distinct := map[string]struct{}{}
+			for r := range t.rows {
+				if t.dead[r] {
+					continue
 				}
-				if !col.HasNumeric || n > col.Max {
-					col.Max = n
+				v := t.rows[r].Values[i]
+				if v.IsNull() {
+					col.Nulls++
+					continue
 				}
-				col.HasNumeric = true
+				distinct[v.String()] = struct{}{}
+				if n, ok := v.tryNum(); ok {
+					if !col.HasNumeric || n < col.Min {
+						col.Min = n
+					}
+					if !col.HasNumeric || n > col.Max {
+						col.Max = n
+					}
+					col.HasNumeric = true
+				}
 			}
+			col.Distinct = len(distinct)
+			st.Columns = append(st.Columns, col)
 		}
-		col.Distinct = len(distinct)
-		st.Columns = append(st.Columns, col)
-	}
+	})
 	return st
 }
 

@@ -3,7 +3,6 @@ package sqldb
 import (
 	"fmt"
 	"iter"
-	"sort"
 	"sync"
 	"sync/atomic"
 
@@ -25,17 +24,18 @@ type Record struct {
 //
 // # Mutability and concurrency
 //
-// A Table is safe for concurrent use: every exported method acquires
-// the table's RWMutex, readers sharing the lock and Insert/Delete
-// taking it exclusively. A mutation is atomic — the row and all of its
-// index postings appear (or disappear) together — so readers never see
-// a half-indexed row. Deletes are tombstoned: the RowID slot is
-// retired, never reused, and the dead row's postings are removed from
-// every index in place, preserving the ascending-RowID ordering of
-// the hash posting lists. Multi-call read sequences (a query
-// that looks up ids and then fetches records) are NOT a snapshot:
-// a concurrent writer may add or remove rows between calls, and
-// readers observe each mutation atomically but immediately. Version
+// A Table is safe for concurrent use. Insert, InsertAt, Delete and
+// RestoreState take the table's RWMutex exclusively; every read runs
+// inside a read view (Table.View), which holds the read lock once for
+// as long as its callback runs. A mutation is atomic — the row and all
+// of its index postings appear (or disappear) together — so readers
+// never see a half-indexed row. Deletes are tombstoned: the RowID slot
+// is retired, never reused, and the dead row's postings are removed
+// from every index in place, preserving the ascending-RowID ordering
+// of the hash posting lists. Every read made through one View sees one
+// version of the table: no write lands between two of them. The
+// single-call reads (Len, Get, Value, Row, ...) each open a view of
+// their own, so two of them in a row are NOT a snapshot. Version
 // increments on every successful mutation, giving caches a cheap
 // staleness check.
 type Table struct {
@@ -115,26 +115,16 @@ func (t *Table) Name() string { return t.name }
 func (t *Table) Schema() *schema.Schema { return t.schema }
 
 // Len returns the number of live (non-deleted) records.
-func (t *Table) Len() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.live
+func (t *Table) Len() (n int) {
+	t.View(func(View) { n = t.live })
+	return n
 }
 
 // Slots returns the number of allocated row slots, live or tombstoned.
 // RowIDs are always < Slots(); deleted slots are never reused.
-func (t *Table) Slots() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.rows)
-}
-
-// aliveLocked reports whether id names a live (inserted, not
-// deleted) row; the caller holds t.mu.
-//
-// cqads:requires-lock mu
-func (t *Table) aliveLocked(id RowID) bool {
-	return id >= 0 && int(id) < len(t.rows) && !t.dead[id]
+func (t *Table) Slots() (n int) {
+	t.View(func(v View) { n = v.Slots() })
+	return n
 }
 
 // Version returns a counter that increments on every successful
@@ -142,14 +132,6 @@ func (t *Table) aliveLocked(id RowID) bool {
 // memoized scans) record the version they were computed at and rebuild
 // when it moves.
 func (t *Table) Version() uint64 { return t.version.Load() }
-
-// ColumnIndex returns the position of the named column, or -1.
-func (t *Table) ColumnIndex(name string) int {
-	if i, ok := t.colIdx[name]; ok {
-		return i
-	}
-	return -1
-}
 
 // Insert appends a record built from the column→value map and returns
 // its RowID. Missing columns store NULL; unknown columns error. The
@@ -232,217 +214,31 @@ func (t *Table) Delete(id RowID) error {
 }
 
 // Get returns the record with the given id. Deleted rows report false.
-func (t *Table) Get(id RowID) (Record, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if !t.aliveLocked(id) {
-		return Record{}, false
-	}
-	return t.rows[id], true
+func (t *Table) Get(id RowID) (r Record, ok bool) {
+	t.View(func(v View) {
+		if ok = v.alive(id); ok {
+			r = t.rows[id]
+		}
+	})
+	return r, ok
 }
 
 // Value returns record id's value in the named column. Deleted rows
 // read as NULL.
 func (t *Table) Value(id RowID, col string) Value {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.valueLocked(id, col)
-}
-
-// valueLocked is Value with the caller holding t.mu.
-//
-// cqads:requires-lock mu
-func (t *Table) valueLocked(id RowID, col string) Value {
-	i, ok := t.colIdx[col]
-	if !ok || !t.aliveLocked(id) {
-		return Null
-	}
-	return t.rows[id].Values[i]
+	return t.Row(id).Value(col)
 }
 
 // AllRowIDs returns every live row id in ascending order.
-func (t *Table) AllRowIDs() []RowID {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.appendLiveLocked(make([]RowID, 0, t.live))
-}
-
-// AppendLiveIDs appends every live row id to dst in ascending order
-// and returns the extended slice — AllRowIDs into a caller-owned
-// buffer.
-func (t *Table) AppendLiveIDs(dst []RowID) []RowID {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return t.appendLiveLocked(dst)
-}
-
-// AppendLiveExcept appends to dst, in ascending order, every live row
-// id that is not in the ascending set except, and returns the extended
-// slice: the complement of a set over the live rows, in one walk of
-// the slots with no copy of the live ids.
-func (t *Table) AppendLiveExcept(dst, except []RowID) []RowID {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	j := 0
-	for i := range t.rows {
-		id := RowID(i)
-		for j < len(except) && except[j] < id {
-			j++
-		}
-		if t.dead[i] || j < len(except) && except[j] == id {
-			continue
-		}
-		dst = append(dst, id)
-	}
-	return dst
-}
-
-// appendLiveLocked is AppendLiveIDs with the caller holding t.mu.
-//
-// cqads:requires-lock mu
-func (t *Table) appendLiveLocked(dst []RowID) []RowID {
-	for i := range t.rows {
-		if !t.dead[i] {
-			dst = append(dst, RowID(i))
-		}
-	}
-	return dst
-}
-
-// AppendEqual appends the rows whose col equals v to dst, in
-// ascending RowID order, and returns the extended slice. Type I and II
-// columns answer from their hash index. A Type III column answers a
-// number from its ordered index: entries sort by (value, RowID), so
-// one value's run is already in RowID order, -0 and 0 share it and NaN
-// has none, exactly as Value.Equal compares a number. A string literal
-// on a Type III column is scanned with Equal, because Equal compares
-// two strings by text ('2.0' is not '2') where the index would not.
-// Postings are copied under the read lock: Delete edits them in place,
-// so no index-owned slice is ever read outside t.mu.
-func (t *Table) AppendEqual(dst []RowID, col string, v Value) []RowID {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if ix, ok := t.hash[col]; ok {
-		// Postings are appended in ascending RowID order and deletes
-		// remove in place, so the list is already sorted — no re-sort.
-		return append(dst, ix.lookup(v)...)
-	}
-	if ix, ok := t.ordered[col]; ok && v.IsNumber() {
-		return ix.appendRange(dst, v.n, v.n, true, true)
-	}
-	i, ok := t.colIdx[col]
-	if !ok {
-		return dst
-	}
-	for id := range t.rows {
-		if !t.dead[id] && t.rows[id].Values[i].Equal(v) {
-			dst = append(dst, RowID(id))
-		}
-	}
-	return dst
-}
-
-// AppendRange appends the rows whose numeric col lies within the
-// bounds to dst and returns the extended slice. A Type III column
-// appends in VALUE order (the ordered index's native order), not RowID
-// order: the streaming executor re-sorts only the rows surviving its
-// residual filters, and tally-style consumers need no order at all.
-// Any other column is scanned in RowID order. Like AppendEqual, it
-// copies under the read lock. Use math.Inf for open ends.
-func (t *Table) AppendRange(dst []RowID, col string, lo, hi float64, incLo, incHi bool) []RowID {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if ix, ok := t.ordered[col]; ok {
-		return ix.appendRange(dst, lo, hi, incLo, incHi)
-	}
-	i, ok := t.colIdx[col]
-	if !ok {
-		return dst
-	}
-	for id := range t.rows {
-		if t.dead[id] {
-			continue
-		}
-		n, isNum := t.rows[id].Values[i].tryNum()
-		if !isNum {
-			continue
-		}
-		okLo := n > lo || (incLo && n == lo)
-		okHi := n < hi || (incHi && n == hi)
-		if okLo && okHi {
-			dst = append(dst, RowID(id))
-		}
-	}
-	return dst
-}
-
-// SortByColumn orders ids by the numeric column col, ascending or
-// descending, with RowID as a deterministic tie-breaker. It sorts in
-// place and returns ids for chaining.
-func (t *Table) SortByColumn(ids []RowID, col string, descending bool) []RowID {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	i, ok := t.colIdx[col]
-	if !ok {
-		return ids
-	}
-	sort.SliceStable(ids, func(a, b int) bool {
-		va := t.rows[ids[a]].Values[i]
-		vb := t.rows[ids[b]].Values[i]
-		c := va.Compare(vb)
-		if c == 0 {
-			return ids[a] < ids[b]
-		}
-		if descending {
-			return c > 0
-		}
-		return c < 0
-	})
+func (t *Table) AllRowIDs() (ids []RowID) {
+	t.View(func(v View) { ids = v.AppendLiveIDs(make([]RowID, 0, t.live)) })
 	return ids
 }
 
-// AppendExtremeRun appends to dst, in ascending RowID order, every id
-// of the ascending set ids whose numeric value in col (tryNum) equals
-// the set's minimum — its maximum when desc — keeping at most limit
-// ids in the run (limit <= 0 is uncapped). It also returns the extreme,
-// read from the run's lowest-RowID member, and whether any row had a
-// numeric value at all. NULLs, non-numeric strings, NaN and deleted
-// rows never join a run. dst may be ids[:0]: the run never outgrows
-// the prefix of ids already read, so it compacts in place.
-//
-// This is exactly the leading equal run that SortByColumn's order
-// yields once its non-numeric prefix is skipped (NULLs sort first
-// ascending, non-numeric strings first descending, ties break on
-// RowID), computed in one pass under one read lock with no sort:
-// the superlative of Sec. 4.3, evaluated last over the rows the other
-// criteria retrieve.
-func (t *Table) AppendExtremeRun(dst, ids []RowID, col string, desc bool, limit int) ([]RowID, float64, bool) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	i, ok := t.colIdx[col]
-	if !ok {
-		return dst, 0, false
-	}
-	base := len(dst)
-	var extreme float64
-	found := false
-	for _, id := range ids {
-		if !t.aliveLocked(id) {
-			continue
-		}
-		n, isNum := t.rows[id].Values[i].tryNum()
-		if !isNum || n != n { // NaN has no place in the order
-			continue
-		}
-		switch {
-		case !found || (desc && n > extreme) || (!desc && n < extreme):
-			dst = append(dst[:base], id)
-			extreme, found = n, true
-		case n == extreme && (limit <= 0 || len(dst)-base < limit):
-			dst = append(dst, id)
-		}
-	}
-	return dst, extreme, found
+// SortByColumn is View.SortByColumn in a read view of its own.
+func (t *Table) SortByColumn(ids []RowID, col string, descending bool) []RowID {
+	t.View(func(v View) { v.SortByColumn(ids, col, descending) })
+	return ids
 }
 
 // ExportState returns a point-in-time copy of the table's contents
@@ -452,18 +248,19 @@ func (t *Table) AppendExtremeRun(dst, ids []RowID, col string, desc bool, limit 
 // Values slices; mutating them does not affect the table. Paired with
 // RestoreState, it is the snapshot hook of internal/persist.
 func (t *Table) ExportState() (slots int, rows []Record) {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	rows = make([]Record, 0, t.live)
-	for i := range t.rows {
-		if t.dead[i] {
-			continue
+	t.View(func(View) {
+		rows = make([]Record, 0, t.live)
+		for i := range t.rows {
+			if t.dead[i] {
+				continue
+			}
+			vals := make([]Value, len(t.rows[i].Values))
+			copy(vals, t.rows[i].Values)
+			rows = append(rows, Record{ID: RowID(i), Values: vals})
 		}
-		vals := make([]Value, len(t.rows[i].Values))
-		copy(vals, t.rows[i].Values)
-		rows = append(rows, Record{ID: RowID(i), Values: vals})
-	}
-	return len(t.rows), rows
+		slots = len(t.rows)
+	})
+	return slots, rows
 }
 
 // RestoreState replaces the table's contents with a previously
@@ -519,15 +316,11 @@ type Row struct {
 	vals []Value
 }
 
-// Row returns the view of row id, taken under the read lock. A deleted
-// or unknown id yields the zero Row.
-func (t *Table) Row(id RowID) Row {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	if !t.aliveLocked(id) {
-		return Row{}
-	}
-	return Row{t: t, vals: t.rows[id].Values}
+// Row returns the view of row id, taken in a read view of its own. A
+// deleted or unknown id yields the zero Row.
+func (t *Table) Row(id RowID) (r Row) {
+	t.View(func(v View) { r = v.Row(id) })
+	return r
 }
 
 // IsZero reports whether r is the view of no row.

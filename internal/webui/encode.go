@@ -216,9 +216,9 @@ func appendScatterPart(dst []byte, p *core.ScatterResult, keys []recordKey) ([]b
 // appendRecord appends row as the JSON object encoding/json writes for
 // its map[string]string rendering: keys sorted, values as
 // sqldb.Value.String renders them. keys is the row's schema keys,
-// sorted once per domain. The zero Row (an ad deleted before its
-// answer was assembled) encodes as {}, as BuildAPIResult's empty map
-// does.
+// sorted once per domain. An ask takes its answers' rows in the same
+// read view as its other stages, so it never hands out the zero Row;
+// the zero Row still encodes as {}, as BuildAPIResult's empty map does.
 func appendRecord(dst []byte, row sqldb.Row, keys []recordKey) []byte {
 	dst = append(dst, '{')
 	if !row.IsZero() {

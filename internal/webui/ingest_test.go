@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
@@ -235,11 +236,9 @@ func TestConvertRecordCoercesBySchemaType(t *testing.T) {
 		t.Fatalf("stored doors = %#v, want a string", v)
 	}
 	found := false
-	for _, got := range tbl.AppendEqual(nil, "doors", sqldb.String("2")) {
-		if got == id {
-			found = true
-		}
-	}
+	tbl.View(func(v sqldb.View) {
+		found = slices.Contains(v.AppendEqual(nil, "doors", sqldb.String("2")), id)
+	})
 	if !found {
 		t.Error("numeric-categorical value missing from the hash index")
 	}
