@@ -472,7 +472,9 @@
 //   - locksafe: struct fields annotated `cqads:guarded-by <mu>`
 //     (sqldb.Table, persist.Store, failover.Agent, core's persister)
 //     may only be touched under the named mutex or from a method
-//     annotated `cqads:requires-lock <mu>`; Lock/Unlock pairing and
+//     annotated `cqads:requires-lock <mu>`, or read under a read view
+//     (a sqldb.View method, or a literal passed to Table.View), where
+//     no Table method may be called; Lock/Unlock pairing and
 //     RLock-vs-write misuse are checked in the same pass.
 //
 //   - typederr: the webui boundary must route every error through
