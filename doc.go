@@ -171,7 +171,8 @@
 //     place, preserving each posting list's ascending-RowID order.
 //     Reads run in read views: Table.View takes the read lock once,
 //     and every read through the View it passes sees one version of
-//     the table. AskInDomain and AskInDomainScatter run every stage
+//     the table. AskInDomain and AskInDomainScatter are wrappers
+//     around one function, core's answerIn, which runs every stage
 //     from the exact answers to the ranked partials, dedup and answer
 //     assembly included, in one view per table, so no write lands
 //     between an ask's stages and a writer waits for the asks in
@@ -369,7 +370,9 @@
 //   - The shard map grows hash groups (`cars=h0:http://a,h1:http://b`,
 //     composing with "|" replica sets per group). The front tier
 //     scatters an in-domain ask to every partition of the domain, each
-//     partition answers over its slice, and the router merges the
+//     partition answers over its slice (AskInDomainScatter, through
+//     the same answerIn a monolith ask runs, with the slice filter and
+//     an uncapped superlative run), and the router merges the
 //     ranked fragments deterministically (score order, RowID
 //     tie-break) into bytes identical to a monolith's answer, splicing
 //     each answer's record bytes as its partition encoded them; ingest

@@ -15,6 +15,7 @@ import (
 	"repro/internal/qlog"
 	"repro/internal/questions"
 	"repro/internal/schema"
+	"repro/internal/sql"
 	"repro/internal/sqldb"
 	"repro/internal/wsmatrix"
 )
@@ -105,6 +106,27 @@ func rankEveryCandidate(t *testing.T, s *System, v sqldb.View, in *boolean.Inter
 	return out[:min(want, len(out))]
 }
 
+// exactIDs returns the ids of the exact answers answerIn gives sel
+// under p, superlative semantics and dedup included.
+func exactIDs(t *testing.T, s *System, v sqldb.View, sel *sql.Select, in *boolean.Interpretation, p part) []sqldb.RowID {
+	t.Helper()
+	answers, n, _, _, err := answerIn(s, v, sel, in, p, asAnswer)
+	if err != nil {
+		t.Fatalf("%s: %v", in, err)
+	}
+	ids := make([]sqldb.RowID, n)
+	for i := range ids {
+		ids[i] = answers[i].ID
+	}
+	return ids
+}
+
+// partials runs partialAnswers as answerIn does, over a scratch of its
+// own.
+func partials(s *System, v sqldb.View, in *boolean.Interpretation, exact []sqldb.RowID, want int, p part) []Answer {
+	return partialAnswers(s, nil, v, in, exact, want, p, similarityNames(in.AllConditions()), new(relaxScratch), asAnswer)
+}
+
 // samePartials compares IDs, RankSim bits, dropped condition,
 // similarity label and order.
 func samePartials(got, want []Answer) error {
@@ -161,19 +183,13 @@ func TestPartialAnswersCeilingStop(t *testing.T) {
 						asked[shapeOf(in)]++
 						sel := BuildSelect(tbl.Schema(), in, sys.maxAnswers)
 						tbl.View(func(v sqldb.View) {
-							exact, err := sys.execWithSuperlative(v, sel, in)
-							if err != nil {
-								t.Fatalf("%s: %v", tag, err)
-							}
 							ddr := sys.dedupFor(d, v)
-							if ddr != nil {
-								exact = ddr.FilterAnswers(exact)
-							}
+							exact := exactIDs(t, sys, v, sel, in, part{dd: ddr})
 							for _, want := range []int{sys.maxAnswers - len(exact), sys.maxAnswers, 1} {
 								if want <= 0 {
 									continue
 								}
-								got := sys.partialAnswers(nil, v, in, exact, want, ddr, nil)
+								got := partials(sys, v, in, exact, want, part{dd: ddr})
 								ref := rankEveryCandidate(t, sys, v, in, exact, want, ddr, nil)
 								if err := samePartials(got, ref); err != nil {
 									t.Fatalf("%s want %d: %v", tag, want, err)
@@ -184,14 +200,11 @@ func TestPartialAnswersCeilingStop(t *testing.T) {
 							}
 							var exactK []sqldb.RowID
 							if in.Superlative != nil {
-								exactK, _, _, err = sys.superlativeRun(v, sel, keep, 0)
-								if err != nil {
-									t.Fatalf("%s: %v", tag, err)
-								}
+								exactK = exactIDs(t, sys, v, sel, in, part{keep: keep, merged: true})
 							} else {
 								exactK = slices.DeleteFunc(slices.Clone(exact), func(id sqldb.RowID) bool { return !keep(id) })
 							}
-							got := sys.partialAnswers(nil, v, in, exactK, sys.maxAnswers, nil, keep)
+							got := partials(sys, v, in, exactK, sys.maxAnswers, part{keep: keep})
 							ref := rankEveryCandidate(t, sys, v, in, exactK, sys.maxAnswers, nil, keep)
 							if err := samePartials(got, ref); err != nil {
 								t.Fatalf("%s scatter slice %s: %v", tag, half, err)
@@ -249,10 +262,7 @@ func TestOvershootAdsScoreAtCeiling(t *testing.T) {
 			t.Fatalf("%q interprets as %s, want one condition and a superlative", ad.ask, in)
 		}
 		tbl.View(func(v sqldb.View) {
-			exact, err := sys.execWithSuperlative(v, BuildSelect(tbl.Schema(), in, sys.maxAnswers), in)
-			if err != nil {
-				t.Fatal(err)
-			}
+			exact := exactIDs(t, sys, v, BuildSelect(tbl.Schema(), in, sys.maxAnswers), in, part{})
 			if !slices.Contains(sys.candidatePool(v, in, exact, new(relaxScratch)), id) {
 				t.Fatalf("%q: overshoot ad %d not in the candidate pool", ad.ask, id)
 			}

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/boolean"
-	"repro/internal/dedup"
 	"repro/internal/rank"
 	"repro/internal/schema"
 	"repro/internal/sql"
@@ -15,57 +14,42 @@ import (
 	"repro/internal/topk"
 )
 
-// partialAnswers implements the N−1 strategy of Sec. 4.3.1: each
-// condition is dropped in turn, the relaxed queries are evaluated, and
-// the union of their results (minus exact answers) is ranked by
-// Rank_Sim (Eq. 5). Questions with a single condition fall back to
-// similarity matching over the whole table. RelaxationDepth > 1
-// additionally drops pairs (the N−2 sweep the paper discusses). A
-// non-nil keep restricts the candidate pool to rows it accepts — the
-// scatter path's hash-slice filter; the monolith path passes nil. Every
-// stage reads the table through v, the ask's one view. The ranked
-// answers are appended to dst, grown at most once.
-func (s *System) partialAnswers(dst []Answer, v sqldb.View, in *boolean.Interpretation, exact []sqldb.RowID, want int, dd *dedup.Result, keep func(sqldb.RowID) bool) []Answer {
-	if want <= 0 {
+// partialAnswers implements the N−1 strategy of Sec. 4.3.1 for
+// answerIn: each condition is dropped in turn, the relaxed queries are
+// evaluated, and the union of their results (minus exact answers) is
+// ranked by Rank_Sim (Eq. 5). Questions with a single condition fall
+// back to similarity matching over the whole table. RelaxationDepth > 1
+// additionally drops pairs (the N−2 sweep the paper discusses). p's
+// keep restricts the candidate pool to a scatter leg's hash slice, and
+// its dd to near-duplicate representatives. Every stage reads the
+// table through v, the ask's one view, and tallies in rs, the ask's
+// scratch. names labels in's conditions (similarityNames). The want
+// best answers, built by mk, are appended to dst, grown at most once.
+func partialAnswers[A any](s *System, dst []A, v sqldb.View, in *boolean.Interpretation, exact []sqldb.RowID, want int, p part, names []string, rs *relaxScratch, mk func(Answer, demotion) A) []A {
+	if want <= 0 || in.ConditionCount() == 0 {
 		return dst
 	}
 	sim := s.sims[v.Schema().Domain]
-	conds := in.AllConditions()
-	if len(conds) == 0 {
-		return dst
-	}
-	rs := relaxPool.Get().(*relaxScratch)
-	defer relaxPool.Put(rs)
 	candidates := s.candidatePool(v, in, exact, rs)
-	if keep != nil {
+	if p.keep != nil {
 		kept := candidates[:0]
 		for _, id := range candidates {
-			if keep(id) {
+			if p.keep(id) {
 				kept = append(kept, id)
 			}
 		}
 		candidates = kept
 	}
-	if dd != nil {
-		candidates = dd.FilterAnswersExcluding(candidates, exact)
+	if p.dd != nil {
+		candidates = p.dd.FilterAnswersExcluding(candidates, exact)
 	}
 
-	type scored struct {
-		id      sqldb.RowID
-		score   float64
-		dropped int
-	}
 	// Bounded top-K selection: (score desc, id asc) is a total order,
 	// so the K retained answers are identical — IDs, scores and order —
 	// to fully sorting the pool and truncating, without the O(C log C)
 	// sort over a pool that for single-condition questions is the
 	// whole table.
-	sel := topk.New(want, func(a, b scored) bool {
-		if a.score != b.score {
-			return a.score > b.score
-		}
-		return a.id < b.id
-	})
+	sel := topk.New(want, rankedBefore)
 	// Every Eq. 5 term is at most 1 (TI_Sim, Feat_Sim and Num_Sim are
 	// clamped to [0,1]), so no candidate scores above the largest
 	// group's N. Candidates arrive in ascending RowID and ties break on
@@ -84,7 +68,6 @@ func (s *System) partialAnswers(dst []Answer, v sqldb.View, in *boolean.Interpre
 	}
 	top := sel.Sorted()
 	dst = slices.Grow(dst, len(top))
-	names := similarityNames(conds)
 	for _, sc := range top {
 		a := Answer{
 			ID:          sc.id,
@@ -95,9 +78,27 @@ func (s *System) partialAnswers(dst []Answer, v sqldb.View, in *boolean.Interpre
 		if sc.dropped >= 0 && sc.dropped < len(names) {
 			a.SimilarityUsed = names[sc.dropped]
 		}
-		dst = append(dst, a)
+		dst = append(dst, mk(a, demotion{}))
 	}
 	return dst
+}
+
+// scored is one candidate's Rank_Sim ranking.
+type scored struct {
+	id      sqldb.RowID
+	score   float64
+	dropped int
+}
+
+// rankedBefore orders ranked candidates by score descending, then id
+// ascending. It is a package-level function, not a literal inside the
+// generic partialAnswers, where a literal would capture the
+// instantiation's dictionary and allocate on every ask.
+func rankedBefore(a, b scored) bool {
+	if a.score != b.score {
+		return a.score > b.score
+	}
+	return a.id < b.id
 }
 
 // relaxScratch is the tally and dedup state of one relaxation sweep,
@@ -326,11 +327,11 @@ func dropSets(n, depth int) []map[int]bool {
 }
 
 // PartialCandidates exposes the N−1 relaxation candidate pool for an
-// interpretation in one domain, excluding the exact matches. The
-// ranking-comparison experiments (Fig. 5) hand this same pool to every
-// ranker so approaches differ only in ordering. The exact matches and
-// the pool come from one read view. The returned slice is the
-// caller's.
+// interpretation in one domain, excluding the exact matches of its
+// unlimited SELECT: the benchmark's stage trace times the relaxation
+// with it. (The Fig. 5 ranking comparison takes its rankers from
+// RankerForDomain.) The exact matches and the pool come from one read
+// view. The returned slice is the caller's.
 func (s *System) PartialCandidates(domain string, in *boolean.Interpretation) (pool []sqldb.RowID, err error) {
 	tbl, err := s.hostedTable(domain)
 	if err != nil {
@@ -350,7 +351,8 @@ func (s *System) PartialCandidates(domain string, in *boolean.Interpretation) (p
 }
 
 // similarityNames labels every condition once per ask, so that naming
-// the measure of each ranked answer allocates nothing per answer.
+// the measure of each ranked or demoted answer allocates nothing per
+// answer.
 func similarityNames(conds []boolean.Condition) []string {
 	names := make([]string, len(conds))
 	for i := range conds {

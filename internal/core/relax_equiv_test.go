@@ -252,7 +252,7 @@ func TestPartialAnswersEquivalence(t *testing.T) {
 			}
 			for _, want := range []int{1, 5, 30, 10000} {
 				var got []Answer
-				tbl.View(func(v sqldb.View) { got = sys.partialAnswers(nil, v, in, exact, want, sys.dedupFor("cars", v), nil) })
+				tbl.View(func(v sqldb.View) { got = partials(sys, v, in, exact, want, part{dd: sys.dedupFor("cars", v)}) })
 				ref := referencePartialAnswers(sys, tbl, in, exact, want)
 				if len(got) != len(ref) {
 					t.Fatalf("depth %d case %d want %d: %d answers, reference has %d",

@@ -21,24 +21,28 @@ import (
 // runs, demotion scores for exact answers that may lose the global
 // extreme, per-answer ranking state) — and MergeScatter (merge.go)
 // folds the parts into the byte-identical answer a monolith would have
-// produced.
+// produced. A scatter part and a monolith ask are computed by the same
+// function, answerIn (system.go); a ScatterAnswer's first six fields
+// are core.Answer's, and only the demotion ranking is its own.
 
-// ScatterAnswer is one answer inside a ScatterPart. The record payload
-// is generic: the partition side carries read-only row views
-// (sqldb.Row); the front tier, merging decoded JSON,
-// carries each record as the raw JSON object the partition encoded
-// (json.RawMessage) and never looks inside it.
+// ScatterAnswer is one answer inside a ScatterPart. Its first six
+// fields are core.Answer's, in wire order; the last three are the
+// demotion ranking. The record payload is generic: the partition side
+// carries read-only row views (sqldb.Row), core.Answer's Record; the
+// front tier, merging decoded JSON, carries each record as the raw
+// JSON object the partition encoded (json.RawMessage) and never looks
+// inside it.
 type ScatterAnswer[P any] struct {
-	// ID is the ad's RowID — the cluster-wide ad key.
+	// ID is core.Answer's ID, the ad's RowID — the cluster-wide ad key.
 	ID int64 `json:"id"`
-	// Exact reports a full match (see core.Answer).
+	// Exact is core.Answer's Exact: a full match.
 	Exact bool `json:"exact"`
-	// RankSim, DroppedCond and SimilarityUsed are the answer's ranking
-	// state, exactly as core.Answer carries them.
+	// RankSim, DroppedCond and SimilarityUsed are core.Answer's
+	// ranking state.
 	RankSim        float64 `json:"rank_sim"`
 	DroppedCond    int     `json:"dropped_cond"`
 	SimilarityUsed string  `json:"similarity_used,omitempty"`
-	// Record is the ad's column → value payload.
+	// Record is core.Answer's Record, the ad's column → value payload.
 	Record P `json:"record"`
 	// DemoteRankSim/DemoteDropped/DemoteSimilarityUsed are the ranking
 	// an exact answer of a superlative question falls back to when the
@@ -100,117 +104,30 @@ func (s *System) AskInDomainScatter(domain, question string, req partition.Slice
 	if err := req.Validate(); err != nil {
 		return nil, err
 	}
-	tagger := s.taggers[domain]
-	sch := tbl.Schema()
-
-	tags := tagger.Tag(question)
-	in := s.interpretFor(sch, tags)
-
+	_, in, sel := s.understand(domain, tbl.Schema(), question)
 	out := &ScatterResult{
 		Domain:         domain,
 		Interpretation: in.String(),
 		MaxAnswers:     s.maxAnswers,
 		Answers:        []ScatterAnswer[sqldb.Row]{},
 	}
-	if in.Empty || in.ConditionCount() == 0 && in.Superlative == nil {
+	if sel == nil {
 		// Contradiction or nothing recognized: every partition returns
 		// the same empty part.
 		return out, nil
 	}
-
-	var keep func(sqldb.RowID) bool
+	p := part{merged: true}
 	if !s.slice.Load().SubsetOf(req) {
-		keep = func(id sqldb.RowID) bool { return req.ContainsKey(uint64(id)) }
+		p.keep = func(id sqldb.RowID) bool { return req.ContainsKey(uint64(id)) }
 	}
-
-	sel := BuildSelect(sch, in, s.maxAnswers)
 	out.SQL = sel.SQL()
-	conds := in.AllConditions()
-	out.PartialsEligible = len(conds) > 0
-	sim := s.sims[domain]
-	exactScore := float64(maxGroupLen(in))
-
-	// Every stage below reads one view of the partition's table, so no
-	// write lands between the exact answers and the partial pool.
+	out.PartialsEligible = in.ConditionCount() > 0
+	if in.Superlative != nil {
+		out.Superlative = true
+		out.Desc = in.Superlative.Descending
+	}
 	tbl.View(func(v sqldb.View) {
-		var exactIDs []sqldb.RowID
-		if in.Superlative != nil {
-			out.Superlative = true
-			out.Desc = in.Superlative.Descending
-			exactIDs, out.Extreme, out.HasExtreme, err = s.superlativeRun(v, sel, keep, 0)
-		} else if keep == nil {
-			exactIDs, err = s.execSelect(v, sel)
-		} else {
-			// The statement's LIMIT applies before the slice filter, so
-			// run unlimited, filter, then re-apply the cap.
-			unlimited := *sel
-			unlimited.Limit = 0
-			var ids []sqldb.RowID
-			ids, err = s.execSelect(v, &unlimited)
-			for _, id := range ids {
-				if keep(id) {
-					exactIDs = append(exactIDs, id)
-					if len(exactIDs) == s.maxAnswers {
-						break
-					}
-				}
-			}
-		}
-		if err != nil {
-			return
-		}
-
-		// Partial pool: superlative parts always report a full MaxAnswers
-		// of partials — demotion can shrink the global exact set below the
-		// local one, so the local want cannot be derived from local exacts.
-		// Non-superlative parts report MaxAnswers − localExacts: the global
-		// exact count is at least the local one, so the global want never
-		// exceeds it.
-		want := s.maxAnswers
-		if in.Superlative == nil {
-			want = s.maxAnswers - len(exactIDs)
-		}
-		n := len(exactIDs)
-		if out.PartialsEligible && want > 0 {
-			n += want
-		}
-		out.Answers = make([]ScatterAnswer[sqldb.Row], 0, n)
-		var names []string
-		if out.Superlative && out.PartialsEligible {
-			names = similarityNames(conds)
-		}
-		for _, id := range exactIDs {
-			a := ScatterAnswer[sqldb.Row]{
-				ID:          int64(id),
-				Exact:       true,
-				RankSim:     exactScore,
-				DroppedCond: -1,
-				Record:      v.Row(id),
-			}
-			if out.Superlative && out.PartialsEligible {
-				// The merge may find a better extreme elsewhere and demote
-				// this whole run into the partial pool; score it now, while
-				// the row is at hand.
-				a.DemoteRankSim, a.DemoteDropped = sim.RowRankSim(a.Record, in.Groups)
-				if a.DemoteDropped >= 0 && a.DemoteDropped < len(names) {
-					a.DemoteSimilarityUsed = names[a.DemoteDropped]
-				}
-			}
-			out.Answers = append(out.Answers, a)
-		}
-		out.ExactCount = len(out.Answers)
-
-		if out.PartialsEligible && want > 0 {
-			for _, a := range s.partialAnswers(nil, v, in, exactIDs, want, nil, keep) {
-				out.Answers = append(out.Answers, ScatterAnswer[sqldb.Row]{
-					ID:             int64(a.ID),
-					RankSim:        a.RankSim,
-					DroppedCond:    a.DroppedCond,
-					SimilarityUsed: a.SimilarityUsed,
-					Record:         a.Record,
-				})
-			}
-		}
+		out.Answers, out.ExactCount, out.Extreme, out.HasExtreme, err = answerIn(s, v, sel, in, p, asScatterAnswer)
 	})
 	if err != nil {
 		return nil, fmt.Errorf("core: executing %q: %w", out.SQL, err)
@@ -218,9 +135,24 @@ func (s *System) AskInDomainScatter(domain, question string, req partition.Slice
 	return out, nil
 }
 
+// asScatterAnswer is answerIn's answer constructor for a scatter part:
+// core.Answer's six fields and the demotion ranking.
+func asScatterAnswer(a Answer, d demotion) ScatterAnswer[sqldb.Row] {
+	return ScatterAnswer[sqldb.Row]{
+		ID:                   int64(a.ID),
+		Exact:                a.Exact,
+		RankSim:              a.RankSim,
+		DroppedCond:          a.DroppedCond,
+		SimilarityUsed:       a.SimilarityUsed,
+		Record:               a.Record,
+		DemoteRankSim:        d.rankSim,
+		DemoteDropped:        d.dropped,
+		DemoteSimilarityUsed: d.similarityUsed,
+	}
+}
+
 // interpretFor runs the tagging output through the configured
-// interpreter and incomplete-question resolution — the shared front of
-// AskInDomain and AskInDomainScatter.
+// interpreter and incomplete-question resolution, for understand.
 func (s *System) interpretFor(sch *schema.Schema, tags []trie.Tag) *boolean.Interpretation {
 	var in *boolean.Interpretation
 	if s.strict {

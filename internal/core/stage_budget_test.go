@@ -80,12 +80,9 @@ func TestStageAllocBudgets(t *testing.T) {
 			continue
 		}
 		tbl.View(func(v sqldb.View) {
-			p.exact, err = sys.execWithSuperlative(v, BuildSelect(v.Schema(), p.in, sys.maxAnswers), p.in)
+			p.exact = exactIDs(t, sys, v, BuildSelect(v.Schema(), p.in, sys.maxAnswers), p.in, part{})
 			p.pool = append([]sqldb.RowID(nil), sys.candidatePool(v, p.in, p.exact, new(relaxScratch))...)
 		})
-		if err != nil {
-			t.Fatal(err)
-		}
 		if len(p.exact) < sys.maxAnswers {
 			relaxing = append(relaxing, p)
 		}

@@ -19,6 +19,7 @@ import (
 	"repro/internal/partition"
 	"repro/internal/qlog"
 	"repro/internal/rank"
+	"repro/internal/schema"
 	"repro/internal/sql"
 	"repro/internal/sql/plan"
 	"repro/internal/sqldb"
@@ -421,69 +422,167 @@ func ClassifyQuestion(c classify.Classifier, question string) (string, error) {
 // AskInDomain answers a question against one ads domain, running the
 // full pipeline: tagging → interpretation → incomplete-question
 // resolution → SQL → exact answers → ranked partial answers. Every
-// stage from the exact answers on reads one read view of the table,
-// so no write lands between them.
+// stage from the exact answers on runs in answerIn, in one read view
+// of the table, so no write lands between them.
 func (s *System) AskInDomain(domain, question string) (*Result, error) {
 	start := time.Now() //lint:cqads-ignore wallclock Elapsed is reporting metadata; answer content never depends on it
 	tbl, err := s.hostedTable(domain)
 	if err != nil {
 		return nil, err
 	}
-	tagger := s.taggers[domain]
-	sch := tbl.Schema()
-
-	tags := tagger.Tag(question)
-	in := s.interpretFor(sch, tags)
-
+	tags, in, sel := s.understand(domain, tbl.Schema(), question)
 	res := &Result{
 		Question:       question,
 		Domain:         domain,
 		Tags:           tags,
 		Interpretation: in,
 	}
-	if in.Empty || in.ConditionCount() == 0 && in.Superlative == nil {
-		// Contradiction (Rule 1c) or nothing recognized: no results.
-		res.Elapsed = time.Since(start) //lint:cqads-ignore wallclock Elapsed is reporting metadata; answer content never depends on it
-		return res, nil
-	}
-
-	sel := BuildSelect(sch, in, s.maxAnswers)
-	res.SQL = sel.SQL()
-	tbl.View(func(v sqldb.View) {
-		var exactIDs []sqldb.RowID
-		if exactIDs, err = s.execWithSuperlative(v, sel, in); err != nil {
-			return
+	if sel != nil {
+		res.SQL = sel.SQL()
+		tbl.View(func(v sqldb.View) {
+			res.Answers, res.ExactCount, _, _, err = answerIn(s, v, sel, in, part{dd: s.dedupFor(domain, v)}, asAnswer)
+		})
+		if err != nil {
+			return nil, fmt.Errorf("core: executing %q: %w", res.SQL, err)
 		}
-		dd := s.dedupFor(domain, v)
-		if dd != nil {
-			exactIDs = dd.FilterAnswers(exactIDs)
-		}
-		// One allocation holds every answer: the exact ones, then room
-		// for the ranked partials when the question has conditions to
-		// relax.
-		n := len(exactIDs)
-		if n < s.maxAnswers && in.ConditionCount() > 0 {
-			n = s.maxAnswers
-		}
-		res.Answers = make([]Answer, 0, n)
-		exactScore := float64(maxGroupLen(in))
-		for _, id := range exactIDs {
-			res.Answers = append(res.Answers, Answer{
-				ID:          id,
-				Record:      v.Row(id),
-				Exact:       true,
-				RankSim:     exactScore,
-				DroppedCond: -1,
-			})
-		}
-		res.ExactCount = len(res.Answers)
-		res.Answers = s.partialAnswers(res.Answers, v, in, exactIDs, s.maxAnswers-res.ExactCount, dd, nil)
-	})
-	if err != nil {
-		return nil, fmt.Errorf("core: executing %q: %w", res.SQL, err)
 	}
 	res.Elapsed = time.Since(start) //lint:cqads-ignore wallclock Elapsed is reporting metadata; answer content never depends on it
 	return res, nil
+}
+
+// understand runs the front of an ask in domain: tagging,
+// interpretation and incomplete-question resolution, then the SQL. sel
+// is nil when there is nothing to answer: a contradiction (Rule 1c) or
+// nothing recognized.
+func (s *System) understand(domain string, sch *schema.Schema, question string) (tags []trie.Tag, in *boolean.Interpretation, sel *sql.Select) {
+	tags = s.taggers[domain].Tag(question)
+	in = s.interpretFor(sch, tags)
+	if in.Empty || in.ConditionCount() == 0 && in.Superlative == nil {
+		return tags, in, nil
+	}
+	return tags, in, BuildSelect(sch, in, s.maxAnswers)
+}
+
+// part describes whom an ask's answers are for. The zero part is a
+// monolith's whole answer.
+type part struct {
+	// keep is the hash-slice filter of a scatter leg: only rows it
+	// accepts are answers. nil accepts every row.
+	keep func(sqldb.RowID) bool
+	// merged reports that the answers are one part of a scatter merge,
+	// which alone knows the global extreme and the global exact count:
+	// a superlative's extreme run is uncapped and its exact answers
+	// carry their demotion ranking, and a superlative part ranks a full
+	// MaxAnswers of partials.
+	merged bool
+	// dd holds the near-duplicate representatives when Dedup is on.
+	// Only a monolith dedups: New refuses Dedup with partitions.
+	dd *dedup.Result
+}
+
+// demotion is the ranking an exact answer of a merged superlative part
+// falls back to when the merge finds a better extreme on another part
+// (ScatterAnswer's Demote fields); every other answer's is the zero
+// demotion.
+type demotion struct {
+	rankSim        float64
+	dropped        int
+	similarityUsed string
+}
+
+// asAnswer is answerIn's answer constructor for a monolith ask: the
+// answer itself.
+func asAnswer(a Answer, _ demotion) Answer { return a }
+
+// answerIn runs every stage of an ask that reads the table, in v, the
+// ask's one view: the exact answers of sel with superlative semantics
+// (Sec. 4.3: a superlative is evaluated last, on the records the other
+// criteria retrieve, and only records achieving its extreme are exact
+// answers), dedup, then the ranked partial answers (Sec. 4.3.1). Each
+// answer is built by mk into one slice, exact answers first. It
+// returns the answers, the number of exact ones, and a superlative's
+// extreme and whether any row had one. A merged superlative part's
+// extreme run is uncapped; every other exact set is capped at
+// MaxAnswers in RowID order.
+func answerIn[A any](s *System, v sqldb.View, sel *sql.Select, in *boolean.Interpretation, p part, mk func(Answer, demotion) A) (answers []A, exact int, extreme float64, hasExtreme bool, err error) {
+	rs := relaxPool.Get().(*relaxScratch)
+	defer relaxPool.Put(rs)
+	plan, err := s.plans.Get(s.db, v.Schema().Domain, sel)
+	if err != nil {
+		return nil, 0, 0, false, err
+	}
+	var ids []sqldb.RowID
+	switch {
+	case in.Superlative != nil:
+		// The statement's cached plan is that of its own ORDER BY shape,
+		// whose ORDER BY is the superlative (BuildSelect), but only the
+		// WHERE runs: the extreme run needs no sort, and only the run is
+		// copied out of the executor.
+		limit := s.maxAnswers
+		if p.merged {
+			limit = 0
+		}
+		ids, extreme, hasExtreme, err = plan.ExtremeRun(v, sel, p.keep, limit)
+	case p.keep == nil:
+		ids, err = plan.RunView(v, sel)
+	default:
+		// The statement's LIMIT applies before the slice filter, so
+		// run unlimited, filter, then re-apply the cap.
+		unlimited := *sel
+		unlimited.Limit = 0
+		var all []sqldb.RowID
+		all, err = plan.RunView(v, &unlimited)
+		for _, id := range all {
+			if p.keep(id) {
+				ids = append(ids, id)
+				if len(ids) == s.maxAnswers {
+					break
+				}
+			}
+		}
+	}
+	if err != nil {
+		return nil, 0, 0, false, err
+	}
+	if p.dd != nil {
+		ids = p.dd.FilterAnswers(ids)
+	}
+
+	// A superlative part ranks a full MaxAnswers of partials: demotion
+	// can shrink the global exact set below the local one, so its want
+	// cannot be derived from local exacts. Otherwise the global exact
+	// count is at least the local one, so the global want never exceeds
+	// MaxAnswers − local exacts. A question without conditions has
+	// nothing to relax.
+	demote := p.merged && in.Superlative != nil
+	want := s.maxAnswers - len(ids)
+	if demote {
+		want = s.maxAnswers
+	}
+	var names []string
+	if in.ConditionCount() == 0 {
+		want, demote = 0, false
+	} else if want > 0 || demote && len(ids) > 0 {
+		names = similarityNames(in.AllConditions())
+	}
+	answers = make([]A, 0, len(ids)+max(want, 0))
+	sim := s.sims[v.Schema().Domain]
+	exactScore := float64(maxGroupLen(in))
+	for _, id := range ids {
+		a := Answer{ID: id, Record: v.Row(id), Exact: true, RankSim: exactScore, DroppedCond: -1}
+		var d demotion
+		if demote {
+			// The merge may find a better extreme elsewhere and demote
+			// this whole run into the partial pool; score it now, while
+			// the row is at hand.
+			d.rankSim, d.dropped = sim.RowRankSim(a.Record, in.Groups)
+			if d.dropped >= 0 && d.dropped < len(names) {
+				d.similarityUsed = names[d.dropped]
+			}
+		}
+		answers = append(answers, mk(a, d))
+	}
+	return partialAnswers(s, answers, v, in, ids, want, p, names, rs, mk), len(ids), extreme, hasExtreme, nil
 }
 
 // execSelect runs a generated SELECT in v through the plan cache: the
@@ -544,36 +643,6 @@ func (s *System) Explain(res *Result) (plan string, cached bool, err error) {
 		plan += fmt.Sprintf("  limit %d (answer cutoff)\n", sel.Limit)
 	}
 	return plan, cached, nil
-}
-
-// execWithSuperlative runs the generated SQL through the plan cache,
-// then applies superlative semantics: only records achieving the
-// extreme value of the superlative attribute within the filtered set
-// are exact answers (Sec. 4.3: superlatives are evaluated last, on
-// the records retrieved by the other criteria), at most MaxAnswers of
-// them in RowID order.
-func (s *System) execWithSuperlative(v sqldb.View, sel *sql.Select, in *boolean.Interpretation) ([]sqldb.RowID, error) {
-	if in.Superlative == nil {
-		return s.execSelect(v, sel)
-	}
-	run, _, _, err := s.superlativeRun(v, sel, nil, s.maxAnswers)
-	return run, err
-}
-
-// superlativeRun evaluates a superlative question's extreme run: the
-// WHERE's matches, filtered to keep (when non-nil), reduced to the
-// rows whose numeric superlative value is the extreme, in RowID order
-// and capped at limit (0 = uncapped). It also returns the extreme and
-// whether any row had a numeric value. The statement still resolves
-// to the cached plan of its own ORDER BY shape, whose ORDER BY is the
-// superlative (BuildSelect), but only the WHERE runs: the extreme run
-// needs no sort, and only the run is copied out of the executor.
-func (s *System) superlativeRun(v sqldb.View, sel *sql.Select, keep func(sqldb.RowID) bool, limit int) ([]sqldb.RowID, float64, bool, error) {
-	p, err := s.plans.Get(s.db, v.Schema().Domain, sel)
-	if err != nil {
-		return nil, 0, false, err
-	}
-	return p.ExtremeRun(v, sel, keep, limit)
 }
 
 // questionTokens prepares a question for the classifier.
