@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/adsgen"
+	"repro/internal/partition"
 	"repro/internal/qlog"
 	"repro/internal/questions"
 	"repro/internal/schema"
@@ -130,7 +131,8 @@ func TestRetainedHeapBudget(t *testing.T) {
 // answers and must make the same number of allocations. The asks are
 // those whose path the cap does not change: all exact under both caps,
 // or no exact answer under either (the relaxation runs under both and
-// ranks more answers under the larger cap). Pool refills after a
+// ranks more answers under the larger cap). Both a monolith ask and a
+// scatter part over the whole slice are measured. Pool refills after a
 // collection can move a total by an allocation or two, so the bound is
 // 0.01 allocations per answer: one allocation per answer reads as 1.
 func TestAnswerAssemblyAllocatesNothingPerAnswer(t *testing.T) {
@@ -159,32 +161,53 @@ func TestAnswerAssemblyAllocatesNothingPerAnswer(t *testing.T) {
 			qs = append(qs, dq)
 		}
 	}
-	measure := func(sys *System) (allocs float64, answers int) {
-		askAll := func() {
-			answers = 0
-			for _, dq := range qs {
-				res, err := sys.AskInDomain(dq.domain, dq.q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				answers += len(res.Answers)
+	asks := []struct {
+		name string
+		ask  func(sys *System, dq domainQuestion) (answers int, err error)
+	}{
+		{"AskInDomain", func(sys *System, dq domainQuestion) (int, error) {
+			res, err := sys.AskInDomain(dq.domain, dq.q)
+			if err != nil {
+				return 0, err
 			}
-		}
-		return testing.AllocsPerRun(10, askAll), answers
+			return len(res.Answers), nil
+		}},
+		{"AskInDomainScatter over the whole slice", func(sys *System, dq domainQuestion) (int, error) {
+			res, err := sys.AskInDomainScatter(dq.domain, dq.q, partition.Whole())
+			if err != nil {
+				return 0, err
+			}
+			return len(res.Answers), nil
+		}},
 	}
 	// One P throughout, as AllocsPerRun does, so every ask draws on
 	// the same per-P pool shard.
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
-	fewAllocs, fewAnswers := measure(capped)
-	manyAllocs, manyAnswers := measure(full)
-	if manyAnswers <= fewAnswers {
-		t.Fatalf("%d asks gave %d answers under MaxAnswers %d and %d under %d: the workload does not vary the answer count",
-			len(qs), manyAnswers, DefaultMaxAnswers, fewAnswers, few)
-	}
-	perAnswer := (manyAllocs - fewAllocs) / float64(manyAnswers-fewAnswers)
-	t.Logf("%d asks: %.0f allocations for %d answers, %.0f for %d: %.3f allocations per extra answer",
-		len(qs), fewAllocs, fewAnswers, manyAllocs, manyAnswers, perAnswer)
-	if perAnswer > 0.01 {
-		t.Errorf("%.3f allocations per extra answer, want 0", perAnswer)
+	for _, a := range asks {
+		measure := func(sys *System) (allocs float64, answers int) {
+			askAll := func() {
+				answers = 0
+				for _, dq := range qs {
+					n, err := a.ask(sys, dq)
+					if err != nil {
+						t.Fatal(err)
+					}
+					answers += n
+				}
+			}
+			return testing.AllocsPerRun(10, askAll), answers
+		}
+		fewAllocs, fewAnswers := measure(capped)
+		manyAllocs, manyAnswers := measure(full)
+		if manyAnswers <= fewAnswers {
+			t.Fatalf("%s: %d asks gave %d answers under MaxAnswers %d and %d under %d: the workload does not vary the answer count",
+				a.name, len(qs), manyAnswers, DefaultMaxAnswers, fewAnswers, few)
+		}
+		perAnswer := (manyAllocs - fewAllocs) / float64(manyAnswers-fewAnswers)
+		t.Logf("%s, %d asks: %.0f allocations for %d answers, %.0f for %d: %.3f allocations per extra answer",
+			a.name, len(qs), fewAllocs, fewAnswers, manyAllocs, manyAnswers, perAnswer)
+		if perAnswer > 0.01 {
+			t.Errorf("%s: %.3f allocations per extra answer, want 0", a.name, perAnswer)
+		}
 	}
 }

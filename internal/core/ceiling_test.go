@@ -121,10 +121,11 @@ func exactIDs(t *testing.T, s *System, v sqldb.View, sel *sql.Select, in *boolea
 	return ids
 }
 
-// partials runs partialAnswers as answerIn does, over a scratch of its
-// own.
+// partials runs partialAnswers as answerIn does, over a candidate pool
+// taken in a scratch of its own.
 func partials(s *System, v sqldb.View, in *boolean.Interpretation, exact []sqldb.RowID, want int, p part) []Answer {
-	return partialAnswers(s, nil, v, in, exact, want, p, similarityNames(in.AllConditions()), new(relaxScratch), asAnswer)
+	pool := s.candidatePool(v, in, exact, new(relaxScratch))
+	return partialAnswers(s, nil, v, in, pool, exact, want, p, similarityNames(in.AllConditions()), asAnswer)
 }
 
 // samePartials compares IDs, RankSim bits, dropped condition,

@@ -19,8 +19,9 @@ import (
 //     extreme (min ascending, max descending); only parts AT that
 //     extreme contribute exact answers, and every exact answer of a
 //     part that lost the extreme race is demoted into the partial pool
-//     with its precomputed demotion ranking — the monolith would have
-//     ranked those very rows as partial matches.
+//     with its precomputed demotion ranking when the relaxation admits
+//     it (DemoteDropped ≥ 0) — the monolith would have ranked those
+//     very rows as partial matches, and no others.
 //   - Partial answers re-rank through the same bounded top-K selector
 //     the partitions used, under the same total order (Rank_Sim
 //     descending, ad key ascending), so ties break identically.
@@ -76,10 +77,11 @@ func MergeScatter[P any](parts []*ScatterPart[P]) (*ScatterPart[P], error) {
 					pool = append(pool, a)
 				case atExtreme:
 					exacts = append(exacts, a)
-				case out.PartialsEligible:
-					// Demotion: this row matched every condition but its
-					// partition lost the extreme race. The monolith would
-					// have ranked it as a partial match; the partition
+				case out.PartialsEligible && a.DemoteDropped >= 0:
+					// Demotion: this row matched every condition of a
+					// group but its partition lost the extreme race. The
+					// relaxation admits it, so the monolith would have
+					// ranked it as a partial match; the partition
 					// precomputed that ranking.
 					d := a
 					d.Exact = false

@@ -17,20 +17,20 @@ import (
 // partialAnswers implements the N−1 strategy of Sec. 4.3.1 for
 // answerIn: each condition is dropped in turn, the relaxed queries are
 // evaluated, and the union of their results (minus exact answers) is
-// ranked by Rank_Sim (Eq. 5). Questions with a single condition fall
-// back to similarity matching over the whole table. RelaxationDepth > 1
-// additionally drops pairs (the N−2 sweep the paper discusses). p's
-// keep restricts the candidate pool to a scatter leg's hash slice, and
-// its dd to near-duplicate representatives. Every stage reads the
-// table through v, the ask's one view, and tallies in rs, the ask's
-// scratch. names labels in's conditions (similarityNames). The want
-// best answers, built by mk, are appended to dst, grown at most once.
-func partialAnswers[A any](s *System, dst []A, v sqldb.View, in *boolean.Interpretation, exact []sqldb.RowID, want int, p part, names []string, rs *relaxScratch, mk func(Answer, demotion) A) []A {
-	if want <= 0 || in.ConditionCount() == 0 {
+// ranked by Rank_Sim (Eq. 5). candidates is that union, ascending, as
+// candidatePool returns it: questions with a single condition fall
+// back to similarity matching over the whole table, and
+// RelaxationDepth > 1 additionally drops pairs (the N−2 sweep the paper
+// discusses). p's keep restricts the candidates to a scatter leg's hash
+// slice, and its dd to near-duplicate representatives other than the
+// exact answers. Every row is read through v, the ask's one view.
+// names labels in's conditions (similarityNames). The want best
+// answers, built by mk, are appended to dst, grown at most once.
+func partialAnswers[A any](s *System, dst []A, v sqldb.View, in *boolean.Interpretation, candidates, exact []sqldb.RowID, want int, p part, names []string, mk func(Answer, demotion) A) []A {
+	if want <= 0 {
 		return dst
 	}
 	sim := s.sims[v.Schema().Domain]
-	candidates := s.candidatePool(v, in, exact, rs)
 	if p.keep != nil {
 		kept := candidates[:0]
 		for _, id := range candidates {

@@ -16,6 +16,7 @@ import (
 	"repro/cqads"
 	"repro/internal/core"
 	"repro/internal/partition"
+	"repro/internal/schema"
 	"repro/internal/shard/shardtest"
 	"repro/internal/sqldb"
 )
@@ -148,45 +149,51 @@ func TestHashPartitionEquivalence(t *testing.T) {
 // node asked for a narrower slice than it hosts (a rebalance source
 // during cutover) must answer from that slice's rows only, the
 // superlative's extreme run included. Scattering the monolith over
-// every 2- and 4-way slice and merging must give AskInDomain's answer
-// on every cars question of the workload.
+// the whole slice (one part: AskInDomainScatter must agree with
+// AskInDomain) and over every 2- and 4-way slice, then merging, must
+// give AskInDomain's answer on every workload question, each asked in
+// the domain the classifier routes it to.
 func TestMonolithScatterOverSubSlices(t *testing.T) {
 	opts := shardtest.Options(equivAds)
 	mono := shardtest.OpenMonolith(t, opts)
 	qc := shardtest.NewClassifier(t, opts)
 	superlative, plain := 0, 0
+	domains := map[string]bool{}
 	for _, q := range shardtest.Workload(t, opts, mono) {
-		if d, err := qc.ClassifyQuestion(q); err != nil || d != "cars" {
-			continue
-		}
-		want, err := mono.AskInDomain("cars", q)
+		d, err := qc.ClassifyQuestion(q)
 		if err != nil {
-			t.Fatalf("monolith: %q: %v", q, err)
+			t.Fatalf("classifying %q: %v", q, err)
+		}
+		domains[d] = true
+		want, err := mono.AskInDomain(d, q)
+		if err != nil {
+			t.Fatalf("monolith: %s %q: %v", d, q, err)
 		}
 		if want.Interpretation.Superlative != nil {
 			superlative++
 		} else {
 			plain++
 		}
-		for _, count := range []uint32{2, 4} {
+		for _, count := range []uint32{1, 2, 4} {
 			parts := make([]*core.ScatterResult, count)
 			for i := range count {
-				if parts[i], err = mono.AskInDomainScatter("cars", q, partition.Slice{Index: i, Count: count}); err != nil {
-					t.Fatalf("%q over h%d/%d: %v", q, i, count, err)
+				if parts[i], err = mono.AskInDomainScatter(d, q, partition.Slice{Index: i, Count: count}); err != nil {
+					t.Fatalf("%s %q over h%d/%d: %v", d, q, i, count, err)
 				}
 			}
 			merged, err := core.MergeScatter(parts)
 			if err != nil {
-				t.Fatalf("%d-way merge: %q: %v", count, q, err)
+				t.Fatalf("%d-way merge: %s %q: %v", count, d, q, err)
 			}
 			if got, wantKey := scatterKey(t, merged), resultKey(t, want); got != wantKey {
-				t.Fatalf("%d-way sub-slices of the monolith: answer diverges on %q\n got: %s\nwant: %s", count, q, got, wantKey)
+				t.Fatalf("%d-way sub-slices of the monolith: answer diverges on %s %q\n got: %s\nwant: %s", count, d, q, got, wantKey)
 			}
 		}
 	}
-	t.Logf("%d superlative and %d other cars questions", superlative, plain)
-	if superlative == 0 || plain == 0 {
-		t.Fatalf("the workload has %d superlative and %d other cars questions; both kinds are needed", superlative, plain)
+	t.Logf("%d superlative and %d other questions in %d domains", superlative, plain, len(domains))
+	if superlative == 0 || plain == 0 || len(domains) != len(schema.DomainNames) {
+		t.Fatalf("the workload has %d superlative and %d other questions in %d domains; both kinds in all %d domains are needed",
+			superlative, plain, len(domains), len(schema.DomainNames))
 	}
 }
 

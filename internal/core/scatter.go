@@ -51,6 +51,10 @@ type ScatterAnswer[P any] struct {
 	// it re-enters the partial pool with exactly the Rank_Sim score the
 	// monolith would have given it. Only populated on exact answers of
 	// superlative scatter parts with at least one condition.
+	// DemoteDropped is -1 on an exact answer that the relaxation does
+	// not admit (it fully matches only single-condition OR groups and
+	// nearly matches no other group): the monolith would not rank it,
+	// so the merge drops it instead.
 	DemoteRankSim        float64 `json:"demote_rank_sim,omitempty"`
 	DemoteDropped        int     `json:"demote_dropped,omitempty"`
 	DemoteSimilarityUsed string  `json:"demote_similarity_used,omitempty"`

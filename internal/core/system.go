@@ -482,7 +482,8 @@ type part struct {
 
 // demotion is the ranking an exact answer of a merged superlative part
 // falls back to when the merge finds a better extreme on another part
-// (ScatterAnswer's Demote fields); every other answer's is the zero
+// (ScatterAnswer's Demote fields), with dropped -1 when the relaxation
+// does not admit the answer; every other answer's is the zero
 // demotion.
 type demotion struct {
 	rankSim        float64
@@ -562,27 +563,50 @@ func answerIn[A any](s *System, v sqldb.View, sel *sql.Select, in *boolean.Inter
 	var names []string
 	if in.ConditionCount() == 0 {
 		want, demote = 0, false
-	} else if want > 0 || demote && len(ids) > 0 {
+	} else if want > 0 {
 		names = similarityNames(in.AllConditions())
+	}
+	// The merge demotes an exact answer into the partial pool, which the
+	// monolith's pool must hold too: only the exact answers the
+	// relaxation admits are demotable. So a merged superlative part
+	// takes the pool with its exact answers in and splits them out.
+	var pool []sqldb.RowID
+	if demote {
+		pool = s.candidatePool(v, in, nil, rs)
+	} else if want > 0 {
+		pool = s.candidatePool(v, in, ids, rs)
 	}
 	answers = make([]A, 0, len(ids)+max(want, 0))
 	sim := s.sims[v.Schema().Domain]
 	exactScore := float64(maxGroupLen(in))
+	j, rest := 0, pool[:0]
 	for _, id := range ids {
 		a := Answer{ID: id, Record: v.Row(id), Exact: true, RankSim: exactScore, DroppedCond: -1}
 		var d demotion
 		if demote {
-			// The merge may find a better extreme elsewhere and demote
-			// this whole run into the partial pool; score it now, while
-			// the row is at hand.
-			d.rankSim, d.dropped = sim.RowRankSim(a.Record, in.Groups)
-			if d.dropped >= 0 && d.dropped < len(names) {
-				d.similarityUsed = names[d.dropped]
+			for j < len(pool) && pool[j] < id {
+				rest = append(rest, pool[j])
+				j++
+			}
+			if j < len(pool) && pool[j] == id {
+				// The merge may find a better extreme elsewhere and
+				// demote this answer; score it now, while the row is at
+				// hand.
+				j++
+				d.rankSim, d.dropped = sim.RowRankSim(a.Record, in.Groups)
+				if d.dropped >= 0 && d.dropped < len(names) {
+					d.similarityUsed = names[d.dropped]
+				}
+			} else {
+				d.dropped = -1
 			}
 		}
 		answers = append(answers, mk(a, d))
 	}
-	return partialAnswers(s, answers, v, in, ids, want, p, names, rs, mk), len(ids), extreme, hasExtreme, nil
+	if demote {
+		pool = append(rest, pool[j:]...)
+	}
+	return partialAnswers(s, answers, v, in, pool, ids, want, p, names, mk), len(ids), extreme, hasExtreme, nil
 }
 
 // execSelect runs a generated SELECT in v through the plan cache: the
