@@ -1,9 +1,10 @@
-// Command cqadslint is the project's static-analysis suite: five
+// Command cqadslint is the project's static-analysis suite: six
 // analyzers that mechanically enforce the invariants the paper's
 // guarantees rest on — deterministic iteration (detorder), no wall
 // clock in scored paths (wallclock), annotated lock discipline
-// (locksafe), typed error contracts (typederr), and WAL/snapshot
-// durability ordering (fsyncorder).
+// (locksafe), typed error contracts (typederr), WAL/snapshot
+// durability ordering (fsyncorder), and work counts read only by
+// tests (workcount).
 //
 // It runs two ways:
 //
@@ -42,6 +43,7 @@ import (
 	"repro/internal/analysis/locksafe"
 	"repro/internal/analysis/typederr"
 	"repro/internal/analysis/wallclock"
+	"repro/internal/analysis/workcount"
 )
 
 var suite = []*analysis.Analyzer{
@@ -50,6 +52,7 @@ var suite = []*analysis.Analyzer{
 	locksafe.Analyzer,
 	typederr.Analyzer,
 	fsyncorder.Analyzer,
+	workcount.Analyzer,
 }
 
 func main() {

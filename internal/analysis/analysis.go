@@ -24,7 +24,7 @@
 // would port verbatim.
 //
 // The analyzers themselves live in subpackages (detorder, wallclock,
-// locksafe, typederr, fsyncorder) and are assembled into a vet-style
+// locksafe, typederr, fsyncorder, workcount) and are assembled into a vet-style
 // multichecker by cmd/cqadslint.
 package analysis
 

@@ -483,7 +483,8 @@ func writeTargets(body *ast.BlockStmt) map[ast.Expr]bool {
 }
 
 // viewed returns T when t (or *t) is V, a read view of T: a struct
-// whose one field points to T, where *T has a method View(func(V)).
+// whose first field points to T, where *T has a method View(func(V)).
+// Fields after the first carry per-view state, such as a counter.
 // Otherwise it returns nil.
 func viewed(t types.Type) *types.Named {
 	v := namedOf(t)
@@ -491,7 +492,7 @@ func viewed(t types.Type) *types.Named {
 		return nil
 	}
 	st, ok := v.Underlying().(*types.Struct)
-	if !ok || st.NumFields() != 1 || namedOf(st.Field(0).Type()) == nil {
+	if !ok || st.NumFields() == 0 || namedOf(st.Field(0).Type()) == nil {
 		return nil
 	}
 	target := namedOf(st.Field(0).Type())

@@ -3,18 +3,22 @@ package a
 import "sync"
 
 // Store hands out read views: View holds mu for its callback, and
-// Snapshot's methods read the guarded fields without locking.
+// Snapshot's methods read the guarded fields without locking. A view
+// may carry state of its own after the field that points to Store.
 type Store struct {
 	mu   sync.RWMutex
 	rows []int // cqads:guarded-by mu
 }
 
-type Snapshot struct{ s *Store }
+type Snapshot struct {
+	s     *Store
+	reads *int
+}
 
 func (s *Store) View(fn func(Snapshot)) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	fn(Snapshot{s})
+	fn(Snapshot{s: s})
 }
 
 func (s *Store) Len() (n int) {

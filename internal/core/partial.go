@@ -12,6 +12,7 @@ import (
 	"repro/internal/sqldb"
 	"repro/internal/text"
 	"repro/internal/topk"
+	"repro/internal/work"
 )
 
 // partialAnswers implements the N−1 strategy of Sec. 4.3.1 for
@@ -57,7 +58,9 @@ func partialAnswers[A any](s *System, dst []A, v sqldb.View, in *boolean.Interpr
 	// scores N, no later candidate can enter: scoring stops there. For
 	// a superlative the non-extreme full matches reach N early.
 	ceiling := float64(maxGroupLen(in))
+	n := 0
 	for _, id := range candidates {
+		n++
 		sc, dropped := sim.RowRankSim(v.Row(id), in.Groups)
 		sel.Push(scored{id: id, score: sc, dropped: dropped})
 		if sel.Len() == want {
@@ -66,6 +69,7 @@ func partialAnswers[A any](s *System, dst []A, v sqldb.View, in *boolean.Interpr
 			}
 		}
 	}
+	v.Work().AddScored(n, in.ConditionCount())
 	top := sel.Sorted()
 	dst = slices.Grow(dst, len(top))
 	for _, sc := range top {
@@ -126,6 +130,8 @@ type relaxScratch struct {
 	cands   []sqldb.RowID
 	condSeq uint32
 	epoch   uint32
+	// work is the work counts of the ask holding the scratch.
+	work work.Counts
 }
 
 var relaxPool = sync.Pool{New: func() any { return new(relaxScratch) }}
@@ -233,6 +239,7 @@ func (s *System) relaxedCandidatesInto(v sqldb.View, in *boolean.Interpretation,
 		base := sc.condSeq
 		cnt, mark := sc.cnt, sc.mark
 		touched := sc.touched[:0]
+		incs := 0
 		for ci := range g.Conds {
 			sc.condSeq++
 			seq := sc.condSeq
@@ -249,8 +256,10 @@ func (s *System) relaxedCandidatesInto(v sqldb.View, in *boolean.Interpretation,
 					touched = append(touched, id)
 				}
 				mark[id] = seq
+				incs++
 			})
 		}
+		v.Work().AddTally(incs)
 		sc.touched = touched
 		// Satisfying ≥ n−1 conditions ⇔ membership in some single-drop
 		// result; depth ≥ 2 lowers the threshold to n−2 exactly when

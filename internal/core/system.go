@@ -24,6 +24,7 @@ import (
 	"repro/internal/sql/plan"
 	"repro/internal/sqldb"
 	"repro/internal/trie"
+	"repro/internal/work"
 	"repro/internal/wsmatrix"
 )
 
@@ -178,6 +179,9 @@ type System struct {
 	// shape (domain + expression skeleton). A plan depends on schema
 	// and shape only, so live ingest never invalidates an entry.
 	plans *plan.Cache
+	// work sums the work counts of every ask answerIn ran; only tests
+	// read it.
+	work work.Sink
 }
 
 // dedupState caches one domain's near-duplicate representatives
@@ -504,10 +508,16 @@ func asAnswer(a Answer, _ demotion) Answer { return a }
 // returns the answers, the number of exact ones, and a superlative's
 // extreme and whether any row had one. A merged superlative part's
 // extreme run is uncapped; every other exact set is capped at
-// MaxAnswers in RowID order.
+// MaxAnswers in RowID order. The work the ask does is counted in its
+// scratch and flushed to the System's work counts once, when it
+// returns.
 func answerIn[A any](s *System, v sqldb.View, sel *sql.Select, in *boolean.Interpretation, p part, mk func(Answer, demotion) A) (answers []A, exact int, extreme float64, hasExtreme bool, err error) {
 	rs := relaxPool.Get().(*relaxScratch)
-	defer relaxPool.Put(rs)
+	defer func() {
+		s.work.Flush(&rs.work)
+		relaxPool.Put(rs)
+	}()
+	v = v.Counting(&rs.work)
 	plan, err := s.plans.Get(s.db, v.Schema().Domain, sel)
 	if err != nil {
 		return nil, 0, 0, false, err
@@ -579,7 +589,7 @@ func answerIn[A any](s *System, v sqldb.View, sel *sql.Select, in *boolean.Inter
 	answers = make([]A, 0, len(ids)+max(want, 0))
 	sim := s.sims[v.Schema().Domain]
 	exactScore := float64(maxGroupLen(in))
-	j, rest := 0, pool[:0]
+	j, rest, demoted := 0, pool[:0], 0
 	for _, id := range ids {
 		a := Answer{ID: id, Record: v.Row(id), Exact: true, RankSim: exactScore, DroppedCond: -1}
 		var d demotion
@@ -593,6 +603,7 @@ func answerIn[A any](s *System, v sqldb.View, sel *sql.Select, in *boolean.Inter
 				// demote this answer; score it now, while the row is at
 				// hand.
 				j++
+				demoted++
 				d.rankSim, d.dropped = sim.RowRankSim(a.Record, in.Groups)
 				if d.dropped >= 0 && d.dropped < len(names) {
 					d.similarityUsed = names[d.dropped]
@@ -605,6 +616,7 @@ func answerIn[A any](s *System, v sqldb.View, sel *sql.Select, in *boolean.Inter
 	}
 	if demote {
 		pool = append(rest, pool[j:]...)
+		v.Work().AddScored(demoted, in.ConditionCount())
 	}
 	return partialAnswers(s, answers, v, in, pool, ids, want, p, names, mk), len(ids), extreme, hasExtreme, nil
 }

@@ -141,16 +141,19 @@ func (v View) match(id RowID, p *Pred) bool {
 
 // FilterMatch keeps, in place and in the order of ids, the ids that
 // are live and satisfy every residual predicate, and returns that
-// prefix of ids. It allocates nothing. limit > 0 stops after limit
+// prefix of ids. Each predicate it evaluates on a row is one residual
+// check, counted as one cell read. It allocates nothing. limit > 0 stops after limit
 // survivors (early termination for LIMIT pushdown); 0 means no limit.
 func (v View) FilterMatch(ids []RowID, preds []Pred, limit int) []RowID {
 	out := ids[:0]
+	checks := 0
 	for _, id := range ids {
 		if !v.alive(id) {
 			continue
 		}
 		pass := true
 		for i := range preds {
+			checks++
 			if !v.match(id, &preds[i]) {
 				pass = false
 				break
@@ -164,6 +167,7 @@ func (v View) FilterMatch(ids []RowID, preds []Pred, limit int) []RowID {
 			break
 		}
 	}
+	v.w.AddCells(checks)
 	return out
 }
 

@@ -4,6 +4,7 @@ import (
 	"sort"
 
 	"repro/internal/schema"
+	"repro/internal/work"
 )
 
 // View is a read view of one table: every read an ask makes goes
@@ -11,9 +12,11 @@ import (
 // because Table.View holds the read lock for as long as the view is
 // open. Its methods take no lock of their own. A View is only valid
 // inside the callback it was passed to; it is a value, so opening one
-// allocates nothing.
+// allocates nothing. A view made by Counting also counts the ids its
+// methods copy and the cells they read.
 type View struct {
 	t *Table
+	w *work.Counts
 }
 
 // View calls fn with a read view of the table, holding the read lock
@@ -24,8 +27,20 @@ type View struct {
 func (t *Table) View(fn func(View)) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	fn(View{t})
+	fn(View{t: t})
 }
+
+// Counting returns v counting its work into w: the ids its scans copy
+// (postings and live slots) and the cells its filters, extreme runs and
+// column scans read.
+func (v View) Counting(w *work.Counts) View {
+	v.w = w
+	return v
+}
+
+// Work returns the counts v adds to, nil for a view that does not
+// count, so that code reading through v adds its own work there.
+func (v View) Work() *work.Counts { return v.w }
 
 // Schema returns the table's schema.
 func (v View) Schema() *schema.Schema { return v.t.schema }
@@ -55,11 +70,13 @@ func (v View) Row(id RowID) Row {
 // AppendLiveIDs appends every live row id to dst in ascending order
 // and returns the extended slice.
 func (v View) AppendLiveIDs(dst []RowID) []RowID {
+	base := len(dst)
 	for i := range v.t.rows {
 		if !v.t.dead[i] {
 			dst = append(dst, RowID(i))
 		}
 	}
+	v.w.AddPostings(len(dst) - base)
 	return dst
 }
 
@@ -69,7 +86,7 @@ func (v View) AppendLiveIDs(dst []RowID) []RowID {
 // the slots with no copy of the live ids.
 func (v View) AppendLiveExcept(dst, except []RowID) []RowID {
 	t := v.t
-	j := 0
+	base, j := len(dst), 0
 	for i := range t.rows {
 		id := RowID(i)
 		for j < len(except) && except[j] < id {
@@ -80,6 +97,7 @@ func (v View) AppendLiveExcept(dst, except []RowID) []RowID {
 		}
 		dst = append(dst, id)
 	}
+	v.w.AddPostings(len(dst) - base)
 	return dst
 }
 
@@ -98,20 +116,31 @@ func (v View) AppendEqual(dst []RowID, col string, val Value) []RowID {
 	if ix, ok := t.hash[col]; ok {
 		// Postings are appended in ascending RowID order and deletes
 		// remove in place, so the list is already sorted — no re-sort.
-		return append(dst, ix.lookup(val)...)
+		posting := ix.lookup(val)
+		v.w.AddPostings(len(posting))
+		return append(dst, posting...)
 	}
 	if ix, ok := t.ordered[col]; ok && val.IsNumber() {
-		return ix.appendRange(dst, val.n, val.n, true, true)
+		base := len(dst)
+		dst = ix.appendRange(dst, val.n, val.n, true, true)
+		v.w.AddPostings(len(dst) - base)
+		return dst
 	}
 	i, ok := t.colIdx[col]
 	if !ok {
 		return dst
 	}
+	reads := 0
 	for id := range t.rows {
-		if !t.dead[id] && t.rows[id].Values[i].Equal(val) {
+		if t.dead[id] {
+			continue
+		}
+		reads++
+		if t.rows[id].Values[i].Equal(val) {
 			dst = append(dst, RowID(id))
 		}
 	}
+	v.w.AddCells(reads)
 	return dst
 }
 
@@ -125,16 +154,21 @@ func (v View) AppendEqual(dst []RowID, col string, val Value) []RowID {
 func (v View) AppendRange(dst []RowID, col string, lo, hi float64, incLo, incHi bool) []RowID {
 	t := v.t
 	if ix, ok := t.ordered[col]; ok {
-		return ix.appendRange(dst, lo, hi, incLo, incHi)
+		base := len(dst)
+		dst = ix.appendRange(dst, lo, hi, incLo, incHi)
+		v.w.AddPostings(len(dst) - base)
+		return dst
 	}
 	i, ok := t.colIdx[col]
 	if !ok {
 		return dst
 	}
+	reads := 0
 	for id := range t.rows {
 		if t.dead[id] {
 			continue
 		}
+		reads++
 		n, isNum := t.rows[id].Values[i].tryNum()
 		if !isNum {
 			continue
@@ -145,6 +179,7 @@ func (v View) AppendRange(dst []RowID, col string, lo, hi float64, incLo, incHi 
 			dst = append(dst, RowID(id))
 		}
 	}
+	v.w.AddCells(reads)
 	return dst
 }
 
@@ -189,13 +224,14 @@ func (v View) AppendExtremeRun(dst, ids []RowID, col string, desc bool, limit in
 	if !ok {
 		return dst, 0, false
 	}
-	base := len(dst)
+	base, reads := len(dst), 0
 	var extreme float64
 	found := false
 	for _, id := range ids {
 		if !v.alive(id) {
 			continue
 		}
+		reads++
 		n, isNum := v.t.rows[id].Values[i].tryNum()
 		if !isNum || n != n { // NaN has no place in the order
 			continue
@@ -208,5 +244,6 @@ func (v View) AppendExtremeRun(dst, ids []RowID, col string, desc bool, limit in
 			dst = append(dst, id)
 		}
 	}
+	v.w.AddCells(reads)
 	return dst, extreme, found
 }
