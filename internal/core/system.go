@@ -518,7 +518,7 @@ func answerIn[A any](s *System, v sqldb.View, sel *sql.Select, in *boolean.Inter
 		relaxPool.Put(rs)
 	}()
 	v = v.Counting(&rs.work)
-	plan, err := s.plans.Get(s.db, v.Schema().Domain, sel)
+	compiled, err := s.plans.Get(s.db, v.Schema().Domain, sel)
 	if err != nil {
 		return nil, 0, 0, false, err
 	}
@@ -533,16 +533,16 @@ func answerIn[A any](s *System, v sqldb.View, sel *sql.Select, in *boolean.Inter
 		if p.merged {
 			limit = 0
 		}
-		ids, extreme, hasExtreme, err = plan.ExtremeRun(v, sel, p.keep, limit)
+		ids, extreme, hasExtreme, err = compiled.ExtremeRun(v, sel, p.keep, limit)
 	case p.keep == nil:
-		ids, err = plan.RunView(v, sel)
+		ids, err = compiled.RunView(v, sel)
 	default:
 		// The statement's LIMIT applies before the slice filter, so
 		// run unlimited, filter, then re-apply the cap.
 		unlimited := *sel
 		unlimited.Limit = 0
 		var all []sqldb.RowID
-		all, err = plan.RunView(v, &unlimited)
+		all, err = compiled.RunView(v, &unlimited)
 		for _, id := range all {
 			if p.keep(id) {
 				ids = append(ids, id)
@@ -586,7 +586,7 @@ func answerIn[A any](s *System, v sqldb.View, sel *sql.Select, in *boolean.Inter
 	} else if want > 0 {
 		pool = s.candidatePool(v, in, ids, rs)
 	}
-	answers = make([]A, 0, len(ids)+max(want, 0))
+	answers = make([]A, 0, len(ids)+want)
 	sim := s.sims[v.Schema().Domain]
 	exactScore := float64(maxGroupLen(in))
 	j, rest, demoted := 0, pool[:0], 0
