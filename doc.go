@@ -12,37 +12,49 @@
 // Generated SQL runs on a streaming, plan-first executor rather than
 // an eager set evaluator. The pipeline has three stages:
 //
-//   - Driving scans with per-row residuals, into one pooled buffer.
-//     Every id a statement produces is appended into one pooled,
-//     caller-owned buffer (internal/sql/stream.go, idBufs). A
-//     conjunction appends the row ids of ONE driving leaf — served by
-//     the hash or ordered index (View.AppendEqual/AppendRange) — and
-//     filters them in place by the remaining conjuncts as per-row
-//     residual predicates (View.FilterMatch, internal/sqldb/iter.go);
-//     an OR of leaves or its NOT is one any-of residual. A root OR
-//     appends every branch and then sorts and deduplicates the
-//     buffer; a NOT walks the live slots minus its inner ids
-//     (View.AppendLiveExcept). Every read runs in the caller's read
-//     view of the table (sqldb.Table.View), so no index-owned posting
-//     slice is read outside the table lock. The one allocation left is
-//     the answer, an exact-size copy of
-//     at most LIMIT ids, so an execution allocates nothing that scales
-//     with posting size (sql.TestRunAllocatesOnlyItsAnswer).
+//   - A driver, intersected postings and per-row residuals, into one
+//     pooled buffer. Every id a statement produces is appended into
+//     one pooled, caller-owned buffer (internal/sql/stream.go,
+//     idBufs). A conjunction appends the row ids of ONE driving leaf —
+//     served by the hash or ordered index (View.AppendEqual/
+//     AppendRange) — and filters them in place
+//     (View.IntersectMatch, internal/sqldb/iter.go). When the driver
+//     is an =, its ids ascend, and every other = on a hashed Type I/II
+//     column is answered by its posting: each driving id gallops a
+//     forward cursor over the posting (an exponential, then binary
+//     search), which reads no row. The remaining conjuncts are per-row
+//     residual predicates, checked only on the ids the postings keep;
+//     an OR of leaves or its NOT is one any-of residual. Under a range
+//     driver, whose ids come in value order, the = leaves stay
+//     residuals. A root OR appends every branch and then sorts and
+//     deduplicates the buffer; a NOT walks the live slots minus its
+//     inner ids (View.AppendLiveExcept). Every read runs in the
+//     caller's read view of the table (sqldb.Table.View), so no
+//     index-owned posting slice is read outside the table lock. The
+//     one allocation left is the answer, an exact-size copy of at most
+//     LIMIT ids, so an execution allocates nothing that scales with
+//     posting size (sql.TestRunAllocatesOnlyItsAnswer).
 //
 //   - Planning from shape and schema alone. The paper fixes the
 //     evaluation order (Sec. 4.3: Type I conditions first, then Type
-//     II, then Type III, superlatives last) and core.BuildSelect emits
-//     every conjunction in that order, so sql.Compile reads the order
-//     off the statement: a conjunction is driven by its first leaf
-//     that an index serves (= on a hashed Type I/II column; = with a
-//     number, a range or BETWEEN on an ordered Type III column), else
-//     by its first leaf, else by the live rows, and the rest become
-//     residuals. A residual selects exactly the rows its node's scan
+//     II, then Type III, superlatives last), not how each condition is
+//     evaluated, and core.BuildSelect emits every conjunction in that
+//     order, so sql.Compile reads the order off the statement: a
+//     conjunction is driven by its first leaf that an index serves
+//     (= on a hashed Type I/II column; = with a number, a range or
+//     BETWEEN on an ordered Type III column), else by its first leaf,
+//     else by the live rows; under an = driver the other = leaves on
+//     hashed columns are intersect leaves; the rest become residuals.
+//     A posting or a residual selects exactly the rows its node's scan
 //     would, so the answer does not depend on which operand drives. No
 //     table statistics, no selectivity estimates, no literal values
-//     enter a plan. LIMIT is pushed into the driving filter when no
-//     ORDER BY reorders the stream. sql.Explain renders the compiled
-//     plan (driving scan and its access path, pushed residuals) with ?
+//     enter a plan. LIMIT is pushed into the filter when no ORDER BY
+//     reorders the stream, so the postings and the residuals stop
+//     together, and into every branch of an OR, since the first LIMIT
+//     ids of a union lie among each branch's first LIMIT ids; the OR's
+//     sort and the final trim still return the same ids.
+//     sql.Explain renders the compiled plan (driving scan and its
+//     access path, intersect postings, pushed residuals) with ?
 //     for each literal. System.Explain rebuilds an answer's statement
 //     from its interpretation with BuildSelect rather than parsing the
 //     SQL text it printed, and shows a superlative's extreme run in

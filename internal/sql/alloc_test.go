@@ -81,6 +81,15 @@ func TestRunAllocatesOnlyItsAnswer(t *testing.T) {
 			&sql.And{Operands: []sql.Expr{eq("make", str("honda")), eq("color", str("red"))}},
 			&sql.And{Operands: []sql.Expr{eq("make", str("ford")), &sql.Compare{Column: "price", Op: sql.OpLt, Value: sqldb.Number(5000)}}},
 			eq("model", str("camry"))}}}},
+		{name: "two hash leaves", sel: sql.Select{Where: &sql.And{Operands: []sql.Expr{
+			eq("make", str("honda")), eq("color", str("red"))}}}},
+		{name: "three hash leaves, a range", sel: sql.Select{Where: &sql.And{Operands: []sql.Expr{
+			eq("make", str("honda")), eq("color", str("red")), eq("transmission", str("automatic")),
+			&sql.Compare{Column: "price", Op: sql.OpGe, Value: sqldb.Number(3000)}}}}},
+		{name: "LIMITed OR of conjunctions", sel: sql.Select{Where: &sql.Or{Operands: []sql.Expr{
+			&sql.And{Operands: []sql.Expr{eq("make", str("honda")), eq("color", str("red"))}},
+			&sql.And{Operands: []sql.Expr{eq("make", str("ford")), eq("transmission", str("manual")),
+				&sql.Compare{Column: "year", Op: sql.OpGt, Value: sqldb.Number(1995)}}}}}}},
 		{name: "superlative", extreme: true, sel: sql.Select{Where: &sql.And{Operands: []sql.Expr{
 			eq("make", str("honda")), &sql.Compare{Column: "year", Op: sql.OpGt, Value: sqldb.Number(1995)}}},
 			OrderBy: "price"}},
@@ -126,6 +135,7 @@ func TestRunAllocatesOnlyItsAnswer(t *testing.T) {
 			costs[sh.name] = c
 		}
 		for _, e := range []sql.Expr{eq("make", str("honda")), eq("year", sqldb.Number(2005)), colorOr,
+			&sql.And{Operands: []sql.Expr{eq("make", str("honda")), eq("color", str("red"))}},
 			&sql.Not{Operand: colorOr}, &sql.Compare{Column: "price", Op: sql.OpGe, Value: sqldb.Number(6000)}} {
 			seen := 0
 			allocs, bytes := measure(func() {

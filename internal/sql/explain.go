@@ -10,7 +10,8 @@ import (
 // Explain renders the compiled plan for a SELECT — the plan Exec
 // runs, not a description beside it: for each conjunction the driving
 // scan and its access path (the hash primary/secondary indexes on Type
-// I/II columns, the ordered indexes on Type III columns) and the
+// I/II columns, the ordered indexes on Type III columns), the = leaves
+// on hashed columns applied by searching their postings, and the
 // conjuncts pushed down as per-row residual predicates; for an OR the
 // branches appended into one buffer; for a NOT the live rows it
 // subtracts from. A plan is a function of schema and statement shape
@@ -65,9 +66,12 @@ func (n *planNode) explain(sb *strings.Builder, depth int) {
 			fmt.Fprintf(sb, "%s  driving scan: every live row (no leaf to drive)\n", pad)
 		}
 		for i, c := range n.children {
-			if i == n.driving {
+			switch {
+			case i == n.driving:
 				fmt.Fprintf(sb, "%s  driving scan: %s via %s\n", pad, c.shape(), c.access)
-			} else {
+			case c.intersect:
+				fmt.Fprintf(sb, "%s  intersect posting: %s\n", pad, c.shape())
+			default:
 				fmt.Fprintf(sb, "%s  pushed residual: %s (checked per row)\n", pad, c.shape())
 			}
 		}

@@ -30,7 +30,7 @@ func TestExplainAccessPaths(t *testing.T) {
 	for _, want := range []string{
 		"driving scan: make = ? via primary hash index lookup (Type I)",
 		"pushed residual: price < ?",
-		"pushed residual: color = ?",
+		"intersect posting: color = ?",
 		"sort by price ASC",
 		"limit 30",
 	} {
@@ -87,13 +87,17 @@ func TestExplainStreamingPlanMultiConjunct(t *testing.T) {
 			t.Errorf("plan still prints %q:\n%s", stale, plan)
 		}
 	}
-	// Exactly one conjunct drives the stream; the other two ride along
-	// as per-row residual predicates.
+	// Exactly one conjunct drives the stream. The = on the hashed color
+	// column is answered by its posting, and the range rides along as
+	// a per-row residual predicate.
 	if got := strings.Count(plan, "driving scan:"); got != 1 {
 		t.Errorf("driving scans = %d, want 1:\n%s", got, plan)
 	}
-	if got := strings.Count(plan, "pushed residual:"); got != 2 {
-		t.Errorf("pushed residuals = %d, want 2:\n%s", got, plan)
+	if got := strings.Count(plan, "intersect posting: color = ?\n"); got != 1 {
+		t.Errorf("intersect postings on color = %d, want 1:\n%s", got, plan)
+	}
+	if got := strings.Count(plan, "pushed residual:"); got != 1 {
+		t.Errorf("pushed residuals = %d, want 1:\n%s", got, plan)
 	}
 	for _, col := range []string{"make", "price", "color"} {
 		if got := strings.Count(plan, col+" "); got != 1 {

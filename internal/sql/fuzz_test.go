@@ -114,8 +114,17 @@ func fuzzDB(f interface{ Fatal(...any) }) *sqldb.DB {
 		sqldb.Number(math.NaN()), sqldb.Number(math.Copysign(0, -1)), sqldb.Null} {
 		_, _ = tbl.Insert(map[string]sqldb.Value{"make": sqldb.String("honda"), "color": sqldb.String("red"), "year": year})
 	}
+	// Hash-indexed (Type II) cells an intersected posting and the
+	// residual it stands for must agree on: a number and its numeric
+	// string, 0 and -0 (which key apart), and NULL, which no equality
+	// matches.
+	for _, doors := range []sqldb.Value{sqldb.Number(2), sqldb.String("2"), sqldb.Number(0),
+		sqldb.Number(math.Copysign(0, -1)), sqldb.String("-0"), sqldb.Null} {
+		_, _ = tbl.Insert(map[string]sqldb.Value{"make": sqldb.String("honda"), "color": sqldb.String("red"),
+			"transmission": sqldb.String("manual"), "doors": doors, "year": sqldb.Number(2005)})
+	}
 	// Tombstones, which no answer may hold, not even a NOT's.
-	for _, id := range []sqldb.RowID{3, 17, 29, 42} {
+	for _, id := range []sqldb.RowID{3, 17, 29, 42, 47} {
 		_ = tbl.Delete(id)
 	}
 	return db
@@ -147,6 +156,23 @@ func FuzzExecDifferential(f *testing.F) {
 		"SELECT * FROM car_ads WHERE (make = 'honda' AND color = 'red') OR (make = 'ford' AND price < 5000) OR model = 'camry' LIMIT 7",
 		"SELECT * FROM car_ads WHERE year = 0 OR year = '2005' OR NOT year = 2005",
 		"SELECT * FROM car_ads WHERE price BETWEEN 2000 AND 8000 AND transmission = 'manual' LIMIT 3",
+		// Conjunctions of two and three hash leaves, the later ones
+		// intersected by posting.
+		"SELECT * FROM car_ads WHERE make = 'honda' AND color = 'red'",
+		"SELECT * FROM car_ads WHERE make = 'honda' AND color = 'red' AND doors = '2'",
+		"SELECT * FROM car_ads WHERE make = 'honda' AND doors = 2.0 AND transmission = 'manual'",
+		"SELECT * FROM car_ads WHERE color = 'red' AND doors = -0",
+		"SELECT * FROM car_ads WHERE color = 'red' AND doors = 0 AND make = 'honda'",
+		"SELECT * FROM car_ads WHERE make = 'honda' AND doors = '-0' AND color = 'red'",
+		"SELECT * FROM car_ads WHERE year = 2005 AND make = 'honda' AND color = 'red'",
+		"SELECT * FROM car_ads WHERE year = '2005' AND make = 'honda' AND doors = '2'",
+		"SELECT * FROM car_ads WHERE make = 'honda' AND color = 'red' AND year = '2005'",
+		"SELECT * FROM car_ads WHERE make = 'honda' AND color = 'red' AND transmission = 'manual' LIMIT 2",
+		"SELECT * FROM car_ads WHERE price < 5000 AND make = 'honda' AND color = 'red'",
+		"SELECT * FROM car_ads WHERE make = 'honda' AND color = 'red' AND NOT doors = '2'",
+		"SELECT * FROM car_ads WHERE color = 'red' AND make = 'ghost'",
+		"SELECT * FROM car_ads WHERE (make = 'honda' AND color = 'red') OR (make = 'toyota' AND transmission = 'automatic') LIMIT 3",
+		"SELECT * FROM car_ads WHERE (make = 'honda' AND color = 'red' AND doors = 2) OR (color = 'blue' AND transmission = 'automatic' AND price > 2000) LIMIT 4",
 	} {
 		f.Add(seed)
 	}
@@ -216,6 +242,21 @@ func TestExecDifferentialCorpus(t *testing.T) {
 		"SELECT * FROM car_ads WHERE year = 0 OR NOT year = 2005",
 		"SELECT * FROM car_ads WHERE NOT year = 2005 AND NOT (make = 'honda' AND color = 'red')",
 		"SELECT * FROM car_ads WHERE price BETWEEN 2000 AND 8000 AND transmission = 'manual' LIMIT 3",
+		"SELECT * FROM car_ads WHERE make = 'honda' AND color = 'red'",
+		"SELECT * FROM car_ads WHERE make = 'honda' AND color = 'red' AND doors = '2'",
+		"SELECT * FROM car_ads WHERE make = 'honda' AND doors = 2.0 AND transmission = 'manual'",
+		"SELECT * FROM car_ads WHERE color = 'red' AND doors = -0",
+		"SELECT * FROM car_ads WHERE color = 'red' AND doors = 0 AND make = 'honda'",
+		"SELECT * FROM car_ads WHERE make = 'honda' AND doors = '-0' AND color = 'red'",
+		"SELECT * FROM car_ads WHERE year = 2005 AND make = 'honda' AND color = 'red'",
+		"SELECT * FROM car_ads WHERE year = '2005' AND make = 'honda' AND doors = '2'",
+		"SELECT * FROM car_ads WHERE make = 'honda' AND color = 'red' AND year = '2005'",
+		"SELECT * FROM car_ads WHERE make = 'honda' AND color = 'red' AND transmission = 'manual' LIMIT 2",
+		"SELECT * FROM car_ads WHERE price < 5000 AND make = 'honda' AND color = 'red'",
+		"SELECT * FROM car_ads WHERE make = 'honda' AND color = 'red' AND NOT doors = '2'",
+		"SELECT * FROM car_ads WHERE color = 'red' AND make = 'ghost'",
+		"SELECT * FROM car_ads WHERE (make = 'honda' AND color = 'red') OR (make = 'toyota' AND transmission = 'automatic') LIMIT 3",
+		"SELECT * FROM car_ads WHERE (make = 'honda' AND color = 'red' AND doors = 2) OR (color = 'blue' AND transmission = 'automatic' AND price > 2000) LIMIT 4",
 	}
 	for _, q := range queries {
 		sel, err := sqltest.Parse(q)

@@ -16,35 +16,51 @@ import (
 // statement's shape alone — no table contents, no statistics, no
 // literal values. The paper fixes the evaluation order (Sec. 4.3: Type
 // I conditions first, then Type II, then Type III, superlatives last)
-// and core.BuildSelect emits every conjunction in that order, so the
-// planner reads the order off the statement: each conjunction is
-// driven by its first leaf that an index serves (= on a hashed Type
-// I/II column, = with a number or a range or BETWEEN on an ordered
-// Type III column), else by its first leaf, else by the live rows.
-// Every other conjunct — a leaf, an OR of leaves, a NOT of either, or
-// any deeper node — is one per-row residual predicate (sqldb.Pred)
-// checked on the driving rows; a residual selects exactly the rows its
-// node's scan would, so the result does not depend on which operand
-// drives.
+// but not how each condition is evaluated. core.BuildSelect emits
+// every conjunction in that order, so the planner reads the order off
+// the statement and gives each conjunct one of three roles:
+//
+//   - the driver: the conjunction's first leaf that an index serves
+//     (= on a hashed Type I/II column, = with a number or a range or
+//     BETWEEN on an ordered Type III column), else its first leaf, else
+//     the live rows. Its ids are copied into the run's buffer;
+//   - intersect leaves: when the driver is an =, whose ids ascend,
+//     every other = directly under the conjunction on a hashed Type
+//     I/II column. Its posting holds exactly the rows its residual
+//     would keep, so each driving id is tested by a galloping search of
+//     the posting (sqldb.View.IntersectMatch) and no row is read for
+//     it. Under a range driver, whose ids come in value order, these
+//     leaves stay residuals;
+//   - residuals: every other conjunct — a leaf, an OR of leaves, a NOT
+//     of either, or any deeper node — is one per-row predicate
+//     (sqldb.Pred) checked on the ids that pass the postings. A
+//     residual selects exactly the rows its node's scan would.
+//
+// So the result does not depend on which operand drives, and
+// sql.Explain prints the three roles.
 //
 // Run appends every id it produces into one pooled buffer (idBufs): a
 // leaf appends its posting, an OR appends each branch and then sorts
 // and deduplicates the lot, a NOT walks the live slots minus its
 // inner ids (taken into a second pooled buffer), and a conjunction
-// appends its driving rows and filters them in place. A LIMIT with no
-// ORDER BY is pushed into the filter for early termination. The one
-// allocation that remains is the answer: an exact-size copy of at most
-// LIMIT ids, so a run allocates nothing that scales with a posting.
+// appends its driving rows and filters them in place, postings first,
+// then residuals. A LIMIT with no ORDER BY is pushed into the filter,
+// so the postings and the residuals stop together at the LIMIT-th
+// survivor, and into every branch of an OR: the first LIMIT ids of a
+// union lie among each branch's own first LIMIT ids, so an OR sorts
+// at most LIMIT ids from each branch that is a conjunction. The one
+// allocation that
+// remains is the answer: an exact-size copy of at most LIMIT ids, so a
+// run allocates nothing that scales with a posting.
 //
 // A Plan annotates the *shape* of the expression tree (node kinds,
-// columns, operators) with driving choices, and Run re-binds the
-// literals of the concrete Select by walking the two trees in
-// lockstep. Being a pure function of (schema, shape), a plan is
-// cacheable across the millions of questions that share a few hundred
-// tagged shapes and stays valid however the corpus changes
-// (internal/sql/plan.Cache); a Select whose shape does not match the
-// plan is defensively recompiled, so a mismatched plan can cost time
-// but never correctness.
+// columns, operators) with these roles, and Run re-binds the literals
+// of the concrete Select by walking the two trees in lockstep. Being a
+// pure function of (schema, shape), a plan is cacheable across the
+// questions that share a tagged shape and stays valid however the
+// corpus changes (internal/sql/plan.Cache); a Select whose shape does
+// not match the plan is defensively recompiled, so a mismatched plan
+// can cost time but never correctness.
 //
 // Exec = Compile + Run must return results bit-identical to the eager
 // reference evaluator (sqltest.ExecLegacy) for every valid query. The
@@ -57,8 +73,9 @@ import (
 
 // Exec evaluates a SELECT against db and returns the matching
 // row ids in result order (index order, then ORDER BY, then LIMIT).
-// It compiles a streaming plan and runs it; callers that execute the
-// same question shape repeatedly should cache the compiled plan
+// It compiles a streaming plan — each conjunction's driver, intersect
+// leaves and residuals — and runs it; callers that execute the same
+// question shape repeatedly should cache the compiled plan
 // (internal/sql/plan) instead of re-compiling per call.
 func Exec(db *sqldb.DB, sel *Select) ([]sqldb.RowID, error) {
 	p, err := Compile(db, sel)
@@ -104,6 +121,9 @@ type planNode struct {
 	op      BinaryOp // Compare leaves
 	indexed bool     // the schema gives col an index that serves this leaf
 	access  string   // human-readable access path (EXPLAIN)
+	// intersect marks a conjunct its conjunction applies by searching
+	// the leaf's hash posting instead of reading rows (intersects).
+	intersect bool
 
 	// Conjunction annotations.
 	driving int // index of the driving leaf; -1 = the live rows drive
@@ -116,6 +136,16 @@ func (n *planNode) child(i int) *planNode {
 		return nil
 	}
 	return n.children[i]
+}
+
+// intersects reports whether operand i of the conjunction of ops that
+// n annotates is an intersect leaf: as compiled, or, for an
+// unannotated node, as Compile would decide.
+func (n *planNode) intersects(sch *schema.Schema, ops []Expr, driving, i int) bool {
+	if n == nil {
+		return intersects(sch, ops, driving, i)
+	}
+	return n.children[i].intersect
 }
 
 // Compile analyzes sel against db's schema and returns a reusable
@@ -186,8 +216,31 @@ func compileNode(sch *schema.Schema, e Expr) (*planNode, error) {
 	}
 	if kind == nkAnd {
 		n.driving = drivingOperand(sch, ops)
+		for i, c := range n.children {
+			c.intersect = intersects(sch, ops, n.driving, i)
+		}
 	}
 	return n, nil
+}
+
+// intersects reports whether operand i of a conjunction driven by its
+// operand driving is an intersect leaf: an = on a hash-indexed Type
+// I/II column, in a conjunction whose driver is an = and so yields
+// ascending ids. Such a leaf's posting holds exactly the rows its
+// residual would keep, so the conjunction tests each driving id
+// against the posting (sqldb.View.IntersectMatch) and reads no row for
+// it. Under a range driver, whose ids come in value order, it stays a
+// residual.
+func intersects(sch *schema.Schema, ops []Expr, driving, i int) bool {
+	if driving < 0 || i == driving {
+		return false
+	}
+	d, ok := ops[driving].(*Compare)
+	if !ok || d.Op != OpEq {
+		return false
+	}
+	c, ok := ops[i].(*Compare)
+	return ok && c.Op == OpEq && attrType(sch, c.Column) != schema.TypeIII
 }
 
 // drivingOperand is Sec. 4.3's rule, read off the statement: a
@@ -461,11 +514,12 @@ func nodeFits(e Expr, n *planNode) bool {
 }
 
 // run is one execution's scratch, reused across executions through
-// runs: the view it reads, and the residual predicates its
-// conjunctions build, kept as two stacks that each conjunction pops
-// once its filter is done.
+// runs: the view it reads, and the intersect leaves and residual
+// predicates its conjunctions build, kept as stacks that each
+// conjunction pops once its filter is done.
 type run struct {
 	v     sqldb.View
+	eqs   []sqldb.Pred // the current conjunctions' intersect leaves
 	preds []sqldb.Pred // the current conjunctions' residuals
 	subs  []sqldb.Pred // the operands of any-of and all-of residuals
 }
@@ -474,8 +528,11 @@ var runs = sync.Pool{New: func() any { return new(run) }}
 
 // appendNode appends the ids of the rows matching e, which n annotates
 // (nil when e was not compiled), to dst in ascending order without
-// repeats, and returns the extended slice. limit > 0 lets a
-// conjunction stop after its first limit ids.
+// repeats, and returns the extended slice. limit > 0 lets it append
+// only a subset that holds the first limit ids: a leaf keeps only
+// them, a conjunction stops after them, and an OR passes limit into
+// every branch, because each of the first limit ids of a union is
+// among the first limit ids of the branch it comes from.
 func (r *run) appendNode(dst []sqldb.RowID, e Expr, n *planNode, limit int) []sqldb.RowID {
 	switch x := e.(type) {
 	case *And:
@@ -483,7 +540,7 @@ func (r *run) appendNode(dst []sqldb.RowID, e Expr, n *planNode, limit int) []sq
 	case *Or:
 		base := len(dst)
 		for i, op := range x.Operands {
-			dst = r.appendNode(dst, op, n.child(i), 0)
+			dst = r.appendNode(dst, op, n.child(i), limit)
 		}
 		if len(x.Operands) > 1 {
 			ids := dst[base:]
@@ -500,26 +557,27 @@ func (r *run) appendNode(dst []sqldb.RowID, e Expr, n *planNode, limit int) []sq
 	}
 	base := len(dst)
 	dst, ascending := drivingIDs(r.v, e, dst)
-	if !ascending {
-		slices.Sort(dst[base:])
+	if ascending {
+		return dst[:base+len(trim(dst[base:], limit))]
 	}
-	return dst
+	return dst[:base+len(sortFirst(dst[base:], limit))]
 }
 
 // appendAnd streams a conjunction: it appends the driving leaf's rows
-// (or every live row) to dst and filters them in place by every other
-// conjunct as a residual predicate. The result
-// equals the intersection of all operand sets; the non-driving
-// conjuncts never produce ids at all.
+// (or every live row) to dst and filters them in place, first by the
+// postings of its intersect leaves, then by every other conjunct as a
+// residual predicate. The result equals the intersection of all
+// operand sets; the non-driving conjuncts never produce ids at all.
 func (r *run) appendAnd(dst []sqldb.RowID, x *And, n *planNode, limit int) []sqldb.RowID {
 	if len(x.Operands) == 0 {
 		return dst
 	}
+	sch := r.v.Schema()
 	var driving int
 	if n != nil {
 		driving = n.driving
 	} else {
-		driving = drivingOperand(r.v.Schema(), x.Operands)
+		driving = drivingOperand(sch, x.Operands)
 	}
 	base := len(dst)
 	ascending := true
@@ -528,9 +586,14 @@ func (r *run) appendAnd(dst []sqldb.RowID, x *And, n *planNode, limit int) []sql
 	} else {
 		dst = r.v.AppendLiveIDs(dst)
 	}
-	npreds, nsubs := len(r.preds), len(r.subs)
+	neqs, npreds, nsubs := len(r.eqs), len(r.preds), len(r.subs)
 	for i, op := range x.Operands {
-		if i != driving {
+		switch {
+		case i == driving:
+		case ascending && n.intersects(sch, x.Operands, driving, i):
+			c := op.(*Compare)
+			r.eqs = append(r.eqs, sqldb.NewEqualPred(c.Column, c.Value))
+		default:
 			p := r.residual(op)
 			r.preds = append(r.preds, p)
 		}
@@ -539,12 +602,11 @@ func (r *run) appendAnd(dst []sqldb.RowID, x *And, n *planNode, limit int) []sql
 	if !ascending {
 		filterLimit = 0
 	}
-	kept := r.v.FilterMatch(dst[base:], r.preds[npreds:], filterLimit)
-	r.preds, r.subs = r.preds[:npreds], r.subs[:nsubs]
+	kept := r.v.IntersectMatch(dst[base:], r.eqs[neqs:], r.preds[npreds:], filterLimit)
+	r.eqs, r.preds, r.subs = r.eqs[:neqs], r.preds[:npreds], r.subs[:nsubs]
 	dst = dst[:base+len(kept)]
 	if !ascending {
-		slices.Sort(dst[base:])
-		dst = dst[:base+len(trim(dst[base:], limit))]
+		dst = dst[:base+len(sortFirst(dst[base:], limit))]
 	}
 	return dst
 }
@@ -647,6 +709,38 @@ func copyIDs(ids []sqldb.RowID) []sqldb.RowID {
 		return nil
 	}
 	return append(make([]sqldb.RowID, 0, len(ids)), ids...)
+}
+
+// sortFirst sorts ids in place and returns the first limit of them
+// (all of them when limit <= 0). With a limit it sorts no more than
+// that: each id is inserted into the sorted prefix of the smallest
+// ones seen so far, and once the prefix is full most ids of a range
+// scan (which come in value order, so in no id order) cost one
+// comparison against its largest.
+func sortFirst(ids []sqldb.RowID, limit int) []sqldb.RowID {
+	if limit <= 0 || len(ids) <= limit {
+		slices.Sort(ids)
+		return ids
+	}
+	// ids[:k] holds the smallest ids read so far, in order. It never
+	// reaches past the id just read, so the writes overwrite only ids
+	// the loop has passed.
+	k := 0
+	for _, id := range ids {
+		if k == limit {
+			if id >= ids[k-1] {
+				continue
+			}
+		} else {
+			k++
+		}
+		i := k - 1
+		for ; i > 0 && ids[i-1] > id; i-- {
+			ids[i] = ids[i-1]
+		}
+		ids[i] = id
+	}
+	return ids[:k]
 }
 
 func trim(ids []sqldb.RowID, limit int) []sqldb.RowID {

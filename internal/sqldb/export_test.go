@@ -25,6 +25,12 @@ func (t *Table) AppendLiveExcept(dst, except []RowID) (out []RowID) {
 	return out
 }
 
+// FilterMatch is IntersectMatch with every predicate a residual that
+// reads the row: the filter the posting intersection is held to.
+func (v View) FilterMatch(ids []RowID, preds []Pred, limit int) []RowID {
+	return v.IntersectMatch(ids, nil, preds, limit)
+}
+
 func (t *Table) FilterMatch(ids []RowID, preds []Pred, limit int) (out []RowID) {
 	t.View(func(v View) { out = v.FilterMatch(ids, preds, limit) })
 	return out

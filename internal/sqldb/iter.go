@@ -2,20 +2,24 @@ package sqldb
 
 import (
 	"math"
+	"slices"
 
 	"repro/internal/schema"
 )
 
 // This file adds the access layer the streaming query executor
-// (internal/sql) drives: a driving scan over row ids plus residual
-// predicates evaluated per row.
+// (internal/sql) drives: a driving scan over row ids, filtered by
+// galloping searches of hash postings and by residual predicates
+// evaluated per row (IntersectMatch).
 //
 // Ownership rule: no index-owned slice is ever read outside a view.
 // Delete edits posting lists in place, so every scan copies the ids it
 // needs into a caller-owned buffer the caller may pool and reuse
 // (View.AppendEqual, AppendRange, AppendLiveIDs, AppendLiveExcept).
-// Every read of one View sees the same version of the table, so the
-// ids a scan copies and the rows FilterMatch or Row then reads agree;
+// IntersectMatch searches postings in place, inside the view, and
+// copies nothing. Every read of one View sees the same version of the
+// table, so the ids a scan copies, the postings IntersectMatch
+// searches and the rows it or Row then reads agree;
 // once the view closes, the copy is only a list of ids.
 
 // PredKind enumerates residual predicate forms.
@@ -139,36 +143,89 @@ func (v View) match(id RowID, p *Pred) bool {
 	return match != p.Negate
 }
 
-// FilterMatch keeps, in place and in the order of ids, the ids that
-// are live and satisfy every residual predicate, and returns that
-// prefix of ids. Each predicate it evaluates on a row is one residual
-// check, counted as one cell read. It allocates nothing. limit > 0 stops after limit
-// survivors (early termination for LIMIT pushdown); 0 means no limit.
-func (v View) FilterMatch(ids []RowID, preds []Pred, limit int) []RowID {
+// IntersectMatch keeps, in place and in order, the ids that are live,
+// lie in the hash posting of every equality in eqs and satisfy every
+// residual predicate in preds, and returns that prefix of ids. Each
+// entry of eqs must be an equality (NewEqualPred, not negated) on a
+// hash-indexed column, and when eqs is not empty, ids must ascend.
+// Each predicate it evaluates on a row is one residual check, counted
+// as one cell read.
+//
+// An equality on a hash-indexed column reads no row: its posting holds
+// exactly the rows its residual would keep (the index's key equality,
+// under which '2', '2.0' and 2 are one value). Each posting has a
+// forward cursor, and each id gallops it (gallop) to the first entry
+// not below the id, so testing a run of ids costs at most a walk of
+// the posting and usually far less. Each id tested against a posting
+// is one sorted access; once a posting is exhausted no later id can
+// match, and the filter stops. limit > 0 stops the postings and the
+// residuals together after limit survivors. Nothing is copied, and
+// nothing is allocated for up to eight equalities.
+func (v View) IntersectMatch(ids []RowID, eqs, preds []Pred, limit int) []RowID {
+	var buf [8][]RowID
+	postings := buf[:0]
+	for i := range eqs {
+		p := &eqs[i]
+		ix, ok := v.t.hash[p.Col]
+		if !ok || p.Kind != PredEqual || p.Negate {
+			panic("sqldb: IntersectMatch needs equalities on hash-indexed columns, got one on " + p.Col)
+		}
+		postings = append(postings, ix.lookup(p.Value))
+	}
 	out := ids[:0]
-	checks := 0
+	probes, checks := 0, 0
+scan:
 	for _, id := range ids {
 		if !v.alive(id) {
 			continue
 		}
-		pass := true
+		// Each posting's cursor is the part of it not yet passed.
+		for i, p := range postings {
+			probes++
+			p = p[gallop(p, id):]
+			postings[i] = p
+			if len(p) == 0 {
+				break scan
+			}
+			if p[0] != id {
+				continue scan
+			}
+		}
 		for i := range preds {
 			checks++
 			if !v.match(id, &preds[i]) {
-				pass = false
-				break
+				continue scan
 			}
-		}
-		if !pass {
-			continue
 		}
 		out = append(out, id)
 		if limit > 0 && len(out) >= limit {
 			break
 		}
 	}
+	v.w.AddPostings(probes)
 	v.w.AddCells(checks)
 	return out
+}
+
+// gallop returns the index of the first entry of the ascending
+// posting p that is not below id (len(p) when there is none). It
+// doubles a step from the front until an entry reaches id, then
+// binary-searches the last step: O(log d) for an answer d entries in,
+// so a cursor moved forward id by id pays for the distance it moves,
+// not for the posting's length (exponential search, as a leapfrog
+// intersection of sorted lists advances its iterators).
+func gallop(p []RowID, id RowID) int {
+	if len(p) == 0 || p[0] >= id {
+		return 0
+	}
+	// Invariant: p[lo] < id.
+	lo, hi := 0, 1
+	for hi < len(p) && p[hi] < id {
+		lo, hi = hi, 2*hi
+	}
+	hi = min(hi, len(p))
+	i, _ := slices.BinarySearch(p[lo+1:hi], id)
+	return lo + 1 + i
 }
 
 // Open range bounds for callers building range predicates without

@@ -6,6 +6,10 @@
 // tens of percent between runs; these counts move only when the code
 // does more or less work.
 //
+// A galloping search of a hash posting (sqldb.View.IntersectMatch)
+// reads no row, so it counts no cell: each id it tests against a
+// posting is one sorted access, counted with the ids copied.
+//
 // An ask counts into a Counts in its own scratch, with local counters
 // added once per call of the counting function, and flushes it into
 // its System's Sink once, when the ask ends. Nothing counts per row
@@ -22,8 +26,9 @@ type Counts struct {
 	postings, cells, tally, scored, sims int64
 }
 
-// AddPostings counts n ids copied from an index posting or from the
-// live slots (sorted accesses).
+// AddPostings counts n sorted accesses: ids copied from an index
+// posting or from the live slots, or tested against a posting by a
+// galloping search.
 func (c *Counts) AddPostings(n int) {
 	if c != nil {
 		c.postings += int64(n)
@@ -74,8 +79,9 @@ func (s *Sink) Flush(c *Counts) {
 
 // Totals is a sink's sum of the work of the asks flushed into it.
 type Totals struct {
-	// Postings is the number of ids copied from index postings and
-	// from the live slots.
+	// Postings is the number of sorted accesses: ids copied from index
+	// postings and from the live slots, and ids tested against a
+	// posting.
 	Postings int64
 	// Cells is the number of stored cells read.
 	Cells int64
