@@ -74,7 +74,7 @@ func rankEveryCandidate(t *testing.T, s *System, v sqldb.View, in *boolean.Inter
 	t.Helper()
 	sim := s.sims[v.Schema().Domain]
 	conds := in.AllConditions()
-	pool := slices.Clone(s.candidatePool(v, in, exact, new(relaxScratch)))
+	pool := slices.Clone(s.candidatePool(v, in, BuildSelect(v.Schema(), in, 0).Where, exact, new(relaxScratch)))
 	if keep != nil {
 		pool = slices.DeleteFunc(pool, func(id sqldb.RowID) bool { return !keep(id) })
 	}
@@ -124,7 +124,7 @@ func exactIDs(t *testing.T, s *System, v sqldb.View, sel *sql.Select, in *boolea
 // partials runs partialAnswers as answerIn does, over a candidate pool
 // taken in a scratch of its own.
 func partials(s *System, v sqldb.View, in *boolean.Interpretation, exact []sqldb.RowID, want int, p part) []Answer {
-	pool := s.candidatePool(v, in, exact, new(relaxScratch))
+	pool := s.candidatePool(v, in, BuildSelect(v.Schema(), in, 0).Where, exact, new(relaxScratch))
 	return partialAnswers(s, nil, v, in, pool, exact, want, p, similarityNames(in.AllConditions()), asAnswer)
 }
 
@@ -263,8 +263,9 @@ func TestOvershootAdsScoreAtCeiling(t *testing.T) {
 			t.Fatalf("%q interprets as %s, want one condition and a superlative", ad.ask, in)
 		}
 		tbl.View(func(v sqldb.View) {
-			exact := exactIDs(t, sys, v, BuildSelect(tbl.Schema(), in, sys.maxAnswers), in, part{})
-			if !slices.Contains(sys.candidatePool(v, in, exact, new(relaxScratch)), id) {
+			sel := BuildSelect(tbl.Schema(), in, sys.maxAnswers)
+			exact := exactIDs(t, sys, v, sel, in, part{})
+			if !slices.Contains(sys.candidatePool(v, in, sel.Where, exact, new(relaxScratch)), id) {
 				t.Fatalf("%q: overshoot ad %d not in the candidate pool", ad.ask, id)
 			}
 		})

@@ -168,15 +168,17 @@ func (sc *relaxScratch) see(id sqldb.RowID) bool {
 
 // candidatePool fills sc with the N−1 candidate pool of in — every row
 // the relaxation admits, minus exact — and returns it in ascending id
-// order, read through v, the view exact was computed in. The slice is
-// sc's; it is valid until sc's next ask.
-func (s *System) candidatePool(v sqldb.View, in *boolean.Interpretation, exact []sqldb.RowID, sc *relaxScratch) []sqldb.RowID {
+// order, read through v, the view exact was computed in. where is the
+// WHERE BuildSelect built from in, whose condition nodes the
+// relaxation evaluates. The slice is sc's; it is valid until sc's next
+// ask.
+func (s *System) candidatePool(v sqldb.View, in *boolean.Interpretation, where sql.Expr, exact []sqldb.RowID, sc *relaxScratch) []sqldb.RowID {
 	sc.begin(v.Slots())
 	for _, id := range exact {
 		sc.see(id)
 	}
 	if in.ConditionCount() != 1 {
-		return s.relaxedCandidatesInto(v, in, sc)
+		return s.relaxedCandidatesInto(v, in, where, sc)
 	}
 	// Single condition: similarity matching over the table (Sec. 4.3.1
 	// "For questions with one condition C, CQAds applies the
@@ -196,7 +198,9 @@ func (s *System) candidatePool(v sqldb.View, in *boolean.Interpretation, exact [
 // sc.cands: for each group, each subset of up to RelaxationDepth
 // conditions is dropped and the remaining conjunction evaluated (the
 // footnote-4 AND→OR replacement generalized). Records already in sc's
-// seen set are skipped; the result is sorted ascending.
+// seen set are skipped; the result is sorted ascending. Each condition
+// is evaluated through the node BuildSelect built for it in where
+// (groupConds), so the sweep builds no expression of its own.
 //
 // A record belongs to the union of the single-drop results exactly
 // when it satisfies at least n−1 of the group's n conditions (and to
@@ -209,7 +213,7 @@ func (s *System) candidatePool(v sqldb.View, in *boolean.Interpretation, exact [
 // is O(sum of posting sizes) per group regardless of depth, where the
 // old prefix/suffix merge pipeline paid O(n) full-width merges for
 // N−1 and one merge per pair for N−2.
-func (s *System) relaxedCandidatesInto(v sqldb.View, in *boolean.Interpretation, sc *relaxScratch) []sqldb.RowID {
+func (s *System) relaxedCandidatesInto(v sqldb.View, in *boolean.Interpretation, where sql.Expr, sc *relaxScratch) []sqldb.RowID {
 	emit := func(ids []sqldb.RowID) {
 		for _, id := range ids {
 			if sc.see(id) {
@@ -217,9 +221,13 @@ func (s *System) relaxedCandidatesInto(v sqldb.View, in *boolean.Interpretation,
 			}
 		}
 	}
+	k := -1 // where's operand for group gi: groups without conditions have none
 	for gi := range in.Groups {
 		g := &in.Groups[gi]
 		n := len(g.Conds)
+		if n > 0 {
+			k++
+		}
 		if n < 2 {
 			continue
 		}
@@ -240,10 +248,11 @@ func (s *System) relaxedCandidatesInto(v sqldb.View, in *boolean.Interpretation,
 		cnt, mark := sc.cnt, sc.mark
 		touched := sc.touched[:0]
 		incs := 0
+		conds := groupConds(where, in, k)
 		for ci := range g.Conds {
 			sc.condSeq++
 			seq := sc.condSeq
-			_ = sql.ForEachMatch(v, condExpr(&g.Conds[ci]), func(id sqldb.RowID) {
+			_ = sql.ForEachMatch(v, conds[ci], func(id sqldb.RowID) {
 				if mark[id] == seq {
 					// Already counted for this condition by another
 					// OR branch.
@@ -353,7 +362,7 @@ func (s *System) PartialCandidates(domain string, in *boolean.Interpretation) (p
 			return
 		}
 		rs := relaxPool.Get().(*relaxScratch)
-		pool = append([]sqldb.RowID(nil), s.candidatePool(v, in, exact, rs)...)
+		pool = append([]sqldb.RowID(nil), s.candidatePool(v, in, sel.Where, exact, rs)...)
 		relaxPool.Put(rs)
 	})
 	return pool, err

@@ -30,7 +30,7 @@ func (s *System) relaxedCandidates(tbl *sqldb.Table, in *boolean.Interpretation,
 		for id := range seen {
 			sc.see(id)
 		}
-		out = slices.Clone(s.relaxedCandidatesInto(v, in, sc))
+		out = slices.Clone(s.relaxedCandidatesInto(v, in, BuildSelect(v.Schema(), in, 0).Where, sc))
 	})
 	for _, id := range out {
 		seen[id] = true
@@ -264,8 +264,9 @@ func TestPooledScratchUnderIngest(t *testing.T) {
 					var exact, pool []sqldb.RowID
 					var err error
 					tbl.View(func(v sqldb.View) {
-						if exact, err = sys.execSelect(v, BuildSelect(tbl.Schema(), in, 0)); err == nil {
-							pool = sys.candidatePool(v, in, exact, sc)
+						sel := BuildSelect(tbl.Schema(), in, 0)
+						if exact, err = sys.execSelect(v, sel); err == nil {
+							pool = sys.candidatePool(v, in, sel.Where, exact, sc)
 						}
 					})
 					if err != nil {
@@ -325,8 +326,9 @@ func TestRelaxScratchCounterWrap(t *testing.T) {
 				var exact, got []sqldb.RowID
 				var err error
 				tbl.View(func(v sqldb.View) {
-					if exact, err = sys.execSelect(v, BuildSelect(tbl.Schema(), in, 0)); err == nil {
-						got = slices.Clone(sys.candidatePool(v, in, exact, sc))
+					sel := BuildSelect(tbl.Schema(), in, 0)
+					if exact, err = sys.execSelect(v, sel); err == nil {
+						got = slices.Clone(sys.candidatePool(v, in, sel.Where, exact, sc))
 					}
 				})
 				if err != nil {

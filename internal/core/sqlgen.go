@@ -44,6 +44,25 @@ func BuildSelect(s *schema.Schema, in *boolean.Interpretation, limit int) *sql.S
 	return sel
 }
 
+// groupConds returns the nodes of a group's conditions in where, the
+// WHERE that BuildSelect built from in: the k-th group that has
+// conditions, which must have two or more. BuildSelect makes such a
+// group an AND of one node per condition, in order, and makes the
+// groups with conditions the operands of an OR when there are two or
+// more of them.
+func groupConds(where sql.Expr, in *boolean.Interpretation, k int) []sql.Expr {
+	groups := 0
+	for gi := range in.Groups {
+		if len(in.Groups[gi].Conds) > 0 {
+			groups++
+		}
+	}
+	if groups > 1 {
+		where = where.(*sql.Or).Operands[k]
+	}
+	return where.(*sql.And).Operands
+}
+
 // condExpr compiles one condition to a WHERE node.
 func condExpr(c *boolean.Condition) sql.Expr {
 	var e sql.Expr

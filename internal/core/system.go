@@ -582,9 +582,9 @@ func answerIn[A any](s *System, v sqldb.View, sel *sql.Select, in *boolean.Inter
 	// takes the pool with its exact answers in and splits them out.
 	var pool []sqldb.RowID
 	if demote {
-		pool = s.candidatePool(v, in, nil, rs)
+		pool = s.candidatePool(v, in, sel.Where, nil, rs)
 	} else if want > 0 {
-		pool = s.candidatePool(v, in, ids, rs)
+		pool = s.candidatePool(v, in, sel.Where, ids, rs)
 	}
 	answers = make([]A, 0, len(ids)+want)
 	sim := s.sims[v.Schema().Domain]
