@@ -26,6 +26,7 @@ import (
 	"repro/internal/pool"
 	"repro/internal/replica"
 	"repro/internal/schema"
+	"repro/internal/shard/shardtest"
 	"repro/internal/sqldb"
 	"repro/internal/webui"
 )
@@ -313,41 +314,6 @@ func (c *cluster) waitConverged(leader *peer) {
 	}
 }
 
-var failoverQuestions = []string{
-	"Find Honda Accord blue less than 15,000 dollars",
-	"cheapest honda",
-	"blue car",
-	"red or blue toyota under $9000",
-	"gold necklace diamond",
-}
-
-// assertIdentical requires bit-identical Ask results between the
-// reference system and a peer.
-func assertIdentical(t *testing.T, label string, ref, got *core.System) {
-	t.Helper()
-	check := func(q string, p, f *core.Result, err1, err2 error) {
-		if err1 != nil || err2 != nil {
-			t.Fatalf("%s: %q: reference err %v, peer err %v", label, q, err1, err2)
-		}
-		if p.Domain != f.Domain || p.ExactCount != f.ExactCount || len(p.Answers) != len(f.Answers) {
-			t.Fatalf("%s: %q: reference %s %d/%d, peer %s %d/%d", label, q,
-				p.Domain, p.ExactCount, len(p.Answers), f.Domain, f.ExactCount, len(f.Answers))
-		}
-		for i := range p.Answers {
-			x, y := p.Answers[i], f.Answers[i]
-			if x.ID != y.ID || x.Exact != y.Exact || x.RankSim != y.RankSim || x.SimilarityUsed != y.SimilarityUsed {
-				t.Fatalf("%s: %q: answer %d differs: reference {id %d sim %v %q}, peer {id %d sim %v %q}",
-					label, q, i, x.ID, x.RankSim, x.SimilarityUsed, y.ID, y.RankSim, y.SimilarityUsed)
-			}
-		}
-	}
-	for _, q := range failoverQuestions {
-		p, err1 := ref.Ask(q)
-		f, err2 := got.Ask(q)
-		check(q, p, f, err1, err2)
-	}
-}
-
 // mirrored ingests the same generated ads into the leader (at the
 // given ack level) and the reference system, failing on any error, and
 // returns the leader-assigned ids.
@@ -419,7 +385,7 @@ func TestFailoverKillLeader(t *testing.T) {
 
 	// No quorum-acked write may be lost: the new leader's log covers
 	// them all, so its answers match the never-failed reference.
-	assertIdentical(t, "new leader after crash", ref, next.sys)
+	shardtest.AssertSameAnswers(t, "new leader after crash", shardtest.SmokeQuestions, ref, next.sys)
 
 	// The set still has 2 of 3 members — a majority — so quorum writes
 	// keep working in the new term, and the surviving follower
@@ -427,7 +393,7 @@ func TestFailoverKillLeader(t *testing.T) {
 	mirrored(t, next.sys, ref, "cars", 2001, 4, core.AckQuorum)
 	c.waitConverged(next)
 	for _, p := range c.live() {
-		assertIdentical(t, "survivor "+p.url, ref, p.sys)
+		shardtest.AssertSameAnswers(t, "survivor "+p.url, shardtest.SmokeQuestions, ref, p.sys)
 	}
 
 	// The HTTP leader view follows: every survivor's
@@ -523,7 +489,7 @@ func TestPartitionFencing(t *testing.T) {
 	}
 	// And the rejoined node answers bit-identically to the reference
 	// (which never saw the fenced write).
-	assertIdentical(t, "rejoined old leader", ref, old.sys)
+	shardtest.AssertSameAnswers(t, "rejoined old leader", shardtest.SmokeQuestions, ref, old.sys)
 	if _, err := old.sys.InsertAd("cars", gen.Generate(schema.Cars(), 1)[0]); !errors.Is(err, core.ErrReadOnlyReplica) {
 		t.Fatalf("rejoined old leader accepts writes: %v", err)
 	}
@@ -558,7 +524,7 @@ func TestElectionUnderChurn(t *testing.T) {
 					time.Sleep(10 * time.Millisecond)
 					continue
 				}
-				errs := pool.Map(failoverQuestions[:3], 3, func(_ int, q string) error {
+				errs := pool.Map(shardtest.SmokeQuestions[:3], 3, func(_ int, q string) error {
 					_, err := p.sys.Ask(q)
 					return err
 				})
@@ -602,6 +568,6 @@ func TestElectionUnderChurn(t *testing.T) {
 	default:
 	}
 	for _, p := range c.live() {
-		assertIdentical(t, "post-churn "+p.url, ref, p.sys)
+		shardtest.AssertSameAnswers(t, "post-churn "+p.url, shardtest.SmokeQuestions, ref, p.sys)
 	}
 }

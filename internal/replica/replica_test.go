@@ -15,6 +15,7 @@ import (
 	"repro/internal/pool"
 	"repro/internal/replica"
 	"repro/internal/schema"
+	"repro/internal/shard/shardtest"
 	"repro/internal/sqldb"
 	"repro/internal/webui"
 )
@@ -92,43 +93,6 @@ func waitConverged(t *testing.T, primary, follower *core.System) {
 	}
 }
 
-// replicaQuestions exercises exact matches, superlatives, relaxation,
-// OR groups and classification.
-var replicaQuestions = []string{
-	"Find Honda Accord blue less than 15,000 dollars",
-	"cheapest honda",
-	"blue car",
-	"red or blue toyota under $9000",
-	"gold necklace diamond",
-}
-
-// assertConvergedAnswers requires bit-identical Ask results between
-// primary and follower.
-func assertConvergedAnswers(t *testing.T, label string, primary, follower *core.System) {
-	t.Helper()
-	check := func(q string, p, f *core.Result, err1, err2 error) {
-		if err1 != nil || err2 != nil {
-			t.Fatalf("%s: %q: primary err %v, follower err %v", label, q, err1, err2)
-		}
-		if p.Domain != f.Domain || p.ExactCount != f.ExactCount || len(p.Answers) != len(f.Answers) {
-			t.Fatalf("%s: %q: primary %s %d/%d, follower %s %d/%d", label, q,
-				p.Domain, p.ExactCount, len(p.Answers), f.Domain, f.ExactCount, len(f.Answers))
-		}
-		for i := range p.Answers {
-			x, y := p.Answers[i], f.Answers[i]
-			if x.ID != y.ID || x.Exact != y.Exact || x.RankSim != y.RankSim || x.SimilarityUsed != y.SimilarityUsed {
-				t.Fatalf("%s: %q: answer %d differs: primary {id %d sim %v %q}, follower {id %d sim %v %q}",
-					label, q, i, x.ID, x.RankSim, x.SimilarityUsed, y.ID, y.RankSim, y.SimilarityUsed)
-			}
-		}
-	}
-	for _, q := range replicaQuestions {
-		p, err1 := primary.Ask(q)
-		f, err2 := follower.Ask(q)
-		check(q, p, f, err1, err2)
-	}
-}
-
 // ingestSome drives a mixed durable workload on the primary.
 func ingestSome(t *testing.T, sys *core.System, seed int64, n int) []sqldb.RowID {
 	t.Helper()
@@ -182,7 +146,7 @@ func TestFollowerEndToEnd(t *testing.T) {
 				return
 			default:
 			}
-			errs := pool.Map(replicaQuestions[:3], 3, func(_ int, q string) error {
+			errs := pool.Map(shardtest.SmokeQuestions[:3], 3, func(_ int, q string) error {
 				_, err := follower.Ask(q)
 				return err
 			})
@@ -201,7 +165,7 @@ func TestFollowerEndToEnd(t *testing.T) {
 	if err := f.Err(); err != nil {
 		t.Fatalf("follower loop error: %v", err)
 	}
-	assertConvergedAnswers(t, "end-to-end", primary, follower)
+	shardtest.AssertSameAnswers(t, "end-to-end", shardtest.SmokeQuestions, primary, follower)
 
 	// Read-only until promoted.
 	gen := adsgen.NewGenerator(5)
@@ -268,7 +232,7 @@ func TestFollowerCatchUpAcrossCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	waitConvergedNow(t, primary, follower)
-	assertConvergedAnswers(t, "post-compaction", primary, follower)
+	shardtest.AssertSameAnswers(t, "post-compaction", shardtest.SmokeQuestions, primary, follower)
 	if lag := follower.Status().Replication.LagOps; lag != 0 {
 		t.Fatalf("converged follower reports lag %d", lag)
 	}
@@ -330,5 +294,5 @@ func TestFollowerSurvivesPrimaryOutage(t *testing.T) {
 		}
 	}
 	waitConvergedNow(t, recovered, follower)
-	assertConvergedAnswers(t, "post-outage", recovered, follower)
+	shardtest.AssertSameAnswers(t, "post-outage", shardtest.SmokeQuestions, recovered, follower)
 }

@@ -10,6 +10,8 @@
 package shardtest
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"net/http/httptest"
 	"path/filepath"
@@ -149,6 +151,59 @@ func Workload(tb testing.TB, opts cqads.Options, sys *cqads.System) []string {
 		tb.Fatalf("workload has %d questions, want %d", len(out), carsCount+othersTotal)
 	}
 	return out
+}
+
+// SmokeQuestions are five questions whose answers cover exact
+// matches, a superlative, relaxation, an OR group and classification
+// into a second domain: the questions a topology test asks to compare
+// two systems.
+var SmokeQuestions = []string{
+	"Find Honda Accord blue less than 15,000 dollars",
+	"cheapest honda",
+	"blue car",
+	"red or blue toyota under $9000",
+	"gold necklace diamond",
+}
+
+// AssertSameAnswers asks every question of qs on ref and on got and
+// fails tb unless both answer each one the same. Two answers are the
+// same when they encode to the same GET /api/ask body (the bytes
+// json.Encoder writes for webui.BuildAPIResult, which the server's
+// encoder reproduces): domain, interpretation, SQL, exact count, and
+// each answer's exactness, Rank_Sim, similarity label and record, in
+// order. The body does not carry an answer's row id or its dropped
+// condition, so those are compared beside it. An error on either side
+// fails tb.
+func AssertSameAnswers(tb testing.TB, label string, qs []string, ref, got *cqads.System) {
+	tb.Helper()
+	for _, q := range qs {
+		r, err1 := ref.Ask(q)
+		g, err2 := got.Ask(q)
+		if err1 != nil || err2 != nil {
+			tb.Fatalf("%s: %q: reference err %v, other err %v", label, q, err1, err2)
+		}
+		rb, gb := askBody(tb, r), askBody(tb, g)
+		if !bytes.Equal(rb, gb) {
+			tb.Fatalf("%s: %q: /api/ask bodies differ:\nreference %s\nother     %s", label, q, rb, gb)
+		}
+		for i := range r.Answers {
+			x, y := r.Answers[i], g.Answers[i]
+			if x.ID != y.ID || x.DroppedCond != y.DroppedCond {
+				tb.Fatalf("%s: %q: answer %d: reference id %d dropped %d, other id %d dropped %d",
+					label, q, i, x.ID, x.DroppedCond, y.ID, y.DroppedCond)
+			}
+		}
+	}
+}
+
+// askBody returns the GET /api/ask body for res.
+func askBody(tb testing.TB, res *cqads.Result) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(webui.BuildAPIResult(res)); err != nil {
+		tb.Fatalf("encoding %q: %v", res.Question, err)
+	}
+	return buf.Bytes()
 }
 
 // Cluster is one sharded HTTP topology: shard webui servers, the
