@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race lint vet-lint bench clean
+.PHONY: all build test race lint vet-lint clean
 
 all: build lint test
 
@@ -23,9 +23,6 @@ lint:
 vet-lint:
 	$(GO) build -o bin/cqadslint ./cmd/cqadslint
 	$(GO) vet -vettool=$(CURDIR)/bin/cqadslint ./...
-
-bench:
-	$(GO) test -run '^$$' -bench . -benchtime=1x ./...
 
 clean:
 	rm -rf bin

@@ -4,25 +4,19 @@ import (
 	"sync"
 	"testing"
 
-	"repro/internal/adsgen"
 	"repro/internal/boolean"
-	"repro/internal/classify"
 	"repro/internal/core"
-	"repro/internal/dedup"
 	"repro/internal/experiments"
-	"repro/internal/qlog"
 	"repro/internal/rank"
 	"repro/internal/schema"
-	"repro/internal/schemagen"
-	"repro/internal/sql"
-	"repro/internal/sql/sqltest"
-	"repro/internal/sqldb"
-	"repro/internal/trie"
-	"repro/internal/wsmatrix"
 )
 
-// benchEnv is built once and shared: every table/figure benchmark
-// measures work against the same populated environment.
+// The three micro-benchmarks below measure the paper's partial-answer
+// units of work in process. End-to-end numbers (HTTP envelope, front
+// tier, ingest) come from the benchmark in bench/.
+
+// benchEnv is built once and shared: every benchmark measures work
+// against the same populated environment.
 var (
 	benchOnce sync.Once
 	benchE    *experiments.Env
@@ -38,116 +32,6 @@ func env(b *testing.B) *experiments.Env {
 		b.Fatal(benchErr)
 	}
 	return benchE
-}
-
-// BenchmarkFig2Classification regenerates Figure 2: classifying the
-// 650 test questions into their eight ads domains.
-func BenchmarkFig2Classification(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Fig2Classification(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkExactMatch regenerates the Sec. 5.3 experiment: full
-// pipeline evaluation of the 650 questions with P/R/F scoring.
-func BenchmarkExactMatch(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.ExactMatch(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig4Boolean regenerates Figure 4: interpreting the ten
-// Boolean survey questions and collecting simulated votes.
-func BenchmarkFig4Boolean(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Fig4Boolean(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkTable2 regenerates Table 2: the running-example question
-// with its top-5 ranked partial answers.
-func BenchmarkTable2(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Table2PartialAnswers(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig5Ranking regenerates Figure 5: the five ranking
-// approaches over 40 questions with the appraiser panel.
-func BenchmarkFig5Ranking(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Fig5Ranking(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkFig6Latency regenerates Figure 6 on a 10-question-per-
-// domain subsample (the full sweep is the -exp fig6 command).
-func BenchmarkFig6Latency(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.Fig6Latency(10); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkShorthand regenerates the Sec. 4.2.3 experiment: 1,000
-// shorthand detection decisions.
-func BenchmarkShorthand(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.ShorthandDetection(); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// --- Per-question microbenchmarks (the units behind Figure 6) ---
-
-// BenchmarkAskExact measures one exactly-answerable question through
-// the whole pipeline.
-func BenchmarkAskExact(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.System.AskInDomain("cars", "red automatic toyota camry"); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkAskPartial measures a question that triggers the N−1
-// partial-matching path.
-func BenchmarkAskPartial(b *testing.B) {
-	e := env(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := e.System.AskInDomain("cars", "Find Honda Accord blue less than 15,000 dollars"); err != nil {
-			b.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkPartialAnswers isolates the partial-match pipeline: the
@@ -197,140 +81,6 @@ func BenchmarkRankers(b *testing.B) {
 	}
 }
 
-// --- Ablation benchmarks (DESIGN.md Sec. 5) ---
-
-// BenchmarkEvalOrder measures Sec. 4.3's evaluation-order argument
-// under the planner's static rule — a conjunction is driven by its
-// first index-served operand, in statement order — so the two
-// statements really do run differently: the paper's Type I → II → III
-// order drives the make hash lookup, the reverse drives the price
-// range scan (and re-sorts its survivors).
-func BenchmarkEvalOrder(b *testing.B) {
-	e := env(b)
-	db := e.DB
-	ordered := "SELECT * FROM car_ads WHERE make = 'honda' AND color = 'blue' AND price < 15000"
-	reversed := "SELECT * FROM car_ads WHERE price < 15000 AND color = 'blue' AND make = 'honda'"
-	for name, q := range map[string]string{"TypeIFirst": ordered, "TypeIIIFirst": reversed} {
-		sel, err := sqltest.Parse(q)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, err := sql.Exec(db, sel); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
-// BenchmarkStreamingExec compares the three executor configurations on
-// the multi-conjunct shape behind the partial-match path: the eager
-// reference evaluator (materialize every operand's posting list, then
-// intersect), the streaming executor compiling per call (driving-scan
-// + residual pushdown), and the plan-cache steady state (compile once,
-// re-bind literals per execution — what System question answering
-// actually runs after warm-up).
-func BenchmarkStreamingExec(b *testing.B) {
-	e := env(b)
-	db := e.DB
-	sel, err := sqltest.Parse("SELECT * FROM car_ads WHERE make = 'honda' AND color = 'blue' AND price < 15000")
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.Run("Legacy", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := sqltest.ExecLegacy(db, sel); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Streaming", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := sql.Exec(db, sel); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("CachedPlan", func(b *testing.B) {
-		p, err := sql.Compile(db, sel)
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, err := p.Run(db, sel); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkTrieVsMap compares trie tagging against a simple
-// hash-map longest-match tagger, the data-structure choice argued in
-// Sec. 4.1.3.
-func BenchmarkTrieVsMap(b *testing.B) {
-	s := schema.Cars()
-	tagger := trie.NewTagger(s)
-	words := map[string]bool{}
-	for _, a := range s.Attrs {
-		for _, v := range a.Values {
-			words[v] = true
-		}
-	}
-	question := "Cheapest 2dr mazda with automatic transmission less than 20k miles"
-	b.Run("Trie", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			tagger.Tag(question)
-		}
-	})
-	b.Run("MapLookup", func(b *testing.B) {
-		// Baseline: per-token map membership only (no phrases, no
-		// repair) — the floor a trie must stay comparable to.
-		for i := 0; i < b.N; i++ {
-			n := 0
-			for _, w := range splitBench(question) {
-				if words[w] {
-					n++
-				}
-			}
-			_ = n
-		}
-	})
-}
-
-// BenchmarkClassifiers compares JBBSM and multinomial NB on one
-// question (ablate-jbbsm's unit of work).
-func BenchmarkClassifiers(b *testing.B) {
-	e := env(b)
-	mn := classify.NewMultinomial()
-	for _, d := range schema.DomainNames {
-		var docs [][]string
-		for _, q := range e.Tests[d] {
-			docs = append(docs, splitBench(q.Text))
-		}
-		mn.Train(d, docs)
-	}
-	doc := splitBench("cheapest red honda accord under 9000 dollars")
-	b.Run("JBBSM", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := e.Cls.Classify(doc); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-	b.Run("Multinomial", func(b *testing.B) {
-		for i := 0; i < b.N; i++ {
-			if _, _, err := mn.Classify(doc); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
 // BenchmarkRelaxationDepth compares the N−1 strategy against N−2
 // (Sec. 4.3.1's cost argument).
 func BenchmarkRelaxationDepth(b *testing.B) {
@@ -347,62 +97,6 @@ func BenchmarkRelaxationDepth(b *testing.B) {
 				}
 			}
 		})
-	}
-}
-
-// BenchmarkTIMatrixBuild measures TI-matrix construction from a
-// 500-session query log.
-func BenchmarkTIMatrixBuild(b *testing.B) {
-	sim := qlog.NewSimulator(schema.Cars(), 42)
-	log := sim.Simulate("cars", 500)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		qlog.BuildTIMatrix(log)
-	}
-}
-
-// BenchmarkWSMatrixBuild measures WS-matrix construction from the
-// synthetic corpus.
-func BenchmarkWSMatrixBuild(b *testing.B) {
-	schemas := []*schema.Schema{schema.Cars(), schema.CSJobs()}
-	corpus := wsmatrix.GenerateCorpus(schemas, 40, 42)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		wsmatrix.Build(corpus)
-	}
-}
-
-// BenchmarkDedup measures near-duplicate detection over the cars
-// table (Sec. 6 extension (iv)).
-func BenchmarkDedup(b *testing.B) {
-	e := env(b)
-	tbl, _ := e.DB.TableForDomain("cars")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		tbl.View(func(v sqldb.View) { dedup.Dedup(v, dedup.DefaultOptions()) })
-	}
-}
-
-// BenchmarkSchemaInference measures schema generation from 500 raw
-// records (Sec. 6 extension (ii)).
-func BenchmarkSchemaInference(b *testing.B) {
-	e := env(b)
-	tbl, _ := e.DB.TableForDomain("cars")
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := schemagen.InferFromTable("cars", "car_ads", tbl, schemagen.DefaultOptions()); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkDataGeneration measures populating one 500-ad domain table.
-func BenchmarkDataGeneration(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		db := sqldb.NewDB()
-		if _, err := adsgen.NewGenerator(42).Populate(db, schema.Cars(), 500); err != nil {
-			b.Fatal(err)
-		}
 	}
 }
 
@@ -424,18 +118,4 @@ func coreSystem(e *experiments.Env, depth int) (*core.System, error) {
 	return core.New(core.Config{
 		DB: e.DB, TI: e.TI, WS: e.WS, RelaxationDepth: depth,
 	})
-}
-
-func splitBench(s string) []string {
-	var out []string
-	start := 0
-	for i := 0; i <= len(s); i++ {
-		if i == len(s) || s[i] == ' ' {
-			if i > start {
-				out = append(out, s[start:i])
-			}
-			start = i + 1
-		}
-	}
-	return out
 }

@@ -151,11 +151,8 @@
 // learns per-group read latency the same way and HEDGES slow or
 // failed reads against another replica-set member (first 200 wins,
 // loser cancelled, counters in the front tier's status), replacing
-// the degrade-to-error window during a member restart. cmd/loadgen
-// replays the evaluation's 650-question workload plus live ingest
-// against any topology, closed- or open-loop, and records
-// per-endpoint percentiles to BENCH_pr9.json. The histogram model,
-// group-commit design and hedging policy are documented in the
+// the degrade-to-error window during a member restart. The histogram
+// model, group-commit design and hedging policy are documented in the
 // repository root package.
 //
 // # Static guarantees

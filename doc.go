@@ -3,9 +3,10 @@
 // to Questions in Advertisements", PVLDB 5(3), 2011).
 //
 // The public API lives in package repro/cqads; the substrates live
-// under internal/. The root package holds the repository-level
-// benchmark suite (bench_test.go), one benchmark per table and figure
-// of the paper's evaluation.
+// under internal/. The root package holds three micro-benchmarks
+// (bench_test.go): the partial-answer pipeline, the N−1 versus N−2
+// relaxation depth, and the five rankers. End-to-end numbers over HTTP
+// come from the benchmark in bench/ (bash bench/run.sh).
 //
 // # Execution model
 //
@@ -303,7 +304,10 @@
 //     follower writable for manual failover: replication stops first,
 //     then writes are accepted, so a stale primary's stream can never
 //     race a post-promotion write. Automatic failover and quorum
-//     writes are deliberately out of scope (see ROADMAP).
+//     writes are internal/failover's: a lease-based election over a
+//     replica set (-replica-set, -lease) promotes the freshest
+//     follower when the leader's lease lapses, and a write sent with
+//     ?ack=quorum confirms only once a majority of the set holds it.
 //
 // # Sharding model
 //
@@ -407,8 +411,7 @@
 //     correct from either side of the cutover. The churn harness
 //     (internal/shard/rebalance) proves a move under live ingest and
 //     ask traffic stays byte-identical to a never-rebalanced
-//     reference, and `loadgen -scenario rebalance` charts the tail
-//     latency dent the fence actually costs.
+//     reference.
 //
 // # Load & latency
 //
@@ -456,16 +459,6 @@
 //     (they are not idempotent); hedge volume is visible in the front
 //     tier's /api/status ("front": hedges, hedge_wins, per-group
 //     latency and the delay currently in force).
-//
-//   - Load harness. cmd/loadgen replays the evaluation's 650-question
-//     workload (rebuilt from the same seed-derived generators, so the
-//     questions reference ads the server actually holds) plus live
-//     ingest against any topology, closed-loop (fixed concurrency) or
-//     open-loop (fixed arrival rate, queueing visible in the tail),
-//     with a discarded warmup phase, and appends per-endpoint
-//     throughput, percentiles and ok/202/429/error splits to
-//     BENCH_pr9.json. CI drives it against a monolith and a two-shard
-//     front-tier topology and fails on any unexpected error.
 //
 // # Static guarantees
 //

@@ -22,7 +22,7 @@ import (
 var stageCeilings = map[string]struct{ allocs, kb float64 }{
 	"classify+tag+interpret": {136, 7.6},    // measured 129.3 allocations, 7.20 KiB
 	"BuildSelect+compile":    {18.7, 0.95},  // measured 17.8, 0.90
-	"relaxation tally":       {0.16, 0.005}, // measured 0.150, 0.0044: strconv's error when a hash key parses a value that starts with a digit ("2 door")
+	"relaxation tally":       {0.05, 0.005}, // measured 0, 0: as scoring; the ceiling only absorbs another goroutine's stray allocation
 	"scoring":                {0.05, 0.01},  // measured 0, 0: row reads and memoized similarities; the ceiling only absorbs another goroutine's stray allocation
 	"InsertAd (in memory)":   {13, 1.03},    // measured 12.4, 0.98
 }

@@ -90,9 +90,9 @@ type Superlative struct {
 
 // Attr returns the attribute named name and whether it exists.
 func (s *Schema) Attr(name string) (Attribute, bool) {
-	for _, a := range s.Attrs {
-		if a.Name == name {
-			return a, true
+	for i := range s.Attrs {
+		if s.Attrs[i].Name == name {
+			return s.Attrs[i], true
 		}
 	}
 	return Attribute{}, false

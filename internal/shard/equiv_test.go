@@ -23,7 +23,6 @@ import (
 	"repro/internal/adsgen"
 	"repro/internal/schema"
 	"repro/internal/shard/shardtest"
-	"repro/internal/sqldb"
 	"repro/internal/webui"
 )
 
@@ -59,15 +58,7 @@ func TestClusterEquivalence(t *testing.T) {
 	qc := shardtest.NewClassifier(t, opts)
 	workload := shardtest.Workload(t, opts, mono)
 
-	monoAsk := make([][]byte, len(workload))
-	for i, q := range workload {
-		status, body := get(t, askURL(monoSrv.URL, q))
-		if status != http.StatusOK {
-			t.Fatalf("monolith answered %d for %q: %s", status, q, body)
-		}
-		monoAsk[i] = body
-	}
-
+	monoAsk := shardtest.AskBodies(t, monoSrv.URL, workload)
 	for _, topo := range []struct {
 		name   string
 		groups [][]string
@@ -77,15 +68,7 @@ func TestClusterEquivalence(t *testing.T) {
 	} {
 		t.Run(topo.name, func(t *testing.T) {
 			cluster := shardtest.StartCluster(t, opts, topo.groups, qc)
-			for i, q := range workload {
-				status, body := get(t, askURL(cluster.Front.URL, q))
-				if status != http.StatusOK {
-					t.Fatalf("front tier answered %d for %q: %s", status, q, body)
-				}
-				if !bytes.Equal(body, monoAsk[i]) {
-					t.Errorf("ask bytes diverge on %q\n got: %s\nwant: %s", q, body, monoAsk[i])
-				}
-			}
+			shardtest.AssertSameBodies(t, topo.name, workload, monoAsk, cluster.Front.URL)
 		})
 	}
 }
@@ -151,11 +134,8 @@ func TestClusterDegradedMode(t *testing.T) {
 	}
 
 	// Every other domain: unaffected, still byte-identical.
-	_, monoBody := get(t, askURL(monoSrv.URL, otherQ))
-	status, body = get(t, askURL(cluster.Front.URL, otherQ))
-	if status != http.StatusOK || !bytes.Equal(body, monoBody) {
-		t.Fatalf("%s question degraded too: %d %s", otherD, status, body)
-	}
+	other := []string{otherQ}
+	shardtest.AssertSameBodies(t, otherD+" beside the dead shard", other, shardtest.AskBodies(t, monoSrv.URL, other), cluster.Front.URL)
 
 	// Health rollup: degraded, not down.
 	status, body = get(t, cluster.Front.URL+"/healthz")
@@ -166,20 +146,6 @@ func TestClusterDegradedMode(t *testing.T) {
 	if status != http.StatusOK || !strings.Contains(string(body), `"shards_reachable":7`) {
 		t.Fatalf("cluster status = %d %s", status, body)
 	}
-}
-
-// adRecord renders a generated ad as the JSON record POST /api/ads
-// accepts.
-func adRecord(ad map[string]sqldb.Value) map[string]any {
-	rec := make(map[string]any, len(ad))
-	for col, v := range ad {
-		if v.IsNull() {
-			rec[col] = nil
-			continue
-		}
-		rec[col] = v.String()
-	}
-	return rec
 }
 
 // TestIngestThroughRouterWhileBatchAsking is the acceptance race: ads
@@ -208,7 +174,7 @@ func TestIngestThroughRouterWhileBatchAsking(t *testing.T) {
 			for i := 0; i < adsPer; i++ {
 				domain := schema.DomainNames[(w+i)%len(schema.DomainNames)]
 				ad := gen.Generate(schema.ByName(domain), 1)[0]
-				body, err := json.Marshal(map[string]any{"domain": domain, "record": adRecord(ad)})
+				body, err := json.Marshal(map[string]any{"domain": domain, "record": shardtest.AdRecord(ad)})
 				if err != nil {
 					errs <- err
 					return

@@ -11,13 +11,11 @@ package shard_test
 // the monolith).
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"net/http"
 	"net/http/httptest"
-	"strconv"
+	"slices"
 	"sync"
 	"testing"
 
@@ -26,28 +24,6 @@ import (
 	"repro/internal/shard/shardtest"
 	"repro/internal/webui"
 )
-
-// pinnedPost ingests one ad with a caller-chosen ad id, so two
-// topologies assign identical row ids and stay comparable.
-func pinnedPost(t *testing.T, base string, id uint64, body []byte) {
-	t.Helper()
-	req, err := http.NewRequest(http.MethodPost, base+"/api/ads", bytes.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(webui.AdIDHeader, strconv.FormatUint(id, 10))
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		t.Fatalf("pinned POST /api/ads: %v", err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusCreated {
-		var buf bytes.Buffer
-		_, _ = buf.ReadFrom(resp.Body)
-		t.Fatalf("pinned ingest of id %d answered %d: %s", id, resp.StatusCode, buf.String())
-	}
-}
 
 // TestHashPartitionEquivalence drives the 650-question workload
 // through a monolith and through front tiers over a 2-way and a 4-way
@@ -71,44 +47,30 @@ func TestHashPartitionEquivalence(t *testing.T) {
 	}
 	var ingest []pinned
 	for i, ad := range ads {
-		body, err := json.Marshal(map[string]any{"domain": "cars", "record": adRecord(ad)})
+		body, err := json.Marshal(map[string]any{"domain": "cars", "record": shardtest.AdRecord(ad)})
 		if err != nil {
 			t.Fatal(err)
 		}
 		ingest = append(ingest, pinned{id: uint64(1_000_000 + i), body: body})
 	}
 
-	askAll := func(t *testing.T, base string) [][]byte {
+	pinIngest := func(t *testing.T, base string) {
 		t.Helper()
-		out := make([][]byte, len(workload))
-		for i, q := range workload {
-			status, body := get(t, askURL(base, q))
-			if status != http.StatusOK {
-				t.Fatalf("%s answered %d for %q: %s", base, status, q, body)
+		for _, p := range ingest {
+			if err := shardtest.PinnedPost(base, p.id, p.body); err != nil {
+				t.Fatal(err)
 			}
-			out[i] = body
 		}
-		return out
 	}
 
-	monoAsk := askAll(t, monoSrv.URL)
-	for _, p := range ingest {
-		pinnedPost(t, monoSrv.URL, p.id, p.body)
-	}
-	monoAskAfter := askAll(t, monoSrv.URL)
+	monoAsk := shardtest.AskBodies(t, monoSrv.URL, workload)
+	pinIngest(t, monoSrv.URL)
+	monoAskAfter := shardtest.AskBodies(t, monoSrv.URL, workload)
 
 	for _, count := range []uint32{2, 4} {
 		t.Run(fmt.Sprintf("%dway", count), func(t *testing.T) {
 			cluster := shardtest.StartPartitionCluster(t, opts, "cars", count, qc, nil)
-			for i, q := range workload {
-				status, body := get(t, askURL(cluster.Front.URL, q))
-				if status != http.StatusOK {
-					t.Fatalf("front tier answered %d for %q: %s", status, q, body)
-				}
-				if !bytes.Equal(body, monoAsk[i]) {
-					t.Errorf("ask bytes diverge on %q\n got: %s\nwant: %s", q, body, monoAsk[i])
-				}
-			}
+			shardtest.AssertSameBodies(t, "front tier", workload, monoAsk, cluster.Front.URL)
 			if count == 2 {
 				concurrentFrontPass(t, cluster.Front.URL, workload, monoAsk)
 			}
@@ -117,15 +79,8 @@ func TestHashPartitionEquivalence(t *testing.T) {
 			// must land on exactly the partition owning its key hash, and
 			// the merged answers must still match the monolith byte for
 			// byte.
-			for _, p := range ingest {
-				pinnedPost(t, cluster.Front.URL, p.id, p.body)
-			}
-			for i, q := range workload {
-				_, body := get(t, askURL(cluster.Front.URL, q))
-				if !bytes.Equal(body, monoAskAfter[i]) {
-					t.Errorf("post-ingest ask bytes diverge on %q\n got: %s\nwant: %s", q, body, monoAskAfter[i])
-				}
-			}
+			pinIngest(t, cluster.Front.URL)
+			shardtest.AssertSameBodies(t, "post-ingest", workload, monoAskAfter, cluster.Front.URL)
 
 			// The cluster latency rollup merged every partition's raw
 			// histograms: all count+1 shards contribute, and the merged
@@ -174,34 +129,24 @@ func TestHashPartitionEquivalence(t *testing.T) {
 }
 
 // concurrentFrontPass asks the workload through the front tier from 4
-// goroutines, twice each, with every body byte-equal to the
-// monolith's: the concurrent read path (pooled scratch, read views,
-// scatter legs in flight together) must answer as a lone request does.
+// goroutines, twice each and each from its own starting question, with
+// every body byte-equal to the monolith's: the concurrent read path
+// (pooled scratch, read views, scatter legs in flight together) must
+// answer as a lone request does.
 func concurrentFrontPass(t *testing.T, front string, workload []string, want [][]byte) {
 	t.Helper()
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
+		k := w * len(workload) / 4
+		qs := append(slices.Clone(workload[k:]), workload[:k]...)
+		ws := append(slices.Clone(want[k:]), want[:k]...)
 		wg.Add(1)
-		go func(w int) {
+		go func() {
 			defer wg.Done()
 			for pass := 0; pass < 2; pass++ {
-				for j := range workload {
-					i := (j + w*len(workload)/4) % len(workload)
-					resp, err := http.Get(askURL(front, workload[i]))
-					if err != nil {
-						t.Errorf("worker %d: %q: %v", w, workload[i], err)
-						return
-					}
-					body, err := io.ReadAll(resp.Body)
-					resp.Body.Close()
-					if err != nil || resp.StatusCode != http.StatusOK || !bytes.Equal(body, want[i]) {
-						t.Errorf("worker %d pass %d: %q answered %d (%v)\n got: %s\nwant: %s",
-							w, pass, workload[i], resp.StatusCode, err, body, want[i])
-						return
-					}
-				}
+				shardtest.AssertSameBodies(t, fmt.Sprintf("worker %d pass %d", w, pass), qs, ws, front)
 			}
-		}(w)
+		}()
 	}
 	wg.Wait()
 }

@@ -17,7 +17,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"net/url"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -34,41 +33,6 @@ import (
 	"repro/internal/sqldb"
 	"repro/internal/webui"
 )
-
-// adRecord renders a generated ad as the JSON record POST /api/ads
-// accepts.
-func adRecord(ad map[string]sqldb.Value) map[string]any {
-	rec := make(map[string]any, len(ad))
-	for col, v := range ad {
-		if v.IsNull() {
-			rec[col] = nil
-			continue
-		}
-		rec[col] = v.String()
-	}
-	return rec
-}
-
-// pinnedPost ingests one ad under a caller-chosen id; both topologies
-// under comparison replay the same ids so their rows stay identical.
-func pinnedPost(base string, id uint64, body []byte) error {
-	req, err := http.NewRequest(http.MethodPost, base+"/api/ads", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	req.Header.Set(webui.AdIDHeader, strconv.FormatUint(id, 10))
-	resp, err := http.DefaultClient.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	respBody, _ := io.ReadAll(resp.Body)
-	if resp.StatusCode != http.StatusCreated {
-		return fmt.Errorf("pinned ingest of id %d answered %d: %s", id, resp.StatusCode, respBody)
-	}
-	return nil
-}
 
 func TestLiveRebalanceUnderChurn(t *testing.T) {
 	opts := shardtest.Options(40)
@@ -155,13 +119,13 @@ func TestLiveRebalanceUnderChurn(t *testing.T) {
 			default:
 			}
 			id := uint64(2_000_000 + i)
-			body, err := json.Marshal(map[string]any{"domain": "cars", "record": adRecord(ad)})
+			body, err := json.Marshal(map[string]any{"domain": "cars", "record": shardtest.AdRecord(ad)})
 			if err != nil {
 				churnErrs.Add(1)
 				errCh <- err
 				return
 			}
-			if err := pinnedPost(cluster.Front.URL, id, body); err != nil {
+			if err := shardtest.PinnedPost(cluster.Front.URL, id, body); err != nil {
 				churnErrs.Add(1)
 				errCh <- err
 				return
@@ -324,29 +288,14 @@ func TestLiveRebalanceUnderChurn(t *testing.T) {
 	monoSrv := httptest.NewServer(webui.NewServer(mono))
 	defer monoSrv.Close()
 	for i, id := range acked {
-		body, err := json.Marshal(map[string]any{"domain": "cars", "record": adRecord(ads[i])})
+		body, err := json.Marshal(map[string]any{"domain": "cars", "record": shardtest.AdRecord(ads[i])})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := pinnedPost(monoSrv.URL, id, body); err != nil {
+		if err := shardtest.PinnedPost(monoSrv.URL, id, body); err != nil {
 			t.Fatalf("reference ingest: %v", err)
 		}
 	}
-	for _, q := range carsQs {
-		monoResp, err := http.Get(monoSrv.URL + "/api/ask?q=" + url.QueryEscape(q))
-		if err != nil {
-			t.Fatal(err)
-		}
-		monoBody, _ := io.ReadAll(monoResp.Body)
-		monoResp.Body.Close()
-		clResp, err := http.Get(cluster.Front.URL + "/api/ask?q=" + url.QueryEscape(q))
-		if err != nil {
-			t.Fatal(err)
-		}
-		clBody, _ := io.ReadAll(clResp.Body)
-		clResp.Body.Close()
-		if !bytes.Equal(monoBody, clBody) {
-			t.Errorf("post-move answer diverges from never-rebalanced reference on %q\n got: %s\nwant: %s", q, clBody, monoBody)
-		}
-	}
+	shardtest.AssertSameBodies(t, "post-move cluster vs never-rebalanced reference",
+		carsQs, shardtest.AskBodies(t, monoSrv.URL, carsQs), cluster.Front.URL)
 }

@@ -13,8 +13,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"io"
+	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"path/filepath"
+	"strconv"
 	"testing"
 
 	"repro/cqads"
@@ -22,6 +26,7 @@ import (
 	"repro/internal/questions"
 	"repro/internal/schema"
 	"repro/internal/shard"
+	"repro/internal/sqldb"
 	"repro/internal/webui"
 )
 
@@ -204,6 +209,90 @@ func askBody(tb testing.TB, res *cqads.Result) []byte {
 		tb.Fatalf("encoding %q: %v", res.Question, err)
 	}
 	return buf.Bytes()
+}
+
+// AskBodies asks every question of qs at base's GET /api/ask and
+// returns the response bodies in order. A transport error or a status
+// other than 200 fails tb.
+func AskBodies(tb testing.TB, base string, qs []string) [][]byte {
+	tb.Helper()
+	out := make([][]byte, len(qs))
+	for i, q := range qs {
+		status, body, err := askHTTP(base, q)
+		if err != nil || status != http.StatusOK {
+			tb.Fatalf("%s answered %d (%v) for %q: %s", base, status, err, q, body)
+		}
+		out[i] = body
+	}
+	return out
+}
+
+// AssertSameBodies asks every question of qs at gotBase's GET /api/ask
+// and fails tb unless each one answers 200 with a body byte-equal to
+// want[i]. It reports every diverging body and stops at the first
+// transport error or other status. It fails tb only through Errorf,
+// so a test may call it from several goroutines at once.
+func AssertSameBodies(tb testing.TB, label string, qs []string, want [][]byte, gotBase string) {
+	tb.Helper()
+	for i, q := range qs {
+		status, body, err := askHTTP(gotBase, q)
+		if err != nil || status != http.StatusOK {
+			tb.Errorf("%s: %q answered %d (%v): %s", label, q, status, err, body)
+			return
+		}
+		if !bytes.Equal(body, want[i]) {
+			tb.Errorf("%s: ask bytes diverge on %q\n got: %s\nwant: %s", label, q, body, want[i])
+		}
+	}
+}
+
+// askHTTP sends one GET /api/ask?q= to base and returns its status
+// and body.
+func askHTTP(base, q string) (int, []byte, error) {
+	resp, err := http.Get(base + "/api/ask?" + url.Values{"q": {q}}.Encode())
+	if err != nil {
+		return 0, nil, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	return resp.StatusCode, body, err
+}
+
+// AdRecord renders a generated ad as the JSON record POST /api/ads
+// accepts.
+func AdRecord(ad map[string]sqldb.Value) map[string]any {
+	rec := make(map[string]any, len(ad))
+	for col, v := range ad {
+		if v.IsNull() {
+			rec[col] = nil
+			continue
+		}
+		rec[col] = v.String()
+	}
+	return rec
+}
+
+// PinnedPost ingests one ad through base's POST /api/ads under a
+// caller-chosen ad id, so two topologies that replay the same ids
+// assign identical row ids and stay comparable. Any status but 201 is
+// an error.
+func PinnedPost(base string, id uint64, body []byte) error {
+	req, err := http.NewRequest(http.MethodPost, base+"/api/ads", bytes.NewReader(body))
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set(webui.AdIDHeader, strconv.FormatUint(id, 10))
+	resp, err := http.DefaultClient.Do(req)
+	if err != nil {
+		return err
+	}
+	defer resp.Body.Close()
+	respBody, _ := io.ReadAll(resp.Body)
+	if resp.StatusCode != http.StatusCreated {
+		return fmt.Errorf("pinned ingest of id %d answered %d: %s", id, resp.StatusCode, respBody)
+	}
+	return nil
 }
 
 // Cluster is one sharded HTTP topology: shard webui servers, the

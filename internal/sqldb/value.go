@@ -100,10 +100,17 @@ func (v Value) tryNum() (float64, bool) {
 	return 0, false
 }
 
+// floatBytes are the only bytes strconv.ParseFloat accepts: digits,
+// signs, the point, digit-separating underscores, and in either case
+// the letters of hex digits, exponents, the 0x prefix, "inf",
+// "infinity" and "nan".
+const floatBytes = "0123456789+-._abcdefinptxyABCDEFINPTXY"
+
 // mayBeNumber reports whether strconv.ParseFloat could accept s: after
 // an optional sign, s starts with a digit or a point, or spells an
-// infinity or NaN. Ordinary categorical values ("honda", "red") fail
-// it without the parse, whose error allocates.
+// infinity or NaN, and every byte of s is one of floatBytes. Ordinary
+// categorical values ("honda", "2 door", "4 wheel drive") fail it
+// without the parse, whose error allocates.
 func mayBeNumber(s string) bool {
 	if len(s) > 0 && (s[0] == '+' || s[0] == '-') {
 		s = s[1:]
@@ -112,6 +119,11 @@ func mayBeNumber(s string) bool {
 		return false
 	}
 	if c := s[0]; c >= '0' && c <= '9' || c == '.' {
+		for i := 1; i < len(s); i++ {
+			if strings.IndexByte(floatBytes, s[i]) < 0 {
+				return false
+			}
+		}
 		return true
 	}
 	return strings.EqualFold(s, "inf") || strings.EqualFold(s, "infinity") || strings.EqualFold(s, "nan")

@@ -1,6 +1,7 @@
 package sqldb
 
 import (
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -96,5 +97,33 @@ func TestValueNumParsesStrings(t *testing.T) {
 	}
 	if got := Null.Num(); got != 0 {
 		t.Errorf("Null.Num() = %g", got)
+	}
+}
+
+// FuzzMayBeNumber holds mayBeNumber to a necessary condition of
+// strconv.ParseFloat: whenever the parse succeeds, the pre-check let it
+// through, so tryNum answers as an unguarded parse would.
+func FuzzMayBeNumber(f *testing.F) {
+	for _, s := range []string{
+		"2 door", "4 wheel drive", "1e5", "0x1p-2", "0X1.8P+1", "+Inf",
+		"-infinity", "nan", "NaN", ".5", "-0", "1_000", "0x_1p0", "15,000",
+		"9000 ", " 9000", "4wd", "", "+", "e5",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		if _, err := strconv.ParseFloat(s, 64); err == nil && !mayBeNumber(s) {
+			t.Fatalf("ParseFloat accepts %q but mayBeNumber rejects it", s)
+		}
+	})
+}
+
+// TestMayBeNumberRejectsMultiWordValues: categorical values that start
+// with a digit never reach ParseFloat, whose error allocates.
+func TestMayBeNumberRejectsMultiWordValues(t *testing.T) {
+	for _, s := range []string{"2 door", "4 wheel drive", "15,000", "4wd"} {
+		if mayBeNumber(s) {
+			t.Errorf("mayBeNumber(%q) = true", s)
+		}
 	}
 }

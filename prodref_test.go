@@ -39,7 +39,7 @@ var interfaceMethods = map[string]string{
 // testHooks are functions kept in production files on purpose although
 // only tests call them, each with the reason.
 var testHooks = map[string]string{
-	"internal/sql.Exec":                   "one-call compile-and-run convenience shared by tests across packages and root bench_test.go",
+	"internal/sql.Exec":                   "one-call compile-and-run convenience shared by tests across packages",
 	"internal/persist.Store.Syncs":        "test hook: counts fsyncs so group-commit tests can assert batching",
 	"internal/core.groupCommitter.queued": "test hook: lets group-commit tests wait for a queued batch",
 }
