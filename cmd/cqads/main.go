@@ -97,7 +97,7 @@ func explain(sys *cqads.System, domain, q string) {
 	}
 	// The plan prints ? for literals; the statement supplies them.
 	fmt.Printf("sql:            %s\n", res.SQL)
-	plan, _, err := sys.Explain(res)
+	plan, err := sys.Explain(res)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "error:", err)
 		return

@@ -20,14 +20,12 @@
 // Type III conditions), the first indexed condition of the statement
 // drives the scan, the other equalities on hash-indexed columns are
 // answered by searching their postings, and the remaining conjuncts
-// are checked as per-row residuals. A bounded LRU plan cache keyed on
-// the question's literal-stripped shape reuses compiled plans. Plans
-// depend on schema and shape only, so live ingest never invalidates
-// one. But questions come in many shapes: the 19 938 statements
-// generated for 20 000 distinct questions have 5 473 shapes, and the
-// 4 096-entry cache misses about 27 % of lookups. /api/status reports
-// hits/misses/size. The N−1 relaxation sweep (Sec. 4.3.1)
-// streams each condition's matching rows once into a counting tally
+// are checked as per-row residuals. No plan is cached: the roles are
+// read off each statement as it runs, which costs less than a cache
+// lookup would, since questions come in many shapes (the 19 938
+// statements generated for 20 000 distinct questions have 5 473).
+// The N−1 relaxation sweep (Sec. 4.3.1) streams each condition's
+// matching rows once into a counting tally
 // and emits rows satisfying at least n−1 (depth 2: n−2) conditions,
 // rather than re-executing one SQL query per dropped condition; the
 // tally, its seen set and the scanned postings live in pooled scratch,

@@ -40,8 +40,9 @@
 //     evaluation order (Sec. 4.3: Type I conditions first, then Type
 //     II, then Type III, superlatives last), not how each condition is
 //     evaluated, and core.BuildSelect emits every conjunction in that
-//     order, so sql.Compile reads the order off the statement: a
-//     conjunction is driven by its first leaf that an index serves
+//     order, so the executor reads the order off the statement as it
+//     reaches each conjunction: a conjunction is driven by its first
+//     leaf that an index serves
 //     (= on a hashed Type I/II column; = with a number, a range or
 //     BETWEEN on an ordered Type III column), else by its first leaf,
 //     else by the live rows; under an = driver the other = leaves on
@@ -49,14 +50,16 @@
 //     A posting or a residual selects exactly the rows its node's scan
 //     would, so the answer does not depend on which operand drives. No
 //     table statistics, no selectivity estimates, no literal values
-//     enter a plan. LIMIT is pushed into the filter when no ORDER BY
+//     enter a plan, and no plan is kept: reading the roles costs a
+//     schema lookup per leaf, and sql.Compile only validates the
+//     statement. LIMIT is pushed into the filter when no ORDER BY
 //     reorders the stream, so the postings and the residuals stop
 //     together, and into every branch of an OR, since the first LIMIT
 //     ids of a union lie among each branch's first LIMIT ids; the OR's
 //     sort and the final trim still return the same ids.
-//     sql.Explain renders the compiled plan (driving scan and its
-//     access path, intersect postings, pushed residuals) with ?
-//     for each literal. System.Explain rebuilds an answer's statement
+//     sql.Explain renders the plan the executor runs (driving scan and
+//     its access path, intersect postings, pushed residuals), read off
+//     the statement by the same functions, with ? for each literal. System.Explain rebuilds an answer's statement
 //     from its interpretation with BuildSelect rather than parsing the
 //     SQL text it printed, and shows a superlative's extreme run in
 //     place of the sort: SQL is output, not input, and no production
@@ -64,9 +67,9 @@
 //
 //   - Superlatives without a sort. A superlative is evaluated last,
 //     over the rows the other criteria retrieve (Sec. 4.3), and only
-//     its extreme run matters: the question still resolves to the
-//     cached plan of its own ORDER BY shape, but sql.Plan.ExtremeRun
-//     runs only the WHERE into the pooled buffer, and
+//     its extreme run matters: the statement still orders by the
+//     superlative, but sql.Plan.ExtremeRun runs only the WHERE into
+//     the pooled buffer, and
 //     sqldb.View.AppendExtremeRun takes the rows at the minimum
 //     (maximum) numeric value in one pass over the same view, in
 //     RowID order — what sorting the whole match set and reading its
@@ -74,19 +77,9 @@
 //     copied out. TestAppendExtremeRunMatchesSort and FuzzExtremeRun
 //     hold it to SortByColumn.
 //
-//   - A shape-keyed plan cache. Compiled plans carry no literals —
-//     execution re-binds the statement's constants at run time — so
-//     one plan serves every question with the same tagged shape
-//     ("make = ? AND price < ?" over cars). core.System memoizes plans
-//     in a bounded LRU keyed on domain + literal-stripped skeleton.
-//     A plan is a function of (schema, shape), so ingest never
-//     invalidates one: misses equal distinct shapes, and on the
-//     650-question workload the steady-state hit rate exceeds 90%
-//     with or without concurrent writes (internal/sql/plan, metrics in
-//     /api/status under "plan_cache"). The eager evaluator survives as
-//     test support, sqltest.ExecLegacy, and a differential fuzzer
-//     (internal/sql/fuzz_test.go, 15 s in CI) holds the streaming
-//     executor bit-identical to it.
+// The eager evaluator survives as test support, sqltest.ExecLegacy,
+// and a differential fuzzer (internal/sql/fuzz_test.go, 15 s in CI)
+// holds the streaming executor bit-identical to it.
 //
 // One departure from Sec. 4.5: the paper's Example 7 writes each
 // condition as an IN subquery over the same table. Keyed on row

@@ -80,20 +80,18 @@ func liveHeap() uint64 {
 }
 
 // retainedHeapCeilingKB bounds the live heap that the asks of
-// TestRetainedHeapBudget leave behind: the value measured when answers
-// came to hold row views instead of cached record maps (593 KiB: the
-// plan cache's compiled shapes and the similarity memos; the record
-// cache it replaced had left 2 962 KiB), plus 5 %. A change that
-// lowers the measurement lowers the ceiling with it; a change that
-// raises it says why in CHANGES.md.
-const retainedHeapCeilingKB = 623
+// TestRetainedHeapBudget leave behind: the value measured once the plan
+// cache was deleted (247.4 KiB), plus 5 %. A change that lowers
+// the measurement lowers the ceiling with it; a change that raises it
+// says why in CHANGES.md.
+const retainedHeapCeilingKB = 260
 
 // TestRetainedHeapBudget pins what asking leaves on the heap: the live
 // heap after building a System over the 8×500 corpus and asking every
 // workload question twice, minus the live heap right after building
 // it. Answers are views of the stored rows, so what remains is only
-// what the System caches by question shape and vocabulary; nothing may
-// grow with the rows answered.
+// what the System caches by vocabulary; nothing may grow with the rows
+// answered.
 func TestRetainedHeapBudget(t *testing.T) {
 	if raceEnabled() {
 		t.Skip("the race detector's shadow memory makes heap sizes unrepresentative")

@@ -9,8 +9,8 @@ package core_test
 // half lives in internal/shard.
 
 import (
-	"encoding/json"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/cqads"
@@ -20,49 +20,6 @@ import (
 	"repro/internal/shard/shardtest"
 	"repro/internal/sqldb"
 )
-
-// scatterKey renders a merged scatter part in exactly resultKey's
-// shape, so a merged answer and a monolith Result compare bit-for-bit.
-func scatterKey(t *testing.T, res *core.ScatterResult) string {
-	t.Helper()
-	type answerKey struct {
-		ID             sqldb.RowID
-		Exact          bool
-		RankSim        float64
-		DroppedCond    int
-		SimilarityUsed string
-		Record         map[string]string
-	}
-	key := struct {
-		Domain         string
-		Interpretation string
-		SQL            string
-		ExactCount     int
-		Answers        []answerKey
-	}{
-		Domain:         res.Domain,
-		Interpretation: res.Interpretation,
-		SQL:            res.SQL,
-		ExactCount:     res.ExactCount,
-		Answers:        []answerKey{},
-	}
-	for _, a := range res.Answers {
-		rec := make(map[string]string, a.Record.Len())
-		for k, v := range a.Record.All() {
-			rec[k] = v.String()
-		}
-		key.Answers = append(key.Answers, answerKey{
-			ID: sqldb.RowID(a.ID), Exact: a.Exact, RankSim: a.RankSim,
-			DroppedCond: a.DroppedCond, SimilarityUsed: a.SimilarityUsed,
-			Record: rec,
-		})
-	}
-	b, err := json.Marshal(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
-}
 
 func TestHashPartitionEquivalence(t *testing.T) {
 	opts := shardtest.Options(equivAds)
@@ -124,9 +81,7 @@ func TestHashPartitionEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%d-way merge: %q: %v", count, q, err)
 			}
-			if got, wantKey := scatterKey(t, merged), resultKey(t, want); got != wantKey {
-				t.Fatalf("%d-way: answer diverges on %q\n got: %s\nwant: %s", count, q, got, wantKey)
-			}
+			shardtest.AssertMergedResult(t, fmt.Sprintf("%d-way, %q", count, q), merged, want)
 			// The merge must be order-independent: reversed arrival gives
 			// the identical answer, tie-breaks included.
 			reversed := make([]*core.ScatterResult, len(scattered))
@@ -137,9 +92,7 @@ func TestHashPartitionEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if scatterKey(t, remerged) != scatterKey(t, merged) {
-				t.Fatalf("%d-way: merge is arrival-order dependent on %q", count, q)
-			}
+			shardtest.AssertMergedResult(t, fmt.Sprintf("%d-way, reversed arrival, %q", count, q), remerged, want)
 		}
 	}
 }
@@ -185,9 +138,7 @@ func TestMonolithScatterOverSubSlices(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%d-way merge: %s %q: %v", count, d, q, err)
 			}
-			if got, wantKey := scatterKey(t, merged), resultKey(t, want); got != wantKey {
-				t.Fatalf("%d-way sub-slices of the monolith: answer diverges on %s %q\n got: %s\nwant: %s", count, d, q, got, wantKey)
-			}
+			shardtest.AssertMergedResult(t, fmt.Sprintf("%d-way sub-slices of the monolith, %s %q", count, d, q), merged, want)
 		}
 	}
 	t.Logf("%d superlative and %d other questions in %d domains", superlative, plain, len(domains))

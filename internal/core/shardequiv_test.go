@@ -9,8 +9,8 @@ package core_test
 // internal/shard/shardtest, builds both).
 
 import (
-	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -21,51 +21,6 @@ import (
 )
 
 const equivAds = 100
-
-// resultKey renders everything answer-bearing in a Result (domain,
-// interpretation, SQL, exact count, per-answer IDs, records, scores,
-// measures) as deterministic JSON — two Results with equal keys are
-// bit-identical as far as any client can observe.
-func resultKey(t *testing.T, res *core.Result) string {
-	t.Helper()
-	type answerKey struct {
-		ID             sqldb.RowID
-		Exact          bool
-		RankSim        float64
-		DroppedCond    int
-		SimilarityUsed string
-		Record         map[string]string
-	}
-	key := struct {
-		Domain         string
-		Interpretation string
-		SQL            string
-		ExactCount     int
-		Answers        []answerKey
-	}{
-		Domain:         res.Domain,
-		Interpretation: res.Interpretation.String(),
-		SQL:            res.SQL,
-		ExactCount:     res.ExactCount,
-		Answers:        []answerKey{},
-	}
-	for _, a := range res.Answers {
-		rec := make(map[string]string, a.Record.Len())
-		for k, v := range a.Record.All() {
-			rec[k] = v.String()
-		}
-		key.Answers = append(key.Answers, answerKey{
-			ID: a.ID, Exact: a.Exact, RankSim: a.RankSim,
-			DroppedCond: a.DroppedCond, SimilarityUsed: a.SimilarityUsed,
-			Record: rec,
-		})
-	}
-	b, err := json.Marshal(key)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
-}
 
 // shardOwners maps each domain to the System hosting it.
 func shardOwners(t *testing.T, groups [][]string, systems []*cqads.System) map[string]*cqads.System {
@@ -88,13 +43,13 @@ func TestShardEquivalence(t *testing.T) {
 	workload := shardtest.Workload(t, opts, mono)
 
 	// Monolith baseline.
-	want := make([]string, len(workload))
+	want := make([]*cqads.Result, len(workload))
 	for i, q := range workload {
 		res, err := mono.Ask(q)
 		if err != nil {
 			t.Fatalf("monolith: %q: %v", q, err)
 		}
-		want[i] = resultKey(t, res)
+		want[i] = res
 	}
 
 	for _, topo := range []struct {
@@ -119,10 +74,7 @@ func TestShardEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatalf("%s: %q in %q: %v", topo.name, q, d, err)
 				}
-				if got := resultKey(t, res); got != want[i] {
-					t.Errorf("%s: answer diverges on %q (domain %q)\n got: %s\nwant: %s",
-						topo.name, q, d, got, want[i])
-				}
+				shardtest.AssertSameResult(t, fmt.Sprintf("%s: %q (domain %q)", topo.name, q, d), res, want[i])
 			}
 		})
 	}
@@ -304,9 +256,7 @@ func TestPartialFollowerFiltersForeignDomains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if resultKey(t, got) != resultKey(t, want) {
-		t.Error("cars answers diverge between the wider primary and its partial follower")
-	}
+	shardtest.AssertSameResult(t, "cars answers on the partial follower and its wider primary", got, want)
 	foundNew := false
 	for _, a := range got.Answers {
 		if a.ID == carsID {

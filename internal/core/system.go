@@ -21,7 +21,6 @@ import (
 	"repro/internal/rank"
 	"repro/internal/schema"
 	"repro/internal/sql"
-	"repro/internal/sql/plan"
 	"repro/internal/sqldb"
 	"repro/internal/trie"
 	"repro/internal/work"
@@ -175,10 +174,6 @@ type System struct {
 	// quorum tracks follower apply acknowledgements for quorum-acked
 	// writes; always present, inert when Config.ReplicaSet <= 1.
 	quorum *quorumState
-	// plans caches compiled streaming query plans keyed on question
-	// shape (domain + expression skeleton). A plan depends on schema
-	// and shape only, so live ingest never invalidates an entry.
-	plans *plan.Cache
 	// work sums the work counts of every ask answerIn ran; only tests
 	// read it.
 	work work.Sink
@@ -319,7 +314,6 @@ func New(cfg Config) (*System, error) {
 		}
 	}
 	s.quorum = newQuorumState(cfg)
-	s.plans = plan.NewCache(0)
 	return s, nil
 }
 
@@ -518,17 +512,16 @@ func answerIn[A any](s *System, v sqldb.View, sel *sql.Select, in *boolean.Inter
 		relaxPool.Put(rs)
 	}()
 	v = v.Counting(&rs.work)
-	compiled, err := s.plans.Get(s.db, v.Schema().Domain, sel)
+	compiled, err := sql.Compile(s.db, sel)
 	if err != nil {
 		return nil, 0, 0, false, err
 	}
 	var ids []sqldb.RowID
 	switch {
 	case in.Superlative != nil:
-		// The statement's cached plan is that of its own ORDER BY shape,
-		// whose ORDER BY is the superlative (BuildSelect), but only the
-		// WHERE runs: the extreme run needs no sort, and only the run is
-		// copied out of the executor.
+		// The statement's ORDER BY is the superlative (BuildSelect), but
+		// only the WHERE runs: the extreme run needs no sort, and only
+		// the run is copied out of the executor.
 		limit := s.maxAnswers
 		if p.merged {
 			limit = 0
@@ -621,54 +614,47 @@ func answerIn[A any](s *System, v sqldb.View, sel *sql.Select, in *boolean.Inter
 	return partialAnswers(s, answers, v, in, pool, ids, want, p, names, mk), len(ids), extreme, hasExtreme, nil
 }
 
-// execSelect runs a generated SELECT in v through the plan cache: the
-// statement's shape (domain + expression skeleton) resolves to a
-// compiled streaming plan, which re-binds this statement's literals at
-// run time. A miss compiles on the spot, and misses are not rare: over
-// 20 000 distinct generated questions about 27 % of lookups miss.
+// execSelect validates a generated SELECT and runs it in v.
 func (s *System) execSelect(v sqldb.View, sel *sql.Select) ([]sqldb.RowID, error) {
-	p, err := s.plans.Get(s.db, v.Schema().Domain, sel)
+	p, err := sql.Compile(s.db, sel)
 	if err != nil {
 		return nil, err
 	}
 	return p.RunView(v, sel)
 }
 
-// PlanCacheStats exposes the plan cache's lookup tallies and its
-// current size. invalidations is always 0 — plans depend on schema and
-// shape only, so nothing invalidates one — and is kept because bench/
-// destructures four values.
+// PlanCacheStats returns four zeros. There is no plan cache: every ask
+// validates its statement with sql.Compile, and the executor reads each
+// conjunction's roles off the statement as it runs. It is kept only
+// because bench/trace.go, whose compile surface is frozen, destructures
+// its four values; its zero lookup count leaves the traced plan rows
+// at 0.
 func (s *System) PlanCacheStats() (hits, misses, invalidations int64, size int) {
-	hits, misses, size = s.plans.Stats()
-	return hits, misses, 0, size
+	return 0, 0, 0, 0
 }
 
 // Explain renders the access plan res's question ran, rebuilt from
 // res.Interpretation: BuildSelect is deterministic, so the statement
-// is the one AskInDomain executed and printed as res.SQL. cached
-// reports whether the plan cache holds that statement's shape, without
-// bumping counters or recency — the EXPLAIN panel's hit/miss preview.
-// A superlative runs only the WHERE of its ORDER BY plan and takes the
-// extreme run, so its plan shows that instead of a sort; the cache is
-// still checked for the ORDER BY statement, the key it ran under.
-func (s *System) Explain(res *Result) (plan string, cached bool, err error) {
+// is the one AskInDomain executed and printed as res.SQL. A
+// superlative runs only the WHERE of its statement and takes the
+// extreme run, so its plan shows that instead of a sort.
+func (s *System) Explain(res *Result) (string, error) {
 	if res.SQL == "" {
-		return "", false, fmt.Errorf("core: no SQL was generated for %q", res.Question)
+		return "", fmt.Errorf("core: no SQL was generated for %q", res.Question)
 	}
 	tbl, err := s.hostedTable(res.Domain)
 	if err != nil {
-		return "", false, err
+		return "", err
 	}
 	sel := BuildSelect(tbl.Schema(), res.Interpretation, s.maxAnswers)
-	cached = s.plans.Contains(tbl.Schema().Domain, sel)
 	if res.Interpretation.Superlative == nil {
-		plan, err = sql.Explain(s.db, sel)
-		return plan, cached, err
+		return sql.Explain(s.db, sel)
 	}
 	where := *sel
 	where.OrderBy, where.Desc, where.Limit = "", false, 0
-	if plan, err = sql.Explain(s.db, &where); err != nil {
-		return "", false, err
+	plan, err := sql.Explain(s.db, &where)
+	if err != nil {
+		return "", err
 	}
 	dir := "ASC"
 	if sel.Desc {
@@ -678,7 +664,7 @@ func (s *System) Explain(res *Result) (plan string, cached bool, err error) {
 	if sel.Limit > 0 {
 		plan += fmt.Sprintf("  limit %d (answer cutoff)\n", sel.Limit)
 	}
-	return plan, cached, nil
+	return plan, nil
 }
 
 // questionTokens prepares a question for the classifier.

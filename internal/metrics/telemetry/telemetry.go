@@ -63,24 +63,6 @@ var Repl struct {
 	LagOps Gauge
 }
 
-// Plan holds the plan-cache counters for this process (the compiled
-// streaming-query plans of internal/sql/plan, keyed on question
-// shape). A plan follows Sec. 4.3's fixed Type I → II → III order and
-// depends on schema and shape only, so ingest never invalidates one:
-// Misses counts distinct shapes (plus LRU evictions) and a healthy
-// steady-state workload shows Hits dwarfing it — millions of users
-// ask the same few hundred tagged shapes. GET /api/status exposes all
-// of them.
-var Plan struct {
-	// Hits counts cache lookups answered by a cached compiled plan.
-	Hits Counter
-	// Misses counts lookups that found no plan for the shape and
-	// compiled one.
-	Misses Counter
-	// Size is the number of plans currently cached.
-	Size Gauge
-}
-
 // Failover holds the election counters for this process: how often
 // leadership moved and why. A healthy set shows heartbeats climbing
 // and everything else flat; elections ticking without promotions means

@@ -18,10 +18,12 @@ import (
 	"net/http/httptest"
 	"net/url"
 	"path/filepath"
+	"slices"
 	"strconv"
 	"testing"
 
 	"repro/cqads"
+	"repro/internal/core"
 	"repro/internal/partition"
 	"repro/internal/questions"
 	"repro/internal/schema"
@@ -171,14 +173,8 @@ var SmokeQuestions = []string{
 }
 
 // AssertSameAnswers asks every question of qs on ref and on got and
-// fails tb unless both answer each one the same. Two answers are the
-// same when they encode to the same GET /api/ask body (the bytes
-// json.Encoder writes for webui.BuildAPIResult, which the server's
-// encoder reproduces): domain, interpretation, SQL, exact count, and
-// each answer's exactness, Rank_Sim, similarity label and record, in
-// order. The body does not carry an answer's row id or its dropped
-// condition, so those are compared beside it. An error on either side
-// fails tb.
+// fails tb unless both answer each one the same (AssertSameResult). An
+// error on either side fails tb.
 func AssertSameAnswers(tb testing.TB, label string, qs []string, ref, got *cqads.System) {
 	tb.Helper()
 	for _, q := range qs {
@@ -187,28 +183,101 @@ func AssertSameAnswers(tb testing.TB, label string, qs []string, ref, got *cqads
 		if err1 != nil || err2 != nil {
 			tb.Fatalf("%s: %q: reference err %v, other err %v", label, q, err1, err2)
 		}
-		rb, gb := askBody(tb, r), askBody(tb, g)
-		if !bytes.Equal(rb, gb) {
-			tb.Fatalf("%s: %q: /api/ask bodies differ:\nreference %s\nother     %s", label, q, rb, gb)
-		}
-		for i := range r.Answers {
-			x, y := r.Answers[i], g.Answers[i]
-			if x.ID != y.ID || x.DroppedCond != y.DroppedCond {
-				tb.Fatalf("%s: %q: answer %d: reference id %d dropped %d, other id %d dropped %d",
-					label, q, i, x.ID, x.DroppedCond, y.ID, y.DroppedCond)
-			}
-		}
+		AssertSameResult(tb, fmt.Sprintf("%s: %q", label, q), g, r)
 	}
 }
 
-// askBody returns the GET /api/ask body for res.
-func askBody(tb testing.TB, res *cqads.Result) []byte {
+// AssertSameResult fails tb unless got answers as want does: the same
+// ResultBody, and beside it the same row id and dropped condition for
+// each answer.
+func AssertSameResult(tb testing.TB, label string, got, want *cqads.Result) {
+	tb.Helper()
+	assertSame(tb, label, ResultBody(tb, got), ResultBody(tb, want), resultIDs(got), resultIDs(want))
+}
+
+// AssertMergedResult is AssertSameResult for a merged scatter part: got
+// must have want's body (ScatterBody against ResultBody) and answer ids.
+func AssertMergedResult(tb testing.TB, label string, got *core.ScatterResult, want *cqads.Result) {
+	tb.Helper()
+	assertSame(tb, label, ScatterBody(tb, got), ResultBody(tb, want), scatterIDs(got), resultIDs(want))
+}
+
+func assertSame(tb testing.TB, label string, got, want []byte, gotIDs, wantIDs []answerID) {
+	tb.Helper()
+	if !bytes.Equal(got, want) {
+		tb.Fatalf("%s: /api/ask bodies differ:\n got: %s\nwant: %s", label, got, want)
+	}
+	if !slices.Equal(gotIDs, wantIDs) {
+		tb.Fatalf("%s: answer ids and dropped conditions differ:\n got: %v\nwant: %v", label, gotIDs, wantIDs)
+	}
+}
+
+// ResultBody returns the GET /api/ask body for res: the bytes
+// json.Encoder writes for webui.BuildAPIResult, which the server's
+// encoder reproduces. It holds the domain, interpretation, SQL and
+// exact count, and each answer's exactness, Rank_Sim, similarity label
+// and record, in order; two answers a client cannot tell apart have
+// equal bodies. It does not hold an answer's row id or dropped
+// condition: AssertSameResult compares those beside it.
+func ResultBody(tb testing.TB, res *cqads.Result) []byte {
+	tb.Helper()
+	return encodeBody(tb, res.Question, webui.BuildAPIResult(res))
+}
+
+// ScatterBody is ResultBody for a merged scatter part (core.MergeScatter
+// over the parts of every hash slice), encoded through
+// webui.APIResultFromScatter: the body a front tier serves for it, and
+// equal to ResultBody of the monolith's answer to the same question.
+func ScatterBody(tb testing.TB, m *core.ScatterResult) []byte {
+	tb.Helper()
+	wire := &core.ScatterPart[map[string]string]{
+		Domain:         m.Domain,
+		Interpretation: m.Interpretation,
+		SQL:            m.SQL,
+		ExactCount:     m.ExactCount,
+	}
+	for _, a := range m.Answers {
+		rec := make(map[string]string, a.Record.Len())
+		for k, v := range a.Record.All() {
+			rec[k] = v.String()
+		}
+		wire.Answers = append(wire.Answers, core.ScatterAnswer[map[string]string]{
+			Exact: a.Exact, RankSim: a.RankSim, SimilarityUsed: a.SimilarityUsed, Record: rec,
+		})
+	}
+	return encodeBody(tb, m.Interpretation, webui.APIResultFromScatter(wire))
+}
+
+func encodeBody(tb testing.TB, what string, res webui.APIResult) []byte {
 	tb.Helper()
 	var buf bytes.Buffer
-	if err := json.NewEncoder(&buf).Encode(webui.BuildAPIResult(res)); err != nil {
-		tb.Fatalf("encoding %q: %v", res.Question, err)
+	if err := json.NewEncoder(&buf).Encode(res); err != nil {
+		tb.Fatalf("encoding %q: %v", what, err)
 	}
 	return buf.Bytes()
+}
+
+// answerID is what an answer carries beside its /api/ask body: its row
+// id and the condition its relaxation dropped (-1 for an exact answer).
+type answerID struct {
+	ID          sqldb.RowID
+	DroppedCond int
+}
+
+func resultIDs(res *cqads.Result) []answerID {
+	ids := make([]answerID, len(res.Answers))
+	for i, a := range res.Answers {
+		ids[i] = answerID{a.ID, a.DroppedCond}
+	}
+	return ids
+}
+
+func scatterIDs(m *core.ScatterResult) []answerID {
+	ids := make([]answerID, len(m.Answers))
+	for i, a := range m.Answers {
+		ids[i] = answerID{sqldb.RowID(a.ID), a.DroppedCond}
+	}
+	return ids
 }
 
 // AskBodies asks every question of qs at base's GET /api/ask and

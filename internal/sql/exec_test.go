@@ -330,3 +330,63 @@ func TestExtremeRunKeepsThenTakesTheRun(t *testing.T) {
 		}
 	}
 }
+
+// TestPlanRunsAnyStatement: a Plan holds nothing of the statement it
+// was compiled from. Run on another statement, RunView returns Exec's
+// ids and ExtremeRun the extreme run of the WHERE's matches; an invalid
+// statement returns the error Compile gives it and reaches no scan.
+func TestPlanRunsAnyStatement(t *testing.T) {
+	db, tbl := execDB(t)
+	compiled, err := sqltest.Parse("SELECT * FROM car_ads WHERE make = 'honda' LIMIT 5")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p, err := sql.Compile(db, compiled)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		"SELECT * FROM car_ads WHERE color = 'red' AND price < 30000 ORDER BY price LIMIT 4",
+		"SELECT * FROM car_ads WHERE (make = 'ford' OR year BETWEEN 1995 AND 2000) AND NOT transmission = 'manual' ORDER BY year DESC",
+		"SELECT * FROM car_ads ORDER BY mileage LIMIT 3",
+		"SELECT * FROM car_ads WHERE ghost = 1 ORDER BY price",
+		"SELECT * FROM car_ads WHERE make = 'honda' AND NOT (color = 'red' OR price < 'abc') ORDER BY price",
+		"SELECT * FROM car_ads WHERE make = 'honda' ORDER BY ghost",
+	} {
+		sel, err := sqltest.Parse(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var runIDs, extremeIDs []sqldb.RowID
+		var runErr, extremeErr error
+		tbl.View(func(v sqldb.View) {
+			runIDs, runErr = p.RunView(v, sel)
+			extremeIDs, _, _, extremeErr = p.ExtremeRun(v, sel, nil, 0)
+		})
+		if _, compileErr := sql.Compile(db, sel); compileErr != nil {
+			for _, err := range []error{runErr, extremeErr} {
+				if err == nil || err.Error() != compileErr.Error() {
+					t.Errorf("%s: error %v, Compile's is %v", q, err, compileErr)
+				}
+			}
+			continue
+		}
+		if runErr != nil || extremeErr != nil {
+			t.Fatalf("%s: RunView %v, ExtremeRun %v", q, runErr, extremeErr)
+		}
+		if want := mustExec(t, db, q); !slices.Equal(runIDs, want) {
+			t.Errorf("%s: RunView %v, Exec %v", q, runIDs, want)
+		}
+		where := *sel
+		where.OrderBy, where.Desc, where.Limit = "", false, 0
+		matches, err := sql.Exec(db, &where)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want []sqldb.RowID
+		tbl.View(func(v sqldb.View) { want, _, _ = v.AppendExtremeRun(nil, matches, sel.OrderBy, sel.Desc, 0) })
+		if !slices.Equal(extremeIDs, want) {
+			t.Errorf("%s: ExtremeRun %v, the WHERE's extreme run %v", q, extremeIDs, want)
+		}
+	}
+}

@@ -14,8 +14,9 @@ import (
 // evaluator: every WHERE leaf materializes its full posting list and
 // AND/OR combine the sets with sorted merges. It is the behavioral
 // reference the streaming executor (sql.Exec) is held to: the
-// differential fuzz test and the plan-cache harness assert the two
-// return bit-identical results. An equality on a Type III column is
+// differential fuzz test and core's under-ingest check
+// (TestExactAnswersUnderIngest) assert the two return bit-identical
+// results. An equality on a Type III column is
 // a scan with Value.Equal here, so the ordered index's point lookup
 // the executor uses is checked against the semantics it stands in for.
 func ExecLegacy(db *sqldb.DB, sel *sql.Select) ([]sqldb.RowID, error) {

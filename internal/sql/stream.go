@@ -12,13 +12,14 @@ import (
 
 // This file is the streaming query executor.
 //
-// Compile turns a SELECT into a Plan from the table's schema and the
-// statement's shape alone — no table contents, no statistics, no
-// literal values. The paper fixes the evaluation order (Sec. 4.3: Type
-// I conditions first, then Type II, then Type III, superlatives last)
-// but not how each condition is evaluated. core.BuildSelect emits
-// every conjunction in that order, so the planner reads the order off
-// the statement and gives each conjunct one of three roles:
+// The executor plans each conjunction as it reaches it, from the
+// table's schema and the statement's shape alone — no table contents,
+// no statistics, no literal values. The paper fixes the evaluation
+// order (Sec. 4.3: Type I conditions first, then Type II, then Type
+// III, superlatives last) but not how each condition is evaluated.
+// core.BuildSelect emits every conjunction in that order, so the
+// executor reads the order off the statement and gives each conjunct
+// one of three roles:
 //
 //   - the driver: the conjunction's first leaf that an index serves
 //     (= on a hashed Type I/II column, = with a number or a range or
@@ -53,14 +54,13 @@ import (
 // remains is the answer: an exact-size copy of at most LIMIT ids, so a
 // run allocates nothing that scales with a posting.
 //
-// A Plan annotates the *shape* of the expression tree (node kinds,
-// columns, operators) with these roles, and Run re-binds the literals
-// of the concrete Select by walking the two trees in lockstep. Being a
-// pure function of (schema, shape), a plan is cacheable across the
-// questions that share a tagged shape and stays valid however the
-// corpus changes (internal/sql/plan.Cache); a Select whose shape does
-// not match the plan is defensively recompiled, so a mismatched plan
-// can cost time but never correctness.
+// Reading the roles costs a schema lookup per leaf (drivingOperand,
+// intersects), less than keeping a compiled copy of the tree would:
+// generated statements come in too many shapes for a per-shape plan to
+// be reused. So a Plan holds nothing. Compile validates a statement up
+// front, and Run validates whatever statement it is handed the same
+// way, so an invalid one returns Compile's error and never reaches the
+// executor.
 //
 // Exec = Compile + Run must return results bit-identical to the eager
 // reference evaluator (sqltest.ExecLegacy) for every valid query. The
@@ -73,10 +73,8 @@ import (
 
 // Exec evaluates a SELECT against db and returns the matching
 // row ids in result order (index order, then ORDER BY, then LIMIT).
-// It compiles a streaming plan — each conjunction's driver, intersect
-// leaves and residuals — and runs it; callers that execute the same
-// question shape repeatedly should cache the compiled plan
-// (internal/sql/plan) instead of re-compiling per call.
+// It validates the statement and runs it, reading each conjunction's
+// driver, intersect leaves and residuals off the statement as it goes.
 func Exec(db *sqldb.DB, sel *Select) ([]sqldb.RowID, error) {
 	p, err := Compile(db, sel)
 	if err != nil {
@@ -85,142 +83,40 @@ func Exec(db *sqldb.DB, sel *Select) ([]sqldb.RowID, error) {
 	return p.Run(db, sel)
 }
 
-// Plan is a compiled execution strategy for one SELECT shape. It is
-// immutable after Compile and safe for concurrent Run calls.
-type Plan struct {
-	table   string
-	orderBy string
-	root    *planNode // nil when the statement has no WHERE
-}
+// Plan is a SELECT that Compile validated against its table's schema.
+// It holds nothing: the executor reads each conjunction's driver,
+// intersect leaves and residuals off the statement it runs
+// (drivingOperand, intersects), so one Plan runs any statement, and
+// runs one Compile never saw only after validating it as Compile
+// would. It is safe for concurrent Run calls.
+type Plan struct{}
 
-type nodeKind int
-
-const (
-	nkLeaf nodeKind = iota // Compare / Between
-	nkAnd                  // driving leaf + residuals, filtered in place
-	nkOr                   // branches appended, sorted, deduplicated
-	nkNot                  // live slots minus the inner ids
-)
-
-type leafKind int
-
-const (
-	lkEq leafKind = iota
-	lkRange
-	lkBetween
-)
-
-// planNode annotates one node of the expression tree.
-type planNode struct {
-	kind     nodeKind
-	children []*planNode
-
-	// Leaf annotations.
-	leaf    leafKind
-	col     string
-	op      BinaryOp // Compare leaves
-	indexed bool     // the schema gives col an index that serves this leaf
-	access  string   // human-readable access path (EXPLAIN)
-	// intersect marks a conjunct its conjunction applies by searching
-	// the leaf's hash posting instead of reading rows (intersects).
-	intersect bool
-
-	// Conjunction annotations.
-	driving int // index of the driving leaf; -1 = the live rows drive
-}
-
-// child returns n's i-th child annotation, or nil for an unannotated
-// node (ForEachMatch runs expressions without compiling them).
-func (n *planNode) child(i int) *planNode {
-	if n == nil {
-		return nil
-	}
-	return n.children[i]
-}
-
-// intersects reports whether operand i of the conjunction of ops that
-// n annotates is an intersect leaf: as compiled, or, for an
-// unannotated node, as Compile would decide.
-func (n *planNode) intersects(sch *schema.Schema, ops []Expr, driving, i int) bool {
-	if n == nil {
-		return intersects(sch, ops, driving, i)
-	}
-	return n.children[i].intersect
-}
-
-// Compile analyzes sel against db's schema and returns a reusable
-// Plan. All validation (unknown table or column, non-numeric range
-// literal, unknown ORDER BY column) happens here, up front.
+// Compile validates sel against db's schema and returns a Plan for it.
+// All validation (unknown table or column, non-numeric range literal,
+// unknown ORDER BY column) happens here, up front.
 func Compile(db *sqldb.DB, sel *Select) (*Plan, error) {
 	tbl, err := resolveTable(db, sel.Table)
 	if err != nil {
 		return nil, err
 	}
-	return compile(tbl.Schema(), sel)
+	if err := check(tbl.Schema(), sel); err != nil {
+		return nil, err
+	}
+	return &Plan{}, nil
 }
 
-// compile is Compile against the schema of sel's table: a plan needs
-// nothing else.
-func compile(sch *schema.Schema, sel *Select) (*Plan, error) {
-	p := &Plan{table: sel.Table, orderBy: sel.OrderBy}
+// check validates sel against sch, its table's schema: its WHERE, then
+// its ORDER BY column.
+func check(sch *schema.Schema, sel *Select) error {
 	if sel.Where != nil {
-		var err error
-		if p.root, err = compileNode(sch, sel.Where); err != nil {
-			return nil, err
+		if err := checkNode(sch, sel.Where); err != nil {
+			return err
 		}
 	}
 	if sel.OrderBy != "" && !hasColumn(sch, sel.OrderBy) {
-		return nil, fmt.Errorf("sql: unknown ORDER BY column %q", sel.OrderBy)
+		return fmt.Errorf("sql: unknown ORDER BY column %q", sel.OrderBy)
 	}
-	return p, nil
-}
-
-func compileNode(sch *schema.Schema, e Expr) (*planNode, error) {
-	var kind nodeKind
-	var ops []Expr
-	switch x := e.(type) {
-	case *Compare, *Between:
-		if err := checkLeaf(sch, e); err != nil {
-			return nil, err
-		}
-		n := &planNode{kind: nkLeaf}
-		if c, ok := x.(*Compare); ok {
-			n.col, n.op = c.Column, c.Op
-			if c.Op == OpEq {
-				n.indexed, n.access = equalAccess(sch, c.Column)
-			} else {
-				n.leaf = lkRange
-				n.indexed, n.access = rangeAccess(sch, c.Column)
-			}
-		} else {
-			n.leaf, n.col = lkBetween, x.(*Between).Column
-			n.indexed, n.access = rangeAccess(sch, n.col)
-		}
-		return n, nil
-	case *And:
-		kind, ops = nkAnd, x.Operands
-	case *Or:
-		kind, ops = nkOr, x.Operands
-	case *Not:
-		kind, ops = nkNot, []Expr{x.Operand}
-	default:
-		return nil, fmt.Errorf("sql: unsupported expression node %T", e)
-	}
-	n := &planNode{kind: kind, driving: -1}
-	for _, op := range ops {
-		c, err := compileNode(sch, op)
-		if err != nil {
-			return nil, err
-		}
-		n.children = append(n.children, c)
-	}
-	if kind == nkAnd {
-		n.driving = drivingOperand(sch, ops)
-		for i, c := range n.children {
-			c.intersect = intersects(sch, ops, n.driving, i)
-		}
-	}
-	return n, nil
+	return nil
 }
 
 // intersects reports whether operand i of a conjunction driven by its
@@ -250,17 +146,8 @@ func intersects(sch *schema.Schema, ops []Expr, driving, i int) bool {
 func drivingOperand(sch *schema.Schema, ops []Expr) int {
 	first := -1
 	for i, op := range ops {
-		var indexed bool
-		switch x := op.(type) {
-		case *Compare:
-			if x.Op == OpEq {
-				indexed, _ = equalAccess(sch, x.Column)
-			} else {
-				indexed, _ = rangeAccess(sch, x.Column)
-			}
-		case *Between:
-			indexed, _ = rangeAccess(sch, x.Column)
-		default:
+		indexed, _, leaf := leafAccess(sch, op)
+		if !leaf {
 			continue
 		}
 		if indexed {
@@ -301,8 +188,8 @@ func checkLeaf(sch *schema.Schema, e Expr) error {
 	return fmt.Errorf("sql: unsupported expression node %T", e)
 }
 
-// checkNode validates a whole expression as Compile does, without
-// building a plan.
+// checkNode validates a whole expression: each leaf as checkLeaf does,
+// and nothing but And, Or and Not above them.
 func checkNode(sch *schema.Schema, e Expr) error {
 	var ops []Expr
 	switch x := e.(type) {
@@ -349,31 +236,38 @@ func hasColumn(sch *schema.Schema, col string) bool {
 	return ok
 }
 
-// equalAccess names the access path of an equality on col and reports
-// whether an index serves it: Type I and II columns are hashed, and a
-// Type III column's ordered index answers a number as a point lookup
-// (a string literal there is scanned, see sqldb.View.AppendEqual).
-func equalAccess(sch *schema.Schema, col string) (indexed bool, access string) {
-	switch attrType(sch, col) {
-	case schema.TypeI:
-		return true, "primary hash index lookup (Type I)"
-	case schema.TypeII:
-		return true, "secondary hash index lookup (Type II)"
+// leafAccess names the access path of a Compare or Between leaf and
+// reports whether an index serves it; leaf is false for any other node.
+// Type I and II columns are hashed and serve an equality; a Type III
+// column's ordered index serves a range, a BETWEEN, and an equality
+// with a number as a point lookup (a string literal there is scanned,
+// see sqldb.View.AppendEqual).
+func leafAccess(sch *schema.Schema, e Expr) (indexed bool, access string, leaf bool) {
+	var col string
+	switch x := e.(type) {
+	case *Compare:
+		if x.Op == OpEq {
+			switch attrType(sch, x.Column) {
+			case schema.TypeI:
+				return true, "primary hash index lookup (Type I)", true
+			case schema.TypeII:
+				return true, "secondary hash index lookup (Type II)", true
+			}
+			return true, "ordered index point lookup (Type III)", true
+		}
+		col = x.Column
+	case *Between:
+		col = x.Column
+	default:
+		return false, "", false
 	}
-	return true, "ordered index point lookup (Type III)"
-}
-
-// rangeAccess is equalAccess for a range or BETWEEN: only Type III
-// columns carry an ordered index.
-func rangeAccess(sch *schema.Schema, col string) (indexed bool, access string) {
 	if attrType(sch, col) == schema.TypeIII {
-		return true, "ordered index range scan (Type III)"
+		return true, "ordered index range scan (Type III)", true
 	}
-	return false, "scan with range verify"
+	return false, "scan with range verify", true
 }
 
-// Run executes the plan against the concrete Select in a read view of
-// its own; see RunView.
+// Run executes sel in a read view of its own; see RunView.
 func (p *Plan) Run(db *sqldb.DB, sel *Select) (ids []sqldb.RowID, err error) {
 	tbl, err := resolveTable(db, sel.Table)
 	if err != nil {
@@ -383,13 +277,11 @@ func (p *Plan) Run(db *sqldb.DB, sel *Select) (ids []sqldb.RowID, err error) {
 	return ids, err
 }
 
-// RunView executes the plan in v, a view of sel's table, re-binding
-// the statement's literals into the compiled shape, and returns the
+// RunView executes sel in v, a view of sel's table, and returns the
 // matching row ids in result order (ascending RowID, then ORDER BY,
-// then LIMIT) in a slice of their own. A Select whose shape does not
-// match the plan (different tree structure, columns or operators) is
-// recompiled on the spot — a mismatch can never produce wrong answers,
-// only a wasted compile.
+// then LIMIT) in a slice of their own. It validates sel as Compile
+// does and returns the same error for a statement Compile would
+// reject, whichever statement p was compiled from.
 func (p *Plan) RunView(v sqldb.View, sel *Select) ([]sqldb.RowID, error) {
 	// LIMIT is pushed into the scan only when no ORDER BY will
 	// reshuffle the stream afterwards.
@@ -397,7 +289,7 @@ func (p *Plan) RunView(v sqldb.View, sel *Select) ([]sqldb.RowID, error) {
 	if sel.OrderBy == "" {
 		limit = sel.Limit
 	}
-	buf, ids, err := p.match(v, sel, limit)
+	buf, ids, err := match(v, sel, limit)
 	if err != nil {
 		return nil, err
 	}
@@ -417,9 +309,9 @@ func (p *Plan) RunView(v sqldb.View, sel *Select) ([]sqldb.RowID, error) {
 // applied. It also returns the extreme and whether any row had a
 // numeric value (sqldb.View.AppendExtremeRun). The matches stay in the
 // pooled buffer and only the run is copied out: no sort, and no copy
-// of the whole match set. Shape mismatches recompile as in RunView.
+// of the whole match set. sel is validated as in RunView.
 func (p *Plan) ExtremeRun(v sqldb.View, sel *Select, keep func(sqldb.RowID) bool, limit int) ([]sqldb.RowID, float64, bool, error) {
-	buf, ids, err := p.match(v, sel, 0)
+	buf, ids, err := match(v, sel, 0)
 	if err != nil {
 		return nil, 0, false, err
 	}
@@ -438,18 +330,14 @@ func (p *Plan) ExtremeRun(v sqldb.View, sel *Select, keep func(sqldb.RowID) bool
 	return out, extreme, found, nil
 }
 
-// match evaluates the WHERE of sel under p (recompiled when sel does
-// not fit) in v into a buffer from idBufs, pushing limit > 0 into the
-// scan. It returns the buffer and the ascending matching ids, which
-// live in the buffer; the caller hands both to putIDBuf after its last
-// read of the ids.
-func (p *Plan) match(v sqldb.View, sel *Select, limit int) (*[]sqldb.RowID, []sqldb.RowID, error) {
-	if !p.fits(sel) {
-		fresh, err := compile(v.Schema(), sel)
-		if err != nil {
-			return nil, nil, err
-		}
-		p = fresh
+// match validates sel as Compile does, then evaluates its WHERE in v
+// into a buffer from idBufs, pushing limit > 0 into the scan. It
+// returns the buffer and the ascending matching ids, which live in the
+// buffer; the caller hands both to putIDBuf after its last read of the
+// ids.
+func match(v sqldb.View, sel *Select, limit int) (*[]sqldb.RowID, []sqldb.RowID, error) {
+	if err := check(v.Schema(), sel); err != nil {
+		return nil, nil, err
 	}
 	buf := idBufs.Get().(*[]sqldb.RowID)
 	ids := (*buf)[:0]
@@ -458,59 +346,11 @@ func (p *Plan) match(v sqldb.View, sel *Select, limit int) (*[]sqldb.RowID, []sq
 	} else {
 		r := runs.Get().(*run)
 		r.v = v
-		ids = r.appendNode(ids, sel.Where, p.root, limit)
+		ids = r.appendNode(ids, sel.Where, limit)
 		r.v = sqldb.View{}
 		runs.Put(r)
 	}
 	return buf, ids, nil
-}
-
-// fits reports whether sel has the shape this plan was compiled for.
-func (p *Plan) fits(sel *Select) bool {
-	return p.table == sel.Table && p.orderBy == sel.OrderBy && nodeFits(sel.Where, p.root)
-}
-
-func nodeFits(e Expr, n *planNode) bool {
-	if e == nil || n == nil {
-		return e == nil && n == nil
-	}
-	var ops []Expr
-	switch x := e.(type) {
-	case *Compare:
-		if n.kind != nkLeaf || n.col != x.Column || n.op != x.Op {
-			return false
-		}
-		// Range leaves were validated for numeric literals at compile.
-		return n.leaf != lkRange || x.Value.IsNumber()
-	case *Between:
-		return n.kind == nkLeaf && n.leaf == lkBetween && n.col == x.Column
-	case *And:
-		if n.kind != nkAnd {
-			return false
-		}
-		ops = x.Operands
-	case *Or:
-		if n.kind != nkOr {
-			return false
-		}
-		ops = x.Operands
-	case *Not:
-		if n.kind != nkNot {
-			return false
-		}
-		ops = []Expr{x.Operand}
-	default:
-		return false
-	}
-	if len(n.children) != len(ops) {
-		return false
-	}
-	for i, op := range ops {
-		if !nodeFits(op, n.children[i]) {
-			return false
-		}
-	}
-	return true
 }
 
 // run is one execution's scratch, reused across executions through
@@ -526,21 +366,20 @@ type run struct {
 
 var runs = sync.Pool{New: func() any { return new(run) }}
 
-// appendNode appends the ids of the rows matching e, which n annotates
-// (nil when e was not compiled), to dst in ascending order without
-// repeats, and returns the extended slice. limit > 0 lets it append
+// appendNode appends the ids of the rows matching e to dst in
+// ascending order without repeats, and returns the extended slice. limit > 0 lets it append
 // only a subset that holds the first limit ids: a leaf keeps only
 // them, a conjunction stops after them, and an OR passes limit into
 // every branch, because each of the first limit ids of a union is
 // among the first limit ids of the branch it comes from.
-func (r *run) appendNode(dst []sqldb.RowID, e Expr, n *planNode, limit int) []sqldb.RowID {
+func (r *run) appendNode(dst []sqldb.RowID, e Expr, limit int) []sqldb.RowID {
 	switch x := e.(type) {
 	case *And:
-		return r.appendAnd(dst, x, n, limit)
+		return r.appendAnd(dst, x, limit)
 	case *Or:
 		base := len(dst)
-		for i, op := range x.Operands {
-			dst = r.appendNode(dst, op, n.child(i), limit)
+		for _, op := range x.Operands {
+			dst = r.appendNode(dst, op, limit)
 		}
 		if len(x.Operands) > 1 {
 			ids := dst[base:]
@@ -550,7 +389,7 @@ func (r *run) appendNode(dst []sqldb.RowID, e Expr, n *planNode, limit int) []sq
 		return dst
 	case *Not:
 		buf := idBufs.Get().(*[]sqldb.RowID)
-		inner := r.appendNode((*buf)[:0], x.Operand, n.child(0), 0)
+		inner := r.appendNode((*buf)[:0], x.Operand, 0)
 		dst = r.v.AppendLiveExcept(dst, inner)
 		putIDBuf(buf, inner)
 		return dst
@@ -563,22 +402,17 @@ func (r *run) appendNode(dst []sqldb.RowID, e Expr, n *planNode, limit int) []sq
 	return dst[:base+len(sortFirst(dst[base:], limit))]
 }
 
-// appendAnd streams a conjunction: it appends the driving leaf's rows
-// (or every live row) to dst and filters them in place, first by the
+// appendAnd streams a conjunction: it appends the rows of the operand
+// drivingOperand picks (or every live row) to dst and filters them in place, first by the
 // postings of its intersect leaves, then by every other conjunct as a
 // residual predicate. The result equals the intersection of all
 // operand sets; the non-driving conjuncts never produce ids at all.
-func (r *run) appendAnd(dst []sqldb.RowID, x *And, n *planNode, limit int) []sqldb.RowID {
+func (r *run) appendAnd(dst []sqldb.RowID, x *And, limit int) []sqldb.RowID {
 	if len(x.Operands) == 0 {
 		return dst
 	}
 	sch := r.v.Schema()
-	var driving int
-	if n != nil {
-		driving = n.driving
-	} else {
-		driving = drivingOperand(sch, x.Operands)
-	}
+	driving := drivingOperand(sch, x.Operands)
 	base := len(dst)
 	ascending := true
 	if driving >= 0 {
@@ -590,7 +424,7 @@ func (r *run) appendAnd(dst []sqldb.RowID, x *And, n *planNode, limit int) []sql
 	for i, op := range x.Operands {
 		switch {
 		case i == driving:
-		case ascending && n.intersects(sch, x.Operands, driving, i):
+		case ascending && intersects(sch, x.Operands, driving, i):
 			c := op.(*Compare)
 			r.eqs = append(r.eqs, sqldb.NewEqualPred(c.Column, c.Value))
 		default:
@@ -781,7 +615,7 @@ func ForEachMatch(v sqldb.View, e Expr, fn func(sqldb.RowID)) error {
 	default:
 		r := runs.Get().(*run)
 		r.v = v
-		ids = r.appendNode((*buf)[:0], e, nil, 0)
+		ids = r.appendNode((*buf)[:0], e, 0)
 		r.v = sqldb.View{}
 		runs.Put(r)
 	}

@@ -2,7 +2,7 @@ package sql_test
 
 import (
 	"fmt"
-	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/schema"
@@ -11,36 +11,28 @@ import (
 	"repro/internal/sqldb"
 )
 
-// A plan is compiled once per shape, cached, and run for every later
-// question of that shape on a corpus that keeps changing. These tests
-// pin what makes that sound: Compile is a function of schema and
-// statement shape, and of nothing else.
+// The executor reads each conjunction's roles off the statement: a
+// plan is a function of schema and statement shape, and of nothing
+// else. These tests pin that through Explain, which prints the roles
+// with the functions the executor calls.
 
 // TestPlanLiteralIndependent: nothing about a plan may depend on the
-// literals of the question that happened to compile it — a value no
-// row holds or a range that misses every row plans, and explains,
-// exactly like any other.
+// literals of the question — a value no row holds or a range that
+// misses every row explains exactly like any other.
 func TestPlanLiteralIndependent(t *testing.T) {
 	db, _ := execDB(t)
 	const shape = "SELECT * FROM car_ads WHERE color = '%s' AND price < %s AND year BETWEEN %s LIMIT 30"
 	qa := fmt.Sprintf(shape, "red", "10000", "2000 AND 2005")
 	qb := fmt.Sprintf(shape, "mauve", "-1", "1 AND 99999")
-	var plans [2]*sql.Plan
 	var explained [2]string
 	for i, q := range []string{qa, qb} {
 		sel, err := sqltest.Parse(q)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if plans[i], err = sql.Compile(db, sel); err != nil {
-			t.Fatal(err)
-		}
 		if explained[i], err = sql.Explain(db, sel); err != nil {
 			t.Fatal(err)
 		}
-	}
-	if !reflect.DeepEqual(plans[0], plans[1]) {
-		t.Errorf("one shape, two literal sets, two plans:\n%s\nvs\n%s", explained[0], explained[1])
 	}
 	if explained[0] != explained[1] {
 		t.Errorf("one shape, two literal sets, two EXPLAINs:\n%s\nvs\n%s", explained[0], explained[1])
@@ -49,8 +41,8 @@ func TestPlanLiteralIndependent(t *testing.T) {
 
 // TestPlanContentIndependent: two tables of one schema — 5 ads with 5
 // makes and prices inside the range, 500 ads that are all but one
-// make with prices far above it — compile every shape to the same
-// plan, so no ingest can make a cached plan stale.
+// make with prices far above it — explain every shape alike, but for
+// the row count in the header: no ingest can move a plan.
 func TestPlanContentIndependent(t *testing.T) {
 	build := func(n int, makeOf func(i int) string, price func(i int) float64) *sqldb.DB {
 		db := sqldb.NewDB()
@@ -92,16 +84,19 @@ func TestPlanContentIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		a, err := sql.Compile(small, sel)
+		a, err := sql.Explain(small, sel)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := sql.Compile(skewed, sel)
+		b, err := sql.Explain(skewed, sel)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("%s: the plan depends on what the table holds", q)
+		// The first line counts the table's rows.
+		_, a, _ = strings.Cut(a, "\n")
+		_, b, _ = strings.Cut(b, "\n")
+		if a != b {
+			t.Errorf("%s: the plan depends on what the table holds:\n%s\nvs\n%s", q, a, b)
 		}
 	}
 }

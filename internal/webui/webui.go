@@ -225,11 +225,6 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		MaxPendingQuorum int   `json:"max_pending_quorum"`
 		PendingQuorum    int   `json:"pending_quorum"`
 	}
-	type planCacheJSON struct {
-		Hits   int64 `json:"hits"`
-		Misses int64 `json:"misses"`
-		Size   int64 `json:"size"`
-	}
 	type partitionJSON struct {
 		// Partitioned reports whether this node hosts a hash slice of
 		// one domain rather than whole domains; Slice is the slice
@@ -245,17 +240,11 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Persistence persistenceJSON `json:"persistence"`
 		Replication replicationJSON `json:"replication"`
 		Admission   admissionJSON   `json:"admission"`
-		PlanCache   planCacheJSON   `json:"plan_cache"`
 		Latency     latencyJSON     `json:"latency"`
 	}{Domains: []domainJSON{}, Latency: latencyStatus()}
 	out.Partition = partitionJSON{
 		Partitioned: s.sys.Partitioned(),
 		Slice:       s.sys.PartitionSlice().String(),
-	}
-	out.PlanCache = planCacheJSON{
-		Hits:   telemetry.Plan.Hits.Load(),
-		Misses: telemetry.Plan.Misses.Load(),
-		Size:   telemetry.Plan.Size.Load(),
 	}
 	for _, d := range st.Domains {
 		out.Domains = append(out.Domains, domainJSON{
@@ -834,12 +823,7 @@ func (s *Server) handleAsk(w http.ResponseWriter, r *http.Request) {
 	}
 	p.Result = s.view(res)
 	if r.URL.Query().Get("explain") != "" && res.SQL != "" {
-		if plan, cached, err := s.sys.Explain(res); err == nil {
-			if cached {
-				plan += "  plan cache: hit (compiled plan reused for this question shape)\n"
-			} else {
-				plan += "  plan cache: miss (plan compiled for this execution)\n"
-			}
+		if plan, err := s.sys.Explain(res); err == nil {
 			p.Result.Plan = plan
 		}
 	}
