@@ -6,7 +6,7 @@
 //	cqadsweb [-addr :8080] [-seed N] [-ads N] [-data DIR]
 //	         [-domains cars,csjobs,...] [-partition h1/2]
 //	         [-ingest 2s] [-expire 30s]
-//	         [-replicate-from URL]
+//	         [-replicate-from URL -data DIR]
 //	         [-replica-set URL1,URL2,URL3 -advertise URL [-lease 2s]]
 //	         [-shards "cars=h0:http://a,h1:http://b,csjobs=http://c,..."]
 //
@@ -30,13 +30,17 @@
 //   - A durable server (-data) is implicitly a PRIMARY: it serves the
 //     snapshot transfer (GET /api/repl/snapshot) and the long-polled
 //     WAL stream (GET /api/repl/wal) that followers consume.
-//   - -replicate-from URL starts a FOLLOWER: the process bootstraps
-//     its corpus from the primary's snapshot, tails its WAL, serves
-//     read-only answers (writes get 4xx until POST /api/repl/promote),
-//     and re-bootstraps automatically when the primary compacts past
-//     its position. The follower must use the same -seed/-ads as the
-//     primary: the snapshot carries table contents and classifier
-//     state, while the similarity matrices are rebuilt from the seed.
+//   - -replicate-from URL (with -data) starts a FOLLOWER: a
+//     non-voting peer that tails the primary's WAL into its own
+//     durable store, serves read-only answers (writes get 4xx until
+//     POST /api/repl/promote, after which it writes durably) and runs
+//     no election. A fresh -data directory streams from sequence 0, or
+//     takes one snapshot transfer when the primary has compacted past
+//     it; a restart — SIGKILL included — resumes from the follower's
+//     own log. The follower must use the same -seed/-ads as the
+//     primary: a snapshot carries table contents and classifier state,
+//     while the seeded baseline and the similarity matrices are
+//     rebuilt from the seed.
 //   - -replica-set URL1,URL2,URL3 (with -advertise and -data) makes
 //     this server a symmetric PEER in a self-healing replica set. All
 //     members run the same flags (each with its own -advertise and
@@ -53,8 +57,8 @@
 //   - -domains cars,csjobs makes this server a SHARD: it hosts (and,
 //     with -data, persists and replicates) only the named domains and
 //     rejects ads addressed elsewhere with HTTP 421. A follower of a
-//     shard must use the same -domains (plus -seed/-ads) as its
-//     primary.
+//     shard must use the same -domains, or a subset of them (plus
+//     -seed/-ads), as its primary.
 //   - -shards "cars=http://a,..." makes this process the shard FRONT
 //     TIER: it holds no corpus, classifies each question once (same
 //     -seed/-ads as the shards so routing matches a monolith), and
@@ -72,9 +76,12 @@
 //     questions to every partition and merges the ranked fragments
 //     into answers byte-identical to a monolith's. Combined with
 //     -replicate-from, -partition may name a CHILD slice of the
-//     primary's (e.g. h3/4 under a h1/2 primary): the follower
-//     bootstraps from just that slice of the primary's snapshot —
-//     the rebalance transfer path.
+//     primary's (e.g. h3/4 under a h1/2 primary): the follower keeps
+//     only that slice and, when it needs a snapshot transfer, fetches
+//     just that slice of the primary's — the rebalance transfer path.
+//     Once a rebalance has promoted it, the target is a plain durable
+//     partition: restart it as -domains cars -partition h3/4 -data DIR,
+//     without -replicate-from.
 //
 // A front tier also serves POST /api/rebalance, the live split/move:
 // given a source slice, a caught-up follower of it and the child
@@ -195,7 +202,7 @@ func parseFlags(fs *flag.FlagSet, args []string) (config, error) {
 	fs.StringVar(&c.dataDir, "data", "", "durable data directory (snapshot + write-ahead log); empty serves in-memory only")
 	fs.DurationVar(&c.ingest, "ingest", 0, "post one generated ad per interval (0 disables live ingestion)")
 	fs.DurationVar(&c.expire, "expire", 0, "delete the oldest ingested ad per interval (requires -ingest)")
-	fs.StringVar(&c.replicateFrom, "replicate-from", "", "run as a read replica of the primary at this base URL (requires the primary's -seed/-ads)")
+	fs.StringVar(&c.replicateFrom, "replicate-from", "", "run as a read replica of the primary at this base URL (requires -data and the primary's -seed/-ads)")
 	fs.StringVar(&c.domains, "domains", "", "comma-separated subset of ads domains this server hosts (shard mode; default: all eight)")
 	fs.StringVar(&c.partition, "partition", "", `hash slice of the hosted domain this server owns, e.g. "h2/4" (partition mode; requires -domains with exactly one domain)`)
 	fs.StringVar(&c.shards, "shards", "", `front-tier mode: comma-separated domain=group shard map where a group is one URL or a "|"-separated replica set (e.g. "cars=http://a1|http://a2|http://a3,csjobs=http://b"); a hash-partitioned domain lists one hN:-prefixed group per slice ("cars=h0:http://a,h1:http://b"); this process holds no corpus and routes to the shards, following each set's elected leader`)
@@ -229,8 +236,10 @@ func checkFlags(c config) error {
 		}
 	case c.advertise != "" || c.lease != 0:
 		return errors.New("-advertise and -lease configure a replica-set peer: they require -replica-set")
-	case c.replicateFrom != "" && (c.dataDir != "" || c.ingest != 0):
-		return errors.New("-replicate-from is incompatible with -data and -ingest: followers replicate the primary's corpus")
+	case c.replicateFrom != "" && c.ingest != 0:
+		return errors.New("-replicate-from is incompatible with -ingest: followers replicate the primary's corpus")
+	case c.replicateFrom != "" && c.dataDir == "":
+		return errors.New("-replicate-from needs -data: a follower logs what it applies and restarts from its own directory")
 	}
 	if c.expire != 0 && c.ingest == 0 {
 		return errors.New("-expire deletes ads the background writer posted: it requires -ingest")
@@ -304,28 +313,31 @@ func main() {
 			c.advertise, len(members), len(members)/2+1, st.Persistence.Dir, st.Persistence.Seq)
 		agent.Start()
 	} else if c.replicateFrom != "" {
-		// A partitioned follower bootstraps from just its slice of the
-		// primary's snapshot — the rebalance transfer path. The WAL tail
-		// stays unfiltered; replay skips out-of-slice ops locally.
+		// A follower is a peer that runs no election. A partitioned one
+		// fetches just its slice of the primary's snapshot when it needs
+		// a transfer — the rebalance transfer path. The WAL tail stays
+		// unfiltered; replay skips out-of-slice ops locally.
+		s, err := cqads.OpenPeer(opts)
+		if err != nil {
+			log.Fatal(err)
+		}
+		sys = s
 		snapshotQuery := ""
 		if c.partition != "" {
 			snapshotQuery = "partition=" + slice.String()
 		}
-		f, err := replica.StartFollower(context.Background(), replica.Config{
+		f, err := replica.Attach(sys, replica.Config{
 			Primary:       strings.TrimRight(c.replicateFrom, "/"),
 			SnapshotQuery: snapshotQuery,
-			Bootstrap: func(snapshot []byte) (*cqads.System, error) {
-				return cqads.OpenFollower(opts, snapshot)
-			},
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
 		follower = f
-		sys = f.System()
 		webOpts.Promoter = f
-		st := sys.Status().Replication
-		fmt.Printf("follower of %s: bootstrapped at seq %d\n", c.replicateFrom, st.AppliedSeq)
+		st := sys.Status()
+		fmt.Printf("follower of %s: %s at seq %d\n", c.replicateFrom, st.Persistence.Dir, st.Replication.AppliedSeq)
+		f.Start()
 	} else {
 		s, err := cqads.Open(opts)
 		if err != nil {

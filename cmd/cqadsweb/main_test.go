@@ -18,13 +18,14 @@ func TestCheckFlags(t *testing.T) {
 		// The invocations CI runs must all be accepted.
 		{"monolith", "-addr 127.0.0.1:9090 -ads 150", ""},
 		{"durable primary", "-addr 127.0.0.1:9090 -ads 150 -data ./data", ""},
-		{"follower", "-addr 127.0.0.1:9091 -ads 150 -replicate-from http://127.0.0.1:9090", ""},
+		{"follower", "-addr 127.0.0.1:9091 -ads 150 -replicate-from http://127.0.0.1:9090 -data ./f1", ""},
 		{"live ingest with expiry", "-addr 127.0.0.1:9090 -ads 150 -data ./data -ingest 25ms -expire 200ms", ""},
 		{"shard", "-addr 127.0.0.1:9201 -ads 150 -domains csjobs,furniture -data ./shard2", ""},
 		{"front tier", "-addr 127.0.0.1:9200 -ads 150 -shards " + shards, ""},
 		{"replica-set peer", "-addr 127.0.0.1:9101 -ads 150 -data ./peer-a -advertise http://127.0.0.1:9101 -replica-set " + set + " -lease 1s", ""},
 		{"partition", "-addr 127.0.0.1:9301 -ads 150 -domains cars -partition h0/2 -data ./reb-a", ""},
-		{"partition follower", "-addr 127.0.0.1:9304 -ads 150 -domains cars -partition h3/4 -replicate-from http://127.0.0.1:9302", ""},
+		{"follower with data", "-replicate-from http://p -data ./d", ""},
+		{"partition follower", "-addr 127.0.0.1:9304 -ads 150 -domains cars -partition h3/4 -replicate-from http://127.0.0.1:9302 -data ./reb-t", ""},
 
 		// Every combination a mode would silently ignore is rejected.
 		{"expire without ingest", "-data ./data -expire 1s", "requires -ingest"},
@@ -43,7 +44,7 @@ func TestCheckFlags(t *testing.T) {
 		{"replica-set without advertise", "-data ./d -replica-set " + set, "needs -advertise"},
 		{"replica-set without data", "-advertise http://a -replica-set " + set, "needs -advertise"},
 		{"replica-set with replicate-from", "-data ./d -advertise http://a -replica-set " + set + " -replicate-from http://p", "incompatible with -replicate-from"},
-		{"follower with data", "-replicate-from http://p -data ./d", "-replicate-from is incompatible"},
+		{"follower without data", "-replicate-from http://p", "-replicate-from needs -data"},
 		{"follower with ingest", "-replicate-from http://p -ingest 1s", "-replicate-from is incompatible"},
 	}
 	for _, tc := range cases {

@@ -69,19 +69,20 @@
 //
 // # Replication
 //
-// A durable system doubles as a replication primary: its snapshot is
-// the initial state transfer and its WAL is the stream. OpenFollower
-// builds a read-only replica from a primary's snapshot transfer; fed
-// the primary's log (internal/replica tails it over long-polled HTTP;
-// `cqadsweb -replicate-from URL` wires the whole role), the follower
-// applies every operation in sequence order and answers Ask
-// bit-identically to the primary. Followers reject InsertAd/DeleteAd
-// with ErrReadOnlyReplica until System.Promote (the manual-failover
-// escape hatch, also POST /api/repl/promote); when the primary
-// compacts past a follower's position the follower re-bootstraps from
-// a fresh snapshot automatically. System.Status's
-// Replication block reports the node's role, applied/observed
-// sequence cursors and lag. The full protocol and consistency
+// A durable system doubles as a replication primary: its WAL is the
+// stream and its snapshot the state transfer. OpenPeer builds the one
+// kind of follower, a durable node on its own data directory; fed the
+// primary's log (internal/replica tails it over long-polled HTTP;
+// `cqadsweb -replicate-from URL -data DIR` wires the whole role), it
+// applies every operation in sequence order, logs it to its own WAL
+// and answers Ask bit-identically to the primary. A fresh directory
+// streams from sequence 0; when the primary has compacted past the
+// follower's cursor, one snapshot transfer resets it; a restarted
+// follower resumes from its own cursor. Followers reject
+// InsertAd/DeleteAd with ErrReadOnlyReplica until System.Promote (the
+// manual-failover escape hatch, also POST /api/repl/promote), after
+// which they write durably. System.Status's Replication block reports
+// the node's role, applied/observed sequence cursors and lag. The full protocol and consistency
 // guarantees are documented in the repository root package.
 //
 // # Failover
@@ -176,7 +177,6 @@ import (
 	"repro/internal/classify"
 	"repro/internal/core"
 	"repro/internal/partition"
-	"repro/internal/persist"
 	"repro/internal/qlog"
 	"repro/internal/questions"
 	"repro/internal/schema"
@@ -206,8 +206,8 @@ type (
 	ReplicationStatus = core.ReplicationStatus
 )
 
-// ErrReadOnlyReplica is returned by InsertAd/DeleteAd on a follower
-// built with OpenFollower: writes go to the primary, or promote the
+// ErrReadOnlyReplica is returned by InsertAd/DeleteAd on an
+// unpromoted follower: writes go to the primary, or promote the
 // follower for manual failover (System.Promote, or the webui's
 // POST /api/repl/promote).
 var ErrReadOnlyReplica = core.ErrReadOnlyReplica
@@ -345,40 +345,20 @@ func Open(opts Options) (*System, error) {
 	return core.Open(cfg)
 }
 
-// OpenFollower builds the same deterministic environment as Open and
-// bootstraps it as a read-only replica from a primary's encoded
-// snapshot — the bytes served by the primary's GET /api/repl/snapshot.
-// Everything the snapshot does not carry (schemas, TI/WS similarity
-// matrices, the classifier's construction) comes from opts, so the
-// follower MUST be built with the same Seed/AdsPerDomain/Domains as
-// its primary or ranked answers will diverge; the snapshot then
-// replaces the table contents and trained classifier state wholesale.
-// opts.DataDir is ignored — a follower's recovery story is
-// re-bootstrapping from its primary, not local durability. The
-// returned System rejects InsertAd/DeleteAd until promoted; feed it
-// the primary's WAL stream via internal/replica (cqadsweb does this
-// with -replicate-from).
-func OpenFollower(opts Options, snapshot []byte) (*System, error) {
-	snap, err := persist.DecodeSnapshot(snapshot)
-	if err != nil {
-		return nil, err
-	}
-	cfg, err := buildEnv(opts)
-	if err != nil {
-		return nil, err
-	}
-	return core.OpenFollower(cfg, snap)
-}
-
-// OpenPeer builds a symmetric replica-set member: a durable node
-// (opts.DataDir is required) that starts read-only, recovers its
-// corpus from its own snapshot + WAL like Open, and spools every
-// operation it later applies from a leader into that same log — so it
-// can be elected, serve the replication stream itself, and survive
-// restarts, unlike the memory-only followers OpenFollower builds.
-// This is the node an internal/failover Agent manages (`cqadsweb
-// -replica-set a,b,c` wires the whole role). Set opts.ReplicaSet so
-// quorum-acked writes know their majority.
+// OpenPeer builds a follower: a durable node (opts.DataDir is
+// required) that starts read-only, recovers its corpus from its own
+// snapshot + WAL like Open, and spools every operation it later
+// applies from a leader into that same log — so it survives restarts,
+// and can be elected and serve the replication stream itself. Build
+// it with the primary's Seed/AdsPerDomain/Domains: everything a
+// snapshot does not carry (schemas, TI/WS similarity matrices, the
+// classifier's construction) comes from opts, and a fresh directory
+// starts from the primary's own seeded baseline. Options.Domains may
+// name a subset of the primary's domains and Partitions/PartitionIndex
+// a child slice of its slice. An internal/replica Follower feeds it
+// (`cqadsweb -replicate-from URL -data DIR`); an internal/failover
+// Agent manages it in a replica set (`cqadsweb -replica-set a,b,c`).
+// Set opts.ReplicaSet so quorum-acked writes know their majority.
 func OpenPeer(opts Options) (*System, error) {
 	cfg, err := buildEnv(opts)
 	if err != nil {

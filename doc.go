@@ -51,8 +51,8 @@
 //     would, so the answer does not depend on which operand drives. No
 //     table statistics, no selectivity estimates, no literal values
 //     enter a plan, and no plan is kept: reading the roles costs a
-//     schema lookup per leaf, and sql.Compile only validates the
-//     statement. LIMIT is pushed into the filter when no ORDER BY
+//     schema lookup per leaf, and sql.RunView validates the
+//     statement once as it runs it. LIMIT is pushed into the filter when no ORDER BY
 //     reorders the stream, so the postings and the residuals stop
 //     together, and into every branch of an OR, since the first LIMIT
 //     ids of a union lie among each branch's first LIMIT ids; the OR's
@@ -68,7 +68,7 @@
 //   - Superlatives without a sort. A superlative is evaluated last,
 //     over the rows the other criteria retrieve (Sec. 4.3), and only
 //     its extreme run matters: the statement still orders by the
-//     superlative, but sql.Plan.ExtremeRun runs only the WHERE into
+//     superlative, but sql.ExtremeRun runs only the WHERE into
 //     the pooled buffer, and
 //     sqldb.View.AppendExtremeRun takes the rows at the minimum
 //     (maximum) numeric value in one pass over the same view, in
@@ -267,14 +267,18 @@
 //   - Roles. A PRIMARY is any durable System: it serves its current
 //     snapshot (GET /api/repl/snapshot) and its log
 //     (GET /api/repl/wal?from=<seq>, long-polled, framed ops with
-//     sequence > from). A FOLLOWER (core.OpenFollower;
-//     `cqadsweb -replicate-from URL`) builds the same deterministic
-//     substrate set as the primary — schemas, TI/WS matrices — then
-//     restores the snapshot wholesale and tails the log, applying each
-//     operation through the same replay path crash recovery uses
-//     (classifier training included) and verifying each insert lands
-//     on the RowID the primary logged. Followers keep no local durable
-//     state: their recovery story is re-bootstrapping.
+//     sequence > from). A FOLLOWER is a durable node on its own data
+//     directory (core.OpenPeer, fed by replica.Attach; `cqadsweb
+//     -replicate-from URL -data DIR`, or a `-replica-set` member): it
+//     builds the same deterministic substrate set as the primary —
+//     schemas, TI/WS matrices, the seeded baseline at sequence 0 — and
+//     tails the log from its own cursor, applying each operation
+//     through the same replay path crash recovery uses (classifier
+//     training included), verifying each insert lands on the RowID the
+//     primary logged, and spooling it to its own WAL. There is one
+//     follower kind: a read replica is a replica-set peer that runs no
+//     election. A restarted follower recovers from its own directory
+//     and resumes streaming where its log ends.
 //
 //   - Consistency. Followers are read-only (InsertAd/DeleteAd return
 //     core.ErrReadOnlyReplica) and asynchronously consistent: a read
@@ -288,10 +292,11 @@
 //
 //   - Catch-up. Duplicate delivery is skipped by sequence; a gap
 //     (core.GapError) or an HTTP 410 — the primary compacted past the
-//     follower's cursor — triggers an automatic re-bootstrap: fetch
+//     follower's cursor — triggers an automatic snapshot reset: fetch
 //     the new snapshot, restore it IN PLACE (same System pointer, so
-//     HTTP handlers keep working), jump the cursor to the snapshot's
-//     sequence, resume tailing.
+//     HTTP handlers keep working), re-baseline the local store with
+//     the restored tables, jump the cursor to the snapshot's sequence,
+//     resume tailing.
 //
 //   - Failover. POST /api/repl/promote (System.Promote) flips a
 //     follower writable for manual failover: replication stops first,
@@ -313,11 +318,13 @@
 // cadence) and replicates only those domains, and refuses ingest
 // addressed elsewhere with the typed core.ErrNotHosted (HTTP 421).
 // Its snapshots and WAL carry only hosted domains; a durable shard
-// therefore refuses to open a store holding other domains (a
-// checkpoint would destroy them), while a FOLLOWER — which keeps no
-// local store — may bootstrap from a wider primary's snapshot as a
-// partial replica, filtering foreign-domain snapshot sections and WAL
-// records on the Domain field.
+// therefore refuses to open a store whose snapshot holds other
+// domains (a checkpoint would destroy them). A FOLLOWER may host a
+// subset of a wider primary's domains as a partial replica: it
+// filters foreign-domain snapshot sections and WAL records on the
+// Domain field, its own snapshots hold only its domains, and the
+// foreign records its log keeps for gap-free sequence numbers are
+// skipped again at recovery.
 //
 //   - Ownership and routing. The FRONT TIER (shard.Router behind
 //     shard.Server; `cqadsweb -shards "cars=http://a,..."`) holds no
@@ -352,8 +359,8 @@
 //   - Composition with replication. A shard is a durable System, hence
 //     implicitly a replication primary: it ships only its hosted
 //     domains (its WAL contains nothing else), so a shard can carry
-//     its own follower fleet (`cqadsweb -replicate-from` with the
-//     shard's -domains) and the two scaling axes — domains across
+//     its own follower fleet (`cqadsweb -replicate-from -data` with
+//     the shard's -domains) and the two scaling axes — domains across
 //     shards, reads across replicas — compose per shard.
 //
 // # Partitioning and live rebalancing
@@ -392,8 +399,9 @@
 //
 //   - Live rebalancing (internal/shard/rebalance; POST /api/rebalance
 //     on the front tier) moves a slice without dropping a query or a
-//     quorum-acked write: a follower bootstraps from the source's
-//     slice-filtered snapshot and tails its WAL to lag 0; the
+//     quorum-acked write: a durable follower keeping only the moved
+//     slice tails the source's WAL to lag 0 (a snapshot transfer, when
+//     it needs one, is slice-filtered); the
 //     coordinator then fences JUST the moving slice's writes at the
 //     router (queued, never errored), drains in-flight writes, waits
 //     for the target to apply the source's final sequence, promotes
@@ -401,10 +409,12 @@
 //     slice, target takes the moved one), tells the source to retire
 //     the moved slice's rows, and lifts the fence. Reads never pause:
 //     scatter legs carry the slice they address, so answers are
-//     correct from either side of the cutover. The churn harness
-//     (internal/shard/rebalance) proves a move under live ingest and
-//     ask traffic stays byte-identical to a never-rebalanced
-//     reference.
+//     correct from either side of the cutover. The promoted target
+//     writes durably to its own directory and restarts as a plain
+//     partition (`-domains cars -partition h3/4 -data DIR`). The churn
+//     harness (internal/shard/rebalance) proves a move under live
+//     ingest and ask traffic stays byte-identical to a never-rebalanced
+//     reference, before and after the target restarts.
 //
 // # Load & latency
 //

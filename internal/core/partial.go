@@ -319,7 +319,7 @@ func (s *System) relaxGroupByQueries(v sqldb.View, g *boolean.Group, emit func([
 		}
 		relaxed := &boolean.Interpretation{Groups: []boolean.Group{{Conds: kept}}}
 		sel := BuildSelect(v.Schema(), relaxed, 0)
-		ids, err := s.execSelect(v, sel)
+		ids, err := sql.RunView(v, sel)
 		if err != nil {
 			continue
 		}
@@ -358,7 +358,7 @@ func (s *System) PartialCandidates(domain string, in *boolean.Interpretation) (p
 	sel := BuildSelect(tbl.Schema(), in, 0)
 	tbl.View(func(v sqldb.View) {
 		var exact []sqldb.RowID
-		if exact, err = s.execSelect(v, sel); err != nil {
+		if exact, err = sql.RunView(v, sel); err != nil {
 			return
 		}
 		rs := relaxPool.Get().(*relaxScratch)

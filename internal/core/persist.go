@@ -178,11 +178,12 @@ func Open(cfg Config) (*System, error) {
 // shard's directory re-opened unsharded or with extra domains) would
 // persist freshly seed-fabricated tables next to the real cluster
 // state — both silently, at the first compaction or graceful
-// shutdown. A directory with no snapshot yet (first run) carries no
-// state to protect and always passes. (Domain-filtered recovery is
-// still available where it is safe — followers keep no local store,
-// so OpenFollower may bootstrap a partial replica from a wider
-// primary's snapshot.)
+// shutdown. The snapshot names the directory's domain set, since
+// every checkpoint writes a section per hosted domain, empty or not.
+// WAL records are not consulted: a partial follower's log holds its
+// wider primary's operations for other domains, which replay skips.
+// A directory with no snapshot yet (first run) carries no state to
+// protect and always passes.
 func guardShardStore(cfg Config, st *persist.Store) error {
 	hosted := make(map[string]bool)
 	if len(cfg.Domains) > 0 {
@@ -204,12 +205,6 @@ func guardShardStore(cfg Config, st *persist.Store) error {
 		inStore[td.Domain] = true
 		if !hosted[td.Domain] {
 			foreign[td.Domain] = true
-		}
-	}
-	for _, op := range st.Tail() {
-		inStore[op.Domain] = true
-		if !hosted[op.Domain] {
-			foreign[op.Domain] = true
 		}
 	}
 	if len(foreign) > 0 {
@@ -243,9 +238,9 @@ func sortedKeys(set map[string]bool) []string {
 // snapshot image and imports the classifier state. When cfg.Domains
 // restricts the hosted set (shard mode), sections for domains the
 // database knows but the shard does not host are skipped — that is
-// how a follower bootstraps a partial replica from a wider primary's
-// snapshot; sections for domains the database has never heard of
-// still fail loudly as corruption.
+// how a partial follower takes a wider primary's snapshot transfer;
+// sections for domains the database has never heard of still fail
+// loudly as corruption.
 func restoreSnapshot(cfg Config, snap *persist.Snapshot) error {
 	hosted := make(map[string]bool, len(cfg.Domains))
 	for _, d := range cfg.Domains {
@@ -308,10 +303,10 @@ func (s *System) replayOp(op persist.Op) error {
 	if s.sharded && !s.hosted[op.Domain] {
 		if _, ok := s.db.TableForDomain(op.Domain); ok {
 			// WAL filtering on the Domain field: a partial follower
-			// being shipped a wider primary's log applies only its own
-			// operations. Domains the database has never heard of fall
-			// through and fail loudly as corruption, same as on an
-			// unsharded system.
+			// applies (and recovers) only its own operations from a
+			// wider primary's log. Domains the database has never
+			// heard of fall through and fail loudly as corruption,
+			// same as on an unsharded system.
 			return nil
 		}
 	}
@@ -424,6 +419,21 @@ func (s *System) Checkpoint() error {
 // consistent with the WAL sequence it covers.
 func (s *System) checkpointLocked() error {
 	p := s.persist
+	snap, err := s.exportLocked()
+	if err != nil {
+		return err
+	}
+	if err := p.store.WriteCheckpoint(snap); err != nil {
+		return err
+	}
+	p.lastCheckpoint.Store(time.Now().UnixNano()) //lint:cqads-ignore wallclock checkpoint age is operational metadata, never part of an answer
+	return nil
+}
+
+// exportLocked renders the hosted tables and the classifier state as
+// a snapshot image with no sequence stamped. Called with persister.mu
+// held.
+func (s *System) exportLocked() (*persist.Snapshot, error) {
 	snap := &persist.Snapshot{}
 	for _, domain := range s.domains {
 		tbl, _ := s.db.TableForDomain(domain)
@@ -444,15 +454,11 @@ func (s *System) checkpointLocked() error {
 	if sn, ok := s.classifier.(classify.Snapshotter); ok {
 		blob, err := sn.ExportState()
 		if err != nil {
-			return err
+			return nil, err
 		}
 		snap.Classifier = blob
 	}
-	if err := p.store.WriteCheckpoint(snap); err != nil {
-		return err
-	}
-	p.lastCheckpoint.Store(time.Now().UnixNano()) //lint:cqads-ignore wallclock checkpoint age is operational metadata, never part of an answer
-	return nil
+	return snap, nil
 }
 
 // Close checkpoints (when persistence is enabled) and releases the

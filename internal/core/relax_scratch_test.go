@@ -16,6 +16,7 @@ import (
 	"repro/internal/qlog"
 	"repro/internal/questions"
 	"repro/internal/schema"
+	"repro/internal/sql"
 	"repro/internal/sqldb"
 	"repro/internal/wsmatrix"
 )
@@ -264,7 +265,7 @@ func TestPooledScratchUnderIngest(t *testing.T) {
 					var err error
 					tbl.View(func(v sqldb.View) {
 						sel := BuildSelect(tbl.Schema(), in, 0)
-						if exact, err = sys.execSelect(v, sel); err == nil {
+						if exact, err = sql.RunView(v, sel); err == nil {
 							pool = sys.candidatePool(v, in, sel.Where, exact, sc)
 						}
 					})
@@ -326,7 +327,7 @@ func TestRelaxScratchCounterWrap(t *testing.T) {
 				var err error
 				tbl.View(func(v sqldb.View) {
 					sel := BuildSelect(tbl.Schema(), in, 0)
-					if exact, err = sys.execSelect(v, sel); err == nil {
+					if exact, err = sql.RunView(v, sel); err == nil {
 						got = slices.Clone(sys.candidatePool(v, in, sel.Where, exact, sc))
 					}
 				})

@@ -13,14 +13,16 @@ import (
 
 // This file is the core half of WAL-shipping replication. A PRIMARY is
 // any durable System (Open with Config.DataDir): its snapshot file is
-// the initial state transfer for a new follower and its WAL is the
-// replication stream, exposed through the Repl* accessors that the
-// webui endpoints serve. A FOLLOWER is a System built by OpenFollower
-// from a primary's snapshot: it applies the primary's operations in
-// sequence order through the same replay path recovery uses (classifier
-// training included), serves reads the whole time, and rejects direct
-// writes with ErrReadOnlyReplica until it is promoted. The HTTP client
-// that feeds ApplyOps lives in internal/replica.
+// the state transfer for a follower that cannot stream from its cursor
+// and its WAL is the replication stream, exposed through the Repl*
+// accessors that the webui endpoints serve. A FOLLOWER is a durable
+// System built by OpenPeer on its own data directory: it applies the
+// primary's operations in sequence order through the same replay path
+// recovery uses (classifier training included), spools each one into
+// its own WAL, serves reads the whole time, and rejects direct writes
+// with ErrReadOnlyReplica until it is promoted. A restarted follower
+// resumes from its own cursor. The HTTP client that feeds ApplyOps
+// lives in internal/replica.
 
 // ErrReadOnlyReplica is returned by InsertAd/DeleteAd on a follower:
 // replicas apply the primary's log and accept no direct writes, or the
@@ -42,7 +44,7 @@ var ErrNotPrimary = errors.New("core: replication source requires a durable syst
 // GapError reports a hole in a shipped operation stream: the follower
 // had applied through Applied and was handed an operation with
 // sequence Got > Applied+1. The stream cannot be applied out of order,
-// so the caller must re-bootstrap from a fresh snapshot.
+// so the caller must reset from a fresh snapshot.
 type GapError struct {
 	Applied, Got uint64
 }
@@ -59,10 +61,10 @@ type followerState struct {
 	// another. Ask paths never take it: reads stay on table-level
 	// locks, exactly as they do against live ingestion on a primary.
 	mu sync.Mutex
-	// cfg is retained for re-bootstrap: ResetToSnapshot restores a new
-	// snapshot into the same DB tables and classifier, so the System
-	// pointer (and everything holding it, like a webui.Server)
-	// survives a primary compaction that forces a re-transfer.
+	// cfg is retained for snapshot resets: ResetToSnapshot restores a
+	// new snapshot into the same DB tables and classifier, so the
+	// System pointer (and everything holding it, like a webui.Server)
+	// survives a primary compaction that forces a transfer.
 	cfg Config
 	// applied is the sequence number of the last applied operation.
 	applied atomic.Uint64
@@ -72,12 +74,6 @@ type followerState struct {
 	// sequence numbers written under a fenced term) is detected
 	// instead of skipped as duplicates.
 	appliedEpoch atomic.Uint64
-	// fenceEpoch is the highest leadership term this node has
-	// acknowledged (NoteEpoch); streams and control messages from
-	// older terms are rejected. Durable peers keep the fence in the
-	// store instead so it survives restarts; this field serves
-	// memory-only followers.
-	fenceEpoch atomic.Uint64
 	// primarySeq is the primary's last observed sequence, reported by
 	// the shipping layer (NotePrimarySeq); with applied it gives the
 	// lag.
@@ -91,53 +87,20 @@ type followerState struct {
 	rebootstrapping atomic.Bool
 }
 
-// OpenFollower builds a read-only replica: cfg supplies the same
-// deterministic substrate set as the primary (schemas, TI/WS matrices,
-// classifier — everything not carried by the snapshot), and snap — a
-// primary's snapshot, typically fetched from GET /api/repl/snapshot —
-// replaces the table contents and classifier state wholesale, exactly
-// as crash recovery does. The returned System serves Ask immediately,
-// applies shipped operations via ApplyOps, and rejects
-// InsertAd/DeleteAd with ErrReadOnlyReplica until Promote. cfg.DataDir
-// is ignored: followers keep no local durable state — their recovery
-// story IS re-bootstrapping from the primary.
-func OpenFollower(cfg Config, snap *persist.Snapshot) (*System, error) {
-	if cfg.DB == nil {
-		return nil, fmt.Errorf("core: Config.DB is required")
-	}
-	if snap == nil {
-		return nil, fmt.Errorf("core: OpenFollower requires a snapshot")
-	}
-	cfg.DataDir = "" // no local durability on replicas
-	if err := guardFollowerSnapshot(cfg, snap); err != nil {
-		return nil, err
-	}
-	if err := restoreSnapshot(cfg, snap); err != nil {
-		return nil, err
-	}
-	sys, err := New(cfg)
-	if err != nil {
-		return nil, err
-	}
-	f := &followerState{cfg: cfg}
-	f.applied.Store(snap.Seq)
-	f.appliedEpoch.Store(snap.Epoch)
-	f.fenceEpoch.Store(snap.Epoch)
-	f.primarySeq.Store(snap.Seq)
-	sys.follower = f
-	return sys, nil
-}
-
-// OpenPeer builds a durable replica-set member: a System recovered
-// from its own data directory (exactly like Open) that starts as a
-// read-only follower. Peers are the unit the failover agent manages —
-// every node of a `-replica-set` is one. Unlike an OpenFollower
-// replica, a peer spools every applied operation to its local WAL
-// (Store.AppendApplied), so whichever peer wins an election already
-// holds a log identical to the stream it acknowledged and can serve
-// it onward as the new leader; and unlike a plain primary it can be
-// demoted back to follower when it loses a term. cfg.DataDir is
-// required.
+// OpenPeer builds a follower: a durable System recovered from its own
+// data directory (exactly like Open) that starts read-only. It is the
+// one follower kind — every node of a `-replica-set`, every read
+// replica and every rebalance target is one. A peer spools every
+// applied operation to its local WAL (Store.AppendApplied), so it
+// resumes from its own cursor after a restart, and whichever peer wins
+// an election already holds a log identical to the stream it
+// acknowledged and can serve it onward as the new leader; unlike a
+// plain primary it can be demoted back to follower when it loses a
+// term. cfg.DataDir is required. cfg supplies the same deterministic
+// substrate set as the primary (schemas, TI/WS matrices, classifier):
+// a fresh directory starts from that seeded baseline at sequence 0,
+// which is the primary's own, and a snapshot transfer replaces the
+// table contents and classifier state wholesale.
 func OpenPeer(cfg Config) (*System, error) {
 	if cfg.DataDir == "" {
 		return nil, fmt.Errorf("core: OpenPeer requires Config.DataDir (peers are durable)")
@@ -159,7 +122,7 @@ func OpenPeer(cfg Config) (*System, error) {
 
 // guardFollowerSnapshot requires the primary's snapshot to cover
 // every domain this follower hosts: a hosted domain absent from the
-// transfer would keep its freshly seeded table and silently answer
+// transfer would keep its seeded table and silently answer
 // with data the cluster never ingested, while still reporting role
 // "follower". The snapshot may be WIDER than the hosted set — that is
 // a partial follower, and restoreSnapshot/replayOp filter the rest.
@@ -187,15 +150,17 @@ func guardFollowerSnapshot(cfg Config, snap *persist.Snapshot) error {
 
 // ApplyOps applies a contiguous run of shipped operations in sequence
 // order under the apply lock, so the batch is serialized against
-// re-bootstraps and promotion (reads take only table-level locks and
-// keep flowing). Operations at or below the applied cursor are
-// skipped — the shipping layer may legitimately re-deliver after a
-// re-poll — and a sequence above cursor+1 returns a *GapError, which
-// the caller resolves by re-bootstrapping from a fresh snapshot. Each
-// insert goes through the same replay path crash recovery uses
-// (classifier training included) and is verified to land on the RowID
-// the primary logged, so a diverged replica fails loudly instead of
-// serving silently wrong answers.
+// snapshot resets and promotion (reads take only table-level locks and
+// keep flowing), and spools them to the local WAL. Operations at or
+// below the applied cursor are skipped — the shipping layer may
+// legitimately re-deliver after a re-poll — and a sequence above
+// cursor+1 returns a *GapError, which the caller resolves by resetting
+// from a fresh snapshot. Each insert goes through the same replay path
+// crash recovery uses (classifier training included) and is verified
+// to land on the RowID the primary logged, so a diverged replica fails
+// loudly instead of serving silently wrong answers. Operations outside
+// a partial follower's domains or slice are spooled too, so its log
+// stays gap-free; replay skips them, here and at recovery.
 func (s *System) ApplyOps(ops []persist.Op) error {
 	f := s.follower
 	if f == nil {
@@ -206,16 +171,14 @@ func (s *System) ApplyOps(ops []persist.Op) error {
 	if f.promoted.Load() {
 		return fmt.Errorf("core: follower was promoted; no longer applying the primary's stream")
 	}
+	// The apply is a memory mutation plus a local WAL spool,
+	// serialized against checkpoints exactly like primary ingest (lock
+	// order is always f.mu then p.mu).
 	p := s.persist
-	if p != nil {
-		// Durable peer: the apply is a memory mutation plus a local WAL
-		// spool, serialized against checkpoints exactly like primary
-		// ingest (lock order is always f.mu then p.mu).
-		p.mu.Lock()
-		defer p.mu.Unlock()
-		if err := p.ingestable(); err != nil {
-			return err
-		}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err := p.ingestable(); err != nil {
+		return err
 	}
 	var spooled []persist.Op
 	for _, op := range ops {
@@ -244,28 +207,24 @@ func (s *System) ApplyOps(ops []persist.Op) error {
 			}
 			return err
 		}
-		if p != nil {
-			spooled = append(spooled, op)
-		}
+		spooled = append(spooled, op)
 		f.applied.Store(op.Seq)
 		f.appliedEpoch.Store(op.Epoch)
 	}
 	if err := s.spoolAppliedLocked(spooled); err != nil {
 		return err
 	}
-	if p != nil {
-		s.maybeCompact()
-	}
+	s.maybeCompact()
 	return nil
 }
 
 // spoolAppliedLocked appends memory-applied shipped operations to the
-// local WAL of a durable peer (no-op with no ops or no store). Called
-// with f.mu and p.mu held. A spool failure latches the durability
-// fault exactly like a failed primary append: memory is ahead of the
-// log, so further ingestion or application is refused until restart.
+// local WAL (no-op with no ops). Called with f.mu and p.mu held. A
+// spool failure latches the durability fault exactly like a failed
+// primary append: memory is ahead of the log, so further ingestion or
+// application is refused until restart.
 func (s *System) spoolAppliedLocked(ops []persist.Op) error {
-	if len(ops) == 0 || s.persist == nil {
+	if len(ops) == 0 {
 		return nil
 	}
 	p := s.persist
@@ -277,13 +236,20 @@ func (s *System) spoolAppliedLocked(ops []persist.Op) error {
 	return nil
 }
 
-// ResetToSnapshot re-bootstraps a follower in place: the tables and
-// classifier state are replaced wholesale by the new snapshot and the
-// applied cursor jumps to its sequence. The shipping layer calls this
-// when the primary has compacted past the follower's cursor (the WAL
-// no longer reaches back far enough). Reads keep working throughout;
-// Health reports "recovering" for the duration so load balancers can
-// steer around the window in which tables are swapped one by one.
+// ResetToSnapshot resets a follower in place: the tables and
+// classifier state are replaced wholesale by the new snapshot, the
+// local store is re-baselined to the result and the applied cursor
+// jumps to the snapshot's sequence. The shipping layer calls this when
+// it cannot stream from the follower's cursor: the primary has
+// compacted past it, or log matching found it diverged under a fenced
+// term (the local WAL suffix is discarded). The new baseline is
+// exported from the restored tables, not copied from the transfer, so
+// a partial follower's directory holds only its own domains and slice.
+// Reads keep working throughout; Health reports "recovering" for the
+// duration so load balancers can steer around the window in which
+// tables are swapped one by one. A failure once restoring has begun
+// latches the durability fault: memory no longer matches the log, and
+// a restart recovers from the old baseline.
 func (s *System) ResetToSnapshot(snap *persist.Snapshot) error {
 	f := s.follower
 	if f == nil {
@@ -297,25 +263,29 @@ func (s *System) ResetToSnapshot(snap *persist.Snapshot) error {
 	if f.promoted.Load() {
 		return fmt.Errorf("core: follower was promoted; refusing to reset from the primary")
 	}
-	f.rebootstrapping.Store(true)
-	defer f.rebootstrapping.Store(false)
 	if err := guardFollowerSnapshot(f.cfg, snap); err != nil {
 		return err
 	}
-	if p := s.persist; p != nil {
-		// Durable peer: re-baseline the local store first, discarding a
-		// WAL suffix that diverged under a fenced term. If the memory
-		// restore below then fails, disk and memory disagree only until
-		// the next restart recovers from the new baseline.
-		p.mu.Lock()
-		err := p.store.ResetTo(snap)
-		p.mu.Unlock()
-		if err != nil {
-			return err
-		}
-	}
-	if err := restoreSnapshot(f.cfg, snap); err != nil {
+	f.rebootstrapping.Store(true)
+	defer f.rebootstrapping.Store(false)
+	p := s.persist
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if err := p.ingestable(); err != nil {
 		return err
+	}
+	err := restoreSnapshot(f.cfg, snap)
+	var local *persist.Snapshot
+	if err == nil {
+		local, err = s.exportLocked()
+	}
+	if err == nil {
+		local.Seq, local.Epoch = snap.Seq, snap.Epoch
+		err = p.store.ResetTo(local)
+	}
+	if err != nil {
+		p.failed.Store(true)
+		return fmt.Errorf("core: resetting to the snapshot at seq %d (%v): %w", snap.Seq, err, ErrDurabilityLost)
 	}
 	f.applied.Store(snap.Seq)
 	f.appliedEpoch.Store(snap.Epoch)
@@ -326,9 +296,9 @@ func (s *System) ResetToSnapshot(snap *persist.Snapshot) error {
 }
 
 // Promote flips a follower writable — the failover path, manual or
-// automatic. After Promote, InsertAd/DeleteAd succeed (durably, on a
-// peer with a local WAL; in memory only on an OpenFollower replica)
-// and ApplyOps/ResetToSnapshot refuse, so a stale primary coming back
+// automatic, and a rebalance target's cutover. After Promote,
+// InsertAd/DeleteAd succeed, logged to the follower's own WAL, and
+// ApplyOps/ResetToSnapshot refuse, so a stale primary coming back
 // cannot overwrite writes taken after the flip. Promote is idempotent
 // — on an already-writable system (a primary, a promoted follower, a
 // standalone) it is a no-op returning nil, so a failover controller
@@ -359,10 +329,9 @@ func (s *System) PromoteTo(epoch uint64) error {
 // when a deposed leader learns of a higher epoch. Writes taken after
 // the new leader's term began are NOT discarded here; they sit in the
 // local log until the tail loop's log matching detects the divergence
-// and re-bootstraps from the new leader (ResetToSnapshot), which is
-// what finally drops them. Demote requires a peer (OpenPeer or
-// OpenFollower); a plain primary has no follower machinery to fall
-// back to.
+// and resets from the new leader (ResetToSnapshot), which is what
+// finally drops them. Demote requires a peer (OpenPeer); a plain
+// primary has no follower machinery to fall back to.
 func (s *System) Demote(epoch uint64) error {
 	f := s.follower
 	if f == nil {
@@ -370,15 +339,13 @@ func (s *System) Demote(epoch uint64) error {
 	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	if p := s.persist; p != nil {
-		// Writes taken while leading advanced the store past the apply
-		// cursor; resync the cursor so the tail loop resumes from the
-		// true local position (and its log matching can judge it).
-		st := p.store
-		f.applied.Store(st.Seq())
-		if e, ok := st.EpochAt(st.Seq()); ok {
-			f.appliedEpoch.Store(e)
-		}
+	// Writes taken while leading advanced the store past the apply
+	// cursor; resync the cursor so the tail loop resumes from the true
+	// local position (and its log matching can judge it).
+	st := s.persist.store
+	f.applied.Store(st.Seq())
+	if e, ok := st.EpochAt(st.Seq()); ok {
+		f.appliedEpoch.Store(e)
 	}
 	f.promoted.Store(false)
 	s.NoteEpoch(epoch)
@@ -386,21 +353,12 @@ func (s *System) Demote(epoch uint64) error {
 }
 
 // NoteEpoch raises this node's leadership-term fence (monotonic;
-// lower values are ignored). On a durable system the fence lives in
-// the store — it stamps subsequent appends and survives restarts;
-// memory-only followers keep it on the follower state.
+// lower values are ignored). The fence lives in the store — it stamps
+// subsequent appends and survives restarts; an in-memory system has
+// none.
 func (s *System) NoteEpoch(epoch uint64) {
 	if p := s.persist; p != nil {
 		p.store.SetEpoch(epoch)
-		return
-	}
-	if f := s.follower; f != nil {
-		for {
-			cur := f.fenceEpoch.Load()
-			if epoch <= cur || f.fenceEpoch.CompareAndSwap(cur, epoch) {
-				return
-			}
-		}
 	}
 }
 
@@ -408,9 +366,6 @@ func (s *System) NoteEpoch(epoch uint64) {
 func (s *System) Epoch() uint64 {
 	if p := s.persist; p != nil {
 		return p.store.Epoch()
-	}
-	if f := s.follower; f != nil {
-		return f.fenceEpoch.Load()
 	}
 	return 0
 }
@@ -465,7 +420,7 @@ const (
 	// HealthServing: the system answers questions and (role
 	// permitting) accepts writes.
 	HealthServing = "serving"
-	// HealthRecovering: a follower is mid-re-bootstrap — tables are
+	// HealthRecovering: a follower is mid-reset — tables are
 	// being replaced and reads may observe a mix of old and new
 	// corpus. Probes should fail the node out until it clears.
 	HealthRecovering = "recovering"
@@ -531,13 +486,11 @@ func (s *System) replicationStatus() ReplicationStatus {
 			QuorumSize: s.QuorumSize(),
 		}
 		if f.promoted.Load() {
+			// A promoted follower IS the leader: report its log
+			// position, not the stale apply cursor.
 			st.Role = RolePromoted
-			if p := s.persist; p != nil {
-				// A promoted durable peer IS the leader: report its log
-				// position, not the stale apply cursor.
-				st.AppliedSeq = p.store.Seq()
-				st.PrimarySeq = st.AppliedSeq
-			}
+			st.AppliedSeq = s.persist.store.Seq()
+			st.PrimarySeq = st.AppliedSeq
 		} else {
 			st.ReadOnly = true
 		}
@@ -558,9 +511,10 @@ func (s *System) replicationStatus() ReplicationStatus {
 
 // Primary-side shipping accessors, served over HTTP by internal/webui.
 
-// ReplSnapshotBlob returns the encoded current snapshot — the initial
-// state transfer for a follower (persist.DecodeSnapshot parses it, and
-// its Seq is where the follower starts polling the WAL). A primary
+// ReplSnapshotBlob returns the encoded current snapshot — the state
+// transfer for a follower that cannot stream from its cursor
+// (persist.DecodeSnapshot parses it, and its Seq is where the follower
+// resumes polling the WAL). A primary
 // that somehow lacks a snapshot file checkpoints first, so the
 // transfer always reflects a real recovery point.
 func (s *System) ReplSnapshotBlob() ([]byte, error) {
@@ -584,7 +538,7 @@ func (s *System) ReplSnapshotBlob() ([]byte, error) {
 // `from`, plus the primary's current and checkpoint sequences. When
 // from < checkpoint the WAL no longer reaches back far enough —
 // compaction discarded the range — and ops is nil: the follower must
-// re-bootstrap from ReplSnapshotBlob.
+// reset from ReplSnapshotBlob.
 func (s *System) ReplOpsSince(from uint64) (ops []persist.Op, seq, checkpoint uint64, err error) {
 	p := s.persist
 	if p == nil {
@@ -608,7 +562,8 @@ func (s *System) ReplWatch() (<-chan struct{}, error) {
 // seq, when the retained history (checkpoint boundary through the log
 // tip) covers it. The WAL handler uses it for log matching: a
 // follower that presents a cursor whose term disagrees with the
-// leader's history holds a diverged log and must re-bootstrap.
+// leader's history holds a diverged log and must reset from a
+// snapshot.
 func (s *System) ReplEpochAt(seq uint64) (epoch uint64, ok bool) {
 	p := s.persist
 	if p == nil {

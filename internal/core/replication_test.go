@@ -10,9 +10,10 @@ import (
 	"repro/internal/sqldb"
 )
 
-// bootstrapFollower builds a follower over its own (deterministic,
-// identical) substrate set from the primary's current snapshot blob,
-// the way the HTTP shipping layer does.
+// bootstrapFollower builds a durable follower over its own
+// (deterministic, identical) substrate set on a fresh directory and
+// resets it to the primary's current snapshot blob, the way the HTTP
+// shipping layer does when it cannot stream from the cursor.
 func bootstrapFollower(t *testing.T, primary *System, base int) *System {
 	t.Helper()
 	blob, err := primary.ReplSnapshotBlob()
@@ -23,8 +24,12 @@ func bootstrapFollower(t *testing.T, primary *System, base int) *System {
 	if err != nil {
 		t.Fatal(err)
 	}
-	follower, err := OpenFollower(persistentConfig(t, populatedDB(t, base), ""), snap)
+	follower, err := OpenPeer(persistentConfig(t, populatedDB(t, base), t.TempDir()))
 	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { follower.Close() })
+	if err := follower.ResetToSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
 	return follower
@@ -50,9 +55,9 @@ func shipAll(t *testing.T, primary, follower *System) {
 }
 
 // TestFollowerConvergesAndIsReadOnly is the core acceptance test: a
-// follower bootstrapped from a live primary's snapshot and fed its WAL
-// stream answers bit-identically, refuses direct writes with the typed
-// error, and reports follower status.
+// follower reset to a live primary's snapshot and fed its WAL stream
+// answers bit-identically, logs what it applies, refuses direct writes
+// with the typed error, and reports follower status.
 func TestFollowerConvergesAndIsReadOnly(t *testing.T) {
 	const base = 150
 	primary, err := Open(persistentConfig(t, populatedDB(t, base), t.TempDir()))
@@ -70,8 +75,8 @@ func TestFollowerConvergesAndIsReadOnly(t *testing.T) {
 	if st.Role != RoleFollower || !st.ReadOnly {
 		t.Fatalf("follower status = %+v, want read-only follower", st)
 	}
-	if follower.Status().Persistence.Enabled {
-		t.Fatal("follower reports local persistence enabled")
+	if !follower.Status().Persistence.Enabled {
+		t.Fatal("follower reports no local persistence; every follower is durable")
 	}
 
 	// Bootstrapped state already matches.
@@ -97,6 +102,9 @@ func TestFollowerConvergesAndIsReadOnly(t *testing.T) {
 	}
 	shipAll(t, primary, follower)
 	assertSameAnswersByID(t, "post-stream", follower, primary)
+	if got, want := follower.Status().Persistence.Seq, primary.Status().Persistence.Seq; got != want {
+		t.Fatalf("follower logged through seq %d, primary at %d", got, want)
+	}
 	if lag := follower.Status().Replication.LagOps; lag != 0 {
 		t.Fatalf("converged follower reports lag %d", lag)
 	}
@@ -176,8 +184,8 @@ func TestApplyOpsSkipsDuplicatesAndDetectsGaps(t *testing.T) {
 
 // TestResetToSnapshotAfterCompaction: when the primary compacts past
 // the follower's cursor, ReplOpsSince signals the gap via the
-// checkpoint sequence and ResetToSnapshot re-bootstraps the SAME
-// System in place to bit-identical convergence.
+// checkpoint sequence and ResetToSnapshot resets the SAME System in
+// place to bit-identical convergence.
 func TestResetToSnapshotAfterCompaction(t *testing.T) {
 	const base = 120
 	primary, err := Open(persistentConfig(t, populatedDB(t, base), t.TempDir()))
@@ -215,7 +223,7 @@ func TestResetToSnapshotAfterCompaction(t *testing.T) {
 		t.Fatalf("post-compaction tail missing: seq %d, ckpt %d", seq, ckpt)
 	}
 
-	// Re-bootstrap in place from the fresh snapshot, then tail the
+	// Reset in place from the fresh snapshot, then tail the
 	// post-compaction WAL to the tip.
 	blob, err := primary.ReplSnapshotBlob()
 	if err != nil {
@@ -229,10 +237,10 @@ func TestResetToSnapshotAfterCompaction(t *testing.T) {
 		t.Fatal(err)
 	}
 	if follower.AppliedSeq() != ckpt {
-		t.Fatalf("re-bootstrapped cursor %d, want checkpoint %d", follower.AppliedSeq(), ckpt)
+		t.Fatalf("reset cursor %d, want checkpoint %d", follower.AppliedSeq(), ckpt)
 	}
 	shipAll(t, primary, follower)
-	assertSameAnswersByID(t, "post-rebootstrap", follower, primary)
+	assertSameAnswersByID(t, "post-reset", follower, primary)
 }
 
 // TestPromoteFlipsWritable: Promote makes the follower accept writes,

@@ -16,6 +16,7 @@ import (
 
 	"repro/cqads"
 	"repro/internal/core"
+	"repro/internal/persist"
 	"repro/internal/shard/shardtest"
 	"repro/internal/sqldb"
 )
@@ -178,12 +179,10 @@ func TestShardRefusesWiderStore(t *testing.T) {
 	}
 }
 
-// TestPartialFollowerFiltersForeignDomains: where domain filtering IS
-// safe — a follower keeps no local store — a shard-scoped follower
-// can bootstrap from a WIDER primary's snapshot and tail its WAL,
-// restoring and applying only the hosted domains' data and skipping
-// the rest (the snapshot-section and WAL-op filtering on the Domain
-// field).
+// TestPartialFollowerFiltersForeignDomains: a shard-scoped follower
+// can reset to a WIDER primary's snapshot and tail its WAL, restoring
+// and applying only the hosted domains' data and skipping the rest
+// (the snapshot-section and WAL-op filtering on the Domain field).
 func TestPartialFollowerFiltersForeignDomains(t *testing.T) {
 	opts := shardtest.Options(40)
 	opts.Domains = []string{"cars", "jewellery"}
@@ -198,23 +197,34 @@ func TestPartialFollowerFiltersForeignDomains(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	snap, err := persist.DecodeSnapshot(blob)
+	if err != nil {
+		t.Fatal(err)
+	}
+	openFollower := func(o cqads.Options) *cqads.System {
+		o.DataDir = t.TempDir()
+		sys, err := cqads.OpenPeer(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(func() { sys.Close() })
+		return sys
+	}
 	// A follower hosting domains the primary's snapshot does not cover
-	// would silently answer them from seed data: refused at bootstrap.
+	// would silently answer them from seed data: the reset is refused.
 	mismatchedOpts := opts
-	mismatchedOpts.DataDir = ""
 	mismatchedOpts.Domains = nil // all eight, but the primary ships two
-	if _, err := cqads.OpenFollower(mismatchedOpts, blob); err == nil {
-		t.Fatal("a full follower bootstrapped from a 2-domain shard's snapshot")
+	if err := openFollower(mismatchedOpts).ResetToSnapshot(snap); err == nil {
+		t.Fatal("a full follower reset to a 2-domain shard's snapshot")
 	} else if !strings.Contains(err.Error(), "does not cover") {
 		t.Fatalf("mismatched follower error = %v", err)
 	}
 
 	followerOpts := opts
-	followerOpts.DataDir = ""
 	followerOpts.Domains = []string{"cars"} // narrower than the primary
-	partial, err := cqads.OpenFollower(followerOpts, blob)
-	if err != nil {
-		t.Fatalf("bootstrapping a partial follower from a wider snapshot: %v", err)
+	partial := openFollower(followerOpts)
+	if err := partial.ResetToSnapshot(snap); err != nil {
+		t.Fatalf("resetting a partial follower to a wider snapshot: %v", err)
 	}
 	if got := partial.Domains(); len(got) != 1 || got[0] != "cars" {
 		t.Fatalf("partial follower hosts %v, want [cars]", got)

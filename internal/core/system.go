@@ -157,19 +157,14 @@ type System struct {
 	depth         int
 	strict        bool
 	trainOnIngest bool
-	// cfg retains the build configuration for in-place rebuilds: a
-	// re-bootstrap (ResetToSnapshot) restores into the same DB and
-	// classifier, and a deposed primary demoting to follower reuses
-	// it as the follower config.
-	cfg Config
 	// persist is non-nil when the system was built by Open with
 	// Config.DataDir set; it owns the snapshot + WAL store and
 	// serializes ingestion so the log order equals the mutation order.
 	persist *persister
-	// follower is non-nil when the system was built by OpenFollower
-	// (memory-only replica) or OpenPeer (durable replica-set member):
-	// it owns the apply lock and replication cursor, and (until
-	// Promote) makes the system reject direct writes.
+	// follower is non-nil when the system was built by OpenPeer: it
+	// owns the apply lock and replication cursor, and (until Promote)
+	// makes the system reject direct writes. A follower always has
+	// persist.
 	follower *followerState
 	// quorum tracks follower apply acknowledgements for quorum-acked
 	// writes; always present, inert when Config.ReplicaSet <= 1.
@@ -238,7 +233,6 @@ func New(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("core: Config.DB is required")
 	}
 	s := &System{
-		cfg:           cfg,
 		db:            cfg.DB,
 		classifier:    cfg.Classifier,
 		taggers:       make(map[string]*trie.Tagger),
@@ -512,10 +506,6 @@ func answerIn[A any](s *System, v sqldb.View, sel *sql.Select, in *boolean.Inter
 		relaxPool.Put(rs)
 	}()
 	v = v.Counting(&rs.work)
-	compiled, err := sql.Compile(s.db, sel)
-	if err != nil {
-		return nil, 0, 0, false, err
-	}
 	var ids []sqldb.RowID
 	switch {
 	case in.Superlative != nil:
@@ -526,16 +516,16 @@ func answerIn[A any](s *System, v sqldb.View, sel *sql.Select, in *boolean.Inter
 		if p.merged {
 			limit = 0
 		}
-		ids, extreme, hasExtreme, err = compiled.ExtremeRun(v, sel, p.keep, limit)
+		ids, extreme, hasExtreme, err = sql.ExtremeRun(v, sel, p.keep, limit)
 	case p.keep == nil:
-		ids, err = compiled.RunView(v, sel)
+		ids, err = sql.RunView(v, sel)
 	default:
 		// The statement's LIMIT applies before the slice filter, so
 		// run unlimited, filter, then re-apply the cap.
 		unlimited := *sel
 		unlimited.Limit = 0
 		var all []sqldb.RowID
-		all, err = compiled.RunView(v, &unlimited)
+		all, err = sql.RunView(v, &unlimited)
 		for _, id := range all {
 			if p.keep(id) {
 				ids = append(ids, id)
@@ -614,18 +604,9 @@ func answerIn[A any](s *System, v sqldb.View, sel *sql.Select, in *boolean.Inter
 	return partialAnswers(s, answers, v, in, pool, ids, want, p, names, mk), len(ids), extreme, hasExtreme, nil
 }
 
-// execSelect validates a generated SELECT and runs it in v.
-func (s *System) execSelect(v sqldb.View, sel *sql.Select) ([]sqldb.RowID, error) {
-	p, err := sql.Compile(s.db, sel)
-	if err != nil {
-		return nil, err
-	}
-	return p.RunView(v, sel)
-}
-
 // PlanCacheStats returns four zeros. There is no plan cache: every ask
-// validates its statement with sql.Compile, and the executor reads each
-// conjunction's roles off the statement as it runs. It is kept only
+// validates its statement once, as sql.RunView runs it, and the
+// executor reads each conjunction's roles off the statement as it runs. It is kept only
 // because bench/trace.go, whose compile surface is frozen, destructures
 // its four values; its zero lookup count leaves the traced plan rows
 // at 0.

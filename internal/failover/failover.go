@@ -135,9 +135,7 @@ type Config struct {
 	LeaseTimeout time.Duration
 	// Tail is the template for the WAL tail the agent runs while
 	// following (PollWait, RetryInterval, ...). Primary and Node are
-	// overwritten with the current leader and Self; Bootstrap is
-	// unnecessary (durable peers re-bootstrap in place via
-	// ResetToSnapshot).
+	// overwritten with the current leader and Self.
 	Tail replica.Config
 }
 

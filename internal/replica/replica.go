@@ -1,14 +1,15 @@
 // Package replica implements the client half of WAL-shipping
-// replication: a Follower bootstraps a read-only core.System from a
-// primary's snapshot (GET /api/repl/snapshot), then tails the
-// primary's write-ahead log over long-polled HTTP
-// (GET /api/repl/wal?from=<seq>) and applies each shipped operation
-// through core.System.ApplyOps. When the primary compacts its log past
-// the follower's cursor, the follower detects the gap (HTTP 410, or a
-// checkpoint sequence ahead of its cursor) and re-bootstraps from a
-// fresh snapshot transfer — in place, so handlers holding the System
-// keep working. The server half (the endpoints a primary serves) lives
-// in internal/webui.
+// replication: a Follower tails a primary's write-ahead log over
+// long-polled HTTP (GET /api/repl/wal?from=<seq>) into a durable
+// follower System (core.OpenPeer on its own data directory), applying
+// each shipped operation through core.System.ApplyOps, which also logs
+// it locally. Each poll presents the System's own cursor, so a fresh
+// directory streams from sequence 0 and a restarted follower resumes
+// where its log ends. When the primary has compacted past that cursor
+// (HTTP 410) or log matching finds it diverged (HTTP 409), the
+// follower resets from one snapshot transfer (GET /api/repl/snapshot)
+// — in place, so handlers holding the System keep working. The server
+// half (the endpoints a primary serves) lives in internal/webui.
 package replica
 
 import (
@@ -51,14 +52,6 @@ const (
 type Config struct {
 	// Primary is the primary's base URL (e.g. "http://primary:8080").
 	Primary string
-	// Bootstrap builds the follower System from a snapshot transfer —
-	// the raw bytes served by GET /api/repl/snapshot. It must assemble
-	// the same deterministic substrate set (schemas, TI/WS matrices,
-	// classifier construction) as the primary, since only table
-	// contents and classifier state travel in the snapshot;
-	// cqads.OpenFollower with the primary's Options is the standard
-	// implementation.
-	Bootstrap func(snapshot []byte) (*core.System, error)
 	// Client issues the HTTP requests; nil uses a client without a
 	// global timeout (long polls hold connections open; cancellation
 	// comes from contexts).
@@ -80,16 +73,16 @@ type Config struct {
 	// to write quorums).
 	Node string
 	// SnapshotQuery, when non-empty, is appended as the query string of
-	// every snapshot transfer (initial and re-bootstrap), e.g.
-	// "partition=h3/4" to fetch only one hash slice of the primary's
-	// state — the filtered transfer a rebalance target starts from. The
-	// WAL tail stays unfiltered either way; a partitioned follower's
-	// replay skips out-of-slice operations.
+	// every snapshot transfer, e.g. "partition=h3/4" to fetch only one
+	// hash slice of the primary's state — the filtered transfer a
+	// rebalance target takes when its source has compacted. The WAL
+	// tail stays unfiltered either way; a partitioned follower's replay
+	// skips out-of-slice operations.
 	SnapshotQuery string
 }
 
-// Follower is a live replica: a read-only System plus the background
-// loop that keeps it converged with its primary.
+// Follower is a live replica: a durable read-only System plus the
+// background loop that keeps it converged with its primary.
 type Follower struct {
 	cfg Config
 	// primary is the current upstream base URL (string). It starts as
@@ -111,37 +104,15 @@ type Follower struct {
 // directly and requires a consistent concrete type).
 type syncErr struct{ err error }
 
-// Connect performs the initial state transfer: it fetches the
-// primary's snapshot, builds the follower System through
-// cfg.Bootstrap, and returns a Follower that is NOT yet tailing the
-// log — call Start, or drive SyncOnce manually (tests do).
-func Connect(ctx context.Context, cfg Config) (*Follower, error) {
-	if cfg.Primary == "" {
-		return nil, fmt.Errorf("replica: Config.Primary is required")
-	}
-	if cfg.Bootstrap == nil {
-		return nil, fmt.Errorf("replica: Config.Bootstrap is required")
-	}
-	f := newFollower(cfg)
-	blob, err := f.fetchSnapshot(ctx)
-	if err != nil {
-		return nil, err
-	}
-	sys, err := cfg.Bootstrap(blob)
-	if err != nil {
-		return nil, fmt.Errorf("replica: bootstrapping from snapshot: %w", err)
-	}
-	f.sys = sys
-	return f, nil
-}
-
-// Attach wraps an existing replica System — typically a durable peer
-// built by core.OpenPeer that recovered its own local state — in a
-// Follower tailing cfg.Primary, with NO initial snapshot transfer.
-// The first poll presents the peer's local cursor and applied epoch;
-// the leader's log matching either streams from there or answers 409,
-// in which case the follower re-bootstraps in place. The failover
-// agent builds one of these per leadership view.
+// Attach wraps a follower System — built by core.OpenPeer, recovered
+// from its own directory — in a Follower tailing cfg.Primary, NOT yet
+// tailing: call Start, or drive SyncOnce manually (tests do). No
+// snapshot is transferred up front. The first poll presents the
+// System's local cursor and applied epoch; the leader either streams
+// from there or answers 410 (compacted past it) or 409 (diverged), in
+// which case the follower resets from a snapshot in place.
+// `cqadsweb -replicate-from` builds one per process, and the failover
+// agent one per leadership view.
 func Attach(sys *core.System, cfg Config) (*Follower, error) {
 	if cfg.Primary == "" {
 		return nil, fmt.Errorf("replica: Config.Primary is required")
@@ -182,22 +153,11 @@ func (f *Follower) Primary() string { return f.primary.Load().(string) }
 // SetPrimary re-points the follower at a new upstream — the failover
 // re-pointing hook. The next poll presents the local cursor to the
 // new leader; log matching decides whether streaming can continue or
-// a re-bootstrap is needed.
+// a snapshot reset is needed.
 func (f *Follower) SetPrimary(url string) { f.primary.Store(url) }
 
-// StartFollower is Connect followed by Start: the returned Follower is
-// bootstrapped and tailing the primary's log until Close.
-func StartFollower(ctx context.Context, cfg Config) (*Follower, error) {
-	f, err := Connect(ctx, cfg)
-	if err != nil {
-		return nil, err
-	}
-	f.Start()
-	return f, nil
-}
-
 // System returns the replica System. It is valid for the Follower's
-// whole life: re-bootstraps swap table contents in place, never the
+// whole life: snapshot resets swap table contents in place, never the
 // pointer.
 func (f *Follower) System() *core.System { return f.sys }
 
@@ -241,8 +201,8 @@ func (f *Follower) Promote() error {
 	return f.sys.Promote()
 }
 
-// run is the tail loop: long-poll, apply, repeat; re-bootstrap on
-// compaction gaps; back off on errors. Failures are logged on state
+// run is the tail loop: long-poll, apply, repeat; reset from a
+// snapshot on compaction gaps; back off on errors. Failures are logged on state
 // transitions (an error appearing, changing, or clearing) rather than
 // per retry, so a wedged follower — a primary that stays down, a
 // mis-seeded environment that diverges on every apply — is visible in
@@ -302,18 +262,18 @@ func (f *Follower) retryDelay(failures int) time.Duration {
 // errSnapshotNeeded is the internal signal that streaming from the
 // local cursor is impossible — the primary compacted past it (410) or
 // log matching found the cursor diverged under a fenced term (409) —
-// and a snapshot re-transfer is needed.
-var errSnapshotNeeded = errors.New("replica: cannot stream from local cursor; snapshot re-transfer needed")
+// and a snapshot transfer is needed.
+var errSnapshotNeeded = errors.New("replica: cannot stream from local cursor; snapshot transfer needed")
 
 // SyncOnce performs one replication round: a single long-polled WAL
 // fetch, streaming-applied in chunks — or, when the primary has
-// compacted past our cursor, one snapshot re-transfer. It returns the
+// compacted past our cursor, one snapshot transfer. It returns the
 // number of operations applied. Exported so tests (and diagnostics)
 // can step a follower deterministically without the background loop.
 func (f *Follower) SyncOnce(ctx context.Context) (applied int, err error) {
 	applied, err = f.pollAndApply(ctx)
 	if errors.Is(err, errSnapshotNeeded) {
-		if err := f.rebootstrap(ctx); err != nil {
+		if err := f.reset(ctx); err != nil {
 			return 0, err
 		}
 		return 0, nil
@@ -353,7 +313,7 @@ func (f *Follower) pollAndApply(ctx context.Context) (int, error) {
 		// Log matching failed: our cursor's term disagrees with the
 		// leader's history — we hold a suffix written under a fenced
 		// epoch (we were the old primary, or followed it too long).
-		log.Printf("replica: %s rejected cursor %d (diverged log); re-bootstrapping", primary, from)
+		log.Printf("replica: %s rejected cursor %d (diverged log); resetting from a snapshot", primary, from)
 		return 0, errSnapshotNeeded
 	default:
 		return 0, fmt.Errorf("replica: WAL poll: primary answered %s", resp.Status)
@@ -423,9 +383,8 @@ func (f *Follower) pollAndApply(ctx context.Context) (int, error) {
 	return applied, nil
 }
 
-// rebootstrap re-transfers the snapshot and resets the System in
-// place.
-func (f *Follower) rebootstrap(ctx context.Context) error {
+// reset transfers a snapshot and resets the System in place.
+func (f *Follower) reset(ctx context.Context) error {
 	blob, err := f.fetchSnapshot(ctx)
 	if err != nil {
 		return err

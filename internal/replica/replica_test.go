@@ -3,8 +3,10 @@ package replica_test
 import (
 	"context"
 	"errors"
+	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -44,17 +46,18 @@ func checkGoroutines(t *testing.T) {
 
 // testOpts is the shared deterministic environment. The follower MUST
 // build with the same options as the primary (minus DataDir): the
-// snapshot carries table contents and classifier state, while TI/WS
-// matrices are rebuilt from the seed.
+// seeded baseline and the TI/WS matrices are rebuilt from the seed,
+// and only a snapshot transfer carries table contents and classifier
+// state.
 func testOpts() cqads.Options {
 	return cqads.Options{Seed: 7, AdsPerDomain: 90, TrainOnIngest: true, Dedup: true}
 }
 
-// startPrimary opens a durable primary and serves its webui over an
-// httptest server.
-func startPrimary(t *testing.T, compactBytes int64) (*core.System, *httptest.Server) {
+// startPrimary opens a durable primary over opts and serves its webui
+// over an httptest server. snapshots counts the snapshot transfers
+// the server has answered.
+func startPrimary(t *testing.T, opts cqads.Options, compactBytes int64) (sys *core.System, srv *httptest.Server, snapshots *atomic.Int64) {
 	t.Helper()
-	opts := testOpts()
 	opts.DataDir = t.TempDir()
 	opts.CompactBytes = compactBytes
 	sys, err := cqads.Open(opts)
@@ -62,20 +65,29 @@ func startPrimary(t *testing.T, compactBytes int64) (*core.System, *httptest.Ser
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { sys.Close() })
-	srv := httptest.NewServer(webui.NewServer(sys))
+	snapshots = new(atomic.Int64)
+	h := webui.NewServer(sys)
+	srv = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/api/repl/snapshot" {
+			snapshots.Add(1)
+		}
+		h.ServeHTTP(w, r)
+	}))
 	t.Cleanup(srv.Close)
-	return sys, srv
+	return sys, srv, snapshots
 }
 
-// followerConfig wires a follower at the test's poll cadence.
-func followerConfig(primaryURL string) replica.Config {
-	return replica.Config{
-		Primary: primaryURL,
-		Bootstrap: func(snapshot []byte) (*core.System, error) {
-			return cqads.OpenFollower(testOpts(), snapshot)
-		},
-		PollWait:      50 * time.Millisecond,
-		RetryInterval: 20 * time.Millisecond,
+// syncAll steps f until it has applied through the primary's current
+// sequence.
+func syncAll(t *testing.T, primary *core.System, f *replica.Follower) {
+	t.Helper()
+	for i := 0; f.System().AppliedSeq() < primary.AppliedSeq(); i++ {
+		if i == 100 {
+			t.Fatalf("follower stuck at seq %d, primary at %d", f.System().AppliedSeq(), primary.AppliedSeq())
+		}
+		if _, err := f.SyncOnce(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 
@@ -116,20 +128,18 @@ func ingestSome(t *testing.T, sys *core.System, seed int64, n int) []sqldb.RowID
 	return ids[1:]
 }
 
-// TestFollowerEndToEnd is the tentpole acceptance test: a follower
-// bootstrapped over HTTP from a live primary's snapshot converges with
-// its WAL stream while both serve pooled Asks, answers bit-identically,
+// TestFollowerEndToEnd is the tentpole acceptance test: a durable
+// follower on a fresh directory streams a live primary's WAL from
+// sequence 0 while both serve pooled Asks, answers bit-identically,
 // and flips writable on promote.
 func TestFollowerEndToEnd(t *testing.T) {
 	checkGoroutines(t)
-	primary, srv := startPrimary(t, -1)
-	ingestSome(t, primary, 1001, 8) // pre-bootstrap history in the WAL
+	primary, srv, _ := startPrimary(t, testOpts(), -1)
+	ingestSome(t, primary, 1001, 8) // history in the WAL before the follower starts
 
-	f, err := replica.StartFollower(context.Background(), followerConfig(srv.URL))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	fl := shardtest.StartFollower(t, testOpts(), srv.URL)
+	f := fl.Tail
+	f.Start()
 	follower := f.System()
 	if st := follower.Status().Replication; st.Role != core.RoleFollower || !st.ReadOnly {
 		t.Fatalf("follower status = %+v", st)
@@ -185,15 +195,12 @@ func TestFollowerEndToEnd(t *testing.T) {
 
 // TestFollowerCatchUpAcrossCompaction: the follower stalls, the
 // primary ingests and compacts past its cursor, and the next sync
-// detects the gap (410), re-bootstraps from the new snapshot, and
-// converges to bit-identical answers.
+// detects the gap (410), resets from the new snapshot, and converges
+// to bit-identical answers.
 func TestFollowerCatchUpAcrossCompaction(t *testing.T) {
 	checkGoroutines(t)
-	primary, srv := startPrimary(t, -1) // manual compaction only
-	f, err := replica.Connect(context.Background(), followerConfig(srv.URL))
-	if err != nil {
-		t.Fatal(err)
-	}
+	primary, srv, _ := startPrimary(t, testOpts(), -1) // manual compaction only
+	f := shardtest.StartFollower(t, testOpts(), srv.URL).Tail
 	follower := f.System()
 	ctx := context.Background()
 
@@ -216,16 +223,16 @@ func TestFollowerCatchUpAcrossCompaction(t *testing.T) {
 		t.Fatalf("test setup: follower cursor %d not behind checkpoint %d", stalledAt, ckpt)
 	}
 
-	// Next sync hits 410 and re-bootstraps in place.
+	// Next sync hits 410 and resets in place.
 	fetchedBefore := telemetry.Repl.SnapshotsFetched.Load()
 	if _, err := f.SyncOnce(ctx); err != nil {
 		t.Fatalf("gap sync: %v", err)
 	}
 	if got := telemetry.Repl.SnapshotsFetched.Load(); got != fetchedBefore+1 {
-		t.Fatalf("snapshot transfers = %d, want %d (re-bootstrap)", got, fetchedBefore+1)
+		t.Fatalf("snapshot transfers = %d, want %d (reset)", got, fetchedBefore+1)
 	}
 	if ckpt := primary.Status().Persistence.CheckpointSeq; follower.AppliedSeq() < ckpt {
-		t.Fatalf("re-bootstrapped cursor %d still behind checkpoint %d", follower.AppliedSeq(), ckpt)
+		t.Fatalf("reset cursor %d still behind checkpoint %d", follower.AppliedSeq(), ckpt)
 	}
 	// And the following sync tails the post-compaction WAL to the tip.
 	if _, err := f.SyncOnce(ctx); err != nil {
@@ -248,9 +255,9 @@ func waitConvergedNow(t *testing.T, primary, follower *core.System) {
 	}
 }
 
-// TestFollowerSurvivesPrimaryRestart: a killed-and-recovered primary
+// TestFollowerSurvivesPrimaryOutage: a killed-and-recovered primary
 // resumes serving the same stream (sequence numbers survive recovery),
-// and the follower keeps converging without a re-bootstrap.
+// and the follower keeps converging without a snapshot transfer.
 func TestFollowerSurvivesPrimaryOutage(t *testing.T) {
 	checkGoroutines(t)
 	opts := testOpts()
@@ -264,10 +271,7 @@ func TestFollowerSurvivesPrimaryOutage(t *testing.T) {
 	srv := httptest.NewServer(handler)
 	defer srv.Close()
 
-	f, err := replica.Connect(context.Background(), followerConfig(srv.URL))
-	if err != nil {
-		t.Fatal(err)
-	}
+	f := shardtest.StartFollower(t, testOpts(), srv.URL).Tail
 	follower := f.System()
 	ingestSome(t, primary, 6006, 5)
 	if _, err := f.SyncOnce(context.Background()); err != nil {
@@ -295,4 +299,116 @@ func TestFollowerSurvivesPrimaryOutage(t *testing.T) {
 	}
 	waitConvergedNow(t, recovered, follower)
 	shardtest.AssertSameAnswers(t, "post-outage", shardtest.SmokeQuestions, recovered, follower)
+}
+
+// TestFollowerRestartResumesFromItsCursor: a follower abandoned
+// without Close reopens from its own directory at the cursor it had
+// logged, and catches up with the WAL the primary still holds: no
+// snapshot request reaches the primary, before the crash or after.
+func TestFollowerRestartResumesFromItsCursor(t *testing.T) {
+	checkGoroutines(t)
+	primary, srv, snapshots := startPrimary(t, testOpts(), -1)
+	ingestSome(t, primary, 8008, 6)
+	fl := shardtest.StartFollower(t, testOpts(), srv.URL)
+	syncAll(t, primary, fl.Tail)
+	logged := fl.Sys.AppliedSeq()
+
+	fl.Restart(t)
+	if got := fl.Sys.AppliedSeq(); got != logged {
+		t.Fatalf("restarted follower resumes at seq %d, it had applied through %d", got, logged)
+	}
+	ingestSome(t, primary, 9009, 5)
+	syncAll(t, primary, fl.Tail)
+	if n := snapshots.Load(); n != 0 {
+		t.Fatalf("the primary answered %d snapshot requests; a follower its WAL covers needs none", n)
+	}
+	shardtest.AssertSameAnswers(t, "restarted follower", shardtest.SmokeQuestions, primary, fl.Sys)
+	shardtest.AssertSameBodies(t, "restarted follower over HTTP", shardtest.SmokeQuestions,
+		shardtest.AskBodies(t, srv.URL, shardtest.SmokeQuestions), fl.Server.URL)
+}
+
+// TestPartialFollowerRestartsFromItsDirectory: a cars follower of a
+// cars+jewellery primary, abandoned without Close, reopens from its own
+// directory — whether it reached the primary by streaming the WAL or
+// by one snapshot transfer of the primary's checkpoint — and answers
+// cars byte-equal to the primary while holding no jewellery row.
+func TestPartialFollowerRestartsFromItsDirectory(t *testing.T) {
+	for _, tc := range []struct {
+		name       string
+		checkpoint bool
+		snapshots  int64
+	}{
+		{"streamed", false, 0},
+		{"snapshot", true, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			checkGoroutines(t)
+			opts := testOpts()
+			opts.Domains = []string{"cars", "jewellery"}
+			primary, srv, snapshots := startPrimary(t, opts, -1)
+			ingestPartial(t, primary, 10)
+			if tc.checkpoint {
+				if err := primary.Checkpoint(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			fopts := opts
+			fopts.Domains = []string{"cars"}
+			fl := shardtest.StartFollower(t, fopts, srv.URL)
+			syncAll(t, primary, fl.Tail)
+			if n := snapshots.Load(); n != tc.snapshots {
+				t.Fatalf("the primary answered %d snapshot requests, want %d", n, tc.snapshots)
+			}
+			ingestPartial(t, primary, 20)
+			syncAll(t, primary, fl.Tail)
+
+			fl.Restart(t)
+			ingestPartial(t, primary, 30)
+			syncAll(t, primary, fl.Tail)
+			for _, q := range []string{"cheapest honda", "blue car", "honda under 8000 dollars", "red or blue toyota under $9000"} {
+				want, err := primary.AskInDomain("cars", q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, err := fl.Sys.AskInDomain("cars", q)
+				if err != nil {
+					t.Fatal(err)
+				}
+				shardtest.AssertSameResult(t, q, got, want)
+			}
+			if tbl, _ := fl.Sys.DB().TableForDomain("jewellery"); tbl.Len() != 0 {
+				t.Errorf("the cars follower holds %d jewellery rows", tbl.Len())
+			}
+			ft, _ := fl.Sys.DB().TableForDomain("cars")
+			pt, _ := primary.DB().TableForDomain("cars")
+			if ft.Len() != pt.Len() || ft.Slots() != pt.Slots() {
+				t.Errorf("cars live/slots: follower %d/%d, primary %d/%d", ft.Len(), ft.Slots(), pt.Len(), pt.Slots())
+			}
+		})
+	}
+}
+
+// ingestPartial inserts n generated cars ads and n jewellery ads, one
+// of each in turn, and deletes the first cars ad.
+func ingestPartial(t *testing.T, sys *core.System, n int) {
+	t.Helper()
+	gen := adsgen.NewGenerator(int64(n))
+	cars := gen.Generate(schema.Cars(), n)
+	jewels := gen.Generate(schema.Jewellery(), n)
+	var first sqldb.RowID
+	for i := range cars {
+		id, err := sys.InsertAd("cars", cars[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = id
+		}
+		if _, err := sys.InsertAd("jewellery", jewels[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := sys.DeleteAd("cars", first); err != nil {
+		t.Fatal(err)
+	}
 }

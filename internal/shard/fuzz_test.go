@@ -158,17 +158,17 @@ var fuzzRouter = sync.OnceValues(func() (*shard.Router, error) {
 	}
 	go func() { _ = srvA.Serve(lnA) }()
 	go func() { _ = srvB.Serve(lnB) }()
-	shards := map[string]string{}
+	m := shard.Map{}
 	domains := []string{"cars", "motorcycles", "clothing", "csjobs", "furniture", "foodcoupons", "instruments", "jewellery"}
 	for i, d := range domains {
+		base := "http://" + lnB.Addr().String()
 		if i%2 == 0 {
-			shards[d] = "http://" + lnA.Addr().String()
-		} else {
-			shards[d] = "http://" + lnB.Addr().String()
+			base = "http://" + lnA.Addr().String()
 		}
+		m[d] = []shard.Group{{Members: []string{base}}}
 	}
 	return shard.New(shard.Config{
-		Shards:     shards,
+		Map:        m,
 		Classifier: qc,
 		Client:     &http.Client{Timeout: 2 * time.Second},
 	})

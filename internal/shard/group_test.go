@@ -193,7 +193,7 @@ func TestRouterFollowsGroupLeader(t *testing.T) {
 	b.follow(a.srv.URL, 1)
 
 	rt, err := shard.New(shard.Config{
-		Groups:     map[string][]string{"cars": {a.srv.URL, b.srv.URL}},
+		Map:        shard.Map{"cars": {{Members: []string{a.srv.URL, b.srv.URL}}}},
 		Client:     &http.Client{Timeout: 2 * time.Second},
 		Classifier: tableClassifier{"q": "cars"},
 	})
@@ -264,7 +264,7 @@ func TestRouterStaticGroupNeverProbes(t *testing.T) {
 	// static map: no leader probes, no retry.
 	a := newMember(t, "solo")
 	rt, err := shard.New(shard.Config{
-		Groups: map[string][]string{"cars": {a.srv.URL}},
+		Map:    shard.Map{"cars": {{Members: []string{a.srv.URL}}}},
 		Client: &http.Client{Timeout: 2 * time.Second},
 	})
 	if err != nil {
@@ -303,7 +303,7 @@ func TestRouterGroupNoLeaderReachable(t *testing.T) {
 	b.mu.Unlock()
 
 	rt, err := shard.New(shard.Config{
-		Groups: map[string][]string{"cars": {a.srv.URL, b.srv.URL}},
+		Map:    shard.Map{"cars": {{Members: []string{a.srv.URL, b.srv.URL}}}},
 		Client: &http.Client{Timeout: time.Second},
 	})
 	if err != nil {

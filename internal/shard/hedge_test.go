@@ -34,7 +34,7 @@ func TestRouterHedgesSlowMember(t *testing.T) {
 	a.slow(2 * time.Second) // far beyond the cold hedge delay
 
 	rt, err := shard.New(shard.Config{
-		Groups: map[string][]string{"cars": {a.srv.URL, b.srv.URL}},
+		Map:    shard.Map{"cars": {{Members: []string{a.srv.URL, b.srv.URL}}}},
 		Client: &http.Client{Timeout: 10 * time.Second},
 	})
 	if err != nil {
@@ -76,7 +76,7 @@ func TestRouterHedgeAbsorbsMemberRestart(t *testing.T) {
 	b.follow(a.srv.URL, 1)
 
 	rt, err := shard.New(shard.Config{
-		Groups: map[string][]string{"cars": {a.srv.URL, b.srv.URL}},
+		Map:    shard.Map{"cars": {{Members: []string{a.srv.URL, b.srv.URL}}}},
 		Client: &http.Client{Timeout: 2 * time.Second},
 	})
 	if err != nil {
@@ -112,7 +112,7 @@ func TestFrontStatusReportsHedges(t *testing.T) {
 	a := newMember(t, "node-a")
 	a.lead(1)
 	rt, err := shard.New(shard.Config{
-		Groups: map[string][]string{"cars": {a.srv.URL}},
+		Map:    shard.Map{"cars": {{Members: []string{a.srv.URL}}}},
 		Client: &http.Client{Timeout: 2 * time.Second},
 	})
 	if err != nil {

@@ -6,10 +6,12 @@
 // The move choreography, given source slice S with children L and R
 // (R moving to the target):
 //
-//  1. The target node is started by the operator as a follower of the
-//     source with `-replicate-from <source> -partition R`: it
-//     bootstraps from the source's R-filtered snapshot section and
-//     tails the source's (unfiltered) WAL, applying only R's ops.
+//  1. The target node is started by the operator as a durable
+//     follower of the source with `-replicate-from <source> -partition
+//     R -data DIR`: it tails the source's (unfiltered) WAL from its
+//     own cursor, applying and keeping only R's ops, and takes the
+//     source's R-filtered snapshot section when the source has
+//     compacted past that cursor.
 //  2. The coordinator polls the target's /healthz until it is serving
 //     with no replication lag.
 //  3. The router fences writes to R only — queued, not erroring — and
@@ -28,6 +30,11 @@
 // Any post-fence failure unfences and leaves the map untouched — the
 // source still owns S, so the move is abandonable at every step before
 // the cutover, and the cutover itself is a single atomic map swap.
+//
+// After the move the target holds the only copy of R, in its own
+// directory: every write it took after promotion is logged there. It
+// restarts as a plain durable partition (`-domains D -partition R
+// -data DIR`, no -replicate-from), and the source is not consulted.
 package rebalance
 
 import (

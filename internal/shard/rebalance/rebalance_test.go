@@ -6,11 +6,12 @@ package rebalance_test
 // a freshly attached follower. Zero queries may drop, every
 // acknowledged write must survive, and afterwards the cluster must
 // answer the cars workload byte-identically to a never-rebalanced
-// monolith that ingested the same acknowledged ads.
+// monolith that ingested the same acknowledged ads — and again once
+// the promoted target has crashed and restarted from its own
+// directory.
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -25,7 +26,6 @@ import (
 	"repro/cqads"
 	"repro/internal/adsgen"
 	"repro/internal/partition"
-	"repro/internal/replica"
 	"repro/internal/schema"
 	"repro/internal/shard"
 	"repro/internal/shard/rebalance"
@@ -43,28 +43,16 @@ func TestLiveRebalanceUnderChurn(t *testing.T) {
 	sourceSys := cluster.Parts[1]
 	sourceSrv := cluster.PartServers[1]
 
-	// The rebalance target: a follower of the h1/2 source bootstrapped
-	// from its h3/4-filtered snapshot section, tailing the source's WAL
-	// live, fronted by a webui that can be promoted.
+	// The rebalance target: a durable follower of the h1/2 source that
+	// keeps the h3/4 slice, tailing the source's WAL live, fronted by a
+	// webui that can be promoted.
 	fopts := opts
 	fopts.Domains = []string{"cars"}
 	fopts.Partitions = 4
 	fopts.PartitionIndex = 3
-	fopts.DataDir = ""
-	follower, err := replica.StartFollower(context.Background(), replica.Config{
-		Primary: sourceSrv.URL,
-		Bootstrap: func(snapshot []byte) (*cqads.System, error) {
-			return cqads.OpenFollower(fopts, snapshot)
-		},
-		SnapshotQuery: "partition=h3/4",
-		Node:          "rebalance-target",
-	})
-	if err != nil {
-		t.Fatalf("starting rebalance target: %v", err)
-	}
-	defer follower.Close()
-	targetSrv := httptest.NewServer(webui.NewServerWith(follower.System(), webui.Options{Promoter: follower}))
-	defer targetSrv.Close()
+	follower := shardtest.StartFollower(t, fopts, sourceSrv.URL)
+	follower.Tail.Start()
+	targetSrv := follower.Server
 
 	// The monolith helpers must not share the cluster's DataDir: the
 	// workload generator and the never-rebalanced reference both run in
@@ -259,21 +247,8 @@ func TestLiveRebalanceUnderChurn(t *testing.T) {
 
 	// Acked writes in the moved slice landed on the target; the source
 	// retired to h1/4 and holds none of them.
-	target := follower.System()
-	targetTbl, ok := target.DB().TableForDomain("cars")
-	if !ok {
-		t.Fatal("target hosts no cars table")
-	}
+	movedAcked := assertHoldsMoved(t, follower.Sys, acked, moved)
 	retained := partition.Slice{Index: 1, Count: 4}
-	var movedAcked int
-	for _, id := range acked {
-		if moved.ContainsKey(id) {
-			movedAcked++
-			if targetTbl.Row(sqldb.RowID(id)).IsZero() {
-				t.Errorf("acked write %d (slice %s) is missing from the target", id, moved)
-			}
-		}
-	}
 	if movedAcked == 0 {
 		t.Error("no acked write hashed into the moved slice — the churn never exercised the move")
 	}
@@ -296,6 +271,45 @@ func TestLiveRebalanceUnderChurn(t *testing.T) {
 			t.Fatalf("reference ingest: %v", err)
 		}
 	}
+	reference := shardtest.AskBodies(t, monoSrv.URL, carsQs)
 	shardtest.AssertSameBodies(t, "post-move cluster vs never-rebalanced reference",
-		carsQs, shardtest.AskBodies(t, monoSrv.URL, carsQs), cluster.Front.URL)
+		carsQs, reference, cluster.Front.URL)
+
+	// The promoted target is now the only copy of the moved slice: the
+	// source retired those rows. Abandon it without Close — a crash —
+	// and reopen its directory as a plain durable h3/4 partition, with
+	// the source not consulted. Every acked write of the slice is still
+	// there, and the cluster still answers as the reference does.
+	reopened, err := cqads.Open(follower.Opts)
+	if err != nil {
+		t.Fatalf("reopening the promoted target from its directory: %v", err)
+	}
+	follower.Sys = reopened // closed by the follower's cleanup
+	follower.Serve(webui.NewServer(reopened))
+	if got := assertHoldsMoved(t, reopened, acked, moved); got != movedAcked {
+		t.Errorf("the reopened target holds %d acked writes of %s, want %d", got, moved, movedAcked)
+	}
+	shardtest.AssertSameBodies(t, "restarted target vs never-rebalanced reference",
+		carsQs, reference, cluster.Front.URL)
+}
+
+// assertHoldsMoved fails t for each id of acked in the moved slice
+// that sys does not hold, and returns how many ids of acked the slice
+// has.
+func assertHoldsMoved(t *testing.T, sys *cqads.System, acked []uint64, moved partition.Slice) int {
+	t.Helper()
+	tbl, ok := sys.DB().TableForDomain("cars")
+	if !ok {
+		t.Fatal("target hosts no cars table")
+	}
+	n := 0
+	for _, id := range acked {
+		if moved.ContainsKey(id) {
+			n++
+			if tbl.Row(sqldb.RowID(id)).IsZero() {
+				t.Errorf("acked write %d (slice %s) is missing from the target", id, moved)
+			}
+		}
+	}
+	return n
 }

@@ -13,7 +13,6 @@ import (
 
 	"repro/cqads"
 	"repro/internal/core"
-	"repro/internal/replica"
 	"repro/internal/shard/shardtest"
 	"repro/internal/sqldb"
 	"repro/internal/webui"
@@ -112,8 +111,8 @@ func TestShardRestartRecovery(t *testing.T) {
 	}
 }
 
-// TestShardFollowerReceivesOnlyShardOps: a follower bootstrapped from
-// a two-domain shard hosts exactly those domains, applies exactly the
+// TestShardFollowerReceivesOnlyShardOps: a follower of a two-domain
+// shard hosts exactly those domains, applies exactly the
 // shard's operations, and answers bit-identically — replication of a
 // shard ships only the hosted domains.
 func TestShardFollowerReceivesOnlyShardOps(t *testing.T) {
@@ -129,18 +128,7 @@ func TestShardFollowerReceivesOnlyShardOps(t *testing.T) {
 	primarySrv := httptest.NewServer(webui.NewServer(primary))
 	defer primarySrv.Close()
 
-	followerOpts := opts
-	followerOpts.DataDir = ""
-	f, err := replica.Connect(context.Background(), replica.Config{
-		Primary: primarySrv.URL,
-		Bootstrap: func(snapshot []byte) (*cqads.System, error) {
-			return cqads.OpenFollower(followerOpts, snapshot)
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
+	f := shardtest.StartFollower(t, opts, primarySrv.URL).Tail
 
 	// Ingest into both hosted domains while the follower exists.
 	for i := 0; i < 5; i++ {

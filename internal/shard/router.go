@@ -34,21 +34,12 @@ const DefaultProbeTimeout = 2 * time.Second
 type Config struct {
 	// Map is a parsed shard map (ParseMap produces this): every hosted
 	// domain to its partitions, each a hash slice with its replica-set
-	// members. This is the general form; Shards and Groups below are
-	// single-partition conveniences layered onto it.
-	Map Map
-	// Shards maps each hosted domain to the base URL of the single
-	// shard serving it. For replica-set groups use Groups instead;
-	// setting a domain in more than one of Map/Shards/Groups is an
-	// error.
-	Shards map[string]string
-	// Groups maps each hosted domain to its owning shard's replica-set
-	// member URLs. A one-member group is routed to statically; a
+	// members. A one-member group is routed to statically; a
 	// multi-member group makes the router resolve and follow the set's
 	// elected leader through GET /api/repl/leader — lazily, with
 	// invalidate-and-retry on failure, so elections propagate exactly
 	// when traffic notices them.
-	Groups map[string][]string
+	Map Map
 	// Classifier routes questions without an explicit domain; nil
 	// makes such requests fail with a RouteError instead of routing.
 	Classifier Classifier
@@ -210,24 +201,9 @@ type Router struct {
 
 // New builds a Router over a parsed shard map.
 func New(cfg Config) (*Router, error) {
-	m := make(Map, len(cfg.Map)+len(cfg.Groups)+len(cfg.Shards))
-	for domain, groups := range cfg.Map {
-		m[domain] = groups
-	}
-	for domain, members := range cfg.Groups {
-		if _, dup := m[domain]; dup {
-			return nil, fmt.Errorf("shard: domain %q is mapped more than once across Map/Shards/Groups", domain)
-		}
-		m[domain] = []Group{{Members: members}}
-	}
-	for domain, base := range cfg.Shards {
-		if _, dup := m[domain]; dup {
-			return nil, fmt.Errorf("shard: domain %q is mapped more than once across Map/Shards/Groups", domain)
-		}
-		m[domain] = []Group{{Members: []string{base}}}
-	}
+	m := cfg.Map
 	if len(m) == 0 {
-		return nil, fmt.Errorf("shard: Config.Map, Config.Shards and Config.Groups are all empty")
+		return nil, fmt.Errorf("shard: Config.Map is empty")
 	}
 	client := cfg.Client
 	if client == nil {

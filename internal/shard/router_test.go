@@ -89,12 +89,17 @@ func fakeShard(t *testing.T, domain string, hook http.HandlerFunc) *httptest.Ser
 	return srv
 }
 
+// single is the shard-map entry of a domain served whole by one node.
+func single(base string) []shard.Group {
+	return []shard.Group{{Members: []string{base}}}
+}
+
 // newRouter wires a Router over fake shards with a short upstream
 // timeout, registering cleanups in leak-check-friendly order.
-func newRouter(t *testing.T, shards map[string]string, cls shard.Classifier, timeout time.Duration) *shard.Router {
+func newRouter(t *testing.T, m shard.Map, cls shard.Classifier, timeout time.Duration) *shard.Router {
 	t.Helper()
 	rt, err := shard.New(shard.Config{
-		Shards:     shards,
+		Map:        m,
 		Classifier: cls,
 		Client:     &http.Client{Timeout: timeout},
 	})
@@ -120,7 +125,7 @@ func TestRouterSlowShardDeadline(t *testing.T) {
 	t.Cleanup(func() { close(release) })
 	fast := fakeShard(t, "csjobs", nil)
 	cls := tableClassifier{"q-cars": "cars", "q-jobs": "csjobs"}
-	rt := newRouter(t, map[string]string{"cars": slow.URL, "csjobs": fast.URL}, cls, 150*time.Millisecond)
+	rt := newRouter(t, shard.Map{"cars": single(slow.URL), "csjobs": single(fast.URL)}, cls, 150*time.Millisecond)
 
 	for i, q := range []string{"q-cars", "q-jobs", "q-cars", "q-jobs"} {
 		p, err := rt.Ask(context.Background(), "", q)
@@ -154,7 +159,7 @@ func TestRouterShard503(t *testing.T) {
 	})
 	healthy := fakeShard(t, "csjobs", nil)
 	cls := tableClassifier{"q-cars": "cars", "q-jobs": "csjobs"}
-	rt := newRouter(t, map[string]string{"cars": latched.URL, "csjobs": healthy.URL}, cls, time.Second)
+	rt := newRouter(t, shard.Map{"cars": single(latched.URL), "csjobs": single(healthy.URL)}, cls, time.Second)
 
 	if p, err := rt.Ask(context.Background(), "", "q-jobs"); err != nil || p.Status != http.StatusOK {
 		t.Fatalf("healthy ask failed: %v", err)
@@ -198,7 +203,7 @@ func TestRouterShardRecovering(t *testing.T) {
 		http.NotFound(w, r)
 	})
 	healthy := fakeShard(t, "csjobs", nil)
-	rt := newRouter(t, map[string]string{"cars": recovering.URL, "csjobs": healthy.URL}, nil, time.Second)
+	rt := newRouter(t, shard.Map{"cars": single(recovering.URL), "csjobs": single(healthy.URL)}, nil, time.Second)
 	front := httptest.NewServer(shard.NewServer(rt))
 	t.Cleanup(front.Close)
 
@@ -250,8 +255,8 @@ func TestRouterPartialBatchFailure(t *testing.T) {
 	okA := fakeShard(t, "csjobs", nil)
 	okB := fakeShard(t, "jewellery", nil)
 	cls := tableClassifier{"q-cars": "cars", "q-jobs": "csjobs", "q-gold": "jewellery"}
-	rt := newRouter(t, map[string]string{
-		"cars": deadURL, "csjobs": okA.URL, "jewellery": okB.URL,
+	rt := newRouter(t, shard.Map{
+		"cars": single(deadURL), "csjobs": single(okA.URL), "jewellery": single(okB.URL),
 	}, cls, time.Second)
 
 	for i, q := range []string{"q-jobs", "q-cars", "q-gold", "q-cars", "q-jobs"} {
@@ -296,7 +301,7 @@ func TestRouterBroadcastFallback(t *testing.T) {
 		_, _ = w.Write([]byte(`{"domain":"csjobs","exact_count":5,"answers":[{},{},{},{},{}]}`))
 	})
 	cls := tableClassifier{} // classifies nothing
-	rt := newRouter(t, map[string]string{"cars": a.URL, "csjobs": b.URL}, cls, time.Second)
+	rt := newRouter(t, shard.Map{"cars": single(a.URL), "csjobs": single(b.URL)}, cls, time.Second)
 
 	for _, q := range []string{"complete gibberish", "gibberish one", "gibberish two"} {
 		p, err := rt.Ask(context.Background(), "", q)

@@ -1,7 +1,7 @@
 // Package shardtest builds the topologies the cross-topology
 // equivalence harness compares: a monolith System, sharded Systems
-// hosting domain subsets, and full HTTP clusters (shard webui servers
-// behind a front tier). Every builder derives from one cqads.Options
+// hosting domain subsets, full HTTP clusters (shard webui servers
+// behind a front tier) and durable followers of a primary. Every builder derives from one cqads.Options
 // value, so by construction each topology answers over the same
 // deterministic corpus — the tests then assert the answers are
 // bit-identical. It also generates the paper-sized 650-question
@@ -20,12 +20,15 @@ import (
 	"path/filepath"
 	"slices"
 	"strconv"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/cqads"
 	"repro/internal/core"
 	"repro/internal/partition"
 	"repro/internal/questions"
+	"repro/internal/replica"
 	"repro/internal/schema"
 	"repro/internal/shard"
 	"repro/internal/sqldb"
@@ -370,8 +373,8 @@ type Cluster struct {
 	Groups  [][]string
 	Systems []*cqads.System
 	Servers []*httptest.Server
-	// Map is the domain → shard base URL routing table.
-	Map    map[string]string
+	// Map is the routing table: each domain to its shard's one group.
+	Map    shard.Map
 	Router *shard.Router
 	Front  *httptest.Server
 }
@@ -384,16 +387,16 @@ func StartCluster(tb testing.TB, opts cqads.Options, groups [][]string, cls shar
 	c := &Cluster{
 		Groups:  groups,
 		Systems: OpenShardSystems(tb, opts, groups),
-		Map:     make(map[string]string),
+		Map:     shard.Map{},
 	}
 	for i, sys := range c.Systems {
 		srv := httptest.NewServer(webui.NewServer(sys))
 		c.Servers = append(c.Servers, srv)
 		for _, d := range groups[i] {
-			c.Map[d] = srv.URL
+			c.Map[d] = []shard.Group{{Members: []string{srv.URL}}}
 		}
 	}
-	rt, err := shard.New(shard.Config{Shards: c.Map, Classifier: cls})
+	rt, err := shard.New(shard.Config{Map: c.Map, Classifier: cls})
 	if err != nil {
 		c.Close()
 		tb.Fatal(err)
@@ -535,4 +538,80 @@ func (c *Cluster) Close() {
 		}
 	}
 	c.Systems = nil
+}
+
+// Follower is the follower topology: a durable read replica of a
+// primary on a directory of its own, behind a webui server.
+type Follower struct {
+	// Opts built the follower; Opts.DataDir is its own directory.
+	Opts cqads.Options
+	Sys  *cqads.System
+	// Tail feeds Sys from the primary. StartFollower and Restart leave
+	// it stopped: a test steps it with SyncOnce or calls Start.
+	Tail *replica.Follower
+	// Server serves Sys, and answers POST /api/repl/promote by
+	// stopping Tail and promoting Sys.
+	Server  *httptest.Server
+	primary string
+	handler atomic.Value // servedHandler
+}
+
+// servedHandler boxes the handler behind Follower.Server, so that one
+// URL keeps serving across a restart.
+type servedHandler struct{ http.Handler }
+
+// StartFollower opens a follower of the primary at primaryURL, built
+// as cqads.OpenPeer on a fresh tb.TempDir() from opts: the primary's
+// Seed and AdsPerDomain, with Domains naming the primary's domains or
+// a subset of them, and Partitions/PartitionIndex its slice or a
+// child of it. A partitioned follower's snapshot transfers ask for
+// just its slice. The follower starts from its seeded baseline at
+// sequence 0, like any fresh directory. Cleanup stops the tail and
+// closes the server and the System.
+func StartFollower(tb testing.TB, opts cqads.Options, primaryURL string) *Follower {
+	tb.Helper()
+	opts.DataDir = tb.TempDir()
+	f := &Follower{Opts: opts, primary: primaryURL}
+	f.Server = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		f.handler.Load().(servedHandler).ServeHTTP(w, r)
+	}))
+	f.open(tb)
+	tb.Cleanup(func() {
+		f.Tail.Close()
+		f.Server.Close()
+		_ = f.Sys.Close()
+	})
+	return f
+}
+
+// Restart is a crash and a restart: it stops the tail, abandons Sys
+// without Close, so no final checkpoint is written, and reopens
+// Opts.DataDir as a follower of the same primary behind the same
+// server URL.
+func (f *Follower) Restart(tb testing.TB) {
+	tb.Helper()
+	f.Tail.Close()
+	f.open(tb)
+}
+
+// Serve puts h behind the follower's server URL in place of the
+// System's webui.
+func (f *Follower) Serve(h http.Handler) { f.handler.Store(servedHandler{h}) }
+
+func (f *Follower) open(tb testing.TB) {
+	tb.Helper()
+	sys, err := cqads.OpenPeer(f.Opts)
+	if err != nil {
+		tb.Fatalf("opening follower in %s: %v", f.Opts.DataDir, err)
+	}
+	cfg := replica.Config{Primary: f.primary, PollWait: 50 * time.Millisecond, RetryInterval: 20 * time.Millisecond}
+	if f.Opts.Partitions > 1 {
+		cfg.SnapshotQuery = "partition=" + partition.Slice{Index: f.Opts.PartitionIndex, Count: f.Opts.Partitions}.String()
+	}
+	tail, err := replica.Attach(sys, cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	f.Sys, f.Tail = sys, tail
+	f.Serve(webui.NewServerWith(sys, webui.Options{Promoter: tail}))
 }

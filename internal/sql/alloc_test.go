@@ -112,7 +112,7 @@ func TestRunAllocatesOnlyItsAnswer(t *testing.T) {
 			var got []sqldb.RowID
 			run := func() {
 				if sh.extreme {
-					tbl.View(func(v sqldb.View) { got, _, _, err = p.ExtremeRun(v, &sel, nil, limit) })
+					tbl.View(func(v sqldb.View) { got, _, _, err = sql.ExtremeRun(v, &sel, nil, limit) })
 				} else {
 					got, err = p.Run(db, &sel)
 				}

@@ -294,10 +294,6 @@ func TestExtremeRunKeepsThenTakesTheRun(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				p, err := sql.Compile(db, sel)
-				if err != nil {
-					t.Fatal(err)
-				}
 				matches := mustExec(t, db, "SELECT * FROM car_ads WHERE "+where)
 				for _, keep := range []func(sqldb.RowID) bool{nil, func(id sqldb.RowID) bool { return id%3 != 0 }} {
 					kept := matches
@@ -315,7 +311,7 @@ func TestExtremeRunKeepsThenTakesTheRun(t *testing.T) {
 						var wantOK, ok bool
 						tbl.View(func(v sqldb.View) {
 							want, wantX, wantOK = v.AppendExtremeRun(nil, kept, col, desc, limit)
-							got, x, ok, err = p.ExtremeRun(v, sel, keep, limit)
+							got, x, ok, err = sql.ExtremeRun(v, sel, keep, limit)
 						})
 						if err != nil {
 							t.Fatal(err)
@@ -331,20 +327,12 @@ func TestExtremeRunKeepsThenTakesTheRun(t *testing.T) {
 	}
 }
 
-// TestPlanRunsAnyStatement: a Plan holds nothing of the statement it
-// was compiled from. Run on another statement, RunView returns Exec's
-// ids and ExtremeRun the extreme run of the WHERE's matches; an invalid
-// statement returns the error Compile gives it and reaches no scan.
+// TestPlanRunsAnyStatement: RunView and ExtremeRun need no Plan. On
+// any statement RunView returns Exec's ids and ExtremeRun the extreme
+// run of the WHERE's matches; an invalid statement returns the error
+// Compile gives it and reaches no scan.
 func TestPlanRunsAnyStatement(t *testing.T) {
 	db, tbl := execDB(t)
-	compiled, err := sqltest.Parse("SELECT * FROM car_ads WHERE make = 'honda' LIMIT 5")
-	if err != nil {
-		t.Fatal(err)
-	}
-	p, err := sql.Compile(db, compiled)
-	if err != nil {
-		t.Fatal(err)
-	}
 	for _, q := range []string{
 		"SELECT * FROM car_ads WHERE color = 'red' AND price < 30000 ORDER BY price LIMIT 4",
 		"SELECT * FROM car_ads WHERE (make = 'ford' OR year BETWEEN 1995 AND 2000) AND NOT transmission = 'manual' ORDER BY year DESC",
@@ -360,8 +348,8 @@ func TestPlanRunsAnyStatement(t *testing.T) {
 		var runIDs, extremeIDs []sqldb.RowID
 		var runErr, extremeErr error
 		tbl.View(func(v sqldb.View) {
-			runIDs, runErr = p.RunView(v, sel)
-			extremeIDs, _, _, extremeErr = p.ExtremeRun(v, sel, nil, 0)
+			runIDs, runErr = sql.RunView(v, sel)
+			extremeIDs, _, _, extremeErr = sql.ExtremeRun(v, sel, nil, 0)
 		})
 		if _, compileErr := sql.Compile(db, sel); compileErr != nil {
 			for _, err := range []error{runErr, extremeErr} {

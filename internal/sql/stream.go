@@ -273,7 +273,7 @@ func (p *Plan) Run(db *sqldb.DB, sel *Select) (ids []sqldb.RowID, err error) {
 	if err != nil {
 		return nil, err
 	}
-	tbl.View(func(v sqldb.View) { ids, err = p.RunView(v, sel) })
+	tbl.View(func(v sqldb.View) { ids, err = RunView(v, sel) })
 	return ids, err
 }
 
@@ -281,8 +281,8 @@ func (p *Plan) Run(db *sqldb.DB, sel *Select) (ids []sqldb.RowID, err error) {
 // matching row ids in result order (ascending RowID, then ORDER BY,
 // then LIMIT) in a slice of their own. It validates sel as Compile
 // does and returns the same error for a statement Compile would
-// reject, whichever statement p was compiled from.
-func (p *Plan) RunView(v sqldb.View, sel *Select) ([]sqldb.RowID, error) {
+// reject, so it needs no Plan.
+func RunView(v sqldb.View, sel *Select) ([]sqldb.RowID, error) {
 	// LIMIT is pushed into the scan only when no ORDER BY will
 	// reshuffle the stream afterwards.
 	limit := 0
@@ -310,7 +310,7 @@ func (p *Plan) RunView(v sqldb.View, sel *Select) ([]sqldb.RowID, error) {
 // numeric value (sqldb.View.AppendExtremeRun). The matches stay in the
 // pooled buffer and only the run is copied out: no sort, and no copy
 // of the whole match set. sel is validated as in RunView.
-func (p *Plan) ExtremeRun(v sqldb.View, sel *Select, keep func(sqldb.RowID) bool, limit int) ([]sqldb.RowID, float64, bool, error) {
+func ExtremeRun(v sqldb.View, sel *Select, keep func(sqldb.RowID) bool, limit int) ([]sqldb.RowID, float64, bool, error) {
 	buf, ids, err := match(v, sel, 0)
 	if err != nil {
 		return nil, 0, false, err

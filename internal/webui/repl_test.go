@@ -173,8 +173,16 @@ func TestFollowerWebUIAndPromote(t *testing.T) {
 	if rec.Code != http.StatusOK {
 		t.Fatal(rec.Code)
 	}
-	fsys, err := cqads.OpenFollower(cqads.Options{Seed: 11, AdsPerDomain: 60}, rec.Body.Bytes())
+	snap, err := persist.DecodeSnapshot(rec.Body.Bytes())
 	if err != nil {
+		t.Fatal(err)
+	}
+	fsys, err := cqads.OpenPeer(cqads.Options{Seed: 11, AdsPerDomain: 60, DataDir: t.TempDir()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fsys.Close() })
+	if err := fsys.ResetToSnapshot(snap); err != nil {
 		t.Fatal(err)
 	}
 	fsrv := NewServer(fsys)
