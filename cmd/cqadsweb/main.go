@@ -34,13 +34,15 @@
 //     non-voting peer that tails the primary's WAL into its own
 //     durable store, serves read-only answers (writes get 4xx until
 //     POST /api/repl/promote, after which it writes durably) and runs
-//     no election. A fresh -data directory streams from sequence 0, or
-//     takes one snapshot transfer when the primary has compacted past
-//     it; a restart — SIGKILL included — resumes from the follower's
-//     own log. The follower must use the same -seed/-ads as the
-//     primary: a snapshot carries table contents and classifier state,
-//     while the seeded baseline and the similarity matrices are
-//     rebuilt from the seed.
+//     no election. A fresh -data directory takes one snapshot transfer
+//     before it serves (startup fails if the primary is unreachable or
+//     lacks a domain the follower hosts); after that it streams the
+//     WAL, and takes another transfer only when the primary has
+//     compacted past its cursor. A restart — SIGKILL included —
+//     resumes from the follower's own log. The follower must use the
+//     same -seed/-ads as the primary: a snapshot carries table
+//     contents and classifier state, while the similarity matrices
+//     are rebuilt from the seed.
 //   - -replica-set URL1,URL2,URL3 (with -advertise and -data) makes
 //     this server a symmetric PEER in a self-healing replica set. All
 //     members run the same flags (each with its own -advertise and
@@ -77,8 +79,8 @@
 //     into answers byte-identical to a monolith's. Combined with
 //     -replicate-from, -partition may name a CHILD slice of the
 //     primary's (e.g. h3/4 under a h1/2 primary): the follower keeps
-//     only that slice and, when it needs a snapshot transfer, fetches
-//     just that slice of the primary's — the rebalance transfer path.
+//     only that slice and its snapshot transfers fetch just that
+//     slice of the primary's — the rebalance transfer path.
 //     Once a rebalance has promoted it, the target is a plain durable
 //     partition: restart it as -domains cars -partition h3/4 -data DIR,
 //     without -replicate-from.
@@ -332,6 +334,15 @@ func main() {
 		})
 		if err != nil {
 			log.Fatal(err)
+		}
+		if sys.AppliedSeq() == 0 {
+			// A fresh directory takes its baseline from the primary
+			// before serving, so a follower hosting a domain the
+			// primary lacks is refused here instead of answering from
+			// its own seed.
+			if _, err := f.SyncOnce(context.Background()); err != nil {
+				log.Fatalf("follower of %s: %v", c.replicateFrom, err)
+			}
 		}
 		follower = f
 		webOpts.Promoter = f

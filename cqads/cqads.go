@@ -76,9 +76,10 @@
 // `cqadsweb -replicate-from URL -data DIR` wires the whole role), it
 // applies every operation in sequence order, logs it to its own WAL
 // and answers Ask bit-identically to the primary. A fresh directory
-// streams from sequence 0; when the primary has compacted past the
-// follower's cursor, one snapshot transfer resets it; a restarted
-// follower resumes from its own cursor. Followers reject
+// starts from one snapshot transfer, which refuses a follower hosting
+// a domain the primary lacks; after that it streams, a restarted
+// follower resumes from its own cursor, and only a primary that has
+// compacted past that cursor costs another transfer. Followers reject
 // InsertAd/DeleteAd with ErrReadOnlyReplica until System.Promote (the
 // manual-failover escape hatch, also POST /api/repl/promote), after
 // which they write durably. System.Status's Replication block reports
@@ -99,7 +100,7 @@
 // every quorum-acked write can win. Epochs fence the log — every WAL
 // frame is stamped with the term that produced it, a deposed leader's
 // un-replicated suffix fails the stream's log-matching check (HTTP
-// 409) and the node re-bootstraps from the new leader's snapshot,
+// 409) and the node resets from the new leader's snapshot,
 // dropping the divergent writes.
 //
 // Durability above local disk is per write: the WithAck ingest
@@ -353,7 +354,8 @@ func Open(opts Options) (*System, error) {
 // it with the primary's Seed/AdsPerDomain/Domains: everything a
 // snapshot does not carry (schemas, TI/WS similarity matrices, the
 // classifier's construction) comes from opts, and a fresh directory
-// starts from the primary's own seeded baseline. Options.Domains may
+// takes its tables and classifier state from a snapshot transfer
+// before it streams. Options.Domains may
 // name a subset of the primary's domains and Partitions/PartitionIndex
 // a child slice of its slice. An internal/replica Follower feeds it
 // (`cqadsweb -replicate-from URL -data DIR`); an internal/failover

@@ -271,7 +271,9 @@
 //     directory (core.OpenPeer, fed by replica.Attach; `cqadsweb
 //     -replicate-from URL -data DIR`, or a `-replica-set` member): it
 //     builds the same deterministic substrate set as the primary —
-//     schemas, TI/WS matrices, the seeded baseline at sequence 0 — and
+//     schemas, TI/WS matrices — takes its tables and classifier state
+//     from one snapshot transfer when its directory is fresh (refused
+//     if the snapshot lacks a domain the follower hosts), and then
 //     tails the log from its own cursor, applying each operation
 //     through the same replay path crash recovery uses (classifier
 //     training included), verifying each insert lands on the RowID the

@@ -81,10 +81,10 @@ type followerState struct {
 	// promoted flips the follower writable (manual failover). Set
 	// under mu so an in-flight ApplyOps batch finishes first.
 	promoted atomic.Bool
-	// rebootstrapping is true while ResetToSnapshot replaces the
+	// resetting is true while ResetToSnapshot replaces the
 	// tables; Health reports the window as "recovering" so routers
 	// steer reads elsewhere.
-	rebootstrapping atomic.Bool
+	resetting atomic.Bool
 }
 
 // OpenPeer builds a follower: a durable System recovered from its own
@@ -97,10 +97,11 @@ type followerState struct {
 // acknowledged and can serve it onward as the new leader; unlike a
 // plain primary it can be demoted back to follower when it loses a
 // term. cfg.DataDir is required. cfg supplies the same deterministic
-// substrate set as the primary (schemas, TI/WS matrices, classifier):
-// a fresh directory starts from that seeded baseline at sequence 0,
-// which is the primary's own, and a snapshot transfer replaces the
-// table contents and classifier state wholesale.
+// substrate set as the primary (schemas, TI/WS matrices, classifier);
+// a snapshot transfer replaces the table contents and classifier state
+// wholesale — the shipping layer takes one before a fresh directory
+// (cursor 0) streams, so the guard below runs and the tables are the
+// primary's, not the follower's own seed.
 func OpenPeer(cfg Config) (*System, error) {
 	if cfg.DataDir == "" {
 		return nil, fmt.Errorf("core: OpenPeer requires Config.DataDir (peers are durable)")
@@ -266,8 +267,8 @@ func (s *System) ResetToSnapshot(snap *persist.Snapshot) error {
 	if err := guardFollowerSnapshot(f.cfg, snap); err != nil {
 		return err
 	}
-	f.rebootstrapping.Store(true)
-	defer f.rebootstrapping.Store(false)
+	f.resetting.Store(true)
+	defer f.resetting.Store(false)
 	p := s.persist
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -432,7 +433,7 @@ const (
 // Health summarizes liveness for cheap load-balancer probes: one of
 // HealthServing, HealthRecovering, HealthWriteFailed.
 func (s *System) Health() string {
-	if f := s.follower; f != nil && f.rebootstrapping.Load() {
+	if f := s.follower; f != nil && f.resetting.Load() {
 		return HealthRecovering
 	}
 	if p := s.persist; p != nil && p.failed.Load() {

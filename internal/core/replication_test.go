@@ -13,7 +13,7 @@ import (
 // bootstrapFollower builds a durable follower over its own
 // (deterministic, identical) substrate set on a fresh directory and
 // resets it to the primary's current snapshot blob, the way the HTTP
-// shipping layer does when it cannot stream from the cursor.
+// shipping layer starts a follower whose cursor is 0.
 func bootstrapFollower(t *testing.T, primary *System, base int) *System {
 	t.Helper()
 	blob, err := primary.ReplSnapshotBlob()
@@ -43,7 +43,7 @@ func shipAll(t *testing.T, primary, follower *System) {
 		t.Fatal(err)
 	}
 	if follower.AppliedSeq() < ckpt {
-		t.Fatalf("follower cursor %d is behind checkpoint %d: need re-bootstrap, not shipAll", follower.AppliedSeq(), ckpt)
+		t.Fatalf("follower cursor %d is behind checkpoint %d: need a snapshot reset, not shipAll", follower.AppliedSeq(), ckpt)
 	}
 	follower.NotePrimarySeq(seq)
 	if err := follower.ApplyOps(ops); err != nil {

@@ -10,7 +10,7 @@
 // Deposed leaders learn the higher epoch from a rejected heartbeat (or
 // the new leader's own heartbeat), demote back to followers, and
 // re-attach a tail; if their log diverged while isolated, log matching
-// answers 409 and they re-bootstrap from the new leader's snapshot.
+// answers 409 and they reset from the new leader's snapshot.
 //
 // Safety comes from epochs, not clocks. A vote is granted only to a
 // candidate whose (applied epoch, applied sequence) is at least the

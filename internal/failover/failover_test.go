@@ -417,7 +417,7 @@ func TestFailoverKillLeader(t *testing.T) {
 // keeps serving reads and ack=local writes (by design), fails
 // ack=quorum writes, and on rejoining is fenced: its isolated writes
 // are detected by log matching (409), dropped by the forced
-// re-bootstrap, and the node converges bit-identically to the new
+// snapshot reset, and the node converges bit-identically to the new
 // term's history.
 func TestPartitionFencing(t *testing.T) {
 	checkGoroutines(t)
@@ -464,7 +464,7 @@ func TestPartitionFencing(t *testing.T) {
 	mirrored(t, next.sys, ref, "jewellery", 5005, 5, core.AckQuorum)
 
 	// Heal. The old leader hears the higher term, steps down, and its
-	// diverged log forces a fenced stream (409) and a re-bootstrap.
+	// diverged log forces a fenced stream (409) and a snapshot reset.
 	fencedBefore := telemetry.Failover.FencedStreams.Load()
 	old.transport.set(otherHosts, false)
 	for _, p := range others {

@@ -42,8 +42,9 @@ func (g *Gauge) Load() int64 { return g.n.Load() }
 // Repl holds the replication counters for this process. A primary
 // bumps the shipping side (ops shipped to followers, snapshot
 // transfers served); a follower bumps the applying side (ops applied,
-// snapshots fetched for bootstrap or catch-up) and keeps LagOps at its
-// last observed replication lag. GET /api/status exposes all of them.
+// snapshots fetched for a fresh directory or a reset) and keeps LagOps
+// at its last observed replication lag. GET /api/status exposes all of
+// them.
 var Repl struct {
 	// OpsShipped counts WAL operations served to followers over
 	// GET /api/repl/wal.
@@ -55,8 +56,8 @@ var Repl struct {
 	// over GET /api/repl/snapshot.
 	SnapshotsServed Counter
 	// SnapshotsFetched counts snapshot transfers this follower
-	// performed: the initial bootstrap plus every compaction-forced
-	// re-bootstrap.
+	// performed: the baseline of a fresh directory plus every reset
+	// forced by compaction or a diverged log.
 	SnapshotsFetched Counter
 	// LagOps is the follower's last observed lag in operations
 	// (primary sequence minus applied sequence).

@@ -21,7 +21,7 @@ type Snapshot struct {
 	// includes; recovery replays WAL records with Seq greater than it.
 	Seq uint64
 	// Epoch is the leadership term of the last included operation (0
-	// before any election). A follower bootstrapping from this
+	// before any election). A follower resetting from this
 	// snapshot inherits it as its applied epoch, so post-transfer log
 	// matching lines up with the leader's history.
 	Epoch uint64
@@ -67,7 +67,7 @@ func DecodeSnapshot(data []byte) (*Snapshot, error) { return decodeSnapshot(data
 // to those keep admits. Slots (and Seq/Epoch/Classifier) are preserved:
 // RowIDs stay stable across the filter, with dropped rows becoming
 // tombstoned slots on restore. This is the extraction primitive behind
-// partition-sliced state transfer — a rebalance target bootstraps from
+// partition-sliced state transfer — a rebalance target resets from
 // just its hash slice of the source's snapshot. s is not modified; the
 // row records themselves are shared, not copied.
 func FilterSnapshot(s *Snapshot, keep func(domain string, id sqldb.RowID) bool) *Snapshot {

@@ -3,13 +3,15 @@
 // long-polled HTTP (GET /api/repl/wal?from=<seq>) into a durable
 // follower System (core.OpenPeer on its own data directory), applying
 // each shipped operation through core.System.ApplyOps, which also logs
-// it locally. Each poll presents the System's own cursor, so a fresh
-// directory streams from sequence 0 and a restarted follower resumes
-// where its log ends. When the primary has compacted past that cursor
-// (HTTP 410) or log matching finds it diverged (HTTP 409), the
-// follower resets from one snapshot transfer (GET /api/repl/snapshot)
-// — in place, so handlers holding the System keep working. The server
-// half (the endpoints a primary serves) lives in internal/webui.
+// it locally. A fresh directory (cursor 0) first takes one snapshot
+// transfer (GET /api/repl/snapshot), so its tables are the primary's
+// and a follower hosting a domain the primary lacks is refused; after
+// that each poll presents the System's own cursor, and a restarted
+// follower resumes where its log ends. When the primary has compacted
+// past that cursor (HTTP 410) or log matching finds it diverged (HTTP
+// 409), the follower resets from one snapshot transfer — in place, so
+// handlers holding the System keep working. The server half (the
+// endpoints a primary serves) lives in internal/webui.
 package replica
 
 import (
@@ -75,7 +77,8 @@ type Config struct {
 	// SnapshotQuery, when non-empty, is appended as the query string of
 	// every snapshot transfer, e.g. "partition=h3/4" to fetch only one
 	// hash slice of the primary's state — the filtered transfer a
-	// rebalance target takes when its source has compacted. The WAL
+	// rebalance target takes as its baseline, and again if its source
+	// compacts past its cursor. The WAL
 	// tail stays unfiltered either way; a partitioned follower's replay
 	// skips out-of-slice operations.
 	SnapshotQuery string
@@ -98,6 +101,10 @@ type Follower struct {
 	// lastErr is the most recent sync failure, cleared by a successful
 	// round — surfaced so operators can see a wedged follower.
 	lastErr atomic.Value // syncErr
+	// baselined is set once this Follower has taken the snapshot that
+	// a System at cursor 0 starts from, so an idle primary (still at
+	// sequence 0) is not transferred again every round.
+	baselined atomic.Bool
 }
 
 // syncErr boxes an error for atomic.Value (which cannot store nil
@@ -106,11 +113,12 @@ type syncErr struct{ err error }
 
 // Attach wraps a follower System — built by core.OpenPeer, recovered
 // from its own directory — in a Follower tailing cfg.Primary, NOT yet
-// tailing: call Start, or drive SyncOnce manually (tests do). No
-// snapshot is transferred up front. The first poll presents the
-// System's local cursor and applied epoch; the leader either streams
-// from there or answers 410 (compacted past it) or 409 (diverged), in
-// which case the follower resets from a snapshot in place.
+// tailing: call Start, or drive SyncOnce manually (tests do). Attach
+// does no I/O. The first round of a System at cursor 0 takes a
+// snapshot transfer; otherwise it presents the System's local cursor
+// and applied epoch, and the leader either streams from there or
+// answers 410 (compacted past it) or 409 (diverged), in which case the
+// follower resets from a snapshot in place.
 // `cqadsweb -replicate-from` builds one per process, and the failover
 // agent one per leadership view.
 func Attach(sys *core.System, cfg Config) (*Follower, error) {
@@ -266,11 +274,22 @@ func (f *Follower) retryDelay(failures int) time.Duration {
 var errSnapshotNeeded = errors.New("replica: cannot stream from local cursor; snapshot transfer needed")
 
 // SyncOnce performs one replication round: a single long-polled WAL
-// fetch, streaming-applied in chunks — or, when the primary has
-// compacted past our cursor, one snapshot transfer. It returns the
-// number of operations applied. Exported so tests (and diagnostics)
-// can step a follower deterministically without the background loop.
+// fetch, streaming-applied in chunks — or one snapshot transfer, when
+// the primary has compacted past our cursor or when the System has
+// applied nothing yet (cursor 0). That first transfer is the
+// follower's baseline: its tables come from the primary, not from its
+// own seed, and the coverage guard runs before anything is served as
+// replicated. It returns the number of operations applied. Exported so
+// tests (and diagnostics) can step a follower deterministically
+// without the background loop.
 func (f *Follower) SyncOnce(ctx context.Context) (applied int, err error) {
+	if f.sys.AppliedSeq() == 0 && !f.baselined.Load() {
+		if err := f.reset(ctx); err != nil {
+			return 0, err
+		}
+		f.baselined.Store(true)
+		return 0, nil
+	}
 	applied, err = f.pollAndApply(ctx)
 	if errors.Is(err, errSnapshotNeeded) {
 		if err := f.reset(ctx); err != nil {

@@ -5,7 +5,9 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -14,6 +16,7 @@ import (
 	"repro/internal/adsgen"
 	"repro/internal/core"
 	"repro/internal/metrics/telemetry"
+	"repro/internal/partition"
 	"repro/internal/pool"
 	"repro/internal/replica"
 	"repro/internal/schema"
@@ -129,9 +132,9 @@ func ingestSome(t *testing.T, sys *core.System, seed int64, n int) []sqldb.RowID
 }
 
 // TestFollowerEndToEnd is the tentpole acceptance test: a durable
-// follower on a fresh directory streams a live primary's WAL from
-// sequence 0 while both serve pooled Asks, answers bit-identically,
-// and flips writable on promote.
+// follower on a fresh directory takes one snapshot transfer and then
+// streams a live primary's WAL while both serve pooled Asks, answers
+// bit-identically, and flips writable on promote.
 func TestFollowerEndToEnd(t *testing.T) {
 	checkGoroutines(t)
 	primary, srv, _ := startPrimary(t, testOpts(), -1)
@@ -204,11 +207,9 @@ func TestFollowerCatchUpAcrossCompaction(t *testing.T) {
 	follower := f.System()
 	ctx := context.Background()
 
-	// Round 1: normal streaming.
+	// Round 1: the baseline transfer, then normal streaming.
 	ingestSome(t, primary, 3003, 6)
-	if _, err := f.SyncOnce(ctx); err != nil {
-		t.Fatal(err)
-	}
+	syncAll(t, primary, f)
 	waitConvergedNow(t, primary, follower)
 
 	// The follower stalls while the primary moves on AND compacts: the
@@ -303,13 +304,19 @@ func TestFollowerSurvivesPrimaryOutage(t *testing.T) {
 
 // TestFollowerRestartResumesFromItsCursor: a follower abandoned
 // without Close reopens from its own directory at the cursor it had
-// logged, and catches up with the WAL the primary still holds: no
-// snapshot request reaches the primary, before the crash or after.
+// logged, and catches up with the WAL the primary still holds: after
+// the fresh directory's one baseline transfer, no snapshot request
+// reaches the primary, before the crash or after.
 func TestFollowerRestartResumesFromItsCursor(t *testing.T) {
 	checkGoroutines(t)
 	primary, srv, snapshots := startPrimary(t, testOpts(), -1)
 	ingestSome(t, primary, 8008, 6)
 	fl := shardtest.StartFollower(t, testOpts(), srv.URL)
+	syncAll(t, primary, fl.Tail)
+	if n := snapshots.Load(); n != 1 {
+		t.Fatalf("the primary answered %d snapshot requests for a fresh directory, want 1", n)
+	}
+	ingestSome(t, primary, 8108, 4)
 	syncAll(t, primary, fl.Tail)
 	logged := fl.Sys.AppliedSeq()
 
@@ -319,8 +326,8 @@ func TestFollowerRestartResumesFromItsCursor(t *testing.T) {
 	}
 	ingestSome(t, primary, 9009, 5)
 	syncAll(t, primary, fl.Tail)
-	if n := snapshots.Load(); n != 0 {
-		t.Fatalf("the primary answered %d snapshot requests; a follower its WAL covers needs none", n)
+	if n := snapshots.Load(); n != 1 {
+		t.Fatalf("the primary answered %d snapshot requests after the baseline; a follower its WAL covers needs none", n-1)
 	}
 	shardtest.AssertSameAnswers(t, "restarted follower", shardtest.SmokeQuestions, primary, fl.Sys)
 	shardtest.AssertSameBodies(t, "restarted follower over HTTP", shardtest.SmokeQuestions,
@@ -328,18 +335,20 @@ func TestFollowerRestartResumesFromItsCursor(t *testing.T) {
 }
 
 // TestPartialFollowerRestartsFromItsDirectory: a cars follower of a
-// cars+jewellery primary, abandoned without Close, reopens from its own
-// directory — whether it reached the primary by streaming the WAL or
-// by one snapshot transfer of the primary's checkpoint — and answers
-// cars byte-equal to the primary while holding no jewellery row.
+// cars+jewellery primary starts from one snapshot transfer, streams,
+// and is abandoned without Close twice. It reopens from its own
+// directory each time — whether it then caught up by streaming the WAL
+// or, when the primary had compacted past it while it was down, by one
+// more transfer — and answers cars byte-equal to the primary while
+// holding no jewellery row.
 func TestPartialFollowerRestartsFromItsDirectory(t *testing.T) {
 	for _, tc := range []struct {
 		name       string
 		checkpoint bool
 		snapshots  int64
 	}{
-		{"streamed", false, 0},
-		{"snapshot", true, 1},
+		{"streamed", false, 1},
+		{"snapshot", true, 2},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			checkGoroutines(t)
@@ -347,45 +356,194 @@ func TestPartialFollowerRestartsFromItsDirectory(t *testing.T) {
 			opts.Domains = []string{"cars", "jewellery"}
 			primary, srv, snapshots := startPrimary(t, opts, -1)
 			ingestPartial(t, primary, 10)
+			fopts := opts
+			fopts.Domains = []string{"cars"}
+			fl := shardtest.StartFollower(t, fopts, srv.URL)
+			syncAll(t, primary, fl.Tail)
+			ingestPartial(t, primary, 20)
+			syncAll(t, primary, fl.Tail)
+
+			// The follower falls behind and, in the snapshot case, the
+			// primary compacts past its cursor before it restarts.
+			ingestPartial(t, primary, 30)
 			if tc.checkpoint {
 				if err := primary.Checkpoint(); err != nil {
 					t.Fatal(err)
 				}
 			}
-			fopts := opts
-			fopts.Domains = []string{"cars"}
-			fl := shardtest.StartFollower(t, fopts, srv.URL)
+			fl.Restart(t)
+			ingestPartial(t, primary, 40)
 			syncAll(t, primary, fl.Tail)
 			if n := snapshots.Load(); n != tc.snapshots {
 				t.Fatalf("the primary answered %d snapshot requests, want %d", n, tc.snapshots)
 			}
-			ingestPartial(t, primary, 20)
-			syncAll(t, primary, fl.Tail)
+			assertPartialFollower(t, "caught up", primary, fl.Sys)
 
+			// Reopen the directory the catch-up wrote.
+			caughtUp := fl.Sys.AppliedSeq()
 			fl.Restart(t)
-			ingestPartial(t, primary, 30)
-			syncAll(t, primary, fl.Tail)
-			for _, q := range []string{"cheapest honda", "blue car", "honda under 8000 dollars", "red or blue toyota under $9000"} {
-				want, err := primary.AskInDomain("cars", q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				got, err := fl.Sys.AskInDomain("cars", q)
-				if err != nil {
-					t.Fatal(err)
-				}
-				shardtest.AssertSameResult(t, q, got, want)
+			if got := fl.Sys.AppliedSeq(); got != caughtUp {
+				t.Fatalf("reopened follower resumes at seq %d, it had applied through %d", got, caughtUp)
 			}
-			if tbl, _ := fl.Sys.DB().TableForDomain("jewellery"); tbl.Len() != 0 {
-				t.Errorf("the cars follower holds %d jewellery rows", tbl.Len())
-			}
-			ft, _ := fl.Sys.DB().TableForDomain("cars")
-			pt, _ := primary.DB().TableForDomain("cars")
-			if ft.Len() != pt.Len() || ft.Slots() != pt.Slots() {
-				t.Errorf("cars live/slots: follower %d/%d, primary %d/%d", ft.Len(), ft.Slots(), pt.Len(), pt.Slots())
-			}
+			assertPartialFollower(t, "reopened", primary, fl.Sys)
 		})
 	}
+}
+
+// assertPartialFollower checks a cars follower of a cars+jewellery
+// primary: cars answers and table shape equal to the primary's, and no
+// jewellery row.
+func assertPartialFollower(t *testing.T, stage string, primary, follower *core.System) {
+	t.Helper()
+	for _, q := range []string{"cheapest honda", "blue car", "honda under 8000 dollars", "red or blue toyota under $9000"} {
+		want, err := primary.AskInDomain("cars", q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := follower.AskInDomain("cars", q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		shardtest.AssertSameResult(t, stage+": "+q, got, want)
+	}
+	if tbl, _ := follower.DB().TableForDomain("jewellery"); tbl.Len() != 0 {
+		t.Errorf("%s: the cars follower holds %d jewellery rows", stage, tbl.Len())
+	}
+	ft, _ := follower.DB().TableForDomain("cars")
+	pt, _ := primary.DB().TableForDomain("cars")
+	if ft.Len() != pt.Len() || ft.Slots() != pt.Slots() {
+		t.Errorf("%s: cars live/slots: follower %d/%d, primary %d/%d", stage, ft.Len(), ft.Slots(), pt.Len(), pt.Slots())
+	}
+}
+
+// TestFollowerRefusesUncoveredDomains: a full follower on a fresh
+// directory, attached to an uncompacted two-domain shard, is refused
+// by its first sync — the baseline transfer lacks six of the domains
+// it hosts — and keeps being refused rather than streaming.
+func TestFollowerRefusesUncoveredDomains(t *testing.T) {
+	checkGoroutines(t)
+	opts := testOpts()
+	opts.Domains = []string{"cars", "jewellery"}
+	primary, srv, _ := startPrimary(t, opts, -1)
+	ingestPartial(t, primary, 5)
+	fl := shardtest.StartFollower(t, testOpts(), srv.URL)
+	for i := 0; i < 2; i++ {
+		_, err := fl.Tail.SyncOnce(context.Background())
+		if err == nil || !strings.Contains(err.Error(), "does not cover") {
+			t.Fatalf("sync %d of a full follower of a two-domain shard: %v, want a \"does not cover\" refusal", i+1, err)
+		}
+	}
+	if got := fl.Sys.AppliedSeq(); got != 0 {
+		t.Fatalf("the refused follower applied through seq %d", got)
+	}
+}
+
+// TestSliceFollowerRestartsFromItsDirectory: an h3/4 follower of a
+// checkpointed h1/2 primary starts from one transfer of the primary's
+// h3/4 snapshot section, then streams; it holds exactly the primary's
+// h3/4 rows and no other, and still does once abandoned without Close
+// and reopened from its own directory.
+func TestSliceFollowerRestartsFromItsDirectory(t *testing.T) {
+	checkGoroutines(t)
+	opts := testOpts()
+	opts.Domains = []string{"cars"}
+	opts.Partitions, opts.PartitionIndex = 2, 1
+	opts.Dedup = false // refused on a partitioned system
+	opts.DataDir = t.TempDir()
+	opts.CompactBytes = -1
+	primary, err := cqads.Open(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { primary.Close() })
+	var sections, whole atomic.Int64
+	h := webui.NewServer(primary)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path == "/api/repl/snapshot" {
+			if r.URL.Query().Get("partition") == "h3/4" {
+				sections.Add(1)
+			} else {
+				whole.Add(1)
+			}
+		}
+		h.ServeHTTP(w, r)
+	}))
+	t.Cleanup(srv.Close)
+
+	insertCars(t, primary, 11, 12)
+	if err := primary.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	fopts := opts
+	fopts.DataDir = ""
+	fopts.Partitions, fopts.PartitionIndex = 4, 3
+	fl := shardtest.StartFollower(t, fopts, srv.URL)
+	syncAll(t, primary, fl.Tail)
+	insertCars(t, primary, 12, 12)
+	syncAll(t, primary, fl.Tail)
+	if sections.Load() != 1 || whole.Load() != 0 {
+		t.Fatalf("snapshot requests: %d for the h3/4 section, %d whole; want 1 and 0", sections.Load(), whole.Load())
+	}
+	assertHoldsSlice(t, "synced", primary, fl.Sys, partition.Slice{Index: 3, Count: 4})
+	fl.Restart(t)
+	assertHoldsSlice(t, "reopened", primary, fl.Sys, partition.Slice{Index: 3, Count: 4})
+}
+
+// insertCars inserts n generated cars ads and deletes the first.
+func insertCars(t *testing.T, sys *core.System, seed int64, n int) {
+	t.Helper()
+	var first sqldb.RowID
+	for i, ad := range adsgen.NewGenerator(seed).Generate(schema.Cars(), n) {
+		id, err := sys.InsertAd("cars", ad)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 0 {
+			first = id
+		}
+	}
+	if err := sys.DeleteAd("cars", first); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// assertHoldsSlice fails t unless follower's cars table holds exactly
+// primary's live rows whose keys hash into sl, value for value, over
+// the same slot count.
+func assertHoldsSlice(t *testing.T, stage string, primary, follower *core.System, sl partition.Slice) {
+	t.Helper()
+	pt, _ := primary.DB().TableForDomain("cars")
+	ft, _ := follower.DB().TableForDomain("cars")
+	if ft.Slots() != pt.Slots() {
+		t.Fatalf("%s: follower has %d cars slots, primary %d", stage, ft.Slots(), pt.Slots())
+	}
+	held := 0
+	for id := sqldb.RowID(0); id < sqldb.RowID(pt.Slots()); id++ {
+		want, got := pt.Row(id), ft.Row(id)
+		if !sl.ContainsKey(uint64(id)) {
+			if !got.IsZero() {
+				t.Errorf("%s: the %s follower holds row %d, outside its slice", stage, sl, id)
+			}
+			continue
+		}
+		if !reflect.DeepEqual(rowValues(got), rowValues(want)) {
+			t.Errorf("%s: row %d: follower %v, primary %v", stage, id, rowValues(got), rowValues(want))
+		}
+		if !got.IsZero() {
+			held++
+		}
+	}
+	if held == 0 {
+		t.Errorf("%s: the %s follower holds no rows; the test exercised nothing", stage, sl)
+	}
+}
+
+func rowValues(r sqldb.Row) []sqldb.Value {
+	vals := make([]sqldb.Value, r.Len())
+	for i := range vals {
+		vals[i] = r.At(i)
+	}
+	return vals
 }
 
 // ingestPartial inserts n generated cars ads and n jewellery ads, one

@@ -8,10 +8,10 @@
 //
 //  1. The target node is started by the operator as a durable
 //     follower of the source with `-replicate-from <source> -partition
-//     R -data DIR`: it tails the source's (unfiltered) WAL from its
-//     own cursor, applying and keeping only R's ops, and takes the
-//     source's R-filtered snapshot section when the source has
-//     compacted past that cursor.
+//     R -data DIR`: it starts from the source's R-filtered snapshot
+//     section, then tails the source's (unfiltered) WAL from its own
+//     cursor, applying and keeping only R's ops, and takes the section
+//     again only if the source compacts past that cursor.
 //  2. The coordinator polls the target's /healthz until it is serving
 //     with no replication lag.
 //  3. The router fences writes to R only — queued, not erroring — and

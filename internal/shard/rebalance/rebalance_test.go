@@ -44,8 +44,9 @@ func TestLiveRebalanceUnderChurn(t *testing.T) {
 	sourceSrv := cluster.PartServers[1]
 
 	// The rebalance target: a durable follower of the h1/2 source that
-	// keeps the h3/4 slice, tailing the source's WAL live, fronted by a
-	// webui that can be promoted.
+	// starts from the source's h3/4 snapshot section and keeps that
+	// slice, tailing the source's WAL live, fronted by a webui that can
+	// be promoted.
 	fopts := opts
 	fopts.Domains = []string{"cars"}
 	fopts.Partitions = 4
@@ -276,10 +277,13 @@ func TestLiveRebalanceUnderChurn(t *testing.T) {
 		carsQs, reference, cluster.Front.URL)
 
 	// The promoted target is now the only copy of the moved slice: the
-	// source retired those rows. Abandon it without Close — a crash —
-	// and reopen its directory as a plain durable h3/4 partition, with
-	// the source not consulted. Every acked write of the slice is still
-	// there, and the cluster still answers as the reference does.
+	// source retired those rows. Abandon it without Close, as a crash
+	// would: the churn has stopped and a StartFollower node never
+	// compacts in the background, so the abandoned System writes its
+	// directory no more, and reads do not write. Reopen the directory as
+	// a plain durable h3/4 partition, with the source not consulted.
+	// Every acked write of the slice is still there, and the cluster
+	// still answers as the reference does.
 	reopened, err := cqads.Open(follower.Opts)
 	if err != nil {
 		t.Fatalf("reopening the promoted target from its directory: %v", err)

@@ -188,7 +188,7 @@ func TestRouterShard503(t *testing.T) {
 	}
 }
 
-// TestRouterShardRecovering: a shard mid-re-bootstrap reports
+// TestRouterShardRecovering: a shard mid-reset reports
 // "recovering" on /healthz; the cluster rollup degrades without going
 // down, and the per-shard state is visible in the front tier's probe.
 func TestRouterShardRecovering(t *testing.T) {

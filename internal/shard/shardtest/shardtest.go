@@ -565,12 +565,15 @@ type servedHandler struct{ http.Handler }
 // Seed and AdsPerDomain, with Domains naming the primary's domains or
 // a subset of them, and Partitions/PartitionIndex its slice or a
 // child of it. A partitioned follower's snapshot transfers ask for
-// just its slice. The follower starts from its seeded baseline at
-// sequence 0, like any fresh directory. Cleanup stops the tail and
+// just its slice. Like any fresh directory, its first sync takes one
+// snapshot transfer. The follower never compacts in the background
+// (CompactBytes -1), so once its tail is stopped nothing writes its
+// directory and Restart is a clean crash. Cleanup stops the tail and
 // closes the server and the System.
 func StartFollower(tb testing.TB, opts cqads.Options, primaryURL string) *Follower {
 	tb.Helper()
 	opts.DataDir = tb.TempDir()
+	opts.CompactBytes = -1
 	f := &Follower{Opts: opts, primary: primaryURL}
 	f.Server = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		f.handler.Load().(servedHandler).ServeHTTP(w, r)

@@ -297,7 +297,7 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 // one of
 // "serving" (200), "write-failed" (200 — reads still work; the
 // durability latch only refuses ingestion until restart), and
-// "recovering" (503 — a follower is mid-re-bootstrap and reads may
+// "recovering" (503 — a follower is mid-reset and reads may
 // straddle old and new corpus; probes should steer traffic away until
 // it clears).
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -469,19 +469,20 @@ func (s *Server) handleDeleteAd(w http.ResponseWriter, r *http.Request) {
 // request's lifetime.
 const maxReplPollWait = 30 * time.Second
 
-// handleReplSnapshot serves the initial state transfer:
+// handleReplSnapshot serves the snapshot transfer:
 //
 //	GET /api/repl/snapshot[?partition=h3/4]
 //
 // Body: the raw current snapshot blob (the on-disk checkpoint format;
-// persist.DecodeSnapshot parses it). A follower restores it wholesale
-// and starts polling the WAL from the snapshot's sequence. Only
+// persist.DecodeSnapshot parses it). A follower resets from it — its
+// baseline on a fresh directory, or after this primary compacted past
+// its cursor — and polls the WAL from the snapshot's sequence. Only
 // durable primaries can serve it; others answer 409.
 //
 // The partition parameter filters the transfer to one hash slice of
 // the key space (rows whose key hashes outside it are dropped; slot
-// counts are kept so RowIDs stay cluster-wide) — the bootstrap a
-// rebalance target starts from. The WAL stream is never filtered.
+// counts are kept so RowIDs stay cluster-wide) — the transfer a
+// rebalance target resets from. The WAL stream is never filtered.
 func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 	var blob []byte
 	var err error
@@ -521,14 +522,14 @@ func (s *Server) handleReplSnapshot(w http.ResponseWriter, r *http.Request) {
 // commit or the wait elapses (then 200 with an empty body — a
 // heartbeat carrying the current sequence). When compaction has
 // discarded the range above `from`, the response is 410 Gone and the
-// follower must re-bootstrap from /api/repl/snapshot.
+// follower must reset from /api/repl/snapshot.
 //
 // The `epoch` parameter is the log-matching half of epoch fencing: the
 // term of the follower's last applied operation. If it disagrees with
 // this leader's history at `from` — or the follower's cursor runs past
 // this leader's log entirely — the follower holds a suffix written
 // under a deposed term; the response is 409 Conflict and the follower
-// must re-bootstrap, dropping its diverged suffix.
+// must reset from a snapshot, dropping its diverged suffix.
 //
 // A request carrying X-Cqads-Node doubles as a durability
 // acknowledgement: the cursor a named follower presents is exactly the
@@ -584,7 +585,7 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 			// Compaction discarded (from, ckpt]; the follower needs a
 			// snapshot re-transfer.
 			w.Header().Set("X-Cqads-Checkpoint-Seq", strconv.FormatUint(ckpt, 10))
-			jsonError(w, http.StatusGone, "log compacted past seq %d (checkpoint is %d); re-bootstrap from /api/repl/snapshot", from, ckpt)
+			jsonError(w, http.StatusGone, "log compacted past seq %d (checkpoint is %d); reset from /api/repl/snapshot", from, ckpt)
 			return
 		}
 		if hasEpoch {
@@ -596,7 +597,7 @@ func (s *Server) handleReplWAL(w http.ResponseWriter, r *http.Request) {
 			if !ok || epochAt != fromEpoch {
 				telemetry.Failover.FencedStreams.Add(1)
 				jsonError(w, http.StatusConflict,
-					"cursor %d@epoch %d diverges from this leader's history; re-bootstrap from /api/repl/snapshot", from, fromEpoch)
+					"cursor %d@epoch %d diverges from this leader's history; reset from /api/repl/snapshot", from, fromEpoch)
 				return
 			}
 		}
