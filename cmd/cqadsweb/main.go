@@ -41,8 +41,8 @@
 //     compacted past its cursor. A restart — SIGKILL included —
 //     resumes from the follower's own log. The follower must use the
 //     same -seed/-ads as the primary: a snapshot carries table
-//     contents and classifier state, while the similarity matrices
-//     are rebuilt from the seed.
+//     contents only, while the classifier, like the similarity
+//     matrices, is rebuilt from -seed/-ads/-domains.
 //   - -replica-set URL1,URL2,URL3 (with -advertise and -data) makes
 //     this server a symmetric PEER in a self-healing replica set. All
 //     members run the same flags (each with its own -advertise and

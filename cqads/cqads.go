@@ -44,9 +44,11 @@
 // System.DeleteAd expires one, both safe to call while other
 // goroutines Ask. An inserted ad is visible to the very next question;
 // derived state — the near-duplicate representatives behind
-// Options.Dedup, and the classifier when Options.TrainOnIngest is set
-// — is invalidated by table version and refreshed lazily, so answers
-// always reflect the current corpus without rebuilding the system. See
+// Options.Dedup — is invalidated by table version and refreshed
+// lazily, so answers always reflect the current corpus without
+// rebuilding the system. The question classifier is not derived from
+// ads: it is trained on generated questions when the system is built
+// and never changes while it runs. See
 // the repository root package documentation for the full invalidation
 // contract.
 //
@@ -287,9 +289,6 @@ type Options struct {
 	// Dedup filters near-duplicate listings out of answer lists;
 	// Sec. 6 extension (iv).
 	Dedup bool
-	// TrainOnIngest folds ads inserted through System.InsertAd into
-	// the classifier's training set for their domain.
-	TrainOnIngest bool
 	// DataDir enables durability: the system recovers from the
 	// directory's snapshot + write-ahead log at Open and logs every
 	// subsequent ingest operation before returning. Empty keeps the
@@ -353,9 +352,8 @@ func Open(opts Options) (*System, error) {
 // and can be elected and serve the replication stream itself. Build
 // it with the primary's Seed/AdsPerDomain/Domains: everything a
 // snapshot does not carry (schemas, TI/WS similarity matrices, the
-// classifier's construction) comes from opts, and a fresh directory
-// takes its tables and classifier state from a snapshot transfer
-// before it streams. Options.Domains may
+// classifier) comes from opts, and a fresh directory takes its tables
+// from a snapshot transfer before it streams. Options.Domains may
 // name a subset of the primary's domains and Partitions/PartitionIndex
 // a child slice of its slice. An internal/replica Follower feeds it
 // (`cqadsweb -replicate-from URL -data DIR`); an internal/failover
@@ -499,7 +497,6 @@ func buildEnvFor(opts Options, classifierOnly bool) (core.Config, error) {
 		UseSynonyms:      opts.UseSynonyms,
 		StrictBoolean:    opts.StrictBoolean,
 		Dedup:            opts.Dedup,
-		TrainOnIngest:    opts.TrainOnIngest,
 		DataDir:          opts.DataDir,
 		CompactBytes:     opts.CompactBytes,
 		ReplicaSet:       opts.ReplicaSet,

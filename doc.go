@@ -150,12 +150,12 @@
 //     per-body allocation ceiling.
 //
 //   - Concurrent asks. The per-domain similarity caches are
-//     lock-striped (internal/rank) and classifier fitting is
-//     synchronized, so System.Ask is safe from any number of
-//     goroutines. The 650-question experiment drivers
-//     (internal/experiments) answer on a worker pool (internal/pool)
-//     and aggregate in input order, bit-identical to a sequential
-//     sweep.
+//     lock-striped (internal/rank) and the classifier is read-only
+//     once built (JBBSM.Train fits each class as it trains it), so
+//     System.Ask is safe from any number of goroutines. The
+//     650-question experiment drivers (internal/experiments) answer
+//     on a worker pool (internal/pool) and aggregate in input order,
+//     bit-identical to a sequential sweep.
 //
 // # Mutability and the invalidation contract
 //
@@ -194,10 +194,10 @@
 //     they memoize value-pair similarities keyed on the values
 //     themselves, which rows coming or going cannot make wrong.
 //
-//   - Classifier. Routing state is only touched when
-//     Config.TrainOnIngest is set, in which case each inserted ad's
-//     text joins its domain's training set and takes effect at the
-//     classifier's next (synchronized) refit.
+//   - Classifier. Routing state is never touched by ingestion: the
+//     classifier is trained on generated questions when the system
+//     is built and is read-only from then on, so it needs neither
+//     invalidation nor a lock.
 //
 // # Persistence model
 //
@@ -209,11 +209,12 @@
 //
 //   - Snapshot. One CRC-trailed binary file (snapshot.cqads) holding,
 //     per table, the schema column list, the allocated RowID slot
-//     count and every live row — values tagged NULL/string/number —
-//     plus the trained classifier's exported state
-//     (classify.Snapshotter). Tombstoned slots are *not* stored but
-//     are implied by the slot count, so retired RowIDs stay retired
-//     after recovery and the next insert continues the sequence.
+//     count and every live row — values tagged NULL/string/number.
+//     The classifier is not stored: like the TI/WS matrices it is
+//     rebuilt from the node's configuration. Tombstoned slots are
+//     *not* stored but are implied by the slot count, so retired
+//     RowIDs stay retired after recovery and the next insert
+//     continues the sequence.
 //     Indexes are not serialized: they are rebuilt from the rows on
 //     load, which keeps the format small and immune to index-layout
 //     changes. Snapshots are replaced atomically (temp file, fsync,
@@ -231,12 +232,11 @@
 //     CRC and truncated at the next open.
 //
 //   - Recovery. core.Open loads the snapshot into the tables
-//     (sqldb.Table.RestoreState), imports the classifier state, and
-//     replays the WAL records whose sequence exceeds the snapshot's —
-//     re-running each insert through the same path the live system
-//     used (including TrainOnIngest classifier training) and
-//     verifying that every replayed insert lands on the RowID the log
-//     recorded; divergence fails loudly. A directory with no snapshot
+//     (sqldb.Table.RestoreState) and replays the WAL records whose
+//     sequence exceeds the snapshot's — re-running each insert
+//     through the same path the live system used and verifying that
+//     every replayed insert lands on the RowID the log recorded;
+//     divergence fails loudly. A directory with no snapshot
 //     gets one immediately, so recovery never depends on rebuilding
 //     an identical baseline.
 //
@@ -271,12 +271,12 @@
 //     directory (core.OpenPeer, fed by replica.Attach; `cqadsweb
 //     -replicate-from URL -data DIR`, or a `-replica-set` member): it
 //     builds the same deterministic substrate set as the primary —
-//     schemas, TI/WS matrices — takes its tables and classifier state
-//     from one snapshot transfer when its directory is fresh (refused
-//     if the snapshot lacks a domain the follower hosts), and then
-//     tails the log from its own cursor, applying each operation
-//     through the same replay path crash recovery uses (classifier
-//     training included), verifying each insert lands on the RowID the
+//     schemas, TI/WS matrices, and a classifier over its own hosted
+//     domains — takes its tables from one snapshot transfer when its
+//     directory is fresh (refused if the snapshot lacks a domain the
+//     follower hosts), and then tails the log from its own cursor,
+//     applying each operation through the same replay path crash
+//     recovery uses, verifying each insert lands on the RowID the
 //     primary logged, and spooling it to its own WAL. There is one
 //     follower kind: a read replica is a replica-set peer that runs no
 //     election. A restarted follower recovers from its own directory

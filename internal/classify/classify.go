@@ -5,6 +5,13 @@
 // in a document once it has appeared — and accounts for unseen words.
 // A plain multinomial Naive Bayes is provided as the ablation
 // baseline.
+//
+// A classifier is a build product: it is trained once, from questions
+// generated over the hosted ads, before anything shares it, and is
+// read-only from then on. Classify is therefore a pure read and safe
+// for concurrent use without locks; nothing trains a classifier a
+// running system holds, and nothing persists one — every node rebuilds
+// it from its configuration, as it does the similarity matrices.
 package classify
 
 import (
@@ -13,10 +20,10 @@ import (
 )
 
 // Classifier assigns a class (ads domain) to a tokenized document
-// (user question) by maximizing P(c|d) (Eq. 1-2).
+// (user question) by maximizing P(c|d) (Eq. 1-2). It has no Train:
+// training is done on the concrete type before the classifier is
+// shared.
 type Classifier interface {
-	// Train adds the documents as training examples of class c.
-	Train(class string, docs [][]string)
 	// Classify returns the argmax class and per-class log-posterior
 	// scores. It returns an error when no class has been trained.
 	Classify(doc []string) (string, map[string]float64, error)

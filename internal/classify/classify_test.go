@@ -24,7 +24,14 @@ func trainingSets() map[string][][]string {
 	}
 }
 
-func trainBoth(c Classifier) {
+// trainable is a classifier under training: Train lives on the
+// concrete types, not on Classifier.
+type trainable interface {
+	Classifier
+	Train(class string, docs [][]string)
+}
+
+func trainBoth(c trainable) {
 	for class, docs := range trainingSets() {
 		c.Train(class, docs)
 	}

@@ -3,8 +3,6 @@ package classify
 import (
 	"math"
 	"sort"
-	"sync"
-	"sync/atomic"
 )
 
 // JBBSM is the Naive Bayes classifier whose class-conditional
@@ -23,63 +21,46 @@ import (
 type JBBSM struct {
 	classes map[string]*jbClass
 	total   int // total training documents across classes
-	// fitted/mu make lazy Beta fitting and runtime training safe for
-	// concurrent Classify calls (concurrent asks, the web UI, live ad
-	// ingestion): the atomic flag is the lock-free fast path
-	// once fitting is published; Train and fit mutate under the write
-	// lock while Classify scores under the read lock. A Train that
-	// lands between a Classify's fit check and its scoring pass is
-	// simply not yet visible to that one call — the next Classify
-	// refits. Train resets the flag.
-	fitted atomic.Bool
-	mu     sync.RWMutex
-
-	// BackgroundAlpha and BackgroundBeta are the Beta prior used for
-	// words never seen in a class (the "unseen words" handling the
-	// paper credits JBBSM with). The defaults make unseen words rare
-	// but not impossible.
-	BackgroundAlpha, BackgroundBeta float64
-	// PriorStrength is the equivalent-sample-size fallback used when
-	// a word's rate variance is too small for the method of moments.
-	PriorStrength float64
 }
+
+// The background Beta prior (backgroundAlpha, backgroundBeta) scores
+// words never seen in a class (the "unseen words" handling the paper
+// credits JBBSM with): unseen words are rare but not impossible.
+// priorStrength is the equivalent-sample-size fallback used when a
+// word's rate variance is too small for the method of moments.
+const (
+	backgroundAlpha = 0.05
+	backgroundBeta  = 50
+	priorStrength   = 10
+)
 
 type jbClass struct {
 	docs  int
-	words map[string]*betaParams
-	// rateSums accumulates per-word rate moments during training.
-	rateSum  map[string]float64
-	rate2Sum map[string]float64
-	docCount map[string]int // documents of the class containing the word
-	fitted   bool
+	words map[string]jbWord
+}
+
+// jbWord is one word of a class: the per-document rate moments
+// training accumulates and the Beta parameters fitted from them.
+type jbWord struct {
+	rateSum, rate2Sum float64
+	betaParams
 }
 
 type betaParams struct{ alpha, beta float64 }
 
-// NewJBBSM returns a classifier with the default hyperparameters.
+// NewJBBSM returns an untrained classifier.
 func NewJBBSM() *JBBSM {
-	return &JBBSM{
-		classes:         make(map[string]*jbClass),
-		BackgroundAlpha: 0.05,
-		BackgroundBeta:  50,
-		PriorStrength:   10,
-	}
+	return &JBBSM{classes: make(map[string]*jbClass)}
 }
 
-// Train implements Classifier. It is safe to call while other
-// goroutines Classify: the new documents take effect atomically at
-// the next refit.
+// Train adds the documents as training examples of class and refits
+// that class's Beta parameters. Train every class before the
+// classifier is shared: it is not safe to call concurrently with
+// Classify.
 func (m *JBBSM) Train(class string, docs [][]string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	c := m.classes[class]
 	if c == nil {
-		c = &jbClass{
-			words:    make(map[string]*betaParams),
-			rateSum:  make(map[string]float64),
-			rate2Sum: make(map[string]float64),
-			docCount: make(map[string]int),
-		}
+		c = &jbClass{words: make(map[string]jbWord)}
 		m.classes[class] = c
 	}
 	for _, doc := range docs {
@@ -89,44 +70,32 @@ func (m *JBBSM) Train(class string, docs [][]string) {
 		n := float64(len(doc))
 		for w, x := range countWords(doc) {
 			r := float64(x) / n
-			c.rateSum[w] += r
+			jw := c.words[w]
+			jw.rateSum += r
 			// float64(x*y) rounds the product, so no CPU fuses it with the add.
-			c.rate2Sum[w] += float64(r * r)
-			c.docCount[w]++
+			jw.rate2Sum += float64(r * r)
+			c.words[w] = jw
 		}
 		c.docs++
 		m.total++
 	}
-	c.fitted = false
-	m.fitted.Store(false)
+	c.fit()
 }
 
-// fit computes Beta parameters for every word of every class by the
+// fit computes Beta parameters for every word of the class by the
 // method of moments over per-document rates. Documents of the class
 // that do not contain the word contribute rate 0, which keeps alpha
 // small for rare words.
-func (m *JBBSM) fit() {
-	if m.fitted.Load() {
+func (c *jbClass) fit() {
+	if c.docs == 0 {
 		return
 	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if m.fitted.Load() {
-		return
-	}
-	defer m.fitted.Store(true)
-	for _, c := range m.classes {
-		if c.fitted || c.docs == 0 {
-			continue
-		}
-		n := float64(c.docs)
-		for w := range c.rateSum {
-			mean := c.rateSum[w] / n
-			variance := c.rate2Sum[w]/n - float64(mean*mean)
-			p := fitBeta(mean, variance, m.PriorStrength)
-			c.words[w] = &p
-		}
-		c.fitted = true
+	n := float64(c.docs)
+	for w, jw := range c.words {
+		mean := jw.rateSum / n
+		variance := jw.rate2Sum/n - float64(mean*mean)
+		jw.betaParams = fitBeta(mean, variance, priorStrength)
+		c.words[w] = jw
 	}
 }
 
@@ -161,18 +130,6 @@ func fitBeta(mean, variance, strength float64) betaParams {
 //
 // over the words present in the document.
 func (m *JBBSM) Classify(doc []string) (string, map[string]float64, error) {
-	// fit() and the read lock are two separate acquisitions, so a
-	// Train can land in the gap and unfit the model; re-check under
-	// the read lock and refit so scoring only ever sees a fully
-	// fitted state (counts and Beta params from the same fit).
-	m.fit()
-	m.mu.RLock()
-	for !m.fitted.Load() {
-		m.mu.RUnlock()
-		m.fit()
-		m.mu.RLock()
-	}
-	defer m.mu.RUnlock()
 	scores := make(map[string]float64, len(m.classes))
 	wc := countWords(doc)
 	// Sum per-word terms in sorted order: float addition is not
@@ -190,9 +147,9 @@ func (m *JBBSM) Classify(doc []string) (string, map[string]float64, error) {
 		}
 		s := math.Log(float64(c.docs) / float64(m.total)) // log P(c)
 		for _, w := range words {
-			p, ok := c.words[w]
-			if !ok {
-				p = &betaParams{alpha: m.BackgroundAlpha, beta: m.BackgroundBeta}
+			p := betaParams{alpha: backgroundAlpha, beta: backgroundBeta}
+			if jw, ok := c.words[w]; ok {
+				p = jw.betaParams
 			}
 			s += logBetaBinomialPMF(wc[w], n, p.alpha, p.beta)
 		}

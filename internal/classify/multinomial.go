@@ -1,17 +1,13 @@
 package classify
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // Multinomial is the classic multinomial Naive Bayes with Laplace
 // smoothing. It serves as the ablation baseline for JBBSM (DESIGN.md
 // "ablate-jbbsm"): identical prior and tokenization, but a likelihood
-// that ignores burstiness. Like JBBSM it is safe to Train while other
-// goroutines Classify (live ingestion with TrainOnIngest).
+// that ignores burstiness. Like JBBSM it is trained once, before it is
+// shared, and Classify is then a pure read.
 type Multinomial struct {
-	mu      sync.RWMutex
 	classes map[string]*mnClass
 	vocab   map[string]struct{}
 	total   int
@@ -31,10 +27,9 @@ func NewMultinomial() *Multinomial {
 	}
 }
 
-// Train implements Classifier.
+// Train adds the documents as training examples of class. It is not
+// safe to call concurrently with Classify.
 func (m *Multinomial) Train(class string, docs [][]string) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	c := m.classes[class]
 	if c == nil {
 		c = &mnClass{counts: make(counts)}
@@ -56,8 +51,6 @@ func (m *Multinomial) Train(class string, docs [][]string) {
 
 // Classify implements Classifier.
 func (m *Multinomial) Classify(doc []string) (string, map[string]float64, error) {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
 	scores := make(map[string]float64, len(m.classes))
 	v := float64(len(m.vocab))
 	for name, c := range m.classes {

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"sort"
-	"strings"
-
-	"repro/internal/sqldb"
-)
+import "repro/internal/sqldb"
 
 // This file is the live-ingestion surface of the System: ads are
 // posted and expire continuously (the paper's corpus is a live ads
@@ -21,9 +16,8 @@ import (
 // System.dedupFor). The similarity caches need no invalidation at all:
 // they memoize value-pair similarities keyed on the values themselves
 // (never on row ids), so rows coming and going cannot make a cached
-// entry wrong. Classifier state is only touched when TrainOnIngest is
-// set, in which case the ad's text is folded into the domain's
-// training set and takes effect at the classifier's next refit.
+// entry wrong. The classifier is never touched: it is trained on
+// questions when the System is built and is read-only from then on.
 
 // InsertAd inserts one ad into the named domain's table and returns
 // its RowID. The ad becomes visible to Ask immediately and
@@ -114,11 +108,6 @@ func (s *System) insertAdLocked(domain string, values map[string]sqldb.Value, pi
 			return 0, err
 		}
 	}
-	if s.trainOnIngest && s.classifier != nil {
-		if doc := adDocument(values); len(doc) > 0 {
-			s.classifier.Train(domain, [][]string{doc})
-		}
-	}
 	return id, nil
 }
 
@@ -164,23 +153,4 @@ func (s *System) deleteAdLocked(domain string, id sqldb.RowID) error {
 		return &WrongPartitionError{Domain: domain, ID: id, Slice: *s.slice.Load()}
 	}
 	return tbl.Delete(id)
-}
-
-// adDocument renders an ad's textual values as one classifier
-// training document, tokenized and stopword-filtered the same way
-// questions are.
-func adDocument(values map[string]sqldb.Value) []string {
-	cols := make([]string, 0, len(values))
-	for c := range values {
-		cols = append(cols, c)
-	}
-	sort.Strings(cols)
-	var sb strings.Builder
-	for _, c := range cols {
-		if v := values[c]; v.IsString() {
-			sb.WriteString(v.Str())
-			sb.WriteByte(' ')
-		}
-	}
-	return tokenizeForClassify(sb.String())
 }

@@ -283,7 +283,8 @@ func TestSuperlativeSkipsNonNumeric(t *testing.T) {
 // same domain (run with -race). Answers are not asserted point-in-time
 // — the corpus legitimately changes under the readers — only that no
 // question errors and no race fires across dedup recomputation,
-// similarity caching, classifier refits and index maintenance.
+// similarity caching, concurrent classifier reads and index
+// maintenance.
 func TestIngestWhileAsking(t *testing.T) {
 	db := populatedDB(t, 200)
 	ti := map[string]*qlog.TIMatrix{}
@@ -307,7 +308,7 @@ func TestIngestWhileAsking(t *testing.T) {
 		cls.Train(d, docs)
 	}
 	sys, err := New(Config{DB: db, TI: ti, WS: ws, Classifier: cls,
-		Dedup: true, TrainOnIngest: true})
+		Dedup: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -362,8 +363,8 @@ func TestIngestWhileAsking(t *testing.T) {
 						return
 					}
 				}
-				// Classified path too (exercises JBBSM refit after
-				// TrainOnIngest).
+				// Classified path too: the race check of the
+				// lock-free classifier, read by every asker at once.
 				if _, err := sys.Ask("honda accord blue"); err != nil {
 					t.Errorf("Ask: %v", err)
 					return

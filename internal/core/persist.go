@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/classify"
 	"repro/internal/partition"
 	"repro/internal/persist"
 	"repro/internal/sqldb"
@@ -96,13 +95,12 @@ func (p *persister) ingestable() error {
 // Open builds a System like New and, when cfg.DataDir is set, makes it
 // durable: an existing snapshot is restored into cfg.DB's tables
 // (replacing their contents wholesale, tombstoned RowID slots
-// included), the classifier state is imported when the configured
-// classifier supports it, the WAL tail is replayed — re-training the
-// classifier on replayed inserts when cfg.TrainOnIngest is set, just
-// as the live path did — and every subsequent InsertAd/DeleteAd is
-// write-ahead logged. A directory that has never been checkpointed
-// gets an initial snapshot of the freshly built store, so recovery
-// never depends on the caller rebuilding an identical baseline.
+// included), the WAL tail is replayed, and every subsequent
+// InsertAd/DeleteAd is write-ahead logged. The classifier is not
+// stored: cfg.Classifier routes questions, as it does for New. A
+// directory that has never been checkpointed gets an initial snapshot
+// of the freshly built store, so recovery never depends on the caller
+// rebuilding an identical baseline.
 func Open(cfg Config) (*System, error) {
 	if cfg.DataDir == "" {
 		return New(cfg)
@@ -132,9 +130,9 @@ func Open(cfg Config) (*System, error) {
 		return nil, err
 	}
 	// Replay the WAL tail through the same path live ingestion uses
-	// (insertAdLocked / deleteAdLocked — classifier training
-	// included), so live and replayed mutations cannot diverge. The
-	// persister is not attached yet, so nothing is re-logged.
+	// (insertAdLocked / deleteAdLocked), so live and replayed
+	// mutations cannot diverge. The persister is not attached yet, so
+	// nothing is re-logged.
 	for _, op := range st.Tail() {
 		if err := sys.replayOp(op); err != nil {
 			st.Close()
@@ -235,12 +233,11 @@ func sortedKeys(set map[string]bool) []string {
 }
 
 // restoreSnapshot replaces the contents of cfg.DB's tables with the
-// snapshot image and imports the classifier state. When cfg.Domains
-// restricts the hosted set (shard mode), sections for domains the
-// database knows but the shard does not host are skipped — that is
-// how a partial follower takes a wider primary's snapshot transfer;
-// sections for domains the database has never heard of still fail
-// loudly as corruption.
+// snapshot image. When cfg.Domains restricts the hosted set (shard
+// mode), sections for domains the database knows but the shard does
+// not host are skipped — that is how a partial follower takes a wider
+// primary's snapshot transfer; sections for domains the database has
+// never heard of still fail loudly as corruption.
 func restoreSnapshot(cfg Config, snap *persist.Snapshot) error {
 	hosted := make(map[string]bool, len(cfg.Domains))
 	for _, d := range cfg.Domains {
@@ -282,15 +279,6 @@ func restoreSnapshot(cfg Config, snap *persist.Snapshot) error {
 		}
 		if err := tbl.RestoreState(td.Slots, td.Rows); err != nil {
 			return fmt.Errorf("core: restoring %q: %w", td.Domain, err)
-		}
-	}
-	if len(snap.Classifier) > 0 && cfg.Classifier != nil {
-		sn, ok := cfg.Classifier.(classify.Snapshotter)
-		if !ok {
-			return fmt.Errorf("core: snapshot carries classifier state but the configured classifier cannot import it")
-		}
-		if err := sn.ImportState(snap.Classifier); err != nil {
-			return err
 		}
 	}
 	return nil
@@ -393,7 +381,7 @@ func (s *System) maybeCompact() {
 	}()
 }
 
-// Checkpoint writes a full snapshot (tables + classifier state) and
+// Checkpoint writes a full snapshot of the hosted tables and
 // truncates the WAL. Ingestion is paused for the duration; question
 // answering is not. A non-persistent system reports an error.
 func (s *System) Checkpoint() error {
@@ -414,26 +402,21 @@ func (s *System) Checkpoint() error {
 	return s.checkpointLocked()
 }
 
-// checkpointLocked exports every table and the classifier under
-// persister.mu — no ingest can land mid-export, so the image is
-// consistent with the WAL sequence it covers.
+// checkpointLocked exports every hosted table under persister.mu — no
+// ingest can land mid-export, so the image is consistent with the WAL
+// sequence it covers.
 func (s *System) checkpointLocked() error {
 	p := s.persist
-	snap, err := s.exportLocked()
-	if err != nil {
-		return err
-	}
-	if err := p.store.WriteCheckpoint(snap); err != nil {
+	if err := p.store.WriteCheckpoint(s.exportLocked()); err != nil {
 		return err
 	}
 	p.lastCheckpoint.Store(time.Now().UnixNano()) //lint:cqads-ignore wallclock checkpoint age is operational metadata, never part of an answer
 	return nil
 }
 
-// exportLocked renders the hosted tables and the classifier state as
-// a snapshot image with no sequence stamped. Called with persister.mu
-// held.
-func (s *System) exportLocked() (*persist.Snapshot, error) {
+// exportLocked renders the hosted tables as a snapshot image with no
+// sequence stamped. Called with persister.mu held.
+func (s *System) exportLocked() *persist.Snapshot {
 	snap := &persist.Snapshot{}
 	for _, domain := range s.domains {
 		tbl, _ := s.db.TableForDomain(domain)
@@ -451,14 +434,7 @@ func (s *System) exportLocked() (*persist.Snapshot, error) {
 			Rows:    rows,
 		})
 	}
-	if sn, ok := s.classifier.(classify.Snapshotter); ok {
-		blob, err := sn.ExportState()
-		if err != nil {
-			return nil, err
-		}
-		snap.Classifier = blob
-	}
-	return snap, nil
+	return snap
 }
 
 // Close checkpoints (when persistence is enabled) and releases the

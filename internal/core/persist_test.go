@@ -17,7 +17,7 @@ import (
 )
 
 // persistentConfig builds the full substrate set (TI, WS, trained
-// JBBSM classifier, dedup, TrainOnIngest) over db, pointed at dir.
+// JBBSM classifier, dedup) over db, pointed at dir.
 // Every call is deterministic, so two configs built over equal
 // databases are equal — the recovery tests rely on that to rebuild
 // the baseline a crashed process would rebuild.
@@ -45,7 +45,7 @@ func persistentConfig(t *testing.T, db *sqldb.DB, dir string) Config {
 	}
 	return Config{
 		DB: db, TI: ti, WS: ws, Classifier: cls,
-		Dedup: true, TrainOnIngest: true, DataDir: dir,
+		Dedup: true, DataDir: dir,
 	}
 }
 
@@ -87,9 +87,9 @@ func assertSameAnswersByID(t *testing.T, label string, a, b *System) {
 			}
 		}
 	}
-	// The classified path must route and answer identically too:
-	// classifier state is part of the snapshot/WAL contract when
-	// TrainOnIngest is on.
+	// The classified path must route and answer identically too: the
+	// classifier is not stored, so each side rebuilt it from its
+	// config, and equal configs must route alike.
 	for _, q := range []string{"honda accord blue", "cheapest honda", "gold lexus es350"} {
 		x, errA := a.Ask(q)
 		y, errB := b.Ask(q)

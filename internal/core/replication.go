@@ -98,10 +98,12 @@ type followerState struct {
 // plain primary it can be demoted back to follower when it loses a
 // term. cfg.DataDir is required. cfg supplies the same deterministic
 // substrate set as the primary (schemas, TI/WS matrices, classifier);
-// a snapshot transfer replaces the table contents and classifier state
-// wholesale — the shipping layer takes one before a fresh directory
-// (cursor 0) streams, so the guard below runs and the tables are the
-// primary's, not the follower's own seed.
+// a snapshot transfer replaces the table contents wholesale and never
+// the classifier, so a partial follower routes by its own hosted set
+// exactly as a fresh node with its config would. The shipping layer
+// takes one transfer before a fresh directory (cursor 0) streams, so
+// the guard below runs and the tables are the primary's, not the
+// follower's own seed.
 func OpenPeer(cfg Config) (*System, error) {
 	if cfg.DataDir == "" {
 		return nil, fmt.Errorf("core: OpenPeer requires Config.DataDir (peers are durable)")
@@ -237,8 +239,8 @@ func (s *System) spoolAppliedLocked(ops []persist.Op) error {
 	return nil
 }
 
-// ResetToSnapshot resets a follower in place: the tables and
-// classifier state are replaced wholesale by the new snapshot, the
+// ResetToSnapshot resets a follower in place: the tables are replaced
+// wholesale by the new snapshot (the classifier is untouched), the
 // local store is re-baselined to the result and the applied cursor
 // jumps to the snapshot's sequence. The shipping layer calls this when
 // it cannot stream from the follower's cursor: the primary has
@@ -276,11 +278,8 @@ func (s *System) ResetToSnapshot(snap *persist.Snapshot) error {
 		return err
 	}
 	err := restoreSnapshot(f.cfg, snap)
-	var local *persist.Snapshot
 	if err == nil {
-		local, err = s.exportLocked()
-	}
-	if err == nil {
+		local := s.exportLocked()
 		local.Seq, local.Epoch = snap.Seq, snap.Epoch
 		err = p.store.ResetTo(local)
 	}

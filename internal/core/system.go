@@ -45,7 +45,10 @@ type Config struct {
 	// a table present in DB. Empty hosts everything DB holds.
 	Domains []string
 	// Classifier routes questions to domains; nil disables
-	// classification (AskInDomain still works).
+	// classification (AskInDomain still works). It must be fully
+	// trained: the System only reads it, from many goroutines at once,
+	// and never persists it — a reopened or replicated System routes
+	// with whatever classifier its own Config supplies.
 	Classifier classify.Classifier
 	// TI maps domain name to its TI-matrix (Type I similarity).
 	TI map[string]*qlog.TIMatrix
@@ -71,12 +74,6 @@ type Config struct {
 	// invalidate it, and the next question lazily recomputes the
 	// representatives over the current rows.
 	Dedup bool
-	// TrainOnIngest feeds each ad inserted through System.InsertAd to
-	// the classifier as a training document of its domain, so routing
-	// keeps up with vocabulary that first appears in live ads. Off by
-	// default: the paper trains the classifier on questions, and ad
-	// text skews the class-conditional model toward listing phrasing.
-	TrainOnIngest bool
 	// DataDir enables durability: Open recovers the store from the
 	// directory's snapshot + write-ahead log and every subsequent
 	// InsertAd/DeleteAd is logged before the call returns, so a
@@ -151,12 +148,11 @@ type System struct {
 	// current slice; it only ever narrows (RetirePartition after a
 	// rebalance hands half the slice to another node), so it lives in
 	// an atomic pointer that readers load without a lock.
-	partitioned   bool
-	slice         atomic.Pointer[partition.Slice]
-	maxAnswers    int
-	depth         int
-	strict        bool
-	trainOnIngest bool
+	partitioned bool
+	slice       atomic.Pointer[partition.Slice]
+	maxAnswers  int
+	depth       int
+	strict      bool
 	// persist is non-nil when the system was built by Open with
 	// Config.DataDir set; it owns the snapshot + WAL store and
 	// serializes ingestion so the log order equals the mutation order.
@@ -233,15 +229,14 @@ func New(cfg Config) (*System, error) {
 		return nil, fmt.Errorf("core: Config.DB is required")
 	}
 	s := &System{
-		db:            cfg.DB,
-		classifier:    cfg.Classifier,
-		taggers:       make(map[string]*trie.Tagger),
-		sims:          make(map[string]*rank.Similarity),
-		hosted:        make(map[string]bool),
-		maxAnswers:    cfg.MaxAnswers,
-		depth:         cfg.RelaxationDepth,
-		strict:        cfg.StrictBoolean,
-		trainOnIngest: cfg.TrainOnIngest,
+		db:         cfg.DB,
+		classifier: cfg.Classifier,
+		taggers:    make(map[string]*trie.Tagger),
+		sims:       make(map[string]*rank.Similarity),
+		hosted:     make(map[string]bool),
+		maxAnswers: cfg.MaxAnswers,
+		depth:      cfg.RelaxationDepth,
+		strict:     cfg.StrictBoolean,
 	}
 	if s.maxAnswers <= 0 {
 		s.maxAnswers = DefaultMaxAnswers
@@ -404,7 +399,7 @@ func ClassifyQuestion(c classify.Classifier, question string) (string, error) {
 	if c == nil {
 		return "", fmt.Errorf("core: no classifier configured")
 	}
-	domain, _, err := c.Classify(questionTokens(question))
+	domain, _, err := c.Classify(tokenizeForClassify(question))
 	if err != nil {
 		return "", fmt.Errorf("core: classifying question: %w", err)
 	}
@@ -646,11 +641,6 @@ func (s *System) Explain(res *Result) (string, error) {
 		plan += fmt.Sprintf("  limit %d (answer cutoff)\n", sel.Limit)
 	}
 	return plan, nil
-}
-
-// questionTokens prepares a question for the classifier.
-func questionTokens(q string) []string {
-	return tokenizeForClassify(q)
 }
 
 // maxGroupLen returns the size of the largest conjunction, the N an

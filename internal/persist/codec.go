@@ -16,13 +16,14 @@
 //
 // # Snapshot format
 //
-// One CRC-32-trailed blob: an 8-byte magic ("CQSNAP1\n"), the
-// checkpoint sequence number, then per table its domain and relation
-// names, column list, allocated slot count and the live rows (RowID
-// plus one value per column — so tombstoned RowIDs stay retired after
-// recovery), then an opaque classifier-state blob. Strings and counts
-// are uvarint-length-prefixed; values are tagged NULL/string/number
-// with numbers stored as IEEE-754 bits.
+// One CRC-32-trailed blob: an 8-byte magic ("CQSNAP3\n"), the
+// checkpoint sequence number and leadership epoch, then per table its
+// domain and relation names, column list, allocated slot count and
+// the live rows (RowID plus one value per column — so tombstoned
+// RowIDs stay retired after recovery). No classifier state is stored:
+// every node rebuilds its classifier from its configuration. Strings
+// and counts are uvarint-length-prefixed; values are tagged
+// NULL/string/number with numbers stored as IEEE-754 bits.
 //
 // # WAL format
 //

@@ -1,9 +1,12 @@
 package persist
 
 import (
+	"encoding/binary"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/sqldb"
@@ -158,7 +161,7 @@ func TestWALCorruptMiddleStopsScan(t *testing.T) {
 }
 
 // TestSnapshotRoundTrip: the snapshot encoding round-trips tables,
-// slot counts, NULLs and the classifier blob, and detects corruption.
+// slot counts and NULLs, and detects corruption.
 func TestSnapshotRoundTrip(t *testing.T) {
 	snap := &Snapshot{
 		Tables: []TableData{
@@ -175,7 +178,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 			},
 			{Domain: "empty", Table: "empty_ads", Columns: []string{"a"}, Slots: 0},
 		},
-		Classifier: []byte("opaque-classifier-state"),
 	}
 	dir := t.TempDir()
 	st, err := Open(dir)
@@ -218,9 +220,6 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got.Tables, snap.Tables) {
 		t.Errorf("tables differ:\ngot  %+v\nwant %+v", got.Tables, snap.Tables)
 	}
-	if string(got.Classifier) != "opaque-classifier-state" {
-		t.Errorf("classifier blob = %q", got.Classifier)
-	}
 	// Only the post-checkpoint op is in the tail.
 	tail := st2.Tail()
 	if len(tail) != 1 || tail[0].Seq != 4 {
@@ -236,6 +235,30 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 	if _, err := Open(dir); err == nil {
 		t.Error("corrupt snapshot accepted")
+	}
+}
+
+// TestSnapshotRefusesOldFormat: a snapshot in the previous layout
+// (magic "CQSNAP2\n", which ended in a classifier-state section) is
+// refused even when its CRC is valid, both as a transfer body and as a
+// data directory's snapshot file, rather than read wrongly.
+func TestSnapshotRefusesOldFormat(t *testing.T) {
+	body := encodeSnapshot(&Snapshot{Seq: 5, Tables: []TableData{{Domain: "cars", Table: "car_ads", Columns: []string{"make"}, Slots: 1}}})
+	body = body[:len(body)-4]
+	copy(body, "CQSNAP2\n")
+	old := binary.LittleEndian.AppendUint32(body, crc32.ChecksumIEEE(body))
+	if _, err := DecodeSnapshot(old); err == nil || !strings.Contains(err.Error(), "bad snapshot magic") {
+		t.Fatalf("DecodeSnapshot(CQSNAP2 blob) error = %v, want bad snapshot magic", err)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, SnapshotFile), old, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if st, err := Open(dir); err == nil || !strings.Contains(err.Error(), "bad snapshot magic") {
+		if st != nil {
+			st.Close()
+		}
+		t.Fatalf("Open over a CQSNAP2 snapshot error = %v, want bad snapshot magic", err)
 	}
 }
 

@@ -12,10 +12,12 @@ import (
 
 // snapshotMagic opens every snapshot file; bump the digit for
 // incompatible layout changes.
-const snapshotMagic = "CQSNAP2\n"
+const snapshotMagic = "CQSNAP3\n"
 
 // Snapshot is a full point-in-time image of the store: every table's
-// live rows and slot count, plus the trained classifier state.
+// live rows and slot count. It holds no classifier: a node rebuilds
+// its classifier from its configuration, as it does the similarity
+// matrices.
 type Snapshot struct {
 	// Seq is the sequence number of the last operation the snapshot
 	// includes; recovery replays WAL records with Seq greater than it.
@@ -27,10 +29,6 @@ type Snapshot struct {
 	Epoch uint64
 	// Tables holds one entry per ads domain.
 	Tables []TableData
-	// Classifier is the opaque classifier-state blob
-	// (classify.Snapshotter.ExportState); empty when the system has no
-	// snapshottable classifier.
-	Classifier []byte
 }
 
 // TableData is one serialized table.
@@ -64,7 +62,7 @@ func EncodeSnapshot(s *Snapshot) []byte { return encodeSnapshot(s) }
 func DecodeSnapshot(data []byte) (*Snapshot, error) { return decodeSnapshot(data) }
 
 // FilterSnapshot returns a copy of s with each table's rows restricted
-// to those keep admits. Slots (and Seq/Epoch/Classifier) are preserved:
+// to those keep admits. Slots (and Seq/Epoch) are preserved:
 // RowIDs stay stable across the filter, with dropped rows becoming
 // tombstoned slots on restore. This is the extraction primitive behind
 // partition-sliced state transfer — a rebalance target resets from
@@ -108,8 +106,6 @@ func encodeSnapshot(s *Snapshot) []byte {
 			}
 		}
 	}
-	b = binary.AppendUvarint(b, uint64(len(s.Classifier)))
-	b = append(b, s.Classifier...)
 	return binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(b))
 }
 
@@ -153,10 +149,6 @@ func decodeSnapshot(data []byte) (*Snapshot, error) {
 			t.Rows = append(t.Rows, row)
 		}
 		s.Tables = append(s.Tables, t)
-	}
-	nClf := int(r.uvarint())
-	if r.err == nil && nClf > 0 {
-		s.Classifier = append([]byte(nil), r.bytes(nClf)...)
 	}
 	if r.err != nil {
 		return nil, r.err

@@ -49,11 +49,10 @@ func checkGoroutines(t *testing.T) {
 
 // testOpts is the shared deterministic environment. The follower MUST
 // build with the same options as the primary (minus DataDir): the
-// seeded baseline and the TI/WS matrices are rebuilt from the seed,
-// and only a snapshot transfer carries table contents and classifier
-// state.
+// seeded baseline, the TI/WS matrices and the classifier are rebuilt
+// from the seed, and a snapshot transfer carries table contents only.
 func testOpts() cqads.Options {
-	return cqads.Options{Seed: 7, AdsPerDomain: 90, TrainOnIngest: true, Dedup: true}
+	return cqads.Options{Seed: 7, AdsPerDomain: 90, Dedup: true}
 }
 
 // startPrimary opens a durable primary over opts and serves its webui
@@ -392,10 +391,13 @@ func TestPartialFollowerRestartsFromItsDirectory(t *testing.T) {
 
 // assertPartialFollower checks a cars follower of a cars+jewellery
 // primary: cars answers and table shape equal to the primary's, and no
-// jewellery row.
+// jewellery row. Each question is also asked undirected: the follower
+// routes by its own configuration, not by what it replicated, and a
+// cars-only classifier sends every question to cars — a jewellery
+// question included.
 func assertPartialFollower(t *testing.T, stage string, primary, follower *core.System) {
 	t.Helper()
-	for _, q := range []string{"cheapest honda", "blue car", "honda under 8000 dollars", "red or blue toyota under $9000"} {
+	for _, q := range []string{"gold necklace with diamonds", "cheapest honda", "blue car", "honda under 8000 dollars", "red or blue toyota under $9000"} {
 		want, err := primary.AskInDomain("cars", q)
 		if err != nil {
 			t.Fatal(err)
@@ -405,6 +407,11 @@ func assertPartialFollower(t *testing.T, stage string, primary, follower *core.S
 			t.Fatal(err)
 		}
 		shardtest.AssertSameResult(t, stage+": "+q, got, want)
+		routed, err := follower.Ask(q)
+		if err != nil {
+			t.Fatalf("%s: Ask(%q) on the cars follower: %v", stage, q, err)
+		}
+		shardtest.AssertSameResult(t, stage+": Ask "+q, routed, want)
 	}
 	if tbl, _ := follower.DB().TableForDomain("jewellery"); tbl.Len() != 0 {
 		t.Errorf("%s: the cars follower holds %d jewellery rows", stage, tbl.Len())

@@ -7,7 +7,6 @@ package shard_test
 
 import (
 	"context"
-	"encoding/json"
 	"net/http/httptest"
 	"testing"
 
@@ -18,36 +17,14 @@ import (
 	"repro/internal/webui"
 )
 
-// askKey renders one answer set for comparison.
-func askKey(t *testing.T, sys *cqads.System, domain, q string) string {
+// askIn answers q in domain on sys, failing the test on an error.
+func askIn(t *testing.T, sys *cqads.System, domain, q string) *cqads.Result {
 	t.Helper()
 	res, err := sys.AskInDomain(domain, q)
 	if err != nil {
 		t.Fatalf("%q in %q: %v", q, domain, err)
 	}
-	type row struct {
-		ID      sqldb.RowID
-		Exact   bool
-		RankSim float64
-		Record  map[string]string
-	}
-	rows := make([]row, 0, len(res.Answers))
-	for _, a := range res.Answers {
-		rec := map[string]string{}
-		for k, v := range a.Record.All() {
-			rec[k] = v.String()
-		}
-		rows = append(rows, row{ID: a.ID, Exact: a.Exact, RankSim: a.RankSim, Record: rec})
-	}
-	b, err := json.Marshal(struct {
-		SQL  string
-		N    int
-		Rows []row
-	}{res.SQL, res.ExactCount, rows})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return string(b)
+	return res
 }
 
 var shardProbes = map[string]string{
@@ -80,9 +57,9 @@ func TestShardRestartRecovery(t *testing.T) {
 	}); err != nil {
 		t.Fatal(err)
 	}
-	want := map[string]string{}
+	want := map[string]*cqads.Result{}
 	for d, q := range shardProbes {
-		want[d] = askKey(t, live, d, q)
+		want[d] = askIn(t, live, d, q)
 	}
 
 	// Kill: no Close, no Checkpoint — recovery must replay the WAL
@@ -93,9 +70,7 @@ func TestShardRestartRecovery(t *testing.T) {
 	}
 	defer recovered.Close()
 	for d, q := range shardProbes {
-		if got := askKey(t, recovered, d, q); got != want[d] {
-			t.Errorf("%s answers diverge after restart\n got: %s\nwant: %s", d, got, want[d])
-		}
+		shardtest.AssertSameResult(t, d+" after restart", askIn(t, recovered, d, q), want[d])
 	}
 	// The WAL-tail insert is live on the recovered shard.
 	tbl, _ := recovered.DB().TableForDomain("cars")
@@ -175,9 +150,7 @@ func TestShardFollowerReceivesOnlyShardOps(t *testing.T) {
 			t.Errorf("%s: primary %d/%d vs follower %d/%d (live/slots)",
 				d, pt.Len(), pt.Slots(), ft.Len(), ft.Slots())
 		}
-		if got, want := askKey(t, fs, d, shardProbes[d]), askKey(t, primary, d, shardProbes[d]); got != want {
-			t.Errorf("%s answers diverge between shard and its follower", d)
-		}
+		shardtest.AssertSameResult(t, d+" on the follower", askIn(t, fs, d, shardProbes[d]), askIn(t, primary, d, shardProbes[d]))
 	}
 	// The follower inherits the shard's write fencing AND its hosting
 	// boundary: a write lands 403 (read-only), not 421, but an
