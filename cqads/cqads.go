@@ -42,15 +42,13 @@
 // The ads corpus is mutable at runtime, matching the live feeds the
 // paper serves: System.InsertAd posts an ad into a running system and
 // System.DeleteAd expires one, both safe to call while other
-// goroutines Ask. An inserted ad is visible to the very next question;
-// derived state — the near-duplicate representatives behind
-// Options.Dedup — is invalidated by table version and refreshed
-// lazily, so answers always reflect the current corpus without
-// rebuilding the system. The question classifier is not derived from
-// ads: it is trained on generated questions when the system is built
-// and never changes while it runs. See
-// the repository root package documentation for the full invalidation
-// contract.
+// goroutines Ask. An inserted ad is visible to the very next question,
+// and no state derived from the rows is cached between asks, so
+// answers always reflect the current corpus without rebuilding the
+// system. The question classifier is not derived from ads: it is
+// trained on generated questions when the system is built and never
+// changes while it runs. See the repository root package
+// documentation for the full invalidation contract.
 //
 // # Durability
 //
@@ -278,17 +276,6 @@ type Options struct {
 	// addressed to the other (known, but empty and unhosted) domains
 	// with core.ErrNotHosted.
 	Domains []string
-	// MaxAnswers caps answers per question (default 30).
-	MaxAnswers int
-	// UseSynonyms installs the shipped transformation rules
-	// ("stick shift" → manual); Sec. 6 extension (iii).
-	UseSynonyms bool
-	// StrictBoolean honours explicit AND/OR operators instead of the
-	// paper's strip-and-fall-back; Sec. 6 extension (i).
-	StrictBoolean bool
-	// Dedup filters near-duplicate listings out of answer lists;
-	// Sec. 6 extension (iv).
-	Dedup bool
 	// DataDir enables durability: the system recovers from the
 	// directory's snapshot + write-ahead log at Open and logs every
 	// subsequent ingest operation before returning. Empty keeps the
@@ -493,10 +480,6 @@ func buildEnvFor(opts Options, classifierOnly bool) (core.Config, error) {
 		Classifier:       cls,
 		TI:               ti,
 		WS:               ws,
-		MaxAnswers:       opts.MaxAnswers,
-		UseSynonyms:      opts.UseSynonyms,
-		StrictBoolean:    opts.StrictBoolean,
-		Dedup:            opts.Dedup,
 		DataDir:          opts.DataDir,
 		CompactBytes:     opts.CompactBytes,
 		ReplicaSet:       opts.ReplicaSet,

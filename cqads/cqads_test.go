@@ -76,40 +76,3 @@ func TestOpenDeterministic(t *testing.T) {
 		}
 	}
 }
-
-func TestExtensionOptionsPassThrough(t *testing.T) {
-	sys, err := Open(Options{
-		Seed: 42, AdsPerDomain: 150, Domains: []string{"cars"},
-		UseSynonyms: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.AskInDomain("cars", "jeep with stick shift")
-	if err != nil {
-		t.Fatal(err)
-	}
-	found := false
-	for _, c := range res.Interpretation.AllConditions() {
-		if c.Attr == "transmission" {
-			found = true
-		}
-	}
-	if !found {
-		t.Errorf("UseSynonyms not wired through Open: %s", res.Interpretation)
-	}
-}
-
-func TestMaxAnswersOption(t *testing.T) {
-	sys, err := Open(Options{Seed: 42, AdsPerDomain: 200, MaxAnswers: 7, Domains: []string{"cars"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.AskInDomain("cars", "red car")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Answers) > 7 {
-		t.Errorf("answers = %d, want <= 7", len(res.Answers))
-	}
-}

@@ -179,20 +179,20 @@
 //     and every read through the View it passes sees one version of
 //     the table. AskInDomain and AskInDomainScatter are wrappers
 //     around one function, core's answerIn, which runs every stage
-//     from the exact answers to the ranked partials, dedup and answer
-//     assembly included, in one view per table, so no write lands
+//     from the exact answers to the ranked partials, answer assembly
+//     included, in one view per table, so no write lands
 //     between an ask's stages and a writer waits for the asks in
 //     flight. Table's single-call reads (Len, Get, Row, ...) each open
 //     a view of their own and are not snapshots of one another.
 //
-//   - Derived state. Structures computed from the rows are
-//     invalidated by version, not callback: tables carry a version
-//     counter that moves on every mutation, and the per-domain dedup
-//     representatives record the version they were computed at and
-//     are lazily rebuilt, in its own view, by the first question that
-//     finds them stale (core.dedupFor). The similarity caches never need invalidation:
-//     they memoize value-pair similarities keyed on the values
-//     themselves, which rows coming or going cannot make wrong.
+//   - Derived state. No structure computed from the rows outlives an
+//     ask, so there is nothing version-keyed to invalidate: every
+//     stage reads the rows afresh in the ask's view. (Sec. 6's
+//     de-duplication is not on the ask path; internal/dedup removes
+//     near-duplicates from a table a caller then answers over.) The
+//     similarity caches never need invalidation: they memoize
+//     value-pair similarities keyed on the values themselves, which
+//     rows coming or going cannot make wrong.
 //
 //   - Classifier. Routing state is never touched by ingestion: the
 //     classifier is trained on generated questions when the system

@@ -10,7 +10,6 @@ import (
 
 	"repro/internal/adsgen"
 	"repro/internal/boolean"
-	"repro/internal/dedup"
 	"repro/internal/partition"
 	"repro/internal/qlog"
 	"repro/internal/questions"
@@ -70,16 +69,13 @@ func ceilingDB(t *testing.T) (*sqldb.DB, map[string]*qlog.TIMatrix, *wsmatrix.Ma
 // asc) and truncates to want. It fails the test if the pool is not
 // strictly ascending or any score passes the Rank_Sim ceiling — the two
 // facts the stop relies on.
-func rankEveryCandidate(t *testing.T, s *System, v sqldb.View, in *boolean.Interpretation, exact []sqldb.RowID, want int, dd *dedup.Result, keep func(sqldb.RowID) bool) []Answer {
+func rankEveryCandidate(t *testing.T, s *System, v sqldb.View, in *boolean.Interpretation, exact []sqldb.RowID, want int, keep func(sqldb.RowID) bool) []Answer {
 	t.Helper()
 	sim := s.sims[v.Schema().Domain]
 	conds := in.AllConditions()
 	pool := slices.Clone(s.candidatePool(v, in, BuildSelect(v.Schema(), in, 0).Where, exact, new(relaxScratch)))
 	if keep != nil {
 		pool = slices.DeleteFunc(pool, func(id sqldb.RowID) bool { return !keep(id) })
-	}
-	if dd != nil {
-		pool = dd.FilterAnswersExcluding(pool, exact)
 	}
 	ceiling := float64(maxGroupLen(in))
 	out := make([]Answer, 0, len(pool))
@@ -107,7 +103,7 @@ func rankEveryCandidate(t *testing.T, s *System, v sqldb.View, in *boolean.Inter
 }
 
 // exactIDs returns the ids of the exact answers answerIn gives sel
-// under p, superlative semantics and dedup included.
+// under p, superlative semantics included.
 func exactIDs(t *testing.T, s *System, v sqldb.View, sel *sql.Select, in *boolean.Interpretation, p part) []sqldb.RowID {
 	t.Helper()
 	answers, n, _, _, err := answerIn(s, v, sel, in, p, asAnswer)
@@ -125,7 +121,7 @@ func exactIDs(t *testing.T, s *System, v sqldb.View, sel *sql.Select, in *boolea
 // taken in a scratch of its own.
 func partials(s *System, v sqldb.View, in *boolean.Interpretation, exact []sqldb.RowID, want int, p part) []Answer {
 	pool := s.candidatePool(v, in, BuildSelect(v.Schema(), in, 0).Where, exact, new(relaxScratch))
-	return partialAnswers(s, nil, v, in, pool, exact, want, p, similarityNames(in.AllConditions()), asAnswer)
+	return partialAnswers(s, nil, v, in, pool, want, p, similarityNames(in.AllConditions()), asAnswer)
 }
 
 // samePartials compares IDs, RankSim bits, dropped condition,
@@ -149,69 +145,68 @@ func samePartials(got, want []Answer) error {
 // scoring once its top-K is full at the Rank_Sim ceiling, to scoring
 // every candidate — over generated questions on the seed-42 8×500
 // corpus (negations, superlatives, mutually exclusive values, explicit
-// OR), with Dedup on and off, relaxation depth 1 and 2, StrictBoolean
-// OR-groups, a scatter leg's hash-slice filter, and answer budgets of
-// the monolith's remainder, a full page and one.
+// OR), relaxation depth 1 and 2, the paper's interpreter and the strict
+// one's OR-groups (boolean.InterpretStrict), a scatter leg's hash-slice
+// filter, and answer budgets of the monolith's remainder, a full page
+// and one.
 func TestPartialAnswersCeilingStop(t *testing.T) {
 	db, ti, ws := ceilingDB(t)
 	half := partition.Slice{Index: 1, Count: 2}
 	keep := func(id sqldb.RowID) bool { return half.ContainsKey(uint64(id)) }
 	asked := map[string]int{}
 	for _, depth := range []int{1, 2} {
-		for _, dd := range []bool{false, true} {
-			for _, strict := range []bool{false, true} {
-				sys, err := New(Config{DB: db, TI: ti, WS: ws, RelaxationDepth: depth, Dedup: dd, StrictBoolean: strict})
-				if err != nil {
-					t.Fatal(err)
+		sys, err := New(Config{DB: db, TI: ti, WS: ws, RelaxationDepth: depth})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, strict := range []bool{false, true} {
+			interpret := boolean.Interpret
+			if strict {
+				interpret = boolean.InterpretStrict
+			}
+			for ci, d := range schema.DomainNames {
+				tbl, _ := db.TableForDomain(d)
+				var qs []string
+				for _, q := range questions.NewGenerator(tbl, 42+404+int64(ci)).Generate(60, questions.DefaultOptions()) {
+					qs = append(qs, q.Text)
 				}
-				for ci, d := range schema.DomainNames {
-					tbl, _ := db.TableForDomain(d)
-					var qs []string
-					for _, q := range questions.NewGenerator(tbl, 42+404+int64(ci)).Generate(60, questions.DefaultOptions()) {
-						qs = append(qs, q.Text)
+				for _, ad := range overshootAds {
+					if ad.domain == d {
+						qs = append(qs, ad.ask)
 					}
-					for _, ad := range overshootAds {
-						if ad.domain == d {
-							qs = append(qs, ad.ask)
-						}
+				}
+				for _, q := range qs {
+					tag := fmt.Sprintf("depth=%d strict=%v %s %q", depth, strict, d, q)
+					in := ResolveIncomplete(tbl.Schema(), interpret(tbl.Schema(), sys.taggers[d].Tag(q)))
+					if in.Empty || len(in.AllConditions()) == 0 {
+						continue
 					}
-					for _, q := range qs {
-						tag := fmt.Sprintf("depth=%d dedup=%v strict=%v %s %q", depth, dd, strict, d, q)
-						in := sys.interpretFor(tbl.Schema(), sys.taggers[d].Tag(q))
-						if in.Empty || len(in.AllConditions()) == 0 {
-							continue
-						}
-						asked[shapeOf(in)]++
-						sel := BuildSelect(tbl.Schema(), in, sys.maxAnswers)
-						tbl.View(func(v sqldb.View) {
-							ddr := sys.dedupFor(d, v)
-							exact := exactIDs(t, sys, v, sel, in, part{dd: ddr})
-							for _, want := range []int{sys.maxAnswers - len(exact), sys.maxAnswers, 1} {
-								if want <= 0 {
-									continue
-								}
-								got := partials(sys, v, in, exact, want, part{dd: ddr})
-								ref := rankEveryCandidate(t, sys, v, in, exact, want, ddr, nil)
-								if err := samePartials(got, ref); err != nil {
-									t.Fatalf("%s want %d: %v", tag, want, err)
-								}
+					asked[shapeOf(in)]++
+					sel := BuildSelect(tbl.Schema(), in, sys.maxAnswers)
+					tbl.View(func(v sqldb.View) {
+						exact := exactIDs(t, sys, v, sel, in, part{})
+						for _, want := range []int{sys.maxAnswers - len(exact), sys.maxAnswers, 1} {
+							if want <= 0 {
+								continue
 							}
-							if dd {
-								return // a partitioned system never dedups
-							}
-							var exactK []sqldb.RowID
-							if in.Superlative != nil {
-								exactK = exactIDs(t, sys, v, sel, in, part{keep: keep, merged: true})
-							} else {
-								exactK = slices.DeleteFunc(slices.Clone(exact), func(id sqldb.RowID) bool { return !keep(id) })
-							}
-							got := partials(sys, v, in, exactK, sys.maxAnswers, part{keep: keep})
-							ref := rankEveryCandidate(t, sys, v, in, exactK, sys.maxAnswers, nil, keep)
+							got := partials(sys, v, in, exact, want, part{})
+							ref := rankEveryCandidate(t, sys, v, in, exact, want, nil)
 							if err := samePartials(got, ref); err != nil {
-								t.Fatalf("%s scatter slice %s: %v", tag, half, err)
+								t.Fatalf("%s want %d: %v", tag, want, err)
 							}
-						})
-					}
+						}
+						var exactK []sqldb.RowID
+						if in.Superlative != nil {
+							exactK = exactIDs(t, sys, v, sel, in, part{keep: keep, merged: true})
+						} else {
+							exactK = slices.DeleteFunc(slices.Clone(exact), func(id sqldb.RowID) bool { return !keep(id) })
+						}
+						got := partials(sys, v, in, exactK, sys.maxAnswers, part{keep: keep})
+						ref := rankEveryCandidate(t, sys, v, in, exactK, sys.maxAnswers, keep)
+						if err := samePartials(got, ref); err != nil {
+							t.Fatalf("%s scatter slice %s: %v", tag, half, err)
+						}
+					})
 				}
 			}
 		}
@@ -258,7 +253,7 @@ func TestOvershootAdsScoreAtCeiling(t *testing.T) {
 	for _, ad := range overshootAds {
 		tbl, _ := db.TableForDomain(ad.domain)
 		id := sqldb.RowID(tbl.Slots() - 1)
-		in := sys.interpretFor(tbl.Schema(), sys.taggers[ad.domain].Tag(ad.ask))
+		in := ResolveIncomplete(tbl.Schema(), boolean.Interpret(tbl.Schema(), sys.taggers[ad.domain].Tag(ad.ask)))
 		if in.Superlative == nil || in.ConditionCount() != 1 {
 			t.Fatalf("%q interprets as %s, want one condition and a superlative", ad.ask, in)
 		}

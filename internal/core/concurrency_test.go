@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -109,16 +110,7 @@ func TestPooledAskMatchesSequential(t *testing.T) {
 		if r.err != nil {
 			t.Fatalf("%q: pooled error %v", q, r.err)
 		}
-		if len(r.res.Answers) != len(seq.Answers) {
-			t.Fatalf("%q: pooled %d answers, sequential %d", q, len(r.res.Answers), len(seq.Answers))
-		}
-		for j := range seq.Answers {
-			b, s := r.res.Answers[j], seq.Answers[j]
-			if b.ID != s.ID || b.RankSim != s.RankSim || b.Exact != s.Exact {
-				t.Fatalf("%q: answer %d differs: pooled {id %d sim %v exact %v}, sequential {id %d sim %v exact %v}",
-					q, j, b.ID, b.RankSim, b.Exact, s.ID, s.RankSim, s.Exact)
-			}
-		}
+		assertSameResult(t, fmt.Sprintf("%q pooled vs sequential", q), r.res, seq)
 	}
 }
 
@@ -181,13 +173,6 @@ func TestConcurrentAsksDeterministic(t *testing.T) {
 		if r == nil {
 			t.Fatalf("worker %d failed", i)
 		}
-		if len(r.Answers) != len(base.Answers) {
-			t.Fatalf("worker %d: %d answers vs %d", i, len(r.Answers), len(base.Answers))
-		}
-		for j := range r.Answers {
-			if r.Answers[j].ID != base.Answers[j].ID {
-				t.Fatalf("worker %d: answer %d differs", i, j)
-			}
-		}
+		assertSameResult(t, fmt.Sprintf("worker %d", i), r, base)
 	}
 }

@@ -9,11 +9,10 @@ import "repro/internal/sqldb"
 //
 // The consistency model is deliberately simple. sqldb.Table is
 // internally synchronized, so every mutation is atomic — a row and
-// all of its index postings appear or disappear together. Derived
-// state is invalidated by version, not by callback: InsertAd/DeleteAd
-// bump the table version, and the per-domain dedup representatives are
-// lazily recomputed by the next question that needs them (see
-// System.dedupFor). The similarity caches need no invalidation at all:
+// all of its index postings appear or disappear together. Nothing
+// derived from the rows is kept between asks, so a mutation has no
+// derived state to invalidate: the next ask reads the rows as they
+// are. The similarity caches need no invalidation at all:
 // they memoize value-pair similarities keyed on the values themselves
 // (never on row ids), so rows coming and going cannot make a cached
 // entry wrong. The classifier is never touched: it is trained on
@@ -21,8 +20,7 @@ import "repro/internal/sqldb"
 
 // InsertAd inserts one ad into the named domain's table and returns
 // its RowID. The ad becomes visible to Ask immediately and
-// atomically; dedup representatives are refreshed lazily on the next
-// question. Unknown domains and unknown columns error. On a
+// atomically. Unknown domains and unknown columns error. On a
 // persistent system (Open with Config.DataDir) the operation is
 // write-ahead logged and fsync'd before InsertAd returns: a nil error
 // means the ad survives a process kill.

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -16,8 +15,8 @@ import (
 	"repro/internal/wsmatrix"
 )
 
-// testSystemOver builds a full system (all similarity substrates,
-// dedup on) over an explicitly-provided database, so ingestion tests
+// testSystemOver builds a full system (all similarity substrates)
+// over an explicitly-provided database, so ingestion tests
 // can compare a mutated-at-runtime system against a freshly-built one.
 func testSystemOver(t *testing.T, db *sqldb.DB) *System {
 	t.Helper()
@@ -30,7 +29,7 @@ func testSystemOver(t *testing.T, db *sqldb.DB) *System {
 		ti[d] = qlog.BuildTIMatrix(sim.Simulate(d, 300))
 	}
 	ws := wsmatrix.BuildForDomains(schemas, 25, 42)
-	sys, err := New(Config{DB: db, TI: ti, WS: ws, Dedup: true})
+	sys, err := New(Config{DB: db, TI: ti, WS: ws})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,8 +101,8 @@ func TestInsertAdVisibleToAsk(t *testing.T) {
 
 // TestIngestedSystemMatchesFreshBuild: a system that ingested ads at
 // runtime must answer exactly like a system built from scratch over
-// the same final data — including dedup filtering and superlative
-// answers, the two derived structures that used to freeze at New.
+// the same final data — superlative answers included, whose extreme
+// set moves as ads arrive.
 func TestIngestedSystemMatchesFreshBuild(t *testing.T) {
 	const base, extra = 250, 60
 	live := testSystemOver(t, populatedDB(t, base))
@@ -140,24 +139,35 @@ func TestIngestedSystemMatchesFreshBuild(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q fresh: %v", q, err)
 		}
-		if len(lr.Answers) != len(fr.Answers) || lr.ExactCount != fr.ExactCount {
-			t.Fatalf("%q: live %d answers (%d exact), fresh %d (%d exact)",
-				q, len(lr.Answers), lr.ExactCount, len(fr.Answers), fr.ExactCount)
-		}
-		for i := range lr.Answers {
-			l, f := lr.Answers[i], fr.Answers[i]
-			if l.ID != f.ID || l.RankSim != f.RankSim || l.Exact != f.Exact {
-				t.Fatalf("%q: answer %d differs: live {id %d sim %v exact %v}, fresh {id %d sim %v exact %v}",
-					q, i, l.ID, l.RankSim, l.Exact, f.ID, f.RankSim, f.Exact)
-			}
-		}
+		assertSameResult(t, fmt.Sprintf("%q live vs fresh", q), lr, fr)
 	}
 }
 
+// survivorsDB copies every domain table of db into a new database,
+// each live row at its RowID: the database a fresh build over only the
+// surviving ads starts from.
+func survivorsDB(t *testing.T, db *sqldb.DB) *sqldb.DB {
+	t.Helper()
+	out := sqldb.NewDB()
+	for _, d := range schema.DomainNames {
+		src, _ := db.TableForDomain(d)
+		dst, err := out.CreateTable(schema.ByName(d))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, id := range src.AllRowIDs() {
+			if err := dst.InsertAt(id, src.Row(id).Record()); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	return out
+}
+
 // TestDeleteMatchesFreshBuild: after deleting ads at runtime, answers
-// must match a system freshly built over only the surviving rows.
-// RowIDs differ (tombstoned slots are retired, the fresh build is
-// dense), so answers are compared by record content.
+// must match a system freshly built over only the surviving rows. The
+// fresh build puts each survivor at its live RowID (InsertAt leaves the
+// deleted slots as never-live holes), so answers compare id for id.
 func TestDeleteMatchesFreshBuild(t *testing.T) {
 	const base = 250
 	live := testSystemOver(t, populatedDB(t, base))
@@ -176,35 +186,7 @@ func TestDeleteMatchesFreshBuild(t *testing.T) {
 		}
 	}
 
-	// Fresh build over the survivors, in the same relative order.
-	freshDB := sqldb.NewDB()
-	for _, d := range schema.DomainNames {
-		src, _ := live.DB().TableForDomain(d)
-		dst, err := freshDB.CreateTable(schema.ByName(d))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, id := range src.AllRowIDs() {
-			if _, err := dst.Insert(src.Row(id).Record()); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	fresh := testSystemOver(t, freshDB)
-
-	key := func(a Answer) string {
-		cols := make([]string, 0, a.Record.Len())
-		for c := range a.Record.All() {
-			cols = append(cols, c)
-		}
-		sort.Strings(cols)
-		var sb strings.Builder
-		for _, c := range cols {
-			fmt.Fprintf(&sb, "%s=%s;", c, a.Record.Value(c))
-		}
-		fmt.Fprintf(&sb, "exact=%v;sim=%.9f", a.Exact, a.RankSim)
-		return sb.String()
-	}
+	fresh := testSystemOver(t, survivorsDB(t, live.DB()))
 	for _, q := range []string{
 		"Find Honda Accord blue less than 15,000 dollars",
 		"cheapest honda",
@@ -219,15 +201,7 @@ func TestDeleteMatchesFreshBuild(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%q fresh: %v", q, err)
 		}
-		if len(lr.Answers) != len(fr.Answers) || lr.ExactCount != fr.ExactCount {
-			t.Fatalf("%q: live %d answers (%d exact), fresh %d (%d exact)",
-				q, len(lr.Answers), lr.ExactCount, len(fr.Answers), fr.ExactCount)
-		}
-		for i := range lr.Answers {
-			if lk, fk := key(lr.Answers[i]), key(fr.Answers[i]); lk != fk {
-				t.Fatalf("%q: answer %d differs:\nlive  %s\nfresh %s", q, i, lk, fk)
-			}
-		}
+		assertSameResult(t, fmt.Sprintf("%q live vs fresh", q), lr, fr)
 	}
 }
 
@@ -278,13 +252,12 @@ func TestSuperlativeSkipsNonNumeric(t *testing.T) {
 	}
 }
 
-// TestIngestWhileAsking is the tentpole's race test: a writer
+// TestIngestWhileAsking is the live-ingestion race test: a writer
 // goroutine inserts and expires ads while pooled readers hammer the
 // same domain (run with -race). Answers are not asserted point-in-time
 // — the corpus legitimately changes under the readers — only that no
-// question errors and no race fires across dedup recomputation,
-// similarity caching, concurrent classifier reads and index
-// maintenance.
+// question errors and no race fires across similarity caching,
+// concurrent classifier reads and index maintenance.
 func TestIngestWhileAsking(t *testing.T) {
 	db := populatedDB(t, 200)
 	ti := map[string]*qlog.TIMatrix{}
@@ -307,8 +280,7 @@ func TestIngestWhileAsking(t *testing.T) {
 		}
 		cls.Train(d, docs)
 	}
-	sys, err := New(Config{DB: db, TI: ti, WS: ws, Classifier: cls,
-		Dedup: true})
+	sys, err := New(Config{DB: db, TI: ti, WS: ws, Classifier: cls})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -23,11 +23,10 @@ import (
 // back to similarity matching over the whole table, and
 // RelaxationDepth > 1 additionally drops pairs (the N−2 sweep the paper
 // discusses). p's keep restricts the candidates to a scatter leg's hash
-// slice, and its dd to near-duplicate representatives other than the
-// exact answers. Every row is read through v, the ask's one view.
+// slice. Every row is read through v, the ask's one view.
 // names labels in's conditions (similarityNames). The want best
 // answers, built by mk, are appended to dst, grown at most once.
-func partialAnswers[A any](s *System, dst []A, v sqldb.View, in *boolean.Interpretation, candidates, exact []sqldb.RowID, want int, p part, names []string, mk func(Answer, demotion) A) []A {
+func partialAnswers[A any](s *System, dst []A, v sqldb.View, in *boolean.Interpretation, candidates []sqldb.RowID, want int, p part, names []string, mk func(Answer, demotion) A) []A {
 	if want <= 0 {
 		return dst
 	}
@@ -40,9 +39,6 @@ func partialAnswers[A any](s *System, dst []A, v sqldb.View, in *boolean.Interpr
 			}
 		}
 		candidates = kept
-	}
-	if p.dd != nil {
-		candidates = p.dd.FilterAnswersExcluding(candidates, exact)
 	}
 
 	// Bounded top-K selection: (score desc, id asc) is a total order,

@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -17,7 +16,7 @@ import (
 )
 
 // persistentConfig builds the full substrate set (TI, WS, trained
-// JBBSM classifier, dedup) over db, pointed at dir.
+// JBBSM classifier) over db, pointed at dir.
 // Every call is deterministic, so two configs built over equal
 // databases are equal — the recovery tests rely on that to rebuild
 // the baseline a crashed process would rebuild.
@@ -45,7 +44,7 @@ func persistentConfig(t *testing.T, db *sqldb.DB, dir string) Config {
 	}
 	return Config{
 		DB: db, TI: ti, WS: ws, Classifier: cls,
-		Dedup: true, DataDir: dir,
+		DataDir: dir,
 	}
 }
 
@@ -74,18 +73,7 @@ func assertSameAnswersByID(t *testing.T, label string, a, b *System) {
 		if err != nil {
 			t.Fatalf("%s: %q (right): %v", label, q, err)
 		}
-		if len(ra.Answers) != len(rb.Answers) || ra.ExactCount != rb.ExactCount {
-			t.Fatalf("%s: %q: left %d answers (%d exact), right %d (%d exact)",
-				label, q, len(ra.Answers), ra.ExactCount, len(rb.Answers), rb.ExactCount)
-		}
-		for i := range ra.Answers {
-			x, y := ra.Answers[i], rb.Answers[i]
-			if x.ID != y.ID || x.RankSim != y.RankSim || x.Exact != y.Exact ||
-				x.DroppedCond != y.DroppedCond || x.SimilarityUsed != y.SimilarityUsed {
-				t.Fatalf("%s: %q: answer %d differs: left {id %d sim %v exact %v}, right {id %d sim %v exact %v}",
-					label, q, i, x.ID, x.RankSim, x.Exact, y.ID, y.RankSim, y.Exact)
-			}
-		}
+		assertSameResult(t, fmt.Sprintf("%s: %q", label, q), ra, rb)
 	}
 	// The classified path must route and answer identically too: the
 	// classifier is not stored, so each side rebuilt it from its
@@ -96,34 +84,10 @@ func assertSameAnswersByID(t *testing.T, label string, a, b *System) {
 		if (errA == nil) != (errB == nil) {
 			t.Fatalf("%s: Ask %q: errors differ: %v vs %v", label, q, errA, errB)
 		}
-		if errA != nil {
-			continue
-		}
-		if x.Domain != y.Domain || len(x.Answers) != len(y.Answers) || x.ExactCount != y.ExactCount {
-			t.Fatalf("%s: Ask %q: left %s/%d answers, right %s/%d", label, q, x.Domain, len(x.Answers), y.Domain, len(y.Answers))
-		}
-		for j := range x.Answers {
-			if x.Answers[j].ID != y.Answers[j].ID || x.Answers[j].RankSim != y.Answers[j].RankSim {
-				t.Fatalf("%s: Ask %q answer %d differs", label, q, j)
-			}
+		if errA == nil {
+			assertSameResult(t, fmt.Sprintf("%s: Ask %q", label, q), x, y)
 		}
 	}
-}
-
-// answerKey renders an answer's content (record, exactness, score)
-// for comparisons across differing RowID spaces.
-func answerKey(a Answer) string {
-	cols := make([]string, 0, a.Record.Len())
-	for c := range a.Record.All() {
-		cols = append(cols, c)
-	}
-	sort.Strings(cols)
-	var sb strings.Builder
-	for _, c := range cols {
-		fmt.Fprintf(&sb, "%s=%s;", c, a.Record.Value(c))
-	}
-	fmt.Fprintf(&sb, "exact=%v;sim=%.9f", a.Exact, a.RankSim)
-	return sb.String()
 }
 
 // mutateLive drives a representative ingest workload of durable
@@ -192,44 +156,13 @@ func TestRecoverFromKillMidIngest(t *testing.T) {
 	}
 	assertSameAnswersByID(t, "recovered-vs-live", recovered, live)
 
-	// Fresh build over only the surviving ads (dense RowIDs): answer
-	// CONTENT — counts, Rank_Sim order, dedup filtering — must match.
-	freshDB := sqldb.NewDB()
-	for _, d := range schema.DomainNames {
-		src, _ := live.DB().TableForDomain(d)
-		dst, err := freshDB.CreateTable(schema.ByName(d))
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, id := range src.AllRowIDs() {
-			if _, err := dst.Insert(src.Row(id).Record()); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	fresh, err := New(persistentConfig(t, freshDB, "")) // in-memory twin
+	// A fresh build over only the surviving ads, each at its live RowID,
+	// answers the same.
+	fresh, err := New(persistentConfig(t, survivorsDB(t, live.DB()), "")) // in-memory twin
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, q := range recoveryQuestions {
-		rr, err := recovered.AskInDomain("cars", q)
-		if err != nil {
-			t.Fatalf("%q recovered: %v", q, err)
-		}
-		fr, err := fresh.AskInDomain("cars", q)
-		if err != nil {
-			t.Fatalf("%q fresh: %v", q, err)
-		}
-		if len(rr.Answers) != len(fr.Answers) || rr.ExactCount != fr.ExactCount {
-			t.Fatalf("%q: recovered %d answers (%d exact), fresh %d (%d exact)",
-				q, len(rr.Answers), rr.ExactCount, len(fr.Answers), fr.ExactCount)
-		}
-		for i := range rr.Answers {
-			if rk, fk := answerKey(rr.Answers[i]), answerKey(fr.Answers[i]); rk != fk {
-				t.Fatalf("%q: answer %d differs:\nrecovered %s\nfresh     %s", q, i, rk, fk)
-			}
-		}
-	}
+	assertSameAnswersByID(t, "recovered-vs-fresh", recovered, fresh)
 }
 
 // TestCheckpointThenKillRecovers: mutations before a checkpoint come

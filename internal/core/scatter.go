@@ -3,11 +3,8 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/boolean"
 	"repro/internal/partition"
-	"repro/internal/schema"
 	"repro/internal/sqldb"
-	"repro/internal/trie"
 )
 
 // This file is the partition side of scatter/gather question
@@ -153,16 +150,4 @@ func asScatterAnswer(a Answer, d demotion) ScatterAnswer[sqldb.Row] {
 		DemoteDropped:        d.dropped,
 		DemoteSimilarityUsed: d.similarityUsed,
 	}
-}
-
-// interpretFor runs the tagging output through the configured
-// interpreter and incomplete-question resolution, for understand.
-func (s *System) interpretFor(sch *schema.Schema, tags []trie.Tag) *boolean.Interpretation {
-	var in *boolean.Interpretation
-	if s.strict {
-		in = boolean.InterpretStrict(sch, tags)
-	} else {
-		in = boolean.Interpret(sch, tags)
-	}
-	return ResolveIncomplete(sch, in)
 }

@@ -76,7 +76,7 @@ func TestStageAllocBudgets(t *testing.T) {
 	var all, relaxing []prepared
 	for _, dq := range smallWorkload(t, cfg, 40) {
 		tbl, _ := cfg.DB.TableForDomain(dq.domain)
-		p := prepared{domain: dq.domain, q: dq.q, in: sys.interpretFor(tbl.Schema(), sys.taggers[dq.domain].Tag(dq.q))}
+		p := prepared{domain: dq.domain, q: dq.q, in: ResolveIncomplete(tbl.Schema(), boolean.Interpret(tbl.Schema(), sys.taggers[dq.domain].Tag(dq.q)))}
 		all = append(all, p)
 		if p.in.Empty || p.in.ConditionCount() == 0 {
 			continue
@@ -104,7 +104,7 @@ func TestStageAllocBudgets(t *testing.T) {
 					t.Fatal(err)
 				}
 				tbl, _ := cfg.DB.TableForDomain(p.domain)
-				sys.interpretFor(tbl.Schema(), sys.taggers[p.domain].Tag(p.q))
+				ResolveIncomplete(tbl.Schema(), boolean.Interpret(tbl.Schema(), sys.taggers[p.domain].Tag(p.q)))
 			}
 		}},
 		{"BuildSelect+compile", len(all), func() {

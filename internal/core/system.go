@@ -9,13 +9,11 @@ import (
 	"errors"
 	"fmt"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/boolean"
 	"repro/internal/classify"
-	"repro/internal/dedup"
 	"repro/internal/partition"
 	"repro/internal/qlog"
 	"repro/internal/rank"
@@ -60,20 +58,6 @@ type Config struct {
 	// drop simultaneously; 1 is the paper's N−1 strategy, 2 adds the
 	// N−2 sweep it discusses and rejects. 0 means 1.
 	RelaxationDepth int
-	// UseSynonyms installs the shipped transformation rules
-	// ("stick shift" → manual) into each domain tagger (Sec. 6
-	// future work (iii)).
-	UseSynonyms bool
-	// StrictBoolean honours explicit AND/OR operators with standard
-	// precedence instead of stripping them and falling back to the
-	// implicit rules (Sec. 6 future work (i) / Sec. 4.4.2).
-	StrictBoolean bool
-	// Dedup removes near-duplicate listings from answer lists so the
-	// 30-answer cutoff shows distinct ads (Sec. 6 future work (iv)).
-	// Dedup state is versioned against each table: InsertAd/DeleteAd
-	// invalidate it, and the next question lazily recomputes the
-	// representatives over the current rows.
-	Dedup bool
 	// DataDir enables durability: Open recovers the store from the
 	// directory's snapshot + write-ahead log and every subsequent
 	// InsertAd/DeleteAd is logged before the call returns, so a
@@ -134,7 +118,6 @@ type System struct {
 	classifier classify.Classifier
 	taggers    map[string]*trie.Tagger
 	sims       map[string]*rank.Similarity
-	dedups     map[string]*dedupState
 	// domains is the hosted-domain list (Config.Domains, or every DB
 	// domain); hosted is its membership set, and sharded reports
 	// whether Config.Domains restricted the System to a subset — only
@@ -152,7 +135,6 @@ type System struct {
 	slice       atomic.Pointer[partition.Slice]
 	maxAnswers  int
 	depth       int
-	strict      bool
 	// persist is non-nil when the system was built by Open with
 	// Config.DataDir set; it owns the snapshot + WAL store and
 	// serializes ingestion so the log order equals the mutation order.
@@ -168,16 +150,6 @@ type System struct {
 	// work sums the work counts of every ask answerIn ran; only tests
 	// read it.
 	work work.Sink
-}
-
-// dedupState caches one domain's near-duplicate representatives
-// together with the table version they were computed at. Ingestion
-// invalidates the cache simply by moving the table version; the next
-// question that needs the representatives recomputes them under mu.
-type dedupState struct {
-	mu      sync.Mutex
-	res     *dedup.Result
-	version uint64
 }
 
 // Answer is one retrieved ad.
@@ -236,7 +208,6 @@ func New(cfg Config) (*System, error) {
 		hosted:     make(map[string]bool),
 		maxAnswers: cfg.MaxAnswers,
 		depth:      cfg.RelaxationDepth,
-		strict:     cfg.StrictBoolean,
 	}
 	if s.maxAnswers <= 0 {
 		s.maxAnswers = DefaultMaxAnswers
@@ -265,11 +236,7 @@ func New(cfg Config) (*System, error) {
 	for _, domain := range s.domains {
 		tbl, _ := cfg.DB.TableForDomain(domain)
 		sch := tbl.Schema()
-		if cfg.UseSynonyms {
-			s.taggers[domain] = trie.NewTaggerWithSynonyms(sch)
-		} else {
-			s.taggers[domain] = trie.NewTagger(sch)
-		}
+		s.taggers[domain] = trie.NewTagger(sch)
 		s.sims[domain] = &rank.Similarity{
 			Schema: sch,
 			TI:     cfg.TI[domain],
@@ -285,23 +252,9 @@ func New(cfg Config) (*System, error) {
 		if len(s.domains) != 1 {
 			return nil, fmt.Errorf("core: partitioned mode hosts exactly one domain, Config.Domains names %d", len(s.domains))
 		}
-		if cfg.Dedup {
-			// Near-duplicate representatives are chosen over the local
-			// rows; two partitions of one domain would elect different
-			// representatives and break cross-topology equivalence.
-			return nil, fmt.Errorf("core: Dedup cannot be combined with Partitions > 1")
-		}
 		s.partitioned = true
 	}
 	s.slice.Store(&sl)
-	if cfg.Dedup {
-		s.dedups = make(map[string]*dedupState)
-		for _, domain := range s.domains {
-			tbl, _ := cfg.DB.TableForDomain(domain)
-			s.dedups[domain] = &dedupState{}
-			tbl.View(func(v sqldb.View) { s.dedupFor(domain, v) }) // warm the cache at the build version
-		}
-	}
 	s.quorum = newQuorumState(cfg)
 	return s, nil
 }
@@ -341,25 +294,6 @@ func (s *System) hostedTable(domain string) (*sqldb.Table, error) {
 		return nil, &NotHostedError{Domain: domain, Hosted: s.Domains()}
 	}
 	return tbl, nil
-}
-
-// dedupFor returns the near-duplicate representatives of a domain as
-// v sees the table, recomputing them when the table has changed since
-// the cached pass. Returns nil when dedup is disabled. No write lands
-// while v is open, so the pass and the version it is recorded under
-// agree.
-func (s *System) dedupFor(domain string, v sqldb.View) *dedup.Result {
-	st := s.dedups[domain]
-	if st == nil {
-		return nil
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if st.res == nil || st.version != v.Version() {
-		st.res = dedup.Dedup(v, dedup.DefaultOptions())
-		st.version = v.Version()
-	}
-	return st.res
 }
 
 // Domains lists the domains the system can answer questions in — the
@@ -427,7 +361,7 @@ func (s *System) AskInDomain(domain, question string) (*Result, error) {
 	if sel != nil {
 		res.SQL = sel.SQL()
 		tbl.View(func(v sqldb.View) {
-			res.Answers, res.ExactCount, _, _, err = answerIn(s, v, sel, in, part{dd: s.dedupFor(domain, v)}, asAnswer)
+			res.Answers, res.ExactCount, _, _, err = answerIn(s, v, sel, in, part{}, asAnswer)
 		})
 		if err != nil {
 			return nil, fmt.Errorf("core: executing %q: %w", res.SQL, err)
@@ -443,7 +377,7 @@ func (s *System) AskInDomain(domain, question string) (*Result, error) {
 // nothing recognized.
 func (s *System) understand(domain string, sch *schema.Schema, question string) (tags []trie.Tag, in *boolean.Interpretation, sel *sql.Select) {
 	tags = s.taggers[domain].Tag(question)
-	in = s.interpretFor(sch, tags)
+	in = ResolveIncomplete(sch, boolean.Interpret(sch, tags))
 	if in.Empty || in.ConditionCount() == 0 && in.Superlative == nil {
 		return tags, in, nil
 	}
@@ -462,9 +396,6 @@ type part struct {
 	// carry their demotion ranking, and a superlative part ranks a full
 	// MaxAnswers of partials.
 	merged bool
-	// dd holds the near-duplicate representatives when Dedup is on.
-	// Only a monolith dedups: New refuses Dedup with partitions.
-	dd *dedup.Result
 }
 
 // demotion is the ranking an exact answer of a merged superlative part
@@ -486,7 +417,7 @@ func asAnswer(a Answer, _ demotion) Answer { return a }
 // ask's one view: the exact answers of sel with superlative semantics
 // (Sec. 4.3: a superlative is evaluated last, on the records the other
 // criteria retrieve, and only records achieving its extreme are exact
-// answers), dedup, then the ranked partial answers (Sec. 4.3.1). Each
+// answers), then the ranked partial answers (Sec. 4.3.1). Each
 // answer is built by mk into one slice, exact answers first. It
 // returns the answers, the number of exact ones, and a superlative's
 // extreme and whether any row had one. A merged superlative part's
@@ -532,9 +463,6 @@ func answerIn[A any](s *System, v sqldb.View, sel *sql.Select, in *boolean.Inter
 	}
 	if err != nil {
 		return nil, 0, 0, false, err
-	}
-	if p.dd != nil {
-		ids = p.dd.FilterAnswers(ids)
 	}
 
 	// A superlative part ranks a full MaxAnswers of partials: demotion
@@ -596,7 +524,7 @@ func answerIn[A any](s *System, v sqldb.View, sel *sql.Select, in *boolean.Inter
 		pool = append(rest, pool[j:]...)
 		v.Work().AddScored(demoted, in.ConditionCount())
 	}
-	return partialAnswers(s, answers, v, in, pool, ids, want, p, names, mk), len(ids), extreme, hasExtreme, nil
+	return partialAnswers(s, answers, v, in, pool, want, p, names, mk), len(ids), extreme, hasExtreme, nil
 }
 
 // PlanCacheStats returns four zeros. There is no plan cache: every ask

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -33,6 +34,33 @@ func testSystem(t *testing.T) *System {
 		t.Fatal(err)
 	}
 	return sys
+}
+
+// assertSameResult fails t unless got answers as want does: the same
+// domain, interpretation, SQL and exact count, and answer for answer
+// the same row id, exactness, Rank_Sim bits, dropped condition,
+// similarity label and record cells, in order.
+func assertSameResult(t *testing.T, label string, got, want *Result) {
+	t.Helper()
+	if got.Domain != want.Domain || got.Interpretation.String() != want.Interpretation.String() ||
+		got.SQL != want.SQL || got.ExactCount != want.ExactCount || len(got.Answers) != len(want.Answers) {
+		t.Fatalf("%s: got %s [%s] %q with %d answers (%d exact), want %s [%s] %q with %d (%d exact)", label,
+			got.Domain, got.Interpretation, got.SQL, len(got.Answers), got.ExactCount,
+			want.Domain, want.Interpretation, want.SQL, len(want.Answers), want.ExactCount)
+	}
+	for i := range got.Answers {
+		g, w := got.Answers[i], want.Answers[i]
+		same := g.ID == w.ID && g.Exact == w.Exact && math.Float64bits(g.RankSim) == math.Float64bits(w.RankSim) &&
+			g.DroppedCond == w.DroppedCond && g.SimilarityUsed == w.SimilarityUsed && g.Record.Len() == w.Record.Len()
+		for c := 0; same && c < g.Record.Len(); c++ {
+			same = g.Record.At(c) == w.Record.At(c)
+		}
+		if !same {
+			t.Fatalf("%s: answer %d differs:\n got {id %d exact %v sim %v drop %d %q} %v\nwant {id %d exact %v sim %v drop %d %q} %v", label, i,
+				g.ID, g.Exact, g.RankSim, g.DroppedCond, g.SimilarityUsed, g.Record.Record(),
+				w.ID, w.Exact, w.RankSim, w.DroppedCond, w.SimilarityUsed, w.Record.Record())
+		}
+	}
 }
 
 func ask(t *testing.T, sys *System, q string) *Result {

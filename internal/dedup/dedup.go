@@ -9,6 +9,9 @@
 // numeric value lies within a small fraction of the attribute's value
 // range. Near-duplication is grouped transitively with a union-find,
 // and the lowest RowID of each group is kept as its representative.
+// The question-answering pipeline never dedups: a caller removes the
+// duplicates from the table and answers over what is left, as
+// experiments.DedupImpact does.
 package dedup
 
 import (
@@ -44,10 +47,9 @@ type Result struct {
 
 // Dedup detects near-duplicate records among the live rows of the
 // table v views. The scan is blocked on the first Type I attribute
-// value so cost stays near O(n²/|blocks|) instead of O(n²). Tables are
-// mutable at runtime; callers that cache a Result should key it on
-// the view's Version and recompute when the version moves
-// (core.System does exactly this).
+// value so cost stays near O(n²/|blocks|) instead of O(n²). The Result
+// describes the rows v sees; a table that changes afterwards needs a
+// new pass.
 func Dedup(v sqldb.View, opts Options) *Result {
 	if opts.NumericTolerance == 0 {
 		opts = DefaultOptions()
@@ -129,41 +131,6 @@ func nearDuplicate(s *schema.Schema, a, b sqldb.Row, opts Options) bool {
 		}
 	}
 	return true
-}
-
-// FilterAnswers drops non-representative duplicates from an answer
-// id list, preserving order. It lets the QA pipeline present distinct
-// listings within its 30-answer cutoff without rebuilding tables.
-func (r *Result) FilterAnswers(ids []sqldb.RowID) []sqldb.RowID {
-	return r.FilterAnswersExcluding(ids, nil)
-}
-
-// FilterAnswersExcluding is FilterAnswers with a pre-seeded exclusion
-// list: any id whose duplicate group is already represented in
-// alreadyKept is dropped too. The pipeline passes its exact answers
-// here so partial matching cannot re-surface a repost of an ad the
-// user already sees.
-func (r *Result) FilterAnswersExcluding(ids, alreadyKept []sqldb.RowID) []sqldb.RowID {
-	seen := map[sqldb.RowID]bool{}
-	rep := func(id sqldb.RowID) sqldb.RowID {
-		if rp, dup := r.Duplicates[id]; dup {
-			return rp
-		}
-		return id
-	}
-	for _, id := range alreadyKept {
-		seen[rep(id)] = true
-	}
-	out := ids[:0:0]
-	for _, id := range ids {
-		rp := rep(id)
-		if seen[rp] {
-			continue
-		}
-		seen[rp] = true
-		out = append(out, id)
-	}
-	return out
 }
 
 // unionFind is a standard path-compressing disjoint-set forest.

@@ -69,17 +69,6 @@ func TestDedupGroups(t *testing.T) {
 	}
 }
 
-func TestFilterAnswers(t *testing.T) {
-	tbl := dupTable(t)
-	res := dedupTable(tbl, DefaultOptions())
-	got := res.FilterAnswers([]sqldb.RowID{1, 0, 2, 3, 4})
-	// Row 1 appears first and claims the group; 0 and 2 are then
-	// suppressed as the same listing.
-	if len(got) != 3 || got[0] != 1 || got[1] != 3 || got[2] != 4 {
-		t.Errorf("FilterAnswers = %v", got)
-	}
-}
-
 func TestDedupToleranceZeroUsesDefault(t *testing.T) {
 	tbl := dupTable(t)
 	res := dedupTable(tbl, Options{})

@@ -88,7 +88,10 @@ type DedupResult struct {
 }
 
 // DedupImpact injects near-duplicates into a fresh cars table and
-// compares answer lists.
+// compares the answer lists over it with those over its de-duplicated
+// copy: the table with every near-duplicate removed, as Sec. 6 words
+// it ("remove similar data records from a DB"). The copy keeps each
+// representative's RowID, so ties rank in the same order on both.
 func (e *Env) DedupImpact() (*DedupResult, error) {
 	// Build a dirty copy of the cars table: every third record gets a
 	// repost with a tiny price perturbation.
@@ -121,11 +124,22 @@ func (e *Env) DedupImpact() (*DedupResult, error) {
 	dirty.View(func(v sqldb.View) { d = dedup.Dedup(v, dedup.DefaultOptions()) })
 	res.DetectedGroups = d.Groups
 
+	cleanDB := sqldb.NewDB()
+	clean, err := cleanDB.CreateTable(sch)
+	if err != nil {
+		return nil, err
+	}
+	for _, id := range d.Keep {
+		if err := clean.InsertAt(id, dirty.Row(id).Record()); err != nil {
+			return nil, err
+		}
+	}
+
 	plain, err := core.New(core.Config{DB: dirtyDB, TI: e.TI, WS: e.WS})
 	if err != nil {
 		return nil, err
 	}
-	deduped, err := core.New(core.Config{DB: dirtyDB, TI: e.TI, WS: e.WS, Dedup: true})
+	deduped, err := core.New(core.Config{DB: cleanDB, TI: e.TI, WS: e.WS})
 	if err != nil {
 		return nil, err
 	}

@@ -65,7 +65,7 @@ func checkGoroutines(t *testing.T) {
 // testOpts is the shared deterministic environment; every peer and the
 // never-failed reference system must build identically.
 func testOpts() cqads.Options {
-	return cqads.Options{Seed: 7, AdsPerDomain: 90, Dedup: true}
+	return cqads.Options{Seed: 7, AdsPerDomain: 90}
 }
 
 // blockingTransport simulates a network partition: destinations in the

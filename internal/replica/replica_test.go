@@ -52,7 +52,7 @@ func checkGoroutines(t *testing.T) {
 // seeded baseline, the TI/WS matrices and the classifier are rebuilt
 // from the seed, and a snapshot transfer carries table contents only.
 func testOpts() cqads.Options {
-	return cqads.Options{Seed: 7, AdsPerDomain: 90, Dedup: true}
+	return cqads.Options{Seed: 7, AdsPerDomain: 90}
 }
 
 // startPrimary opens a durable primary over opts and serves its webui
@@ -455,7 +455,6 @@ func TestSliceFollowerRestartsFromItsDirectory(t *testing.T) {
 	opts := testOpts()
 	opts.Domains = []string{"cars"}
 	opts.Partitions, opts.PartitionIndex = 2, 1
-	opts.Dedup = false // refused on a partitioned system
 	opts.DataDir = t.TempDir()
 	opts.CompactBytes = -1
 	primary, err := cqads.Open(opts)

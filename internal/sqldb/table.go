@@ -36,8 +36,7 @@ type Record struct {
 // version of the table: no write lands between two of them. The
 // single-call reads (Len, Get, Value, Row, ...) each open a view of
 // their own, so two of them in a row are NOT a snapshot. Version
-// increments on every successful mutation, giving caches a cheap
-// staleness check.
+// increments on every successful mutation.
 type Table struct {
 	mu      sync.RWMutex
 	name    string         // immutable after NewTable
@@ -128,9 +127,7 @@ func (t *Table) Slots() (n int) {
 }
 
 // Version returns a counter that increments on every successful
-// Insert or Delete. Derived structures (dedup representatives,
-// memoized scans) record the version they were computed at and rebuild
-// when it moves.
+// Insert or Delete.
 func (t *Table) Version() uint64 { return t.version.Load() }
 
 // Insert appends a record built from the column→value map and returns

@@ -45,10 +45,6 @@ func (v View) Work() *work.Counts { return v.w }
 // Schema returns the table's schema.
 func (v View) Schema() *schema.Schema { return v.t.schema }
 
-// Version returns the table's version, which cannot move while the
-// view is open.
-func (v View) Version() uint64 { return v.t.version.Load() }
-
 // Slots returns the number of allocated row slots: every RowID the
 // view can yield is below it.
 func (v View) Slots() int { return len(v.t.rows) }

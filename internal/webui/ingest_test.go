@@ -23,7 +23,7 @@ func ingestServer(t *testing.T) *Server {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sys, err := core.New(core.Config{DB: db, Dedup: true})
+	sys, err := core.New(core.Config{DB: db})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -729,7 +729,7 @@ func (s *Server) handleReplVote(w http.ResponseWriter, r *http.Request) {
 // Type I/II (categorical) columns stringify whatever arrives — a JSON
 // number for a categorical column is stored as its decimal string, not
 // as sqldb.Number, so it participates in the string-keyed machinery
-// (TI/WS similarity, dedup) like every other categorical value and
+// (TI/WS similarity) like every other categorical value and
 // keys the hash index the way its string form does; JSON null stores
 // NULL.
 func convertRecord(sch *schema.Schema, record map[string]any) (map[string]sqldb.Value, error) {
