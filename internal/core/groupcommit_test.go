@@ -147,12 +147,7 @@ func TestGroupCommitReplayBitIdentity(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer recovered.Close()
-	liveTbl, _ := live.DB().TableForDomain("cars")
-	recTbl, _ := recovered.DB().TableForDomain("cars")
-	if recTbl.Len() != liveTbl.Len() || recTbl.Slots() != liveTbl.Slots() {
-		t.Fatalf("recovered cars table: %d live/%d slots, want %d/%d",
-			recTbl.Len(), recTbl.Slots(), liveTbl.Len(), liveTbl.Slots())
-	}
+	assertSameTables(t, "groupcommit-recovered-vs-live", recovered, live)
 	assertSameAnswersByID(t, "groupcommit-recovered-vs-live", recovered, live)
 }
 

@@ -311,14 +311,11 @@ func (s *System) replayOp(op persist.Op) error {
 		for i, col := range op.Columns {
 			values[col] = op.Values[i]
 		}
-		pin := unpinned
-		if s.partitioned {
-			// A partitioned table is sparse (only in-slice slots are
-			// allocated), so replay must land each insert at exactly the
-			// logged id rather than relying on dense self-assignment.
-			pin = op.ID
-		}
-		id, err := s.insertAdLocked(op.Domain, values, pin)
+		// Replay lands each insert at exactly the logged id rather than
+		// relying on dense self-assignment: a partitioned table is
+		// sparse (only in-slice slots are allocated), and any table may
+		// hold a pinned insert's never-live slots.
+		id, err := s.insertAdLocked(op.Domain, values, op.ID)
 		if err != nil {
 			return fmt.Errorf("core: replaying WAL op %d: %w", op.Seq, err)
 		}

@@ -11,6 +11,7 @@ import (
 	"repro/internal/qlog"
 	"repro/internal/schema"
 	"repro/internal/sqldb"
+	"repro/internal/sqldb/sqldbtest"
 	"repro/internal/text"
 	"repro/internal/wsmatrix"
 )
@@ -90,6 +91,20 @@ func assertSameAnswersByID(t *testing.T, label string, a, b *System) {
 	}
 }
 
+// assertSameTables requires every table of got to hold want's
+// table of the same domain, slot for slot and cell for cell.
+func assertSameTables(t *testing.T, label string, got, want *System) {
+	t.Helper()
+	for _, d := range want.DB().Domains() {
+		wt, _ := want.DB().TableForDomain(d)
+		gt, ok := got.DB().TableForDomain(d)
+		if !ok {
+			t.Fatalf("%s: no %s table", label, d)
+		}
+		sqldbtest.AssertSameTable(t, label, gt, wt, nil)
+	}
+}
+
 // mutateLive drives a representative ingest workload of durable
 // inserts and deletes over two domains.
 func mutateLive(t *testing.T, sys *System) {
@@ -148,12 +163,7 @@ func TestRecoverFromKillMidIngest(t *testing.T) {
 	}
 	defer recovered.Close()
 
-	liveTbl, _ := live.DB().TableForDomain("cars")
-	recTbl, _ := recovered.DB().TableForDomain("cars")
-	if recTbl.Len() != liveTbl.Len() || recTbl.Slots() != liveTbl.Slots() {
-		t.Fatalf("recovered cars table: %d live/%d slots, want %d/%d",
-			recTbl.Len(), recTbl.Slots(), liveTbl.Len(), liveTbl.Slots())
-	}
+	assertSameTables(t, "recovered-vs-live", recovered, live)
 	assertSameAnswersByID(t, "recovered-vs-live", recovered, live)
 
 	// A fresh build over only the surviving ads, each at its live RowID,

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
-	"reflect"
 	"runtime"
 	"strings"
 	"sync/atomic"
@@ -22,6 +21,7 @@ import (
 	"repro/internal/schema"
 	"repro/internal/shard/shardtest"
 	"repro/internal/sqldb"
+	"repro/internal/sqldb/sqldbtest"
 	"repro/internal/webui"
 )
 
@@ -418,9 +418,7 @@ func assertPartialFollower(t *testing.T, stage string, primary, follower *core.S
 	}
 	ft, _ := follower.DB().TableForDomain("cars")
 	pt, _ := primary.DB().TableForDomain("cars")
-	if ft.Len() != pt.Len() || ft.Slots() != pt.Slots() {
-		t.Errorf("%s: cars live/slots: follower %d/%d, primary %d/%d", stage, ft.Len(), ft.Slots(), pt.Len(), pt.Slots())
-	}
+	sqldbtest.AssertSameTable(t, stage+": cars", ft, pt, nil)
 }
 
 // TestFollowerRefusesUncoveredDomains: a full follower on a fresh
@@ -490,9 +488,15 @@ func TestSliceFollowerRestartsFromItsDirectory(t *testing.T) {
 	if sections.Load() != 1 || whole.Load() != 0 {
 		t.Fatalf("snapshot requests: %d for the h3/4 section, %d whole; want 1 and 0", sections.Load(), whole.Load())
 	}
-	assertHoldsSlice(t, "synced", primary, fl.Sys, partition.Slice{Index: 3, Count: 4})
+	// The follower holds exactly the primary's h3/4 rows, cell for cell.
+	sl := partition.Slice{Index: 3, Count: 4}
+	inSlice := func(id sqldb.RowID) bool { return sl.ContainsKey(uint64(id)) }
+	pt, _ := primary.DB().TableForDomain("cars")
+	ft, _ := fl.Sys.DB().TableForDomain("cars")
+	sqldbtest.AssertSameTable(t, "synced", ft, pt, inSlice)
 	fl.Restart(t)
-	assertHoldsSlice(t, "reopened", primary, fl.Sys, partition.Slice{Index: 3, Count: 4})
+	ft, _ = fl.Sys.DB().TableForDomain("cars")
+	sqldbtest.AssertSameTable(t, "reopened", ft, pt, inSlice)
 }
 
 // insertCars inserts n generated cars ads and deletes the first.
@@ -511,45 +515,6 @@ func insertCars(t *testing.T, sys *core.System, seed int64, n int) {
 	if err := sys.DeleteAd("cars", first); err != nil {
 		t.Fatal(err)
 	}
-}
-
-// assertHoldsSlice fails t unless follower's cars table holds exactly
-// primary's live rows whose keys hash into sl, value for value, over
-// the same slot count.
-func assertHoldsSlice(t *testing.T, stage string, primary, follower *core.System, sl partition.Slice) {
-	t.Helper()
-	pt, _ := primary.DB().TableForDomain("cars")
-	ft, _ := follower.DB().TableForDomain("cars")
-	if ft.Slots() != pt.Slots() {
-		t.Fatalf("%s: follower has %d cars slots, primary %d", stage, ft.Slots(), pt.Slots())
-	}
-	held := 0
-	for id := sqldb.RowID(0); id < sqldb.RowID(pt.Slots()); id++ {
-		want, got := pt.Row(id), ft.Row(id)
-		if !sl.ContainsKey(uint64(id)) {
-			if !got.IsZero() {
-				t.Errorf("%s: the %s follower holds row %d, outside its slice", stage, sl, id)
-			}
-			continue
-		}
-		if !reflect.DeepEqual(rowValues(got), rowValues(want)) {
-			t.Errorf("%s: row %d: follower %v, primary %v", stage, id, rowValues(got), rowValues(want))
-		}
-		if !got.IsZero() {
-			held++
-		}
-	}
-	if held == 0 {
-		t.Errorf("%s: the %s follower holds no rows; the test exercised nothing", stage, sl)
-	}
-}
-
-func rowValues(r sqldb.Row) []sqldb.Value {
-	vals := make([]sqldb.Value, r.Len())
-	for i := range vals {
-		vals[i] = r.At(i)
-	}
-	return vals
 }
 
 // ingestPartial inserts n generated cars ads and n jewellery ads, one

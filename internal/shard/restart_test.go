@@ -14,6 +14,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/shard/shardtest"
 	"repro/internal/sqldb"
+	"repro/internal/sqldb/sqldbtest"
 	"repro/internal/webui"
 )
 
@@ -146,10 +147,7 @@ func TestShardFollowerReceivesOnlyShardOps(t *testing.T) {
 	for _, d := range []string{"cars", "jewellery"} {
 		pt, _ := primary.DB().TableForDomain(d)
 		ft, _ := fs.DB().TableForDomain(d)
-		if pt.Len() != ft.Len() || pt.Slots() != ft.Slots() {
-			t.Errorf("%s: primary %d/%d vs follower %d/%d (live/slots)",
-				d, pt.Len(), pt.Slots(), ft.Len(), ft.Slots())
-		}
+		sqldbtest.AssertSameTable(t, d+" on the follower", ft, pt, nil)
 		shardtest.AssertSameResult(t, d+" on the follower", askIn(t, fs, d, shardProbes[d]), askIn(t, primary, d, shardProbes[d]))
 	}
 	// The follower inherits the shard's write fencing AND its hosting

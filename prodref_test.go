@@ -17,6 +17,7 @@ import (
 var testSupport = []string{
 	"internal/sql/sqltest",
 	"internal/shard/shardtest",
+	"internal/sqldb/sqldbtest",
 	"internal/analysis/analysistest",
 }
 
