@@ -15,13 +15,17 @@ type RowID int
 
 // hashIndex is an equality index from value key to the posting list of
 // rows holding that value. It backs both the primary index on Type I
-// attributes and the secondary indexes on Type II attributes.
+// attributes and the secondary indexes on Type II attributes. Each
+// distinct key is given a class once, when the column first stores a
+// value with that key (the column's dictionary records it), so posting
+// a cell is an array index and renders no key.
 type hashIndex struct {
-	postings map[string][]RowID
+	classes  map[string]uint32 // index key → class; kept by clear
+	postings [][]RowID         // by class
 }
 
 func newHashIndex() *hashIndex {
-	return &hashIndex{postings: make(map[string][]RowID)}
+	return &hashIndex{classes: make(map[string]uint32)}
 }
 
 // indexKey renders a value into its index key. Numbers and numeric
@@ -48,33 +52,54 @@ func sameNumKey(a, b float64) bool {
 	return a == b && math.Signbit(a) == math.Signbit(b)
 }
 
-func (ix *hashIndex) insert(v Value, id RowID) {
-	if v.IsNull() {
-		return
-	}
+// classOf returns the class of v's key, giving a key not seen before
+// the next class. v must not be NULL.
+func (ix *hashIndex) classOf(v Value) uint32 {
 	k := indexKey(v)
-	ix.postings[k] = append(ix.postings[k], id)
+	c, ok := ix.classes[k]
+	if !ok {
+		c = uint32(len(ix.postings))
+		ix.classes[k] = c
+		ix.postings = append(ix.postings, nil)
+	}
+	return c
 }
 
-// remove deletes id from v's posting list, preserving ascending
+// add appends id to class c's posting list. Ids are added in ascending
+// order, so the list stays sorted.
+func (ix *hashIndex) add(c uint32, id RowID) {
+	ix.postings[c] = append(ix.postings[c], id)
+}
+
+// remove deletes id from class c's posting list, preserving ascending
 // order. Posting lists are append-only in ascending RowID order, so a
 // binary search locates the entry.
-func (ix *hashIndex) remove(v Value, id RowID) {
-	if v.IsNull() {
+func (ix *hashIndex) remove(c uint32, id RowID) {
+	ids := ix.postings[c]
+	i, found := slices.BinarySearch(ids, id)
+	if !found {
 		return
 	}
-	k := indexKey(v)
-	ids := ix.postings[k]
-	i := sort.Search(len(ids), func(i int) bool { return ids[i] >= id })
-	if i >= len(ids) || ids[i] != id {
-		return
+	ix.postings[c] = shrink(slices.Delete(ids, i, i+1))
+}
+
+// shrink returns s, reallocated to its length once that falls below
+// half its capacity (nil when empty), so a list that churn has emptied
+// does not keep the memory of its peak.
+func shrink[E any](s []E) []E {
+	switch {
+	case len(s) == 0:
+		return nil
+	case len(s) < cap(s)/2:
+		return slices.Clip(slices.Clone(s))
 	}
-	ids = append(ids[:i], ids[i+1:]...)
-	if len(ids) == 0 {
-		delete(ix.postings, k)
-		return
-	}
-	ix.postings[k] = ids
+	return s
+}
+
+// clear empties every posting list and keeps the classes, which the
+// column dictionaries refer to.
+func (ix *hashIndex) clear() {
+	clear(ix.postings)
 }
 
 // lookup returns the posting list for v; NULL equals no row. The
@@ -85,7 +110,11 @@ func (ix *hashIndex) lookup(v Value) []RowID {
 		return nil
 	}
 	var buf [64]byte
-	return ix.postings[string(appendIndexKey(buf[:0], v))]
+	c, ok := ix.classes[string(appendIndexKey(buf[:0], v))]
+	if !ok {
+		return nil
+	}
+	return ix.postings[c]
 }
 
 // orderedIndex keeps (value, row) pairs sorted by numeric value,
@@ -148,7 +177,7 @@ func (ix *orderedIndex) remove(v Value, id RowID) {
 		}
 	}
 	if at >= 0 {
-		ix.entries = append(ix.entries[:at], ix.entries[at+1:]...)
+		ix.entries = shrink(slices.Delete(ix.entries, at, at+1))
 	}
 }
 

@@ -86,8 +86,8 @@ func TestOrderedIndexMatchesBruteForce(t *testing.T) {
 
 func TestHashIndexNumericStringKeysShared(t *testing.T) {
 	ix := newHashIndex()
-	ix.insert(Number(2004), 1)
-	ix.insert(String("2004"), 2)
+	ix.add(ix.classOf(Number(2004)), 1)
+	ix.add(ix.classOf(String("2004")), 2)
 	ids := ix.lookup(Number(2004))
 	if len(ids) != 2 {
 		t.Errorf("numeric/string key sharing failed: %v", ids)

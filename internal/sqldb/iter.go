@@ -3,8 +3,6 @@ package sqldb
 import (
 	"math"
 	"slices"
-
-	"repro/internal/schema"
 )
 
 // This file adds the access layer the streaming query executor
@@ -117,23 +115,27 @@ func (v View) match(id RowID, p *Pred) bool {
 	if !ok {
 		return false
 	}
-	val := v.t.rows[id].Values[i]
+	c := &v.t.cols[i]
+	g, off := v.at(id)
 	switch p.Kind {
 	case PredEqual:
-		if p.numeric && v.t.schema.Attrs[i].Type != schema.TypeIII {
+		switch {
+		case c.typeIII:
+			// On a Type III column the ordered index agrees with
+			// Equal for a number, and a string is scanned with Equal.
+			match = c.cell(g, off).Equal(p.Value)
+		case p.numeric:
 			// A hash-indexed column: the index's key equality, under
 			// which '2', '2.0' and 2 are one value.
-			n, isNum := val.tryNum()
-			match = isNum && sameNumKey(n, p.num)
-		} else {
+			e := c.entry(g.codes[c.slot][off])
+			match = e.numeric && sameNumKey(e.num, p.num)
+		default:
 			// A non-numeric literal keys its own text, which is what
-			// Equal compares; on a Type III column the ordered index
-			// agrees with Equal for a number and a string is scanned
-			// with Equal.
-			match = val.Equal(p.Value)
+			// Equal compares.
+			match = c.entry(g.codes[c.slot][off]).v.Equal(p.Value)
 		}
 	case PredRange:
-		n, isNum := val.tryNum()
+		n, isNum := c.num(g, off)
 		if isNum {
 			okLo := n > p.Lo || (p.IncLo && n == p.Lo)
 			okHi := n < p.Hi || (p.IncHi && n == p.Hi)
@@ -166,11 +168,11 @@ func (v View) IntersectMatch(ids []RowID, eqs, preds []Pred, limit int) []RowID 
 	postings := buf[:0]
 	for i := range eqs {
 		p := &eqs[i]
-		ix, ok := v.t.hash[p.Col]
-		if !ok || p.Kind != PredEqual || p.Negate {
+		i, ok := v.t.colIdx[p.Col]
+		if !ok || v.t.hash[i] == nil || p.Kind != PredEqual || p.Negate {
 			panic("sqldb: IntersectMatch needs equalities on hash-indexed columns, got one on " + p.Col)
 		}
-		postings = append(postings, ix.lookup(p.Value))
+		postings = append(postings, v.t.hash[i].lookup(p.Value))
 	}
 	out := ids[:0]
 	probes, checks := 0, 0

@@ -146,9 +146,12 @@ func TestPostingListsStayAscending(t *testing.T) {
 		}
 	}
 	for col, ix := range tbl.hash {
-		for key, ids := range ix.postings {
+		if ix == nil {
+			continue
+		}
+		for class, ids := range ix.postings {
 			if !sort.SliceIsSorted(ids, func(i, j int) bool { return ids[i] < ids[j] }) {
-				t.Fatalf("hash postings %s[%s] not ascending: %v", col, key, ids)
+				t.Fatalf("hash postings %s[class %d] not ascending: %v", tbl.cols[col].name, class, ids)
 			}
 		}
 	}

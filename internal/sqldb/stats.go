@@ -34,17 +34,17 @@ type ColumnStats struct {
 // schema and statement shape alone — so the cost is paid only by
 // whoever asks to look (the cqads shell's "stats <domain>").
 func (t *Table) Stats() (st *TableStats) {
-	t.View(func(View) {
+	t.View(func(view View) {
 		st = &TableStats{Table: t.name, Rows: t.live}
-		for _, a := range t.schema.Attrs {
+		for i, a := range t.schema.Attrs {
 			col := ColumnStats{Name: a.Name, Type: a.Type}
-			i := t.colIdx[a.Name]
+			c := &t.cols[i]
 			distinct := map[string]struct{}{}
-			for r := range t.rows {
+			for r := range t.dead {
 				if t.dead[r] {
 					continue
 				}
-				v := t.rows[r].Values[i]
+				v := c.cell(view.at(RowID(r)))
 				if v.IsNull() {
 					col.Nulls++
 					continue

@@ -47,11 +47,18 @@ func (v View) Schema() *schema.Schema { return v.t.schema }
 
 // Slots returns the number of allocated row slots: every RowID the
 // view can yield is below it.
-func (v View) Slots() int { return len(v.t.rows) }
+func (v View) Slots() int { return len(v.t.dead) }
 
 // alive reports whether id names a live (inserted, not deleted) row.
 func (v View) alive(id RowID) bool {
-	return id >= 0 && int(id) < len(v.t.rows) && !v.t.dead[id]
+	return id >= 0 && int(id) < len(v.t.dead) && !v.t.dead[id]
+}
+
+// at returns the row group holding the cells of row id, which must
+// have been written (a live or deleted row), and the row's offset in
+// it.
+func (v View) at(id RowID) (*rowGroup, int) {
+	return v.t.groups[id>>groupShift], int(id) & (groupRows - 1)
 }
 
 // Row returns the view of row id. A deleted or unknown id yields the
@@ -60,14 +67,15 @@ func (v View) Row(id RowID) Row {
 	if !v.alive(id) {
 		return Row{}
 	}
-	return Row{t: v.t, vals: v.t.rows[id].Values}
+	g, off := v.at(id)
+	return Row{t: v.t, g: g, off: off}
 }
 
 // AppendLiveIDs appends every live row id to dst in ascending order
 // and returns the extended slice.
 func (v View) AppendLiveIDs(dst []RowID) []RowID {
 	base := len(dst)
-	for i := range v.t.rows {
+	for i := range v.t.dead {
 		if !v.t.dead[i] {
 			dst = append(dst, RowID(i))
 		}
@@ -83,7 +91,7 @@ func (v View) AppendLiveIDs(dst []RowID) []RowID {
 func (v View) AppendLiveExcept(dst, except []RowID) []RowID {
 	t := v.t
 	base, j := len(dst), 0
-	for i := range t.rows {
+	for i := range t.dead {
 		id := RowID(i)
 		for j < len(except) && except[j] < id {
 			j++
@@ -109,30 +117,31 @@ func (v View) AppendLiveExcept(dst, except []RowID) []RowID {
 // slice is ever read outside a view.
 func (v View) AppendEqual(dst []RowID, col string, val Value) []RowID {
 	t := v.t
-	if ix, ok := t.hash[col]; ok {
+	i, ok := t.colIdx[col]
+	if !ok {
+		return dst
+	}
+	if ix := t.hash[i]; ix != nil {
 		// Postings are appended in ascending RowID order and deletes
 		// remove in place, so the list is already sorted — no re-sort.
 		posting := ix.lookup(val)
 		v.w.AddPostings(len(posting))
 		return append(dst, posting...)
 	}
-	if ix, ok := t.ordered[col]; ok && val.IsNumber() {
+	if val.IsNumber() {
 		base := len(dst)
-		dst = ix.appendRange(dst, val.n, val.n, true, true)
+		dst = t.ordered[i].appendRange(dst, val.n, val.n, true, true)
 		v.w.AddPostings(len(dst) - base)
 		return dst
 	}
-	i, ok := t.colIdx[col]
-	if !ok {
-		return dst
-	}
+	c := &t.cols[i]
 	reads := 0
-	for id := range t.rows {
+	for id := range t.dead {
 		if t.dead[id] {
 			continue
 		}
 		reads++
-		if t.rows[id].Values[i].Equal(val) {
+		if c.cell(v.at(RowID(id))).Equal(val) {
 			dst = append(dst, RowID(id))
 		}
 	}
@@ -149,23 +158,24 @@ func (v View) AppendEqual(dst []RowID, col string, val Value) []RowID {
 // copies the postings. Use math.Inf for open ends.
 func (v View) AppendRange(dst []RowID, col string, lo, hi float64, incLo, incHi bool) []RowID {
 	t := v.t
-	if ix, ok := t.ordered[col]; ok {
+	i, ok := t.colIdx[col]
+	if !ok {
+		return dst
+	}
+	if ix := t.ordered[i]; ix != nil {
 		base := len(dst)
 		dst = ix.appendRange(dst, lo, hi, incLo, incHi)
 		v.w.AddPostings(len(dst) - base)
 		return dst
 	}
-	i, ok := t.colIdx[col]
-	if !ok {
-		return dst
-	}
+	c := &t.cols[i]
 	reads := 0
-	for id := range t.rows {
+	for id := range t.dead {
 		if t.dead[id] {
 			continue
 		}
 		reads++
-		n, isNum := t.rows[id].Values[i].tryNum()
+		n, isNum := c.num(v.at(RowID(id)))
 		if !isNum {
 			continue
 		}
@@ -187,9 +197,9 @@ func (v View) SortByColumn(ids []RowID, col string, descending bool) []RowID {
 	if !ok {
 		return ids
 	}
-	rows := v.t.rows
+	cl := &v.t.cols[i]
 	sort.SliceStable(ids, func(a, b int) bool {
-		c := rows[ids[a]].Values[i].Compare(rows[ids[b]].Values[i])
+		c := cl.cell(v.at(ids[a])).Compare(cl.cell(v.at(ids[b])))
 		if c == 0 {
 			return ids[a] < ids[b]
 		}
@@ -220,6 +230,7 @@ func (v View) AppendExtremeRun(dst, ids []RowID, col string, desc bool, limit in
 	if !ok {
 		return dst, 0, false
 	}
+	c := &v.t.cols[i]
 	base, reads := len(dst), 0
 	var extreme float64
 	found := false
@@ -228,7 +239,7 @@ func (v View) AppendExtremeRun(dst, ids []RowID, col string, desc bool, limit in
 			continue
 		}
 		reads++
-		n, isNum := v.t.rows[id].Values[i].tryNum()
+		n, isNum := c.num(v.at(id))
 		if !isNum || n != n { // NaN has no place in the order
 			continue
 		}
