@@ -132,9 +132,10 @@
 //     are scored from one pass of per-condition
 //     similarity/satisfaction memos (rank.BestRankSim), and each
 //     answer's record is a read-only view of the stored row
-//     (sqldb.Row; rows are never written in place) in one Answers
-//     slice: no per-answer allocation, and nothing left on the heap
-//     that grows with the rows answered (TestRetainedHeapBudget).
+//     (sqldb.Row: its table, row group and offset; cells are written
+//     once and never moved) in one Answers slice: no per-answer
+//     allocation, and nothing left on the heap that grows with the
+//     rows answered (TestRetainedHeapBudget).
 //
 //   - An append-style answer envelope. GET /api/ask bodies and
 //     scatter parts are written straight from core.Result and
@@ -169,12 +170,23 @@
 //
 // The consistency model has three layers:
 //
-//   - Storage. sqldb.Table is internally synchronized (RWMutex).
+//   - Storage. sqldb.Table stores its rows column-major, in
+//     fixed-capacity row groups (PAX): a Type I or II cell is a 4-byte
+//     code into its column's append-only dictionary, where each
+//     distinct value is classified once (its numeric reading and hash
+//     index key); a Type III cell is its float's 8 bytes, and the rare
+//     NULL or string there is a dictionary exception. A cell is written
+//     once and never moved, and dictionaries are published through an
+//     atomic pointer, so an answer's sqldb.Row reads its cells after
+//     the ask's view has closed while later inserts land. The table is
+//     internally synchronized (RWMutex).
 //     Every mutation is atomic: a row and all of its index postings —
 //     hash and ordered — appear or disappear together, so no
 //     reader ever observes a half-indexed row. Deletes tombstone the
-//     RowID (slots are retired, never reused) and remove postings in
-//     place, preserving each posting list's ascending-RowID order.
+//     RowID (slots are retired, never reused, and keep their cells)
+//     and remove postings in place, preserving each posting list's
+//     ascending-RowID order; a posting list that falls below half its
+//     capacity is reallocated.
 //     Reads run in read views: Table.View takes the read lock once,
 //     and every read through the View it passes sees one version of
 //     the table. AskInDomain and AskInDomainScatter are wrappers

@@ -131,12 +131,13 @@ func raceEnabled() bool {
 }
 
 // Allocation ceilings per relaxing ask on the 20 000-ad cars table:
-// the values measured once the plan cache was deleted, plus 5 %.
-// A change that lowers the measurement lowers the ceiling with it; a
-// change that raises it says why in CHANGES.md.
+// the values measured once the plan cache was deleted (allocations)
+// and once the store was column-major (KiB), plus 5 %. A change that
+// lowers the measurement lowers the ceiling with it; a change that
+// raises it says why in CHANGES.md.
 const (
 	relaxAskAllocsCeiling = 146.0 // allocations per ask (measured 139)
-	relaxAskKBCeiling     = 13.1  // KiB allocated per ask (measured 12.4)
+	relaxAskKBCeiling     = 12.6  // KiB allocated per ask (measured 12.0; 12.4 with row-major storage)
 )
 
 // TestRelaxAllocBudget pins what one relaxing ask allocates over a

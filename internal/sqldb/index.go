@@ -126,8 +126,9 @@ func (ix *hashIndex) lookup(v Value) []RowID {
 // Mutual exclusion between insert/remove and scans is provided by the
 // owning Table's RWMutex: mutations run under the exclusive lock, so
 // the old insert-concurrent-with-scan usage error can no longer occur
-// through the Table API. Removal rewrites the slice in place and
-// preserves sortedness, so a delete never forces a re-sort.
+// through the Table API. Removal preserves the order of the remaining
+// entries, so a delete never forces a re-sort, and reallocates the
+// slice once it falls below half its capacity.
 type orderedIndex struct {
 	entries []orderedEntry
 	sorted  atomic.Bool

@@ -168,11 +168,11 @@ func (v View) IntersectMatch(ids []RowID, eqs, preds []Pred, limit int) []RowID 
 	postings := buf[:0]
 	for i := range eqs {
 		p := &eqs[i]
-		i, ok := v.t.colIdx[p.Col]
-		if !ok || v.t.hash[i] == nil || p.Kind != PredEqual || p.Negate {
+		ci, ok := v.t.colIdx[p.Col]
+		if !ok || v.t.hash[ci] == nil || p.Kind != PredEqual || p.Negate {
 			panic("sqldb: IntersectMatch needs equalities on hash-indexed columns, got one on " + p.Col)
 		}
-		postings = append(postings, v.t.hash[i].lookup(p.Value))
+		postings = append(postings, v.t.hash[ci].lookup(p.Value))
 	}
 	out := ids[:0]
 	probes, checks := 0, 0

@@ -4,7 +4,8 @@
 // hash indexes on Type II attributes and ordered indexes on Type III
 // attributes: the access paths the generated SQL drives. The paper's
 // length-3 substring index (Sec. 4.5) is left out, because no
-// generated statement has a substring predicate.
+// generated statement has a substring predicate. Rows are stored
+// column-major in dictionary-coded row groups (column.go).
 package sqldb
 
 import (
