@@ -20,7 +20,7 @@ type RowID int
 // value with that key (the column's dictionary records it), so posting
 // a cell is an array index and renders no key.
 type hashIndex struct {
-	classes  map[string]uint32 // index key → class; kept by clear
+	classes  map[string]uint32 // index key → class; kept when the postings are emptied
 	postings [][]RowID         // by class
 }
 
@@ -91,15 +91,9 @@ func shrink[E any](s []E) []E {
 	case len(s) == 0:
 		return nil
 	case len(s) < cap(s)/2:
-		return slices.Clip(slices.Clone(s))
+		return slices.Clone(s)
 	}
 	return s
-}
-
-// clear empties every posting list and keeps the classes, which the
-// column dictionaries refer to.
-func (ix *hashIndex) clear() {
-	clear(ix.postings)
 }
 
 // lookup returns the posting list for v; NULL equals no row. The

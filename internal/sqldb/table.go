@@ -367,7 +367,8 @@ func (t *Table) RestoreState(slots int, rows []Record) error {
 	}
 	for i := range t.cols {
 		if ix := t.hash[i]; ix != nil {
-			ix.clear()
+			// The classes stay: the column dictionaries refer to them.
+			clear(ix.postings)
 		} else {
 			t.ordered[i] = &orderedIndex{}
 		}
